@@ -85,10 +85,9 @@ def _cmd_simulate(args) -> int:
     traj = er.run_euler(run_cfg, scenario.fields(run_cfg.grid))
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
+    gf.write_series(out, run_cfg.grid, traj.times, traj.states)
     lines = ["t,mass,etot,grad_u_max,grad_rho_max"]
     for k, (t, s) in enumerate(zip(traj.times, traj.states)):
-        gf.write_snapshot(out / f"{k:05d}.snap", run_cfg.grid, t,
-                          {"rho": s.rho, "mom": s.mom, "etot": s.etot})
         lines.append(",".join(repr(float(v)) for v in (
             t, gf.integrate(s.rho, run_cfg.grid),
             gf.integrate(s.etot, run_cfg.grid),

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import euler_reference as er
 from . import grid_fields as gf
 from . import nsf_solver as ns
@@ -40,7 +38,7 @@ KNOWN_KEYS = (
     ("t_end",                 "final time"),
     ("output.stride",         "steps between stored snapshots"),
     ("floors",                "positivity floors for rho and theta, two floats"),
-    ("convective.order",      "auto, 2, or 4"),
+    ("convective.order",      ", ".join(ns.CONVECTIVE_ORDERS)),
     ("init.name",             "uniform, acoustic-entropy, or compressive-pulse"),
     ("init.amplitude",        "perturbation amplitude"),
     ("init.gap",              "ill-preparedness offset (second-harmonic weight)"),
@@ -202,6 +200,14 @@ def build_scenario(cfg: dict, grid: gf.Grid) -> scenarios.Scenario:
     )
 
 
+def build_nsf_controls(cfg: dict) -> tuple:
+    """Positivity floors and convective order of dissipative runs."""
+    floors = get_floats(cfg, "floors", "1e-12 1e-12")
+    if len(floors) != 2:
+        raise ConfigError(f"floors: expected two numbers, got {cfg['floors']!r}")
+    return floors, get_choice(cfg, "convective.order", "auto", ns.CONVECTIVE_ORDERS)
+
+
 def build_run(cfg: dict):
     """Assemble a single run -> (kind, run config, scenario).
 
@@ -224,9 +230,7 @@ def build_run(cfg: dict):
         run = er.EulerRunConfig(gas=gas, grid=grid, t_end=t_end, cfl=cfl,
                                 output_stride=stride)
         return kind, run, scenario
-    floors = get_floats(cfg, "floors", "1e-12 1e-12")
-    if len(floors) != 2:
-        raise ConfigError(f"floors: expected two numbers, got {cfg['floors']!r}")
+    floors, order = build_nsf_controls(cfg)
     run = ns.NsfRunConfig(
         gas=gas,
         transport=build_transport(cfg),
@@ -236,8 +240,7 @@ def build_run(cfg: dict):
         cfl=cfl,
         output_stride=stride,
         positivity_floor=floors,
-        convective_order=get_choice(cfg, "convective.order", "auto",
-                                     ("auto", "2", "4")),
+        convective_order=order,
     )
     return kind, run, scenario
 

@@ -14,24 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from . import euler_reference as er
 from . import grid_fields as gf
 from . import relative_energy as renergy
 from . import thermo
 from .errors import DomainError, UsageError
-
-
-@dataclass(frozen=True)
-class DataBounds:
-    """Witnessed initial-data bounds: total mass at least M, sup norms at most D."""
-
-    M: float
-    D: float
-
-    def __post_init__(self):
-        if not (self.M > 0.0 and math.isfinite(self.M)):
-            raise DomainError(f"initial mass bound M must be positive and finite, got {self.M}")
-        if not (self.D > 0.0 and math.isfinite(self.D)):
-            raise DomainError(f"initial sup bound D must be positive and finite, got {self.D}")
+from .nsf_solver import recover_temperature
 
 
 def rate_envelope(scaling: thermo.ScalingParams) -> float:
@@ -40,25 +28,11 @@ def rate_envelope(scaling: thermo.ScalingParams) -> float:
     The last three terms are singular when a, nu, or lambda vanish, so those
     parameters must be strictly positive here (omega may be zero).
     """
-    a, nu, omega, lam = scaling.a, scaling.nu, scaling.omega, scaling.lam
-    if a <= 0.0 or nu <= 0.0 or lam <= 0.0:
-        raise DomainError(
-            f"rate envelope needs a, nu, lambda > 0, got a={a}, nu={nu}, lambda={lam}"
-        )
-    terms = (
-        a,
-        nu,
-        omega,
-        lam,
-        nu / math.sqrt(a),
-        omega / a,
-        (a / math.sqrt(nu ** 3 * lam)) ** (1.0 / 3.0),
-    )
-    return max(terms)
+    return max(envelope_terms(scaling).values())
 
 
 def envelope_terms(scaling: thermo.ScalingParams) -> dict:
-    """The seven envelope terms by name, for reports."""
+    """The seven envelope terms by name, for reports; see `rate_envelope`."""
     a, nu, omega, lam = scaling.a, scaling.nu, scaling.omega, scaling.lam
     if a <= 0.0 or nu <= 0.0 or lam <= 0.0:
         raise DomainError(
@@ -142,9 +116,6 @@ def uniform_bounds(trajectory, scaling: thermo.ScalingParams = None) -> UniformB
     Temperature recovery uses the run's own radiation constant; the
     reported weights come from `scaling` when given (default: the run's).
     """
-    # local import: the solver module needs DataBounds from here at load time
-    from .nsf_solver import recover_temperature
-
     cfg = trajectory.config
     sc = cfg.scaling if scaling is None else scaling
     grid = cfg.grid
@@ -253,10 +224,6 @@ def rel_energy_inequality_residual(trajectory, reference, gas: thermo.GasModel =
     time integrals from the trapezoid rule.  The residual must not exceed
     the discretization error, which refinement studies quantify.
     """
-    # local imports: the solver module needs DataBounds from here at load time
-    from . import euler_reference as er
-    from .nsf_solver import recover_temperature
-
     cfg = trajectory.config
     gas = cfg.gas if gas is None else gas
     sc = cfg.scaling if scaling is None else scaling

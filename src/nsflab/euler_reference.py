@@ -1,7 +1,8 @@
 """Inviscid reference runs on a fine grid: the smooth trio (rho, theta, u).
 
 The compressible Euler equations are integrated with 4th-order centered
-flux differences, SSP-RK3, and a weak 6th-difference hyper-dissipation
+flux differences, SSP-RK3 (the one stepper `nsf_solver.ssp_rk3`, shared
+with the dissipative solver), and a weak 6th-difference hyper-dissipation
 filter whose amplitude is calibrated so the induced total-energy drift
 stays below a configured fraction of the initial energy.  Everything is
 written in flux-difference form, so mass and total energy are conserved
@@ -27,7 +28,7 @@ import numpy as np
 from . import grid_fields as gf
 from . import thermo
 from .errors import ConfigError, DomainError, PositivityError, UsageError
-from .nsf_solver import recover_temperature
+from .nsf_solver import recover_temperature, ssp_rk3, state_from_primitives
 
 _DEPTH = 3  # 4th-order faces need 2 ghost layers, the filter needs 3
 
@@ -62,15 +63,6 @@ class EulerRunConfig:
 # spatial operator
 
 
-def _strip(arr, grid, ax, depth=_DEPTH):
-    # keep axis ax whole, restrict the others to the interior, put ax last
-    lead = arr.ndim - grid.dim
-    sl = [slice(None)] * lead
-    for g, n in enumerate(grid.cells):
-        sl.append(slice(None) if g == ax else slice(depth, depth + n))
-    return np.moveaxis(arr[tuple(sl)], lead + ax, -1)
-
-
 def _faces4(F):
     # 4th-order face average: difference of these faces is the centered
     # 5-point first derivative, so sums telescope exactly
@@ -86,10 +78,7 @@ def _fifth_difference_faces(W):
 
 
 def _ghost_primitives(gas, g):
-    e_int = g.etot - 0.5 * np.sum(g.mom * g.mom, axis=0) / g.rho
-    if np.any(g.rho <= 0.0) or np.any(e_int <= 0.0):
-        raise PositivityError("ghost extension lost positivity")
-    theta = thermo.temperature_from_energy(gas, 0.0, g.rho, e_int)
+    theta = recover_temperature(g.rho, g.mom, g.etot, gas, 0.0)
     p = thermo.pressure(gas, 0.0, g.rho, theta)
     return g.mom / g.rho, p
 
@@ -113,9 +102,9 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     out = np.zeros((2 + dim, *grid.cells))
     for ax in range(dim):
         dx = grid.spacing[ax]
-        W = _strip(W_g, grid, ax)
-        un = _strip(u_g[ax][None], grid, ax)[0]
-        p = _strip(p_g, grid, ax)
+        W = gf.axis_strip(W_g, grid, ax, _DEPTH)
+        un = gf.axis_strip(u_g[ax], grid, ax, _DEPTH)
+        p = gf.axis_strip(p_g, grid, ax, _DEPTH)
         F = W * un[None]
         F[1 + ax] += p
         F[-1] += p * un
@@ -140,24 +129,6 @@ def _speed_over_dx(state, gas, grid):
     u = state.velocity()
     return max(float(np.max(np.abs(u[ax]) + c)) / grid.spacing[ax]
                for ax in range(grid.dim))
-
-
-def _rk3(state, dt, gas, grid, eps_f):
-    def stage(s, frac_old, old, t_new):
-        drho, dmom, detot = rhs_euler(s, gas, grid, eps_f)
-        rho = s.rho + dt * drho
-        mom = s.mom + dt * dmom
-        etot = s.etot + dt * detot
-        if frac_old > 0.0:
-            rho = frac_old * old.rho + (1.0 - frac_old) * rho
-            mom = frac_old * old.mom + (1.0 - frac_old) * mom
-            etot = frac_old * old.etot + (1.0 - frac_old) * etot
-        return gf.FluidState(rho, mom, etot, t_new)
-
-    t = state.time
-    s1 = stage(state, 0.0, state, t + dt)
-    s2 = stage(s1, 0.75, state, t + 0.5 * dt)
-    return stage(s2, 1.0 / 3.0, state, t + dt)
 
 
 def _gradient_maxima(state, grid):
@@ -194,20 +165,6 @@ class EulerTrajectory:
         return self.times[1] - self.times[0] if len(self.times) > 1 else 0.0
 
 
-def _as_state(gas, initial) -> gf.FluidState:
-    if isinstance(initial, gf.FluidState):
-        return initial.copy()
-    rho0, theta0, u0 = initial
-    rho0 = np.asarray(rho0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape == rho0.shape:
-        u0 = u0[None]
-    mom = rho0 * u0
-    etot = 0.5 * rho0 * np.sum(u0 * u0, axis=0) + thermo.internal_energy_density(
-        gas, 0.0, rho0, np.asarray(theta0, dtype=float))
-    return gf.FluidState(rho0, mom, etot, 0.0)
-
-
 def _calibrate_filter(config: EulerRunConfig, state0: gf.FluidState, dt: float) -> float:
     """Largest tried amplitude whose projected energy drift fits the budget."""
     e0 = gf.integrate(state0.etot, config.grid)
@@ -218,7 +175,7 @@ def _calibrate_filter(config: EulerRunConfig, state0: gf.FluidState, dt: float) 
         s = state0.copy()
         try:
             for _ in range(10):
-                s = _rk3(s, dt, config.gas, config.grid, eps)
+                s = ssp_rk3(s, dt, lambda w: rhs_euler(w, config.gas, config.grid, eps))
         except (PositivityError, DomainError):
             eps *= 0.5
             continue
@@ -237,7 +194,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
     Courant number later exceeds 0.95 the run aborts, which is treated as
     a life-span signal, not an error.
     """
-    state = _as_state(config.gas, initial)
+    state = state_from_primitives(config.gas, 0.0, initial)
     if cache_dir is not None:
         key = reference_key(config, state)
         cached = _load_cached(config, cache_dir, key)
@@ -266,7 +223,8 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
         try:
             if _speed_over_dx(state, config.gas, config.grid) * dt > 0.95:
                 raise DomainError("running Courant number exceeded 0.95")
-            state = _rk3(state, dt, config.gas, config.grid, eps)
+            state = ssp_rk3(state, dt,
+                            lambda w: rhs_euler(w, config.gas, config.grid, eps))
         except (PositivityError, DomainError) as err:
             traj.aborted = True
             traj.abort_reason = (f"stopped at t={state.time:.6g}: {err} "
@@ -287,7 +245,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
 
 
 def _deriv4_axis(field_g, grid, ax):
-    F = _strip(field_g, grid, ax)
+    F = gf.axis_strip(field_g, grid, ax, _DEPTH)
     faces = _faces4(F)
     return np.moveaxis((faces[..., 1:] - faces[..., :-1]) / grid.spacing[ax],
                        -1, ax + (field_g.ndim - grid.dim))
@@ -518,7 +476,7 @@ def compatibility_check(rho_fn, theta_fn, u_fns, grid: gf.Grid,
 
     rho0 = np.broadcast_to(np.asarray(rho_fn(*X), dtype=float), grid.cells)
     theta0 = np.broadcast_to(np.asarray(theta_fn(*X), dtype=float), grid.cells)
-    state = _as_state(gas, (rho0, theta0, u0))
+    state = state_from_primitives(gas, 0.0, (rho0, theta0, u0))
     drho, dmom, detot = rhs_euler(state, gas, grid, eps_f=0.0)
     dudt = (dmom - u0 * drho) / rho0
     rate_scale = 1.0 + float(np.max(np.abs(dudt)))
@@ -625,9 +583,7 @@ def _cache_paths(cache_dir, key):
 def _store_cached(config, traj, cache_dir, key):
     root, manifest = _cache_paths(cache_dir, key)
     os.makedirs(root, exist_ok=True)
-    for i, (t, s) in enumerate(zip(traj.times, traj.states)):
-        gf.write_snapshot(os.path.join(root, f"{i:05d}.snap"), config.grid, t,
-                          {"rho": s.rho, "mom": s.mom, "etot": s.etot})
+    gf.write_series(root, config.grid, traj.times, traj.states)
     lines = [
         f"key {key}",
         f"count {len(traj.states)}",
@@ -657,13 +613,11 @@ def _load_cached(config, cache_dir, key):
                            t_end=float(meta["t_end"]),
                            mass_drift=float(meta["mass_drift"]),
                            energy_drift=float(meta["energy_drift"]))
-    for i in range(int(meta["count"])):
-        grid, t, fields = gf.read_snapshot(os.path.join(root, f"{i:05d}.snap"))
-        # 1-component vectors read back as scalars; restore the lead axis
-        mom = fields["mom"].reshape(grid.dim, *grid.cells)
-        state = gf.FluidState(fields["rho"], mom, fields["etot"], t)
-        traj.times.append(t)
-        traj.states.append(state)
+    traj.times, traj.states = gf.read_series(root, config.grid)
+    if len(traj.states) != int(meta["count"]):
+        raise UsageError(f"{root} holds {len(traj.states)} snapshots, "
+                         f"its manifest lists {meta['count']}")
+    for state in traj.states:
         gu, gr = _gradient_maxima(state, config.grid)
         traj.grad_u_max.append(gu)
         traj.grad_rho_max.append(gr)

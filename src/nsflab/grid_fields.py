@@ -9,12 +9,20 @@ wall vanish as well).
 
 All stencils are 2nd-order centered and exact on affine data when the ghost
 values extend the field exactly.
+
+A stored run is a snapshot series: one directory of files 00000.snap,
+00001.snap, ... numbered in time order, each holding the conserved fields
+rho, mom and etot of one instant (`write_snapshot` gives the file format).
+`write_series` and `read_series` are the one writer and reader of that
+layout for both solvers; a 1-D momentum is stored flat and read back with
+its component axis restored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -84,13 +92,6 @@ def mesh(grid: Grid):
     if grid.dim == 1:
         return cell_centers(grid)
     return tuple(np.meshgrid(*cell_centers(grid), indexing="ij"))
-
-
-def ghosted_centers(grid: Grid, depth: int):
-    """Cell-center coordinates including ghost cells outside the box."""
-    return tuple(
-        (np.arange(-depth, n + depth) + 0.5) * h for n, h in zip(grid.cells, grid.spacing)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,21 @@ def interior_of(fld: np.ndarray, grid: Grid, depth: int = None) -> np.ndarray:
     return _shifted(fld, grid, depth, axis=-1, k=0)
 
 
+def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
+               widen: int = 0) -> np.ndarray:
+    """View of a depth-ghosted field along grid axis ax, with that axis moved last.
+
+    Axis ax keeps all its cells, ghosts included; every other grid axis is
+    restricted to the interior widened by `widen` cells on each side.
+    Leading component axes are kept as they are.
+    """
+    lead = fld.ndim - grid.dim
+    sl = [slice(None)] * lead
+    for g, n in enumerate(grid.cells):
+        sl.append(slice(None) if g == ax else slice(depth - widen, depth + n + widen))
+    return np.moveaxis(fld[tuple(sl)], lead + ax, -1)
+
+
 def _pad_axis(arr, axis, depth, kind, odd):
     pad = [(0, 0)] * arr.ndim
     pad[axis] = (depth, depth)
@@ -308,45 +324,6 @@ def gradient(fld: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def divergence(fld: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-cell centered divergence of a ghosted vector field."""
-    fld = np.asarray(fld, dtype=float)
-    if fld.ndim != grid.dim + 1 or fld.shape[0] != grid.dim:
-        raise UsageError(f"vector field must have shape (dim, ...), got {fld.shape}")
-    depth = ghost_depth(fld, grid)
-    out = np.zeros(grid.cells)
-    for ax in range(grid.dim):
-        out += (
-            _shifted(fld[ax], grid, depth, ax, +1) - _shifted(fld[ax], grid, depth, ax, -1)
-        ) / (2.0 * grid.spacing[ax])
-    return out
-
-
-def flux_divergence(coef: np.ndarray, fld: np.ndarray, grid: Grid) -> np.ndarray:
-    """div(k grad f) by conservative face-flux differencing.
-
-    Both the cell-centered coefficient and the field must be ghosted; the
-    face coefficient is the arithmetic mean of the two adjacent cells. Exact
-    zero for affine f with constant k.
-    """
-    coef = np.asarray(coef, dtype=float)
-    fld = np.asarray(fld, dtype=float)
-    dc, df = ghost_depth(coef, grid), ghost_depth(fld, grid)
-    out = np.zeros(grid.cells)
-    for ax in range(grid.dim):
-        dx = grid.spacing[ax]
-        f0 = _shifted(fld, grid, df, ax, 0)
-        fp = _shifted(fld, grid, df, ax, +1)
-        fm = _shifted(fld, grid, df, ax, -1)
-        k0 = _shifted(coef, grid, dc, ax, 0)
-        kp = _shifted(coef, grid, dc, ax, +1)
-        km = _shifted(coef, grid, dc, ax, -1)
-        flux_hi = 0.5 * (k0 + kp) * (fp - f0) / dx
-        flux_lo = 0.5 * (km + k0) * (f0 - fm) / dx
-        out += (flux_hi - flux_lo) / dx
-    return out
-
-
 # ---------------------------------------------------------------------------
 # norms, integrals, accumulators
 
@@ -381,15 +358,6 @@ def integrate(fld, grid: Grid) -> float:
     """Midpoint-rule integral of an interior cell-average field over the box."""
     fld = np.asarray(fld, dtype=float)
     return float(np.sum(fld) * grid.cell_volume)
-
-
-def inner(f, g, grid: Grid) -> float:
-    """L^2 inner product; vector fields are contracted componentwise."""
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != g.shape:
-        raise UsageError(f"shape mismatch in inner product: {f.shape} vs {g.shape}")
-    return float(np.sum(f * g) * grid.cell_volume)
 
 
 class TrapezoidAccumulator:
@@ -485,20 +453,29 @@ def read_snapshot(path):
     return grid, time, fields
 
 
-def write_profile_csv(path, grid: Grid, fields: dict) -> None:
-    """CSV export of 1-D profiles: cell-center x plus one column per field."""
-    if grid.dim != 1:
-        raise UsageError("CSV profiles are defined for 1-D grids")
-    x = cell_centers(grid)[0]
-    cols = [("x", x)]
-    for name, arr in fields.items():
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == (1, *grid.cells):
-            arr = arr[0]
-        if arr.shape != grid.cells:
-            raise UsageError(f"profile column {name!r} has shape {arr.shape}")
-        cols.append((name, arr))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(name for name, _ in cols) + "\n")
-        for i in range(grid.cells[0]):
-            fh.write(",".join(repr(float(arr[i])) for _, arr in cols) + "\n")
+def write_series(directory, grid: Grid, times, states) -> None:
+    """Write states as the numbered snapshot series 00000.snap, 00001.snap, ..."""
+    for i, (t, s) in enumerate(zip(times, states)):
+        write_snapshot(Path(directory) / f"{i:05d}.snap", grid, t,
+                       {"rho": s.rho, "mom": s.mom, "etot": s.etot})
+
+
+def read_series(directory, grid: Grid):
+    """Read a snapshot series back as (times, states), in file-name order.
+
+    Raises UsageError when the directory holds no snapshot or one whose
+    grid differs from `grid`.
+    """
+    snaps = sorted(Path(directory).glob("*.snap"))
+    if not snaps:
+        raise UsageError(f"no snapshots stored in {directory}")
+    times, states = [], []
+    for p in snaps:
+        sgrid, t, fields = read_snapshot(p)
+        if sgrid.cells != grid.cells or sgrid.extents != grid.extents:
+            raise UsageError(f"snapshot {p} does not match the run grid")
+        # 1-D momentum is stored flat; restore the component axis
+        mom = fields["mom"].reshape(grid.dim, *grid.cells)
+        times.append(t)
+        states.append(FluidState(fields["rho"], mom, fields["etot"], t))
+    return times, states

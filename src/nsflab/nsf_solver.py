@@ -10,6 +10,10 @@ Evolves the conservative variables (rho, momentum, total energy) with
     the matching -lambda |u|^2 sink in the energy equation,
   - strong-stability-preserving third-order Runge-Kutta in time.
 
+`ssp_rk3` is the one SSP-RK3 stepper of the package: `step` runs it on
+`rhs_nsf` with positivity floors after every stage, and the inviscid
+reference solver in `euler_reference` steps through it as well.
+
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
 every wall-normal mass, energy and heat flux vanish identically).
@@ -18,16 +22,16 @@ every wall-normal mass, energy and heat flux vanish identically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grid_fields as gf
 from . import thermo
-from .diagnostics import DataBounds
-from .errors import ConfigError, DomainError, PositivityError, UsageError
+from .errors import ConfigError, DomainError, PositivityError
 
 _GHOST_DEPTH = 2  # central-slope reconstruction needs two layers
+CONVECTIVE_ORDERS = ("auto", "1", "2")  # face reconstruction choices
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class NsfRunConfig:
     cfl: float = 0.4
     output_stride: int = 10
     positivity_floor: tuple = (1e-12, 1e-12)
-    convective_order: str = "auto"  # "auto" | "1" | "2"
+    convective_order: str = "auto"  # one of CONVECTIVE_ORDERS
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
@@ -56,8 +60,9 @@ class NsfRunConfig:
         if not (rf > 0.0 and tf > 0.0):
             raise ConfigError(f"positivity floors must be positive, got {self.positivity_floor}")
         object.__setattr__(self, "positivity_floor", (float(rf), float(tf)))
-        if str(self.convective_order) not in ("auto", "1", "2"):
-            raise ConfigError(f"convective_order must be auto, 1 or 2, got {self.convective_order}")
+        if str(self.convective_order) not in CONVECTIVE_ORDERS:
+            raise ConfigError(f"convective_order must be one of "
+                              f"{', '.join(CONVECTIVE_ORDERS)}, got {self.convective_order}")
         object.__setattr__(self, "convective_order", str(self.convective_order))
 
     def resolved_order(self) -> int:
@@ -66,6 +71,20 @@ class NsfRunConfig:
             s = self.scaling
             return 1 if (s.nu == 0.0 and s.omega == 0.0 and s.lam == 0.0 and s.a == 0.0) else 2
         return int(self.convective_order)
+
+
+@dataclass(frozen=True)
+class DataBounds:
+    """Witnessed initial-data bounds: total mass at least M, sup norms at most D."""
+
+    M: float
+    D: float
+
+    def __post_init__(self):
+        if not (self.M > 0.0 and math.isfinite(self.M)):
+            raise DomainError(f"initial mass bound M must be positive and finite, got {self.M}")
+        if not (self.D > 0.0 and math.isfinite(self.D)):
+            raise DomainError(f"initial sup bound D must be positive and finite, got {self.D}")
 
 
 @dataclass
@@ -85,9 +104,14 @@ class StepStats:
             self.reason = f"floor hits {hits} exceeded 0.1% of {cells} cells in one step"
 
 
-def state_from_primitives(gas: thermo.GasModel, a: float, rho, theta, u,
-                          time: float = 0.0) -> gf.FluidState:
-    """Conservative state from primitive fields (rho, theta, u)."""
+def state_from_primitives(gas: thermo.GasModel, a: float, initial) -> gf.FluidState:
+    """Conservative state at time 0 from primitive fields (rho, theta, u).
+
+    A FluidState passes through as a copy, keeping its own time.
+    """
+    if isinstance(initial, gf.FluidState):
+        return initial.copy()
+    rho, theta, u = initial
     rho = np.asarray(rho, dtype=float)
     u = np.asarray(u, dtype=float)
     if u.shape == rho.shape:
@@ -96,7 +120,7 @@ def state_from_primitives(gas: thermo.GasModel, a: float, rho, theta, u,
     etot = 0.5 * rho * np.sum(u * u, axis=0) + thermo.internal_energy_density(
         gas, a, rho, np.asarray(theta, dtype=float)
     )
-    return gf.FluidState(rho, mom, etot, time)
+    return gf.FluidState(rho, mom, etot, 0.0)
 
 
 def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
@@ -116,19 +140,6 @@ def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
 
 # ---------------------------------------------------------------------------
 # spatial operator
-
-
-def _move_axis_last(arr, grid, ax, lead):
-    return np.moveaxis(arr, lead + ax, -1)
-
-
-def _interior_except(arr, grid, ax, depth):
-    # restrict every grid axis except ax to the interior
-    lead = arr.ndim - grid.dim
-    sl = [slice(None)] * lead
-    for g, n in enumerate(grid.cells):
-        sl.append(slice(None) if g == ax else slice(depth, depth + n))
-    return arr[tuple(sl)]
 
 
 def _face_states(W, n, order):
@@ -188,8 +199,7 @@ def _convective(gas, a, grid, W_g, order):
     for ax in range(dim):
         n = grid.cells[ax]
         dx = grid.spacing[ax]
-        W_ax = _interior_except(W_g, grid, ax, _GHOST_DEPTH)
-        W = _move_axis_last(W_ax, grid, ax, lead=1)
+        W = gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH)
         WL, WR = _face_states(W, n, order)
         rhoL, momL, eL, pL, cL = _face_primitives(gas, a, WL)
         rhoR, momR, eR, pR, cR = _face_primitives(gas, a, WR)
@@ -217,23 +227,14 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
     dim = grid.dim
     d = _GHOST_DEPTH
     for ax in range(dim):
-        n = grid.cells[ax]
         dx = grid.spacing[ax]
-        # strips: axis ax keeps cells d-1 .. d+n (one ghost each side),
+        # strips: axis ax keeps one of its d = 2 ghost layers on each side,
         # the other axis is interior; tangential derivatives need +-1 there
-        rng = [(d - 1, d + n + 1) if g == ax else (d, d + grid.cells[g])
-               for g in range(dim)]
-
-        def strip(arr, ranges=rng):
-            lead = arr.ndim - dim
-            sl = [slice(None)] * lead + [slice(a0, b0) for a0, b0 in ranges]
-            return np.moveaxis(arr[tuple(sl)], lead + ax, -1)
-
-        th = strip(theta_g)
+        th = gf.axis_strip(theta_g, grid, ax, d)[..., 1:-1]
         th_f = _face_avg(th)
         mu_f = tr.mu(th_f)
         eta_f = tr.eta(th_f)
-        u = strip(u_g)  # (dim, ..., n+2)
+        u = gf.axis_strip(u_g, grid, ax, d)[..., 1:-1]  # (dim, ..., n+2)
         dun_f = _face_diff(u[ax], dx)  # d u_ax / d x_ax at faces
         q_f = -omega * tr.kappa(th_f) * _face_diff(th, dx)
 
@@ -244,11 +245,7 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
             t_ax = 1 - ax
             dy = grid.spacing[t_ax]
             # cell-centered tangential derivatives on the extended strip
-            rng_t = [(d - 1, d + n + 1) if g == ax else (d - 1, d + grid.cells[g] + 1)
-                     for g in range(dim)]
-            lead = 1  # velocity component axis
-            sl = [slice(None)] * lead + [slice(a0, b0) for a0, b0 in rng_t]
-            u_t = np.moveaxis(u_g[tuple(sl)], lead + ax, -1)
+            u_t = gf.axis_strip(u_g, grid, ax, d, widen=1)[..., 1:-1]
             # derivative along t_ax: that axis is now the one non-moved grid axis
             dut = (u_t[:, 2:, :] - u_t[:, :-2, :]) / (2.0 * dy)
             dut_f = _face_avg(dut)  # (dim, ..., n+1): d u_c / d x_t at faces
@@ -276,7 +273,6 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
     grid = config.grid
     gas = config.gas
     sc = config.scaling
-    dim = grid.dim
 
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
     g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
@@ -353,32 +349,46 @@ def _apply_floors(rho, mom, etot, config: NsfRunConfig):
     return rho, mom, etot, hits
 
 
+def ssp_rk3(state: gf.FluidState, dt: float, rhs, stage_map=None) -> gf.FluidState:
+    """One SSP-RK3 step (Shu-Osher form, Gottlieb & Shu 1998) of dW/dt = rhs(W).
+
+    `rhs(state)` returns the tendencies (d rho, d mom, d etot).  When given,
+    `stage_map(rho, mom, etot)` returns the fields that each stage keeps.
+    """
+    def stage(s, frac_old, t_new):
+        drho, dmom, detot = rhs(s)
+        rho = s.rho + dt * drho
+        mom = s.mom + dt * dmom
+        etot = s.etot + dt * detot
+        if frac_old > 0.0:
+            rho = frac_old * state.rho + (1.0 - frac_old) * rho
+            mom = frac_old * state.mom + (1.0 - frac_old) * mom
+            etot = frac_old * state.etot + (1.0 - frac_old) * etot
+        if stage_map is not None:
+            rho, mom, etot = stage_map(rho, mom, etot)
+        return gf.FluidState(rho, mom, etot, t_new)
+
+    t = state.time
+    s1 = stage(state, 0.0, t + dt)
+    s2 = stage(s1, 0.75, t + 0.5 * dt)
+    return stage(s2, 1.0 / 3.0, t + dt)
+
+
 def step(state: gf.FluidState, dt: float, config: NsfRunConfig,
          stats: StepStats = None, forcing=None) -> gf.FluidState:
     """One SSP-RK3 step; positivity floors applied and counted per stage."""
     hits = 0
 
-    def stage(s, frac_old, old, t_new):
+    def floors(rho, mom, etot):
         nonlocal hits
-        drho, dmom, detot = rhs_nsf(s, config, forcing)
-        rho = s.rho + dt * drho
-        mom = s.mom + dt * dmom
-        etot = s.etot + dt * detot
-        if frac_old > 0.0:
-            rho = frac_old * old.rho + (1.0 - frac_old) * rho
-            mom = frac_old * old.mom + (1.0 - frac_old) * mom
-            etot = frac_old * old.etot + (1.0 - frac_old) * etot
         rho, mom, etot, h = _apply_floors(rho, mom, etot, config)
         hits += h
-        return gf.FluidState(rho, mom, etot, t_new)
+        return rho, mom, etot
 
-    t = state.time
-    s1 = stage(state, 0.0, state, t + dt)
-    s2 = stage(s1, 0.75, state, t + 0.5 * dt)
-    s3 = stage(s2, 1.0 / 3.0, state, t + dt)
+    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing), floors)
     if stats is not None:
         stats.record(hits, int(np.prod(config.grid.cells)))
-    return s3
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +486,7 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
     on positivity failure or non-finite values; floor activations above
     0.1% of cells in any step mark it unhealthy but let it continue.
     """
-    if isinstance(initial, gf.FluidState):
-        state = initial.copy()
-    else:
-        rho0, theta0, u0 = initial
-        state = state_from_primitives(config.gas, config.scaling.a, rho0, theta0, u0)
+    state = state_from_primitives(config.gas, config.scaling.a, initial)
     traj = Trajectory(config=config)
     traj.data_bounds = _check_initial_data(state, config)
     stats = StepStats()

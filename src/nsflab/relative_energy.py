@@ -15,7 +15,7 @@ essential part (reference window) and residual part (tails).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import qmc
@@ -367,42 +367,3 @@ def quadratic_bounds_check(gas: thermo.GasModel, a: float, fields: gf.FluidState
         C=max(C_ess, C_res), C_essential=C_ess, C_residual=C_res,
         energy=energy, lhs_essential=lhs_ess, lhs_residual=lhs_res,
     )
-
-
-# ---------------------------------------------------------------------------
-# reporting
-
-
-@dataclass(frozen=True)
-class RelativeEnergyReport:
-    """Relative energy sampled at output instants, with the run's rate envelope."""
-
-    times: tuple
-    values: tuple
-    envelope: float
-    sup_value: float = field(init=False)
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if len(times) != len(values) or not times:
-            raise UsageError("times and values must be equal-length and nonempty")
-        if min(values) < -1e-10:
-            raise ModelViolationError(
-                f"relative energy fell below quadrature tolerance: min {min(values)}"
-            )
-        object.__setattr__(self, "sup_value", max(values))
-
-    def to_text(self) -> str:
-        lines = [
-            f"sup_value {self.sup_value!r}",
-            f"envelope {self.envelope!r}",
-            "samples " + " ".join(f"{t!r}:{v!r}" for t, v in zip(self.times, self.values)),
-        ]
-        return "\n".join(lines) + "\n"
-
-    def csv_rows(self):
-        """Rows (time, value, envelope) for CSV emission."""
-        return [(t, v, self.envelope) for t, v in zip(self.times, self.values)]

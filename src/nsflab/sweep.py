@@ -23,7 +23,6 @@ from . import diagnostics as diag
 from . import euler_reference as er
 from . import grid_fields as gf
 from . import nsf_solver as ns
-from . import scenarios
 from . import thermo
 from .errors import ConfigError, DomainError, UsageError
 
@@ -246,9 +245,7 @@ def setup_from_config(cfg: dict) -> SweepSetup:
         beta=cfgmod.get_float(cfg, "sweep.beta", "1.2"),
         gamma=cfgmod.get_float(cfg, "sweep.gamma", "0.1"),
     )
-    floors = cfgmod.get_floats(cfg, "floors", "1e-12 1e-12")
-    if len(floors) != 2:
-        raise ConfigError(f"floors: expected two numbers, got {cfg['floors']!r}")
+    floors, order = cfgmod.build_nsf_controls(cfg)
     return SweepSetup(
         gas=cfgmod.build_gas(cfg),
         transport=cfgmod.build_transport(cfg),
@@ -263,8 +260,7 @@ def setup_from_config(cfg: dict) -> SweepSetup:
         reference_factor=cfgmod.get_int(cfg, "sweep.reference-factor", "4"),
         reference_stride=cfgmod.get_int(cfg, "sweep.reference-stride", "4"),
         floors=floors,
-        convective_order=cfgmod.get_choice(cfg, "convective.order", "auto",
-                                           ("auto", "2", "4")),
+        convective_order=order,
     )
 
 
@@ -343,10 +339,7 @@ def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
     rdir.mkdir(parents=True, exist_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     traj.write_diagnostics(rdir / "solver.csv")
-    grid = traj.config.grid
-    for i, (t, s) in enumerate(zip(traj.times, traj.states)):
-        gf.write_snapshot(rdir / f"{i:05d}.snap", grid, t,
-                          {"rho": s.rho, "mom": s.mom, "etot": s.etot})
+    gf.write_series(rdir, traj.config.grid, traj.times, traj.states)
 
 
 def load_run(run_dir):
@@ -360,20 +353,8 @@ def load_run(run_dir):
     kind, run_cfg, _ = cfgmod.build_run(mapping)
     if kind != "nsf":
         raise UsageError(f"{rdir} does not hold a dissipative run")
-    snaps = sorted(rdir.glob("*.snap"))
-    if not snaps:
-        raise UsageError(f"no snapshots stored in {rdir}")
-    traj = ns.Trajectory(config=run_cfg)
-    grid = run_cfg.grid
-    for p in snaps:
-        sgrid, t, fields = gf.read_snapshot(p)
-        if sgrid.cells != grid.cells or sgrid.extents != grid.extents:
-            raise UsageError(f"snapshot {p} does not match the run grid")
-        # 1-D momentum is stored flat; restore the component axis
-        mom = fields["mom"].reshape(grid.dim, *grid.cells)
-        traj.times.append(float(t))
-        traj.states.append(gf.FluidState(fields["rho"], mom, fields["etot"], t))
-    return mapping, run_cfg, traj
+    times, states = gf.read_series(rdir, run_cfg.grid)
+    return mapping, run_cfg, ns.Trajectory(config=run_cfg, times=times, states=states)
 
 
 def _hash16(text: str) -> str:
@@ -434,7 +415,7 @@ def run_sweep(setup: SweepSetup, out_dir, threads: int = 1) -> SweepManifest:
     if "slip-wall" in setup.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
                                ref_scenario.u, ref_cfg.grid, setup.gas)
-    ref_state = er._as_state(setup.gas, ref_scenario.fields(ref_cfg.grid))
+    ref_state = ns.state_from_primitives(setup.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
     reference = er.run_euler(ref_cfg, ref_state, cache_dir=out / "reference-cache")
     life = er.lifespan_monitor(reference)

@@ -15,7 +15,7 @@ dimensionless and vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,7 +139,6 @@ def _check_state(rho, theta, allow_zero_rho=False):
         raise DomainError("non-finite thermodynamic state")
     if np.any(theta <= 0.0):
         raise DomainError("temperature must be positive")
-    lo = 0.0 if allow_zero_rho else None
     if allow_zero_rho:
         if np.any(rho < 0.0):
             raise DomainError("density must be nonnegative")

@@ -1,10 +1,8 @@
 import math
 
-import numpy as np
 import pytest
 
 from nsflab import thermo
-from nsflab.grid_fields import FluidState
 
 # H7-normalizing entropy constant for the decaying law Z/(1+Z) + Z^(5/3):
 # S(inf) - S(1) = -(3/2)[(2/3)log 2 + 1/2] = -(log 2 + 3/4), so S0 = log 2 + 3/4
@@ -32,16 +30,3 @@ def law_b():
 @pytest.fixture(scope="session")
 def transport():
     return thermo.default_transport()
-
-
-def make_state(gas, a, rho, theta, u, time=0.0):
-    """Conservative FluidState from primitive fields (rho, theta, u)."""
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.shape == rho.shape:
-        u = u[None]
-    mom = rho * u
-    etot = 0.5 * rho * np.sum(u * u, axis=0) + thermo.internal_energy_density(
-        gas, a, rho, np.asarray(theta, dtype=float)
-    )
-    return FluidState(rho, mom, etot, time)

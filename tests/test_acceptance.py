@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import make_state
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
@@ -21,6 +20,7 @@ from nsflab import relative_energy as re
 from nsflab import scenarios
 from nsflab import sweep
 from nsflab import thermo
+from nsflab.nsf_solver import state_from_primitives
 
 GAS = thermo.ideal_gas()
 TR = thermo.default_transport()
@@ -64,7 +64,7 @@ def conservation_runs():
             rho = 1.0 + 0.2 * np.cos(np.pi * x)
             th = 1.0 + 0.1 * np.cos(np.pi * x)
             u = 0.1 * np.sin(np.pi * x)  # vanishes at both walls
-        state = make_state(GAS, sc.a, rho, th, u[None])
+        state = state_from_primitives(GAS, sc.a, (rho, th, u[None]))
         m0 = gf.integrate(state.rho, grid)
         e0 = gf.integrate(state.etot, grid)
         states = [state]
@@ -191,7 +191,7 @@ def test_3_relative_energy_coercivity():
     rho = 1.0 + 0.1 * np.cos(np.pi * x)
     theta = 1.0 + 0.05 * np.cos(2 * np.pi * x)
     u = (0.1 * np.sin(np.pi * x))[None]
-    fields = make_state(GAS, 0.3, rho, theta, u)
+    fields = state_from_primitives(GAS, 0.3, (rho, theta, u))
     assert abs(re.relative_energy(GAS, 0.3, fields,
                                   gf.ReferenceFields(rho, theta, u), grid)) < 1e-14
 
@@ -213,15 +213,15 @@ def test_3_relative_energy_coercivity():
     ones = np.ones_like(x)
     base = gf.ReferenceFields(ones, ones, np.zeros_like(x)[None])
     d = 1e-3
-    smooth = make_state(GAS, 0.0, 1.0 + d * np.cos(np.pi * x),
+    smooth = state_from_primitives(GAS, 0.0, (1.0 + d * np.cos(np.pi * x),
                         1.0 + d * np.cos(2 * np.pi * x),
-                        (d * np.sin(np.pi * x))[None])
+                        (d * np.sin(np.pi * x))[None]))
     rep_s = re.quadratic_bounds_check(GAS, 0.0, smooth, base, win, grid)
     assert math.isfinite(rep_s.C) and rep_s.C_residual >= 0.0
 
     pocket = ones.copy()
     pocket[40:48] = 1e-10  # vacuum pocket far below the window
-    vac = make_state(GAS, 0.0, pocket, ones, np.zeros_like(x)[None])
+    vac = state_from_primitives(GAS, 0.0, (pocket, ones, np.zeros_like(x)[None]))
     rep_v = re.quadratic_bounds_check(GAS, 0.0, vac, base, win, grid)
     assert rep_v.lhs_residual > 0.0
     assert math.isfinite(rep_v.C) and rep_v.C > 0.0
@@ -272,7 +272,7 @@ def test_5_solver_verification(conservation_runs):
             gas=GAS, transport=TR, grid=grid, t_end=1.0,
             scaling=thermo.ScalingParams(a=a, nu=nu, omega=omega, lam=lam))
         (xc,) = gf.cell_centers(grid)
-        state = make_state(GAS, a, f_rho(xc), f_th(xc), f_u(xc)[None])
+        state = state_from_primitives(GAS, a, (f_rho(xc), f_th(xc), f_u(xc)[None]))
         force = (-f_rhs[0](xc), -f_rhs[1](xc)[None], -f_rhs[2](xc))
         drho, dmom, detot = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
         errs.append([gf.norm(drho, grid, 2), gf.norm(dmom[0], grid, 2),
@@ -291,10 +291,10 @@ def test_5_solver_verification(conservation_runs):
     sc = thermo.ScalingParams(a=0.2, nu=0.05, omega=0.05, lam=0.0)
     grid1 = _slab(64)
     (x1,) = gf.cell_centers(grid1)
-    st1 = make_state(GAS, sc.a,
-                     1.0 + 0.2 * np.cos(np.pi * x1) + 0.05 * np.cos(3 * np.pi * x1),
+    st1 = state_from_primitives(GAS, sc.a,
+                     (1.0 + 0.2 * np.cos(np.pi * x1) + 0.05 * np.cos(3 * np.pi * x1),
                      1.0 + 0.15 * np.cos(2 * np.pi * x1),
-                     (0.2 * np.sin(np.pi * x1) + 0.05 * np.sin(2 * np.pi * x1))[None])
+                     (0.2 * np.sin(np.pi * x1) + 0.05 * np.sin(2 * np.pi * x1))[None]))
     cfg1 = ns.NsfRunConfig(gas=GAS, transport=TR, scaling=sc, grid=grid1, t_end=1.0)
     drho, _, detot = ns.rhs_nsf(st1, cfg1)
     assert abs(gf.integrate(drho, grid1)) < 1e-12
@@ -303,11 +303,11 @@ def test_5_solver_verification(conservation_runs):
     grid2 = gf.Grid.box((1.0, 0.75), (32, 24), ("periodic", "slip-wall"))
     X, Y = gf.mesh(grid2)
     ky = np.pi / 0.75
-    st2 = make_state(GAS, sc.a,
-                     1.0 + 0.15 * np.sin(2 * np.pi * X) * np.cos(ky * Y),
+    st2 = state_from_primitives(GAS, sc.a,
+                     (1.0 + 0.15 * np.sin(2 * np.pi * X) * np.cos(ky * Y),
                      1.0 + 0.1 * np.cos(2 * np.pi * X) * np.cos(ky * Y),
                      np.stack([0.1 * np.sin(2 * np.pi * X) * np.cos(ky * Y),
-                               0.05 * np.cos(2 * np.pi * X) * np.sin(ky * Y)]))
+                               0.05 * np.cos(2 * np.pi * X) * np.sin(ky * Y)])))
     cfg2 = ns.NsfRunConfig(gas=GAS, transport=TR, scaling=sc, grid=grid2, t_end=1.0)
     drho, _, detot = ns.rhs_nsf(st2, cfg2)
     assert abs(gf.integrate(drho, grid2)) < 1e-12

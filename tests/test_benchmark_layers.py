@@ -1,0 +1,38 @@
+"""The per-layer metrics of BENCHMARK.json name public nsflab functions.
+
+The benchmark's tracer wraps the public functions of each module as
+<module>.<name>; a metric whose function was renamed, moved or made private
+reads 0 and raises no error, so this test checks the names instead.
+"""
+
+import importlib
+import json
+import types
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+STATS = ("calls", "self_s", "s", "us_per_call", "ns_per_cell", "bytes")
+# metrics the benchmark derives itself, not from one function's spans
+DERIVED_PREFIXES = ("import.", "process.", "trace.")
+DERIVED_NAMES = ("cell_steps_per_s", "cache_hit_ratio")
+
+
+def test_per_layer_metrics_name_public_functions():
+    unresolved = []
+    for metric in json.loads(BENCHMARK.read_text())["per_layer"]:
+        name = metric["name"]
+        parts = name.split(".")
+        if name.startswith(DERIVED_PREFIXES) or parts[-1] in DERIVED_NAMES:
+            continue
+        assert parts[-1] in STATS, f"{name}: unknown statistic"
+        parts = parts[:-1]
+        if parts[-1] in ("a0", "arad"):
+            parts = parts[:-1]
+        assert len(parts) == 2, f"{name}: expected <module>.<function>"
+        module, func = parts
+        mod = importlib.import_module(f"nsflab.{module}")
+        fn = getattr(mod, func, None)
+        if (func.startswith("_") or not isinstance(fn, types.FunctionType)
+                or fn.__module__ != mod.__name__):
+            unresolved.append(name)
+    assert not unresolved, unresolved

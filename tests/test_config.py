@@ -107,6 +107,13 @@ def test_build_run_nsf_defaults():
     assert rho.shape == run.grid.cells
 
 
+def test_build_run_accepts_the_solver_convective_orders():
+    kind, run, _ = cfgmod.build_run(cfgmod.parse_text(NSF_TEXT + "convective.order = 1\n"))
+    assert run.convective_order == "1" and run.resolved_order() == 1
+    with pytest.raises(ConfigError, match="convective.order"):
+        cfgmod.build_run(cfgmod.parse_text(NSF_TEXT + "convective.order = 4\n"))
+
+
 def test_build_run_euler_rejects_dissipative_keys():
     text = ("solver = euler\ngrid.extent = 1.0\ngrid.cells = 16\n"
             "grid.bc = slip-wall\nt_end = 0.1\n")

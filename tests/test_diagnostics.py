@@ -73,7 +73,7 @@ def equilibrium_traj(ideal, transport):
 
 
 def test_data_bounds_stores_positive_finite():
-    b = diag.DataBounds(M=0.5, D=3.0)
+    b = ns.DataBounds(M=0.5, D=3.0)
     assert b.M == 0.5 and b.D == 3.0
 
 
@@ -81,7 +81,7 @@ def test_data_bounds_rejects_degenerate():
     for bad in (dict(M=0.0, D=1.0), dict(M=-1.0, D=1.0), dict(M=math.inf, D=1.0),
                 dict(M=1.0, D=0.0), dict(M=1.0, D=math.nan)):
         with pytest.raises(DomainError):
-            diag.DataBounds(**bad)
+            ns.DataBounds(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,6 @@ def test_equilibrium_bounds_all_motion_entries_zero(equilibrium_traj):
 
 
 def test_doubling_velocity_quadruples_kinetic(ideal, transport):
-    from conftest import make_state
-
     grid = slab(24)
     (x,) = gf.mesh(grid)
     rho = 1.0 + 0.1 * np.cos(2 * np.pi * x)
@@ -204,7 +202,7 @@ def test_doubling_velocity_quadruples_kinetic(ideal, transport):
                           grid=grid, t_end=1.0)
 
     def kinetic(scale):
-        state = make_state(ideal, SC.a, rho, 1.0 + 0 * x, scale * u)
+        state = ns.state_from_primitives(ideal, SC.a, (rho, 1.0 + 0 * x, scale * u))
         traj = ns.Trajectory(config=cfg, times=[0.0], states=[state])
         return diag.uniform_bounds(traj).kinetic_sup
 

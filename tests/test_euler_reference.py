@@ -392,7 +392,7 @@ def test_sample_identity_at_snapshot(ideal):
 def test_sample_midpoint_blends_linearly(ideal):
     grid = gf.Grid.line(1.0, 16, "periodic")
     rho0, theta0, u0 = acoustic(grid, amp=0.03)
-    s0 = er._as_state(ideal, (rho0, theta0, u0))
+    s0 = ns.state_from_primitives(ideal, 0.0, (rho0, theta0, u0))
     s1 = gf.FluidState(s0.rho * 1.5, s0.mom + 0.2 * s0.rho, s0.etot * 2.0, 1.0)
     traj = er.EulerTrajectory(gas=ideal, grid=grid, dt=1.0, eps_f=0.0,
                               times=[0.0, 1.0], states=[s0, s1], t_end=1.0)
@@ -448,7 +448,7 @@ def test_cache_roundtrip_is_bitwise(ideal, tmp_path, monkeypatch):
     def boom(*a, **k):
         raise AssertionError("stepper must not run on a cache hit")
 
-    monkeypatch.setattr(er, "_rk3", boom)
+    monkeypatch.setattr(er, "ssp_rk3", boom)
     second = er.run_euler(cfg, acoustic(grid), cache_dir=tmp_path)
     assert second.times == first.times
     assert second.dt == first.dt
@@ -464,8 +464,8 @@ def test_cache_roundtrip_is_bitwise(ideal, tmp_path, monkeypatch):
 def test_cache_key_tracks_data_and_run_settings(ideal, tmp_path):
     grid = gf.Grid.line(1.0, 32, "periodic")
     cfg = euler_config(ideal, grid, t_end=0.1, cfl=0.3, output_stride=2)
-    s1 = er._as_state(ideal, acoustic(grid))
-    s2 = er._as_state(ideal, acoustic(grid, amp=0.02))
+    s1 = ns.state_from_primitives(ideal, 0.0, acoustic(grid))
+    s2 = ns.state_from_primitives(ideal, 0.0, acoustic(grid, amp=0.02))
     k1 = er.reference_key(cfg, s1)
     assert k1 == er.reference_key(cfg, s1)
     assert k1 != er.reference_key(cfg, s2)

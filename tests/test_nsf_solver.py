@@ -8,11 +8,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_state
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import thermo
 from nsflab.errors import ConfigError, PositivityError
+from nsflab.nsf_solver import state_from_primitives
 
 
 def scaling(a=0.0, nu=0.0, omega=0.0, lam=0.0):
@@ -74,7 +74,7 @@ def test_recover_temperature_round_trip(law_a):
     theta = 10.0 ** rng.uniform(-2, 2, n)
     u = rng.normal(0.0, 1.0, (1, n))
     for a in (0.0, 0.6):
-        state = make_state(law_a, a, rho, theta, u)
+        state = state_from_primitives(law_a, a, (rho, theta, u))
         rec = ns.recover_temperature(state.rho, state.mom, state.etot, law_a, a)
         assert np.max(np.abs(rec - theta) / theta) < 1e-11
 
@@ -111,8 +111,8 @@ def test_uniform_rest_state_is_equilibrium(ideal, transport, bc, dim):
     shape = grid.cells
     sc = scaling(a=0.2, nu=0.05, omega=0.04, lam=0.3)
     config = run_config(ideal, transport, grid, sc)
-    state = make_state(ideal, sc.a, np.full(shape, 1.3), np.full(shape, 0.8),
-                       np.zeros((dim, *shape)))
+    state = state_from_primitives(ideal, sc.a, (np.full(shape, 1.3), np.full(shape, 0.8),
+                       np.zeros((dim, *shape))))
     drho, dmom, detot = ns.rhs_nsf(state, config)
     assert np.all(drho == 0.0)
     assert np.all(dmom == 0.0)
@@ -124,7 +124,7 @@ def test_damping_only_tendencies(ideal, transport):
     sc = scaling(lam=0.35)
     config = run_config(ideal, transport, grid, sc)
     u = np.full((1, 24), 0.4)
-    state = make_state(ideal, 0.0, np.full(24, 1.2), np.full(24, 0.9), u)
+    state = state_from_primitives(ideal, 0.0, (np.full(24, 1.2), np.full(24, 0.9), u))
     drho, dmom, detot = ns.rhs_nsf(state, config)
     assert np.all(drho == 0.0)
     assert np.allclose(dmom, -sc.lam * u, rtol=1e-14, atol=0.0)
@@ -162,7 +162,7 @@ def test_manufactured_solution_order_1d(ideal, transport):
         config = run_config(ideal, transport, grid,
                             scaling(a=a, nu=nu, omega=omega, lam=lam))
         (xc,) = gf.cell_centers(grid)
-        state = make_state(ideal, a, f_rho(xc), f_th(xc), f_u(xc)[None])
+        state = state_from_primitives(ideal, a, (f_rho(xc), f_th(xc), f_u(xc)[None]))
         force = (-f_rhs[0](xc), -f_rhs[1](xc)[None], -f_rhs[2](xc))
         drho, dmom, detot = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
         errs.append([gf.norm(drho, grid, 2), gf.norm(dmom[0], grid, 2),
@@ -213,7 +213,7 @@ def test_manufactured_solution_order_2d(ideal, transport):
                             scaling(a=a, nu=nu, omega=omega, lam=lam))
         XC, YC = gf.mesh(grid)
         uu = np.stack([f_ux(XC, YC), f_uy(XC, YC)])
-        state = make_state(ideal, a, f_rho(XC, YC), f_th(XC, YC), uu)
+        state = state_from_primitives(ideal, a, (f_rho(XC, YC), f_th(XC, YC), uu))
         force = (-f_mass(XC, YC),
                  -np.stack([f_m0(XC, YC), f_m1(XC, YC)]),
                  -f_etot(XC, YC))
@@ -232,7 +232,7 @@ def test_manufactured_solution_order_2d(ideal, transport):
 def test_stable_dt_acoustic_closed_form(ideal, transport):
     grid = gf.Grid.line(2.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), cfl=0.45)
-    state = make_state(ideal, 0.0, np.ones(16), np.ones(16), np.zeros((1, 16)))
+    state = state_from_primitives(ideal, 0.0, (np.ones(16), np.ones(16), np.zeros((1, 16))))
     dt = ns.stable_dt(state, config)
     expected = 0.45 * (2.0 / 16) / math.sqrt(5.0 / 3.0)
     assert abs(dt - expected) / expected < 1e-10
@@ -240,7 +240,7 @@ def test_stable_dt_acoustic_closed_form(ideal, transport):
 
 def test_stable_dt_diffusive_scaling(ideal, transport):
     grid = gf.Grid.line(1.0, 16, "periodic")
-    state = make_state(ideal, 0.0, np.ones(16), np.ones(16), np.zeros((1, 16)))
+    state = state_from_primitives(ideal, 0.0, (np.ones(16), np.ones(16), np.zeros((1, 16))))
     dts = []
     for nu in (5.0, 10.0):
         config = run_config(ideal, transport, grid, scaling(nu=nu), cfl=0.4)
@@ -259,8 +259,8 @@ def test_step_preserves_equilibrium(ideal, transport):
     grid = gf.Grid.box((1.0, 1.0), (8, 8), ("slip-wall", "periodic"))
     sc = scaling(a=0.1, nu=0.02, omega=0.03, lam=0.2)
     config = run_config(ideal, transport, grid, sc)
-    state = make_state(ideal, sc.a, np.full((8, 8), 1.1), np.full((8, 8), 0.9),
-                       np.zeros((2, 8, 8)))
+    state = state_from_primitives(ideal, sc.a, (np.full((8, 8), 1.1), np.full((8, 8), 0.9),
+                       np.zeros((2, 8, 8))))
     dt = ns.stable_dt(state, config)
     out = ns.step(state, dt, config)
     assert np.max(np.abs(out.rho - state.rho)) <= 1e-15
@@ -283,7 +283,7 @@ def test_mass_conserved_over_thousand_steps(ideal, transport, bc):
         rho = 1.0 + 0.2 * np.cos(np.pi * x)
         th = 1.0 + 0.1 * np.cos(np.pi * x)
         u = 0.1 * np.sin(np.pi * x)  # vanishes at both walls
-    state = make_state(ideal, 0.0, rho, th, u[None])
+    state = state_from_primitives(ideal, 0.0, (rho, th, u[None]))
     m0 = gf.integrate(state.rho, grid)
     stats = ns.StepStats()
     for _ in range(1000):
@@ -304,7 +304,7 @@ def test_mass_conserved_2d_mixed_boundaries(ideal, transport):
     th = 1.0 + 0.1 * np.cos(2 * np.pi * X) * np.cos(ky * Y)
     u = np.stack([0.1 * np.sin(2 * np.pi * X) * np.cos(ky * Y),
                   0.05 * np.cos(2 * np.pi * X) * np.sin(ky * Y)])
-    state = make_state(ideal, sc.a, rho, th, u)
+    state = state_from_primitives(ideal, sc.a, (rho, th, u))
     m0 = gf.integrate(state.rho, grid)
     for _ in range(300):
         dt = ns.stable_dt(state, config)
@@ -357,8 +357,8 @@ def test_pure_euler_degradation_runs_stably(ideal, transport):
 def test_entropy_production_uniform_is_zero(ideal, transport):
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     config = run_config(ideal, transport, grid, scaling(a=0.1, nu=0.3, omega=0.2))
-    state = make_state(ideal, 0.1, np.full(16, 1.4), np.full(16, 1.1),
-                       np.zeros((1, 16)))
+    state = state_from_primitives(ideal, 0.1, (np.full(16, 1.4), np.full(16, 1.1),
+                       np.zeros((1, 16))))
     sigma, total = ns.entropy_production(state, config)
     assert np.all(sigma == 0.0)
     assert total == 0.0
@@ -371,7 +371,7 @@ def test_entropy_production_shear_closed_form(ideal, transport):
     config = run_config(ideal, transport, grid, scaling(nu=0.3, omega=0.2))
     _, Y = gf.mesh(grid)
     u = np.stack([g * Y, np.zeros_like(Y)])
-    state = make_state(ideal, 0.0, np.ones_like(Y), np.full_like(Y, theta0), u)
+    state = state_from_primitives(ideal, 0.0, (np.ones_like(Y), np.full_like(Y, theta0), u))
     sigma, total = ns.entropy_production(state, config)
     expected = 0.3 * transport.mu(theta0) * g * g / theta0
     # mirror ghosts bend the linear profile in the wall layer; the closed
@@ -395,7 +395,7 @@ def test_entropy_production_nonnegative(seed):
     rho = 0.2 + rng.exponential(1.0, 16)
     theta = 0.3 + rng.exponential(1.0, 16)
     u = rng.normal(0.0, 1.0, (1, 16))
-    state = make_state(gas, 0.1, rho, theta, u)
+    state = state_from_primitives(gas, 0.1, (rho, theta, u))
     sigma, total = ns.entropy_production(state, config)
     assert np.all(sigma >= 0.0)
     assert total >= 0.0
@@ -521,5 +521,5 @@ def test_simulate_accepts_state_or_primitives(ideal, transport):
     th = np.full(16, 1.0)
     u = np.zeros((1, 16))
     t1 = ns.simulate(config, (rho, th, u))
-    t2 = ns.simulate(config, make_state(ideal, 0.0, rho, th, u))
+    t2 = ns.simulate(config, state_from_primitives(ideal, 0.0, (rho, th, u)))
     assert t1.diagnostics_csv() == t2.diagnostics_csv()

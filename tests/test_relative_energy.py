@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_state
 from nsflab import grid_fields as gf
 from nsflab import relative_energy as re
 from nsflab import thermo
-from nsflab.errors import ModelViolationError, UsageError
+from nsflab.errors import UsageError
+from nsflab.nsf_solver import state_from_primitives
 
 K_STD = (0.5, 2.0, 0.5, 2.0)
 
@@ -106,7 +106,7 @@ def _smooth_reference(grid):
 def test_relative_energy_zero_for_identical(ideal):
     grid = gf.Grid.line(1.0, 64)
     rho, theta, u = _smooth_reference(grid)
-    fields = make_state(ideal, 0.3, rho, theta, u)
+    fields = state_from_primitives(ideal, 0.3, (rho, theta, u))
     ref = gf.ReferenceFields(rho, theta, u)
     assert abs(re.relative_energy(ideal, 0.3, fields, ref, grid)) < 1e-14
 
@@ -115,7 +115,8 @@ def test_relative_energy_uniform_kinetic(ideal):
     grid = gf.Grid.box((1.0, 2.0), (16, 16))
     shape = grid.cells
     c = 0.4
-    fields = make_state(ideal, 0.0, np.ones(shape), np.ones(shape), np.full((2, *shape), c / math.sqrt(2)))
+    fields = state_from_primitives(
+        ideal, 0.0, (np.ones(shape), np.ones(shape), np.full((2, *shape), c / math.sqrt(2))))
     ref = gf.ReferenceFields(np.ones(shape), np.ones(shape), np.zeros((2, *shape)))
     want = 0.5 * c ** 2 * 2.0  # (1/2) c^2 |Omega|
     assert re.relative_energy(ideal, 0.0, fields, ref, grid) == pytest.approx(want, rel=1e-11)
@@ -131,7 +132,7 @@ def test_relative_energy_quadrature_refinement(ideal):
         rr = 1.0 + 0.1 * np.cos(2 * np.pi * x)
         tt = np.full_like(x, 1.1)
         uu = np.zeros_like(x)[None]
-        return make_state(ideal, 0.2, rho, theta, u), gf.ReferenceFields(rr, tt, uu)
+        return state_from_primitives(ideal, 0.2, (rho, theta, u)), gf.ReferenceFields(rr, tt, uu)
 
     vals = []
     for n in (64, 640):
@@ -145,7 +146,7 @@ def test_relative_energy_grid_mismatch(ideal):
     grid = gf.Grid.line(1.0, 64)
     other = gf.Grid.line(1.0, 32)
     rho, theta, u = _smooth_reference(grid)
-    fields = make_state(ideal, 0.0, rho, theta, u)
+    fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(rho, theta, u)
     with pytest.raises(UsageError):
         re.relative_energy(ideal, 0.0, fields, ref, other)
@@ -279,7 +280,7 @@ def test_split_partition_bitwise():
 def test_quadratic_bounds_trivial(ideal):
     grid = gf.Grid.line(1.0, 64)
     rho, theta, u = _smooth_reference(grid)
-    fields = make_state(ideal, 0.0, rho, theta, u)
+    fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(rho, theta, u)
     win = re.EssentialResidualWindow(0.5, 2.0, 0.5, 2.0)
     rep = re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
@@ -293,11 +294,11 @@ def test_quadratic_bounds_small_perturbation(ideal):
     theta = np.ones_like(x)
     u = np.zeros_like(x)[None]
     d = 1e-3
-    fields = make_state(
+    fields = state_from_primitives(
         ideal, 0.0,
-        rho + d * np.cos(np.pi * x),
+        (rho + d * np.cos(np.pi * x),
         theta + d * np.cos(2 * np.pi * x),
-        u + d * np.sin(np.pi * x)[None],
+        u + d * np.sin(np.pi * x)[None]),
     )
     ref = gf.ReferenceFields(rho, theta, u)
     win = re.EssentialResidualWindow(*K_STD)
@@ -316,7 +317,7 @@ def test_quadratic_bounds_vacuum_pocket(ideal):
     rho[40:48] = 1e-10  # pocket far below the window
     theta = np.ones_like(x)
     u = np.zeros_like(x)[None]
-    fields = make_state(ideal, 0.0, rho, theta, u)
+    fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(np.ones_like(x), theta, u)
     win = re.EssentialResidualWindow(*K_STD)
     rep = re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
@@ -327,23 +328,8 @@ def test_quadratic_bounds_vacuum_pocket(ideal):
 def test_quadratic_bounds_reference_outside_window(ideal):
     grid = gf.Grid.line(1.0, 64)
     rho, theta, u = _smooth_reference(grid)
-    fields = make_state(ideal, 0.0, rho, theta, u)
+    fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(np.full_like(rho, 5.0), theta, u)
     win = re.EssentialResidualWindow(*K_STD)
     with pytest.raises(UsageError):
         re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
-
-
-# ---------------------------------------------------------------------------
-# report container
-
-
-def test_report_sup_and_validation():
-    rep = re.RelativeEnergyReport(times=(0.0, 0.5, 1.0), values=(0.0, 2.0, 1.0), envelope=0.3)
-    assert rep.sup_value == 2.0
-    assert rep.csv_rows()[1] == (0.5, 2.0, 0.3)
-    assert "sup_value" in rep.to_text()
-    with pytest.raises(UsageError):
-        re.RelativeEnergyReport(times=(0.0,), values=(0.0, 1.0), envelope=0.1)
-    with pytest.raises(ModelViolationError):
-        re.RelativeEnergyReport(times=(0.0,), values=(-1.0,), envelope=0.1)

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from nsflab import config as cfgmod
 from nsflab import diagnostics as diag
+from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
 from nsflab import sweep as sweepmod
 from nsflab import thermo
@@ -236,6 +238,20 @@ def test_load_run_reproduces_diagnostics(tiny_sweep):
         assert report.summary() == (rdir / "summary.txt").read_text()
 
 
+def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
+    setup, out, manifest = tiny_sweep
+    rdir = tmp_path / "run"
+    rdir.mkdir()
+    shutil.copy(out / "runs" / manifest.records[0].run_id / "run.cfg", rdir)
+    with pytest.raises(UsageError, match="no snapshots"):
+        sweepmod.load_run(rdir)
+    other = gf.Grid.line(1.0, 12, "slip-wall")
+    gf.write_snapshot(rdir / "00000.snap", other, 0.0,
+                      {"rho": np.ones(12), "mom": np.zeros(12), "etot": np.full(12, 2.0)})
+    with pytest.raises(UsageError, match="does not match"):
+        sweepmod.load_run(rdir)
+
+
 def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):
     setup, out, manifest = tiny_sweep
     out2 = tmp_path / "threaded"
@@ -310,3 +326,16 @@ def test_setup_from_config_defaults_and_rejections():
     for extra in ("solver = nsf", "scaling.a = 0.1", "init.gap = 0.01"):
         with pytest.raises(ConfigError, match="does not apply to a sweep"):
             sweepmod.setup_from_config(cfgmod.parse_text(text + extra + "\n"))
+
+
+def test_setup_from_config_takes_the_solver_convective_orders(monkeypatch, tmp_path):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("the reference run started")
+
+    monkeypatch.setattr(er, "run_euler", no_reference)
+    text = "grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\n"
+    setup = sweepmod.setup_from_config(cfgmod.parse_text(text + "convective.order = 1\n"))
+    assert setup.convective_order == "1"
+    with pytest.raises(ConfigError, match="convective.order"):
+        setup = sweepmod.setup_from_config(cfgmod.parse_text(text + "convective.order = 4\n"))
+        sweepmod.run_sweep(setup, tmp_path)
