@@ -7,7 +7,9 @@ filter whose amplitude is calibrated so the induced total-energy drift
 stays below a configured fraction of the initial energy.  Everything is
 written in flux-difference form, so mass and total energy are conserved
 to round-off on periodic boxes and across slip walls (the mirrored flux
-values vanish bitwise at wall faces).
+values vanish bitwise at wall faces).  Temperature comes from
+`nsf_solver.recover_temperature`, once per state: `rhs_euler` inverts the
+ghosted state and takes the filter's signal speed from its interior.
 
 Smooth inviscid flow steepens and eventually leaves the classical regime;
 `lifespan_monitor` watches the gradient history and declares the usable
@@ -77,12 +79,6 @@ def _fifth_difference_faces(W):
     return d
 
 
-def _ghost_primitives(gas, g):
-    theta = recover_temperature(g.rho, g.mom, g.etot, gas, 0.0)
-    p = thermo.pressure(gas, 0.0, g.rho, theta)
-    return g.mom / g.rho, p
-
-
 def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
               eps_f: float = 0.0):
     """Tendencies of the inviscid (molecular-closure) system.
@@ -91,13 +87,17 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     hyper-dissipation flux scaled by the fastest signal speed per axis.
     """
     dim = grid.dim
-    if eps_f > 0.0:
-        theta = recover_temperature(state.rho, state.mom, state.etot, gas, 0.0)
-        c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta))
-        u = state.velocity()
     g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
     W_g = np.concatenate([g.rho[None], g.mom, g.etot[None]], axis=0)
-    u_g, p_g = _ghost_primitives(gas, g)
+    theta_g = recover_temperature(g.rho, g.mom, g.etot, gas, 0.0)
+    u_g = g.mom / g.rho
+    p_g = thermo.pressure(gas, 0.0, g.rho, theta_g)
+    if eps_f > 0.0:
+        # ghosts copy interior cells bitwise, so the interior of theta_g is
+        # the interior state's own temperature
+        inner = (slice(_DEPTH, -_DEPTH),) * dim
+        c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta_g[inner]))
+        u = state.velocity()
 
     out = np.zeros((2 + dim, *grid.cells))
     for ax in range(dim):
@@ -157,12 +157,6 @@ class EulerTrajectory:
     t_end: float = 0.0
     aborted: bool = False
     abort_reason: str = ""
-
-    def final_state(self) -> gf.FluidState:
-        return self.states[-1]
-
-    def snapshot_spacing(self) -> float:
-        return self.times[1] - self.times[0] if len(self.times) > 1 else 0.0
 
 
 def _calibrate_filter(config: EulerRunConfig, state0: gf.FluidState, dt: float) -> float:
@@ -315,7 +309,7 @@ def formulation_residuals(traj: EulerTrajectory, gas: thermo.GasModel) -> Formul
         r_ent = ddt(ent_dens, k) + _div4(ent_dens[k][None] * u, grid)
         cv = thermo.heat_capacity_cv(gas, rho, theta)
         r_th = cv * (ddt(rtheta, k) + _div4(rtheta[k][None] * u, grid)) \
-            + theta * thermo.dpM_dtheta(gas, rho, theta) * div_u
+            + theta * thermo.dp_dtheta(gas, 0.0, rho, theta) * div_u
 
         times.append(traj_times[k])
         ent.append(gf.norm(r_ent, grid, 2))

@@ -454,7 +454,9 @@ def read_snapshot(path):
 
 
 def write_series(directory, grid: Grid, times, states) -> None:
-    """Write states as the numbered snapshot series 00000.snap, 00001.snap, ..."""
+    """Write states as the series 00000.snap, 00001.snap, ..., replacing any older *.snap."""
+    for stale in Path(directory).glob("*.snap"):
+        stale.unlink()
     for i, (t, s) in enumerate(zip(times, states)):
         write_snapshot(Path(directory) / f"{i:05d}.snap", grid, t,
                        {"rho": s.rho, "mom": s.mom, "etot": s.etot})

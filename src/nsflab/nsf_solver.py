@@ -14,6 +14,10 @@ Evolves the conservative variables (rho, momentum, total energy) with
 `rhs_nsf` with positivity floors after every stage, and the inviscid
 reference solver in `euler_reference` steps through it as well.
 
+`recover_temperature` is the one path from conservative fields to theta in
+both solvers, and each state's theta is recovered once: `simulate` passes
+it to `stable_dt`, `entropy_production` and the recorded diagnostics.
+
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
 every wall-normal mass, energy and heat flux vanish identically).
@@ -124,10 +128,7 @@ def state_from_primitives(gas: thermo.GasModel, a: float, initial) -> gf.FluidSt
 
 
 def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
-    """Temperature from conservative fields; aborts naming the first bad cell."""
-    rho = np.asarray(rho, dtype=float)
-    mom = np.asarray(mom, dtype=float)
-    etot = np.asarray(etot, dtype=float)
+    """Temperature from conservative field arrays; aborts naming the first bad cell."""
     if np.any(rho <= 0.0):
         where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0])
         raise PositivityError(f"non-positive density at cell {where}", where=where)
@@ -175,8 +176,7 @@ def _face_primitives(gas, a, W):
     rho = W[0]
     mom = W[1:-1]
     etot = W[-1]
-    e_int = etot - 0.5 * np.sum(mom * mom, axis=0) / rho
-    theta = thermo.temperature_from_energy(gas, a, rho, e_int)
+    theta = recover_temperature(rho, mom, etot, gas, a)
     p = thermo.pressure(gas, a, rho, theta)
     c = np.sqrt(thermo.sound_speed_sq(gas, a, rho, theta))
     return rho, mom, etot, p, c
@@ -305,11 +305,10 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
 # time stepping
 
 
-def stable_dt(state: gf.FluidState, config: NsfRunConfig) -> float:
+def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig) -> float:
     """cfl times the smaller of the acoustic and diffusive step bounds."""
     grid = config.grid
     sc = config.scaling
-    theta = recover_temperature(state.rho, state.mom, state.etot, config.gas, sc.a)
     c = np.sqrt(thermo.sound_speed_sq(config.gas, sc.a, state.rho, theta))
     u = state.velocity()
     dt = math.inf
@@ -395,7 +394,7 @@ def step(state: gf.FluidState, dt: float, config: NsfRunConfig,
 # entropy production
 
 
-def entropy_production(state: gf.FluidState, config: NsfRunConfig):
+def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig):
     """Pointwise sigma = (1/theta)(S : grad u - q . grad theta / theta) and its integral.
 
     Both contributions are nonnegative by construction:
@@ -405,7 +404,6 @@ def entropy_production(state: gf.FluidState, config: NsfRunConfig):
     grid = config.grid
     sc = config.scaling
     tr = config.transport
-    theta = recover_temperature(state.rho, state.mom, state.etot, config.gas, sc.a)
     theta_g = gf.fill_ghosts_slip(theta, grid, depth=1)
     u = state.velocity()
     u_g = gf.fill_ghosts_slip(u, grid, depth=1, vector=True)
@@ -452,15 +450,9 @@ class Trajectory:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.diagnostics_csv())
 
-    def final_state(self) -> gf.FluidState:
-        return self.states[-1]
 
-
-def _check_initial_data(state: gf.FluidState, config: NsfRunConfig) -> DataBounds:
+def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> DataBounds:
     rho0, theta_floor = config.positivity_floor
-    if np.any(state.rho <= 0.0):
-        raise PositivityError("initial density must be strictly positive")
-    theta = recover_temperature(state.rho, state.mom, state.etot, config.gas, config.scaling.a)
     mass = gf.integrate(state.rho, config.grid)
     u = state.velocity()
     D = max(
@@ -486,9 +478,11 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
     on positivity failure or non-finite values; floor activations above
     0.1% of cells in any step mark it unhealthy but let it continue.
     """
-    state = state_from_primitives(config.gas, config.scaling.a, initial)
+    gas, a = config.gas, config.scaling.a
+    state = state_from_primitives(gas, a, initial)
+    theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
     traj = Trajectory(config=config)
-    traj.data_bounds = _check_initial_data(state, config)
+    traj.data_bounds = _check_initial_data(state, theta, config)
     stats = StepStats()
     lam = config.scaling.lam
 
@@ -499,8 +493,7 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
         u = s.velocity()
         return lam * gf.integrate(np.sum(u * u, axis=0), config.grid)
 
-    def record(s):
-        theta = recover_temperature(s.rho, s.mom, s.etot, config.gas, config.scaling.a)
+    def record(s, theta):
         traj.times.append(s.time)
         traj.states.append(s.copy())
         traj.rows.append((
@@ -515,15 +508,16 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
         ))
 
     damping.add(state.time, damping_rate(state))
-    sigma_acc.add(state.time, entropy_production(state, config)[1])
-    record(state)
+    sigma_acc.add(state.time, entropy_production(state, theta, config)[1])
+    record(state, theta)
 
     steps = 0
     while state.time < config.t_end - 1e-14:
         try:
-            dt = stable_dt(state, config)
+            dt = stable_dt(state, theta, config)
             dt = min(dt, config.t_end - state.time)
             state = step(state, dt, config, stats=stats, forcing=forcing)
+            theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
         except (PositivityError, DomainError) as err:
             traj.aborted = True
             traj.healthy = False
@@ -531,10 +525,10 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
             traj.abort_state = state
             break
         damping.add(state.time, damping_rate(state))
-        sigma_acc.add(state.time, entropy_production(state, config)[1])
+        sigma_acc.add(state.time, entropy_production(state, theta, config)[1])
         steps += 1
         if steps % config.output_stride == 0 or state.time >= config.t_end - 1e-14:
-            record(state)
+            record(state, theta)
     traj.floor_hits = stats.floor_hits
     if stats.unhealthy:
         traj.healthy = False

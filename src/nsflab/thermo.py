@@ -243,11 +243,10 @@ def entropy_density(gas: GasModel, a: float, rho, theta):
 
 # ---------------------------------------------------------------------------
 # derivatives of the closures (exact, via P and P')
+# the private bodies take a checked state; each public function checks once
 
 
-def heat_capacity_cv(gas: GasModel, rho, theta):
-    """c_v = d e_M / d theta = (3/2) [(5/2) P(Z) - (3/2) Z P'(Z)] / Z; > 0."""
-    rho, theta = _check_state(rho, theta)
+def _cv_molecular(gas, rho, theta):
     z = Z_of(rho, theta)
     cv = 1.5 * (2.5 * gas.P(z) - 1.5 * z * gas.dP(z)) / z
     if np.any(np.asarray(cv) <= 0.0):
@@ -255,25 +254,35 @@ def heat_capacity_cv(gas: GasModel, rho, theta):
     return cv
 
 
-def cv_total(gas: GasModel, a: float, rho, theta):
-    """d e / d theta for the full closure, radiation included."""
-    rho, theta = _check_state(rho, theta)
-    return heat_capacity_cv(gas, rho, theta) + 4.0 * a * theta ** 3 / rho
+def _cv_total(gas, a, rho, theta):
+    return _cv_molecular(gas, rho, theta) + 4.0 * a * theta ** 3 / rho
 
 
-def dp_drho(gas: GasModel, a: float, rho, theta):
-    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
+def _dp_drho(gas, rho, theta):
     return theta * gas.dP(Z_of(rho, theta))
 
 
-def dp_dtheta(gas: GasModel, a: float, rho, theta):
-    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
+def _dp_dtheta(gas, a, rho, theta):
     z = Z_of(rho, theta)
     return theta ** 1.5 * (2.5 * gas.P(z) - 1.5 * z * gas.dP(z)) + (4.0 * a / 3.0) * theta ** 3
 
 
-def dpM_dtheta(gas: GasModel, rho, theta):
-    return dp_dtheta(gas, 0.0, rho, theta)
+def heat_capacity_cv(gas: GasModel, rho, theta):
+    """c_v = d e_M / d theta = (3/2) [(5/2) P(Z) - (3/2) Z P'(Z)] / Z; > 0."""
+    return _cv_molecular(gas, *_check_state(rho, theta))
+
+
+def cv_total(gas: GasModel, a: float, rho, theta):
+    """d e / d theta for the full closure, radiation included."""
+    return _cv_total(gas, a, *_check_state(rho, theta))
+
+
+def dp_drho(gas: GasModel, a: float, rho, theta):
+    return _dp_drho(gas, *_check_state(rho, theta, allow_zero_rho=True))
+
+
+def dp_dtheta(gas: GasModel, a: float, rho, theta):
+    return _dp_dtheta(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
 
 
 def sound_speed_sq(gas: GasModel, a: float, rho, theta):
@@ -282,8 +291,8 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
     For P(Z)=Z, a=0 this is (5/3) theta, the monatomic adiabatic speed.
     """
     rho, theta = _check_state(rho, theta)
-    num = dp_dtheta(gas, a, rho, theta)
-    c2 = dp_drho(gas, a, rho, theta) + theta * num ** 2 / (rho ** 2 * cv_total(gas, a, rho, theta))
+    num = _dp_dtheta(gas, a, rho, theta)
+    c2 = _dp_drho(gas, rho, theta) + theta * num ** 2 / (rho ** 2 * _cv_total(gas, a, rho, theta))
     return np.maximum(c2, _EPS)
 
 

@@ -30,3 +30,19 @@ def law_b():
 @pytest.fixture(scope="session")
 def transport():
     return thermo.default_transport()
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, name) swaps in a wrapper and returns its list of calls."""
+    def install(module, name):
+        calls = []
+        inner = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+    return install

@@ -264,3 +264,15 @@ def test_snapshot_rejects_foreign_file(tmp_path):
     p.write_bytes(b"not a snapshot")
     with pytest.raises(UsageError):
         gf.read_snapshot(p)
+
+
+def test_write_series_drops_stale_snapshots(tmp_path):
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    states = [gf.FluidState(np.full(8, 1.0 + k), np.zeros((1, 8)), np.full(8, 2.0), 0.1 * k)
+              for k in range(3)]
+    gf.write_series(tmp_path, grid, [s.time for s in states], states)
+    assert len(gf.read_series(tmp_path, grid)[0]) == 3
+    gf.write_series(tmp_path, grid, [0.5], states[2:])
+    times, back = gf.read_series(tmp_path, grid)
+    assert times == [0.5]
+    assert np.array_equal(back[0].rho, states[2].rho)

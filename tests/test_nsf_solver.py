@@ -19,6 +19,11 @@ def scaling(a=0.0, nu=0.0, omega=0.0, lam=0.0):
     return thermo.ScalingParams(a=a, nu=nu, omega=omega, lam=lam)
 
 
+def theta_of(state, config):
+    return ns.recover_temperature(state.rho, state.mom, state.etot, config.gas,
+                                  config.scaling.a)
+
+
 def run_config(gas, transport, grid, sc, **kw):
     kw.setdefault("t_end", 1.0)
     return ns.NsfRunConfig(gas=gas, transport=transport, scaling=sc, grid=grid, **kw)
@@ -233,7 +238,7 @@ def test_stable_dt_acoustic_closed_form(ideal, transport):
     grid = gf.Grid.line(2.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), cfl=0.45)
     state = state_from_primitives(ideal, 0.0, (np.ones(16), np.ones(16), np.zeros((1, 16))))
-    dt = ns.stable_dt(state, config)
+    dt = ns.stable_dt(state, theta_of(state, config), config)
     expected = 0.45 * (2.0 / 16) / math.sqrt(5.0 / 3.0)
     assert abs(dt - expected) / expected < 1e-10
 
@@ -244,7 +249,7 @@ def test_stable_dt_diffusive_scaling(ideal, transport):
     dts = []
     for nu in (5.0, 10.0):
         config = run_config(ideal, transport, grid, scaling(nu=nu), cfl=0.4)
-        dts.append(ns.stable_dt(state, config))
+        dts.append(ns.stable_dt(state, theta_of(state, config), config))
     dx = 1.0 / 16
     expected = 0.4 * dx * dx / (2.0 * 1 * 5.0 * transport.mu(1.0))
     assert abs(dts[0] - expected) / expected < 1e-10
@@ -261,7 +266,7 @@ def test_step_preserves_equilibrium(ideal, transport):
     config = run_config(ideal, transport, grid, sc)
     state = state_from_primitives(ideal, sc.a, (np.full((8, 8), 1.1), np.full((8, 8), 0.9),
                        np.zeros((2, 8, 8))))
-    dt = ns.stable_dt(state, config)
+    dt = ns.stable_dt(state, theta_of(state, config), config)
     out = ns.step(state, dt, config)
     assert np.max(np.abs(out.rho - state.rho)) <= 1e-15
     assert np.max(np.abs(out.mom - state.mom)) <= 1e-15
@@ -287,7 +292,7 @@ def test_mass_conserved_over_thousand_steps(ideal, transport, bc):
     m0 = gf.integrate(state.rho, grid)
     stats = ns.StepStats()
     for _ in range(1000):
-        dt = ns.stable_dt(state, config)
+        dt = ns.stable_dt(state, theta_of(state, config), config)
         state = ns.step(state, dt, config, stats=stats)
     assert abs(gf.integrate(state.rho, grid) - m0) / m0 < 1e-12
     assert np.all(np.isfinite(state.etot))
@@ -307,11 +312,11 @@ def test_mass_conserved_2d_mixed_boundaries(ideal, transport):
     state = state_from_primitives(ideal, sc.a, (rho, th, u))
     m0 = gf.integrate(state.rho, grid)
     for _ in range(300):
-        dt = ns.stable_dt(state, config)
+        dt = ns.stable_dt(state, theta_of(state, config), config)
         state = ns.step(state, dt, config)
     assert abs(gf.integrate(state.rho, grid) - m0) / m0 < 1e-12
     assert np.all(np.isfinite(state.etot))
-    sigma, total = ns.entropy_production(state, config)
+    sigma, total = ns.entropy_production(state, theta_of(state, config), config)
     assert np.all(sigma >= 0.0) and total >= 0.0
 
 
@@ -359,7 +364,7 @@ def test_entropy_production_uniform_is_zero(ideal, transport):
     config = run_config(ideal, transport, grid, scaling(a=0.1, nu=0.3, omega=0.2))
     state = state_from_primitives(ideal, 0.1, (np.full(16, 1.4), np.full(16, 1.1),
                        np.zeros((1, 16))))
-    sigma, total = ns.entropy_production(state, config)
+    sigma, total = ns.entropy_production(state, theta_of(state, config), config)
     assert np.all(sigma == 0.0)
     assert total == 0.0
 
@@ -372,7 +377,7 @@ def test_entropy_production_shear_closed_form(ideal, transport):
     _, Y = gf.mesh(grid)
     u = np.stack([g * Y, np.zeros_like(Y)])
     state = state_from_primitives(ideal, 0.0, (np.ones_like(Y), np.full_like(Y, theta0), u))
-    sigma, total = ns.entropy_production(state, config)
+    sigma, total = ns.entropy_production(state, theta_of(state, config), config)
     expected = 0.3 * transport.mu(theta0) * g * g / theta0
     # mirror ghosts bend the linear profile in the wall layer; the closed
     # form is exact from one cell in
@@ -396,7 +401,7 @@ def test_entropy_production_nonnegative(seed):
     theta = 0.3 + rng.exponential(1.0, 16)
     u = rng.normal(0.0, 1.0, (1, 16))
     state = state_from_primitives(gas, 0.1, (rho, theta, u))
-    sigma, total = ns.entropy_production(state, config)
+    sigma, total = ns.entropy_production(state, theta_of(state, config), config)
     assert np.all(sigma >= 0.0)
     assert total >= 0.0
 
@@ -459,6 +464,17 @@ def test_nan_forcing_aborts_run(ideal, transport):
     assert len(traj.times) >= 1
 
 
+def test_simulate_names_a_zero_density_initial_cell(ideal, transport):
+    grid = gf.Grid.line(1.0, 16, "periodic")
+    config = run_config(ideal, transport, grid, scaling(nu=0.01))
+    rho = np.ones(16)
+    rho[5] = 0.0
+    initial = gf.FluidState(rho, np.zeros((1, 16)), np.full(16, 1.5))
+    with pytest.raises(PositivityError) as exc:
+        ns.simulate(config, initial)
+    assert exc.value.where == (5,)
+
+
 def test_simulate_rejects_oversized_floors(ideal, transport):
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(),
@@ -492,6 +508,21 @@ def test_simulate_uniform_rest_constant_diagnostics(ideal, transport):
 
     assert traj.data_bounds.M == pytest.approx(1.2)
     assert traj.data_bounds.D == pytest.approx(1.2)
+
+
+def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_calls):
+    # per step: three RHS stages, each inverting its stage state and the two
+    # face reconstructions of the one axis, plus the accepted state
+    calls = count_calls(thermo, "temperature_from_energy")
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
+    config = run_config(ideal, transport, grid, sc, t_end=0.05, output_stride=1)
+    x = gf.cell_centers(grid)[0]
+    traj = ns.simulate(config, (1.0 + 0.1 * np.cos(np.pi * x), np.ones(16),
+                                (0.1 * np.sin(np.pi * x))[None]))
+    steps = len(traj.times) - 1
+    assert steps > 2 and not traj.aborted
+    assert len(calls) == 10 * steps + 1
 
 
 def test_simulate_repeat_runs_are_bit_identical(ideal, transport, tmp_path):

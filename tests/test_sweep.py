@@ -11,6 +11,7 @@ from nsflab import config as cfgmod
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
+from nsflab import nsf_solver as ns
 from nsflab import sweep as sweepmod
 from nsflab import thermo
 from nsflab.errors import ConfigError, DomainError, UsageError
@@ -250,6 +251,21 @@ def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
                       {"rho": np.ones(12), "mom": np.zeros(12), "etot": np.full(12, 2.0)})
     with pytest.raises(UsageError, match="does not match"):
         sweepmod.load_run(rdir)
+
+
+def test_load_run_reads_the_last_run_written_to_a_directory(tmp_path):
+    text = ("solver = nsf\nscaling.a = 0.01\nscaling.nu = 0.005\n"
+            "scaling.omega = 0.001\nscaling.lambda = 0.2\ngrid.extent = 1.0\n"
+            "grid.cells = 16\ngrid.bc = slip-wall\ncfl = 0.35\n"
+            "output.stride = 1\ninit.name = acoustic-entropy\n")
+    for t_end in ("0.2", "0.05"):
+        mapping = cfgmod.parse_text(text + f"t_end = {t_end}\n")
+        _, run_cfg, scenario = cfgmod.build_run(mapping)
+        traj = ns.simulate(run_cfg, scenario.fields(run_cfg.grid))
+        sweepmod.write_nsf_run(tmp_path, mapping, traj)
+    _, _, loaded = sweepmod.load_run(tmp_path)
+    assert loaded.times == traj.times
+    assert loaded.times[-1] == pytest.approx(0.05)
 
 
 def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):

@@ -210,6 +210,27 @@ def test_cv_violation_raises():
         thermo.heat_capacity_cv(bad, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("fn", [thermo.sound_speed_sq, thermo.cv_total])
+def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
+    for rho, theta in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                       (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(DomainError):
+            fn(ideal, 0.1, rho, theta)
+    bad = thermo.GasModel(
+        name="bad",
+        P=lambda z: np.asarray(z, float) ** 3,
+        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
+    )
+    with pytest.raises(ModelViolationError):
+        fn(bad, 0.1, 1.0, 1.0)
+
+
+def test_sound_speed_checks_its_state_once(ideal, count_calls):
+    calls = count_calls(thermo, "_check_state")
+    thermo.sound_speed_sq(ideal, 0.2, np.array([1.0, 2.0]), np.array([0.5, 3.0]))
+    assert len(calls) == 1
+
+
 def test_sound_speed_ideal(ideal):
     assert thermo.sound_speed_sq(ideal, 0.0, 2.0, 3.0) == pytest.approx(5.0, rel=1e-13)
 
