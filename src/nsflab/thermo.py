@@ -22,7 +22,6 @@ import numpy as np
 from scipy import integrate
 
 from .errors import DomainError, ModelViolationError, QuadratureError
-from .expr import parse_pressure_law
 
 _EPS = np.finfo(float).eps
 _FD_REL = _EPS ** (1.0 / 3.0)  # optimal centered-difference step scale
@@ -102,6 +101,8 @@ def ideal_gas(S0: float = 0.0) -> GasModel:
 
 def gas_from_expression(name: str, text: str, S0: float = 0.0,
                         P_inf: float = 0.0, asym_rtol: float = 1e-6) -> GasModel:
+    from .expr import parse_pressure_law  # sympy loads only for a custom law
+
     law = parse_pressure_law(text)
     return GasModel(name=name, P=law.P, dP=law.dP, S0=S0, P_inf=P_inf,
                     asym_rtol=asym_rtol, law_text=text)
@@ -277,10 +278,6 @@ def cv_total(gas: GasModel, a: float, rho, theta):
     return _cv_total(gas, a, *_check_state(rho, theta))
 
 
-def dp_drho(gas: GasModel, a: float, rho, theta):
-    return _dp_drho(gas, *_check_state(rho, theta, allow_zero_rho=True))
-
-
 def dp_dtheta(gas: GasModel, a: float, rho, theta):
     return _dp_dtheta(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
 
@@ -340,7 +337,7 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
         hi = np.where(f > 0.0, th, hi)
         df = 1.5 * (2.5 * th ** 1.5 * gas.P(z) - 1.5 * rho * gas.dP(z)) + 4.0 * a * th ** 3
         new = th - f / np.maximum(df, 1e-300)
-        off = ~np.isfinite(new) | (new <= lo) | (new >= hi)
+        off = ~np.isfinite(new) | (new < lo) | (new > hi)
         new = np.where(off, 0.5 * (lo + hi), new)
         done = np.abs(new - th) <= rtol * np.abs(new)
         th = new
@@ -349,13 +346,35 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
     return th
 
 
+def _invert_ideal(a, rho, e, rtol, max_iter):
+    # 1.5 rho theta + a theta^4 = e; both terms are nonnegative, so each of
+    # e/(1.5 rho) and (e/a)^{1/4} bounds the root from above, and on a convex
+    # increasing left side Newton iterates from above fall monotonically
+    if a == 0.0:
+        return e / (1.5 * rho)
+    c = 1.5 * rho
+    th = np.minimum(e / c, (e / a) ** 0.25)
+    for _ in range(max_iter):
+        at3 = a * th * th * th
+        new = th - (th * (c + at3) - e) / (c + 4.0 * at3)
+        if np.all(np.abs(new - th) <= rtol * new):
+            return new
+        th = new
+    raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
+
+
 def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12, max_iter=160):
     """Invert the internal energy density 1.5 theta^{5/2} P(Z) + a theta^4 for theta.
 
-    The left side is strictly increasing in theta, so the root is unique;
-    it is found by a bracketed Newton iteration to relative tolerance rtol.
-    Vacuum cells (rho = 0) are solved by the radiation branch alone and
-    therefore require a > 0.
+    The left side is strictly increasing in theta, so the root is unique.
+    For the ideal law P(Z) = Z (gas.law_text == "Z") it reads
+    1.5 rho theta + a theta^4: at a = 0 the root is e / (1.5 rho) exactly,
+    and at a > 0 Newton's method runs down from an upper bound, falling
+    monotonically to the root because the left side is convex; it stops at
+    relative tolerance rtol and raises DomainError if max_iter runs out
+    first.  Any other law takes a bracketed Newton iteration to relative
+    tolerance rtol, with at most max_iter steps.  Vacuum cells (rho = 0)
+    are solved by the radiation branch alone and therefore require a > 0.
     """
     scalar = np.ndim(rho) == 0 and np.ndim(e_density) == 0
     rho_b, e_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(e_density, float))
@@ -376,7 +395,10 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
         theta[vac] = (e_b[vac] / a) ** 0.25
     act = ~vac
     if np.any(act):
-        theta[act] = _invert_molecular(gas, a, rho_b[act], e_b[act], rtol, max_iter)
+        if gas.law_text == "Z":
+            theta[act] = _invert_ideal(a, rho_b[act], e_b[act], rtol, max_iter)
+        else:
+            theta[act] = _invert_molecular(gas, a, rho_b[act], e_b[act], rtol, max_iter)
     return float(theta[0]) if scalar else theta
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nsflab import config as cfgmod
@@ -105,6 +110,24 @@ def test_build_run_nsf_defaults():
     assert scenario.name == "acoustic-entropy"
     rho, theta, u = scenario.fields(run.grid)
     assert rho.shape == run.grid.cells
+
+
+def test_ideal_gas_run_leaves_sympy_unimported():
+    # sympy is the largest share of CLI cold start; only a custom gas.law needs it
+    code = (
+        "import sys\n"
+        "import nsflab.cli\n"
+        "from nsflab import config\n"
+        "assert 'sympy' not in sys.modules, 'import nsflab.cli'\n"
+        f"config.build_run(config.parse_text({NSF_TEXT!r}))\n"
+        "assert 'sympy' not in sys.modules, 'ideal-gas build_run'\n"
+        "config.build_gas({'gas.name': 'lawA', 'gas.law': 'Z + Z^2/(1+Z)'})\n"
+        "assert 'sympy' in sys.modules, 'custom law'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cfgmod.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_build_run_accepts_the_solver_convective_orders():

@@ -151,6 +151,25 @@ def test_filtered_rhs_inverts_temperature_once(ideal, count_calls):
     assert len(calls) == 1
 
 
+def test_ideal_gas_runs_skip_the_bracketed_inversion(ideal, law_a, transport, count_calls):
+    # the default sweep's reference (a = 0) and path points (a > 0) must stay
+    # on the ideal-gas solve; a custom law still needs the bracketed one
+    calls = count_calls(thermo, "_invert_molecular")
+    grid = gf.Grid.line(1.0, 48, "periodic")
+    initial = acoustic(grid, amp=0.1)
+    sc = thermo.ScalingParams(a=1e-2, nu=1e-2, omega=1e-2, lam=1e-2)
+
+    def nsf(gas):
+        return ns.NsfRunConfig(gas=gas, transport=transport, scaling=sc, grid=grid,
+                               t_end=0.05)
+
+    ns.simulate(nsf(ideal), initial)
+    er.run_euler(euler_config(ideal, grid, t_end=0.05), initial)
+    assert calls == []
+    ns.simulate(nsf(law_a), initial)
+    assert calls
+
+
 def test_acoustic_run_matches_dissipation_free_viscous_solver(ideal, transport):
     # same initial data through both solvers; the difference is dominated
     # by the 2nd-order solver and shrinks at its rate

@@ -255,7 +255,7 @@ def test_pressure_partials_match_fd(law_a):
     h = 1e-6
     fd_r = (thermo.pressure(law_a, a, rho + h, theta) - thermo.pressure(law_a, a, rho - h, theta)) / (2 * h)
     fd_t = (thermo.pressure(law_a, a, rho, theta + h) - thermo.pressure(law_a, a, rho, theta - h)) / (2 * h)
-    assert thermo.dp_drho(law_a, a, rho, theta) == pytest.approx(fd_r, rel=1e-8)
+    assert thermo._dp_drho(law_a, rho, theta) == pytest.approx(fd_r, rel=1e-8)
     assert thermo.dp_dtheta(law_a, a, rho, theta) == pytest.approx(fd_t, rel=1e-8)
 
 
@@ -440,6 +440,54 @@ def test_temperature_inversion_domain_errors(ideal):
         thermo.temperature_from_energy(ideal, 0.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         thermo.temperature_from_energy(ideal, 0.0, 1.0, -2.0)
+    for a in (0.0, 0.5):
+        for rho, e in ((math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, 0.0),
+                       ([1.0, 2.0], [1.0, -1.0])):
+            with pytest.raises(DomainError):
+                thermo.temperature_from_energy(ideal, a, rho, e)
+    with pytest.raises(DomainError, match="did not converge"):
+        thermo.temperature_from_energy(ideal, 0.5, 1.0, 3.0, max_iter=1)
+
+
+def linear_gas():
+    """The ideal law without its law_text, so it takes the bracketed solver."""
+    return thermo.GasModel(name="linear", P=lambda z: np.asarray(z, dtype=float),
+                           dP=lambda z: np.ones_like(np.asarray(z, dtype=float)))
+
+
+def test_bracketed_inversion_accepts_a_newton_step_onto_the_bracket():
+    # the first guess e/(1.5 rho) is the root; a Newton step landing on the
+    # bracket end it became must count, or the solver only bisects
+    # (whether rounding puts a cell on that path varies by draw: before the
+    # fix, two of these four draws stalled at a relative error of 1.6e-3)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.05, 8.0, 48)
+        theta = rng.uniform(0.05, 8.0, 48)
+        e = 1.5 * rho * theta
+        back = thermo.temperature_from_energy(linear_gas(), 0.0, rho, e, max_iter=8)
+        assert np.max(np.abs(back - theta) / theta) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=8),
+    theta=st.floats(1e-3, 1e3),
+    a=st.one_of(st.just(0.0), st.floats(1e-10, 1e2)),
+)
+def test_ideal_inversion_matches_bracketed_solver(ideal, rho, theta, a):
+    rho = np.array(rho)
+    e = 1.5 * rho * theta + a * theta ** 4
+    fast = thermo.temperature_from_energy(ideal, a, rho, e)
+    slow = thermo.temperature_from_energy(linear_gas(), a, rho, e)
+    assert np.max(np.abs(fast - slow) / slow) <= 1e-14
+
+
+def test_ideal_inversion_at_zero_radiation_is_exact(ideal):
+    rng = np.random.default_rng(5)
+    rho = 10.0 ** rng.uniform(-6.0, 3.0, 64)
+    e = 10.0 ** rng.uniform(-6.0, 6.0, 64)
+    assert np.array_equal(thermo.temperature_from_energy(ideal, 0.0, rho, e), e / (1.5 * rho))
 
 
 def test_scaling_params_validation():
