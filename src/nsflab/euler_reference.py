@@ -88,7 +88,6 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     """
     dim = grid.dim
     g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
-    W_g = np.concatenate([g.rho[None], g.mom, g.etot[None]], axis=0)
     theta_g = recover_temperature(g.rho, g.mom, g.etot, gas, 0.0)
     u_g = g.mom / g.rho
     p_g = thermo.pressure(gas, 0.0, g.rho, theta_g)
@@ -102,7 +101,7 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     out = np.zeros((2 + dim, *grid.cells))
     for ax in range(dim):
         dx = grid.spacing[ax]
-        W = gf.axis_strip(W_g, grid, ax, _DEPTH)
+        W = gf.axis_strip(g.W, grid, ax, _DEPTH)
         un = gf.axis_strip(u_g[ax], grid, ax, _DEPTH)
         p = gf.axis_strip(p_g, grid, ax, _DEPTH)
         F = W * un[None]
@@ -115,7 +114,7 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
             amp = eps_f * s / 64.0
             d5 = _fifth_difference_faces(W)
             dW += amp * (d5[..., 1:] - d5[..., :-1]) / dx
-        out += np.moveaxis(dW, -1, 1 + ax)
+        out += dW.swapaxes(-1, 1 + ax)  # undo axis_strip's swap
     return out[0], out[1:-1], out[-1]
 
 

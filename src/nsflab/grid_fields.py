@@ -5,7 +5,10 @@ are periodic or slip walls. A slip wall is realized by mirror ghosts: the
 wall-normal velocity component is mirrored odd (so u·n vanishes at the wall
 face) and every other quantity is mirrored even (zero normal derivative, so
 the centered wall-face heat flux and the shear traction tangential to the
-wall vanish as well).
+wall vanish as well).  `fill_ghosts_slip` allocates each ghosted array once
+and writes its margins as slice copies of interior layers (reversed for a
+mirror, shifted by the period for a wrap), axis after axis; the fields of
+a whole state are copied straight into one stacked array and filled there.
 
 All stencils are 2nd-order centered and exact on affine data when the ghost
 values extend the field exactly.
@@ -125,16 +128,16 @@ class FluidState:
                 f"inconsistent field shapes rho {self.rho.shape}, mom {self.mom.shape}, "
                 f"etot {self.etot.shape}"
             )
-        if not (np.all(np.isfinite(self.rho)) and np.all(np.isfinite(self.mom))
-                and np.all(np.isfinite(self.etot))):
+        if not (np.isfinite(self.rho).all() and np.isfinite(self.mom).all()
+                and np.isfinite(self.etot).all()):
             raise PositivityError("non-finite values in fluid state")
-        if np.any(self.rho < 0.0):
+        if (self.rho < 0.0).any():
             raise PositivityError("negative density", state=self)
-        if np.any((self.rho == 0.0) & np.any(self.mom != 0.0, axis=0)):
+        if ((self.rho == 0.0) & (self.mom != 0.0).any(axis=0)).any():
             raise PositivityError("momentum in a vacuum cell", state=self)
         ke = _kinetic(self.rho, self.mom)
         slack = 1e-12 * np.maximum(1.0, np.abs(self.etot))
-        if np.any(self.etot + slack < ke):
+        if (self.etot + slack < ke).any():
             raise PositivityError("total energy below kinetic energy", state=self)
 
     def velocity(self) -> np.ndarray:
@@ -214,76 +217,97 @@ def _shifted(fld, grid, depth, axis, k):
     return fld[tuple(sl)]
 
 
-def interior_of(fld: np.ndarray, grid: Grid, depth: int = None) -> np.ndarray:
-    """Strip the ghost margin, returning the interior view."""
-    if depth is None:
-        depth = ghost_depth(fld, grid)
-    return _shifted(fld, grid, depth, axis=-1, k=0)
-
-
 def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
                widen: int = 0) -> np.ndarray:
     """View of a depth-ghosted field along grid axis ax, with that axis moved last.
 
     Axis ax keeps all its cells, ghosts included; every other grid axis is
     restricted to the interior widened by `widen` cells on each side.
-    Leading component axes are kept as they are.
+    Leading component axes are kept as they are.  With at most two grid
+    axes, moving axis ax last is a swap with the last axis.
     """
     lead = fld.ndim - grid.dim
     sl = [slice(None)] * lead
     for g, n in enumerate(grid.cells):
         sl.append(slice(None) if g == ax else slice(depth - widen, depth + n + widen))
-    return np.moveaxis(fld[tuple(sl)], lead + ax, -1)
+    return fld[tuple(sl)].swapaxes(lead + ax, -1)
 
 
-def _pad_axis(arr, axis, depth, kind, odd):
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (depth, depth)
-    if kind == "periodic":
-        return np.pad(arr, pad, mode="wrap")
-    out = np.pad(arr, pad, mode="symmetric")
-    if odd:
-        lo = [slice(None)] * arr.ndim
-        hi = [slice(None)] * arr.ndim
-        lo[axis] = slice(0, depth)
-        hi[axis] = slice(out.shape[axis] - depth, None)
-        out[tuple(lo)] *= -1.0
-        out[tuple(hi)] *= -1.0
+def _fill(parts, grid, depth, odd=()):
+    """Ghosted stack of parts, allocated once and filled by slice copies.
+
+    Each float array in parts holds one leading component axis, then either
+    the interior cells or a ghosted block of the same depth (whose margin is
+    refilled).  The interiors are copied straight into one array stacked
+    along the leading axis, then the margins are written one grid axis at a
+    time, spanning the already-filled extent of the earlier axes and the
+    interior of the later ones, so a corner is the ghost of an edge ghost.
+    A periodic axis copies the `depth` layers at the opposite interior edge;
+    a slip wall copies the adjacent `depth` interior layers in mirror order
+    and negates them for each component c with (c, axis) in `odd`.
+    """
+    cells = grid.cells
+    ghosted = tuple(n + 2 * depth for n in cells)
+    body = (Ellipsis,) + tuple(slice(depth, depth + n) for n in cells)
+    out = np.empty((sum(map(len, parts)),) + ghosted)
+    c = 0
+    for part in parts:
+        shape = part.shape[1:]
+        if shape == ghosted:
+            part = part[body]
+        elif shape != cells:
+            raise UsageError(
+                f"field shape {shape} matches neither interior {cells} "
+                f"nor ghosted {ghosted}"
+            )
+        out[c:c + len(part)][body] = part
+        c += len(part)
+    for ax, n in enumerate(cells):
+        rest = body[2 + ax:]  # interior of the later axes
+        lo = (Ellipsis, slice(0, depth)) + rest
+        hi = (Ellipsis, slice(depth + n, None)) + rest
+        periodic = grid.bc[ax] == "periodic"
+        if periodic:
+            src_lo, src_hi = slice(n, n + depth), slice(depth, 2 * depth)
+        else:
+            src_lo, src_hi = slice(2 * depth - 1, depth - 1, -1), slice(depth + n - 1, n - 1, -1)
+        out[lo] = out[(Ellipsis, src_lo) + rest]
+        out[hi] = out[(Ellipsis, src_hi) + rest]
+        if not periodic:
+            for c, odd_ax in odd:
+                if odd_ax == ax:
+                    out[c][lo] *= -1.0
+                    out[c][hi] *= -1.0
     return out
 
 
-def _fill_scalar(arr, grid, depth, odd_axes=()):
-    arr = np.asarray(arr, dtype=float)
-    ghosted = tuple(n + 2 * depth for n in grid.cells)
-    if arr.shape == ghosted:
-        arr = interior_of(arr, grid, depth)
-    elif arr.shape != grid.cells:
-        raise UsageError(
-            f"field shape {arr.shape} matches neither interior {grid.cells} "
-            f"nor ghosted {ghosted}"
-        )
-    out = arr
-    for ax in range(grid.dim):
-        out = _pad_axis(out, ax, depth, grid.bc[ax], ax in odd_axes)
-    return out
-
-
-def _fill_vector(u, grid, depth):
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != grid.dim:
-        raise UsageError(f"vector field must have {grid.dim} components, got shape {u.shape}")
-    # component c flips sign across the wall normal to axis c
-    return np.stack([_fill_scalar(u[c], grid, depth, odd_axes=(c,)) for c in range(grid.dim)])
+def _vector_parity(dim, first=0):
+    # component first + c flips sign across the wall normal to axis c
+    return tuple((first + c, c) for c in range(dim))
 
 
 @dataclass
 class GhostedState:
-    """Conserved fields extended with filled ghost margins."""
+    """Conserved fields extended with filled ghost margins.
 
-    rho: np.ndarray
-    mom: np.ndarray
-    etot: np.ndarray
+    W stacks rho, the momentum components and etot along its first axis;
+    rho, mom and etot are views into it.
+    """
+
+    W: np.ndarray
     depth: int
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.W[0]
+
+    @property
+    def mom(self) -> np.ndarray:
+        return self.W[1:-1]
+
+    @property
+    def etot(self) -> np.ndarray:
+        return self.W[-1]
 
 
 def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
@@ -292,20 +316,25 @@ def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
     Periodic axes wrap. Slip-wall axes mirror: even parity for scalars and
     tangential velocity, odd parity for the wall-normal velocity or momentum
     component. Accepts interior arrays or already-ghosted arrays of the same
-    depth, so the operation is idempotent.
+    depth, so the operation is idempotent.  The result is allocated once and
+    its margins are written by slice copies of interior layers; the depth
+    may not exceed the smallest cell count.
     """
     if depth < 1:
         raise UsageError("ghost depth must be at least 1")
+    if depth > min(grid.cells):
+        raise UsageError(f"ghost depth {depth} exceeds the cell counts {grid.cells}")
     if isinstance(fld, FluidState):
-        return GhostedState(
-            rho=_fill_scalar(fld.rho, grid, depth),
-            mom=_fill_vector(fld.mom, grid, depth),
-            etot=_fill_scalar(fld.etot, grid, depth),
-            depth=depth,
-        )
+        W = _fill((fld.rho[None], fld.mom, fld.etot[None]), grid, depth,
+                  _vector_parity(grid.dim, 1))
+        return GhostedState(W=W, depth=depth)
+    fld = np.asarray(fld, dtype=float)
     if vector:
-        return _fill_vector(fld, grid, depth)
-    return _fill_scalar(fld, grid, depth)
+        if fld.shape[0] != grid.dim:
+            raise UsageError(
+                f"vector field must have {grid.dim} components, got shape {fld.shape}")
+        return _fill((fld,), grid, depth, _vector_parity(grid.dim))
+    return _fill((fld[None],), grid, depth)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -127,16 +127,22 @@ def state_from_primitives(gas: thermo.GasModel, a: float, initial) -> gf.FluidSt
     return gf.FluidState(rho, mom, etot, 0.0)
 
 
-def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
-    """Temperature from conservative field arrays; aborts naming the first bad cell."""
-    if np.any(rho <= 0.0):
-        where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0])
+def _internal_energy(rho, mom, etot, sides=0):
+    """etot minus the kinetic energy; PositivityError names the first cell
+    with rho <= 0 or e_int <= 0, without its first `sides` axes."""
+    if (rho <= 0.0).any():
+        where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive density at cell {where}", where=where)
     e_int = etot - 0.5 * np.sum(mom * mom, axis=0) / rho
-    if np.any(e_int <= 0.0):
-        where = tuple(int(i) for i in np.argwhere(e_int <= 0.0)[0])
+    if (e_int <= 0.0).any():
+        where = tuple(int(i) for i in np.argwhere(e_int <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive internal energy at cell {where}", where=where)
-    return thermo.temperature_from_energy(gas, a, rho, e_int)
+    return e_int
+
+
+def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
+    """Temperature from conservative field arrays; aborts naming the first bad cell."""
+    return thermo.temperature_from_energy(gas, a, rho, _internal_energy(rho, mom, etot))
 
 
 # ---------------------------------------------------------------------------
@@ -144,42 +150,40 @@ def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
 
 
 def _face_states(W, n, order):
-    """Left/right conservative states at the n+1 faces of one axis.
+    """Left and right conservative states at the n+1 faces of one axis.
 
     W has the axis last with extent n + 2*depth; face k sits between cells
-    k and k+1 in the ghost frame, for k = depth-1 .. depth+n-1.
+    k and k+1 in the ghost frame, for k = depth-1 .. depth+n-1.  The result
+    stacks the left (index 0) and right (index 1) states on axis 1.
     """
     d = _GHOST_DEPTH
     lo, hi = d - 1, d + n  # cells feeding left/right states
     WL1 = W[..., lo:hi]
     WR1 = W[..., lo + 1:hi + 1]
     if order == 1:
-        return WL1, WR1
+        return np.stack((WL1, WR1), axis=1)
     slope = 0.5 * (W[..., 2:] - W[..., :-2])  # cell j+1 of ghost frame
-    WL = WL1 + 0.5 * slope[..., lo - 1:hi - 1]
-    WR = WR1 - 0.5 * slope[..., lo:hi]
-    return _fallback_invalid(WL, WL1), _fallback_invalid(WR, WR1)
-
-
-def _fallback_invalid(W, W1):
+    WLR = np.empty((W.shape[0], 2, *W.shape[1:-1], n + 1))
+    np.add(WL1, 0.5 * slope[..., lo - 1:hi - 1], out=WLR[:, 0])
+    np.subtract(WR1, 0.5 * slope[..., lo:hi], out=WLR[:, 1])
     # drop to the unreconstructed state wherever the reconstruction left
     # the face without positive density or internal energy
-    rho = W[0]
-    ke = 0.5 * np.sum(W[1:-1] ** 2, axis=0) / np.where(rho > 0.0, rho, 1.0)
-    bad = (rho <= 0.0) | (W[-1] - ke <= 0.0)
-    if not np.any(bad):
-        return W
-    return np.where(bad[None], W1, W)
+    rho = WLR[0]
+    ke = 0.5 * np.sum(WLR[1:-1] ** 2, axis=0) / np.where(rho > 0.0, rho, 1.0)
+    bad = (rho <= 0.0) | (WLR[-1] - ke <= 0.0)
+    if not bad.any():
+        return WLR
+    return np.where(bad[None], np.stack((WL1, WR1), axis=1), WLR)
 
 
 def _face_primitives(gas, a, W):
+    # W stacks both sides of the faces on axis 1; one checked closure call
+    # serves them both, and errors name the face without the side axis
     rho = W[0]
     mom = W[1:-1]
     etot = W[-1]
-    theta = recover_temperature(rho, mom, etot, gas, a)
-    p = thermo.pressure(gas, a, rho, theta)
-    c = np.sqrt(thermo.sound_speed_sq(gas, a, rho, theta))
-    return rho, mom, etot, p, c
+    _, p, c2 = thermo.closures_from_energy(gas, a, rho, _internal_energy(rho, mom, etot, 1))
+    return rho, mom, etot, p, np.sqrt(c2)
 
 
 def _phys_flux(ax, dim, rho, mom, etot, p):
@@ -200,15 +204,14 @@ def _convective(gas, a, grid, W_g, order):
         n = grid.cells[ax]
         dx = grid.spacing[ax]
         W = gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH)
-        WL, WR = _face_states(W, n, order)
-        rhoL, momL, eL, pL, cL = _face_primitives(gas, a, WL)
-        rhoR, momR, eR, pR, cR = _face_primitives(gas, a, WR)
-        FL = _phys_flux(ax, dim, rhoL, momL, eL, pL)
-        FR = _phys_flux(ax, dim, rhoR, momR, eR, pR)
-        smax = np.maximum(np.abs(momL[ax] / rhoL) + cL, np.abs(momR[ax] / rhoR) + cR)
-        F = 0.5 * (FL + FR) - 0.5 * smax * (WR - WL)
+        WLR = _face_states(W, n, order)
+        rho, mom, etot, p, c = _face_primitives(gas, a, WLR)
+        FLR = _phys_flux(ax, dim, rho, mom, etot, p)
+        s = np.abs(mom[ax] / rho) + c
+        smax = np.maximum(s[0], s[1])
+        F = 0.5 * (FLR[:, 0] + FLR[:, 1]) - 0.5 * smax * (WLR[:, 1] - WLR[:, 0])
         dW = -(F[..., 1:] - F[..., :-1]) / dx
-        out += np.moveaxis(dW, -1, 1 + ax)
+        out += dW.swapaxes(-1, 1 + ax)  # undo axis_strip's swap
     return out
 
 
@@ -260,8 +263,8 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         for comp, S_comp in visc_mom.items():
             energy_flux = energy_flux + S_comp * u_f[comp]
             inc = _face_diff_to_cells(S_comp, dx)
-            dmom[comp] += np.moveaxis(inc, -1, ax)
-        detot += np.moveaxis(_face_diff_to_cells(energy_flux, dx), -1, ax)
+            dmom[comp] += inc.swapaxes(-1, ax)
+        detot += _face_diff_to_cells(energy_flux, dx).swapaxes(-1, ax)
 
 
 def _face_diff_to_cells(face_values, dx):
@@ -276,9 +279,8 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
 
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
     g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
-    W_g = np.concatenate([g.rho[None], g.mom, g.etot[None]], axis=0)
 
-    out = _convective(gas, sc.a, grid, W_g, config.resolved_order())
+    out = _convective(gas, sc.a, grid, g.W, config.resolved_order())
     drho = out[0]
     dmom = out[1:-1]
     detot = out[-1]

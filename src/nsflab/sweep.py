@@ -404,8 +404,11 @@ def run_sweep(setup: SweepSetup, out_dir, threads: int = 1) -> SweepManifest:
 
     Worker threads only parallelize independent path points; every output
     is written by the worker that owns it and records are assembled in path
-    order, so thread count never changes any result.
+    order, so thread count never changes any result.  Fewer than one
+    thread is a UsageError, raised before any work.
     """
+    if int(threads) < 1:
+        raise UsageError(f"threads must be at least 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

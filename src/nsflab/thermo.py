@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,15 +137,15 @@ def sublinear_transport(b: float = 0.75) -> TransportModel:
 def _check_state(rho, theta, allow_zero_rho=False):
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
+    if not (np.isfinite(rho).all() and np.isfinite(theta).all()):
         raise DomainError("non-finite thermodynamic state")
-    if np.any(theta <= 0.0):
+    if (theta <= 0.0).any():
         raise DomainError("temperature must be positive")
     if allow_zero_rho:
-        if np.any(rho < 0.0):
+        if (rho < 0.0).any():
             raise DomainError("density must be nonnegative")
     else:
-        if np.any(rho <= 0.0):
+        if (rho <= 0.0).any():
             raise DomainError("density must be positive")
     return rho, theta
 
@@ -161,10 +162,11 @@ def Z_of(rho, theta):
 
 def pressure_parts(gas: GasModel, a: float, rho, theta):
     """(molecular, radiative) pressure parts."""
-    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
-    p_mol = theta ** 2.5 * gas.P(Z_of(rho, theta))
-    p_rad = (a / 3.0) * theta ** 4
-    return p_mol, p_rad
+    return _pressure_parts(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
+
+
+def _pressure_parts(gas, a, rho, theta):
+    return theta ** 2.5 * gas.P(Z_of(rho, theta)), (a / 3.0) * theta ** 4
 
 
 def pressure(gas: GasModel, a: float, rho, theta):
@@ -250,7 +252,7 @@ def entropy_density(gas: GasModel, a: float, rho, theta):
 def _cv_molecular(gas, rho, theta):
     z = Z_of(rho, theta)
     cv = 1.5 * (2.5 * gas.P(z) - 1.5 * z * gas.dP(z)) / z
-    if np.any(np.asarray(cv) <= 0.0):
+    if (np.asarray(cv) <= 0.0).any():
         raise ModelViolationError("c_v <= 0: closure violates thermal stability")
     return cv
 
@@ -287,7 +289,10 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
 
     For P(Z)=Z, a=0 this is (5/3) theta, the monatomic adiabatic speed.
     """
-    rho, theta = _check_state(rho, theta)
+    return _sound_speed_sq(gas, a, *_check_state(rho, theta))
+
+
+def _sound_speed_sq(gas, a, rho, theta):
     num = _dp_dtheta(gas, a, rho, theta)
     c2 = _dp_drho(gas, rho, theta) + theta * num ** 2 / (rho ** 2 * _cv_total(gas, a, rho, theta))
     return np.maximum(c2, _EPS)
@@ -342,8 +347,8 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
         done = np.abs(new - th) <= rtol * np.abs(new)
         th = new
         if np.all(done):
-            break
-    return th
+            return th
+    raise DomainError(f"bracketed temperature inversion did not converge in {max_iter} steps")
 
 
 def _invert_ideal(a, rho, e, rtol, max_iter):
@@ -357,7 +362,7 @@ def _invert_ideal(a, rho, e, rtol, max_iter):
     for _ in range(max_iter):
         at3 = a * th * th * th
         new = th - (th * (c + at3) - e) / (c + 4.0 * at3)
-        if np.all(np.abs(new - th) <= rtol * new):
+        if (np.abs(new - th) <= rtol * new).all():
             return new
         th = new
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
@@ -370,36 +375,56 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
     For the ideal law P(Z) = Z (gas.law_text == "Z") it reads
     1.5 rho theta + a theta^4: at a = 0 the root is e / (1.5 rho) exactly,
     and at a > 0 Newton's method runs down from an upper bound, falling
-    monotonically to the root because the left side is convex; it stops at
-    relative tolerance rtol and raises DomainError if max_iter runs out
-    first.  Any other law takes a bracketed Newton iteration to relative
-    tolerance rtol, with at most max_iter steps.  Vacuum cells (rho = 0)
-    are solved by the radiation branch alone and therefore require a > 0.
+    monotonically to the root because the left side is convex.  Any other
+    law takes a bracketed Newton iteration.  Both stop at relative
+    tolerance rtol and raise DomainError if max_iter steps do not reach it.
+    Vacuum cells (rho = 0) are solved by the radiation branch alone and
+    therefore require a > 0.
     """
     scalar = np.ndim(rho) == 0 and np.ndim(e_density) == 0
-    rho_b, e_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(e_density, float))
-    rho_b = np.atleast_1d(rho_b).astype(float)
-    e_b = np.atleast_1d(e_b).astype(float)
+    rho_b = np.atleast_1d(np.asarray(rho, dtype=float))
+    e_b = np.atleast_1d(np.asarray(e_density, dtype=float))
+    if rho_b.shape != e_b.shape:
+        rho_b, e_b = np.broadcast_arrays(rho_b, e_b)
     a = float(a)
-    if not (np.all(np.isfinite(rho_b)) and np.all(np.isfinite(e_b))):
+    if not (np.isfinite(rho_b).all() and np.isfinite(e_b).all()):
         raise DomainError("non-finite inputs to temperature inversion")
-    if np.any(rho_b < 0.0):
+    if (rho_b < 0.0).any():
         raise DomainError(f"negative density (min {np.min(rho_b)})")
-    if np.any(e_b <= 0.0):
+    if (e_b <= 0.0).any():
         raise DomainError("internal energy density must be positive to recover temperature")
+    invert = _invert_ideal if gas.law_text == "Z" else partial(_invert_molecular, gas)
     vac = rho_b == 0.0
-    theta = np.empty_like(e_b)
-    if np.any(vac):
+    if not vac.any():
+        theta = invert(a, rho_b, e_b, rtol, max_iter)
+    else:
         if a <= 0.0:
             raise DomainError("vacuum cells carry no temperature information when a = 0")
+        theta = np.empty(e_b.shape)
         theta[vac] = (e_b[vac] / a) ** 0.25
-    act = ~vac
-    if np.any(act):
-        if gas.law_text == "Z":
-            theta[act] = _invert_ideal(a, rho_b[act], e_b[act], rtol, max_iter)
-        else:
-            theta[act] = _invert_molecular(gas, a, rho_b[act], e_b[act], rtol, max_iter)
+        act = ~vac
+        if act.any():
+            theta[act] = invert(a, rho_b[act], e_b[act], rtol, max_iter)
     return float(theta[0]) if scalar else theta
+
+
+def closures_from_energy(gas: GasModel, a: float, rho, e_density):
+    """(theta, p, c_s^2) at density rho and internal energy density e_density.
+
+    Bitwise the same as temperature_from_energy followed by pressure and
+    sound_speed_sq at the recovered theta, and it raises what they raise,
+    but each check runs once: DomainError for non-finite input, rho <= 0,
+    e_density <= 0 or a recovered theta that is not positive and finite,
+    ModelViolationError for c_v <= 0.
+    """
+    theta = temperature_from_energy(gas, a, rho, e_density)
+    rho = np.asarray(rho, dtype=float)
+    if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
+        raise DomainError("density must be positive")
+    if not np.all((theta > 0.0) & (theta < math.inf)):
+        raise DomainError("recovered temperature must be positive and finite")
+    p_mol, p_rad = _pressure_parts(gas, a, rho, theta)
+    return theta, p_mol + p_rad, _sound_speed_sq(gas, a, rho, theta)
 
 
 # ---------------------------------------------------------------------------

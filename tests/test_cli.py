@@ -181,3 +181,14 @@ def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path):
         for name in ("solver.csv", "relenergy.csv"):
             assert (out2 / "runs" / rec.run_id / name).read_bytes() == \
                 (out / "runs" / rec.run_id / name).read_bytes()
+
+
+def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    for threads in ("0", "-2"):
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 2
+        assert capsys.readouterr().err.startswith("error: threads must be at least 1")
+    assert not out.exists()  # refused before any work

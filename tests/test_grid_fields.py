@@ -85,6 +85,82 @@ def test_ghost_state_parities():
     assert g.etot[3, 1] == etot[1, 0]
 
 
+def _pad_reference(arr, grid, depth, odd_axes=()):
+    """The np.pad fill that the slice-write fill replaced, kept as its oracle."""
+    out = arr
+    for ax in range(grid.dim):
+        pad = [(0, 0)] * out.ndim
+        pad[ax] = (depth, depth)
+        if grid.bc[ax] == "periodic":
+            out = np.pad(out, pad, mode="wrap")
+            continue
+        out = np.pad(out, pad, mode="symmetric")
+        if ax in odd_axes:
+            lo = [slice(None)] * out.ndim
+            hi = [slice(None)] * out.ndim
+            lo[ax] = slice(0, depth)
+            hi[ax] = slice(out.shape[ax] - depth, None)
+            out[tuple(lo)] *= -1.0
+            out[tuple(hi)] *= -1.0
+    return out
+
+
+GHOST_GRIDS = {
+    "line-wall": gf.Grid.line(1.0, 9),
+    "line-periodic": gf.Grid.line(1.0, 9, bc="periodic"),
+    "box-wall": gf.Grid.box((1.0, 2.0), (8, 11)),
+    "box-periodic": gf.Grid.box((1.0, 2.0), (8, 11), ("periodic", "periodic")),
+    "box-wall-periodic": gf.Grid.box((1.0, 2.0), (8, 11), ("slip-wall", "periodic")),
+    "box-periodic-wall": gf.Grid.box((1.0, 2.0), (8, 11), ("periodic", "slip-wall")),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(GHOST_GRIDS))
+def test_ghost_fill_matches_np_pad_bitwise(name, depth):
+    grid = GHOST_GRIDS[name]
+    rng = np.random.default_rng(depth)
+
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def ghosted_noise(interior, want):
+        # an already-ghosted input whose stale margin must be overwritten
+        noisy = rng.standard_normal(want.shape)
+        noisy[(Ellipsis,) + tuple(slice(depth, depth + n) for n in grid.cells)] = interior
+        return noisy
+
+    f = rng.standard_normal(grid.cells)
+    want = _pad_reference(f, grid, depth)
+    assert same(gf.fill_ghosts_slip(f, grid, depth), want)
+    assert same(gf.fill_ghosts_slip(ghosted_noise(f, want), grid, depth), want)
+
+    u = rng.standard_normal((grid.dim, *grid.cells))
+    u[:, ::3] = 0.0  # odd mirrors of zeros must come out as -0.0, as np.pad's do
+    want_u = np.stack([_pad_reference(u[c], grid, depth, odd_axes=(c,))
+                       for c in range(grid.dim)])
+    assert same(gf.fill_ghosts_slip(u, grid, depth, vector=True), want_u)
+    assert same(gf.fill_ghosts_slip(ghosted_noise(u, want_u), grid, depth, vector=True),
+                want_u)
+
+    rho = 1.0 + rng.random(grid.cells)
+    etot = 2.0 + rng.random(grid.cells)
+    g = gf.fill_ghosts_slip(gf.FluidState(rho, 0.1 * u, etot), grid, depth)
+    assert g.depth == depth
+    assert same(g.rho, _pad_reference(rho, grid, depth))
+    assert same(g.mom, np.stack([_pad_reference(0.1 * u[c], grid, depth, odd_axes=(c,))
+                                 for c in range(grid.dim)]))
+    assert same(g.etot, _pad_reference(etot, grid, depth))
+    assert same(g.W, np.concatenate((g.rho[None], g.mom, g.etot[None])))
+
+
+def test_ghost_depth_beyond_the_grid_rejected():
+    with pytest.raises(UsageError):
+        gf.fill_ghosts_slip(np.zeros(32), WALL, depth=33)
+    with pytest.raises(UsageError):
+        gf.fill_ghosts_slip(np.zeros((16, 24)), BOX, depth=17)
+
+
 def test_wall_face_heat_flux_vanishes():
     # centered face flux at the wall: -kappa(theta_face)(ghost - interior)/dx
     theta = 1.0 + np.random.default_rng(2).random(32)

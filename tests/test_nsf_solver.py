@@ -511,8 +511,9 @@ def test_simulate_uniform_rest_constant_diagnostics(ideal, transport):
 
 
 def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_calls):
-    # per step: three RHS stages, each inverting its stage state and the two
-    # face reconstructions of the one axis, plus the accepted state
+    # per step: three RHS stages, each inverting its stage state and the
+    # stacked left and right face states of the one axis, plus the accepted
+    # state
     calls = count_calls(thermo, "temperature_from_energy")
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
@@ -522,7 +523,38 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
                                 (0.1 * np.sin(np.pi * x))[None]))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
+    assert len(calls) == 7 * steps + 1
+
+
+def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls):
+    # per step: three RHS stages, each inverting its stage state and one
+    # stacked face array per axis, plus the accepted state
+    calls = count_calls(thermo, "temperature_from_energy")
+    grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
+    sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
+    config = run_config(ideal, transport, grid, sc, t_end=0.06, output_stride=1)
+    X, Y = gf.mesh(grid)
+    rho = 1.0 + 0.1 * np.cos(np.pi * X) * np.cos(2 * np.pi * Y)
+    u = np.stack([0.1 * np.sin(np.pi * X), 0.05 * np.sin(2 * np.pi * Y)])
+    traj = ns.simulate(config, (rho, np.ones(grid.cells), u))
+    steps = len(traj.times) - 1
+    assert steps > 2 and not traj.aborted
     assert len(calls) == 10 * steps + 1
+
+
+def test_face_primitives_name_the_face_without_its_side(ideal):
+    # (rho, mom, etot) x (left, right) x 5 faces of a 1-D axis
+    W = np.ones((3, 2, 5))
+    W[2] = 1.5
+    W[0, 1, 3] = 0.0
+    with pytest.raises(PositivityError) as exc:
+        ns._face_primitives(ideal, 0.0, W)
+    assert exc.value.where == (3,)
+    W[0, 1, 3] = 1.0
+    W[1, 0, 2] = 2.0  # kinetic 2.0 exceeds etot 1.5 on the left of face 2
+    with pytest.raises(PositivityError) as exc:
+        ns._face_primitives(ideal, 0.0, W)
+    assert exc.value.where == (2,)
 
 
 def test_simulate_repeat_runs_are_bit_identical(ideal, transport, tmp_path):

@@ -225,6 +225,39 @@ def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
         fn(bad, 0.1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("gas_name,a", [("ideal", 0.0), ("ideal", 0.3),
+                                        ("law_a", 0.0), ("law_a", 0.3)])
+def test_closures_from_energy_match_the_separate_closures_bitwise(request, gas_name, a):
+    gas = request.getfixturevalue(gas_name)
+    rng = np.random.default_rng(7)
+    # left and right face states of 49 faces, stacked as the solver does
+    rho = rng.uniform(0.1, 4.0, (2, 49))
+    e = thermo.internal_energy_density(gas, a, rho, rng.uniform(0.2, 3.0, (2, 49)))
+    theta = thermo.temperature_from_energy(gas, a, rho, e)
+    want = (theta, thermo.pressure(gas, a, rho, theta),
+            thermo.sound_speed_sq(gas, a, rho, theta))
+    got = thermo.closures_from_energy(gas, a, rho, e)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_closures_from_energy_reject_bad_states(ideal):
+    for a in (0.0, 0.5):
+        for rho, e in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                       (math.nan, 1.0), (1.0, math.inf), ([1.0, 0.0], [1.0, 1.0]),
+                       (1e300, 1e-300)):  # the last recovers theta = 0
+            with pytest.raises(DomainError):
+                thermo.closures_from_energy(ideal, a, rho, e)
+    bad = thermo.GasModel(
+        name="bad",
+        P=lambda z: np.asarray(z, float) ** 3,
+        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
+    )
+    # e = 10 has a root where the radiation term grows, but c_v < 0 there
+    with pytest.raises(ModelViolationError):
+        thermo.closures_from_energy(bad, 0.1, 1.0, 10.0)
+
+
 def test_sound_speed_checks_its_state_once(ideal, count_calls):
     calls = count_calls(thermo, "_check_state")
     thermo.sound_speed_sq(ideal, 0.2, np.array([1.0, 2.0]), np.array([0.5, 3.0]))
@@ -467,6 +500,19 @@ def test_bracketed_inversion_accepts_a_newton_step_onto_the_bracket():
         e = 1.5 * rho * theta
         back = thermo.temperature_from_energy(linear_gas(), 0.0, rho, e, max_iter=8)
         assert np.max(np.abs(back - theta) / theta) <= 1e-12
+
+
+def test_bracketed_inversion_refuses_to_stop_unconverged():
+    # one step from the bracket midpoint leaves theta off by up to 9e-2 here;
+    # running out of steps is an error, as on the ideal path
+    rng = np.random.default_rng(0)
+    rho = rng.uniform(0.05, 8.0, 48)
+    theta = rng.uniform(0.05, 8.0, 48)
+    e = 1.5 * rho * theta + 0.5 * theta ** 4
+    with pytest.raises(DomainError, match="did not converge"):
+        thermo.temperature_from_energy(linear_gas(), 0.5, rho, e, max_iter=1)
+    back = thermo.temperature_from_energy(linear_gas(), 0.5, rho, e)
+    assert np.max(np.abs(back - theta) / theta) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
