@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import diagnostics as diag
 from . import euler_reference as er
 from . import grid_fields as gf
 from . import nsf_solver as ns
@@ -152,11 +151,7 @@ def _cmd_diag(args) -> int:
         if len(traj.times) < 3:
             print(f"{rdir.name} skipped: fewer than three stored instants")
             continue
-        report = diag.rel_energy_inequality_residual(traj, reference)
-        bounds = diag.uniform_bounds(traj)
-        (rdir / "relenergy.csv").write_text(report.csv(), encoding="ascii")
-        (rdir / "bounds.txt").write_text(bounds.to_text(), encoding="ascii")
-        (rdir / "summary.txt").write_text(report.summary(), encoding="ascii")
+        report = sweepmod.write_run_diagnostics(rdir, traj, reference)
         print(f"{rdir.name} max_excess {report.max_excess!r}")
     return 0
 

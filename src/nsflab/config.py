@@ -76,8 +76,15 @@ def parse_text(text: str) -> dict:
 
 
 def load_file(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_text(fh.read())
+    """Parse a configuration file; ConfigError when it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read configuration file {path}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"configuration file {path} is not UTF-8 text: {err.reason}") from err
+    return parse_text(text)
 
 
 def render(mapping: dict) -> str:

@@ -4,6 +4,10 @@ Everything here is post-processing: uniform bounds that must hold across a
 dissipation sweep, the velocity interpolation inequality, the relative
 energy inequality term by term, and the convergence-rate envelope that the
 sweep compares against.
+
+The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
+each recover a stored state's temperature once and work on primitives from
+there on, `relative_energy` included; `sweep.write_run_diagnostics` writes both.
 """
 
 from __future__ import annotations
@@ -101,15 +105,6 @@ class UniformBoundsReport:
         return "".join(f"{k} {v!r}\n" for k, v in self.values().items())
 
 
-def _grad_vector(u, grid):
-    u_g = gf.fill_ghosts_slip(u, grid, depth=1, vector=True)
-    return np.stack([gf.gradient(u_g[c], grid) for c in range(grid.dim)])
-
-
-def _grad_scalar(f, grid):
-    return gf.gradient(gf.fill_ghosts_slip(f, grid, depth=1), grid)
-
-
 def uniform_bounds(trajectory, scaling: thermo.ScalingParams = None) -> UniformBoundsReport:
     """State and dissipation bounds over the stored instants of one run.
 
@@ -135,8 +130,8 @@ def uniform_bounds(trajectory, scaling: thermo.ScalingParams = None) -> UniformB
             gf.integrate(rho * theta, grid),
             sc.a * gf.integrate(theta ** 4, grid),
         ])
-        G = _grad_vector(u, grid)
-        gth = _grad_scalar(theta, grid)
+        G = gf.interior_gradient(u, grid)
+        gth = gf.interior_gradient(theta, grid)
         rates[k] = [
             gf.integrate(thermo.shear_tensor_sq(G), grid),
             gf.integrate(u_sq, grid),
@@ -212,8 +207,7 @@ class RelEnergyResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def rel_energy_inequality_residual(trajectory, reference, gas: thermo.GasModel = None,
-                                   scaling: thermo.ScalingParams = None,
+def rel_energy_inequality_residual(trajectory, reference,
                                    window: float = None) -> RelEnergyResidualReport:
     """LHS - RHS of the relative energy inequality against a sampled reference.
 
@@ -221,12 +215,13 @@ def rel_energy_inequality_residual(trajectory, reference, gas: thermo.GasModel =
     trajectory's output instants (restricted to t <= window when given);
     its time derivatives come from centered differences over those
     instants, spatial derivatives from mirror-ghost gradients, and all
-    time integrals from the trapezoid rule.  The residual must not exceed
-    the discretization error, which refinement studies quantify.
+    time integrals from the trapezoid rule.  Gas and scalings are the
+    run's own.  The residual must not exceed the discretization error,
+    which refinement studies quantify.
     """
     cfg = trajectory.config
-    gas = cfg.gas if gas is None else gas
-    sc = cfg.scaling if scaling is None else scaling
+    gas = cfg.gas
+    sc = cfg.scaling
     tr = cfg.transport
     grid = cfg.grid
 
@@ -259,22 +254,22 @@ def rel_energy_inequality_residual(trajectory, reference, gas: thermo.GasModel =
         rho = state.rho
         theta = recover_temperature(rho, state.mom, state.etot, gas, sc.a)
         u = state.velocity()
-        G = _grad_vector(u, grid)
-        gth = _grad_scalar(theta, grid)
+        G = gf.interior_gradient(u, grid)
+        gth = gf.interior_gradient(theta, grid)
         S = thermo.stress_tensor(tr, sc.nu, theta, G)
         q = thermo.heat_flux(tr, sc.omega, theta, gth)
         s_f = thermo.entropy(gas, sc.a, rho, theta)
         s_r = thermo.entropy(gas, sc.a, R[k], TH[k])
         p_f = thermo.pressure(gas, sc.a, rho, theta)
 
-        G_E = _grad_vector(U[k], grid)
-        gTH = _grad_scalar(TH[k], grid)
-        gP = _grad_scalar(P_ref[k], grid)
+        G_E = gf.interior_gradient(U[k], grid)
+        gTH = gf.interior_gradient(TH[k], grid)
+        gP = gf.interior_gradient(P_ref[k], grid)
         div_U = np.trace(G_E, axis1=0, axis2=1)
         v = u - U[k]
         ds = rho * (s_f - s_r)
 
-        energy[k] = renergy.relative_energy(gas, sc.a, state, refs[k], grid)
+        energy[k] = renergy.relative_energy(gas, sc.a, (rho, theta, u), refs[k], grid)
         S_Gu = np.sum(S * G, axis=(0, 1))
         q_gth = np.sum(q * gth, axis=0)
         lhs_rate["weighted_dissipation"][k] = gf.integrate(

@@ -131,11 +131,8 @@ def _speed_over_dx(state, gas, grid):
 
 
 def _gradient_maxima(state, grid):
-    rho_g = gf.fill_ghosts_slip(state.rho, grid, depth=1)
-    gr = float(np.max(np.abs(gf.gradient(rho_g, grid))))
-    u_g = gf.fill_ghosts_slip(state.velocity(), grid, depth=1, vector=True)
-    gu = max(float(np.max(np.abs(gf.gradient(u_g[c], grid))))
-             for c in range(grid.dim))
+    gr = float(np.max(np.abs(gf.interior_gradient(state.rho, grid))))
+    gu = float(np.max(np.abs(gf.interior_gradient(state.velocity(), grid))))
     return gu, gr
 
 
@@ -302,9 +299,7 @@ def formulation_residuals(traj: EulerTrajectory, gas: thermo.GasModel) -> Formul
     times, ent, th = [], [], []
     for k in range(2, keep - 2):
         rho, theta, u = prim[k]
-        u_gv = gf.fill_ghosts_slip(u, grid, depth=_DEPTH, vector=True)
-        div_u = sum(_deriv4_axis(u_gv[ax], grid, ax) for ax in range(grid.dim))
-
+        div_u = _div4(u, grid)
         r_ent = ddt(ent_dens, k) + _div4(ent_dens[k][None] * u, grid)
         cv = thermo.heat_capacity_cv(gas, rho, theta)
         r_th = cv * (ddt(rtheta, k) + _div4(rtheta[k][None] * u, grid)) \

@@ -353,6 +353,20 @@ def gradient(fld: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def interior_gradient(fld, grid: Grid) -> np.ndarray:
+    """Centered gradient of an interior field after a depth-1 ghost fill.
+
+    The ghosts follow the grid's boundary kinds, as in `fill_ghosts_slip`.
+    A scalar field gives shape (dim, *cells); a vector field of shape
+    (dim, *cells) gives G[i, j] = d_j u_i, shape (dim, dim, *cells).
+    """
+    fld = np.asarray(fld, dtype=float)
+    if fld.shape == grid.cells:
+        return gradient(fill_ghosts_slip(fld, grid, depth=1), grid)
+    fld_g = fill_ghosts_slip(fld, grid, depth=1, vector=True)
+    return np.stack([gradient(fld_g[c], grid) for c in range(grid.dim)])
+
+
 # ---------------------------------------------------------------------------
 # norms, integrals, accumulators
 
@@ -450,7 +464,12 @@ def write_snapshot(path, grid: Grid, time: float, fields: dict) -> None:
 
 
 def read_snapshot(path):
-    """Read a snapshot file back into (grid, time, fields dict)."""
+    """Read a snapshot file back into (grid, time, fields dict).
+
+    UsageError when the file is no snapshot, its header lacks an entry or
+    holds an unreadable one, or its payload length differs from what the
+    header's fields declare.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     marker = b"\nend\n"
@@ -463,23 +482,29 @@ def read_snapshot(path):
     for line in header[1:]:
         key, _, rest = line.partition(" ")
         meta[key] = rest
-    grid = Grid(
-        extents=tuple(float(v) for v in meta["extents"].split()),
-        cells=tuple(int(v) for v in meta["cells"].split()),
-        bc=tuple(meta["bc"].split()),
-    )
-    time = float(meta["time"])
-    fields = {}
-    offset = 0
-    for item in meta["fields"].split():
-        name, _, comp = item.partition("=")
-        comp = int(comp)
-        shape = grid.cells if comp == 1 else (comp, *grid.cells)
-        count = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        fields[name] = arr.reshape(shape).copy()
-    return grid, time, fields
+    missing = [k for k in ("extents", "cells", "bc", "time", "fields") if k not in meta]
+    if missing:
+        raise UsageError(f"{path} header lacks {', '.join(missing)}")
+    try:
+        grid = Grid(
+            extents=tuple(float(v) for v in meta["extents"].split()),
+            cells=tuple(int(v) for v in meta["cells"].split()),
+            bc=tuple(meta["bc"].split()),
+        )
+        time = float(meta["time"])
+        shapes = {}
+        for item in meta["fields"].split():
+            name, _, comp = item.partition("=")
+            shapes[name] = grid.cells if int(comp) == 1 else (int(comp), *grid.cells)
+    except ValueError as err:
+        raise UsageError(f"{path} has a malformed header: {err}") from None
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if len(payload) != 8 * sum(sizes):
+        raise UsageError(
+            f"{path} holds {len(payload)} payload bytes, its header declares {8 * sum(sizes)}")
+    parts = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    return grid, time, {name: part.reshape(shape).copy()
+                        for (name, shape), part in zip(shapes.items(), parts)}
 
 
 def write_series(directory, grid: Grid, times, states) -> None:

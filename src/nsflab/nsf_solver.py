@@ -406,12 +406,9 @@ def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig):
     grid = config.grid
     sc = config.scaling
     tr = config.transport
-    theta_g = gf.fill_ghosts_slip(theta, grid, depth=1)
-    u = state.velocity()
-    u_g = gf.fill_ghosts_slip(u, grid, depth=1, vector=True)
-    G = np.stack([gf.gradient(u_g[c], grid) for c in range(grid.dim)])  # G[i,j]
+    G = gf.interior_gradient(state.velocity(), grid)  # G[i,j]
     div = np.trace(G, axis1=0, axis2=1)
-    grad_theta = gf.gradient(theta_g, grid)
+    grad_theta = gf.interior_gradient(theta, grid)
     mu = tr.mu(theta)
     eta = tr.eta(theta)
     stress_work = sc.nu * (0.5 * mu * thermo.shear_tensor_sq(G) + eta * div ** 2)

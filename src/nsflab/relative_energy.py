@@ -6,7 +6,8 @@ fixed comparison temperature T.  The relative energy density
     (1/2) rho |u - U|^2 + H_T(rho, theta) - dH_T/drho(r, T) (rho - r) - H_T(r, T)
 
 with (r, T, U) the reference state vanishes exactly at the reference and
-behaves as a squared distance nearby.  The module also fits the two
+behaves as a squared distance nearby; both it and its integral take the
+state as primitives (rho, theta, u).  The module also fits the two
 coercivity constants (quadratic near the reference window, linear-in-energy
 far from it), and provides the smooth-cutoff split of any field into its
 essential part (reference window) and residual part (tails).
@@ -99,19 +100,16 @@ def _recovered_primitives(gas, a, fields: gf.FluidState, reference: gf.Reference
     return theta, fields.velocity()
 
 
-def relative_energy(gas: thermo.GasModel, a: float, fields: gf.FluidState,
+def relative_energy(gas: thermo.GasModel, a: float, state,
                     reference: gf.ReferenceFields, grid: gf.Grid) -> float:
-    """Midpoint-rule integral of the relative energy density over the box."""
-    if fields.rho.shape != tuple(grid.cells) or reference.rho_E.shape != tuple(grid.cells):
+    """Midpoint-rule integral of the density of a primitive state (rho, theta, u)."""
+    if np.shape(state[0]) != grid.cells or reference.rho_E.shape != grid.cells:
         raise UsageError(
-            f"fields {fields.rho.shape} and reference {reference.rho_E.shape} "
+            f"state {np.shape(state[0])} and reference {reference.rho_E.shape} "
             f"must live on the grid {grid.cells}"
         )
-    theta, u = _recovered_primitives(gas, a, fields, reference)
-    dens = relative_energy_density(
-        gas, a, (fields.rho, theta, u), (reference.rho_E, reference.theta_E, reference.u_E)
-    )
-    return gf.integrate(dens, grid)
+    ref = (reference.rho_E, reference.theta_E, reference.u_E)
+    return gf.integrate(relative_energy_density(gas, a, state, ref), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +334,7 @@ def quadratic_bounds_check(gas: thermo.GasModel, a: float, fields: gf.FluidState
     if not window.contains(reference.rho_E, reference.theta_E):
         raise UsageError("reference values must lie inside the window rectangle")
     theta, u = _recovered_primitives(gas, a, fields, reference)
-    energy = relative_energy(gas, a, fields, reference, grid)
+    energy = relative_energy(gas, a, (fields.rho, theta, u), reference, grid)
 
     phi = window.cutoff(fields.rho, theta)
     d_rho = fields.rho - reference.rho_E

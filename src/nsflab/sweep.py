@@ -342,6 +342,16 @@ def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
     gf.write_series(rdir, traj.config.grid, traj.times, traj.states)
 
 
+def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
+    """Write a run's relenergy.csv, bounds.txt and summary.txt; return the residual report."""
+    rdir = Path(run_dir)
+    report = diag.rel_energy_inequality_residual(traj, reference)
+    (rdir / "relenergy.csv").write_text(report.csv(), encoding="ascii")
+    (rdir / "bounds.txt").write_text(diag.uniform_bounds(traj).to_text(), encoding="ascii")
+    (rdir / "summary.txt").write_text(report.summary(), encoding="ascii")
+    return report
+
+
 def load_run(run_dir):
     """Rebuild (mapping, run config, trajectory) from a stored run directory.
 
@@ -387,11 +397,7 @@ def _run_point(setup: SweepSetup, reference, a: float, t_safe: float,
                          reason="too few stored instants for diagnostics",
                          e_init=nan, e_sup=nan, envelope=envelope,
                          max_excess=nan)
-    report = diag.rel_energy_inequality_residual(traj, reference)
-    bounds = diag.uniform_bounds(traj)
-    (rdir / "relenergy.csv").write_text(report.csv(), encoding="ascii")
-    (rdir / "bounds.txt").write_text(bounds.to_text(), encoding="ascii")
-    (rdir / "summary.txt").write_text(report.summary(), encoding="ascii")
+    report = write_run_diagnostics(rdir, traj, reference)
     return RunRecord(
         run_id=run_id, a=a, healthy=True, reason="",
         e_init=float(report.energy[0]), e_sup=float(max(report.energy)),

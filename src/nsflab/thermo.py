@@ -656,26 +656,3 @@ def hypothesis_report(gas: GasModel, transport: TransportModel,
     checks.append(HypothesisCheck("H9", ok, wit))
 
     return HypothesisReport(tuple(checks))
-
-
-def aux_bounds_check(gas: GasModel, rho, theta):
-    """Fit the auxiliary growth constants of the molecular closures.
-
-    Returns (C, c) with, over the sample,
-        rho s_M <= C rho (1 + |log rho| + [log theta]_+) ,
-        rho e_M >= c (rho theta + rho^{5/3}).
-    c must come out finite and positive; C = 0 means no sampled state makes
-    the left side positive (then any positive constant works).
-    """
-    rho, theta = _check_state(rho, theta)
-    rho, theta = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(theta))
-    rho, theta = rho.ravel().astype(float), theta.ravel().astype(float)
-    z = Z_of(rho, theta)
-    sM = np.asarray(entropy_S(gas, z), dtype=float)
-    denom = 1.0 + np.abs(np.log(rho)) + np.maximum(np.log(theta), 0.0)
-    C = max(float((sM / denom).max()), 0.0)
-    e_density = 1.5 * theta ** 2.5 * np.asarray(gas.P(z), dtype=float)
-    c = float((e_density / (rho * theta + rho ** (5.0 / 3.0))).min())
-    if not (math.isfinite(C) and math.isfinite(c)) or c <= 0.0:
-        raise ModelViolationError(f"auxiliary bound fit degenerate: C={C}, c={c}")
-    return C, c

@@ -193,7 +193,8 @@ def test_3_relative_energy_coercivity():
     theta = 1.0 + 0.05 * np.cos(2 * np.pi * x)
     u = (0.1 * np.sin(np.pi * x))[None]
     fields = state_from_primitives(GAS, 0.3, (rho, theta, u))
-    assert abs(re.relative_energy(GAS, 0.3, fields,
+    back = ns.recover_temperature(fields.rho, fields.mom, fields.etot, GAS, 0.3)
+    assert abs(re.relative_energy(GAS, 0.3, (fields.rho, back, fields.velocity()),
                                   gf.ReferenceFields(rho, theta, u), grid)) < 1e-14
 
     for a in (0.0, 0.5):

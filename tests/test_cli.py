@@ -1,9 +1,14 @@
 import math
+import shutil
 
 import pytest
 
 from nsflab import cli
+from nsflab import diagnostics as diag
+from nsflab import euler_reference as er
+from nsflab import relative_energy as renergy
 from nsflab import sweep as sweepmod
+from nsflab import thermo
 from nsflab.nsf_solver import DIAG_HEADER
 
 RUN_CFG = """\
@@ -116,6 +121,22 @@ def test_simulate_requires_config(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_simulate_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert cli.main(["simulate", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read configuration file {missing}")
+    assert err.count("\n") == 1
+
+
+def test_simulate_undecodable_config_file(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(RUN_CFG.encode("ascii") + b"# caf\xe9\n")
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: configuration file {cfg} is not UTF-8 text")
+
+
 def test_unknown_config_key_is_hard_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(RUN_CFG + "scaling.nuu = 0.1\n")
@@ -167,6 +188,51 @@ def test_diag_reproduces_stored_csvs(cli_sweep, capsys):
 def test_diag_needs_sweep_layout(tmp_path, capsys):
     assert cli.main(["diag", "--out", str(tmp_path)]) == 2
     assert "reference configuration" in capsys.readouterr().err
+
+
+def _sweep_copy(cli_sweep, tmp_path):
+    _, out = cli_sweep
+    copy = tmp_path / "sweep"
+    shutil.copytree(out, copy)
+    return copy
+
+
+def test_diag_run_without_config(cli_sweep, tmp_path, capsys):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    (out / "runs" / "a0-empty").mkdir()
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read configuration file")
+    assert str(out / "runs" / "a0-empty" / "run.cfg") in err
+
+
+def test_diag_truncated_snapshot(cli_sweep, tmp_path, capsys):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    snap = sorted((out / "runs").glob("*/00001.snap"))[0]
+    snap.write_bytes(snap.read_bytes()[:-100])
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {snap} holds") and "payload bytes" in err
+
+
+def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
+    # the stored-replay benchmark's per-layer metrics are named after these
+    _, out = cli_sweep
+    calls = {name: count_calls(mod, name) for mod, name in (
+        (renergy, "relative_energy"), (diag, "rel_energy_inequality_residual"),
+        (diag, "uniform_bounds"), (er, "sample_reference"))}
+    assert cli.main(["diag", "--out", str(out)]) == 0
+    assert all(calls.values()), [name for name, c in calls.items() if not c]
+
+
+def test_diag_recovers_three_temperatures_per_instant(cli_sweep, count_calls, capsys):
+    # one each for the reference sample, the inequality residual and the
+    # uniform bounds; the relative energy reuses the residual's
+    _, out = cli_sweep
+    instants = len(list((out / "runs").glob("*/*.snap")))
+    calls = count_calls(thermo, "temperature_from_energy")
+    assert cli.main(["diag", "--out", str(out)]) == 0
+    assert instants > 0 and len(calls) == 3 * instants
 
 
 def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path):

@@ -216,6 +216,30 @@ def test_gradient_second_order_wall_compatible():
     assert math.log2(errs[0] / errs[1]) > 1.9
 
 
+def test_interior_gradient_fills_depth_one_ghosts():
+    rng = np.random.default_rng(3)
+    mixed = gf.Grid.box((1.0, 2.0), (16, 24), bc=("slip-wall", "periodic"))
+    for grid in (WALL, PER, BOX, mixed):
+        f = rng.standard_normal(grid.cells)
+        g = gf.interior_gradient(f, grid)
+        assert g.shape == (grid.dim, *grid.cells)
+        assert np.array_equal(g, gf.gradient(gf.fill_ghosts_slip(f, grid), grid))
+        u = rng.standard_normal((grid.dim, *grid.cells))
+        G = gf.interior_gradient(u, grid)
+        assert G.shape == (grid.dim, grid.dim, *grid.cells)
+        u_g = gf.fill_ghosts_slip(u, grid, vector=True)
+        for i in range(grid.dim):
+            assert np.array_equal(G[i], gf.gradient(u_g[i], grid))
+    # G[i, j] = d_j u_i: u = (x, 2y) away from the walls
+    x, y = gf.mesh(BOX)
+    G = gf.interior_gradient(np.stack([x, 2.0 * y]), BOX)
+    assert np.allclose(G[0, 0, 1:-1], 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(G[1, 1, :, 1:-1], 2.0, rtol=0.0, atol=1e-12)
+    assert np.all(G[0, 1] == 0.0) and np.all(G[1, 0] == 0.0)
+    with pytest.raises(UsageError):
+        gf.interior_gradient(np.zeros((3, 16, 24)), BOX)
+
+
 def test_norm_indicator():
     grid = gf.Grid.box((1.0, 2.0), (16, 16))
     ones = np.ones((16, 16))
@@ -340,6 +364,47 @@ def test_snapshot_rejects_foreign_file(tmp_path):
     p.write_bytes(b"not a snapshot")
     with pytest.raises(UsageError):
         gf.read_snapshot(p)
+
+
+def _small_snapshot(tmp_path):
+    path = tmp_path / "snap.bin"
+    gf.write_snapshot(path, BOX, 0.5, {"rho": np.ones((16, 24)),
+                                       "mom": np.zeros((2, 16, 24))})
+    return path
+
+
+def test_snapshot_rejects_short_payload(tmp_path):
+    path = _small_snapshot(tmp_path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(UsageError, match="payload bytes"):
+        gf.read_snapshot(path)
+
+
+def test_snapshot_rejects_long_payload(tmp_path):
+    path = _small_snapshot(tmp_path)
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(UsageError, match="payload bytes"):
+        gf.read_snapshot(path)
+
+
+@pytest.mark.parametrize("key", ["extents", "cells", "bc", "time", "fields"])
+def test_snapshot_rejects_missing_header_key(tmp_path, key):
+    path = _small_snapshot(tmp_path)
+    header, end, payload = path.read_bytes().partition(b"\nend\n")
+    kept = [ln for ln in header.split(b"\n") if not ln.startswith(key.encode() + b" ")]
+    path.write_bytes(b"\n".join(kept) + end + payload)
+    with pytest.raises(UsageError, match=f"header lacks {key}"):
+        gf.read_snapshot(path)
+
+
+@pytest.mark.parametrize("old,new", [(b"cells 16 24", b"cells 16 x"),
+                                     (b"time 0.5", b"time soon"),
+                                     (b"mom=2", b"mom=two")])
+def test_snapshot_rejects_malformed_header_entry(tmp_path, old, new):
+    path = _small_snapshot(tmp_path)
+    path.write_bytes(path.read_bytes().replace(old, new, 1))
+    with pytest.raises(UsageError, match="malformed header"):
+        gf.read_snapshot(path)
 
 
 def test_write_series_drops_stale_snapshots(tmp_path):

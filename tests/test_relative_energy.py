@@ -9,7 +9,7 @@ from nsflab import grid_fields as gf
 from nsflab import relative_energy as re
 from nsflab import thermo
 from nsflab.errors import UsageError
-from nsflab.nsf_solver import state_from_primitives
+from nsflab.nsf_solver import recover_temperature, state_from_primitives
 
 K_STD = (0.5, 2.0, 0.5, 2.0)
 
@@ -95,6 +95,12 @@ def test_density_nonnegative_random(ideal, law_a):
 # field functional
 
 
+def _primitives(gas, a, fields):
+    # round trip through the conserved fields: theta comes back by inversion
+    theta = recover_temperature(fields.rho, fields.mom, fields.etot, gas, a)
+    return fields.rho, theta, fields.velocity()
+
+
 def _smooth_reference(grid):
     x = gf.cell_centers(grid)[0]
     rho = 1.0 + 0.1 * np.cos(np.pi * x)
@@ -108,7 +114,7 @@ def test_relative_energy_zero_for_identical(ideal):
     rho, theta, u = _smooth_reference(grid)
     fields = state_from_primitives(ideal, 0.3, (rho, theta, u))
     ref = gf.ReferenceFields(rho, theta, u)
-    assert abs(re.relative_energy(ideal, 0.3, fields, ref, grid)) < 1e-14
+    assert abs(re.relative_energy(ideal, 0.3, _primitives(ideal, 0.3, fields), ref, grid)) < 1e-14
 
 
 def test_relative_energy_uniform_kinetic(ideal):
@@ -119,7 +125,8 @@ def test_relative_energy_uniform_kinetic(ideal):
         ideal, 0.0, (np.ones(shape), np.ones(shape), np.full((2, *shape), c / math.sqrt(2))))
     ref = gf.ReferenceFields(np.ones(shape), np.ones(shape), np.zeros((2, *shape)))
     want = 0.5 * c ** 2 * 2.0  # (1/2) c^2 |Omega|
-    assert re.relative_energy(ideal, 0.0, fields, ref, grid) == pytest.approx(want, rel=1e-11)
+    assert re.relative_energy(ideal, 0.0, _primitives(ideal, 0.0, fields), ref, grid) \
+        == pytest.approx(want, rel=1e-11)
 
 
 def test_relative_energy_quadrature_refinement(ideal):
@@ -138,7 +145,7 @@ def test_relative_energy_quadrature_refinement(ideal):
     for n in (64, 640):
         grid = gf.Grid.line(1.0, n, bc="periodic")
         st, ref = fields_on(grid)
-        vals.append(re.relative_energy(ideal, 0.2, st, ref, grid))
+        vals.append(re.relative_energy(ideal, 0.2, _primitives(ideal, 0.2, st), ref, grid))
     assert vals[0] == pytest.approx(vals[1], rel=1e-3)
 
 
@@ -149,7 +156,7 @@ def test_relative_energy_grid_mismatch(ideal):
     fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(rho, theta, u)
     with pytest.raises(UsageError):
-        re.relative_energy(ideal, 0.0, fields, ref, other)
+        re.relative_energy(ideal, 0.0, _primitives(ideal, 0.0, fields), ref, other)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,22 @@ def test_quadratic_bounds_vacuum_pocket(ideal):
     rep = re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
     assert rep.lhs_residual > 0.0  # residual branch activates
     assert math.isfinite(rep.C) and rep.C > 0.0
+
+
+@pytest.mark.parametrize("pocket", [False, True])
+def test_quadratic_bounds_recovers_temperature_once(ideal, count_calls, pocket):
+    grid = gf.Grid.line(1.0, 64)
+    rho, theta, u = _smooth_reference(grid)
+    if pocket:
+        rho[20:24] = 0.0  # vacuum cells: recovered on the occupied cells only
+        u[:, 20:24] = 0.0
+    fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
+    ref = gf.ReferenceFields(np.ones_like(rho), theta, u)
+    win = re.EssentialResidualWindow(*K_STD)
+    calls = count_calls(thermo, "temperature_from_energy")
+    rep = re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
+    assert len(calls) == 1
+    assert math.isfinite(rep.C) and rep.energy > 0.0
 
 
 def test_quadratic_bounds_reference_outside_window(ideal):

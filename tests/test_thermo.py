@@ -419,32 +419,6 @@ def test_transport_growth_exponent_validated():
             )
 
 
-# ---------------------------------------------------------------------------
-# auxiliary growth bounds
-
-
-def test_aux_bounds_single_point(ideal):
-    C, c = thermo.aux_bounds_check(ideal, 1.0, 1.0)
-    assert c == pytest.approx(0.75, abs=1e-14)
-    assert C == 0.0  # s_M(1,1) = 0: left side never positive at this sample
-
-
-def test_aux_bounds_sample(ideal):
-    rng = np.random.default_rng(0)
-    rho = rng.uniform(0.05, 20.0, 10_000)
-    theta = rng.uniform(0.05, 20.0, 10_000)
-    C, c = thermo.aux_bounds_check(ideal, rho, theta)
-    assert 0.0 < c and math.isfinite(c)
-    assert 0.0 < C and math.isfinite(C)
-
-
-def test_aux_bounds_extreme_probe(ideal):
-    rho = np.array([1e-6, 1e-6, 1e6, 1e6, 1.0])
-    theta = np.array([0.1, 10.0, 0.1, 10.0, 1.0])
-    C, c = thermo.aux_bounds_check(ideal, rho, theta)
-    assert math.isfinite(C) and math.isfinite(c) and c > 0.0
-
-
 def test_temperature_inversion_round_trip(ideal, law_a):
     rng = np.random.default_rng(13)
     rho = rng.uniform(0.05, 8.0, 200)
