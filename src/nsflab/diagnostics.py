@@ -6,8 +6,10 @@ energy inequality term by term, and the convergence-rate envelope that the
 sweep compares against.
 
 The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
-each recover a stored state's temperature once and work on primitives from
-there on, `relative_energy` included; `sweep.write_run_diagnostics` writes both.
+invert no state: they read each stored state's temperature from
+`trajectory.thetas`, which `simulate` and `sweep.load_run` fill, and work
+on primitives from there on, `relative_energy` included.
+`sweep.write_run_diagnostics` writes both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import grid_fields as gf
 from . import relative_energy as renergy
 from . import thermo
 from .errors import DomainError, UsageError
-from .nsf_solver import recover_temperature
 
 
 def rate_envelope(scaling: thermo.ScalingParams) -> float:
@@ -105,23 +106,33 @@ class UniformBoundsReport:
         return "".join(f"{k} {v!r}\n" for k, v in self.values().items())
 
 
-def uniform_bounds(trajectory, scaling: thermo.ScalingParams = None) -> UniformBoundsReport:
+def _stored_thetas(trajectory) -> list:
+    """The trajectory's thetas, after checking that they pair with its states."""
+    thetas = trajectory.thetas
+    if len(thetas) != len(trajectory.states) or any(
+            np.shape(th) != s.rho.shape for th, s in zip(thetas, trajectory.states)):
+        raise UsageError(
+            f"trajectory holds {len(thetas)} temperatures for {len(trajectory.states)} "
+            "states; each stored state needs its own")
+    return thetas
+
+
+def uniform_bounds(trajectory) -> UniformBoundsReport:
     """State and dissipation bounds over the stored instants of one run.
 
-    Temperature recovery uses the run's own radiation constant; the
-    reported weights come from `scaling` when given (default: the run's).
+    Temperatures come from `trajectory.thetas`; the weights are the run's
+    own scalings.
     """
     cfg = trajectory.config
-    sc = cfg.scaling if scaling is None else scaling
+    sc = cfg.scaling
     grid = cfg.grid
     times = np.asarray(trajectory.times, dtype=float)
+    thetas = _stored_thetas(trajectory)
 
     sups = np.zeros(4)
     rates = np.zeros((len(times), 3))
-    for k, state in enumerate(trajectory.states):
+    for k, (state, theta) in enumerate(zip(trajectory.states, thetas)):
         rho = state.rho
-        theta = recover_temperature(rho, state.mom, state.etot, cfg.gas,
-                                    cfg.scaling.a)
         u = state.velocity()
         u_sq = np.sum(u * u, axis=0)
         sups = np.maximum(sups, [
@@ -207,15 +218,14 @@ class RelEnergyResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def rel_energy_inequality_residual(trajectory, reference,
-                                   window: float = None) -> RelEnergyResidualReport:
+def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualReport:
     """LHS - RHS of the relative energy inequality against a sampled reference.
 
     The test trio (r, Theta, U) is the reference trajectory sampled at the
-    trajectory's output instants (restricted to t <= window when given);
-    its time derivatives come from centered differences over those
-    instants, spatial derivatives from mirror-ghost gradients, and all
-    time integrals from the trapezoid rule.  Gas and scalings are the
+    trajectory's output instants; its time derivatives come from centered
+    differences over those instants, spatial derivatives from mirror-ghost
+    gradients, and all time integrals from the trapezoid rule.  The state
+    temperatures come from `trajectory.thetas`; gas and scalings are the
     run's own.  The residual must not exceed the discretization error,
     which refinement studies quantify.
     """
@@ -226,16 +236,9 @@ def rel_energy_inequality_residual(trajectory, reference,
     grid = cfg.grid
 
     times = np.asarray(trajectory.times, dtype=float)
-    if window is not None:
-        keep = times <= window * (1.0 + 1e-12)
-        times = times[keep]
-        states = [s for s, k in zip(trajectory.states, keep) if k]
-    else:
-        states = list(trajectory.states)
+    thetas = _stored_thetas(trajectory)
     if len(times) < 3:
-        raise UsageError(
-            f"need at least three stored instants inside the window, got {len(times)}"
-        )
+        raise UsageError(f"need at least three stored instants, got {len(times)}")
 
     refs = [er.sample_reference(reference, t, grid) for t in times]
     R = np.stack([rf.rho_E for rf in refs])
@@ -250,9 +253,8 @@ def rel_energy_inequality_residual(trajectory, reference,
     energy = np.zeros(K)
     lhs_rate = {n: np.zeros(K) for n in _LHS_NAMES[1:]}
     rhs_rate = {n: np.zeros(K) for n in _RHS_NAMES}
-    for k, state in enumerate(states):
+    for k, (state, theta) in enumerate(zip(trajectory.states, thetas)):
         rho = state.rho
-        theta = recover_temperature(rho, state.mom, state.etot, gas, sc.a)
         u = state.velocity()
         G = gf.interior_gradient(u, grid)
         gth = gf.interior_gradient(theta, grid)

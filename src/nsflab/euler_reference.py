@@ -237,8 +237,9 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
 def _deriv4_axis(field_g, grid, ax):
     F = gf.axis_strip(field_g, grid, ax, _DEPTH)
     faces = _faces4(F)
-    return np.moveaxis((faces[..., 1:] - faces[..., :-1]) / grid.spacing[ax],
-                       -1, ax + (field_g.ndim - grid.dim))
+    # undo axis_strip's swap
+    return ((faces[..., 1:] - faces[..., :-1]) / grid.spacing[ax]).swapaxes(
+        -1, ax + (field_g.ndim - grid.dim))
 
 
 def _div4(vec, grid):
@@ -367,15 +368,18 @@ def _reciprocal_scan(times, g, t_end, window=5):
     return None
 
 
-def lifespan_monitor(traj: EulerTrajectory, growth_factor: float = 20.0,
-                     safety: float = 0.8) -> LifespanReport:
+_GROWTH_FACTOR = 20.0  # gradient growth over the initial scale that ends smoothness
+_SAFETY = 0.8  # fraction of T* that comparisons downstream may use
+
+
+def lifespan_monitor(traj: EulerTrajectory) -> LifespanReport:
     """Declare how long the stored run can be trusted as a classical solution.
 
     Exhaustion triggers when max|grad u| or max|grad rho| exceeds
-    growth_factor times the initial gradient scale, or earlier when a
+    _GROWTH_FACTOR times the initial gradient scale, or earlier when a
     stretch of either series grows super-linearly along a fitted
     1/(T* - t) envelope whose pole lands inside the run window.
-    Comparisons downstream should stay below safety * T*.
+    Comparisons downstream should stay below _SAFETY * T*.
     """
     times = np.asarray(traj.times, dtype=float)
     # one reference scale for both series: a field that starts uniform and
@@ -386,7 +390,7 @@ def lifespan_monitor(traj: EulerTrajectory, growth_factor: float = 20.0,
 
     candidates = []
     for g in series:
-        hit = np.nonzero(g > growth_factor)[0]
+        hit = np.nonzero(g > _GROWTH_FACTOR)[0]
         if hit.size:
             candidates.append((float(times[hit[0]]), "gradient-growth"))
         pole = _reciprocal_scan(times, g, traj.t_end)
@@ -399,7 +403,7 @@ def lifespan_monitor(traj: EulerTrajectory, growth_factor: float = 20.0,
         return LifespanReport(smooth_through_end=True, t_star=float(traj.t_end),
                               usable_until=float(traj.t_end), trigger="")
     t_star, trigger = min(candidates)
-    usable = min(safety * t_star, float(times[-1]))
+    usable = min(_SAFETY * t_star, float(times[-1]))
     return LifespanReport(smooth_through_end=False, t_star=t_star,
                           usable_until=usable, trigger=trigger)
 

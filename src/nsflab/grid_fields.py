@@ -10,8 +10,10 @@ and writes its margins as slice copies of interior layers (reversed for a
 mirror, shifted by the period for a wrap), axis after axis; the fields of
 a whole state are copied straight into one stacked array and filled there.
 
-All stencils are 2nd-order centered and exact on affine data when the ghost
-values extend the field exactly.
+`interior_gradient` is the one cell-centered gradient: it fills depth-1
+ghosts on an interior field and takes the 2nd-order centered difference
+along each axis through `axis_strip`, so it is exact on affine data away
+from the walls.
 
 A stored run is a snapshot series: one directory of files 00000.snap,
 00001.snap, ... numbered in time order, each holding the conserved fields
@@ -185,38 +187,6 @@ class ReferenceFields:
 # ghost cells
 
 
-def ghost_depth(fld: np.ndarray, grid: Grid) -> int:
-    """Ghost margin width inferred from the trailing array shape.
-
-    Raises UsageError when the field carries no ghost margin (calculus on an
-    interior-only array means the ghosts were never filled) or when the margin
-    is inconsistent between axes.
-    """
-    shape = fld.shape[-grid.dim:]
-    depths = set()
-    for n, m in zip(grid.cells, shape):
-        extra = m - n
-        if extra <= 0 or extra % 2:
-            raise UsageError(
-                f"field shape {fld.shape} has no ghost margin for grid cells {grid.cells}; "
-                "fill ghosts before applying stencils"
-            )
-        depths.add(extra // 2)
-    if len(depths) != 1:
-        raise UsageError(f"uneven ghost margins in field shape {fld.shape}")
-    return depths.pop()
-
-
-def _shifted(fld, grid, depth, axis, k):
-    # interior view shifted by k cells along one grid axis
-    lead = fld.ndim - grid.dim
-    sl = [slice(None)] * lead
-    for ax, n in enumerate(grid.cells):
-        off = k if ax == axis else 0
-        sl.append(slice(depth + off, depth + off + n))
-    return fld[tuple(sl)]
-
-
 def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
                widen: int = 0) -> np.ndarray:
     """View of a depth-ghosted field along grid axis ax, with that axis moved last.
@@ -236,9 +206,8 @@ def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
 def _fill(parts, grid, depth, odd=()):
     """Ghosted stack of parts, allocated once and filled by slice copies.
 
-    Each float array in parts holds one leading component axis, then either
-    the interior cells or a ghosted block of the same depth (whose margin is
-    refilled).  The interiors are copied straight into one array stacked
+    Each float array in parts holds one leading component axis, then the
+    interior cells.  The interiors are copied straight into one array stacked
     along the leading axis, then the margins are written one grid axis at a
     time, spanning the already-filled extent of the earlier axes and the
     interior of the later ones, so a corner is the ghost of an edge ghost.
@@ -252,14 +221,9 @@ def _fill(parts, grid, depth, odd=()):
     out = np.empty((sum(map(len, parts)),) + ghosted)
     c = 0
     for part in parts:
-        shape = part.shape[1:]
-        if shape == ghosted:
-            part = part[body]
-        elif shape != cells:
+        if part.shape[1:] != cells:
             raise UsageError(
-                f"field shape {shape} matches neither interior {cells} "
-                f"nor ghosted {ghosted}"
-            )
+                f"field shape {part.shape[1:]} is not the interior {cells}")
         out[c:c + len(part)][body] = part
         c += len(part)
     for ax, n in enumerate(cells):
@@ -315,10 +279,9 @@ def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
 
     Periodic axes wrap. Slip-wall axes mirror: even parity for scalars and
     tangential velocity, odd parity for the wall-normal velocity or momentum
-    component. Accepts interior arrays or already-ghosted arrays of the same
-    depth, so the operation is idempotent.  The result is allocated once and
-    its margins are written by slice copies of interior layers; the depth
-    may not exceed the smallest cell count.
+    component. The input holds the interior cells only.  The result is
+    allocated once and its margins are written by slice copies of interior
+    layers; the depth may not exceed the smallest cell count.
     """
     if depth < 1:
         raise UsageError("ghost depth must be at least 1")
@@ -341,18 +304,6 @@ def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
 # discrete calculus
 
 
-def gradient(fld: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-cell centered gradient of a ghosted scalar field, shape (dim, *cells)."""
-    fld = np.asarray(fld, dtype=float)
-    depth = ghost_depth(fld, grid)
-    out = np.empty((grid.dim, *grid.cells))
-    for ax in range(grid.dim):
-        out[ax] = (
-            _shifted(fld, grid, depth, ax, +1) - _shifted(fld, grid, depth, ax, -1)
-        ) / (2.0 * grid.spacing[ax])
-    return out
-
-
 def interior_gradient(fld, grid: Grid) -> np.ndarray:
     """Centered gradient of an interior field after a depth-1 ghost fill.
 
@@ -361,10 +312,15 @@ def interior_gradient(fld, grid: Grid) -> np.ndarray:
     (dim, *cells) gives G[i, j] = d_j u_i, shape (dim, dim, *cells).
     """
     fld = np.asarray(fld, dtype=float)
-    if fld.shape == grid.cells:
-        return gradient(fill_ghosts_slip(fld, grid, depth=1), grid)
-    fld_g = fill_ghosts_slip(fld, grid, depth=1, vector=True)
-    return np.stack([gradient(fld_g[c], grid) for c in range(grid.dim)])
+    vector = fld.shape != grid.cells
+    fld_g = fill_ghosts_slip(fld, grid, depth=1, vector=vector)
+    lead = fld_g.ndim - grid.dim
+    out = np.empty((*fld_g.shape[:lead], grid.dim, *grid.cells))
+    for ax in range(grid.dim):
+        F = axis_strip(fld_g, grid, ax, 1)
+        d = (F[..., 2:] - F[..., :-2]) / (2.0 * grid.spacing[ax])
+        out[(slice(None),) * lead + (ax,)] = d.swapaxes(-1, lead + ax)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +475,27 @@ def write_series(directory, grid: Grid, times, states) -> None:
 def read_series(directory, grid: Grid):
     """Read a snapshot series back as (times, states), in file-name order.
 
-    Raises UsageError when the directory holds no snapshot or one whose
-    grid differs from `grid`.
+    Raises UsageError when the directory holds no snapshot, or one whose
+    grid differs from `grid` or that lacks a field or holds one of the
+    wrong size.
     """
     snaps = sorted(Path(directory).glob("*.snap"))
     if not snaps:
         raise UsageError(f"no snapshots stored in {directory}")
+    n = math.prod(grid.cells)
+    sizes = {"rho": n, "mom": grid.dim * n, "etot": n}
     times, states = [], []
     for p in snaps:
         sgrid, t, fields = read_snapshot(p)
         if sgrid.cells != grid.cells or sgrid.extents != grid.extents:
             raise UsageError(f"snapshot {p} does not match the run grid")
+        for name, size in sizes.items():
+            if name not in fields:
+                raise UsageError(f"snapshot {p} lacks the field {name}")
+            if fields[name].size != size:
+                raise UsageError(
+                    f"snapshot {p} holds {fields[name].size} values of {name}, "
+                    f"the run grid needs {size}")
         # 1-D momentum is stored flat; restore the component axis
         mom = fields["mom"].reshape(grid.dim, *grid.cells)
         times.append(t)

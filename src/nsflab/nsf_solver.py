@@ -15,8 +15,11 @@ Evolves the conservative variables (rho, momentum, total energy) with
 reference solver in `euler_reference` steps through it as well.
 
 `recover_temperature` is the one path from conservative fields to theta in
-both solvers, and each state's theta is recovered once: `simulate` passes
-it to `stable_dt`, `entropy_production` and the recorded diagnostics.
+both solvers.  `simulate` recovers each accepted state's theta once and
+passes it to `stable_dt`, `entropy_production` and the recorded
+diagnostics, and keeps it with each stored state (`Trajectory.thetas`).
+The first RK stage of the next step still inverts that accepted state
+again inside `rhs_nsf`.
 
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
@@ -262,13 +265,8 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         energy_flux = -q_f
         for comp, S_comp in visc_mom.items():
             energy_flux = energy_flux + S_comp * u_f[comp]
-            inc = _face_diff_to_cells(S_comp, dx)
-            dmom[comp] += inc.swapaxes(-1, ax)
-        detot += _face_diff_to_cells(energy_flux, dx).swapaxes(-1, ax)
-
-
-def _face_diff_to_cells(face_values, dx):
-    return (face_values[..., 1:] - face_values[..., :-1]) / dx
+            dmom[comp] += _face_diff(S_comp, dx).swapaxes(-1, ax)
+        detot += _face_diff(energy_flux, dx).swapaxes(-1, ax)
 
 
 def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
@@ -425,11 +423,16 @@ DIAG_HEADER = "t,mass,etot,damping_integral,sigma_integral,min_rho,min_theta,flo
 
 @dataclass
 class Trajectory:
-    """Recorded output instants of one run plus health accounting."""
+    """Recorded output instants of one run plus health accounting.
+
+    thetas[k] is the temperature of states[k], recovered once when the
+    state is stored or loaded; the per-run reports read it from here.
+    """
 
     config: NsfRunConfig
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    thetas: list = field(default_factory=list)
     rows: list = field(default_factory=list)
     data_bounds: DataBounds = None
     floor_hits: int = 0
@@ -495,6 +498,7 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
     def record(s, theta):
         traj.times.append(s.time)
         traj.states.append(s.copy())
+        traj.thetas.append(theta)
         traj.rows.append((
             s.time,
             gf.integrate(s.rho, config.grid),

@@ -117,8 +117,6 @@ def relative_energy(gas: thermo.GasModel, a: float, state,
 
 
 def _rect(K):
-    if isinstance(K, EssentialResidualWindow):
-        return K.rho_lo, K.rho_hi, K.theta_lo, K.theta_hi
     rho_lo, rho_hi, theta_lo, theta_hi = (float(v) for v in K)
     if not (0.0 < rho_lo < rho_hi and 0.0 < theta_lo < theta_hi):
         raise UsageError(f"state rectangle must satisfy 0 < lo < hi, got {K}")
@@ -171,8 +169,11 @@ class ResidualBoundReport:
         )
 
 
-def residual_lower_bound_check(gas: thermo.GasModel, a: float, K, points,
-                               ref_count: int = 16, seed: int = 1) -> ResidualBoundReport:
+_RESIDUAL_REF_COUNT = 16  # reference states sampled inside K
+_RESIDUAL_SEED = 1
+
+
+def residual_lower_bound_check(gas: thermo.GasModel, a: float, K, points) -> ResidualBoundReport:
     """Fit the largest c with density >= c (1 + rho|u-U|^2 + rho e + rho |s|).
 
     `points` holds test states outside the rectangle K as rows
@@ -196,8 +197,8 @@ def residual_lower_bound_check(gas: thermo.GasModel, a: float, K, points,
         raise UsageError("no test states outside K remain after exclusion")
 
     inset = 0.05
-    ref = qmc.Sobol(d=2, scramble=True, seed=seed).random_base2(
-        max(2, math.ceil(math.log2(ref_count)))
+    ref = qmc.Sobol(d=2, scramble=True, seed=_RESIDUAL_SEED).random_base2(
+        max(2, math.ceil(math.log2(_RESIDUAL_REF_COUNT)))
     )
     r = rho_lo + (rho_hi - rho_lo) * (inset + (1 - 2 * inset) * ref[:, 0])
     Th = theta_lo + (theta_hi - theta_lo) * (inset + (1 - 2 * inset) * ref[:, 1])

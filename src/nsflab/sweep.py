@@ -355,8 +355,9 @@ def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
 def load_run(run_dir):
     """Rebuild (mapping, run config, trajectory) from a stored run directory.
 
-    Snapshots carry exact field bytes, so diagnostics recomputed from the
-    loaded trajectory match the originals bit for bit.
+    Snapshots carry exact field bytes, so the temperatures recovered here,
+    once per snapshot, and the diagnostics recomputed from the loaded
+    trajectory match the originals bit for bit.
     """
     rdir = Path(run_dir)
     mapping = cfgmod.load_file(rdir / "run.cfg")
@@ -364,7 +365,10 @@ def load_run(run_dir):
     if kind != "nsf":
         raise UsageError(f"{rdir} does not hold a dissipative run")
     times, states = gf.read_series(rdir, run_cfg.grid)
-    return mapping, run_cfg, ns.Trajectory(config=run_cfg, times=times, states=states)
+    thetas = [ns.recover_temperature(s.rho, s.mom, s.etot, run_cfg.gas, run_cfg.scaling.a)
+              for s in states]
+    return mapping, run_cfg, ns.Trajectory(config=run_cfg, times=times, states=states,
+                                           thetas=thetas)
 
 
 def _hash16(text: str) -> str:

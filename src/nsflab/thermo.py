@@ -567,8 +567,12 @@ def _tail_bounded(theta_grid, values, factor=2.0):
     return ratio <= factor, ratio
 
 
-def hypothesis_report(gas: GasModel, transport: TransportModel,
-                      Z_grid=None, theta_grid=None) -> HypothesisReport:
+# np.logspace arguments of the Z samples (H2-H7) and theta samples (H8, H9)
+_HYPOTHESIS_Z = (-3, 3, 121)
+_HYPOTHESIS_THETA = (-2, 2, 81)
+
+
+def hypothesis_report(gas: GasModel, transport: TransportModel) -> HypothesisReport:
     """Certify the structural requirements on P, S and the transport laws.
 
     Labels:
@@ -582,12 +586,8 @@ def hypothesis_report(gas: GasModel, transport: TransportModel,
       H9: kappa/(1+theta^3) bounded between positive fitted constants.
     Every label yields pass/fail plus a witness string; nothing raises.
     """
-    if Z_grid is None:
-        Z_grid = np.logspace(-3, 3, 121)
-    if theta_grid is None:
-        theta_grid = np.logspace(-2, 2, 81)
-    z = np.asarray(Z_grid, dtype=float)
-    th = np.asarray(theta_grid, dtype=float)
+    z = np.logspace(*_HYPOTHESIS_Z)
+    th = np.logspace(*_HYPOTHESIS_THETA)
     checks = []
 
     # H2

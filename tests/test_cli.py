@@ -6,6 +6,7 @@ import pytest
 from nsflab import cli
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
+from nsflab import grid_fields as gf
 from nsflab import relative_energy as renergy
 from nsflab import sweep as sweepmod
 from nsflab import thermo
@@ -215,6 +216,24 @@ def test_diag_truncated_snapshot(cli_sweep, tmp_path, capsys):
     assert err.startswith(f"error: {snap} holds") and "payload bytes" in err
 
 
+@pytest.mark.parametrize("damage", ["without-mom", "two-component-mom"])
+def test_diag_snapshot_without_a_state_field(cli_sweep, tmp_path, capsys, damage):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    snap = sorted((out / "runs").glob("*/00001.snap"))[0]
+    grid, t, fields = gf.read_snapshot(snap)
+    if damage == "without-mom":
+        gf.write_snapshot(snap, grid, t, {"rho": fields["rho"], "etot": fields["etot"]})
+        want = "lacks the field mom"
+    else:
+        # a 1-D snapshot whose header declares two momentum components
+        blob = snap.read_bytes().replace(b" mom=1 ", b" mom=2 ")
+        snap.write_bytes(blob + bytes(8 * grid.cells[0]))
+        want = "values of mom"
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: snapshot {snap}") and want in err
+
+
 def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
     # the stored-replay benchmark's per-layer metrics are named after these
     _, out = cli_sweep
@@ -225,14 +244,14 @@ def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
     assert all(calls.values()), [name for name, c in calls.items() if not c]
 
 
-def test_diag_recovers_three_temperatures_per_instant(cli_sweep, count_calls, capsys):
-    # one each for the reference sample, the inequality residual and the
-    # uniform bounds; the relative energy reuses the residual's
+def test_diag_recovers_two_temperatures_per_instant(cli_sweep, count_calls, capsys):
+    # one when the run is loaded and one for the reference sample; both
+    # reports read the loaded temperatures
     _, out = cli_sweep
     instants = len(list((out / "runs").glob("*/*.snap")))
     calls = count_calls(thermo, "temperature_from_energy")
     assert cli.main(["diag", "--out", str(out)]) == 0
-    assert instants > 0 and len(calls) == 3 * instants
+    assert instants > 0 and len(calls) == 2 * instants
 
 
 def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path):

@@ -239,6 +239,28 @@ def test_load_run_reproduces_diagnostics(tiny_sweep):
         assert report.summary() == (rdir / "summary.txt").read_text()
 
 
+def test_run_diagnostics_invert_only_the_reference_sample(tiny_sweep, count_calls, tmp_path):
+    # a fresh trajectory carries each stored state's temperature, so the
+    # reports invert nothing and the reference sample is the one inversion
+    setup, out, manifest = tiny_sweep
+    ref_map = cfgmod.load_file(out / "reference.cfg")
+    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_map)
+    reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
+                             cache_dir=out / "reference-cache")
+    rdir = out / "runs" / manifest.records[0].run_id
+    mapping = cfgmod.load_file(rdir / "run.cfg")
+    _, run_cfg, scenario = cfgmod.build_run(mapping)
+    traj = ns.simulate(run_cfg, scenario.fields(run_cfg.grid))
+    for state, theta in zip(traj.states, traj.thetas, strict=True):
+        assert theta.tobytes() == ns.recover_temperature(
+            state.rho, state.mom, state.etot, run_cfg.gas, run_cfg.scaling.a).tobytes()
+    calls = count_calls(thermo, "temperature_from_energy")
+    sweepmod.write_run_diagnostics(tmp_path, traj, reference)
+    assert len(traj.times) >= 3 and len(calls) == len(traj.times)
+    for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+        assert (tmp_path / name).read_bytes() == (rdir / name).read_bytes()
+
+
 def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
     setup, out, manifest = tiny_sweep
     rdir = tmp_path / "run"
