@@ -81,16 +81,17 @@ def _fifth_difference_faces(W):
 
 def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
               eps_f: float = 0.0):
-    """Tendencies of the inviscid (molecular-closure) system.
+    """Tendency dW/dt of the inviscid (molecular-closure) system, stacked like W.
 
     4th-order centered flux differences plus, when eps_f > 0, a 6th-order
     hyper-dissipation flux scaled by the fastest signal speed per axis.
     """
     dim = grid.dim
-    g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
-    theta_g = recover_temperature(g.rho, g.mom, g.etot, gas, 0.0)
-    u_g = g.mom / g.rho
-    p_g = thermo.pressure(gas, 0.0, g.rho, theta_g)
+    W_g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
+    rho_g, mom_g = W_g[0], W_g[1:-1]
+    theta_g = recover_temperature(rho_g, mom_g, W_g[-1], gas, 0.0)
+    u_g = mom_g / rho_g
+    p_g = thermo.pressure(gas, 0.0, rho_g, theta_g)
     if eps_f > 0.0:
         # ghosts copy interior cells bitwise, so the interior of theta_g is
         # the interior state's own temperature
@@ -101,7 +102,7 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     out = np.zeros((2 + dim, *grid.cells))
     for ax in range(dim):
         dx = grid.spacing[ax]
-        W = gf.axis_strip(g.W, grid, ax, _DEPTH)
+        W = gf.axis_strip(W_g, grid, ax, _DEPTH)
         un = gf.axis_strip(u_g[ax], grid, ax, _DEPTH)
         p = gf.axis_strip(p_g, grid, ax, _DEPTH)
         F = W * un[None]
@@ -115,7 +116,7 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
             d5 = _fifth_difference_faces(W)
             dW += amp * (d5[..., 1:] - d5[..., :-1]) / dx
         out += dW.swapaxes(-1, 1 + ax)  # undo axis_strip's swap
-    return out[0], out[1:-1], out[-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +221,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
             traj.abort_reason = (f"stopped at t={state.time:.6g}: {err} "
                                  "(classical life span likely exceeded)")
             break
-        state = gf.FluidState(state.rho, state.mom, state.etot, k * dt)
+        state.time = k * dt
         if k % config.output_stride == 0 or k == n_steps:
             record(state)
     traj.mass_drift = abs(gf.integrate(traj.states[-1].rho, config.grid) - m0)
@@ -469,8 +470,8 @@ def compatibility_check(rho_fn, theta_fn, u_fns, grid: gf.Grid,
     rho0 = np.broadcast_to(np.asarray(rho_fn(*X), dtype=float), grid.cells)
     theta0 = np.broadcast_to(np.asarray(theta_fn(*X), dtype=float), grid.cells)
     state = state_from_primitives(gas, 0.0, (rho0, theta0, u0))
-    drho, dmom, detot = rhs_euler(state, gas, grid, eps_f=0.0)
-    dudt = (dmom - u0 * drho) / rho0
+    dW = rhs_euler(state, gas, grid, eps_f=0.0)
+    dudt = (dW[1:-1] - u0 * dW[0]) / rho0
     rate_scale = 1.0 + float(np.max(np.abs(dudt)))
 
     k1 = 0.0
@@ -594,21 +595,25 @@ def _load_cached(config, cache_dir, key):
     if not os.path.exists(manifest):
         return None
     meta = {}
-    with open(manifest, encoding="ascii") as fh:
-        for line in fh:
-            k, _, v = line.strip().partition(" ")
-            meta[k] = v
-    if meta.get("key") != key:
-        return None
-    traj = EulerTrajectory(gas=config.gas, grid=config.grid,
-                           dt=float(meta["dt"]), eps_f=float(meta["eps_f"]),
-                           t_end=float(meta["t_end"]),
-                           mass_drift=float(meta["mass_drift"]),
-                           energy_drift=float(meta["energy_drift"]))
+    try:
+        with open(manifest, encoding="ascii") as fh:
+            for line in fh:
+                k, _, v = line.strip().partition(" ")
+                meta[k] = v
+        if meta.get("key") != key:
+            return None
+        count = int(meta["count"])
+        traj = EulerTrajectory(gas=config.gas, grid=config.grid,
+                               dt=float(meta["dt"]), eps_f=float(meta["eps_f"]),
+                               t_end=float(meta["t_end"]),
+                               mass_drift=float(meta["mass_drift"]),
+                               energy_drift=float(meta["energy_drift"]))
+    except (KeyError, ValueError) as err:
+        raise UsageError(f"{manifest} is damaged ({type(err).__name__}: {err})") from None
     traj.times, traj.states = gf.read_series(root, config.grid)
-    if len(traj.states) != int(meta["count"]):
+    if len(traj.states) != count:
         raise UsageError(f"{root} holds {len(traj.states)} snapshots, "
-                         f"its manifest lists {meta['count']}")
+                         f"its manifest lists {count}")
     for state in traj.states:
         gu, gr = _gradient_maxima(state, config.grid)
         traj.grad_u_max.append(gu)

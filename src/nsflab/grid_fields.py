@@ -7,8 +7,9 @@ face) and every other quantity is mirrored even (zero normal derivative, so
 the centered wall-face heat flux and the shear traction tangential to the
 wall vanish as well).  `fill_ghosts_slip` allocates each ghosted array once
 and writes its margins as slice copies of interior layers (reversed for a
-mirror, shifted by the period for a wrap), axis after axis; the fields of
-a whole state are copied straight into one stacked array and filled there.
+mirror, shifted by the period for a wrap), axis after axis.  A fluid state
+is one stacked array W (rho, the momentum components, etot on axis 0), and
+its ghost fill is the ghosted copy of that array.
 
 `interior_gradient` is the one cell-centered gradient: it fills depth-1
 ghosts on an interior field and takes the 2nd-order centered difference
@@ -110,28 +111,43 @@ def _kinetic(rho, mom):
     return ke
 
 
-@dataclass
 class FluidState:
-    """Conserved fields on the interior cells: density, momentum, total energy."""
+    """Conserved fields on the interior cells, stacked in one array.
 
-    rho: np.ndarray
-    mom: np.ndarray
-    etot: np.ndarray
-    time: float = 0.0
+    W has shape (2 + dim, *cells): density, the momentum components and
+    total energy along its first axis; rho, mom and etot are views into it.
+    `FluidState(rho, mom, etot, time)` stacks the three parts into a new W;
+    `FluidState.stacked(W, time)` keeps the given W without copying it.
+    Both validate the fields.
+    """
 
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=float)
-        self.mom = np.asarray(self.mom, dtype=float)
-        self.etot = np.asarray(self.etot, dtype=float)
-        self.time = float(self.time)
-        dim = self.rho.ndim
-        if self.mom.shape != (dim, *self.rho.shape) or self.etot.shape != self.rho.shape:
+    def __init__(self, rho, mom, etot, time: float = 0.0):
+        rho = np.asarray(rho, dtype=float)
+        mom = np.asarray(mom, dtype=float)
+        etot = np.asarray(etot, dtype=float)
+        if mom.shape != (rho.ndim, *rho.shape) or etot.shape != rho.shape:
             raise UsageError(
-                f"inconsistent field shapes rho {self.rho.shape}, mom {self.mom.shape}, "
-                f"etot {self.etot.shape}"
+                f"inconsistent field shapes rho {rho.shape}, mom {mom.shape}, "
+                f"etot {etot.shape}"
             )
-        if not (np.isfinite(self.rho).all() and np.isfinite(self.mom).all()
-                and np.isfinite(self.etot).all()):
+        W = np.empty((2 + rho.ndim, *rho.shape))
+        W[0] = rho
+        W[1:-1] = mom
+        W[-1] = etot
+        self._set(W, time)
+
+    @classmethod
+    def stacked(cls, W, time: float = 0.0) -> "FluidState":
+        state = cls.__new__(cls)
+        state._set(np.asarray(W, dtype=float), time)
+        return state
+
+    def _set(self, W, time):
+        if W.ndim < 1 or W.shape[0] != W.ndim + 1:
+            raise UsageError(f"stacked state shape {W.shape} is not (2 + dim, *cells)")
+        self.W = W
+        self.time = float(time)
+        if not np.isfinite(W).all():
             raise PositivityError("non-finite values in fluid state")
         if (self.rho < 0.0).any():
             raise PositivityError("negative density", state=self)
@@ -141,6 +157,18 @@ class FluidState:
         slack = 1e-12 * np.maximum(1.0, np.abs(self.etot))
         if (self.etot + slack < ke).any():
             raise PositivityError("total energy below kinetic energy", state=self)
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.W[0]
+
+    @property
+    def mom(self) -> np.ndarray:
+        return self.W[1:-1]
+
+    @property
+    def etot(self) -> np.ndarray:
+        return self.W[-1]
 
     def velocity(self) -> np.ndarray:
         """Momentum over density; zero in vacuum cells."""
@@ -153,7 +181,7 @@ class FluidState:
         return _kinetic(self.rho, self.mom)
 
     def copy(self) -> "FluidState":
-        return FluidState(self.rho.copy(), self.mom.copy(), self.etot.copy(), self.time)
+        return FluidState.stacked(self.W.copy(), self.time)
 
 
 @dataclass
@@ -203,29 +231,24 @@ def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
     return fld[tuple(sl)].swapaxes(lead + ax, -1)
 
 
-def _fill(parts, grid, depth, odd=()):
-    """Ghosted stack of parts, allocated once and filled by slice copies.
+def _fill(arr, grid, depth, odd=()):
+    """Ghosted copy of arr, allocated once and filled by slice copies.
 
-    Each float array in parts holds one leading component axis, then the
-    interior cells.  The interiors are copied straight into one array stacked
-    along the leading axis, then the margins are written one grid axis at a
-    time, spanning the already-filled extent of the earlier axes and the
-    interior of the later ones, so a corner is the ghost of an edge ghost.
-    A periodic axis copies the `depth` layers at the opposite interior edge;
-    a slip wall copies the adjacent `depth` interior layers in mirror order
-    and negates them for each component c with (c, axis) in `odd`.
+    arr holds one leading component axis, then the interior cells.  The
+    interior is copied straight into the new array, then the margins are
+    written one grid axis at a time, spanning the already-filled extent of
+    the earlier axes and the interior of the later ones, so a corner is the
+    ghost of an edge ghost.  A periodic axis copies the `depth` layers at
+    the opposite interior edge; a slip wall copies the adjacent `depth`
+    interior layers in mirror order and negates them for each component c
+    with (c, axis) in `odd`.
     """
     cells = grid.cells
-    ghosted = tuple(n + 2 * depth for n in cells)
+    if arr.shape[1:] != cells:
+        raise UsageError(f"field shape {arr.shape[1:]} is not the interior {cells}")
     body = (Ellipsis,) + tuple(slice(depth, depth + n) for n in cells)
-    out = np.empty((sum(map(len, parts)),) + ghosted)
-    c = 0
-    for part in parts:
-        if part.shape[1:] != cells:
-            raise UsageError(
-                f"field shape {part.shape[1:]} is not the interior {cells}")
-        out[c:c + len(part)][body] = part
-        c += len(part)
+    out = np.empty((len(arr),) + tuple(n + 2 * depth for n in cells))
+    out[body] = arr
     for ax, n in enumerate(cells):
         rest = body[2 + ax:]  # interior of the later axes
         lo = (Ellipsis, slice(0, depth)) + rest
@@ -250,54 +273,29 @@ def _vector_parity(dim, first=0):
     return tuple((first + c, c) for c in range(dim))
 
 
-@dataclass
-class GhostedState:
-    """Conserved fields extended with filled ghost margins.
-
-    W stacks rho, the momentum components and etot along its first axis;
-    rho, mom and etot are views into it.
-    """
-
-    W: np.ndarray
-    depth: int
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.W[0]
-
-    @property
-    def mom(self) -> np.ndarray:
-        return self.W[1:-1]
-
-    @property
-    def etot(self) -> np.ndarray:
-        return self.W[-1]
-
-
 def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
     """Extend a field (or a whole state) with ghost cells per the grid bc.
 
     Periodic axes wrap. Slip-wall axes mirror: even parity for scalars and
     tangential velocity, odd parity for the wall-normal velocity or momentum
-    component. The input holds the interior cells only.  The result is
-    allocated once and its margins are written by slice copies of interior
-    layers; the depth may not exceed the smallest cell count.
+    component. The input holds the interior cells only; a FluidState gives
+    its ghosted W, stacked as the state's own.  The result is allocated once
+    and its margins are written by slice copies of interior layers; the
+    depth may not exceed the smallest cell count.
     """
     if depth < 1:
         raise UsageError("ghost depth must be at least 1")
     if depth > min(grid.cells):
         raise UsageError(f"ghost depth {depth} exceeds the cell counts {grid.cells}")
     if isinstance(fld, FluidState):
-        W = _fill((fld.rho[None], fld.mom, fld.etot[None]), grid, depth,
-                  _vector_parity(grid.dim, 1))
-        return GhostedState(W=W, depth=depth)
+        return _fill(fld.W, grid, depth, _vector_parity(grid.dim, 1))
     fld = np.asarray(fld, dtype=float)
     if vector:
         if fld.shape[0] != grid.dim:
             raise UsageError(
                 f"vector field must have {grid.dim} components, got shape {fld.shape}")
-        return _fill((fld,), grid, depth, _vector_parity(grid.dim))
-    return _fill((fld[None],), grid, depth)[0]
+        return _fill(fld, grid, depth, _vector_parity(grid.dim))
+    return _fill(fld[None], grid, depth)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ Evolves the conservative variables (rho, momentum, total energy) with
     the matching -lambda |u|^2 sink in the energy equation,
   - strong-stability-preserving third-order Runge-Kutta in time.
 
-`ssp_rk3` is the one SSP-RK3 stepper of the package: `step` runs it on
-`rhs_nsf` with positivity floors after every stage, and the inviscid
-reference solver in `euler_reference` steps through it as well.
+The state is the stacked array `FluidState.W` (rho, the momentum
+components, etot on axis 0), and `rhs_nsf` returns its tendency stacked
+the same way.  `ssp_rk3` is the one SSP-RK3 stepper of the package: each
+stage is one expression on W, validated as a `FluidState`.  `step` runs it
+on `rhs_nsf` with positivity floors applied in place to every stage's new
+W, and the inviscid reference solver in `euler_reference` steps through it
+as well.
 
 `recover_temperature` is the one path from conservative fields to theta in
 both solvers.  `simulate` recovers each accepted state's theta once and
@@ -80,31 +84,15 @@ class NsfRunConfig:
         return int(self.convective_order)
 
 
-@dataclass(frozen=True)
-class DataBounds:
-    """Witnessed initial-data bounds: total mass at least M, sup norms at most D."""
-
-    M: float
-    D: float
-
-    def __post_init__(self):
-        if not (self.M > 0.0 and math.isfinite(self.M)):
-            raise DomainError(f"initial mass bound M must be positive and finite, got {self.M}")
-        if not (self.D > 0.0 and math.isfinite(self.D)):
-            raise DomainError(f"initial sup bound D must be positive and finite, got {self.D}")
-
-
 @dataclass
 class StepStats:
     """Mutable per-run accounting of floor activations and health."""
 
     floor_hits: int = 0
-    last_step_hits: int = 0
     unhealthy: bool = False
     reason: str = ""
 
     def record(self, hits: int, cells: int):
-        self.last_step_hits = hits
         self.floor_hits += hits
         if hits > 0.001 * cells and not self.unhealthy:
             self.unhealthy = True
@@ -270,22 +258,24 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
 
 
 def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
-    """Tendencies (d rho, d mom, d etot) of the dissipative system."""
+    """Tendency dW/dt of the dissipative system, stacked like the state's W.
+
+    `forcing(t)`, when given, returns the source parts (f_rho, f_mom, f_etot).
+    """
     grid = config.grid
     gas = config.gas
     sc = config.scaling
 
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
-    g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
+    W_g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
 
-    out = _convective(gas, sc.a, grid, g.W, config.resolved_order())
-    drho = out[0]
+    out = _convective(gas, sc.a, grid, W_g, config.resolved_order())
     dmom = out[1:-1]
     detot = out[-1]
 
     if sc.nu > 0.0 or sc.omega > 0.0:
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_GHOST_DEPTH)
-        u_g = g.mom / g.rho
+        u_g = W_g[1:-1] / W_g[0]
         _diffusive(config, grid, u_g, theta_g, dmom, detot)
 
     if sc.lam > 0.0:
@@ -295,10 +285,10 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
 
     if forcing is not None:
         f_rho, f_mom, f_etot = forcing(state.time)
-        drho = drho + f_rho
-        dmom = dmom + f_mom
-        detot = detot + f_etot
-    return drho, dmom, detot
+        out[0] += f_rho
+        dmom += f_mom
+        detot += f_etot
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -331,41 +321,40 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig) -> float:
     return dt
 
 
-def _apply_floors(rho, mom, etot, config: NsfRunConfig):
-    """Clip density and temperature from below; returns the number of hits."""
+def _apply_floors(W, config: NsfRunConfig) -> int:
+    """Clip density and temperature of the stacked W from below, in place;
+    returns the number of hits."""
     rho_floor, theta_floor = config.positivity_floor
+    rho = W[0]
     hits = int(np.sum(rho < rho_floor))
-    rho = np.maximum(rho, rho_floor)
-    ke = 0.5 * np.sum(mom * mom, axis=0) / rho
-    e_int = etot - ke
+    np.maximum(rho, rho_floor, out=rho)
+    ke = 0.5 * np.sum(W[1:-1] * W[1:-1], axis=0) / rho
+    e_int = W[-1] - ke
     e_min = thermo.internal_energy_density(
         config.gas, config.scaling.a, rho, np.full_like(rho, theta_floor)
     )
     cold = e_int < e_min
     hits += int(np.sum(cold))
     if np.any(cold):
-        etot = np.where(cold, ke + e_min, etot)
-    return rho, mom, etot, hits
+        W[-1] = np.where(cold, ke + e_min, W[-1])
+    return hits
 
 
 def ssp_rk3(state: gf.FluidState, dt: float, rhs, stage_map=None) -> gf.FluidState:
     """One SSP-RK3 step (Shu-Osher form, Gottlieb & Shu 1998) of dW/dt = rhs(W).
 
-    `rhs(state)` returns the tendencies (d rho, d mom, d etot).  When given,
-    `stage_map(rho, mom, etot)` returns the fields that each stage keeps.
+    `rhs(state)` returns the tendency stacked like `state.W`.  Each stage
+    computes its own new W, which `stage_map(W)`, when given, modifies in
+    place before the stage state is built (and validated) on it; the input
+    state is never written.
     """
     def stage(s, frac_old, t_new):
-        drho, dmom, detot = rhs(s)
-        rho = s.rho + dt * drho
-        mom = s.mom + dt * dmom
-        etot = s.etot + dt * detot
+        W = s.W + dt * rhs(s)
         if frac_old > 0.0:
-            rho = frac_old * state.rho + (1.0 - frac_old) * rho
-            mom = frac_old * state.mom + (1.0 - frac_old) * mom
-            etot = frac_old * state.etot + (1.0 - frac_old) * etot
+            W = frac_old * state.W + (1.0 - frac_old) * W
         if stage_map is not None:
-            rho, mom, etot = stage_map(rho, mom, etot)
-        return gf.FluidState(rho, mom, etot, t_new)
+            stage_map(W)
+        return gf.FluidState.stacked(W, t_new)
 
     t = state.time
     s1 = stage(state, 0.0, t + dt)
@@ -378,11 +367,9 @@ def step(state: gf.FluidState, dt: float, config: NsfRunConfig,
     """One SSP-RK3 step; positivity floors applied and counted per stage."""
     hits = 0
 
-    def floors(rho, mom, etot):
+    def floors(W):
         nonlocal hits
-        rho, mom, etot, h = _apply_floors(rho, mom, etot, config)
-        hits += h
-        return rho, mom, etot
+        hits += _apply_floors(W, config)
 
     out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing), floors)
     if stats is not None:
@@ -434,7 +421,6 @@ class Trajectory:
     states: list = field(default_factory=list)
     thetas: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    data_bounds: DataBounds = None
     floor_hits: int = 0
     healthy: bool = True
     health_reason: str = ""
@@ -453,15 +439,9 @@ class Trajectory:
             fh.write(self.diagnostics_csv())
 
 
-def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> DataBounds:
+def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> None:
+    """ConfigError when a positivity floor is not far below the initial minima."""
     rho0, theta_floor = config.positivity_floor
-    mass = gf.integrate(state.rho, config.grid)
-    u = state.velocity()
-    D = max(
-        float(np.max(state.rho)), float(np.max(theta)),
-        float(np.max(np.sqrt(np.sum(u * u, axis=0)))), 1e-300,
-    )
-    bounds = DataBounds(M=mass, D=max(D, 1e-12))
     min_rho = float(np.min(state.rho))
     min_theta = float(np.min(theta))
     if rho0 > 1e-8 * min_rho or theta_floor > 1e-8 * min_theta:
@@ -469,7 +449,6 @@ def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> Da
             f"positivity floors {config.positivity_floor} exceed 1e-8 of the "
             f"initial minima ({min_rho}, {min_theta})"
         )
-    return bounds
 
 
 def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
@@ -484,7 +463,7 @@ def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
     state = state_from_primitives(gas, a, initial)
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
     traj = Trajectory(config=config)
-    traj.data_bounds = _check_initial_data(state, theta, config)
+    _check_initial_data(state, theta, config)
     stats = StepStats()
     lam = config.scaling.lam
 

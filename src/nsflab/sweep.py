@@ -94,9 +94,6 @@ class ScalingPath:
         return thermo.ScalingParams(a=a, nu=a ** self.alpha,
                                     omega=a ** self.beta, lam=a ** self.gamma)
 
-    def points(self) -> tuple:
-        return tuple(self.scaling_for(a) for a in self.a_values)
-
 
 # ---------------------------------------------------------------------------
 # manifest
@@ -143,11 +140,20 @@ def write_manifest(manifest: SweepManifest, path) -> None:
 
 
 def read_manifest(path) -> SweepManifest:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    payload["a_values"] = tuple(payload["a_values"])
-    payload["records"] = tuple(RunRecord(**r) for r in payload["records"])
-    return SweepManifest(**payload)
+    """The manifest `write_manifest` stored at path.
+
+    UsageError naming the file when it is not JSON or its keys are not the
+    manifest's fields.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+        payload["a_values"] = tuple(payload["a_values"])
+        payload["records"] = tuple(RunRecord(**r) for r in payload["records"])
+        return SweepManifest(**payload)
+    except (ValueError, KeyError, TypeError) as err:
+        raise UsageError(f"{path} is not a readable sweep manifest "
+                         f"({type(err).__name__}: {err})") from None
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,8 @@ def test_5_solver_verification(conservation_runs):
         (xc,) = gf.cell_centers(grid)
         state = state_from_primitives(GAS, a, (f_rho(xc), f_th(xc), f_u(xc)[None]))
         force = (-f_rhs[0](xc), -f_rhs[1](xc)[None], -f_rhs[2](xc))
-        drho, dmom, detot = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
+        dW = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
+        drho, dmom, detot = dW[0], dW[1:-1], dW[-1]
         errs.append([gf.norm(drho, grid, 2), gf.norm(dmom[0], grid, 2),
                      gf.norm(detot, grid, 2)])
     errs = np.asarray(errs)
@@ -298,7 +299,8 @@ def test_5_solver_verification(conservation_runs):
                      1.0 + 0.15 * np.cos(2 * np.pi * x1),
                      (0.2 * np.sin(np.pi * x1) + 0.05 * np.sin(2 * np.pi * x1))[None]))
     cfg1 = ns.NsfRunConfig(gas=GAS, transport=TR, scaling=sc, grid=grid1, t_end=1.0)
-    drho, _, detot = ns.rhs_nsf(st1, cfg1)
+    dW = ns.rhs_nsf(st1, cfg1)
+    drho, detot = dW[0], dW[-1]
     assert abs(gf.integrate(drho, grid1)) < 1e-12
     assert abs(gf.integrate(detot, grid1)) < 1e-12
 
@@ -311,7 +313,8 @@ def test_5_solver_verification(conservation_runs):
                      np.stack([0.1 * np.sin(2 * np.pi * X) * np.cos(ky * Y),
                                0.05 * np.cos(2 * np.pi * X) * np.sin(ky * Y)])))
     cfg2 = ns.NsfRunConfig(gas=GAS, transport=TR, scaling=sc, grid=grid2, t_end=1.0)
-    drho, _, detot = ns.rhs_nsf(st2, cfg2)
+    dW = ns.rhs_nsf(st2, cfg2)
+    drho, detot = dW[0], dW[-1]
     assert abs(gf.integrate(drho, grid2)) < 1e-12
     assert abs(gf.integrate(detot, grid2)) < 1e-12
 

@@ -169,6 +169,19 @@ def test_rate_fit_needs_manifest(tmp_path, capsys):
     assert "no manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, why", [
+    ('{"alpha": 0.55', "JSONDecodeError"),
+    ('{"alpha": 0.55}', "KeyError: 'a_values'"),
+])
+def test_rate_fit_damaged_manifest(tmp_path, capsys, text, why):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    assert cli.main(["rate-fit", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not a readable sweep manifest")
+    assert why in err and err.count("\n") == 1
+
+
 def test_diag_reproduces_stored_csvs(cli_sweep, capsys):
     cfg, out = cli_sweep
     manifest = sweepmod.read_manifest(out / "manifest.json")
@@ -232,6 +245,25 @@ def test_diag_snapshot_without_a_state_field(cli_sweep, tmp_path, capsys, damage
     assert cli.main(["diag", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: snapshot {snap}") and want in err
+
+
+@pytest.mark.parametrize("damage, why", [
+    ("key-line-only", "KeyError"),
+    ("garbled-dt", "ValueError"),
+])
+def test_diag_damaged_reference_manifest(cli_sweep, tmp_path, capsys, damage, why):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    (manifest,) = (out / "reference-cache").glob("euler-*/manifest.txt")
+    lines = manifest.read_text().splitlines()
+    if damage == "key-line-only":
+        lines = [line for line in lines if line.startswith("key ")]
+    else:
+        lines = ["dt x" if line.startswith("dt ") else line for line in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest} is damaged") and why in err
+    assert err.count("\n") == 1
 
 
 def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):

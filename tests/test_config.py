@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from nsflab import config as cfgmod
+from nsflab import sweep as sweepmod
 from nsflab.errors import ConfigError
 
 NSF_TEXT = """\
@@ -156,3 +157,34 @@ def test_describe_keys_lists_everything():
     doc = cfgmod.describe_keys()
     for key, _ in cfgmod.KNOWN_KEYS:
         assert key in doc
+
+
+def _readme_config_blocks():
+    # the fenced blocks without a language tag are the README's run files
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks, lang, body = [], None, []
+    for line in text.splitlines():
+        if not line.startswith("```"):
+            body.append(line)
+        elif lang is None:
+            lang, body = line[3:], []
+        else:
+            if lang == "":
+                blocks.append("\n".join(body) + "\n")
+            lang = None
+    return blocks
+
+
+def test_readme_config_blocks_parse_and_build():
+    blocks = _readme_config_blocks()
+    kinds = []
+    for text in blocks:
+        cfg = cfgmod.parse_text(text)
+        if any(key.startswith("sweep.") for key in cfg):
+            sweepmod.setup_from_config(cfg)
+            kinds.append("sweep")
+        else:
+            kind, run, scenario = cfgmod.build_run(cfg)
+            scenario.fields(run.grid)
+            kinds.append(kind)
+    assert kinds == ["nsf", "sweep"]

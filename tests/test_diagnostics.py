@@ -70,22 +70,6 @@ def equilibrium_traj(ideal, transport):
 
 
 # ---------------------------------------------------------------------------
-# data bounds
-
-
-def test_data_bounds_stores_positive_finite():
-    b = ns.DataBounds(M=0.5, D=3.0)
-    assert b.M == 0.5 and b.D == 3.0
-
-
-def test_data_bounds_rejects_degenerate():
-    for bad in (dict(M=0.0, D=1.0), dict(M=-1.0, D=1.0), dict(M=math.inf, D=1.0),
-                dict(M=1.0, D=0.0), dict(M=1.0, D=math.nan)):
-        with pytest.raises(DomainError):
-            ns.DataBounds(**bad)
-
-
-# ---------------------------------------------------------------------------
 # convergence-rate envelope
 
 

@@ -84,11 +84,12 @@ def test_ghost_state_parities():
     mom = 0.1 * rng.standard_normal((2, 16, 24))
     etot = 2.0 + rng.random((16, 24))
     st = gf.FluidState(rho, mom, etot)
-    g = gf.fill_ghosts_slip(st, BOX, depth=2)
-    assert g.rho[1, 4] == rho[0, 2] and g.rho[0, 4] == rho[1, 2]
-    assert g.mom[0, 1, 5] == -mom[0, 0, 3]  # normal momentum odd across x wall
-    assert g.mom[1, 1, 5] == mom[1, 0, 3]  # tangential momentum even
-    assert g.etot[3, 1] == etot[1, 0]
+    W_g = gf.fill_ghosts_slip(st, BOX, depth=2)
+    g_rho, g_mom, g_etot = W_g[0], W_g[1:-1], W_g[-1]
+    assert g_rho[1, 4] == rho[0, 2] and g_rho[0, 4] == rho[1, 2]
+    assert g_mom[0, 1, 5] == -mom[0, 0, 3]  # normal momentum odd across x wall
+    assert g_mom[1, 1, 5] == mom[1, 0, 3]  # tangential momentum even
+    assert g_etot[3, 1] == etot[1, 0]
 
 
 def _pad_reference(arr, grid, depth, odd_axes=()):
@@ -142,13 +143,15 @@ def test_ghost_fill_matches_np_pad_bitwise(name, depth):
 
     rho = 1.0 + rng.random(grid.cells)
     etot = 2.0 + rng.random(grid.cells)
-    g = gf.fill_ghosts_slip(gf.FluidState(rho, 0.1 * u, etot), grid, depth)
-    assert g.depth == depth
-    assert same(g.rho, _pad_reference(rho, grid, depth))
-    assert same(g.mom, np.stack([_pad_reference(0.1 * u[c], grid, depth, odd_axes=(c,))
+    W_g = gf.fill_ghosts_slip(gf.FluidState(rho, 0.1 * u, etot), grid, depth)
+    assert W_g.shape == (2 + grid.dim, *(n + 2 * depth for n in grid.cells))
+    g_rho, g_mom, g_etot = W_g[0], W_g[1:-1], W_g[-1]
+    assert same(g_rho, _pad_reference(rho, grid, depth))
+    assert same(g_mom, np.stack([_pad_reference(0.1 * u[c], grid, depth, odd_axes=(c,))
                                  for c in range(grid.dim)]))
-    assert same(g.etot, _pad_reference(etot, grid, depth))
-    assert same(g.W, np.concatenate((g.rho[None], g.mom, g.etot[None])))
+    assert same(g_etot, _pad_reference(etot, grid, depth))
+    assert same(W_g, np.concatenate((_pad_reference(rho, grid, depth)[None], g_mom,
+                                     _pad_reference(etot, grid, depth)[None])))
 
 
 def test_ghost_depth_beyond_the_grid_rejected():
@@ -308,6 +311,31 @@ def test_fluid_state_validation():
         gf.FluidState(rho, fast, etot)
     with pytest.raises(UsageError):
         gf.FluidState(rho, np.zeros((2, 32)), etot)
+
+
+def test_fluid_state_fields_are_views_of_one_stack():
+    rng = np.random.default_rng(2)
+    rho = 1.0 + 0.1 * rng.random((16, 24))
+    mom = 0.1 * rng.standard_normal((2, 16, 24))
+    etot = 2.0 + rng.random((16, 24))
+    st = gf.FluidState(rho, mom, etot, time=0.5)
+    assert st.W.shape == (4, 16, 24)
+    for part, given in ((st.rho, rho), (st.mom, mom), (st.etot, etot)):
+        assert np.shares_memory(part, st.W)
+        assert not np.shares_memory(part, given)  # the parts are stacked, not kept
+        assert np.array_equal(part, given)
+    kept = gf.FluidState.stacked(st.W, 0.5)
+    assert kept.W is st.W and kept.time == 0.5
+    dup = st.copy()
+    assert dup.time == 0.5 and np.array_equal(dup.W, st.W)
+    assert not np.shares_memory(dup.W, st.W)
+    # a stacked state is validated like one built from its parts
+    bad = st.W.copy()
+    bad[0, 3, 4] = -1.0
+    with pytest.raises(PositivityError, match="negative density"):
+        gf.FluidState.stacked(bad)
+    with pytest.raises(UsageError, match="stacked state shape"):
+        gf.FluidState.stacked(np.ones((3, 16, 24)))
 
 
 def test_fluid_state_vacuum_cells():

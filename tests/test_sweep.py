@@ -53,7 +53,7 @@ def test_scaling_path_points():
     assert sc.nu == pytest.approx(10.0 ** -1.1, rel=1e-12)
     assert sc.omega == pytest.approx(10.0 ** -2.4, rel=1e-12)
     assert sc.lam == pytest.approx(10.0 ** -0.2, rel=1e-12)
-    assert [p.a for p in path.points()] == [1e-2, 1e-4]
+    assert [path.scaling_for(a).a for a in path.a_values] == [1e-2, 1e-4]
     # a single point is a degenerate but allowed path
     assert sweepmod.ScalingPath(a_values=(1e-2,)).a_values == (0.01,)
 
