@@ -39,7 +39,6 @@ def main(argv=None):
     ap.add_argument("--cells", type=int, default=48, help="solver cells (fixed across the path)")
     ap.add_argument("--t-end", type=float, default=1.0, help="requested horizon")
     ap.add_argument("--gap", type=float, default=0.02, help="ill-prepared offset amplitude")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--skip-ill", action="store_true", help="run only the well-prepared family")
     args = ap.parse_args(argv)
 
@@ -53,7 +52,7 @@ def main(argv=None):
     for name, gap in families:
         setup = sweep.SweepSetup(gas=gas, transport=transport, path=path, grid=grid,
                                  t_end=args.t_end, gap=gap)
-        manifest = sweep.run_sweep(setup, out / name, threads=args.threads)
+        manifest = sweep.run_sweep(setup, out / name)
         report(name, manifest)
         print(f"  manifest: {out / name / 'manifest.json'}")
         print(f"  plot data: {out / name / 'plot_rate.dat'}")

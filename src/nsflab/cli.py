@@ -105,8 +105,13 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.config is None:
         raise ConfigError("sweep needs --config")
+    if args.threads < 1:
+        raise UsageError(f"threads must be at least 1, got {args.threads}")
     setup = sweepmod.setup_from_config(_load_config(args))
-    manifest = sweepmod.run_sweep(setup, args.out, threads=args.threads)
+    if args.threads > 1:
+        print(f"note: --threads {args.threads} changes nothing: the path points "
+              "advance as one batch in one thread", file=sys.stderr)
+    manifest = sweepmod.run_sweep(setup, args.out)
     for rec in manifest.records:
         status = "ok" if rec.healthy else f"unhealthy ({rec.reason})"
         print(f"{rec.run_id} {status} e_sup={rec.e_sup!r} "
@@ -165,7 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for sampled estimates (default: 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes results")
+                        help="accepted for compatibility and must be at least 1; "
+                             "a sweep advances its path points as one batch")
 
     parser = argparse.ArgumentParser(
         prog="nsflab",

@@ -9,7 +9,9 @@ written in flux-difference form, so mass and total energy are conserved
 to round-off on periodic boxes and across slip walls (the mirrored flux
 values vanish bitwise at wall faces).  Temperature comes from
 `nsf_solver.recover_temperature`, once per state: `rhs_euler` inverts the
-ghosted state and takes the filter's signal speed from its interior.
+ghosted state and takes the filter's signal speed from its interior, and
+the first stage of each `run_euler` step takes the temperature that the
+step's Courant check recovered.
 
 Smooth inviscid flow steepens and eventually leaves the classical regime;
 `lifespan_monitor` watches the gradient history and declares the usable
@@ -80,16 +82,23 @@ def _fifth_difference_faces(W):
 
 
 def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
-              eps_f: float = 0.0):
+              eps_f: float = 0.0, theta=None):
     """Tendency dW/dt of the inviscid (molecular-closure) system, stacked like W.
 
     4th-order centered flux differences plus, when eps_f > 0, a 6th-order
     hyper-dissipation flux scaled by the fastest signal speed per axis.
+    `theta`, when given, is the state's temperature.  Its ghost fill is
+    the ghosted state's temperature bitwise: ghost cells copy interior
+    cells (a mirrored momentum only changes sign), and the inversion
+    treats every cell alike.
     """
     dim = grid.dim
     W_g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
     rho_g, mom_g = W_g[0], W_g[1:-1]
-    theta_g = recover_temperature(rho_g, mom_g, W_g[-1], gas, 0.0)
+    if theta is None:
+        theta_g = recover_temperature(rho_g, mom_g, W_g[-1], gas, 0.0)
+    else:
+        theta_g = gf.fill_ghosts_slip(theta, grid, depth=_DEPTH)
     u_g = mom_g / rho_g
     p_g = thermo.pressure(gas, 0.0, rho_g, theta_g)
     if eps_f > 0.0:
@@ -124,11 +133,12 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
 
 
 def _speed_over_dx(state, gas, grid):
+    """(max over axes of the signal speed over the spacing, the state's theta)."""
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, 0.0)
     c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta))
     u = state.velocity()
     return max(float(np.max(np.abs(u[ax]) + c)) / grid.spacing[ax]
-               for ax in range(grid.dim))
+               for ax in range(grid.dim)), theta
 
 
 def _gradient_maxima(state, grid):
@@ -192,7 +202,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
         if cached is not None:
             return cached
 
-    over_dx = _speed_over_dx(state, config.gas, config.grid)
+    over_dx, _ = _speed_over_dx(state, config.gas, config.grid)
     n_steps = max(1, math.ceil(config.t_end * over_dx / config.cfl))
     dt = config.t_end / n_steps
     eps = _calibrate_filter(config, state, dt)
@@ -212,10 +222,13 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
     record(state)
     for k in range(1, n_steps + 1):
         try:
-            if _speed_over_dx(state, config.gas, config.grid) * dt > 0.95:
+            over_dx, theta = _speed_over_dx(state, config.gas, config.grid)
+            if over_dx * dt > 0.95:
                 raise DomainError("running Courant number exceeded 0.95")
-            state = ssp_rk3(state, dt,
-                            lambda w: rhs_euler(w, config.gas, config.grid, eps))
+            # the first stage evaluates at the state itself, whose theta is known
+            start = state
+            state = ssp_rk3(start, dt, lambda w: rhs_euler(
+                w, config.gas, config.grid, eps, theta if w is start else None))
         except (PositivityError, DomainError) as err:
             traj.aborted = True
             traj.abort_reason = (f"stopped at t={state.time:.6g}: {err} "

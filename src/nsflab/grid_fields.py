@@ -105,10 +105,8 @@ def mesh(grid: Grid):
 
 
 def _kinetic(rho, mom):
-    ke = np.zeros_like(rho)
-    pos = rho > 0.0
-    ke[pos] = 0.5 * np.sum(mom[(slice(None),) + (pos,)] ** 2, axis=0) / rho[pos]
-    return ke
+    return np.divide(0.5 * np.sum(mom ** 2, axis=0), rho, out=np.zeros_like(rho),
+                     where=rho > 0.0)
 
 
 class FluidState:
@@ -119,6 +117,11 @@ class FluidState:
     `FluidState(rho, mom, etot, time)` stacks the three parts into a new W;
     `FluidState.stacked(W, time)` keeps the given W without copying it.
     Both validate the fields.
+
+    A batch of M states on one grid is one FluidState whose W has shape
+    (2 + dim, M, *cells) and whose time is an array of shape
+    (M, 1, ..., 1), one value per member shaped to broadcast against a
+    member field such as rho; a float time means no member axis.
     """
 
     def __init__(self, rho, mom, etot, time: float = 0.0):
@@ -143,16 +146,22 @@ class FluidState:
         return state
 
     def _set(self, W, time):
-        if W.ndim < 1 or W.shape[0] != W.ndim + 1:
-            raise UsageError(f"stacked state shape {W.shape} is not (2 + dim, *cells)")
+        batch = np.ndim(time) > 0
+        if W.ndim < 1 or W.shape[0] != W.ndim + (0 if batch else 1):
+            raise UsageError(f"stacked state shape {W.shape} is not "
+                             f"{'(2 + dim, M, *cells)' if batch else '(2 + dim, *cells)'}")
+        if batch and np.shape(time) != (W.shape[1],) + (1,) * (W.ndim - 2):
+            raise UsageError(f"batch times of shape {np.shape(time)} do not match "
+                             f"the {W.shape[1]} members")
         self.W = W
-        self.time = float(time)
+        self.time = np.asarray(time, dtype=float) if batch else float(time)
         if not np.isfinite(W).all():
             raise PositivityError("non-finite values in fluid state")
-        if (self.rho < 0.0).any():
-            raise PositivityError("negative density", state=self)
-        if ((self.rho == 0.0) & (self.mom != 0.0).any(axis=0)).any():
-            raise PositivityError("momentum in a vacuum cell", state=self)
+        if not (self.rho > 0.0).all():
+            if (self.rho < 0.0).any():
+                raise PositivityError("negative density", state=self)
+            if ((self.rho == 0.0) & (self.mom != 0.0).any(axis=0)).any():
+                raise PositivityError("momentum in a vacuum cell", state=self)
         ke = _kinetic(self.rho, self.mom)
         slack = 1e-12 * np.maximum(1.0, np.abs(self.etot))
         if (self.etot + slack < ke).any():
@@ -172,10 +181,7 @@ class FluidState:
 
     def velocity(self) -> np.ndarray:
         """Momentum over density; zero in vacuum cells."""
-        u = np.zeros_like(self.mom)
-        pos = self.rho > 0.0
-        u[(slice(None),) + (pos,)] = self.mom[(slice(None),) + (pos,)] / self.rho[pos]
-        return u
+        return np.divide(self.mom, self.rho, out=np.zeros_like(self.mom), where=self.rho > 0.0)
 
     def kinetic_energy(self) -> np.ndarray:
         return _kinetic(self.rho, self.mom)
@@ -234,7 +240,8 @@ def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
 def _fill(arr, grid, depth, odd=()):
     """Ghosted copy of arr, allocated once and filled by slice copies.
 
-    arr holds one leading component axis, then the interior cells.  The
+    arr holds a leading component axis (and, for a batch, a member axis
+    after it), then the interior cells.  The
     interior is copied straight into the new array, then the margins are
     written one grid axis at a time, spanning the already-filled extent of
     the earlier axes and the interior of the later ones, so a corner is the
@@ -244,10 +251,12 @@ def _fill(arr, grid, depth, odd=()):
     with (c, axis) in `odd`.
     """
     cells = grid.cells
-    if arr.shape[1:] != cells:
-        raise UsageError(f"field shape {arr.shape[1:]} is not the interior {cells}")
+    lead = arr.shape[:-grid.dim]
+    if arr.ndim <= grid.dim or arr.shape[-grid.dim:] != cells:
+        raise UsageError(f"field shape {arr.shape[1:]} is not the interior {cells} "
+                         "behind its leading axes")
     body = (Ellipsis,) + tuple(slice(depth, depth + n) for n in cells)
-    out = np.empty((len(arr),) + tuple(n + 2 * depth for n in cells))
+    out = np.empty(lead + tuple(n + 2 * depth for n in cells))
     out[body] = arr
     for ax, n in enumerate(cells):
         rest = body[2 + ax:]  # interior of the later axes
@@ -302,22 +311,26 @@ def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
 # discrete calculus
 
 
-def interior_gradient(fld, grid: Grid) -> np.ndarray:
+def interior_gradient(fld, grid: Grid, vector=None) -> np.ndarray:
     """Centered gradient of an interior field after a depth-1 ghost fill.
 
     The ghosts follow the grid's boundary kinds, as in `fill_ghosts_slip`.
     A scalar field gives shape (dim, *cells); a vector field of shape
-    (dim, *cells) gives G[i, j] = d_j u_i, shape (dim, dim, *cells).
+    (dim, *cells) gives G[i, j] = d_j u_i, shape (dim, dim, *cells).  A
+    batch field carries a member axis in front of the cells (behind the
+    vector component), which the gradient keeps behind its own axes; it
+    must say whether it is a `vector`, which is otherwise read off the shape.
     """
     fld = np.asarray(fld, dtype=float)
-    vector = fld.shape != grid.cells
+    if vector is None:
+        vector = fld.shape != grid.cells
     fld_g = fill_ghosts_slip(fld, grid, depth=1, vector=vector)
-    lead = fld_g.ndim - grid.dim
-    out = np.empty((*fld_g.shape[:lead], grid.dim, *grid.cells))
+    comp = 1 if vector else 0
+    out = np.empty((*fld.shape[:comp], grid.dim, *fld.shape[comp:]))
     for ax in range(grid.dim):
         F = axis_strip(fld_g, grid, ax, 1)
         d = (F[..., 2:] - F[..., :-2]) / (2.0 * grid.spacing[ax])
-        out[(slice(None),) * lead + (ax,)] = d.swapaxes(-1, lead + ax)
+        out[(slice(None),) * comp + (ax,)] = d.swapaxes(-1, ax - grid.dim)
     return out
 
 
@@ -351,10 +364,15 @@ def norm(fld, grid: Grid, p) -> float:
     return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
 
 
-def integrate(fld, grid: Grid) -> float:
-    """Midpoint-rule integral of an interior cell-average field over the box."""
+def integrate(fld, grid: Grid):
+    """Midpoint-rule integral of an interior cell-average field over the box.
+
+    A batch field, with a member axis in front of the cells, gives one
+    integral per member, shaped (M, 1, ..., 1) like the batch's times.
+    """
     fld = np.asarray(fld, dtype=float)
-    return float(np.sum(fld) * grid.cell_volume)
+    total = np.sum(fld, axis=tuple(range(-grid.dim, 0)), keepdims=fld.ndim > grid.dim)
+    return total * grid.cell_volume if fld.ndim > grid.dim else float(total * grid.cell_volume)
 
 
 class TrapezoidAccumulator:

@@ -19,11 +19,19 @@ W, and the inviscid reference solver in `euler_reference` steps through it
 as well.
 
 `recover_temperature` is the one path from conservative fields to theta in
-both solvers.  `simulate` recovers each accepted state's theta once and
-passes it to `stable_dt`, `entropy_production` and the recorded
-diagnostics, and keeps it with each stored state (`Trajectory.thetas`).
-The first RK stage of the next step still inverts that accepted state
-again inside `rhs_nsf`.
+both solvers.  The time loop recovers each accepted state's theta once and
+passes it to `stable_dt`, the first RK stage of the next step,
+`entropy_production` and the recorded diagnostics, and keeps it with each
+stored state (`Trajectory.thetas`).
+
+`simulate_batch` is the one time loop.  It advances several runs that
+differ only in their scalings (the points of a dissipation path) as one
+batch: their states stack on a member axis of W, shape
+(2 + dim, M, *cells), and the scaling values, times and steps become
+per-member arrays of shape (M, 1, ..., 1) that broadcast against the
+member fields.  Every kernel works elementwise or reduces over the grid
+axes per member, so each member's numbers are bitwise those of its run
+alone; `simulate` is the batch of one.
 
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
@@ -33,13 +41,13 @@ every wall-normal mass, energy and heat flux vanish identically).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import grid_fields as gf
 from . import thermo
-from .errors import ConfigError, DomainError, PositivityError
+from .errors import ConfigError, DomainError, PositivityError, UsageError
 
 _GHOST_DEPTH = 2  # central-slope reconstruction needs two layers
 CONVECTIVE_ORDERS = ("auto", "1", "2")  # face reconstruction choices
@@ -79,8 +87,7 @@ class NsfRunConfig:
     def resolved_order(self) -> int:
         """Reconstruction order: degrade to plain cell values for pure Euler runs."""
         if self.convective_order == "auto":
-            s = self.scaling
-            return 1 if (s.nu == 0.0 and s.omega == 0.0 and s.lam == 0.0 and s.a == 0.0) else 2
+            return 1 if all(self.scaling.zeros) else 2
         return int(self.convective_order)
 
 
@@ -132,8 +139,11 @@ def _internal_energy(rho, mom, etot, sides=0):
 
 
 def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
-    """Temperature from conservative field arrays; aborts naming the first bad cell."""
-    return thermo.temperature_from_energy(gas, a, rho, _internal_energy(rho, mom, etot))
+    """Temperature from conservative field arrays; aborts naming the first bad cell.
+
+    For a batch, a holds one value per member (`thermo.member_temperatures`).
+    """
+    return thermo.member_temperatures(gas, a, rho, _internal_energy(rho, mom, etot))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +200,7 @@ def _phys_flux(ax, dim, rho, mom, etot, p):
 
 def _convective(gas, a, grid, W_g, order):
     dim = grid.dim
-    out = np.zeros((2 + dim, *grid.cells))
+    out = np.zeros(W_g.shape[:-dim] + grid.cells)
     for ax in range(dim):
         n = grid.cells[ax]
         dx = grid.spacing[ax]
@@ -202,7 +212,7 @@ def _convective(gas, a, grid, W_g, order):
         smax = np.maximum(s[0], s[1])
         F = 0.5 * (FLR[:, 0] + FLR[:, 1]) - 0.5 * smax * (WLR[:, 1] - WLR[:, 0])
         dW = -(F[..., 1:] - F[..., :-1]) / dx
-        out += dW.swapaxes(-1, 1 + ax)  # undo axis_strip's swap
+        out += dW.swapaxes(-1, ax - dim)  # undo axis_strip's swap
     return out
 
 
@@ -241,7 +251,7 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
             # cell-centered tangential derivatives on the extended strip
             u_t = gf.axis_strip(u_g, grid, ax, d, widen=1)[..., 1:-1]
             # derivative along t_ax: that axis is now the one non-moved grid axis
-            dut = (u_t[:, 2:, :] - u_t[:, :-2, :]) / (2.0 * dy)
+            dut = (u_t[..., 2:, :] - u_t[..., :-2, :]) / (2.0 * dy)
             dut_f = _face_avg(dut)  # (dim, ..., n+1): d u_c / d x_t at faces
             dutan_f = _face_diff(u[t_ax], dx)  # d u_t / d x_ax at faces
             S_nn = nu * (((4.0 / 3.0) * mu_f + eta_f) * dun_f
@@ -253,32 +263,37 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         energy_flux = -q_f
         for comp, S_comp in visc_mom.items():
             energy_flux = energy_flux + S_comp * u_f[comp]
-            dmom[comp] += _face_diff(S_comp, dx).swapaxes(-1, ax)
-        detot += _face_diff(energy_flux, dx).swapaxes(-1, ax)
+            dmom[comp] += _face_diff(S_comp, dx).swapaxes(-1, ax - dim)
+        detot += _face_diff(energy_flux, dx).swapaxes(-1, ax - dim)
 
 
-def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
+def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None):
     """Tendency dW/dt of the dissipative system, stacked like the state's W.
 
-    `forcing(t)`, when given, returns the source parts (f_rho, f_mom, f_etot).
+    `theta`, when given, is the state's temperature, already recovered by
+    the caller.  `forcing(t)`, when given, returns the source parts
+    (f_rho, f_mom, f_etot).  A batch state (see `simulate_batch`) advances
+    every member with its own scaling values.
     """
     grid = config.grid
     gas = config.gas
     sc = config.scaling
 
-    theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
+    if theta is None:
+        theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
     W_g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
 
     out = _convective(gas, sc.a, grid, W_g, config.resolved_order())
     dmom = out[1:-1]
     detot = out[-1]
 
-    if sc.nu > 0.0 or sc.omega > 0.0:
+    _, no_nu, no_omega, no_lam = sc.zeros
+    if not (no_nu and no_omega):
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_GHOST_DEPTH)
         u_g = W_g[1:-1] / W_g[0]
         _diffusive(config, grid, u_g, theta_g, dmom, detot)
 
-    if sc.lam > 0.0:
+    if not no_lam:
         u = state.velocity()
         dmom -= sc.lam * u
         detot -= sc.lam * np.sum(u * u, axis=0)
@@ -295,58 +310,70 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None):
 # time stepping
 
 
-def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig) -> float:
-    """cfl times the smaller of the acoustic and diffusive step bounds."""
+def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
+    """cfl times the smaller of the acoustic and diffusive step bounds.
+
+    A batch state gets one step per member, shaped like its times.
+    """
     grid = config.grid
     sc = config.scaling
+    cells = tuple(range(-grid.dim, 0))
+    batch = np.ndim(state.time) > 0
     c = np.sqrt(thermo.sound_speed_sq(config.gas, sc.a, state.rho, theta))
     u = state.velocity()
     dt = math.inf
     for ax in range(grid.dim):
-        dt = min(dt, float(np.min(grid.spacing[ax] / (np.abs(u[ax]) + c))))
-    if sc.nu > 0.0 or sc.omega > 0.0:
+        dt = np.minimum(dt, np.min(grid.spacing[ax] / (np.abs(u[ax]) + c),
+                                   axis=cells, keepdims=batch))
+    _, no_nu, no_omega, _ = sc.zeros
+    if not (no_nu and no_omega):
         diff = np.zeros_like(state.rho)
-        if sc.nu > 0.0:
+        if not no_nu:
             diff = np.maximum(diff, sc.nu * config.transport.mu(theta) / state.rho)
-        if sc.omega > 0.0:
+        if not no_omega:
             cv = thermo.heat_capacity_cv(config.gas, state.rho, theta)
             diff = np.maximum(diff, sc.omega * config.transport.kappa(theta) / (state.rho * cv))
-        d_max = float(np.max(diff))
-        if d_max > 0.0:
-            dx2 = min(h * h for h in grid.spacing)
-            dt = min(dt, dx2 / (2.0 * grid.dim * d_max))
-    dt *= config.cfl
-    if not (dt > 0.0 and math.isfinite(dt)):
+        d_max = np.max(diff, axis=cells, keepdims=batch)
+        dx2 = min(h * h for h in grid.spacing)
+        # a member without diffusion (d_max = 0) gets no bound from it
+        dt = np.minimum(dt, np.divide(dx2, 2.0 * grid.dim * d_max,
+                                      out=np.full_like(d_max, np.inf), where=d_max > 0.0))
+    dt = dt * config.cfl
+    if not np.all((dt > 0.0) & np.isfinite(dt)):
         raise DomainError(f"stable_dt produced {dt}")
-    return dt
+    return dt if batch else float(dt)
 
 
-def _apply_floors(W, config: NsfRunConfig) -> int:
+def _apply_floors(W, config: NsfRunConfig):
     """Clip density and temperature of the stacked W from below, in place;
-    returns the number of hits."""
+    returns the number of hits, one count per member for a batch."""
     rho_floor, theta_floor = config.positivity_floor
+    cells = tuple(range(-config.grid.dim, 0))
     rho = W[0]
-    hits = int(np.sum(rho < rho_floor))
+    hits = np.sum(rho < rho_floor, axis=cells)
     np.maximum(rho, rho_floor, out=rho)
     ke = 0.5 * np.sum(W[1:-1] * W[1:-1], axis=0) / rho
     e_int = W[-1] - ke
-    e_min = thermo.internal_energy_density(
-        config.gas, config.scaling.a, rho, np.full_like(rho, theta_floor)
-    )
+    # the floor temperature as a 0-d array: its powers then run numpy's
+    # array loops, as on a full field of it, whose bits can differ from
+    # those of Python's scalar powers
+    e_min = thermo._internal_energy_density(config.gas, config.scaling.a, rho,
+                                            np.asarray(theta_floor))
     cold = e_int < e_min
-    hits += int(np.sum(cold))
+    hits = hits + np.sum(cold, axis=cells)
     if np.any(cold):
         W[-1] = np.where(cold, ke + e_min, W[-1])
     return hits
 
 
-def ssp_rk3(state: gf.FluidState, dt: float, rhs, stage_map=None) -> gf.FluidState:
+def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
     """One SSP-RK3 step (Shu-Osher form, Gottlieb & Shu 1998) of dW/dt = rhs(W).
 
     `rhs(state)` returns the tendency stacked like `state.W`.  Each stage
     computes its own new W, which `stage_map(W)`, when given, modifies in
     place before the stage state is built (and validated) on it; the input
-    state is never written.
+    state is never written.  For a batch state, dt holds one step per
+    member, shaped like its times.
     """
     def stage(s, frac_old, t_new):
         W = s.W + dt * rhs(s)
@@ -362,18 +389,26 @@ def ssp_rk3(state: gf.FluidState, dt: float, rhs, stage_map=None) -> gf.FluidSta
     return stage(s2, 1.0 / 3.0, t + dt)
 
 
-def step(state: gf.FluidState, dt: float, config: NsfRunConfig,
-         stats: StepStats = None, forcing=None) -> gf.FluidState:
-    """One SSP-RK3 step; positivity floors applied and counted per stage."""
+def step(state: gf.FluidState, dt, config: NsfRunConfig,
+         stats=None, forcing=None, theta=None) -> gf.FluidState:
+    """One SSP-RK3 step; positivity floors applied and counted per stage.
+
+    `theta`, when given, is the state's temperature and serves the first
+    stage.  `stats` is a StepStats, or for a batch state a list of them,
+    one per member; dt then holds one step per member.
+    """
     hits = 0
 
     def floors(W):
         nonlocal hits
-        hits += _apply_floors(W, config)
+        hits = hits + _apply_floors(W, config)
 
-    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing), floors)
+    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing, theta if s is state else None),
+                  floors)
     if stats is not None:
-        stats.record(hits, int(np.prod(config.grid.cells)))
+        cells = math.prod(config.grid.cells)
+        for st, h in zip(stats if isinstance(stats, list) else [stats], np.ravel(hits)):
+            st.record(int(h), cells)
     return out
 
 
@@ -386,14 +421,15 @@ def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig):
 
     Both contributions are nonnegative by construction:
     S : grad u = nu [ (mu/2) |A|^2 + eta (div u)^2 ] and -q . grad theta =
-    omega kappa |grad theta|^2.
+    omega kappa |grad theta|^2.  A batch state gives one integral per
+    member, shaped like its times.
     """
     grid = config.grid
     sc = config.scaling
     tr = config.transport
-    G = gf.interior_gradient(state.velocity(), grid)  # G[i,j]
+    G = gf.interior_gradient(state.velocity(), grid, vector=True)  # G[i,j]
     div = np.trace(G, axis1=0, axis2=1)
-    grad_theta = gf.interior_gradient(theta, grid)
+    grad_theta = gf.interior_gradient(theta, grid, vector=False)
     mu = tr.mu(theta)
     eta = tr.eta(theta)
     stress_work = sc.nu * (0.5 * mu * thermo.shear_tensor_sq(G) + eta * div ** 2)
@@ -451,68 +487,193 @@ def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> No
         )
 
 
+def _damping_rate(state: gf.FluidState, config: NsfRunConfig):
+    u = state.velocity()
+    return config.scaling.lam * gf.integrate(np.sum(u * u, axis=0), config.grid)
+
+
+def _advance(state, theta, config: NsfRunConfig, stats, forcing):
+    """One step to an accepted state: (state, theta, None), or, when it
+    aborts, (the last state reached, None, the error)."""
+    try:
+        dt = np.minimum(stable_dt(state, theta, config), config.t_end - state.time)
+        state = step(state, dt, config, stats=stats, forcing=forcing, theta=theta)
+        theta = recover_temperature(state.rho, state.mom, state.etot, config.gas,
+                                    config.scaling.a)
+    except (PositivityError, DomainError) as err:
+        return state, None, err
+    return state, theta, None
+
+
+class _Member:
+    """One run of a batch: its latest accepted state, trajectory and accounts."""
+
+    def __init__(self, config: NsfRunConfig, initial):
+        gas, a = config.gas, config.scaling.a
+        state = state_from_primitives(gas, a, initial)
+        theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
+        _check_initial_data(state, theta, config)
+        self.config = config
+        self.traj = Trajectory(config=config)
+        self.stats = StepStats()
+        self.damping = gf.TrapezoidAccumulator()
+        self.sigma = gf.TrapezoidAccumulator()
+        self.steps = 0
+        self.state, self.theta = state, theta
+        self.damping.add(state.time, _damping_rate(state, config))
+        self.sigma.add(state.time, entropy_production(state, theta, config)[1])
+        self._record()
+
+    @property
+    def done(self) -> bool:
+        return self.traj.aborted or self.state.time >= self.config.t_end - 1e-14
+
+    def _record(self):
+        s, theta, grid = self.state, self.theta, self.config.grid
+        self.traj.times.append(s.time)
+        self.traj.states.append(s.copy())
+        self.traj.thetas.append(theta)
+        self.traj.rows.append((
+            s.time,
+            gf.integrate(s.rho, grid),
+            gf.integrate(s.etot, grid),
+            self.damping.total,
+            self.sigma.total,
+            float(np.min(s.rho)),
+            float(np.min(theta)),
+            self.stats.floor_hits,
+        ))
+
+    def accept(self, state, theta, stats: StepStats, damping_rate, sigma_total):
+        """Account one step to `state`; store it every output_stride steps and at t_end."""
+        self.stats.record(stats.floor_hits, math.prod(self.config.grid.cells))
+        self.state, self.theta = state, theta
+        self.damping.add(state.time, damping_rate)
+        self.sigma.add(state.time, sigma_total)
+        self.steps += 1
+        if self.steps % self.config.output_stride == 0 or self.done:
+            self._record()
+
+    def abort(self, state, err, stats: StepStats):
+        """End the run at `state` (the last one its failed step reached)."""
+        self.stats.record(stats.floor_hits, math.prod(self.config.grid.cells))
+        self.traj.aborted = True
+        self.traj.healthy = False
+        self.traj.health_reason = f"aborted at t={state.time}: {err}"
+        self.traj.abort_state = state
+
+    def advance_alone(self, forcing):
+        """One step of this member by itself, from a copy of its state."""
+        stats = StepStats()
+        state, theta, err = _advance(self.state.copy(), self.theta.copy(), self.config,
+                                     stats, forcing)
+        if err is not None:
+            self.abort(state, err, stats)
+            return
+        self.accept(state, theta, stats, _damping_rate(state, self.config),
+                    entropy_production(state, theta, self.config)[1])
+
+    def finish(self) -> Trajectory:
+        self.traj.floor_hits = self.stats.floor_hits
+        if self.stats.unhealthy:
+            self.traj.healthy = False
+            self.traj.health_reason = self.traj.health_reason or self.stats.reason
+        return self.traj
+
+
+def _pack(members):
+    """The members' latest states as one batch: (state, theta, run config).
+
+    A lone member is not batched: its own state (as a fresh copy), theta
+    and config.  Otherwise W, theta and the scaling values gain a member
+    axis, in member order.
+    """
+    if len(members) == 1:
+        m = members[0]
+        return m.state.copy(), m.theta.copy(), m.config
+    shape = (len(members),) + (1,) * members[0].config.grid.dim
+    state = gf.FluidState.stacked(np.stack([m.state.W for m in members], axis=1),
+                                  np.reshape([m.state.time for m in members], shape))
+    scaling = thermo.ScalingParams(*(
+        np.reshape([getattr(m.config.scaling, name) for m in members], shape)
+        for name in ("a", "nu", "omega", "lam")))
+    return (state, np.stack([m.theta for m in members]),
+            replace(members[0].config, scaling=scaling))
+
+
+def _member_of(state: gf.FluidState, theta, k: int):
+    """Member k of a batch state and its theta (views); a lone state passes through."""
+    if np.ndim(state.time) == 0:
+        return state, theta
+    return gf.FluidState.stacked(state.W[:, k], state.time.flat[k]), theta[k]
+
+
+def _check_batch(configs: list, forcing) -> None:
+    if not configs:
+        raise UsageError("a batch needs at least one run config")
+    first = configs[0]
+    for c in configs[1:]:
+        if replace(c, scaling=first.scaling) != first:
+            raise UsageError("batch members must share their run config "
+                             "(the same gas, transport and grid objects) except the scaling")
+        if c.scaling.zeros != first.scaling.zeros:
+            raise UsageError("batch members must agree on which of a, nu, omega "
+                             "and lambda are zero")
+    if forcing is not None and len(configs) > 1:
+        raise UsageError("a forcing applies to a batch of one member only")
+
+
+def simulate_batch(configs, initial, forcing=None) -> list:
+    """Run every config from the same initial data as one batch; one Trajectory each.
+
+    The members share their run config except the scaling values, and the
+    scalings agree on which of a, nu, omega and lambda are zero, so every
+    kernel branch runs for all members or for none; anything else is a
+    UsageError.  One time loop advances the live members together: each
+    step is one `stable_dt` (one dt per member), one `step` (one
+    `rhs_nsf` and one floor pass per stage) and one `entropy_production`
+    call.  Each member keeps its own time, step count, stored instants,
+    floor counter and health, and leaves the batch at t_end.  A step that
+    raises PositivityError or DomainError is redone one member at a time:
+    a member that fails alone aborts with exactly the message `simulate`
+    gives it, the others go on.  Every member's trajectory is bitwise the
+    one `simulate` gives for its config alone.  `forcing` needs a batch of
+    one.
+    """
+    configs = list(configs)
+    _check_batch(configs, forcing)
+    members = [_Member(cfg, initial) for cfg in configs]
+    live = [m for m in members if not m.done]
+    while live:
+        state, theta, config = _pack(live)
+        while True:  # until a member leaves
+            stats = [StepStats() for _ in live]
+            new, new_theta, err = _advance(state, theta, config,
+                                           stats if len(live) > 1 else stats[0], forcing)
+            if err is None:
+                rates = np.ravel(_damping_rate(new, config))
+                sigmas = np.ravel(entropy_production(new, new_theta, config)[1])
+                for k, m in enumerate(live):
+                    m.accept(*_member_of(new, new_theta, k), stats[k], rates[k], sigmas[k])
+                state, theta = new, new_theta
+            elif len(live) == 1:
+                live[0].abort(new, err, stats[0])
+            else:
+                for m in live:
+                    m.advance_alone(forcing)
+            if err is not None or any(m.done for m in live):
+                break
+        live = [m for m in live if not m.done]
+    return [m.finish() for m in members]
+
+
 def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
     """Run to t_end, recording diagnostics and snapshots every output_stride steps.
 
     `initial` is either a FluidState or a primitive triple (rho, theta, u).
     The run aborts (trajectory.aborted, with the offending state attached)
     on positivity failure or non-finite values; floor activations above
-    0.1% of cells in any step mark it unhealthy but let it continue.
+    0.1% of cells in any step mark it unhealthy but let it continue.  This
+    is the batch of one of `simulate_batch`.
     """
-    gas, a = config.gas, config.scaling.a
-    state = state_from_primitives(gas, a, initial)
-    theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
-    traj = Trajectory(config=config)
-    _check_initial_data(state, theta, config)
-    stats = StepStats()
-    lam = config.scaling.lam
-
-    damping = gf.TrapezoidAccumulator()
-    sigma_acc = gf.TrapezoidAccumulator()
-
-    def damping_rate(s):
-        u = s.velocity()
-        return lam * gf.integrate(np.sum(u * u, axis=0), config.grid)
-
-    def record(s, theta):
-        traj.times.append(s.time)
-        traj.states.append(s.copy())
-        traj.thetas.append(theta)
-        traj.rows.append((
-            s.time,
-            gf.integrate(s.rho, config.grid),
-            gf.integrate(s.etot, config.grid),
-            damping.total,
-            sigma_acc.total,
-            float(np.min(s.rho)),
-            float(np.min(theta)),
-            stats.floor_hits,
-        ))
-
-    damping.add(state.time, damping_rate(state))
-    sigma_acc.add(state.time, entropy_production(state, theta, config)[1])
-    record(state, theta)
-
-    steps = 0
-    while state.time < config.t_end - 1e-14:
-        try:
-            dt = stable_dt(state, theta, config)
-            dt = min(dt, config.t_end - state.time)
-            state = step(state, dt, config, stats=stats, forcing=forcing)
-            theta = recover_temperature(state.rho, state.mom, state.etot, gas, a)
-        except (PositivityError, DomainError) as err:
-            traj.aborted = True
-            traj.healthy = False
-            traj.health_reason = f"aborted at t={state.time}: {err}"
-            traj.abort_state = state
-            break
-        damping.add(state.time, damping_rate(state))
-        sigma_acc.add(state.time, entropy_production(state, theta, config)[1])
-        steps += 1
-        if steps % config.output_stride == 0 or state.time >= config.t_end - 1e-14:
-            record(state, theta)
-    traj.floor_hits = stats.floor_hits
-    if stats.unhealthy:
-        traj.healthy = False
-        traj.health_reason = traj.health_reason or stats.reason
-    return traj
+    return simulate_batch([config], initial, forcing)[0]

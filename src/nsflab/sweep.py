@@ -1,8 +1,9 @@
 """Vanishing-dissipation parameter sweeps.
 
 One inviscid reference run is computed on a finer grid (and disk-cached),
-its trustworthy smooth horizon detected, and each path point then runs the
-dissipative solver from the same closed-form initial data to that horizon.
+its trustworthy smooth horizon detected, and the path points then run the
+dissipative solver, as one batch, from the same closed-form initial data
+to that horizon.
 The manifest records, per point, the initial relative energy, its sup over
 the run, and the convergence-rate envelope; the fitted constant is the
 largest ratio E_sup / (E_init + envelope), which the theory asserts stays
@@ -14,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import config as cfgmod
@@ -139,18 +139,46 @@ def write_manifest(manifest: SweepManifest, path) -> None:
         fh.write(manifest.json())
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# the JSON values a manifest's scalar fields may hold, by field annotation
+_FIELD_CHECKS = {"float": _is_number, "str": lambda v: isinstance(v, str),
+                 "bool": lambda v: isinstance(v, bool)}
+
+
+def _typed(cls, payload: dict):
+    """cls(**payload) once every scalar field holds its JSON type."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"a {cls.__name__} entry is {payload!r}, not an object")
+    for f in fields(cls):
+        check = _FIELD_CHECKS.get(f.type)
+        if check is not None and not check(payload.get(f.name)):
+            raise TypeError(f"{cls.__name__}.{f.name} is {payload.get(f.name)!r}, "
+                            f"not a {f.type}")
+    return cls(**payload)
+
+
 def read_manifest(path) -> SweepManifest:
     """The manifest `write_manifest` stored at path.
 
-    UsageError naming the file when it is not JSON or its keys are not the
-    manifest's fields.
+    UsageError naming the file when it is not JSON, its keys are not the
+    manifest's fields, or a field does not hold its type.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-        payload["a_values"] = tuple(payload["a_values"])
-        payload["records"] = tuple(RunRecord(**r) for r in payload["records"])
-        return SweepManifest(**payload)
+        if not isinstance(payload, dict):
+            raise TypeError(f"the manifest is {payload!r}, not an object")
+        a_values, records = payload["a_values"], payload["records"]
+        if not (isinstance(a_values, list) and all(_is_number(a) for a in a_values)):
+            raise TypeError(f"a_values is {a_values!r}, not a list of numbers")
+        if not isinstance(records, list):
+            raise TypeError(f"records is {records!r}, not a list")
+        payload["a_values"] = tuple(a_values)
+        payload["records"] = tuple(_typed(RunRecord, r) for r in records)
+        return _typed(SweepManifest, payload)
     except (ValueError, KeyError, TypeError) as err:
         raise UsageError(f"{path} is not a readable sweep manifest "
                          f"({type(err).__name__}: {err})") from None
@@ -385,17 +413,14 @@ def run_id_for(a: float) -> str:
     return f"a{a:.3e}"
 
 
-def _run_point(setup: SweepSetup, reference, a: float, t_safe: float,
-               out: Path) -> RunRecord:
-    sc = setup.path.scaling_for(a)
+def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
+                  out: Path) -> RunRecord:
+    """Store one path point's run and diagnostics; its manifest record."""
     run_id = run_id_for(a)
     rdir = out / "runs" / run_id
-    mapping = _run_mapping(setup, sc, t_safe)
-    _, run_cfg, scenario = cfgmod.build_run(mapping)
-    traj = ns.simulate(run_cfg, scenario.fields(run_cfg.grid))
     write_nsf_run(rdir, mapping, traj)
 
-    envelope = diag.rate_envelope(sc)
+    envelope = diag.rate_envelope(traj.config.scaling)
     nan = float("nan")
     if not traj.healthy:
         return RunRecord(run_id=run_id, a=a, healthy=False,
@@ -415,16 +440,14 @@ def _run_point(setup: SweepSetup, reference, a: float, t_safe: float,
     )
 
 
-def run_sweep(setup: SweepSetup, out_dir, threads: int = 1) -> SweepManifest:
+def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     """Reference run, one dissipative run per path point, manifest and plot data.
 
-    Worker threads only parallelize independent path points; every output
-    is written by the worker that owns it and records are assembled in path
-    order, so thread count never changes any result.  Fewer than one
-    thread is a UsageError, raised before any work.
+    The path points share their run config except the scalings, and start
+    from the same initial data, so they advance as one
+    `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
+    sweep of that point alone writes.  Records are assembled in path order.
     """
-    if int(threads) < 1:
-        raise UsageError(f"threads must be at least 1, got {threads}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -444,15 +467,15 @@ def run_sweep(setup: SweepSetup, out_dir, threads: int = 1) -> SweepManifest:
             "the reference run provides no usable smooth horizon "
             f"(trigger: {life.trigger or 'none'})")
 
-    def worker(a):
-        return _run_point(setup, reference, a, t_safe, out)
-
     a_values = setup.path.a_values
-    if int(threads) > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            records = tuple(pool.map(worker, a_values))
-    else:
-        records = tuple(worker(a) for a in a_values)
+    scalings = [setup.path.scaling_for(a) for a in a_values]
+    mappings = [_run_mapping(setup, sc, t_safe) for sc in scalings]
+    # every point's mapping builds this config but for its scaling
+    _, run_cfg, scenario = cfgmod.build_run(mappings[0])
+    trajs = ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
+                              scenario.fields(run_cfg.grid))
+    records = tuple(_point_record(reference, a, mapping, traj, out)
+                    for a, mapping, traj in zip(a_values, mappings, trajs))
 
     healthy = [r for r in records if r.healthy]
     manifest = SweepManifest(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,7 +72,11 @@ class TransportModel:
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Dissipation scales: radiation a, viscosity nu, conductivity omega, damping lam."""
+    """Dissipation scales: radiation a, viscosity nu, conductivity omega, damping lam.
+
+    Each is a float; the scaling of a solver batch holds arrays instead,
+    one value per member (see `nsf_solver.simulate_batch`).
+    """
 
     a: float
     nu: float
@@ -81,10 +85,15 @@ class ScalingParams:
 
     def __post_init__(self):
         vals = (self.a, self.nu, self.omega, self.lam)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(np.isfinite(v).all() for v in vals):
             raise DomainError(f"non-finite scaling parameters {vals}")
-        if any(v < 0 for v in vals):
+        if any((np.asarray(v) < 0).any() for v in vals):
             raise DomainError(f"negative scaling parameters {vals}")
+
+    @cached_property
+    def zeros(self) -> tuple:
+        """Which of a, nu, omega, lam are zero (for every member of a batch)."""
+        return tuple(not np.any(v) for v in (self.a, self.nu, self.omega, self.lam))
 
 
 def ideal_gas(S0: float = 0.0) -> GasModel:
@@ -182,7 +191,10 @@ def internal_energy(gas: GasModel, a: float, rho, theta):
 
 def internal_energy_density(gas: GasModel, a: float, rho, theta):
     """rho e; well defined down to rho = 0 where it returns a theta^4."""
-    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
+    return _internal_energy_density(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
+
+
+def _internal_energy_density(gas, a, rho, theta):
     return 1.5 * theta ** 2.5 * gas.P(Z_of(rho, theta)) + a * theta ** 4
 
 
@@ -293,8 +305,16 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
 
 
 def _sound_speed_sq(gas, a, rho, theta):
-    num = _dp_dtheta(gas, a, rho, theta)
-    c2 = _dp_drho(gas, rho, theta) + theta * num ** 2 / (rho ** 2 * _cv_total(gas, a, rho, theta))
+    # _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total), written out so that
+    # Z, P(Z) and P'(Z) are evaluated once, in the same expression order
+    z = Z_of(rho, theta)
+    P, dP = gas.P(z), gas.dP(z)
+    stab = 2.5 * P - 1.5 * z * dP
+    cv = 1.5 * stab / z
+    if (np.asarray(cv) <= 0.0).any():
+        raise ModelViolationError("c_v <= 0: closure violates thermal stability")
+    num = theta ** 1.5 * stab + (4.0 * a / 3.0) * theta ** 3
+    c2 = theta * dP + theta * num ** 2 / (rho ** 2 * (cv + 4.0 * a * theta ** 3 / rho))
     return np.maximum(c2, _EPS)
 
 
@@ -351,19 +371,39 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
     raise DomainError(f"bracketed temperature inversion did not converge in {max_iter} steps")
 
 
-def _invert_ideal(a, rho, e, rtol, max_iter):
+def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
     # 1.5 rho theta + a theta^4 = e; both terms are nonnegative, so each of
     # e/(1.5 rho) and (e/a)^{1/4} bounds the root from above, and on a convex
-    # increasing left side Newton iterates from above fall monotonically
-    if a == 0.0:
+    # increasing left side Newton iterates from above fall monotonically.
+    # With `axis`, a holds one value per member along that axis of rho (its
+    # own first axis) and each member stops at its own convergence: the
+    # members that converge leave the iteration with the iterate that
+    # stopped them, so none takes a step the others need
+    if (a == 0.0) if axis is None else not a.any():
         return e / (1.5 * rho)
     c = 1.5 * rho
     th = np.minimum(e / c, (e / a) ** 0.25)
+    if axis is not None:
+        out = np.empty_like(th)
+        live = np.arange(th.shape[axis])
+        others = tuple(i for i in range(th.ndim) if i != axis)
     for _ in range(max_iter):
         at3 = a * th * th * th
         new = th - (th * (c + at3) - e) / (c + 4.0 * at3)
-        if (np.abs(new - th) <= rtol * new).all():
-            return new
+        done = np.abs(new - th) <= rtol * new
+        if axis is None:
+            if done.all():
+                return new
+        else:
+            done = done.all(axis=others)
+            if done.any():
+                out[(slice(None),) * axis + (live[done],)] = np.compress(done, new, axis=axis)
+                if done.all():
+                    return out
+                keep = ~done
+                live = live[keep]
+                new, c, e = (np.compress(keep, x, axis=axis) for x in (new, c, e))
+                a = np.compress(keep, a, axis=0)
         th = new
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
 
@@ -408,16 +448,43 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
     return float(theta[0]) if scalar else theta
 
 
-def closures_from_energy(gas: GasModel, a: float, rho, e_density):
+def member_temperatures(gas: GasModel, a, rho, e_density, rtol=1e-12, max_iter=160):
+    """temperature_from_energy for a batch whose members carry their own a.
+
+    A float a goes to temperature_from_energy unchanged (its one-a calls
+    are what its callers, and the benchmark's tracer, which sorts its calls
+    by a = 0 or a > 0, expect).  Otherwise a holds
+    one value per member, shaped to broadcast against rho, and rho's axis
+    rho.ndim - a.ndim is the member axis.  Each member's theta is bitwise
+    what temperature_from_energy gives on that member alone: the ideal law
+    inverts all members at once, each stopping at its own convergence;
+    other laws, vacuum cells and invalid input go member by member and
+    raise what temperature_from_energy raises for the first bad member.
+    """
+    if np.ndim(a) == 0:
+        return temperature_from_energy(gas, a, rho, e_density, rtol, max_iter)
+    rho = np.asarray(rho, dtype=float)
+    e = np.asarray(e_density, dtype=float)
+    axis = rho.ndim - np.ndim(a)
+    if (gas.law_text == "Z" and np.isfinite(rho).all() and np.isfinite(e).all()
+            and (rho > 0.0).all() and (e > 0.0).all()):
+        return _invert_ideal(a, rho, e, rtol, max_iter, axis)
+    return np.stack([temperature_from_energy(gas, float(ak), r, ek, rtol, max_iter)
+                     for ak, r, ek in zip(np.ravel(a), np.moveaxis(rho, axis, 0),
+                                          np.moveaxis(e, axis, 0))], axis=axis)
+
+
+def closures_from_energy(gas: GasModel, a, rho, e_density):
     """(theta, p, c_s^2) at density rho and internal energy density e_density.
 
     Bitwise the same as temperature_from_energy followed by pressure and
     sound_speed_sq at the recovered theta, and it raises what they raise,
     but each check runs once: DomainError for non-finite input, rho <= 0,
     e_density <= 0 or a recovered theta that is not positive and finite,
-    ModelViolationError for c_v <= 0.
+    ModelViolationError for c_v <= 0.  a may hold one value per batch
+    member, as in member_temperatures.
     """
-    theta = temperature_from_energy(gas, a, rho, e_density)
+    theta = member_temperatures(gas, a, rho, e_density)
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
         raise DomainError("density must be positive")

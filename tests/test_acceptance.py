@@ -7,6 +7,7 @@ pass, and a faithful implementation regression must trip at least one gate.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,19 +420,28 @@ def test_8_rate_envelope_sweep(well_sweep, ill_sweep):
 
 def test_9_determinism(well_sweep, tmp_path):
     setup, base, _ = well_sweep
-    second = tmp_path / "threads3"
-    third = tmp_path / "threads3-again"
-    sweep.run_sweep(setup, second, threads=3)
-    sweep.run_sweep(setup, third, threads=3)
 
-    base_files = sorted(p.relative_to(base) for p in base.rglob("*") if p.is_file())
-    for other in (second, third):
-        files = sorted(p.relative_to(other) for p in other.rglob("*") if p.is_file())
-        assert files == base_files
+    def files(root):
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    # a repeat invocation writes the same bytes
+    again = tmp_path / "again"
+    sweep.run_sweep(setup, again)
+    base_files = files(base)
+    assert files(again) == base_files
     for p in base_files:
-        blob = (base / p).read_bytes()
-        assert (second / p).read_bytes() == blob, p  # serial vs three threads
-        assert (third / p).read_bytes() == blob, p   # repeat invocation
+        assert (again / p).read_bytes() == (base / p).read_bytes(), p
+
+    # the path points advance as one batch: each point swept alone writes
+    # its run and the reference byte for byte as the batched sweep did
+    for a in setup.path.a_values:
+        alone = tmp_path / f"alone-{sweep.run_id_for(a)}"
+        sweep.run_sweep(replace(setup, path=replace(setup.path, a_values=(a,))), alone)
+        shared = [p for p in files(alone) if p.name not in ("manifest.json", "plot_rate.dat")]
+        own = [p for p in base_files if p.parts[:2] == ("runs", sweep.run_id_for(a))]
+        assert own and set(own) <= set(shared) <= set(base_files)
+        for p in shared:
+            assert (alone / p).read_bytes() == (base / p).read_bytes(), p
 
     c1 = re.coercivity_constant(GAS, 0.5, K_STD, sample_count=10000, seed=0)
     c2 = re.coercivity_constant(GAS, 0.5, K_STD, sample_count=10000, seed=0)

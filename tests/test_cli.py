@@ -1,3 +1,4 @@
+import json
 import math
 import shutil
 
@@ -169,9 +170,23 @@ def test_rate_fit_needs_manifest(tmp_path, capsys):
     assert "no manifest" in capsys.readouterr().err
 
 
+_RECORD = {"run_id": "a1.000e-02", "a": 0.01, "healthy": True, "reason": "",
+           "e_init": 1e-12, "e_sup": 4e-05, "envelope": 0.8, "max_excess": 6e-09}
+_MANIFEST = {"alpha": 0.55, "beta": 1.2, "gamma": 0.1, "a_values": [0.01, 0.001],
+             "config_hash": "0", "grid_hash": "0", "reference_key": "0", "t_safe": 1.0,
+             "records": [_RECORD, dict(_RECORD, run_id="a1.000e-03", a=0.001)],
+             "fitted_constant": 1.0, "flagged": False}
+
+
 @pytest.mark.parametrize("text, why", [
     ('{"alpha": 0.55', "JSONDecodeError"),
     ('{"alpha": 0.55}', "KeyError: 'a_values'"),
+    pytest.param(json.dumps(dict(_MANIFEST, records=[_RECORD, dict(_RECORD, e_sup="x")])),
+                 "TypeError: RunRecord.e_sup is 'x', not a float", id="string-e_sup"),
+    pytest.param(json.dumps(dict(_MANIFEST, flagged="no")),
+                 "TypeError: SweepManifest.flagged is 'no', not a bool", id="string-flagged"),
+    pytest.param(json.dumps(dict(_MANIFEST, a_values=[0.01, None])),
+                 "TypeError: a_values is [0.01, None], not a list of numbers", id="null-a"),
 ])
 def test_rate_fit_damaged_manifest(tmp_path, capsys, text, why):
     path = tmp_path / "manifest.json"
@@ -286,11 +301,13 @@ def test_diag_recovers_two_temperatures_per_instant(cli_sweep, count_calls, caps
     assert instants > 0 and len(calls) == 2 * instants
 
 
-def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path):
+def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path, capsys):
     cfg, out = cli_sweep
     out2 = tmp_path / "threaded"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out2),
                      "--threads", "3"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "advance as one batch" in err
     assert (out2 / "manifest.json").read_bytes() == \
         (out / "manifest.json").read_bytes()
     manifest = sweepmod.read_manifest(out / "manifest.json")

@@ -154,6 +154,19 @@ def test_filtered_rhs_inverts_temperature_once(ideal, count_calls):
     assert len(calls) == 1
 
 
+def test_run_euler_first_stage_reuses_the_courant_check_theta(ideal, count_calls):
+    # per step: the Courant check inverts the state, whose theta the first
+    # stage reuses, and the two later stages invert their own; plus the
+    # initial step-size estimate (no filter, so no calibration runs)
+    grid = gf.Grid.line(1.0, 32, "slip-wall")
+    calls = count_calls(thermo, "temperature_from_energy")
+    traj = er.run_euler(euler_config(ideal, grid, t_end=0.05, eps_f=0.0, output_stride=1),
+                        acoustic(grid))
+    steps = len(traj.times) - 1
+    assert steps > 2 and not traj.aborted
+    assert len(calls) == 3 * steps + 1
+
+
 def test_ideal_gas_runs_skip_the_bracketed_inversion(ideal, law_a, transport, count_calls):
     # the default sweep's reference (a = 0) and path points (a > 0) must stay
     # on the ideal-gas solve; a custom law still needs the bracketed one

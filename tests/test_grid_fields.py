@@ -338,6 +338,38 @@ def test_fluid_state_fields_are_views_of_one_stack():
         gf.FluidState.stacked(np.ones((3, 16, 24)))
 
 
+def test_batch_state_and_fields_work_member_by_member():
+    # a batch stacks M states on a member axis after the component axis;
+    # its ghost fill, gradient and integral are bitwise those of each
+    # member alone, in 1-D and 2-D
+    rng = np.random.default_rng(4)
+    mixed = gf.Grid.box((1.0, 2.0), (16, 24), bc=("slip-wall", "periodic"))
+    for grid in (WALL, PER, BOX, mixed):
+        members = [gf.FluidState(1.0 + 0.1 * rng.random(grid.cells),
+                                 0.1 * rng.standard_normal((grid.dim, *grid.cells)),
+                                 2.0 + rng.random(grid.cells), time=0.1 * k)
+                   for k in range(3)]
+        times = np.reshape([0.0, 0.1, 0.2], (3,) + (1,) * grid.dim)
+        batch = gf.FluidState.stacked(np.stack([m.W for m in members], axis=1), times)
+        assert batch.rho.shape == (3, *grid.cells)
+        W_g = gf.fill_ghosts_slip(batch, grid, depth=2)
+        u = batch.velocity()
+        G = gf.interior_gradient(u, grid, vector=True)
+        g = gf.interior_gradient(batch.rho, grid, vector=False)
+        total = gf.integrate(batch.etot, grid)
+        assert total.shape == times.shape
+        for k, m in enumerate(members):
+            assert W_g[:, k].tobytes() == gf.fill_ghosts_slip(m, grid, depth=2).tobytes()
+            assert u[:, k].tobytes() == m.velocity().tobytes()
+            assert G[:, :, k].tobytes() == gf.interior_gradient(m.velocity(), grid).tobytes()
+            assert g[:, k].tobytes() == gf.interior_gradient(m.rho, grid).tobytes()
+            assert total.flat[k] == gf.integrate(m.etot, grid)
+    with pytest.raises(UsageError, match="batch times"):
+        gf.FluidState.stacked(batch.W, np.zeros(3))
+    with pytest.raises(UsageError, match="stacked state shape"):
+        gf.FluidState.stacked(np.ones((5, *batch.W.shape[1:])), times)
+
+
 def test_fluid_state_vacuum_cells():
     rho = np.ones(32)
     rho[3] = 0.0

@@ -1,6 +1,7 @@
 """Solver checks: temperature recovery, tendencies, conservation, health."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import thermo
-from nsflab.errors import ConfigError, PositivityError
+from nsflab.errors import ConfigError, PositivityError, UsageError
 from nsflab.nsf_solver import state_from_primitives
 
 
@@ -543,9 +544,10 @@ def test_simulate_uniform_rest_constant_diagnostics(ideal, transport):
 
 
 def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_calls):
-    # per step: three RHS stages, each inverting its stage state and the
-    # stacked left and right face states of the one axis, plus the accepted
-    # state
+    # per step: three RHS stages, each inverting the stacked left and right
+    # face states of the one axis and, from the second stage on, its stage
+    # state (the first stage reuses the accepted state's theta), plus the
+    # accepted state
     calls = count_calls(thermo, "temperature_from_energy")
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
@@ -555,12 +557,13 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
                                 (0.1 * np.sin(np.pi * x))[None]))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(calls) == 7 * steps + 1
+    assert len(calls) == 6 * steps + 1
 
 
 def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls):
-    # per step: three RHS stages, each inverting its stage state and one
-    # stacked face array per axis, plus the accepted state
+    # per step: three RHS stages, each inverting one stacked face array per
+    # axis and, from the second stage on, its stage state, plus the accepted
+    # state
     calls = count_calls(thermo, "temperature_from_energy")
     grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
@@ -571,7 +574,7 @@ def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls
     traj = ns.simulate(config, (rho, np.ones(grid.cells), u))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(calls) == 10 * steps + 1
+    assert len(calls) == 9 * steps + 1
 
 
 def test_face_primitives_name_the_face_without_its_side(ideal):
@@ -618,3 +621,95 @@ def test_simulate_accepts_state_or_primitives(ideal, transport):
     t1 = ns.simulate(config, (rho, th, u))
     t2 = ns.simulate(config, state_from_primitives(ideal, 0.0, (rho, th, u)))
     assert t1.diagnostics_csv() == t2.diagnostics_csv()
+
+
+# ---------------------------------------------------------------------------
+# batches of runs
+
+
+def _assert_same_run(got, want):
+    assert got.times == want.times
+    assert got.rows == want.rows
+    assert got.diagnostics_csv() == want.diagnostics_csv()
+    for s, w in zip(got.states, want.states, strict=True):
+        assert s.W.tobytes() == w.W.tobytes() and s.time == w.time
+    for th, w in zip(got.thetas, want.thetas, strict=True):
+        assert th.shape == w.shape and th.tobytes() == w.tobytes()
+    assert (got.floor_hits, got.healthy, got.health_reason, got.aborted) == \
+        (want.floor_hits, want.healthy, want.health_reason, want.aborted)
+
+
+def _path_scaling(a):
+    return scaling(a=a, nu=a ** 0.55, omega=a ** 1.2, lam=a ** 0.1)
+
+
+def test_batch_matches_solo_runs_bytewise_1d(ideal, transport):
+    # the members take different step counts, so they leave the batch one
+    # by one and the last runs on alone
+    grid = gf.Grid.line(1.0, 24, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.2,
+                      output_stride=3)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3, 1e-4)]
+    x = gf.cell_centers(grid)[0]
+    initial = (1.0 + 0.05 * np.cos(np.pi * x), 1.0 + 0.02 * np.cos(np.pi * x),
+               (0.05 * np.sin(np.pi * x))[None])
+    trajs = ns.simulate_batch(configs, initial)
+    solos = [ns.simulate(c, initial) for c in configs]
+    assert len({len(t.times) for t in solos}) == 3
+    for got, want in zip(trajs, solos, strict=True):
+        assert want.healthy and len(want.times) > 3
+        _assert_same_run(got, want)
+
+
+def test_batch_matches_solo_runs_bytewise_2d(ideal, transport):
+    grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1,
+                      output_stride=2)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-4)]
+    X, Y = gf.mesh(grid)
+    rho = 1.0 + 0.1 * np.cos(np.pi * X) * np.cos(2 * np.pi * Y)
+    u = np.stack([0.1 * np.sin(np.pi * X), 0.05 * np.sin(2 * np.pi * Y)])
+    initial = (rho, np.ones(grid.cells) + 0.05 * np.cos(np.pi * X), u)
+    trajs = ns.simulate_batch(configs, initial)
+    solos = [ns.simulate(c, initial) for c in configs]
+    assert len(solos[0].times) > len(solos[1].times) > 2
+    for got, want in zip(trajs, solos, strict=True):
+        assert want.healthy
+        _assert_same_run(got, want)
+
+
+def test_batch_member_that_aborts_alone_leaves_the_others_unchanged(ideal, transport):
+    # a = 1e300 overflows the sound speed, so that member's first dt is 0:
+    # the batched step fails, is redone one member at a time, and only that
+    # member aborts, with the message its own run gives
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1,
+                      output_stride=2)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3)]
+    configs.insert(1, replace(base, scaling=scaling(a=1e300, nu=0.01, omega=0.01, lam=0.1)))
+    x = gf.cell_centers(grid)[0]
+    initial = (1.0 + 0.05 * np.cos(np.pi * x), np.ones(16), (0.05 * np.sin(np.pi * x))[None])
+    with np.errstate(over="ignore"):
+        trajs = ns.simulate_batch(configs, initial)
+        solos = [ns.simulate(c, initial) for c in configs]
+    assert solos[1].aborted and "stable_dt produced 0.0" in solos[1].health_reason
+    assert trajs[1].aborted and trajs[1].health_reason == solos[1].health_reason
+    assert trajs[1].abort_state.W.tobytes() == solos[1].abort_state.W.tobytes()
+    for got, want in zip(trajs, solos, strict=True):
+        _assert_same_run(got, want)
+
+
+def test_batch_refuses_members_that_differ_beyond_their_scaling(ideal, transport):
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1)
+    initial = (np.ones(16), np.ones(16), np.zeros((1, 16)))
+    other_grid = replace(base, grid=gf.Grid.line(1.0, 24, "slip-wall"))
+    no_radiation = replace(base, scaling=scaling(a=0.0, nu=0.1, omega=0.1, lam=0.1))
+    for mix in ([base, replace(base, cfl=0.3)], [base, other_grid],
+                [base, replace(base, transport=thermo.default_transport())],
+                [base, no_radiation], []):
+        with pytest.raises(UsageError):
+            ns.simulate_batch(mix, initial)
+    zero = np.zeros(16)
+    with pytest.raises(UsageError, match="batch of one"):
+        ns.simulate_batch([base, base], initial, forcing=lambda t: (zero, zero[None], zero))

@@ -170,7 +170,7 @@ def _tiny_setup(**kw):
 def tiny_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
     setup = _tiny_setup()
-    manifest = sweepmod.run_sweep(setup, out, threads=1)
+    manifest = sweepmod.run_sweep(setup, out)
     return setup, out, manifest
 
 
@@ -293,7 +293,7 @@ def test_load_run_reads_the_last_run_written_to_a_directory(tmp_path):
 def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):
     setup, out, manifest = tiny_sweep
     out2 = tmp_path / "threaded"
-    manifest2 = sweepmod.run_sweep(setup, out2, threads=4)
+    manifest2 = sweepmod.run_sweep(setup, out2)
     assert (out2 / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
     assert (out2 / "plot_rate.dat").read_bytes() == (out / "plot_rate.dat").read_bytes()
     for rec in manifest.records:

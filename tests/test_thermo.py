@@ -241,6 +241,55 @@ def test_closures_from_energy_match_the_separate_closures_bitwise(request, gas_n
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
+def test_sound_speed_evaluates_the_law_once(ideal, law_a):
+    # one Z, one P(Z) and one P'(Z) per call, in the expression order of
+    # the separate closure derivatives, so the bits stay theirs
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.1, 4.0, (2, 49))
+    theta = rng.uniform(0.2, 3.0, (2, 49))
+    for law in (ideal, law_a):
+        calls = []
+
+        def count(name, fn):
+            return lambda z: calls.append(name) or fn(z)
+
+        gas = thermo.GasModel(name=law.name, P=count("P", law.P), dP=count("dP", law.dP),
+                              law_text=law.law_text)
+        got = thermo.sound_speed_sq(gas, 0.3, rho, theta)
+        assert sorted(calls) == ["P", "dP"]
+        num = thermo._dp_dtheta(law, 0.3, rho, theta)
+        want = np.maximum(thermo._dp_drho(law, rho, theta) + theta * num ** 2
+                          / (rho ** 2 * thermo._cv_total(law, 0.3, rho, theta)), thermo._EPS)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
+def test_member_temperatures_match_each_member_alone(request, gas_name):
+    # members with their own a, on the member axis of a state field (M, n)
+    # and of a stacked face field (2, M, n): every member's theta is bitwise
+    # the one inverted alone, whichever member converges last
+    gas = request.getfixturevalue(gas_name)
+    rng = np.random.default_rng(11)
+    a = np.array([1e-6, 0.3, 30.0])
+    for shape, axis in (((3, 40), 0), ((2, 3, 40), 1)):
+        rho = rng.uniform(0.1, 4.0, shape)
+        theta = rng.uniform(0.2, 3.0, shape)
+        a_m = a.reshape((3, 1))
+        e = thermo.internal_energy_density(gas, a_m, rho, theta)
+        got = thermo.member_temperatures(gas, a_m, rho, e)
+        for k in range(3):
+            alone = thermo.temperature_from_energy(gas, a[k], rho.take(k, axis), e.take(k, axis))
+            assert got.take(k, axis).tobytes() == alone.tobytes()
+    # one shared a is temperature_from_energy itself
+    rho = rng.uniform(0.1, 4.0, 12)
+    e = thermo.internal_energy_density(gas, 0.3, rho, np.ones(12))
+    assert (thermo.member_temperatures(gas, 0.3, rho, e).tobytes()
+            == thermo.temperature_from_energy(gas, 0.3, rho, e).tobytes())
+    with pytest.raises(DomainError, match="must be positive"):
+        thermo.member_temperatures(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
+                                   np.array([[1.0] * 4, [1.0, -1.0, 1.0, 1.0]]))
+
+
 def test_closures_from_energy_reject_bad_states(ideal):
     for a in (0.0, 0.5):
         for rho, e in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
