@@ -9,7 +9,8 @@ The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
 invert no state: they read each stored state's temperature from
 `trajectory.thetas`, which `simulate` and `sweep.load_run` fill, and work
 on primitives from there on, `relative_energy` included.
-`sweep.write_run_diagnostics` writes both.
+`sweep.write_run_diagnostics` writes both.  The residual stacks all stored
+instants on one axis and evaluates each of its terms in one pass over them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import euler_reference as er
 from . import grid_fields as gf
@@ -218,6 +218,15 @@ class RelEnergyResidualReport:
         return "\n".join(lines) + "\n"
 
 
+def _cumulative(rate, times):
+    """Running trapezoid integral of rate over times, starting from 0.
+
+    This is scipy.integrate.cumulative_trapezoid(rate, times, initial=0.0),
+    written as scipy's own expression so that the bits are the same.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(times) * (rate[1:] + rate[:-1]) / 2.0)))
+
+
 def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualReport:
     """LHS - RHS of the relative energy inequality against a sampled reference.
 
@@ -226,8 +235,10 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     differences over those instants, spatial derivatives from mirror-ghost
     gradients, and all time integrals from the trapezoid rule.  The state
     temperatures come from `trajectory.thetas`; gas and scalings are the
-    run's own.  The residual must not exceed the discretization error,
-    which refinement studies quantify.
+    run's own.  Each term is one expression over all stored instants at
+    once, whose numbers are bitwise those of one instant at a time.  The
+    residual must not exceed the discretization error, which refinement
+    studies quantify.
     """
     cfg = trajectory.config
     gas = cfg.gas
@@ -240,67 +251,65 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     if len(times) < 3:
         raise UsageError(f"need at least three stored instants, got {len(times)}")
 
+    # every stored instant at once: the states, thetas and reference samples
+    # stack on a member axis (behind any component axis, as in a solver
+    # batch), so each rate below is one expression over all instants
     refs = [er.sample_reference(reference, t, grid) for t in times]
+    W = np.stack([s.W for s in trajectory.states], axis=1)
+    rho = W[0]
+    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
+    theta = np.stack(thetas)
     R = np.stack([rf.rho_E for rf in refs])
     TH = np.stack([rf.theta_E for rf in refs])
-    U = np.stack([rf.u_E for rf in refs])
+    U = np.stack([rf.u_E for rf in refs], axis=1)
     P_ref = thermo.pressure(gas, sc.a, R, TH)
-    dU_dt = np.gradient(U, times, axis=0, edge_order=2)
+    dU_dt = np.gradient(U, times, axis=1, edge_order=2)
     dTH_dt = np.gradient(TH, times, axis=0, edge_order=2)
     dP_dt = np.gradient(P_ref, times, axis=0, edge_order=2)
 
-    K = len(times)
-    energy = np.zeros(K)
-    lhs_rate = {n: np.zeros(K) for n in _LHS_NAMES[1:]}
-    rhs_rate = {n: np.zeros(K) for n in _RHS_NAMES}
-    for k, (state, theta) in enumerate(zip(trajectory.states, thetas)):
-        rho = state.rho
-        u = state.velocity()
-        G = gf.interior_gradient(u, grid)
-        gth = gf.interior_gradient(theta, grid)
-        S = thermo.stress_tensor(tr, sc.nu, theta, G)
-        q = thermo.heat_flux(tr, sc.omega, theta, gth)
-        s_f = thermo.entropy(gas, sc.a, rho, theta)
-        s_r = thermo.entropy(gas, sc.a, R[k], TH[k])
-        p_f = thermo.pressure(gas, sc.a, rho, theta)
+    G = gf.interior_gradient(u, grid, vector=True)
+    gth = gf.interior_gradient(theta, grid, vector=False)
+    S = thermo.stress_tensor(tr, sc.nu, theta, G)
+    q = thermo.heat_flux(tr, sc.omega, theta, gth)
+    s_f = thermo.entropy(gas, sc.a, rho, theta)
+    s_r = thermo.entropy(gas, sc.a, R, TH)
+    p_f = thermo.pressure(gas, sc.a, rho, theta)
 
-        G_E = gf.interior_gradient(U[k], grid)
-        gTH = gf.interior_gradient(TH[k], grid)
-        gP = gf.interior_gradient(P_ref[k], grid)
-        div_U = np.trace(G_E, axis1=0, axis2=1)
-        v = u - U[k]
-        ds = rho * (s_f - s_r)
+    G_E = gf.interior_gradient(U, grid, vector=True)
+    gTH = gf.interior_gradient(TH, grid, vector=False)
+    gP = gf.interior_gradient(P_ref, grid, vector=False)
+    div_U = np.trace(G_E, axis1=0, axis2=1)
+    v = u - U
+    ds = rho * (s_f - s_r)
 
-        energy[k] = renergy.relative_energy(gas, sc.a, (rho, theta, u), refs[k], grid)
-        S_Gu = np.sum(S * G, axis=(0, 1))
-        q_gth = np.sum(q * gth, axis=0)
-        lhs_rate["weighted_dissipation"][k] = gf.integrate(
-            TH[k] / theta * (S_Gu - q_gth / theta), grid)
-        lhs_rate["damping_energy"][k] = sc.lam * gf.integrate(
-            np.sum(u * u, axis=0), grid)
+    def integral(fld):
+        return np.ravel(gf.integrate(fld, grid))
 
-        rhs_rate["convective_remainder"][k] = -gf.integrate(
-            rho * np.einsum("i...,ij...,j...->...", v, G_E, v), grid)
-        rhs_rate["stress_cross"][k] = gf.integrate(np.sum(S * G_E, axis=(0, 1)), grid)
-        rhs_rate["heat_cross"][k] = -gf.integrate(np.sum(q * gTH, axis=0) / theta, grid)
-        rhs_rate["damping_cross"][k] = sc.lam * gf.integrate(np.sum(u * U[k], axis=0), grid)
-        rhs_rate["entropy_velocity"][k] = -gf.integrate(ds * np.sum(v * gTH, axis=0), grid)
-        acc = dU_dt[k] + np.einsum("j...,ij...->i...", U[k], G_E)
-        rhs_rate["material_derivative"][k] = -gf.integrate(
-            rho * np.sum(acc * v, axis=0), grid)
-        rhs_rate["pressure_dilation"][k] = -gf.integrate(p_f * div_U, grid)
-        rhs_rate["entropy_transport"][k] = -gf.integrate(
-            ds * (dTH_dt[k] + np.sum(U[k] * gTH, axis=0)), grid)
-        rhs_rate["pressure_relaxation"][k] = gf.integrate(
-            (1.0 - rho / R[k]) * dP_dt[k] - (rho / R[k]) * np.sum(u * gP, axis=0), grid)
-
-    def cumulative(rate):
-        return cumulative_trapezoid(rate, times, initial=0.0)
+    energy = np.ravel(renergy.relative_energy(gas, sc.a, (rho, theta, u), (R, TH, U), grid))
+    S_Gu = np.sum(S * G, axis=(0, 1))
+    q_gth = np.sum(q * gth, axis=0)
+    acc = dU_dt + np.einsum("j...,ij...->i...", U, G_E)
+    lhs_rate = {
+        "weighted_dissipation": integral(TH / theta * (S_Gu - q_gth / theta)),
+        "damping_energy": sc.lam * integral(np.sum(u * u, axis=0)),
+    }
+    rhs_rate = {
+        "convective_remainder": -integral(rho * np.einsum("i...,ij...,j...->...", v, G_E, v)),
+        "stress_cross": integral(np.sum(S * G_E, axis=(0, 1))),
+        "heat_cross": -integral(np.sum(q * gTH, axis=0) / theta),
+        "damping_cross": sc.lam * integral(np.sum(u * U, axis=0)),
+        "entropy_velocity": -integral(ds * np.sum(v * gTH, axis=0)),
+        "material_derivative": -integral(rho * np.sum(acc * v, axis=0)),
+        "pressure_dilation": -integral(p_f * div_U),
+        "entropy_transport": -integral(ds * (dTH_dt + np.sum(U * gTH, axis=0))),
+        "pressure_relaxation": integral(
+            (1.0 - rho / R) * dP_dt - (rho / R) * np.sum(u * gP, axis=0)),
+    }
 
     lhs = {"energy_change": energy - energy[0]}
     for name in _LHS_NAMES[1:]:
-        lhs[name] = cumulative(lhs_rate[name])
-    rhs = {name: cumulative(rhs_rate[name]) for name in _RHS_NAMES}
+        lhs[name] = _cumulative(lhs_rate[name], times)
+    rhs = {name: _cumulative(rhs_rate[name], times) for name in _RHS_NAMES}
     residual = sum(lhs.values()) - sum(rhs.values())
 
     def plain(arr):

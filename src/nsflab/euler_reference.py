@@ -32,7 +32,7 @@ import numpy as np
 from . import grid_fields as gf
 from . import thermo
 from .errors import ConfigError, DomainError, PositivityError, UsageError
-from .nsf_solver import recover_temperature, ssp_rk3, state_from_primitives
+from .nsf_solver import keep_heap_pages, recover_temperature, ssp_rk3, state_from_primitives
 
 _DEPTH = 3  # 4th-order faces need 2 ghost layers, the filter needs 3
 
@@ -202,6 +202,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
         if cached is not None:
             return cached
 
+    keep_heap_pages(state.W.nbytes)
     over_dx, _ = _speed_over_dx(state, config.gas, config.grid)
     n_steps = max(1, math.ceil(config.t_end * over_dx / config.cfl))
     dt = config.t_end / n_steps

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +70,12 @@ class Grid:
     def dim(self) -> int:
         return len(self.cells)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple:
+        # computed on first use and kept: the kernels read it on every call
         return tuple(L / n for L, n in zip(self.extents, self.cells))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
@@ -188,6 +190,14 @@ class FluidState:
 
     def copy(self) -> "FluidState":
         return FluidState.stacked(self.W.copy(), self.time)
+
+    def member(self, k: int) -> "FluidState":
+        """Member k of a batch state: a view of its W, not validated again,
+        since the batch it is part of was."""
+        state = FluidState.__new__(FluidState)
+        state.W = self.W[:, k]
+        state.time = float(self.time.flat[k])
+        return state
 
 
 @dataclass

@@ -40,6 +40,7 @@ every wall-normal mass, energy and heat flux vanish identically).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field, replace
 
@@ -144,6 +145,44 @@ def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
     For a batch, a holds one value per member (`thermo.member_temperatures`).
     """
     return thermo.member_temperatures(gas, a, rho, _internal_energy(rho, mom, etot))
+
+
+# ---------------------------------------------------------------------------
+# heap pages
+
+_M_TOP_PAD = -2                # mallopt's parameter number for the top pad (glibc)
+_TOP_PAD_DEFAULT = 128 * 1024  # glibc's own top pad
+_TOP_PAD_MAX = 2 ** 31 - 1     # mallopt takes a C int
+_TOP_PAD_STATES = 32           # the pad, in stacked states: one step's temporaries
+_top_pad = _TOP_PAD_DEFAULT    # the largest top pad set so far in this process
+
+
+def _mallopt():
+    """The C library's mallopt, or None where it has none."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return None
+
+
+def keep_heap_pages(state_bytes: int) -> None:
+    """Keep one step's temporaries on the heap from one step to the next.
+
+    A step allocates and frees several times its stacked state in
+    temporaries.  Once they are freed, glibc returns the top of the heap
+    to the system and then faults the same pages in again on the next RHS
+    call.  A top pad of 32 times the bytes of the stacked state W keeps
+    them.  The pad is only ever raised: never below one set before, nor
+    below glibc's default, and nothing changes where the C library has no
+    mallopt.
+    """
+    global _top_pad
+    pad = min(_TOP_PAD_STATES * int(state_bytes), _TOP_PAD_MAX)
+    if pad <= _top_pad:
+        return
+    mallopt = _mallopt()
+    if mallopt is not None and mallopt(_M_TOP_PAD, pad) == 1:
+        _top_pad = pad
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +644,7 @@ def _member_of(state: gf.FluidState, theta, k: int):
     """Member k of a batch state and its theta (views); a lone state passes through."""
     if np.ndim(state.time) == 0:
         return state, theta
-    return gf.FluidState.stacked(state.W[:, k], state.time.flat[k]), theta[k]
+    return state.member(k), theta[k]
 
 
 def _check_batch(configs: list, forcing) -> None:
@@ -643,6 +682,7 @@ def simulate_batch(configs, initial, forcing=None) -> list:
     configs = list(configs)
     _check_batch(configs, forcing)
     members = [_Member(cfg, initial) for cfg in configs]
+    keep_heap_pages(len(members) * members[0].state.W.nbytes)
     live = [m for m in members if not m.done]
     while live:
         state, theta, config = _pack(live)

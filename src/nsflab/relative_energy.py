@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import grid_fields as gf
 from . import thermo
@@ -100,20 +99,36 @@ def _recovered_primitives(gas, a, fields: gf.FluidState, reference: gf.Reference
     return theta, fields.velocity()
 
 
-def relative_energy(gas: thermo.GasModel, a: float, state,
-                    reference: gf.ReferenceFields, grid: gf.Grid) -> float:
-    """Midpoint-rule integral of the density of a primitive state (rho, theta, u)."""
-    if np.shape(state[0]) != grid.cells or reference.rho_E.shape != grid.cells:
+def relative_energy(gas: thermo.GasModel, a: float, state, reference, grid: gf.Grid):
+    """Midpoint-rule integral of the density of a primitive state (rho, theta, u).
+
+    The reference is a `gf.ReferenceFields` or a primitive trio (r, Theta, U)
+    of the state's shape.  Stacked instants, with a member axis in front of
+    the cells (behind the velocity component, as in a solver batch), give
+    one integral per instant, shaped (K, 1, ..., 1) as `gf.integrate` gives.
+    """
+    if isinstance(reference, gf.ReferenceFields):
+        reference = (reference.rho_E, reference.theta_E, reference.u_E)
+    shape, ref_shape = np.shape(state[0]), np.shape(reference[0])
+    if shape[-grid.dim:] != grid.cells or len(shape) > grid.dim + 1 or ref_shape != shape:
         raise UsageError(
-            f"state {np.shape(state[0])} and reference {reference.rho_E.shape} "
-            f"must live on the grid {grid.cells}"
+            f"state {shape} and reference {ref_shape} must live on the grid {grid.cells}"
         )
-    ref = (reference.rho_E, reference.theta_E, reference.u_E)
-    return gf.integrate(relative_energy_density(gas, a, state, ref), grid)
+    return gf.integrate(relative_energy_density(gas, a, state, reference), grid)
 
 
 # ---------------------------------------------------------------------------
 # coercivity
+
+
+def _sobol(d: int, seed: int, m: int) -> np.ndarray:
+    """2**m points of a scrambled Sobol sequence in the unit cube [0, 1)^d.
+
+    scipy loads here, on first use, so that runs that never sample pay
+    nothing for it at start-up.
+    """
+    from scipy.stats import qmc
+    return qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
 
 
 def _rect(K):
@@ -134,7 +149,7 @@ def coercivity_constant(gas: thermo.GasModel, a: float, K, sample_count: int = 2
     if sample_count < 1000:
         raise UsageError(f"sample_count must be at least 1000, got {sample_count}")
     m = max(10, math.ceil(math.log2(sample_count)))
-    pts = qmc.Sobol(d=5, scramble=True, seed=seed).random_base2(m)
+    pts = _sobol(5, seed, m)
     rho = rho_lo + (rho_hi - rho_lo) * pts[:, 0]
     theta = theta_lo + (theta_hi - theta_lo) * pts[:, 1]
     r = rho_lo + (rho_hi - rho_lo) * pts[:, 2]
@@ -197,9 +212,7 @@ def residual_lower_bound_check(gas: thermo.GasModel, a: float, K, points) -> Res
         raise UsageError("no test states outside K remain after exclusion")
 
     inset = 0.05
-    ref = qmc.Sobol(d=2, scramble=True, seed=_RESIDUAL_SEED).random_base2(
-        max(2, math.ceil(math.log2(_RESIDUAL_REF_COUNT)))
-    )
+    ref = _sobol(2, _RESIDUAL_SEED, max(2, math.ceil(math.log2(_RESIDUAL_REF_COUNT))))
     r = rho_lo + (rho_hi - rho_lo) * (inset + (1 - 2 * inset) * ref[:, 0])
     Th = theta_lo + (theta_hi - theta_lo) * (inset + (1 - 2 * inset) * ref[:, 1])
 

@@ -20,7 +20,6 @@ from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ModelViolationError, QuadratureError
 
@@ -211,6 +210,9 @@ def dS_dZ(gas: GasModel, Z):
 
 
 def _S_quadrature(gas: GasModel, Z):
+    # only custom laws without a closed-form S get here; scipy loads then
+    from scipy.integrate import quad
+
     z = np.atleast_1d(np.asarray(Z, dtype=float))
     if np.any(z <= 0.0):
         raise DomainError("S(Z) quadrature requires Z > 0")
@@ -225,8 +227,8 @@ def _S_quadrature(gas: GasModel, Z):
         lo, hi = pts[i], pts[i + 1]
         if hi - lo == 0.0:
             continue
-        out = integrate.quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-12,
-                             limit=200, full_output=1)
+        out = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-12, limit=200,
+                   full_output=1)
         val, abserr = out[0], out[1]
         if len(out) > 3:  # explanation message present => non-convergence
             raise QuadratureError(f"entropy quadrature failed on [{lo:g},{hi:g}]", abserr)

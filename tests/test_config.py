@@ -113,22 +113,73 @@ def test_build_run_nsf_defaults():
     assert rho.shape == run.grid.cells
 
 
-def test_ideal_gas_run_leaves_sympy_unimported():
-    # sympy is the largest share of CLI cold start; only a custom gas.law needs it
+SWEEP_TEXT = """\
+grid.extent = 1.0
+grid.cells = 16
+grid.bc = slip-wall
+t_end = 0.05
+output.stride = 2
+init.name = acoustic-entropy
+sweep.a-values = 1e-2 1e-3
+sweep.reference-factor = 2
+sweep.reference-stride = 2
+"""
+
+
+def _run_fresh(code: str):
+    """Run Python code in a fresh interpreter that imports nsflab from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cfgmod.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+
+
+def test_ideal_gas_run_leaves_sympy_unimported(tmp_path):
+    # scipy and sympy were most of CLI cold start: sympy is needed only by a
+    # custom gas.law, and scipy only by custom-law entropy quadrature and
+    # the coercivity sampler, so an ideal-gas sweep, diag, rate-fit and
+    # simulate load neither
+    (tmp_path / "sweep.cfg").write_text(SWEEP_TEXT)
+    (tmp_path / "run.cfg").write_text(NSF_TEXT)
     code = (
-        "import sys\n"
+        "import os, sys\n"
+        f"os.chdir({str(tmp_path)!r})\n"
         "import nsflab.cli\n"
         "from nsflab import config\n"
-        "assert 'sympy' not in sys.modules, 'import nsflab.cli'\n"
+        "def neither(what):\n"
+        "    loaded = [m for m in ('scipy', 'sympy') if m in sys.modules]\n"
+        "    assert not loaded, (what, loaded)\n"
+        "neither('import nsflab.cli')\n"
         f"config.build_run(config.parse_text({NSF_TEXT!r}))\n"
-        "assert 'sympy' not in sys.modules, 'ideal-gas build_run'\n"
+        "neither('ideal-gas build_run')\n"
+        "for argv in (['sweep', '--config', 'sweep.cfg', '--out', 'sw'],\n"
+        "             ['diag', '--out', 'sw'], ['rate-fit', '--out', 'sw'],\n"
+        "             ['simulate', '--config', 'run.cfg', '--out', 'sim']):\n"
+        "    assert nsflab.cli.main(argv) == 0, argv\n"
+        "    neither(argv[0])\n"
         "config.build_gas({'gas.name': 'lawA', 'gas.law': 'Z + Z^2/(1+Z)'})\n"
         "assert 'sympy' in sys.modules, 'custom law'\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cfgmod.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
+    _run_fresh(code)
+
+
+def test_coercivity_and_custom_law_entropy_load_scipy(tmp_path):
+    (tmp_path / "gas.cfg").write_text("gas.name = ideal\nscaling.a = 0.5\n")
+    code = (
+        "import sys\n"
+        "import nsflab.cli\n"
+        "from nsflab import thermo\n"
+        "assert 'scipy' not in sys.modules\n"
+        "gas = thermo.gas_from_expression('lawA', 'Z + Z^2/(1+Z)')\n"
+        "assert gas.S_closed is None\n"
+        "s = thermo.entropy_S(gas, [0.5, 1.0, 2.0])\n"
+        "assert s[1] == gas.S0 and s[0] > s[1] > s[2], s\n"
+        "assert 'scipy.integrate' in sys.modules, 'custom-law entropy'\n"
+        "assert 'scipy.stats' not in sys.modules\n"
+        f"assert nsflab.cli.main(['coercivity', '--config', {str(tmp_path / 'gas.cfg')!r}]) == 0\n"
+        "assert 'scipy.stats' in sys.modules, 'coercivity'\n"
+    )
+    _run_fresh(code)
 
 
 def test_build_run_accepts_the_solver_convective_orders():

@@ -313,3 +313,114 @@ def test_report_csv_and_summary(smooth_reports):
     summary = rep.summary()
     assert f"max_excess {rep.max_excess!r}" in summary
     assert f"instants {len(rep.times)}" in summary
+
+
+def _loop_residual(trajectory, reference):
+    """The residual's rates evaluated one stored instant at a time, as the
+    report computed them before it stacked the instants; the reference that
+    the batched report must match bit for bit."""
+    from scipy.integrate import cumulative_trapezoid
+
+    from nsflab import relative_energy as renergy
+
+    cfg = trajectory.config
+    gas, sc, tr, grid = cfg.gas, cfg.scaling, cfg.transport, cfg.grid
+    times = np.asarray(trajectory.times, dtype=float)
+    refs = [er.sample_reference(reference, t, grid) for t in times]
+    R = np.stack([rf.rho_E for rf in refs])
+    TH = np.stack([rf.theta_E for rf in refs])
+    U = np.stack([rf.u_E for rf in refs])
+    P_ref = thermo.pressure(gas, sc.a, R, TH)
+    dU_dt = np.gradient(U, times, axis=0, edge_order=2)
+    dTH_dt = np.gradient(TH, times, axis=0, edge_order=2)
+    dP_dt = np.gradient(P_ref, times, axis=0, edge_order=2)
+    K = len(times)
+    names = ("energy", "weighted_dissipation", "damping_energy") + diag._RHS_NAMES
+    rate = {n: np.zeros(K) for n in names}
+    for k, (state, theta) in enumerate(zip(trajectory.states, trajectory.thetas)):
+        rho = state.rho
+        u = state.velocity()
+        G = gf.interior_gradient(u, grid)
+        gth = gf.interior_gradient(theta, grid)
+        S = thermo.stress_tensor(tr, sc.nu, theta, G)
+        q = thermo.heat_flux(tr, sc.omega, theta, gth)
+        s_f = thermo.entropy(gas, sc.a, rho, theta)
+        s_r = thermo.entropy(gas, sc.a, R[k], TH[k])
+        p_f = thermo.pressure(gas, sc.a, rho, theta)
+        G_E = gf.interior_gradient(U[k], grid)
+        gTH = gf.interior_gradient(TH[k], grid)
+        gP = gf.interior_gradient(P_ref[k], grid)
+        div_U = np.trace(G_E, axis1=0, axis2=1)
+        v = u - U[k]
+        ds = rho * (s_f - s_r)
+        rate["energy"][k] = renergy.relative_energy(gas, sc.a, (rho, theta, u), refs[k], grid)
+        S_Gu = np.sum(S * G, axis=(0, 1))
+        q_gth = np.sum(q * gth, axis=0)
+        rate["weighted_dissipation"][k] = gf.integrate(
+            TH[k] / theta * (S_Gu - q_gth / theta), grid)
+        rate["damping_energy"][k] = sc.lam * gf.integrate(np.sum(u * u, axis=0), grid)
+        rate["convective_remainder"][k] = -gf.integrate(
+            rho * np.einsum("i...,ij...,j...->...", v, G_E, v), grid)
+        rate["stress_cross"][k] = gf.integrate(np.sum(S * G_E, axis=(0, 1)), grid)
+        rate["heat_cross"][k] = -gf.integrate(np.sum(q * gTH, axis=0) / theta, grid)
+        rate["damping_cross"][k] = sc.lam * gf.integrate(np.sum(u * U[k], axis=0), grid)
+        rate["entropy_velocity"][k] = -gf.integrate(ds * np.sum(v * gTH, axis=0), grid)
+        acc = dU_dt[k] + np.einsum("j...,ij...->i...", U[k], G_E)
+        rate["material_derivative"][k] = -gf.integrate(rho * np.sum(acc * v, axis=0), grid)
+        rate["pressure_dilation"][k] = -gf.integrate(p_f * div_U, grid)
+        rate["entropy_transport"][k] = -gf.integrate(
+            ds * (dTH_dt[k] + np.sum(U[k] * gTH, axis=0)), grid)
+        rate["pressure_relaxation"][k] = gf.integrate(
+            (1.0 - rho / R[k]) * dP_dt[k] - (rho / R[k]) * np.sum(u * gP, axis=0), grid)
+    out = {"energy": rate["energy"], "energy_change": rate["energy"] - rate["energy"][0]}
+    for n in names[1:]:
+        out[n] = cumulative_trapezoid(rate[n], times, initial=0.0)
+    return out
+
+
+def _box_run_and_reference(ideal, transport, n, n_ref, t_end):
+    def box(cells):
+        return gf.Grid.box((1.0, 1.0), (cells, cells))
+
+    def data(grid):
+        X, Y = gf.mesh(grid)
+        cc = np.cos(np.pi * X) * np.cos(np.pi * Y)
+        u = np.stack([0.02 * np.sin(np.pi * X) * np.cos(2 * np.pi * Y),
+                      0.01 * np.cos(np.pi * X) * np.sin(np.pi * Y)])
+        return 1.0 + 0.02 * cc, 1.0 + 0.01 * cc, u
+
+    cfg = ns.NsfRunConfig(gas=ideal, transport=transport, scaling=SC, grid=box(n),
+                          t_end=t_end, cfl=0.35, output_stride=1)
+    ref = er.run_euler(er.EulerRunConfig(gas=ideal, grid=box(n_ref), t_end=t_end,
+                                         cfl=0.35, output_stride=1), data(box(n_ref)))
+    assert not ref.aborted
+    return ns.simulate(cfg, data(box(n))), ref
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_residual_matches_the_per_instant_loop_bitwise(ideal, transport, euler_ref,
+                                                              dim):
+    if dim == 1:
+        traj, ref = nsf_run(ideal, transport, 48), euler_ref
+    else:
+        traj, ref = _box_run_and_reference(ideal, transport, 16, 64, 0.05)
+    assert traj.healthy and len(traj.times) >= 4
+    rep = diag.rel_energy_inequality_residual(traj, ref)
+    want = _loop_residual(traj, ref)
+    got = {"energy": rep.energy, **rep.lhs, **rep.rhs}
+    assert sorted(got) == sorted(want)
+    for name, series in want.items():
+        assert np.asarray(got[name]).tobytes() == series.tobytes(), name
+    lhs = sum(want[n] for n in ("energy_change", "weighted_dissipation", "damping_energy"))
+    resid = lhs - sum(want[n] for n in diag._RHS_NAMES)
+    assert np.asarray(rep.residual).tobytes() == resid.tobytes()
+
+
+def test_cumulative_trapezoid_matches_scipy_bitwise():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(7)
+    times = np.cumsum(rng.random(57))
+    for rate in (rng.standard_normal(57), 1e-9 * rng.standard_normal(57), np.zeros(57)):
+        want = cumulative_trapezoid(rate, times, initial=0.0)
+        assert diag._cumulative(rate, times).tobytes() == want.tobytes()

@@ -26,6 +26,16 @@ def test_grid_validation():
     assert WALL.cell_volume == pytest.approx(1.0 / 32)
 
 
+def test_grid_spacing_is_computed_once_and_stays_out_of_equality():
+    grid = gf.Grid.box((1.0, 2.0), (16, 24))
+    assert grid.spacing is grid.spacing
+    assert grid.cell_volume == 1.0 / 16 * 2.0 / 24
+    fresh = gf.Grid.box((1.0, 2.0), (16, 24))
+    assert grid == fresh and hash(grid) == hash(fresh) and repr(grid) == repr(fresh)
+    assert repr(grid) == ("Grid(extents=(1.0, 2.0), cells=(16, 24), "
+                          "bc=('slip-wall', 'slip-wall'))")
+
+
 def test_cell_centers():
     x = gf.cell_centers(WALL)[0]
     assert x[0] == pytest.approx(0.5 / 32)
@@ -368,6 +378,19 @@ def test_batch_state_and_fields_work_member_by_member():
         gf.FluidState.stacked(batch.W, np.zeros(3))
     with pytest.raises(UsageError, match="stacked state shape"):
         gf.FluidState.stacked(np.ones((5, *batch.W.shape[1:])), times)
+
+
+def test_batch_member_is_an_unvalidated_view(count_calls):
+    rng = np.random.default_rng(5)
+    W = np.stack([gf.FluidState(1.0 + rng.random(16), rng.standard_normal((1, 16)),
+                                3.0 + rng.random(16)).W for _ in range(2)], axis=1)
+    batch = gf.FluidState.stacked(W, np.array([[0.25], [0.5]]))
+    checks = count_calls(gf.FluidState, "_set")
+    member = batch.member(1)
+    assert not checks
+    assert member.time == 0.5 and isinstance(member.time, float)
+    assert np.shares_memory(member.W, batch.W) and member.W.tobytes() == W[:, 1].tobytes()
+    assert member.velocity().tobytes() == batch.velocity()[:, 1].tobytes()
 
 
 def test_fluid_state_vacuum_cells():

@@ -713,3 +713,81 @@ def test_batch_refuses_members_that_differ_beyond_their_scaling(ideal, transport
     zero = np.zeros(16)
     with pytest.raises(UsageError, match="batch of one"):
         ns.simulate_batch([base, base], initial, forcing=lambda t: (zero, zero[None], zero))
+
+
+def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transport,
+                                                                   monkeypatch):
+    # the member with a = 2e-3 gets a NaN tendency from t = 0.04 on; the
+    # batched stage validation catches it, the step is redone member by
+    # member, and that member aborts as it does alone
+    inner = ns.rhs_nsf
+
+    def poisoned(state, config, forcing=None, theta=None):
+        out = inner(state, config, forcing, theta)
+        bad = (np.asarray(config.scaling.a) == 2e-3) & (np.asarray(state.time) > 0.04)
+        return np.where(bad, np.nan, out)
+
+    monkeypatch.setattr(ns, "rhs_nsf", poisoned)
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1,
+                      output_stride=2)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 2e-3, 1e-3)]
+    x = gf.cell_centers(grid)[0]
+    initial = (1.0 + 0.05 * np.cos(np.pi * x), np.ones(16), (0.05 * np.sin(np.pi * x))[None])
+    trajs = ns.simulate_batch(configs, initial)
+    solos = [ns.simulate(c, initial) for c in configs]
+    assert solos[1].aborted and "non-finite values in fluid state" in solos[1].health_reason
+    assert trajs[1].aborted and trajs[1].health_reason == solos[1].health_reason
+    assert not trajs[0].aborted and not trajs[2].aborted
+    for got, want in zip(trajs, solos, strict=True):
+        _assert_same_run(got, want)
+
+
+# ---------------------------------------------------------------------------
+# heap pages
+
+
+class _FakeMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_keep_heap_pages_raises_the_top_pad_once(monkeypatch):
+    fake = _FakeMallopt()
+    monkeypatch.setattr(ns, "_mallopt", lambda: fake)
+    monkeypatch.setattr(ns, "_top_pad", ns._TOP_PAD_DEFAULT)
+    ns.keep_heap_pages(300_000)
+    ns.keep_heap_pages(300_000)  # idempotent
+    ns.keep_heap_pages(100_000)  # never lowers the pad
+    ns.keep_heap_pages(1_000)    # nor goes below glibc's default
+    assert fake.calls == [(ns._M_TOP_PAD, 32 * 300_000)]
+    ns.keep_heap_pages(400_000)
+    assert fake.calls[-1] == (ns._M_TOP_PAD, 32 * 400_000) and len(fake.calls) == 2
+    ns.keep_heap_pages(2 ** 40)  # mallopt takes a C int
+    assert fake.calls[-1] == (ns._M_TOP_PAD, 2 ** 31 - 1)
+
+
+def test_keep_heap_pages_without_mallopt_does_nothing(monkeypatch):
+    monkeypatch.setattr(ns, "_mallopt", lambda: None)
+    monkeypatch.setattr(ns, "_top_pad", ns._TOP_PAD_DEFAULT)
+    ns.keep_heap_pages(10 ** 6)
+    assert ns._top_pad == ns._TOP_PAD_DEFAULT
+    monkeypatch.setattr(ns, "_mallopt", lambda: lambda param, value: 0)  # refuses
+    ns.keep_heap_pages(10 ** 6)
+    assert ns._top_pad == ns._TOP_PAD_DEFAULT
+
+
+def test_simulate_keeps_the_pages_of_its_stacked_batch(ideal, transport, monkeypatch):
+    fake = _FakeMallopt()
+    monkeypatch.setattr(ns, "_mallopt", lambda: fake)
+    monkeypatch.setattr(ns, "_top_pad", ns._TOP_PAD_DEFAULT)
+    grid = gf.Grid.box((1.0, 1.0), (24, 24))
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=1e-3)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3)]
+    ones = np.ones(grid.cells)
+    ns.simulate_batch(configs, (ones, ones, np.zeros((2, *grid.cells))))
+    assert fake.calls == [(ns._M_TOP_PAD, 32 * 2 * 4 * 24 * 24 * 8)]
