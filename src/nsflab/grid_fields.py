@@ -118,7 +118,9 @@ class FluidState:
     total energy along its first axis; rho, mom and etot are views into it.
     `FluidState(rho, mom, etot, time)` stacks the three parts into a new W;
     `FluidState.stacked(W, time)` keeps the given W without copying it.
-    Both validate the fields.
+    Both validate the fields; `FluidState.stage(W, time)` keeps W as
+    `stacked` does but checks only its shape and times (a Runge-Kutta
+    stage, whose fields the next temperature recovery checks).
 
     A batch of M states on one grid is one FluidState whose W has shape
     (2 + dim, M, *cells) and whose time is an array of shape
@@ -140,9 +142,16 @@ class FluidState:
         W[1:-1] = mom
         W[-1] = etot
         self._set(W, time)
+        self._check_fields()
 
     @classmethod
     def stacked(cls, W, time: float = 0.0) -> "FluidState":
+        state = cls.stage(W, time)
+        state._check_fields()
+        return state
+
+    @classmethod
+    def stage(cls, W, time: float = 0.0) -> "FluidState":
         state = cls.__new__(cls)
         state._set(np.asarray(W, dtype=float), time)
         return state
@@ -157,7 +166,9 @@ class FluidState:
                              f"the {W.shape[1]} members")
         self.W = W
         self.time = np.asarray(time, dtype=float) if batch else float(time)
-        if not np.isfinite(W).all():
+
+    def _check_fields(self):
+        if not np.isfinite(self.W).all():
             raise PositivityError("non-finite values in fluid state")
         if not (self.rho > 0.0).all():
             if (self.rho < 0.0).any():

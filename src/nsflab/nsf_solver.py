@@ -13,10 +13,14 @@ Evolves the conservative variables (rho, momentum, total energy) with
 The state is the stacked array `FluidState.W` (rho, the momentum
 components, etot on axis 0), and `rhs_nsf` returns its tendency stacked
 the same way.  `ssp_rk3` is the one SSP-RK3 stepper of the package: each
-stage is one expression on W, validated as a `FluidState`.  `step` runs it
-on `rhs_nsf` with positivity floors applied in place to every stage's new
-W, and the inviscid reference solver in `euler_reference` steps through it
-as well.
+stage is one expression on W.  Only the accepted state of a step is
+validated as a `FluidState`; an intermediate stage is checked where the
+next tendency recovers its temperature, which raises on a non-finite
+value, a non-positive density or a non-positive internal energy.  `step`
+runs it on `rhs_nsf` with positivity floors applied in place to every
+stage's new W, and the inviscid reference solver in `euler_reference`
+steps through it as well.  `rhs_nsf`'s convective part computes each face
+quantity once per axis (`_face_states`, `_rusanov`).
 
 `recover_temperature` is the one path from conservative fields to theta in
 both solvers.  The time loop recovers each accepted state's theta once and
@@ -190,68 +194,95 @@ def keep_heap_pages(state_bytes: int) -> None:
 
 
 def _face_states(W, n, order):
-    """Left and right conservative states at the n+1 faces of one axis.
+    """Left and right conservative states at the n+1 faces of one axis, and
+    their internal energy.
 
     W has the axis last with extent n + 2*depth; face k sits between cells
-    k and k+1 in the ghost frame, for k = depth-1 .. depth+n-1.  The result
-    stacks the left (index 0) and right (index 1) states on axis 1.
+    k and k+1 in the ghost frame, for k = depth-1 .. depth+n-1.  The states
+    stack the left (index 0) and right (index 1) sides on axis 1, and the
+    internal energy etot - |mom|^2 / (2 rho) is shaped like their density.
+    Second order adds and subtracts the half central slope, computed once
+    over the strip, and drops to the cell values at every face where that
+    leaves a side without positive density or internal energy.  The cell
+    values' own check is `_internal_energy`'s: its PositivityError names
+    the face without the side axis.
     """
     d = _GHOST_DEPTH
     lo, hi = d - 1, d + n  # cells feeding left/right states
     WL1 = W[..., lo:hi]
     WR1 = W[..., lo + 1:hi + 1]
     if order == 1:
-        return np.stack((WL1, WR1), axis=1)
-    slope = 0.5 * (W[..., 2:] - W[..., :-2])  # cell j+1 of ghost frame
-    WLR = np.empty((W.shape[0], 2, *W.shape[1:-1], n + 1))
-    np.add(WL1, 0.5 * slope[..., lo - 1:hi - 1], out=WLR[:, 0])
-    np.subtract(WR1, 0.5 * slope[..., lo:hi], out=WLR[:, 1])
-    # drop to the unreconstructed state wherever the reconstruction left
-    # the face without positive density or internal energy
+        WLR = np.stack((WL1, WR1), axis=1)
+    else:
+        half = np.subtract(W[..., 2:], W[..., :-2])  # cell j+1 of ghost frame
+        half *= 0.5
+        half *= 0.5                                   # halved twice: 0.5 * slope's bits
+        WLR = np.empty((W.shape[0], 2, *W.shape[1:-1], n + 1))
+        np.add(WL1, half[..., lo - 1:hi - 1], out=WLR[:, 0])
+        np.subtract(WR1, half[..., lo:hi], out=WLR[:, 1])
+        # etot - 0.5 sum(mom^2) / rho in _internal_energy's operations; a
+        # face without positive density is left undivided and marked bad
+        rho = WLR[0]
+        e_int = np.square(WLR[1])
+        for c in range(2, W.shape[0] - 1):
+            e_int += np.square(WLR[c])
+        e_int *= 0.5
+        np.divide(e_int, rho, out=e_int, where=rho > 0.0)
+        np.subtract(WLR[-1], e_int, out=e_int)
+        bad = rho <= 0.0
+        bad |= e_int <= 0.0
+        if not bad.any():
+            return WLR, e_int
+        np.copyto(WLR, np.stack((WL1, WR1), axis=1), where=bad)
+    return WLR, _internal_energy(WLR[0], WLR[1:-1], WLR[-1], 1)
+
+
+def _rusanov(gas, a, WLR, e_int, ax, dx):
+    """Rusanov flux differences along the last axis, divided by dx: minus
+    the axis's contribution to dW/dt.
+
+    WLR and e_int are `_face_states`'s; one checked closure call serves
+    both sides.  The flux sums both sides component by component, in the
+    order of F(left) + F(right) with F = (m_n, m u_n + p e_n, (E + p) u_n),
+    and the dissipation 0.5 max(|u_n| + c) (right - left) is applied in place.
+    """
     rho = WLR[0]
-    ke = 0.5 * np.sum(WLR[1:-1] ** 2, axis=0) / np.where(rho > 0.0, rho, 1.0)
-    bad = (rho <= 0.0) | (WLR[-1] - ke <= 0.0)
-    if not bad.any():
-        return WLR
-    return np.where(bad[None], np.stack((WL1, WR1), axis=1), WLR)
-
-
-def _face_primitives(gas, a, W):
-    # W stacks both sides of the faces on axis 1; one checked closure call
-    # serves them both, and errors name the face without the side axis
-    rho = W[0]
-    mom = W[1:-1]
-    etot = W[-1]
-    _, p, c2 = thermo.closures_from_energy(gas, a, rho, _internal_energy(rho, mom, etot, 1))
-    return rho, mom, etot, p, np.sqrt(c2)
-
-
-def _phys_flux(ax, dim, rho, mom, etot, p):
-    un = mom[ax] / rho
-    F = np.empty((2 + dim, *un.shape))
-    F[0] = mom[ax]
-    for c in range(dim):
-        F[1 + c] = mom[c] * un
-    F[1 + ax] += p
-    F[-1] = (etot + p) * un
-    return F
+    mn = WLR[1 + ax]
+    _, p, c = thermo.closures_from_energy(gas, a, rho, e_int)
+    np.sqrt(c, out=c)
+    un = mn / rho
+    F = np.empty((WLR.shape[0], *un.shape[1:]))
+    np.add(mn[0], mn[1], out=F[0])
+    for k in range(1, WLR.shape[0] - 1):
+        Fk = WLR[k] * un
+        if k == 1 + ax:
+            Fk += p
+        np.add(Fk[0], Fk[1], out=F[k])
+    Fk = WLR[-1] + p
+    Fk *= un
+    np.add(Fk[0], Fk[1], out=F[-1])
+    F *= 0.5
+    np.abs(un, out=un)
+    un += c                                   # |u_n| + c on each side
+    smax = np.maximum(un[0], un[1])
+    smax *= 0.5
+    D = np.subtract(WLR[:, 1], WLR[:, 0])
+    D *= smax
+    F -= D
+    dF = np.subtract(F[..., 1:], F[..., :-1])
+    dF /= dx
+    return dF
 
 
 def _convective(gas, a, grid, W_g, order):
     dim = grid.dim
     out = np.zeros(W_g.shape[:-dim] + grid.cells)
     for ax in range(dim):
-        n = grid.cells[ax]
-        dx = grid.spacing[ax]
         W = gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH)
-        WLR = _face_states(W, n, order)
-        rho, mom, etot, p, c = _face_primitives(gas, a, WLR)
-        FLR = _phys_flux(ax, dim, rho, mom, etot, p)
-        s = np.abs(mom[ax] / rho) + c
-        smax = np.maximum(s[0], s[1])
-        F = 0.5 * (FLR[:, 0] + FLR[:, 1]) - 0.5 * smax * (WLR[:, 1] - WLR[:, 0])
-        dW = -(F[..., 1:] - F[..., :-1]) / dx
-        out += dW.swapaxes(-1, ax - dim)  # undo axis_strip's swap
+        WLR, e_int = _face_states(W, grid.cells[ax], order)
+        # out - dF is out + (-dF) bitwise; swapping back undoes axis_strip's swap
+        o = out.swapaxes(-1, ax - dim)
+        np.subtract(o, _rusanov(gas, a, WLR, e_int, ax, grid.spacing[ax]), out=o)
     return out
 
 
@@ -358,7 +389,9 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
     sc = config.scaling
     cells = tuple(range(-grid.dim, 0))
     batch = np.ndim(state.time) > 0
-    c = np.sqrt(thermo.sound_speed_sq(config.gas, sc.a, state.rho, theta))
+    # the accepted state was validated and theta recovered with its checks,
+    # so the closures' private bodies serve: the same bits, no second check
+    c = np.sqrt(thermo._sound_speed_sq(config.gas, sc.a, state.rho, theta))
     u = state.velocity()
     dt = math.inf
     for ax in range(grid.dim):
@@ -370,7 +403,7 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
         if not no_nu:
             diff = np.maximum(diff, sc.nu * config.transport.mu(theta) / state.rho)
         if not no_omega:
-            cv = thermo.heat_capacity_cv(config.gas, state.rho, theta)
+            cv = thermo._cv_molecular(config.gas, state.rho, theta)
             diff = np.maximum(diff, sc.omega * config.transport.kappa(theta) / (state.rho * cv))
         d_max = np.max(diff, axis=cells, keepdims=batch)
         dx2 = min(h * h for h in grid.spacing)
@@ -410,22 +443,28 @@ def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
 
     `rhs(state)` returns the tendency stacked like `state.W`.  Each stage
     computes its own new W, which `stage_map(W)`, when given, modifies in
-    place before the stage state is built (and validated) on it; the input
-    state is never written.  For a batch state, dt holds one step per
-    member, shaped like its times.
+    place before the stage state is built on it; the input state is never
+    written.  The two intermediate stages are not validated
+    (`FluidState.stage`): a non-finite or non-positive value there reaches
+    `rhs`, whose temperature recovery raises DomainError or
+    PositivityError on it.  The returned state, the accepted one, is
+    validated (`FluidState.stacked`).  For a batch state, dt holds one
+    step per member, shaped like its times.
     """
-    def stage(s, frac_old, t_new):
-        W = s.W + dt * rhs(s)
+    def new_W(s, frac_old):
+        W = dt * rhs(s)
+        W += s.W                                 # s.W + dt * rhs(s)
         if frac_old > 0.0:
-            W = frac_old * state.W + (1.0 - frac_old) * W
+            W *= 1.0 - frac_old
+            W += frac_old * state.W              # frac_old W_0 + (1 - frac_old) W
         if stage_map is not None:
             stage_map(W)
-        return gf.FluidState.stacked(W, t_new)
+        return W
 
     t = state.time
-    s1 = stage(state, 0.0, t + dt)
-    s2 = stage(s1, 0.75, t + 0.5 * dt)
-    return stage(s2, 1.0 / 3.0, t + dt)
+    s1 = gf.FluidState.stage(new_W(state, 0.0), t + dt)
+    s2 = gf.FluidState.stage(new_W(s1, 0.75), t + 0.5 * dt)
+    return gf.FluidState.stacked(new_W(s2, 1.0 / 3.0), t + dt)
 
 
 def step(state: gf.FluidState, dt, config: NsfRunConfig,

@@ -307,17 +307,31 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
 
 
 def _sound_speed_sq(gas, a, rho, theta):
-    # _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total), written out so that
-    # Z, P(Z) and P'(Z) are evaluated once, in the same expression order
     z = Z_of(rho, theta)
-    P, dP = gas.P(z), gas.dP(z)
-    stab = 2.5 * P - 1.5 * z * dP
-    cv = 1.5 * stab / z
+    return _sound_speed_sq_at(a, rho, theta, z, gas.P(z), gas.dP(z), theta ** 3)
+
+
+def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
+    # _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total), written out on the
+    # given Z, P(Z), P'(Z) and theta^3 with the same operations on the same
+    # operands (products and sums commute bitwise); every temporary is this
+    # function's own and is updated in place
+    stab = 2.5 * P
+    stab -= 1.5 * z * dP
+    cv = 1.5 * stab
+    cv /= z
     if (np.asarray(cv) <= 0.0).any():
         raise ModelViolationError("c_v <= 0: closure violates thermal stability")
-    num = theta ** 1.5 * stab + (4.0 * a / 3.0) * theta ** 3
-    c2 = theta * dP + theta * num ** 2 / (rho ** 2 * (cv + 4.0 * a * theta ** 3 / rho))
-    return np.maximum(c2, _EPS)
+    num = theta ** 1.5 * stab
+    num += (4.0 * a / 3.0) * theta3
+    den = 4.0 * a * theta3 / rho
+    den += cv
+    den *= rho ** 2
+    num *= num
+    num *= theta
+    num /= den
+    num += theta * dP
+    return np.maximum(num, _EPS)
 
 
 def _invert_molecular(gas, a, rho, e, rtol, max_iter):
@@ -380,7 +394,10 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
     # With `axis`, a holds one value per member along that axis of rho (its
     # own first axis) and each member stops at its own convergence: the
     # members that converge leave the iteration with the iterate that
-    # stopped them, so none takes a step the others need
+    # stopped them, so none takes a step the others need.
+    # Each Newton step is new = th - (th (c + at3) - e) / (c + 4 at3) with
+    # at3 = a th^3, and done where |new - th| <= rtol new, computed in place
+    # on three buffers in the same operations (products and sums commute)
     if (a == 0.0) if axis is None else not a.any():
         return e / (1.5 * rho)
     c = 1.5 * rho
@@ -389,10 +406,22 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
         out = np.empty_like(th)
         live = np.arange(th.shape[axis])
         others = tuple(i for i in range(th.ndim) if i != axis)
+    new, f, df = np.empty_like(th), np.empty_like(th), np.empty_like(th)
     for _ in range(max_iter):
-        at3 = a * th * th * th
-        new = th - (th * (c + at3) - e) / (c + 4.0 * at3)
-        done = np.abs(new - th) <= rtol * new
+        np.multiply(a, th, out=f)
+        f *= th
+        f *= th                             # at3
+        np.multiply(f, 4.0, out=df)
+        df += c                             # c + 4 at3
+        f += c
+        f *= th
+        f -= e                              # th (c + at3) - e
+        f /= df
+        np.subtract(th, f, out=new)
+        np.subtract(new, th, out=f)
+        np.abs(f, out=f)
+        np.multiply(new, rtol, out=df)
+        done = f <= df
         if axis is None:
             if done.all():
                 return new
@@ -404,9 +433,11 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
                     return out
                 keep = ~done
                 live = live[keep]
-                new, c, e = (np.compress(keep, x, axis=axis) for x in (new, c, e))
+                th, c, e = (np.compress(keep, x, axis=axis) for x in (new, c, e))
                 a = np.compress(keep, a, axis=0)
-        th = new
+                new, f, df = np.empty_like(th), np.empty_like(th), np.empty_like(th)
+                continue
+        th, new = new, th
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
 
 
@@ -483,8 +514,10 @@ def closures_from_energy(gas: GasModel, a, rho, e_density):
     sound_speed_sq at the recovered theta, and it raises what they raise,
     but each check runs once: DomainError for non-finite input, rho <= 0,
     e_density <= 0 or a recovered theta that is not positive and finite,
-    ModelViolationError for c_v <= 0.  a may hold one value per batch
-    member, as in member_temperatures.
+    ModelViolationError for c_v <= 0.  Z, P(Z), P'(Z) and theta^3 are
+    evaluated once each and serve both p and c_s^2, in the expression order
+    of the separate closures, whatever the law.  a may hold one value per
+    batch member, as in member_temperatures.
     """
     theta = member_temperatures(gas, a, rho, e_density)
     rho = np.asarray(rho, dtype=float)
@@ -492,8 +525,11 @@ def closures_from_energy(gas: GasModel, a, rho, e_density):
         raise DomainError("density must be positive")
     if not np.all((theta > 0.0) & (theta < math.inf)):
         raise DomainError("recovered temperature must be positive and finite")
-    p_mol, p_rad = _pressure_parts(gas, a, rho, theta)
-    return theta, p_mol + p_rad, _sound_speed_sq(gas, a, rho, theta)
+    z = Z_of(rho, theta)
+    P = gas.P(z)
+    p = theta ** 2.5 * P
+    p += (a / 3.0) * theta ** 4  # the two _pressure_parts, summed
+    return theta, p, _sound_speed_sq_at(a, rho, theta, z, P, gas.dP(z), theta ** 3)
 
 
 # ---------------------------------------------------------------------------

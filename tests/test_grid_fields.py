@@ -321,6 +321,11 @@ def test_fluid_state_validation():
         gf.FluidState(rho, fast, etot)
     with pytest.raises(UsageError):
         gf.FluidState(rho, np.zeros((2, 32)), etot)
+    # a Runge-Kutta stage keeps its W unchecked, but not its shape or times
+    stage = gf.FluidState.stage(np.stack([-rho, mom[0], np.full(32, np.nan)]), 0.5)
+    assert stage.time == 0.5 and np.isnan(stage.etot).all()
+    with pytest.raises(UsageError):
+        gf.FluidState.stage(np.ones((3, 2, 32)), np.zeros(3))
 
 
 def test_fluid_state_fields_are_views_of_one_stack():

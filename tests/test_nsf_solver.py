@@ -472,18 +472,30 @@ def test_nan_forcing_aborts_run(ideal, transport):
 
 
 def test_nan_momentum_aborts_through_stage_validation(ideal, transport):
-    # the floors pass a non-finite momentum on; the stage state's own
-    # validation is what stops the run
+    # the floors pass a non-finite momentum on to the first intermediate
+    # stage, which is not validated; the next tendency's temperature
+    # recovery is what stops the run.  An accepted state is validated
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), t_end=0.1)
     bad = lambda t: (np.zeros(16), np.full((1, 16), np.nan), np.zeros(16))
     initial = (np.ones(16), np.ones(16), np.zeros((1, 16)))
     traj = ns.simulate(config, initial, forcing=bad)
     assert traj.aborted
-    assert "non-finite values in fluid state" in traj.health_reason
+    assert "non-finite inputs to temperature inversion" in traj.health_reason
     state = state_from_primitives(ideal, 0.0, initial)
     with pytest.raises(PositivityError, match="non-finite values in fluid state"):
         ns.ssp_rk3(state, 0.01, lambda s: np.full_like(s.W, np.nan))
+
+
+def test_ssp_rk3_validates_only_the_accepted_state(ideal, transport, count_calls):
+    grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
+    config = run_config(ideal, transport, grid, scaling(a=0.01, nu=0.02, omega=0.01))
+    X, Y = gf.mesh(grid)
+    state = state_from_primitives(ideal, 0.01, (1.0 + 0.1 * np.cos(np.pi * X), np.ones(grid.cells),
+                                                np.stack([0.1 * np.sin(np.pi * X), 0 * Y])))
+    checks = count_calls(gf.FluidState, "_check_fields")
+    out = ns.step(state, 0.01, config)
+    assert len(checks) == 1 and checks[0][0] is out
 
 
 def test_step_leaves_its_input_state_unchanged_when_floors_fire(ideal, transport):
@@ -577,19 +589,143 @@ def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls
     assert len(calls) == 9 * steps + 1
 
 
-def test_face_primitives_name_the_face_without_its_side(ideal):
-    # (rho, mom, etot) x (left, right) x 5 faces of a 1-D axis
-    W = np.ones((3, 2, 5))
+def test_face_states_name_the_face_without_its_side():
+    # first-order faces of a 1-D strip of 4 cells and 2 ghosts on each side:
+    # face k has strip cell k + 1 on its left and k + 2 on its right
+    W = np.ones((3, 8))
     W[2] = 1.5
-    W[0, 1, 3] = 0.0
+    W[0, 4] = 0.0  # left of face 3, right of face 2: the left side comes first
     with pytest.raises(PositivityError) as exc:
-        ns._face_primitives(ideal, 0.0, W)
+        ns._face_states(W, 4, 1)
     assert exc.value.where == (3,)
-    W[0, 1, 3] = 1.0
-    W[1, 0, 2] = 2.0  # kinetic 2.0 exceeds etot 1.5 on the left of face 2
+    W[0, 4] = 1.0
+    W[0, 6] = 0.0  # the right side of the last face only
     with pytest.raises(PositivityError) as exc:
-        ns._face_primitives(ideal, 0.0, W)
+        ns._face_states(W, 4, 1)
+    assert exc.value.where == (4,)
+    W[0, 6] = 1.0
+    W[1, 3] = 2.0  # kinetic 2.0 exceeds etot 1.5 on the left of face 2
+    with pytest.raises(PositivityError) as exc:
+        ns._face_states(W, 4, 1)
     assert exc.value.where == (2,)
+
+
+def _reference_convective(gas, a, grid, W_g, order):
+    """The convective pipeline before each face quantity was computed once,
+    kept as the oracle of `ns._convective`: separate face states, kinetic
+    energy, closures and fluxes per side, then the Rusanov average."""
+    d = ns._GHOST_DEPTH
+    dim = grid.dim
+    out = np.zeros(W_g.shape[:-dim] + grid.cells)
+    for ax in range(dim):
+        n = grid.cells[ax]
+        dx = grid.spacing[ax]
+        W = gf.axis_strip(W_g, grid, ax, d)
+        lo, hi = d - 1, d + n
+        WL1 = W[..., lo:hi]
+        WR1 = W[..., lo + 1:hi + 1]
+        WLR = np.stack((WL1, WR1), axis=1)
+        if order == 2:
+            slope = 0.5 * (W[..., 2:] - W[..., :-2])
+            WLR = np.stack((WL1 + 0.5 * slope[..., lo - 1:hi - 1],
+                            WR1 - 0.5 * slope[..., lo:hi]), axis=1)
+            rho = WLR[0]
+            ke = 0.5 * np.sum(WLR[1:-1] ** 2, axis=0) / np.where(rho > 0.0, rho, 1.0)
+            bad = (rho <= 0.0) | (WLR[-1] - ke <= 0.0)
+            WLR = np.where(bad[None], np.stack((WL1, WR1), axis=1), WLR)
+        rho, mom, etot = WLR[0], WLR[1:-1], WLR[-1]
+        theta = thermo.member_temperatures(gas, a, rho, ns._internal_energy(rho, mom, etot, 1))
+        p_mol, p_rad = thermo._pressure_parts(gas, a, rho, theta)
+        p = p_mol + p_rad
+        c2 = (thermo._dp_drho(gas, rho, theta) + theta * thermo._dp_dtheta(gas, a, rho, theta) ** 2
+              / (rho ** 2 * thermo._cv_total(gas, a, rho, theta)))
+        c = np.sqrt(np.maximum(c2, thermo._EPS))
+        un = mom[ax] / rho
+        FLR = np.empty((2 + dim, *un.shape))
+        FLR[0] = mom[ax]
+        for k in range(dim):
+            FLR[1 + k] = mom[k] * un
+        FLR[1 + ax] += p
+        FLR[-1] = (etot + p) * un
+        s = np.abs(mom[ax] / rho) + c
+        smax = np.maximum(s[0], s[1])
+        F = 0.5 * (FLR[:, 0] + FLR[:, 1]) - 0.5 * smax * (WLR[:, 1] - WLR[:, 0])
+        dW = -(F[..., 1:] - F[..., :-1]) / dx
+        out += dW.swapaxes(-1, ax - dim)
+    return out
+
+
+def _wavy_state(gas, a, grid, rng, members=None):
+    """A smooth state with random mode amplitudes; `members` stacks that
+    many of them, each at its own a, as a batch."""
+    if members is not None:
+        parts = [_wavy_state(gas, ak, grid, rng) for ak in np.ravel(a)]
+        times = np.zeros((members,) + (1,) * grid.dim)
+        return gf.FluidState.stacked(np.stack([s.W for s in parts], axis=1), times)
+    X = gf.mesh(grid) if grid.dim == 2 else gf.cell_centers(grid)
+    wave = np.ones(grid.cells)
+    for x in X:
+        wave = wave * np.cos(np.pi * rng.integers(1, 4) * x + rng.uniform(0.0, 1.0))
+    u = np.stack([rng.uniform(-0.3, 0.3) * np.sin(np.pi * x) * wave for x in X])
+    return state_from_primitives(gas, a, (1.0 + rng.uniform(0.1, 0.4) * wave,
+                                          1.0 + rng.uniform(-0.3, 0.3) * wave, u))
+
+
+ORACLE_GRIDS = {
+    "line-wall": gf.Grid.line(1.0, 20),
+    "box-wall": gf.Grid.box((1.0, 1.0), (12, 10)),
+    "box-periodic": gf.Grid.box((1.0, 2.0), (10, 12), ("periodic", "periodic")),
+    "box-mixed": gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic")),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("gas_name,a", [("ideal", 0.0), ("ideal", 0.3), ("law_a", 0.3)])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRIDS))
+def test_convective_matches_the_reference_pipeline_bitwise(request, name, gas_name, a, order):
+    gas = request.getfixturevalue(gas_name)
+    grid = ORACLE_GRIDS[name]
+    state = _wavy_state(gas, a, grid, np.random.default_rng(len(name) + order))
+    W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
+    got = ns._convective(gas, a, grid, W_g, order)
+    want = _reference_convective(gas, a, grid, W_g, order)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
+def test_convective_matches_the_reference_pipeline_bitwise_on_a_batch(request, gas_name):
+    gas = request.getfixturevalue(gas_name)
+    grid = ORACLE_GRIDS["line-wall"]
+    a = np.array([1e-6, 0.3, 30.0]).reshape((3, 1))
+    state = _wavy_state(gas, a, grid, np.random.default_rng(3), members=3)
+    W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
+    for order in (1, 2):
+        got = ns._convective(gas, a, grid, W_g, order)
+        want = _reference_convective(gas, a, grid, W_g, order)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_convective_matches_the_reference_pipeline_bitwise_where_faces_fall_back(ideal):
+    # a density step from 4 to 0.1: the central slope of the first low cell
+    # sends its reconstructed density below zero, so those faces take the
+    # cell values, while the others keep the reconstruction
+    grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
+    X, Y = gf.mesh(grid)
+    rho = np.where(X < 0.5, 4.0, 0.1) * (1.0 + 0.05 * np.cos(2 * np.pi * Y))
+    u = np.stack([0.2 * np.sin(np.pi * X), 0.1 * np.sin(2 * np.pi * Y)])
+    state = state_from_primitives(ideal, 0.3, (rho, np.ones(grid.cells), u))
+    W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
+    strip = gf.axis_strip(W_g, grid, 0, ns._GHOST_DEPTH)
+    slope = 0.5 * (strip[0, ..., 2:] - strip[0, ..., :-2])
+    bad = np.stack((strip[0, ..., 1:-2] + 0.5 * slope[..., :-1] <= 0.0,
+                    strip[0, ..., 2:-1] - 0.5 * slope[..., 1:] <= 0.0))  # (side, ..., face)
+    assert bad.any() and not bad.all()
+    WLR, _ = ns._face_states(strip, grid.cells[0], 2)
+    first = np.stack((strip[..., 1:-2], strip[..., 2:-1]), axis=1)
+    assert np.array_equal(WLR[:, bad], first[:, bad])
+    got = ns._convective(ideal, 0.3, grid, W_g, 2)
+    want = _reference_convective(ideal, 0.3, grid, W_g, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_simulate_repeat_runs_are_bit_identical(ideal, transport, tmp_path):
@@ -718,8 +854,8 @@ def test_batch_refuses_members_that_differ_beyond_their_scaling(ideal, transport
 def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transport,
                                                                    monkeypatch):
     # the member with a = 2e-3 gets a NaN tendency from t = 0.04 on; the
-    # batched stage validation catches it, the step is redone member by
-    # member, and that member aborts as it does alone
+    # batched temperature recovery of the next stage catches it, the step
+    # is redone member by member, and that member aborts as it does alone
     inner = ns.rhs_nsf
 
     def poisoned(state, config, forcing=None, theta=None):
@@ -736,7 +872,7 @@ def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transp
     initial = (1.0 + 0.05 * np.cos(np.pi * x), np.ones(16), (0.05 * np.sin(np.pi * x))[None])
     trajs = ns.simulate_batch(configs, initial)
     solos = [ns.simulate(c, initial) for c in configs]
-    assert solos[1].aborted and "non-finite values in fluid state" in solos[1].health_reason
+    assert solos[1].aborted and "non-finite inputs to temperature inversion" in solos[1].health_reason
     assert trajs[1].aborted and trajs[1].health_reason == solos[1].health_reason
     assert not trajs[0].aborted and not trajs[2].aborted
     for got, want in zip(trajs, solos, strict=True):

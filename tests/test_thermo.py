@@ -263,6 +263,67 @@ def test_sound_speed_evaluates_the_law_once(ideal, law_a):
         assert got.tobytes() == want.tobytes()
 
 
+def test_closures_from_energy_evaluate_the_law_once(ideal, law_a, monkeypatch):
+    # after the inversion, one P(Z) and one P'(Z) per call serve both p and
+    # c_s^2; the inversion itself runs on the uncounted law
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.1, 4.0, (2, 49))
+    theta = rng.uniform(0.2, 3.0, (2, 49))
+    invert = thermo.member_temperatures
+    for law in (ideal, law_a):
+        calls = []
+
+        def count(name, fn):
+            return lambda z: calls.append(name) or fn(z)
+
+        gas = thermo.GasModel(name=law.name, P=count("P", law.P), dP=count("dP", law.dP),
+                              law_text=law.law_text)
+        monkeypatch.setattr(thermo, "member_temperatures",
+                            lambda g, a, r, e, law=law: invert(law, a, r, e))
+        e = thermo.internal_energy_density(law, 0.3, rho, theta)
+        got = thermo.closures_from_energy(gas, 0.3, rho, e)
+        assert sorted(calls) == ["P", "dP"]
+        monkeypatch.undo()
+        want = thermo.closures_from_energy(law, 0.3, rho, e)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+def _reference_ideal_newton(a, rho, e, rtol, max_iter):
+    """The expression form of `_invert_ideal`'s Newton loop (one a), kept
+    as the oracle of its buffered form."""
+    c = 1.5 * rho
+    th = np.minimum(e / c, (e / a) ** 0.25)
+    for _ in range(max_iter):
+        at3 = a * th * th * th
+        new = th - (th * (c + at3) - e) / (c + 4.0 * at3)
+        if (np.abs(new - th) <= rtol * new).all():
+            return new
+        th = new
+    raise AssertionError("no convergence")
+
+
+def test_ideal_newton_matches_the_expression_loop_bitwise(ideal):
+    # one a, and members with their own a that converge after different
+    # numbers of steps, on a state field (M, n) and a face field (2, M, n)
+    rng = np.random.default_rng(13)
+    rho = rng.uniform(1e-3, 4.0, (2, 3, 40))
+    theta = rng.uniform(0.05, 30.0, (2, 3, 40))
+    a = np.array([1e-6, 0.3, 30.0])
+    for k in range(3):
+        e = thermo.internal_energy_density(ideal, a[k], rho[:, k], theta[:, k])
+        want = _reference_ideal_newton(a[k], rho[:, k], e, 1e-12, 160)
+        got = thermo._invert_ideal(a[k], rho[:, k], e, 1e-12, 160)
+        assert got.tobytes() == want.tobytes()
+    a_m = a.reshape((3, 1))
+    for r, t, axis in ((rho[0], theta[0], 0), (rho, theta, 1)):
+        e = thermo.internal_energy_density(ideal, a_m, r, t)
+        got = thermo._invert_ideal(a_m, r, e, 1e-12, 160, axis)
+        for k in range(3):
+            want = _reference_ideal_newton(a[k], r.take(k, axis), e.take(k, axis), 1e-12, 160)
+            assert got.take(k, axis).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
 def test_member_temperatures_match_each_member_alone(request, gas_name):
     # members with their own a, on the member axis of a state field (M, n)
