@@ -86,11 +86,10 @@ def _cmd_simulate(args) -> int:
     (out / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     gf.write_series(out, run_cfg.grid, traj.times, traj.states)
     lines = ["t,mass,etot,grad_u_max,grad_rho_max"]
-    for k, (t, s) in enumerate(zip(traj.times, traj.states)):
+    for t, s, gu, gr in zip(traj.times, traj.states, *er.gradient_maxima(traj)):
         lines.append(",".join(repr(float(v)) for v in (
             t, gf.integrate(s.rho, run_cfg.grid),
-            gf.integrate(s.etot, run_cfg.grid),
-            traj.grad_u_max[k], traj.grad_rho_max[k])))
+            gf.integrate(s.etot, run_cfg.grid), gu, gr)))
     (out / "solver.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     life = er.lifespan_monitor(traj)
     print(f"instants {len(traj.times)}")
@@ -110,7 +109,8 @@ def _cmd_sweep(args) -> int:
     setup = sweepmod.setup_from_config(_load_config(args))
     if args.threads > 1:
         print(f"note: --threads {args.threads} changes nothing: the path points "
-              "advance as one batch in one thread", file=sys.stderr)
+              "advance as one batch in this process, and the reference runs "
+              "beside them in one worker process", file=sys.stderr)
     manifest = sweepmod.run_sweep(setup, args.out)
     for rec in manifest.records:
         status = "ok" if rec.healthy else f"unhealthy ({rec.reason})"
@@ -171,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for sampled estimates (default: 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility and must be at least 1; "
-                             "a sweep advances its path points as one batch")
+                             "a sweep advances its path points as one batch and "
+                             "runs its reference beside them in one worker process")
 
     parser = argparse.ArgumentParser(
         prog="nsflab",

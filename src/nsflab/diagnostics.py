@@ -9,7 +9,7 @@ The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
 invert no state: they read each stored state's temperature from
 `trajectory.thetas`, which `simulate` and `sweep.load_run` fill, and work
 on primitives from there on, `relative_energy` included.
-`sweep.write_run_diagnostics` writes both.  The residual stacks all stored
+`sweep.write_run_diagnostics` writes both.  Each stacks all stored
 instants on one axis and evaluates each of its terms in one pass over them.
 """
 
@@ -121,7 +121,9 @@ def uniform_bounds(trajectory) -> UniformBoundsReport:
     """State and dissipation bounds over the stored instants of one run.
 
     Temperatures come from `trajectory.thetas`; the weights are the run's
-    own scalings.
+    own scalings.  As in `rel_energy_inequality_residual`, the stored
+    instants stack on one axis and each quantity is one expression over
+    all of them, whose numbers are bitwise those of one instant at a time.
     """
     cfg = trajectory.config
     sc = cfg.scaling
@@ -129,25 +131,28 @@ def uniform_bounds(trajectory) -> UniformBoundsReport:
     times = np.asarray(trajectory.times, dtype=float)
     thetas = _stored_thetas(trajectory)
 
-    sups = np.zeros(4)
-    rates = np.zeros((len(times), 3))
-    for k, (state, theta) in enumerate(zip(trajectory.states, thetas)):
-        rho = state.rho
-        u = state.velocity()
-        u_sq = np.sum(u * u, axis=0)
-        sups = np.maximum(sups, [
-            gf.integrate(rho * u_sq, grid),
-            gf.integrate(rho ** (5.0 / 3.0), grid),
-            gf.integrate(rho * theta, grid),
-            sc.a * gf.integrate(theta ** 4, grid),
-        ])
-        G = gf.interior_gradient(u, grid)
-        gth = gf.interior_gradient(theta, grid)
-        rates[k] = [
-            gf.integrate(thermo.shear_tensor_sq(G), grid),
-            gf.integrate(u_sq, grid),
-            gf.integrate(np.sum(gth * gth, axis=0) + np.log(theta) ** 2, grid),
-        ]
+    def integral(fld):
+        return np.ravel(gf.integrate(fld, grid))
+
+    W = np.stack([s.W for s in trajectory.states], axis=1)
+    rho = W[0]
+    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
+    theta = np.stack(thetas)
+    u_sq = np.sum(u * u, axis=0)
+    # the running maximum from zero over the instants, per quantity
+    sups = np.maximum(0.0, np.max([
+        integral(rho * u_sq),
+        integral(rho ** (5.0 / 3.0)),
+        integral(rho * theta),
+        sc.a * integral(theta ** 4),
+    ], axis=1))
+    G = gf.interior_gradient(u, grid, vector=True)
+    gth = gf.interior_gradient(theta, grid, vector=False)
+    rates = np.stack([
+        integral(thermo.shear_tensor_sq(G)),
+        integral(u_sq),
+        integral(np.sum(gth * gth, axis=0) + np.log(theta) ** 2),
+    ], axis=1)
     if len(times) > 1:
         ints = np.trapezoid(rates, times, axis=0)
     else:

@@ -141,10 +141,30 @@ def _speed_over_dx(state, gas, grid):
                for ax in range(grid.dim)), theta
 
 
-def _gradient_maxima(state, grid):
-    gr = float(np.max(np.abs(gf.interior_gradient(state.rho, grid))))
-    gu = float(np.max(np.abs(gf.interior_gradient(state.velocity(), grid))))
-    return gu, gr
+_GRADIENT_BLOCK_CELLS = 1 << 16  # cells of the stored states one gradient pass takes at most
+
+
+def gradient_maxima(traj) -> tuple:
+    """(max|grad u|, max|grad rho|) at each stored instant, as two arrays.
+
+    The stored states stack on a member axis, in blocks of at most
+    _GRADIENT_BLOCK_CELLS cells, and each block's gradients and maxima are
+    one expression over its instants; a maximum is exact, so each instant's
+    value is bitwise the one of its state alone.
+    """
+    grid = traj.grid
+    cells = tuple(range(-grid.dim, 0))
+    step = max(1, _GRADIENT_BLOCK_CELLS // math.prod(grid.cells))
+    gu, gr = [], []
+    for k in range(0, len(traj.states), step):
+        W = np.stack([s.W for s in traj.states[k:k + step]], axis=1)
+        rho = W[0]
+        u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
+        G_rho = np.abs(gf.interior_gradient(rho, grid, vector=False))
+        G_u = np.abs(gf.interior_gradient(u, grid, vector=True))
+        gr.append(np.max(G_rho, axis=(0, *cells)))
+        gu.append(np.max(G_u, axis=(0, 1, *cells)))
+    return np.concatenate(gu), np.concatenate(gr)
 
 
 @dataclass
@@ -157,8 +177,6 @@ class EulerTrajectory:
     eps_f: float
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    grad_u_max: list = field(default_factory=list)
-    grad_rho_max: list = field(default_factory=list)
     mass_drift: float = 0.0
     energy_drift: float = 0.0
     t_end: float = 0.0
@@ -216,9 +234,6 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
     def record(s):
         traj.times.append(s.time)
         traj.states.append(s.copy())
-        gu, gr = _gradient_maxima(s, config.grid)
-        traj.grad_u_max.append(gu)
-        traj.grad_rho_max.append(gr)
 
     record(state)
     for k in range(1, n_steps + 1):
@@ -397,11 +412,11 @@ def lifespan_monitor(traj: EulerTrajectory) -> LifespanReport:
     Comparisons downstream should stay below _SAFETY * T*.
     """
     times = np.asarray(traj.times, dtype=float)
+    grad_u_max, grad_rho_max = gradient_maxima(traj)
     # one reference scale for both series: a field that starts uniform and
     # develops gradients comparable to the other field is not blowing up
-    g_ref = max(traj.grad_u_max[0], traj.grad_rho_max[0], 1e-9)
-    series = [np.asarray(raw, dtype=float) / g_ref
-              for raw in (traj.grad_u_max, traj.grad_rho_max)]
+    g_ref = max(float(grad_u_max[0]), float(grad_rho_max[0]), 1e-9)
+    series = [raw / g_ref for raw in (grad_u_max, grad_rho_max)]
 
     candidates = []
     for g in series:
@@ -600,8 +615,10 @@ def _store_cached(config, traj, cache_dir, key):
         f"mass_drift {traj.mass_drift!r}",
         f"energy_drift {traj.energy_drift!r}",
     ]
-    with open(manifest, "w", encoding="ascii") as fh:
+    # written aside and renamed: a reader finds the whole manifest or none
+    with open(manifest + ".tmp", "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(manifest + ".tmp", manifest)
 
 
 def _load_cached(config, cache_dir, key):
@@ -628,8 +645,4 @@ def _load_cached(config, cache_dir, key):
     if len(traj.states) != count:
         raise UsageError(f"{root} holds {len(traj.states)} snapshots, "
                          f"its manifest lists {count}")
-    for state in traj.states:
-        gu, gr = _gradient_maxima(state, config.grid)
-        traj.grad_u_max.append(gu)
-        traj.grad_rho_max.append(gr)
     return traj

@@ -241,14 +241,16 @@ def _rusanov(gas, a, WLR, e_int, ax, dx):
     """Rusanov flux differences along the last axis, divided by dx: minus
     the axis's contribution to dW/dt.
 
-    WLR and e_int are `_face_states`'s; one checked closure call serves
-    both sides.  The flux sums both sides component by component, in the
-    order of F(left) + F(right) with F = (m_n, m u_n + p e_n, (E + p) u_n),
-    and the dissipation 0.5 max(|u_n| + c) (right - left) is applied in place.
+    WLR and e_int are `_face_states`'s; one closure call serves both
+    sides and checks only what `_face_states` has not proven
+    (`thermo.face_closures`).  The flux sums both sides component by
+    component, in the order of F(left) + F(right) with
+    F = (m_n, m u_n + p e_n, (E + p) u_n), and the dissipation
+    0.5 max(|u_n| + c) (right - left) is applied in place.
     """
     rho = WLR[0]
     mn = WLR[1 + ax]
-    _, p, c = thermo.closures_from_energy(gas, a, rho, e_int)
+    _, p, c = thermo.face_closures(gas, a, rho, e_int)
     np.sqrt(c, out=c)
     un = mn / rho
     F = np.empty((WLR.shape[0], *un.shape[1:]))
@@ -358,13 +360,17 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None
     detot = out[-1]
 
     _, no_nu, no_omega, no_lam = sc.zeros
+    u = None
     if not (no_nu and no_omega):
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_GHOST_DEPTH)
         u_g = W_g[1:-1] / W_g[0]
         _diffusive(config, grid, u_g, theta_g, dmom, detot)
+        # the velocity's division wherever rho > 0, which the faces proved
+        u = u_g[(Ellipsis,) + (slice(_GHOST_DEPTH, -_GHOST_DEPTH),) * grid.dim]
 
     if not no_lam:
-        u = state.velocity()
+        if u is None:
+            u = state.velocity()
         dmom -= sc.lam * u
         detot -= sc.lam * np.sum(u * u, axis=0)
 
@@ -494,18 +500,21 @@ def step(state: gf.FluidState, dt, config: NsfRunConfig,
 # entropy production
 
 
-def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig):
+def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig, u=None):
     """Pointwise sigma = (1/theta)(S : grad u - q . grad theta / theta) and its integral.
 
     Both contributions are nonnegative by construction:
     S : grad u = nu [ (mu/2) |A|^2 + eta (div u)^2 ] and -q . grad theta =
     omega kappa |grad theta|^2.  A batch state gives one integral per
-    member, shaped like its times.
+    member, shaped like its times.  `u`, when given, is the state's
+    velocity.
     """
     grid = config.grid
     sc = config.scaling
     tr = config.transport
-    G = gf.interior_gradient(state.velocity(), grid, vector=True)  # G[i,j]
+    if u is None:
+        u = state.velocity()
+    G = gf.interior_gradient(u, grid, vector=True)  # G[i,j]
     div = np.trace(G, axis1=0, axis2=1)
     grad_theta = gf.interior_gradient(theta, grid, vector=False)
     mu = tr.mu(theta)
@@ -565,9 +574,12 @@ def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> No
         )
 
 
-def _damping_rate(state: gf.FluidState, config: NsfRunConfig):
-    u = state.velocity()
+def _damping_rate(u, config: NsfRunConfig):
+    """lambda times the integral of |u|^2; one per member of a batch velocity."""
     return config.scaling.lam * gf.integrate(np.sum(u * u, axis=0), config.grid)
+
+
+_RATE_BLOCK_CELLS = 4096  # cells of the states one `_Member._rates` call takes at most
 
 
 def _advance(state, theta, config: NsfRunConfig, stats, forcing):
@@ -584,7 +596,15 @@ def _advance(state, theta, config: NsfRunConfig, stats, forcing):
 
 
 class _Member:
-    """One run of a batch: its latest accepted state, trajectory and accounts."""
+    """One run of a batch: its latest accepted state, trajectory and accounts.
+
+    The damping rate and entropy production of each accepted state feed
+    the trapezoid sums that the diagnostics rows report, so they are due
+    only when a row is: the member keeps its accepted states and thetas
+    (references, not copies) since its last stored instant and evaluates
+    both rates once over that block (`_rates`), at each stored instant, at
+    an abort and whenever the block reaches _RATE_BLOCK_CELLS cells.
+    """
 
     def __init__(self, config: NsfRunConfig, initial):
         gas, a = config.gas, config.scaling.a
@@ -597,16 +617,42 @@ class _Member:
         self.damping = gf.TrapezoidAccumulator()
         self.sigma = gf.TrapezoidAccumulator()
         self.steps = 0
+        self.block = max(1, _RATE_BLOCK_CELLS // math.prod(config.grid.cells))
+        self.pending = [(state, theta)]
         self.state, self.theta = state, theta
-        self.damping.add(state.time, _damping_rate(state, config))
-        self.sigma.add(state.time, entropy_production(state, theta, config)[1])
         self._record()
 
     @property
     def done(self) -> bool:
         return self.traj.aborted or self.state.time >= self.config.t_end - 1e-14
 
+    def _rates(self):
+        """Add the pending states' rates to the trapezoid sums, in step order.
+
+        The block stacks on a member axis, over which `_damping_rate` and
+        `entropy_production` reduce per member: each state's numbers are
+        bitwise those of a call on it alone, which a block of one is.
+        """
+        if not self.pending:
+            return
+        states, thetas = zip(*self.pending)
+        self.pending = []
+        if len(states) == 1:
+            state, theta = states[0], thetas[0]
+        else:
+            shape = (len(states),) + (1,) * self.config.grid.dim
+            state = gf.FluidState.stage(np.stack([s.W for s in states], axis=1),
+                                        np.reshape([s.time for s in states], shape))
+            theta = np.stack(thetas)
+        u = state.velocity()
+        damping = np.ravel(_damping_rate(u, self.config))
+        sigma = np.ravel(entropy_production(state, theta, self.config, u)[1])
+        for s, d, sg in zip(states, damping, sigma):
+            self.damping.add(s.time, d)
+            self.sigma.add(s.time, sg)
+
     def _record(self):
+        self._rates()
         s, theta, grid = self.state, self.theta, self.config.grid
         self.traj.times.append(s.time)
         self.traj.states.append(s.copy())
@@ -622,18 +668,20 @@ class _Member:
             self.stats.floor_hits,
         ))
 
-    def accept(self, state, theta, stats: StepStats, damping_rate, sigma_total):
+    def accept(self, state, theta, stats: StepStats):
         """Account one step to `state`; store it every output_stride steps and at t_end."""
         self.stats.record(stats.floor_hits, math.prod(self.config.grid.cells))
         self.state, self.theta = state, theta
-        self.damping.add(state.time, damping_rate)
-        self.sigma.add(state.time, sigma_total)
+        self.pending.append((state, theta))
         self.steps += 1
         if self.steps % self.config.output_stride == 0 or self.done:
             self._record()
+        elif len(self.pending) >= self.block:
+            self._rates()
 
     def abort(self, state, err, stats: StepStats):
         """End the run at `state` (the last one its failed step reached)."""
+        self._rates()
         self.stats.record(stats.floor_hits, math.prod(self.config.grid.cells))
         self.traj.aborted = True
         self.traj.healthy = False
@@ -648,8 +696,7 @@ class _Member:
         if err is not None:
             self.abort(state, err, stats)
             return
-        self.accept(state, theta, stats, _damping_rate(state, self.config),
-                    entropy_production(state, theta, self.config)[1])
+        self.accept(state, theta, stats)
 
     def finish(self) -> Trajectory:
         self.traj.floor_hits = self.stats.floor_hits
@@ -701,22 +748,27 @@ def _check_batch(configs: list, forcing) -> None:
         raise UsageError("a forcing applies to a batch of one member only")
 
 
-def simulate_batch(configs, initial, forcing=None) -> list:
+def simulate_batch(configs, initial, forcing=None, stop=None) -> list:
     """Run every config from the same initial data as one batch; one Trajectory each.
 
     The members share their run config except the scaling values, and the
     scalings agree on which of a, nu, omega and lambda are zero, so every
     kernel branch runs for all members or for none; anything else is a
     UsageError.  One time loop advances the live members together: each
-    step is one `stable_dt` (one dt per member), one `step` (one
-    `rhs_nsf` and one floor pass per stage) and one `entropy_production`
-    call.  Each member keeps its own time, step count, stored instants,
-    floor counter and health, and leaves the batch at t_end.  A step that
-    raises PositivityError or DomainError is redone one member at a time:
-    a member that fails alone aborts with exactly the message `simulate`
-    gives it, the others go on.  Every member's trajectory is bitwise the
-    one `simulate` gives for its config alone.  `forcing` needs a batch of
-    one.
+    step is one `stable_dt` (one dt per member) and one `step` (one
+    `rhs_nsf` and one floor pass per stage).  Each member keeps its own
+    time, step count, stored instants, floor counter and health, and
+    leaves the batch at t_end; it evaluates the damping rate and
+    `entropy_production` of its accepted states once per stored interval
+    (see `_Member`).  A step that raises PositivityError or DomainError
+    is redone one member at a time: a member that fails alone aborts with
+    exactly the message `simulate` gives it, the others go on.  Every
+    member's trajectory is bitwise the one `simulate` gives for its config
+    alone.  `forcing` needs a batch of one.
+
+    `stop`, when given, is called once before each step; when it returns
+    true the loop ends there, and the trajectories hold only the instants
+    stored so far (a caller that stops a batch discards it).
     """
     configs = list(configs)
     _check_batch(configs, forcing)
@@ -726,14 +778,14 @@ def simulate_batch(configs, initial, forcing=None) -> list:
     while live:
         state, theta, config = _pack(live)
         while True:  # until a member leaves
+            if stop is not None and stop():
+                return [m.finish() for m in members]
             stats = [StepStats() for _ in live]
             new, new_theta, err = _advance(state, theta, config,
                                            stats if len(live) > 1 else stats[0], forcing)
             if err is None:
-                rates = np.ravel(_damping_rate(new, config))
-                sigmas = np.ravel(entropy_production(new, new_theta, config)[1])
                 for k, m in enumerate(live):
-                    m.accept(*_member_of(new, new_theta, k), stats[k], rates[k], sigmas[k])
+                    m.accept(*_member_of(new, new_theta, k), stats[k])
                 state, theta = new, new_theta
             elif len(live) == 1:
                 live[0].abort(new, err, stats[0])

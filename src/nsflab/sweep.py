@@ -1,9 +1,11 @@
 """Vanishing-dissipation parameter sweeps.
 
 One inviscid reference run is computed on a finer grid (and disk-cached),
-its trustworthy smooth horizon detected, and the path points then run the
+its trustworthy smooth horizon detected, and the path points run the
 dissipative solver, as one batch, from the same closed-form initial data
-to that horizon.
+to that horizon.  The reference runs in a worker process while the batch
+advances towards the requested end time; a shorter horizon stops the
+batch and runs it again to that horizon.
 The manifest records, per point, the initial relative energy, its sup over
 the run, and the convergence-rate envelope; the fitted constant is the
 largest ratio E_sup / (E_init + envelope), which the theory asserts stays
@@ -15,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -440,6 +444,76 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
     )
 
 
+def _reference_inputs(ref_mapping: dict):
+    """(run config, scenario, initial state) of the reference a mapping configures."""
+    _, ref_cfg, scenario = cfgmod.build_run(ref_mapping)
+    return ref_cfg, scenario, ns.state_from_primitives(ref_cfg.gas, 0.0,
+                                                       scenario.fields(ref_cfg.grid))
+
+
+def _reference_worker(ref_mapping: dict, cache_dir: str, conn) -> None:
+    """Worker process body: run the reference into its cache and send its
+    usable horizon over `conn`.  It writes nothing to stdout or stderr."""
+    sys.stdout = sys.stderr = open(os.devnull, "w")
+    ref_cfg, _, ref_state = _reference_inputs(ref_mapping)
+    reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
+    conn.send(er.lifespan_monitor(reference).usable_until)
+    conn.close()
+
+
+class _ReferenceWorker:
+    """The reference run in a worker process, and the horizon it reports.
+
+    The horizon is only a hint for stopping a batch early: the sweep takes
+    its horizon from its own `run_euler` call after `close`, which then
+    finds the reference in the cache.
+    """
+
+    def __init__(self, process, conn, t_end: float):
+        self.process, self.conn, self.t_end = process, conn, t_end
+        self.heard = False    # a horizon arrived, or the worker ended without one
+        self.stopped = False  # stop_batch has returned true
+
+    @classmethod
+    def start(cls, ref_mapping: dict, cache_dir: Path, t_end: float):
+        """A started worker, or None when none can start."""
+        import multiprocessing
+
+        try:
+            conn, child_conn = multiprocessing.Pipe(duplex=False)
+        except OSError:
+            return None
+        process = multiprocessing.Process(target=_reference_worker,
+                                          args=(ref_mapping, str(cache_dir), child_conn),
+                                          daemon=True)
+        try:
+            process.start()
+        except OSError:
+            conn.close()
+            return None
+        finally:
+            child_conn.close()
+        return cls(process, conn, t_end)
+
+    def stop_batch(self) -> bool:
+        """True once the worker has reported a horizon shorter than t_end, or
+        has ended without reporting one; polls the pipe without waiting."""
+        if not self.heard and self.conn.poll():
+            self.heard = True
+            try:
+                self.stopped = self.conn.recv() < self.t_end
+            except (EOFError, OSError):
+                self.stopped = True
+        return self.stopped
+
+    def close(self, terminate: bool = False) -> None:
+        """Wait for the worker to end, or end it first."""
+        if terminate:
+            self.process.terminate()
+        self.process.join()
+        self.conn.close()
+
+
 def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     """Reference run, one dissipative run per path point, manifest and plot data.
 
@@ -447,19 +521,57 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     from the same initial data, so they advance as one
     `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
     sweep of that point alone writes.  Records are assembled in path order.
+
+    The reference runs in a worker process (`multiprocessing`, the
+    platform's default start method) while this process advances the batch
+    speculatively to the requested t_end.  The worker stores the reference
+    in the disk cache and sends its usable horizon; a horizon shorter than
+    t_end stops the batch at its next step.  Once the worker has ended,
+    the reference is loaded from the cache, or computed here when the
+    cache holds none (an aborted reference is never stored), and its
+    horizon t_safe decides: the speculative batch stands when it reached
+    t_safe = t_end, and otherwise the batch runs again to t_safe.  A
+    worker that cannot start or that dies leaves the sweep to run as if
+    there were none.  Every output byte is the one of a sweep that runs
+    the reference first and the batch after it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     ref_mapping = _reference_mapping(setup)
-    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_mapping)
+    ref_cfg, ref_scenario, ref_state = _reference_inputs(ref_mapping)
     (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
     if "slip-wall" in setup.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
                                ref_scenario.u, ref_cfg.grid, setup.gas)
-    ref_state = ns.state_from_primitives(setup.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
-    reference = er.run_euler(ref_cfg, ref_state, cache_dir=out / "reference-cache")
+    cache_dir = out / "reference-cache"
+
+    a_values = setup.path.a_values
+    scalings = [setup.path.scaling_for(a) for a in a_values]
+
+    def batch(t_end, stop=None):
+        # every point's mapping builds this config but for its scaling
+        _, run_cfg, scenario = cfgmod.build_run(_run_mapping(setup, scalings[0], t_end))
+        return ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
+                                 scenario.fields(run_cfg.grid), stop=stop)
+
+    speculative = None
+    worker = _ReferenceWorker.start(ref_mapping, cache_dir, setup.t_end)
+    if worker is not None:
+        try:
+            speculative = batch(setup.t_end, worker.stop_batch)
+        except Exception:
+            # past the horizon a batch may fail where the one to the horizon
+            # does not; the batch below raises what belongs to the sweep
+            pass
+        except BaseException:
+            worker.close(terminate=True)
+            raise
+        worker.close()
+        if worker.stopped:  # the batch ended early
+            speculative = None
+    reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
     life = er.lifespan_monitor(reference)
     t_safe = life.usable_until
     if not (t_safe > 0.0):
@@ -467,13 +579,9 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
             "the reference run provides no usable smooth horizon "
             f"(trigger: {life.trigger or 'none'})")
 
-    a_values = setup.path.a_values
-    scalings = [setup.path.scaling_for(a) for a in a_values]
+    trajs = speculative if speculative is not None and t_safe == setup.t_end \
+        else batch(t_safe)
     mappings = [_run_mapping(setup, sc, t_safe) for sc in scalings]
-    # every point's mapping builds this config but for its scaling
-    _, run_cfg, scenario = cfgmod.build_run(mappings[0])
-    trajs = ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
-                              scenario.fields(run_cfg.grid))
     records = tuple(_point_record(reference, a, mapping, traj, out)
                     for a, mapping, traj in zip(a_values, mappings, trajs))
 

@@ -502,7 +502,14 @@ def member_temperatures(gas: GasModel, a, rho, e_density, rtol=1e-12, max_iter=1
     if (gas.law_text == "Z" and np.isfinite(rho).all() and np.isfinite(e).all()
             and (rho > 0.0).all() and (e > 0.0).all()):
         return _invert_ideal(a, rho, e, rtol, max_iter, axis)
-    return np.stack([temperature_from_energy(gas, float(ak), r, ek, rtol, max_iter)
+    return _each_member(lambda ak, r, ek: temperature_from_energy(gas, ak, r, ek, rtol, max_iter),
+                        a, rho, e, axis)
+
+
+def _each_member(invert, a, rho, e, axis):
+    """invert(a_k, rho_k, e_k) for each member k along rho's axis, with a_k a
+    float; the results stacked back on that axis."""
+    return np.stack([invert(float(ak), r, ek)
                      for ak, r, ek in zip(np.ravel(a), np.moveaxis(rho, axis, 0),
                                           np.moveaxis(e, axis, 0))], axis=axis)
 
@@ -525,6 +532,37 @@ def closures_from_energy(gas: GasModel, a, rho, e_density):
         raise DomainError("density must be positive")
     if not np.all((theta > 0.0) & (theta < math.inf)):
         raise DomainError("recovered temperature must be positive and finite")
+    return _closures_at(gas, a, rho, theta)
+
+
+def face_closures(gas: GasModel, a, rho, e_density):
+    """closures_from_energy on face states whose rho > 0 and e_density > 0
+    the caller has proven; the same bits, without those checks.
+
+    What is not yet proven is still checked: DomainError "non-finite
+    inputs to temperature inversion" for a non-finite input and
+    ModelViolationError for c_v <= 0.  The inversion is
+    temperature_from_energy's (one a) or member_temperatures' (a batch,
+    whose member axis is rho.ndim - a.ndim) on input they accept, at
+    their default tolerance and iteration limit.
+    """
+    if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
+        raise DomainError("non-finite inputs to temperature inversion")
+    rtol, max_iter = 1e-12, 160
+    axis = None if np.ndim(a) == 0 else rho.ndim - np.ndim(a)
+    if gas.law_text == "Z":
+        theta = _invert_ideal(a if axis is not None else float(a), rho, e_density,
+                              rtol, max_iter, axis)
+    elif axis is None:
+        theta = _invert_molecular(gas, float(a), rho, e_density, rtol, max_iter)
+    else:
+        theta = _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, rtol, max_iter),
+                             a, rho, e_density, axis)
+    return _closures_at(gas, a, rho, theta)
+
+
+def _closures_at(gas, a, rho, theta):
+    # p and c_s^2 on one Z, P(Z), P'(Z) and theta^3
     z = Z_of(rho, theta)
     P = gas.P(z)
     p = theta ** 2.5 * P

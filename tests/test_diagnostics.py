@@ -424,3 +424,62 @@ def test_cumulative_trapezoid_matches_scipy_bitwise():
     for rate in (rng.standard_normal(57), 1e-9 * rng.standard_normal(57), np.zeros(57)):
         want = cumulative_trapezoid(rate, times, initial=0.0)
         assert diag._cumulative(rate, times).tobytes() == want.tobytes()
+
+
+def _loop_uniform_bounds(trajectory):
+    """`uniform_bounds` as it computed its report one stored instant at a
+    time, before it stacked the instants; the oracle of the stacked form."""
+    cfg = trajectory.config
+    sc, grid = cfg.scaling, cfg.grid
+    times = np.asarray(trajectory.times, dtype=float)
+    sups = np.zeros(4)
+    rates = np.zeros((len(times), 3))
+    for k, (state, theta) in enumerate(zip(trajectory.states, trajectory.thetas)):
+        rho = state.rho
+        u = state.velocity()
+        u_sq = np.sum(u * u, axis=0)
+        sups = np.maximum(sups, [
+            gf.integrate(rho * u_sq, grid),
+            gf.integrate(rho ** (5.0 / 3.0), grid),
+            gf.integrate(rho * theta, grid),
+            sc.a * gf.integrate(theta ** 4, grid),
+        ])
+        G = gf.interior_gradient(u, grid)
+        gth = gf.interior_gradient(theta, grid)
+        rates[k] = [
+            gf.integrate(thermo.shear_tensor_sq(G), grid),
+            gf.integrate(u_sq, grid),
+            gf.integrate(np.sum(gth * gth, axis=0) + np.log(theta) ** 2, grid),
+        ]
+    ints = np.trapezoid(rates, times, axis=0) if len(times) > 1 else np.zeros(3)
+    return diag.UniformBoundsReport(
+        kinetic_sup=float(sups[0]), rho_five_thirds_sup=float(sups[1]),
+        rho_theta_sup=float(sups[2]), radiation_sup=float(sups[3]),
+        stress_time_integral=float(sc.nu * ints[0]),
+        damping_time_integral=float(sc.lam * ints[1]),
+        thermal_time_integral=float(sc.omega * ints[2]),
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_uniform_bounds_match_the_per_instant_loop_bitwise(ideal, transport, dim):
+    if dim == 1:
+        traj = nsf_run(ideal, transport, 48)
+    else:
+        grid = gf.Grid.box((1.0, 1.0), (16, 12), ("slip-wall", "periodic"))
+        X, Y = gf.mesh(grid)
+        u = np.stack([0.02 * np.sin(np.pi * X) * np.cos(2 * np.pi * Y),
+                      0.01 * np.cos(np.pi * X) * np.sin(2 * np.pi * Y)])
+        cfg = ns.NsfRunConfig(gas=ideal, transport=transport, scaling=SC, grid=grid,
+                              t_end=0.1, cfl=0.35, output_stride=1)
+        traj = ns.simulate(cfg, (1.0 + 0.02 * np.cos(np.pi * X), np.ones(grid.cells), u))
+    assert traj.healthy and len(traj.times) >= 4
+    got = diag.uniform_bounds(traj).values()
+    want = _loop_uniform_bounds(traj).values()
+    assert got == want
+    for name, value in want.items():
+        assert np.float64(got[name]).tobytes() == np.float64(value).tobytes(), name
+    # one stored instant: every time integral is zero
+    one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
+                              thetas=traj.thetas[:1])
+    assert diag.uniform_bounds(one) == _loop_uniform_bounds(one)

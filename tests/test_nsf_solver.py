@@ -557,10 +557,11 @@ def test_simulate_uniform_rest_constant_diagnostics(ideal, transport):
 
 def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_calls):
     # per step: three RHS stages, each inverting the stacked left and right
-    # face states of the one axis and, from the second stage on, its stage
-    # state (the first stage reuses the accepted state's theta), plus the
-    # accepted state
+    # face states of the one axis (`face_closures`) and, from the second
+    # stage on, its stage state (the first stage reuses the accepted state's
+    # theta), plus the accepted state
     calls = count_calls(thermo, "temperature_from_energy")
+    face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
     config = run_config(ideal, transport, grid, sc, t_end=0.05, output_stride=1)
@@ -569,14 +570,16 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
                                 (0.1 * np.sin(np.pi * x))[None]))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(calls) == 6 * steps + 1
+    assert len(face_calls) == 3 * steps
+    assert len(calls) + len(face_calls) == 6 * steps + 1
 
 
 def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls):
     # per step: three RHS stages, each inverting one stacked face array per
-    # axis and, from the second stage on, its stage state, plus the accepted
-    # state
+    # axis (`face_closures`) and, from the second stage on, its stage state,
+    # plus the accepted state
     calls = count_calls(thermo, "temperature_from_energy")
+    face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
     config = run_config(ideal, transport, grid, sc, t_end=0.06, output_stride=1)
@@ -586,7 +589,8 @@ def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls
     traj = ns.simulate(config, (rho, np.ones(grid.cells), u))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(calls) == 9 * steps + 1
+    assert len(face_calls) == 6 * steps
+    assert len(calls) + len(face_calls) == 9 * steps + 1
 
 
 def test_face_states_name_the_face_without_its_side():
@@ -877,6 +881,109 @@ def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transp
     assert not trajs[0].aborted and not trajs[2].aborted
     for got, want in zip(trajs, solos, strict=True):
         _assert_same_run(got, want)
+
+
+def _per_step_rate_sums(traj):
+    """Trapezoid sums of the damping rate and the entropy production over
+    the stored states of a run that stored every step, each state's rates
+    evaluated on that state alone: the accounting before the rates were
+    evaluated once per stored interval, kept as the oracle of the rows."""
+    damping, sigma = gf.TrapezoidAccumulator(), gf.TrapezoidAccumulator()
+    sums = {}
+    for state, theta in zip(traj.states, traj.thetas, strict=True):
+        u = state.velocity()
+        rate = traj.config.scaling.lam * gf.integrate(np.sum(u * u, axis=0), traj.config.grid)
+        sums[state.time] = (damping.add(state.time, rate),
+                            sigma.add(state.time, ns.entropy_production(state, theta,
+                                                                        traj.config)[1]))
+    return sums
+
+
+@pytest.mark.parametrize("dim,members", [(1, 1), (1, 3), (2, 2)])
+def test_rates_once_per_stored_interval_match_the_per_step_sums_bitwise(ideal, transport,
+                                                                        dim, members):
+    # a run that stores every 5th step evaluates its rates in stacked blocks;
+    # every row it stores is the row of the same run storing every step,
+    # whose blocks hold one state, and both match the per-state oracle
+    if dim == 1:
+        grid = gf.Grid.line(1.0, 24, "slip-wall")
+        x = gf.cell_centers(grid)[0]
+        initial = (1.0 + 0.05 * np.cos(np.pi * x), 1.0 + 0.02 * np.cos(np.pi * x),
+                   (0.05 * np.sin(np.pi * x))[None])
+    else:
+        grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
+        X, Y = gf.mesh(grid)
+        initial = (1.0 + 0.1 * np.cos(np.pi * X) * np.cos(2 * np.pi * Y),
+                   np.ones(grid.cells) + 0.05 * np.cos(np.pi * X),
+                   np.stack([0.1 * np.sin(np.pi * X), 0.05 * np.sin(2 * np.pi * Y)]))
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.25)
+    scalings = [_path_scaling(a) for a in (1e-2, 1e-3, 1e-4)[:members]]
+    every = ns.simulate_batch([replace(base, scaling=sc, output_stride=1) for sc in scalings],
+                              initial)
+    fifth = ns.simulate_batch([replace(base, scaling=sc, output_stride=5) for sc in scalings],
+                              initial)
+    for fine, coarse in zip(every, fifth, strict=True):
+        assert fine.healthy and len(coarse.times) >= 3 and len(fine.times) > 10
+        oracle = _per_step_rate_sums(fine)
+        by_time = dict(zip(fine.times, fine.rows))
+        for row in fine.rows:
+            assert row[3:5] == oracle[row[0]]
+        for row in coarse.rows:
+            assert row == by_time[row[0]]
+
+
+def test_rates_take_one_state_per_call_on_a_large_grid(ideal, transport, count_calls):
+    # 96x96 cells exceed the block's cell cap, so each accepted state's
+    # rates are evaluated alone, right after its step, as they were before
+    calls = count_calls(ns, "entropy_production")
+    steps = count_calls(ns, "step")
+    grid = gf.Grid.box((1.0, 1.0), (96, 96))
+    config = run_config(ideal, transport, grid, _path_scaling(1e-6), t_end=0.004,
+                        output_stride=6)
+    X, Y = gf.mesh(grid)
+    u = np.stack([0.01 * np.sin(np.pi * X), 0.01 * np.sin(np.pi * Y)])
+    traj = ns.simulate(config, (1.0 + 0.01 * np.cos(np.pi * X), np.ones(grid.cells), u))
+    assert len(steps) >= 2 and not traj.aborted
+    assert len(calls) == len(steps) + 1
+    assert all(state.W.shape == (4, 96, 96) for state, *_ in calls)
+
+
+def test_rates_take_one_call_per_stored_interval_on_a_small_grid(ideal, transport,
+                                                                 count_calls):
+    calls = count_calls(ns, "entropy_production")
+    grid = gf.Grid.line(1.0, 48, "slip-wall")
+    config = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1,
+                        output_stride=4)
+    x = gf.cell_centers(grid)[0]
+    traj = ns.simulate(config, (1.0 + 0.05 * np.cos(np.pi * x), np.ones(48),
+                                (0.05 * np.sin(np.pi * x))[None]))
+    assert not traj.aborted and len(traj.times) > 3
+    assert len(calls) == len(traj.times)
+    # the initial state alone, then each stored instant's block of steps
+    assert [state.W.shape for state, *_ in calls[:2]] == [(3, 48), (3, 4, 48)]
+
+
+def test_stop_ends_a_batch_within_one_step(ideal, transport, count_calls):
+    steps = count_calls(ns, "step")
+    polls = []
+
+    def stop():
+        polls.append(len(steps))
+        return len(polls) > 5
+
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.1,
+                      output_stride=2)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3)]
+    x = gf.cell_centers(grid)[0]
+    initial = (1.0 + 0.05 * np.cos(np.pi * x), np.ones(16), (0.05 * np.sin(np.pi * x))[None])
+    trajs = ns.simulate_batch(configs, initial, stop=stop)
+    # the sixth poll stopped the batch before its sixth step
+    assert polls == [0, 1, 2, 3, 4, 5] and len(steps) == 5
+    whole = ns.simulate_batch(configs, initial)
+    for got, want in zip(trajs, whole, strict=True):
+        assert got.times == want.times[:3] and got.rows == want.rows[:3]
+    assert ns.simulate_batch(configs, initial, stop=lambda: False)[0].rows == whole[0].rows
 
 
 # ---------------------------------------------------------------------------

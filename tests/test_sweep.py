@@ -1,6 +1,13 @@
 import json
 import math
+import multiprocessing
+import os
 import shutil
+import subprocess
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +340,161 @@ def test_sweep_keeps_unhealthy_runs_out_of_fit(tmp_path):
     assert len((out / "plot_rate.dat").read_text().splitlines()) == 2
     with pytest.raises(UsageError, match="at least two healthy"):
         sweepmod.fit_rate(manifest)
+
+
+# ---------------------------------------------------------------------------
+# the reference in a worker process
+
+
+def _sequential_sweep(setup, out_dir):
+    """`run_sweep` as it ran before the reference moved to a worker process:
+    the reference first, then the batch to its horizon.  Kept as the oracle
+    of every byte the sweep writes."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    ref_mapping = sweepmod._reference_mapping(setup)
+    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_mapping)
+    (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
+    if "slip-wall" in setup.grid.bc:
+        er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
+                               ref_scenario.u, ref_cfg.grid, setup.gas)
+    ref_state = ns.state_from_primitives(setup.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
+    ref_key = er.reference_key(ref_cfg, ref_state)
+    reference = er.run_euler(ref_cfg, ref_state, cache_dir=out / "reference-cache")
+    t_safe = er.lifespan_monitor(reference).usable_until
+    assert t_safe > 0.0
+    a_values = setup.path.a_values
+    scalings = [setup.path.scaling_for(a) for a in a_values]
+    mappings = [sweepmod._run_mapping(setup, sc, t_safe) for sc in scalings]
+    _, run_cfg, scenario = cfgmod.build_run(mappings[0])
+    trajs = ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
+                              scenario.fields(run_cfg.grid))
+    records = tuple(sweepmod._point_record(reference, a, mapping, traj, out)
+                    for a, mapping, traj in zip(a_values, mappings, trajs))
+    healthy = [r for r in records if r.healthy]
+    manifest = sweepmod.SweepManifest(
+        alpha=setup.path.alpha, beta=setup.path.beta, gamma=setup.path.gamma,
+        a_values=a_values,
+        config_hash=sweepmod._hash16(cfgmod.render(ref_mapping)),
+        grid_hash=sweepmod._hash16(repr((setup.grid.extents, setup.grid.cells,
+                                         setup.grid.bc))),
+        reference_key=ref_key, t_safe=float(t_safe), records=records,
+        fitted_constant=float("nan"), flagged=False)
+    if len(healthy) >= 2:
+        fit = sweepmod.fit_rate(manifest)
+        manifest = replace(manifest, fitted_constant=fit.fitted_constant,
+                           flagged=fit.flagged)
+    sweepmod.write_manifest(manifest, out / "manifest.json")
+    lines = ["# a envelope e_sup e_sup_over_envelope"]
+    for r in healthy:
+        lines.append(f"{r.a!r} {r.envelope!r} {r.e_sup!r} {r.e_sup / r.envelope!r}")
+    (out / "plot_rate.dat").write_text("\n".join(lines) + "\n", encoding="ascii")
+    return manifest
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def _pulse_setup():
+    # a strong pulse exhausts the reference early: t_safe < t_end
+    return _tiny_setup(scenario_name="compressive-pulse", amplitude=5.0,
+                       t_end=0.5, output_stride=16)
+
+
+@pytest.mark.parametrize("name", ["tiny", "pulse"])
+def test_sweep_writes_the_bytes_of_the_sequential_sweep(name, tiny_sweep, tmp_path):
+    if name == "tiny":
+        setup, out, manifest = tiny_sweep
+        assert manifest.t_safe == setup.t_end
+    else:
+        setup = _pulse_setup()
+        out = tmp_path / "pulse"
+        manifest = sweepmod.run_sweep(setup, out)
+        assert manifest.t_safe < setup.t_end
+    want = _sequential_sweep(setup, tmp_path / "sequential")
+    assert manifest.json() == want.json()
+    got, expected = _files(out), _files(tmp_path / "sequential")
+    assert sorted(got) == sorted(expected) and len(got) > 10
+    for rel, blob in expected.items():
+        assert got[rel] == blob, rel
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_reruns_a_batch_that_outran_a_shorter_horizon(tmp_path, monkeypatch):
+    # the worker reports a horizon half the requested t_end only after the
+    # speculative batch has already reached t_end: the batch runs again
+    def half_horizon(traj):
+        return er.LifespanReport(smooth_through_end=False, t_star=traj.t_end,
+                                 usable_until=0.5 * traj.t_end, trigger="gradient-growth")
+
+    real_worker = sweepmod._reference_worker
+
+    def late_worker(*args):
+        time.sleep(1.0)
+        real_worker(*args)
+
+    setup = _tiny_setup(t_end=0.1)
+    monkeypatch.setattr(er, "lifespan_monitor", half_horizon)
+    monkeypatch.setattr(sweepmod, "_reference_worker", late_worker)
+    manifest = sweepmod.run_sweep(setup, tmp_path / "late")
+    assert manifest.t_safe == 0.05
+    want = _sequential_sweep(setup, tmp_path / "sequential")
+    assert manifest.json() == want.json()
+    assert _files(tmp_path / "late") == _files(tmp_path / "sequential")
+
+
+def test_sweep_leaves_no_worker_behind(tmp_path, monkeypatch):
+    # after a sweep that fails for want of a horizon ...
+    def no_horizon(traj):
+        return er.LifespanReport(smooth_through_end=False, t_star=0.0,
+                                 usable_until=0.0, trigger="aborted")
+
+    with monkeypatch.context() as m:
+        m.setattr(er, "lifespan_monitor", no_horizon)
+        with pytest.raises(UsageError, match="no usable smooth horizon"):
+            sweepmod.run_sweep(_tiny_setup(), tmp_path / "no-horizon")
+    assert multiprocessing.active_children() == []
+    # ... and after one whose batch raises
+    with pytest.raises(ConfigError, match="positivity floors"):
+        sweepmod.run_sweep(_tiny_setup(floors=(0.5, 1e-12)), tmp_path / "floors")
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_worker_writes_nothing(tmp_path, capfd):
+    sweepmod.run_sweep(_tiny_setup(t_end=0.1), tmp_path / "quiet")
+    assert capfd.readouterr() == ("", "")
+
+
+def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypatch):
+    setup, out, _ = tiny_sweep
+
+    def cannot_start(self):
+        raise OSError("no process for the worker")
+
+    def dies(ref_mapping, cache_dir, conn):
+        os._exit(3)
+
+    with monkeypatch.context() as m:
+        m.setattr(multiprocessing.Process, "start", cannot_start)
+        sweepmod.run_sweep(setup, tmp_path / "no-worker")
+    # a forked worker runs the patched body; a spawned one imports the real
+    # one, and the bytes are the same either way
+    with monkeypatch.context() as m:
+        m.setattr(sweepmod, "_reference_worker", dies)
+        sweepmod.run_sweep(setup, tmp_path / "dead-worker")
+    assert multiprocessing.active_children() == []
+    want = _files(out)
+    for name in ("no-worker", "dead-worker"):
+        assert _files(tmp_path / name) == want
+
+
+def test_stored_replay_paths_leave_multiprocessing_unimported():
+    code = ("import sys; import nsflab.cli, nsflab.sweep; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(sweepmod.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

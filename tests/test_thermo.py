@@ -289,6 +289,41 @@ def test_closures_from_energy_evaluate_the_law_once(ideal, law_a, monkeypatch):
             assert g.tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
+def test_face_closures_match_closures_from_energy_bitwise(request, gas_name):
+    # one a (zero and positive) on stacked (side, face) arrays, and members
+    # with their own a on (side, member, face) arrays
+    gas = request.getfixturevalue(gas_name)
+    rng = np.random.default_rng(17)
+    a_m = np.array([1e-6, 0.3, 30.0]).reshape((3, 1))
+    for a, shape in ((0.0, (2, 49)), (0.3, (2, 49)), (a_m, (2, 3, 49))):
+        rho = rng.uniform(0.1, 4.0, shape)
+        e = thermo.internal_energy_density(gas, a, rho, rng.uniform(0.2, 3.0, shape))
+        got = thermo.face_closures(gas, a, rho, e)
+        want = thermo.closures_from_energy(gas, a, rho, e)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_face_closures_check_what_the_faces_have_not_proven(ideal):
+    rho = np.ones((2, 5))
+    e = np.full((2, 5), 1.5)
+    for a in (0.0, 0.3, np.array([[0.1], [0.2]])):
+        shape = (2, 2, 5) if np.ndim(a) else (2, 5)
+        for bad in ("rho", "e"):
+            r, ev = np.ones(shape), np.full(shape, 1.5)
+            (r if bad == "rho" else ev)[(1,) * len(shape)] = math.nan
+            with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
+                thermo.face_closures(ideal, a, r, ev)
+    unstable = thermo.GasModel(
+        name="bad",
+        P=lambda z: np.asarray(z, float) ** 3,
+        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
+    )
+    with pytest.raises(ModelViolationError, match="c_v <= 0"):
+        thermo.face_closures(unstable, 0.1, rho, 10.0 * e)
+
+
 def _reference_ideal_newton(a, rho, e, rtol, max_iter):
     """The expression form of `_invert_ideal`'s Newton loop (one a), kept
     as the oracle of its buffered form."""
