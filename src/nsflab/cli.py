@@ -10,20 +10,47 @@ results, not errors, and exit 0.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import config as cfgmod
-from . import euler_reference as er
-from . import grid_fields as gf
-from . import nsf_solver as ns
-from . import relative_energy as renergy
-from . import sweep as sweepmod
-from . import thermo
+from . import manifest as manifestmod
 from .errors import (ConfigError, DomainError, ModelViolationError,
                      PositivityError, QuadratureError, UsageError)
+
+
+def _lazy(name: str):
+    """The package module `name`, registered in sys.modules so that it
+    executes on its first attribute access (importlib.util.LazyLoader).
+
+    A command loads only the modules it touches: `rate-fit` reads the
+    manifest without numpy.  Every module stays importable and listed in
+    sys.modules, so code that looks a module up there, or imports it, gets
+    it whole once it reads an attribute.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+cfgmod = _lazy("config")
+er = _lazy("euler_reference")
+gf = _lazy("grid_fields")
+ns = _lazy("nsf_solver")
+renergy = _lazy("relative_energy")
+sweepmod = _lazy("sweep")
+thermo = _lazy("thermo")
+# used only through the modules above, and registered with them so that
+# sys.modules lists every numerical module after `import nsflab.cli`
+_lazy("diagnostics")
+_lazy("scenarios")
 
 
 def _load_config(args) -> dict:
@@ -33,6 +60,8 @@ def _load_config(args) -> dict:
 
 
 def _cmd_thermo_check(args) -> int:
+    import numpy as np
+
     cfg = _load_config(args)
     gas = cfgmod.build_gas(cfg)
     transport = cfgmod.build_transport(cfg)
@@ -119,7 +148,7 @@ def _cmd_sweep(args) -> int:
     print(f"t_safe {manifest.t_safe!r}")
     healthy = sum(1 for r in manifest.records if r.healthy)
     if healthy >= 2:
-        print(sweepmod.fit_rate(manifest).to_text(), end="")
+        print(manifestmod.fit_rate(manifest).to_text(), end="")
     else:
         print(f"rate fit skipped: {healthy} healthy run(s)")
     print(f"manifest {Path(args.out) / 'manifest.json'}")
@@ -130,7 +159,7 @@ def _cmd_rate_fit(args) -> int:
     path = Path(args.out) / "manifest.json"
     if not path.is_file():
         raise UsageError(f"no manifest at {path}")
-    fit = sweepmod.fit_rate(sweepmod.read_manifest(path))
+    fit = manifestmod.fit_rate(manifestmod.read_manifest(path))
     print(fit.to_text(), end="")
     return 0
 
@@ -161,6 +190,15 @@ def _cmd_diag(args) -> int:
     return 0
 
 
+class _TopParser(argparse.ArgumentParser):
+    """The top-level parser; its epilog lists the configuration keys, read
+    from `config` only when the help is printed."""
+
+    def format_help(self) -> str:
+        self.epilog = "configuration keys:\n" + cfgmod.describe_keys()
+        return super().format_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, metavar="FILE",
@@ -174,13 +212,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              "a sweep advances its path points as one batch and "
                              "runs its reference beside them in one worker process")
 
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="nsflab",
         description="Dissipative-limit laboratory: closure checks, runs, sweeps.",
-        epilog="configuration keys:\n" + cfgmod.describe_keys(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
     for name, fn, doc in (
         ("thermo-check", _cmd_thermo_check,
          "certify closure hypotheses and Gibbs consistency"),

@@ -259,14 +259,11 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     # every stored instant at once: the states, thetas and reference samples
     # stack on a member axis (behind any component axis, as in a solver
     # batch), so each rate below is one expression over all instants
-    refs = [er.sample_reference(reference, t, grid) for t in times]
+    R, TH, U = er.sample_reference(reference, times, grid)
     W = np.stack([s.W for s in trajectory.states], axis=1)
     rho = W[0]
     u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
     theta = np.stack(thetas)
-    R = np.stack([rf.rho_E for rf in refs])
-    TH = np.stack([rf.theta_E for rf in refs])
-    U = np.stack([rf.u_E for rf in refs], axis=1)
     P_ref = thermo.pressure(gas, sc.a, R, TH)
     dU_dt = np.gradient(U, times, axis=1, edge_order=2)
     dTH_dt = np.gradient(TH, times, axis=0, edge_order=2)

@@ -522,7 +522,8 @@ def compatibility_check(rho_fn, theta_fn, u_fns, grid: gf.Grid,
 
 
 def _block_mean(arr, ratios):
-    for ax, r in enumerate(ratios):
+    """Means over blocks of ratios[i] cells along the trailing grid axes."""
+    for ax, r in enumerate(ratios, start=arr.ndim - len(ratios)):
         if r == 1:
             continue
         shape = arr.shape[:ax] + (arr.shape[ax] // r, r) + arr.shape[ax + 1:]
@@ -530,19 +531,57 @@ def _block_mean(arr, ratios):
     return arr
 
 
-def sample_reference(traj: EulerTrajectory, t: float,
-                     target: gf.Grid) -> gf.ReferenceFields:
-    """Reference trio at time t on the target grid.
+def sample_reference(traj: EulerTrajectory, t, target: gf.Grid):
+    """Reference trio at time t, or at each of a sequence of times, on the target grid.
 
     Linear interpolation between the two bracketing stored instants, then
     conservative block averaging down to the (integer-ratio) coarser grid.
+    For one time t the trio is a ReferenceFields.  For a 1-D sequence of
+    times it is (rho_E, theta_E, u_E) stacked on an instant axis, the first
+    axis of rho_E and theta_E and the second of u_E, with every instant
+    bitwise its sample alone: the stored states are blended in blocks of at
+    most _GRADIENT_BLOCK_CELLS fine cells, an instant that falls on a stored
+    one takes that state's bits, and the temperatures are recovered in one
+    call with one a = 0 per instant.  When a time or the grid is
+    rejected, or a sample is not positive and finite, the instants are
+    sampled one at a time, so that the first bad one raises what it raises
+    alone.
     """
-    times = np.asarray(traj.times, dtype=float)
-    tol = 1e-12 * max(1.0, float(times[-1]))
-    if t < times[0] - tol or t > times[-1] + tol:
+    if np.ndim(t) == 0:
+        C = _blended(traj, [t], target)[0]
+        rho, mom = C[0], C[1:-1]
+        theta = recover_temperature(rho, mom, C[-1], traj.gas, 0.0)
+        return gf.ReferenceFields(rho, theta, mom / rho, time=float(t))
+    try:
+        C = _blended(traj, t, target)
+        # contiguous, as the per-instant samples stacked were, so that the
+        # residual's reductions over these fields run in the same order
+        rho = np.ascontiguousarray(C[:, 0])
+        mom = np.ascontiguousarray(np.moveaxis(C[:, 1:-1], 1, 0))
+        theta = recover_temperature(rho, mom, C[:, -1], traj.gas,
+                                    np.zeros((len(C),) + (1,) * traj.grid.dim))
+        u = mom / rho
+        if not (np.isfinite(rho).all() and (rho > 0.0).all() and np.isfinite(theta).all()
+                and (theta > 0.0).all() and np.isfinite(u).all()):
+            raise PositivityError("reference sample not positive and finite")
+    except (UsageError, PositivityError, DomainError):
+        for tk in t:
+            sample_reference(traj, tk, target)
+        raise
+    return rho, theta, u
+
+
+def _blended(traj, times, target):
+    """The stored W blended at each of times and block-averaged onto target,
+    stacked on a leading instant axis."""
+    stored = np.asarray(traj.times, dtype=float)
+    ts = np.asarray(times, dtype=float)
+    tol = 1e-12 * max(1.0, float(stored[-1]))
+    outside = (ts < stored[0] - tol) | (ts > stored[-1] + tol)
+    if outside.any():
         raise UsageError(
-            f"t={t} outside the stored range [{times[0]}, {times[-1]}]; "
-            "extrapolation is not supported"
+            f"t={times[int(np.argmax(outside))]} outside the stored range "
+            f"[{stored[0]}, {stored[-1]}]; extrapolation is not supported"
         )
     src = traj.grid
     if (len(target.cells) != len(src.cells) or target.bc != src.bc
@@ -555,23 +594,28 @@ def sample_reference(traj: EulerTrajectory, t: float,
                              f"multiple of target cells {target.cells}")
         ratios.append(nf // nc)
 
-    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1))
-    if k == len(times) - 1 or abs(times[k] - t) <= tol:
-        lo = hi = traj.states[k]
-        w = 0.0
-    else:
-        lo, hi = traj.states[k], traj.states[k + 1]
-        w = (t - times[k]) / (times[k + 1] - times[k])
+    last = len(stored) - 1
+    lo = np.clip(np.searchsorted(stored, ts, side="right") - 1, 0, last)
+    on = (lo == last) | (np.abs(stored[lo] - ts) <= tol)  # on a stored instant
+    hi = np.where(on, lo, lo + 1)
+    w = np.zeros(len(ts))
+    w[~on] = (ts[~on] - stored[lo[~on]]) / (stored[hi[~on]] - stored[lo[~on]])
 
-    def blend(a, b):
-        return a if w == 0.0 else (1.0 - w) * a + w * b
-
-    rho = _block_mean(blend(lo.rho, hi.rho), ratios)
-    mom = np.stack([_block_mean(blend(lo.mom[c], hi.mom[c]), ratios)
-                    for c in range(src.dim)])
-    etot = _block_mean(blend(lo.etot, hi.etot), ratios)
-    theta = recover_temperature(rho, mom, etot, traj.gas, 0.0)
-    return gf.ReferenceFields(rho, theta, mom / rho, time=float(t))
+    # (1 - w) a + w b, formed in place on the two stacks; an instant on a
+    # stored one blends that state with itself, which gives the state bit
+    # for bit: 1 a + 0 a = a, -0.0 included (1 a + 0 b with another state b
+    # could turn -0.0 into 0.0)
+    step = max(1, _GRADIENT_BLOCK_CELLS // math.prod(src.cells))
+    blocks = []
+    for k in range(0, len(ts), step):
+        A = np.stack([traj.states[i].W for i in lo[k:k + step]])
+        B = np.stack([traj.states[i].W for i in hi[k:k + step]])
+        wk = w[k:k + step].reshape((-1,) + (1,) * (A.ndim - 1))
+        A *= 1.0 - wk
+        B *= wk
+        A += B
+        blocks.append(_block_mean(A, ratios))
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------

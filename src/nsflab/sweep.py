@@ -6,21 +6,22 @@ dissipative solver, as one batch, from the same closed-form initial data
 to that horizon.  The reference runs in a worker process while the batch
 advances towards the requested end time; a shorter horizon stops the
 batch and runs it again to that horizon.
-The manifest records, per point, the initial relative energy, its sup over
-the run, and the convergence-rate envelope; the fitted constant is the
-largest ratio E_sup / (E_init + envelope), which the theory asserts stays
-bounded along any admissible path.
+The manifest (`nsflab.manifest`) records, per point, the initial relative
+energy, its sup over the run, and the convergence-rate envelope; the fitted
+constant is the largest ratio E_sup / (E_init + envelope), which the theory
+asserts stays bounded along any admissible path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import config as cfgmod
 from . import diagnostics as diag
@@ -28,7 +29,11 @@ from . import euler_reference as er
 from . import grid_fields as gf
 from . import nsf_solver as ns
 from . import thermo
-from .errors import ConfigError, DomainError, UsageError
+from .errors import ConfigError, DomainError, PositivityError, UsageError
+# the manifest and its rate fit live beside the sweep, in a module that
+# `nsflab rate-fit` loads without numpy; they stay reachable from here
+from .manifest import (FitReport, RunRecord, SweepManifest,  # noqa: F401
+                       fit_rate, read_manifest, write_manifest)
 
 
 def validate_path(alpha: float, beta: float, gamma: float,
@@ -97,135 +102,6 @@ class ScalingPath:
     def scaling_for(self, a: float) -> thermo.ScalingParams:
         return thermo.ScalingParams(a=a, nu=a ** self.alpha,
                                     omega=a ** self.beta, lam=a ** self.gamma)
-
-
-# ---------------------------------------------------------------------------
-# manifest
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """Per-point outcome; unhealthy runs stay in the manifest, out of the fit."""
-
-    run_id: str
-    a: float
-    healthy: bool
-    reason: str
-    e_init: float
-    e_sup: float
-    envelope: float
-    max_excess: float
-
-
-@dataclass(frozen=True)
-class SweepManifest:
-    alpha: float
-    beta: float
-    gamma: float
-    a_values: tuple
-    config_hash: str
-    grid_hash: str
-    reference_key: str
-    t_safe: float
-    records: tuple
-    fitted_constant: float
-    flagged: bool
-
-    def json(self) -> str:
-        payload = asdict(self)
-        payload["a_values"] = list(self.a_values)
-        payload["records"] = [asdict(r) for r in self.records]
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def write_manifest(manifest: SweepManifest, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(manifest.json())
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# the JSON values a manifest's scalar fields may hold, by field annotation
-_FIELD_CHECKS = {"float": _is_number, "str": lambda v: isinstance(v, str),
-                 "bool": lambda v: isinstance(v, bool)}
-
-
-def _typed(cls, payload: dict):
-    """cls(**payload) once every scalar field holds its JSON type."""
-    if not isinstance(payload, dict):
-        raise TypeError(f"a {cls.__name__} entry is {payload!r}, not an object")
-    for f in fields(cls):
-        check = _FIELD_CHECKS.get(f.type)
-        if check is not None and not check(payload.get(f.name)):
-            raise TypeError(f"{cls.__name__}.{f.name} is {payload.get(f.name)!r}, "
-                            f"not a {f.type}")
-    return cls(**payload)
-
-
-def read_manifest(path) -> SweepManifest:
-    """The manifest `write_manifest` stored at path.
-
-    UsageError naming the file when it is not JSON, its keys are not the
-    manifest's fields, or a field does not hold its type.
-    """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise TypeError(f"the manifest is {payload!r}, not an object")
-        a_values, records = payload["a_values"], payload["records"]
-        if not (isinstance(a_values, list) and all(_is_number(a) for a in a_values)):
-            raise TypeError(f"a_values is {a_values!r}, not a list of numbers")
-        if not isinstance(records, list):
-            raise TypeError(f"records is {records!r}, not a list")
-        payload["a_values"] = tuple(a_values)
-        payload["records"] = tuple(_typed(RunRecord, r) for r in records)
-        return _typed(SweepManifest, payload)
-    except (ValueError, KeyError, TypeError) as err:
-        raise UsageError(f"{path} is not a readable sweep manifest "
-                         f"({type(err).__name__}: {err})") from None
-
-
-@dataclass(frozen=True)
-class FitReport:
-    """Per-point ratios E_sup / (E_init + envelope) and their maximum."""
-
-    a_values: tuple
-    ratios: tuple
-    fitted_constant: float
-    flagged: bool
-
-    def to_text(self) -> str:
-        lines = [f"a={a!r} ratio={r!r}"
-                 for a, r in zip(self.a_values, self.ratios)]
-        lines.append(f"fitted_constant {self.fitted_constant!r}")
-        lines.append(f"flagged {self.flagged}")
-        return "\n".join(lines) + "\n"
-
-
-def fit_rate(manifest: SweepManifest) -> FitReport:
-    """Bounded-constant check over the healthy runs of a sweep.
-
-    The flag trips when some later ratio exceeds an earlier one by more
-    than 10x: a growing ratio means the envelope is not tracking E_sup.
-    """
-    healthy = [r for r in manifest.records if r.healthy]
-    if len(healthy) < 2:
-        raise UsageError(
-            f"rate fitting needs at least two healthy runs, got {len(healthy)}")
-    ratios = tuple(r.e_sup / (r.e_init + r.envelope) for r in healthy)
-    flagged = any(
-        ratios[j] > 10.0 * ratios[i]
-        for i in range(len(ratios)) for j in range(i + 1, len(ratios))
-    )
-    return FitReport(
-        a_values=tuple(r.a for r in healthy),
-        ratios=ratios,
-        fitted_constant=max(ratios),
-        flagged=flagged,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +269,13 @@ def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
 def load_run(run_dir):
     """Rebuild (mapping, run config, trajectory) from a stored run directory.
 
-    Snapshots carry exact field bytes, so the temperatures recovered here,
-    once per snapshot, and the diagnostics recomputed from the loaded
-    trajectory match the originals bit for bit.
+    Snapshots carry exact field bytes, so the temperatures recovered here
+    and the diagnostics recomputed from the loaded trajectory match the
+    originals bit for bit.  The snapshots stack on a member axis with one
+    a per snapshot, so one recovery serves them all and stops each at its
+    own convergence (`thermo.member_temperatures`); when it fails, the
+    snapshots are recovered one at a time, so that the first bad one raises
+    what it raises alone.
     """
     rdir = Path(run_dir)
     mapping = cfgmod.load_file(rdir / "run.cfg")
@@ -403,10 +283,17 @@ def load_run(run_dir):
     if kind != "nsf":
         raise UsageError(f"{rdir} does not hold a dissipative run")
     times, states = gf.read_series(rdir, run_cfg.grid)
-    thetas = [ns.recover_temperature(s.rho, s.mom, s.etot, run_cfg.gas, run_cfg.scaling.a)
-              for s in states]
+    gas, a = run_cfg.gas, run_cfg.scaling.a
+    W = np.stack([s.W for s in states], axis=1)
+    try:
+        theta = ns.recover_temperature(W[0], W[1:-1], W[-1], gas,
+                                       np.full((len(states),) + (1,) * run_cfg.grid.dim, a))
+    except (PositivityError, DomainError):
+        for s in states:
+            ns.recover_temperature(s.rho, s.mom, s.etot, gas, a)
+        raise
     return mapping, run_cfg, ns.Trajectory(config=run_cfg, times=times, states=states,
-                                           thetas=thetas)
+                                           thetas=list(theta))
 
 
 def _hash16(text: str) -> str:

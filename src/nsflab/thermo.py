@@ -514,32 +514,15 @@ def _each_member(invert, a, rho, e, axis):
                                           np.moveaxis(e, axis, 0))], axis=axis)
 
 
-def closures_from_energy(gas: GasModel, a, rho, e_density):
-    """(theta, p, c_s^2) at density rho and internal energy density e_density.
-
-    Bitwise the same as temperature_from_energy followed by pressure and
-    sound_speed_sq at the recovered theta, and it raises what they raise,
-    but each check runs once: DomainError for non-finite input, rho <= 0,
-    e_density <= 0 or a recovered theta that is not positive and finite,
-    ModelViolationError for c_v <= 0.  Z, P(Z), P'(Z) and theta^3 are
-    evaluated once each and serve both p and c_s^2, in the expression order
-    of the separate closures, whatever the law.  a may hold one value per
-    batch member, as in member_temperatures.
-    """
-    theta = member_temperatures(gas, a, rho, e_density)
-    rho = np.asarray(rho, dtype=float)
-    if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
-        raise DomainError("density must be positive")
-    if not np.all((theta > 0.0) & (theta < math.inf)):
-        raise DomainError("recovered temperature must be positive and finite")
-    return _closures_at(gas, a, rho, theta)
-
-
 def face_closures(gas: GasModel, a, rho, e_density):
-    """closures_from_energy on face states whose rho > 0 and e_density > 0
-    the caller has proven; the same bits, without those checks.
+    """(theta, p, c_s^2) on face states whose rho > 0 and e_density > 0
+    the caller has proven.
 
-    What is not yet proven is still checked: DomainError "non-finite
+    Bitwise the same as temperature_from_energy (or member_temperatures)
+    followed by pressure and sound_speed_sq at the recovered theta: Z,
+    P(Z), P'(Z) and theta^3 are evaluated once each and serve both p and
+    c_s^2, in the expression order of the separate closures, whatever the
+    law.  What is not yet proven is still checked: DomainError "non-finite
     inputs to temperature inversion" for a non-finite input and
     ModelViolationError for c_v <= 0.  The inversion is
     temperature_from_energy's (one a) or member_temperatures' (a batch,

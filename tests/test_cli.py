@@ -2,6 +2,7 @@ import json
 import math
 import shutil
 
+import numpy as np
 import pytest
 
 from nsflab import cli
@@ -187,6 +188,16 @@ _MANIFEST = {"alpha": 0.55, "beta": 1.2, "gamma": 0.1, "a_values": [0.01, 0.001]
                  "TypeError: SweepManifest.flagged is 'no', not a bool", id="string-flagged"),
     pytest.param(json.dumps(dict(_MANIFEST, a_values=[0.01, None])),
                  "TypeError: a_values is [0.01, None], not a list of numbers", id="null-a"),
+    pytest.param(json.dumps(dict(_MANIFEST, records=[
+        _RECORD, dict(_RECORD, run_id="a1.000e-03", e_init=0.0, envelope=0.0)])),
+        "ValueError: healthy record a1.000e-03 has e_init + envelope 0.0, not positive",
+        id="zero-denominator"),
+    pytest.param(json.dumps(dict(_MANIFEST, records=[
+        dict(_RECORD, e_sup=math.nan), dict(_RECORD, run_id="a1.000e-03")])),
+        "ValueError: healthy record a1.000e-02 has e_sup nan", id="nan-e_sup"),
+    pytest.param(json.dumps(dict(_MANIFEST, records=[
+        _RECORD, dict(_RECORD, run_id="a1.000e-03", envelope=-math.inf)])),
+        "ValueError: healthy record a1.000e-03 has envelope -inf", id="infinite-envelope"),
 ])
 def test_rate_fit_damaged_manifest(tmp_path, capsys, text, why):
     path = tmp_path / "manifest.json"
@@ -195,6 +206,18 @@ def test_rate_fit_damaged_manifest(tmp_path, capsys, text, why):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} is not a readable sweep manifest")
     assert why in err and err.count("\n") == 1
+
+
+def test_rate_fit_leaves_unhealthy_nan_records_out(tmp_path, capsys):
+    # a sweep writes NaN numbers for an unhealthy point; only healthy ones are fitted
+    unhealthy = dict(_RECORD, run_id="a1.000e-04", a=1e-4, healthy=False,
+                     reason="stalled", e_init=math.nan, e_sup=math.nan, max_excess=math.nan)
+    records = [_RECORD, dict(_RECORD, run_id="a1.000e-03", a=0.001), unhealthy]
+    (tmp_path / "manifest.json").write_text(json.dumps(dict(_MANIFEST, records=records)))
+    assert cli.main(["rate-fit", "--out", str(tmp_path)]) == 0
+    ratio = _RECORD["e_sup"] / (_RECORD["e_init"] + _RECORD["envelope"])
+    assert capsys.readouterr().out == (f"a=0.01 ratio={ratio!r}\na=0.001 ratio={ratio!r}\n"
+                                       f"fitted_constant {ratio!r}\nflagged False\n")
 
 
 def test_diag_reproduces_stored_csvs(cli_sweep, capsys):
@@ -262,6 +285,19 @@ def test_diag_snapshot_without_a_state_field(cli_sweep, tmp_path, capsys, damage
     assert err.startswith(f"error: snapshot {snap}") and want in err
 
 
+def test_diag_names_the_first_snapshot_without_internal_energy(cli_sweep, tmp_path, capsys):
+    # a later snapshot without density is not the one reported
+    out = _sweep_copy(cli_sweep, tmp_path)
+    snaps = sorted(sorted((out / "runs").iterdir())[0].glob("*.snap"))
+    for snap, cell, field in ((snaps[1], 3, "etot"), (snaps[2], 1, "rho")):
+        grid, t, fields = gf.read_snapshot(snap)
+        fields["mom"][cell] = 0.0
+        fields[field][cell] = 0.0
+        gf.write_snapshot(snap, grid, t, fields)
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: non-positive internal energy at cell (3,)\n"
+
+
 @pytest.mark.parametrize("damage, why", [
     ("key-line-only", "KeyError"),
     ("garbled-dt", "ValueError"),
@@ -292,13 +328,15 @@ def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
 
 
 def test_diag_recovers_two_temperatures_per_instant(cli_sweep, count_calls, capsys):
-    # one when the run is loaded and one for the reference sample; both
-    # reports read the loaded temperatures
+    # one when the run is loaded and one for the reference sample, each
+    # recovery one call per run with one a per stored instant; both reports
+    # read the loaded temperatures
     _, out = cli_sweep
-    instants = len(list((out / "runs").glob("*/*.snap")))
-    calls = count_calls(thermo, "temperature_from_energy")
+    instants = [len(list(rdir.glob("*.snap"))) for rdir in sorted((out / "runs").iterdir())]
+    calls = count_calls(thermo, "member_temperatures")
     assert cli.main(["diag", "--out", str(out)]) == 0
-    assert instants > 0 and len(calls) == 2 * instants
+    assert min(instants) > 0
+    assert [np.size(args[1]) for args in calls] == [n for n in instants for _ in range(2)]
 
 
 def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path, capsys):

@@ -520,3 +520,105 @@ def test_cache_key_tracks_data_and_run_settings(ideal, tmp_path):
     er.run_euler(cfg, acoustic(grid), cache_dir=tmp_path)
     er.run_euler(cfg, acoustic(grid, amp=0.02), cache_dir=tmp_path)
     assert len(list(tmp_path.glob("euler-*"))) == 2
+
+
+def _sample_one(traj, t, target):
+    """`sample_reference` at one time as it was computed one instant at a
+    time before it stacked the instants: the oracle of the stacked form."""
+    times = np.asarray(traj.times, dtype=float)
+    tol = 1e-12 * max(1.0, float(times[-1]))
+    if t < times[0] - tol or t > times[-1] + tol:
+        raise UsageError(f"t={t} outside the stored range [{times[0]}, {times[-1]}]; "
+                         "extrapolation is not supported")
+    src = traj.grid
+    ratios = [nf // nc for nf, nc in zip(src.cells, target.cells)]
+    k = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 1))
+    if k == len(times) - 1 or abs(times[k] - t) <= tol:
+        lo = hi = traj.states[k]
+        w = 0.0
+    else:
+        lo, hi = traj.states[k], traj.states[k + 1]
+        w = (t - times[k]) / (times[k + 1] - times[k])
+
+    def blend(a, b):
+        return a if w == 0.0 else (1.0 - w) * a + w * b
+
+    rho = er._block_mean(blend(lo.rho, hi.rho), ratios)
+    mom = np.stack([er._block_mean(blend(lo.mom[c], hi.mom[c]), ratios)
+                    for c in range(src.dim)])
+    etot = er._block_mean(blend(lo.etot, hi.etot), ratios)
+    theta = ns.recover_temperature(rho, mom, etot, traj.gas, 0.0)
+    return gf.ReferenceFields(rho, theta, mom / rho, time=float(t))
+
+
+def _random_trajectory(gas, grid, count, seed, negative_zero=False):
+    """count stored states of random positive fields on grid, at uneven times."""
+    rng = np.random.default_rng(seed)
+    times = np.cumsum(rng.uniform(0.05, 0.2, count)) - 0.05
+    states = []
+    for t in times:
+        rho = rng.uniform(0.5, 2.0, grid.cells)
+        theta = rng.uniform(0.5, 2.0, grid.cells)
+        u = rng.uniform(-0.3, 0.3, (grid.dim, *grid.cells))
+        if negative_zero:  # -0.0 in every other state, +0.0 in the others
+            u[:, ::3] = -0.0 if len(states) % 2 == 0 else 0.0
+        states.append(ns.state_from_primitives(gas, 0.0, (rho, theta, u)))
+        states[-1].time = float(t)
+    return er.EulerTrajectory(gas=gas, grid=grid, dt=0.1, eps_f=0.0, times=list(times),
+                              states=states, t_end=float(times[-1]))
+
+
+def _sample_times(traj):
+    """Every stored instant (w == 0), a point inside each interval and the ends."""
+    stored = np.asarray(traj.times)
+    mids = stored[:-1] + 0.37 * np.diff(stored)
+    return np.sort(np.concatenate((stored, mids)))
+
+
+@pytest.mark.parametrize("case", ["1d", "1d-negative-zero", "1d-law_a", "2d", "2d-blocks"])
+def test_stacked_samples_match_the_per_instant_loop_bitwise(request, ideal, case, monkeypatch):
+    gas = request.getfixturevalue("law_a") if case.endswith("law_a") else ideal
+    if case.startswith("1d"):
+        fine = gf.Grid.line(1.0, 12 * (1 if case == "1d-negative-zero" else 4), "slip-wall")
+        coarse = gf.Grid.line(1.0, 12, "slip-wall")
+    else:
+        fine = gf.Grid.box((1.0, 2.0), (32, 16))
+        coarse = gf.Grid.box((1.0, 2.0), (8, 8))
+    if case == "2d-blocks":
+        # three instants per block: the 13 sample times end in a short block
+        monkeypatch.setattr(er, "_GRADIENT_BLOCK_CELLS", 3 * 32 * 16 + 5)
+    traj = _random_trajectory(gas, fine, 7, seed=len(case),
+                              negative_zero=case == "1d-negative-zero")
+    times = _sample_times(traj)
+    rho, theta, u = er.sample_reference(traj, times, coarse)
+    refs = [_sample_one(traj, t, coarse) for t in times]
+    assert rho.tobytes() == np.stack([r.rho_E for r in refs]).tobytes()
+    assert theta.tobytes() == np.stack([r.theta_E for r in refs]).tobytes()
+    assert u.tobytes() == np.stack([r.u_E for r in refs], axis=1).tobytes()
+    if case == "1d-negative-zero":
+        # the stored instants of even index keep their -0.0
+        assert np.signbit(u[:, ::4, ::3]).all() and not np.signbit(u[:, 2::4, ::3]).any()
+    one = er.sample_reference(traj, times[3], coarse)
+    assert one.rho_E.tobytes() == refs[3].rho_E.tobytes()
+    assert one.u_E.tobytes() == refs[3].u_E.tobytes()
+
+
+def test_stacked_samples_raise_what_the_first_bad_instant_raises(ideal):
+    # instant 2 has no internal energy in cell 3 and instant 4 no density in
+    # cell 1: stacked, the density check would name instant 4 first
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    traj = _random_trajectory(ideal, grid, 6, seed=3)
+    for k, cell, field in ((2, 3, "etot"), (4, 1, "rho")):
+        W = traj.states[k].W.copy()
+        W[1:, cell] = 0.0
+        W[0 if field == "rho" else -1, cell] = 0.0
+        traj.states[k] = gf.FluidState.stacked(W, traj.states[k].time)
+    times = np.asarray(traj.times)
+    with pytest.raises(Exception) as want:
+        for t in times:
+            _sample_one(traj, t, grid)
+    with pytest.raises(type(want.value)) as got:
+        er.sample_reference(traj, times, grid)
+    assert str(got.value) == str(want.value) == "non-positive internal energy at cell (3,)"
+    with pytest.raises(UsageError, match=r"t=9\.0 outside"):
+        er.sample_reference(traj, [times[0], 9.0, -1.0], grid)

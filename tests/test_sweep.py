@@ -248,7 +248,8 @@ def test_load_run_reproduces_diagnostics(tiny_sweep):
 
 def test_run_diagnostics_invert_only_the_reference_sample(tiny_sweep, count_calls, tmp_path):
     # a fresh trajectory carries each stored state's temperature, so the
-    # reports invert nothing and the reference sample is the one inversion
+    # reports invert nothing and the reference sample is the one inversion:
+    # one call with one a per stored instant
     setup, out, manifest = tiny_sweep
     ref_map = cfgmod.load_file(out / "reference.cfg")
     _, ref_cfg, ref_scenario = cfgmod.build_run(ref_map)
@@ -261,11 +262,51 @@ def test_run_diagnostics_invert_only_the_reference_sample(tiny_sweep, count_call
     for state, theta in zip(traj.states, traj.thetas, strict=True):
         assert theta.tobytes() == ns.recover_temperature(
             state.rho, state.mom, state.etot, run_cfg.gas, run_cfg.scaling.a).tobytes()
-    calls = count_calls(thermo, "temperature_from_energy")
+    single = count_calls(thermo, "temperature_from_energy")
+    calls = count_calls(thermo, "member_temperatures")
     sweepmod.write_run_diagnostics(tmp_path, traj, reference)
-    assert len(traj.times) >= 3 and len(calls) == len(traj.times)
+    assert len(traj.times) >= 3 and not single
+    assert [np.size(args[1]) for args in calls] == [len(traj.times)]
     for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
         assert (tmp_path / name).read_bytes() == (rdir / name).read_bytes()
+
+
+def _loop_thetas(states, run_cfg):
+    """load_run's temperatures recovered one snapshot at a time, as it did
+    before it stacked them: the oracle of the stacked recovery."""
+    return [ns.recover_temperature(s.rho, s.mom, s.etot, run_cfg.gas, run_cfg.scaling.a)
+            for s in states]
+
+
+def test_load_run_thetas_match_the_per_snapshot_loop_bitwise(tiny_sweep):
+    setup, out, manifest = tiny_sweep
+    for rec in manifest.records:
+        _, run_cfg, traj = sweepmod.load_run(out / "runs" / rec.run_id)
+        assert run_cfg.scaling.a > 0.0 and len(traj.states) >= 3
+        want = _loop_thetas(traj.states, run_cfg)
+        assert [th.tobytes() for th in traj.thetas] == [th.tobytes() for th in want]
+
+
+def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path):
+    # snapshot 1 has no internal energy in cell 3 and snapshot 2 no density
+    # in cell 1: stacked, the density check would name snapshot 2 first
+    setup, out, manifest = tiny_sweep
+    rdir = tmp_path / "run"
+    shutil.copytree(out / "runs" / manifest.records[0].run_id, rdir)
+    snaps = sorted(rdir.glob("*.snap"))
+    for snap, cell, field in ((snaps[1], 3, "etot"), (snaps[2], 1, "rho")):
+        grid, t, fields = gf.read_snapshot(snap)
+        fields["mom"][cell] = 0.0
+        fields[field][cell] = 0.0
+        gf.write_snapshot(snap, grid, t, fields)
+    mapping = cfgmod.load_file(rdir / "run.cfg")
+    _, run_cfg, _ = cfgmod.build_run(mapping)
+    _, states = gf.read_series(rdir, run_cfg.grid)
+    with pytest.raises(Exception) as want:
+        _loop_thetas(states, run_cfg)
+    with pytest.raises(type(want.value)) as got:
+        sweepmod.load_run(rdir)
+    assert str(got.value) == str(want.value) == "non-positive internal energy at cell (3,)"
 
 
 def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):

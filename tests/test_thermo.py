@@ -1,5 +1,6 @@
 """Constitutive closures: frozen oracles, consistency checks, certification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -225,6 +226,25 @@ def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
         fn(bad, 0.1, 1.0, 1.0)
 
 
+def _closures_from_energy(gas, a, rho, e_density):
+    """(theta, p, c_s^2) at density rho and internal energy density e_density,
+    with every check of temperature_from_energy and the closures: the
+    checked form of `thermo.face_closures`, kept as its bitwise oracle.
+
+    DomainError for non-finite input, rho <= 0, e_density <= 0 or a
+    recovered theta that is not positive and finite, ModelViolationError
+    for c_v <= 0.  a may hold one value per batch member, as in
+    member_temperatures.
+    """
+    theta = thermo.member_temperatures(gas, a, rho, e_density)
+    rho = np.asarray(rho, dtype=float)
+    if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
+        raise DomainError("density must be positive")
+    if not np.all((theta > 0.0) & (theta < math.inf)):
+        raise DomainError("recovered temperature must be positive and finite")
+    return thermo._closures_at(gas, a, rho, theta)
+
+
 @pytest.mark.parametrize("gas_name,a", [("ideal", 0.0), ("ideal", 0.3),
                                         ("law_a", 0.0), ("law_a", 0.3)])
 def test_closures_from_energy_match_the_separate_closures_bitwise(request, gas_name, a):
@@ -236,7 +256,7 @@ def test_closures_from_energy_match_the_separate_closures_bitwise(request, gas_n
     theta = thermo.temperature_from_energy(gas, a, rho, e)
     want = (theta, thermo.pressure(gas, a, rho, theta),
             thermo.sound_speed_sq(gas, a, rho, theta))
-    got = thermo.closures_from_energy(gas, a, rho, e)
+    got = _closures_from_energy(gas, a, rho, e)
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -263,13 +283,13 @@ def test_sound_speed_evaluates_the_law_once(ideal, law_a):
         assert got.tobytes() == want.tobytes()
 
 
-def test_closures_from_energy_evaluate_the_law_once(ideal, law_a, monkeypatch):
+def test_face_closures_evaluate_the_law_once(ideal, law_a, monkeypatch):
     # after the inversion, one P(Z) and one P'(Z) per call serve both p and
     # c_s^2; the inversion itself runs on the uncounted law
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.1, 4.0, (2, 49))
     theta = rng.uniform(0.2, 3.0, (2, 49))
-    invert = thermo.member_temperatures
+    invert = thermo._invert_molecular
     for law in (ideal, law_a):
         calls = []
 
@@ -278,13 +298,13 @@ def test_closures_from_energy_evaluate_the_law_once(ideal, law_a, monkeypatch):
 
         gas = thermo.GasModel(name=law.name, P=count("P", law.P), dP=count("dP", law.dP),
                               law_text=law.law_text)
-        monkeypatch.setattr(thermo, "member_temperatures",
-                            lambda g, a, r, e, law=law: invert(law, a, r, e))
+        monkeypatch.setattr(thermo, "_invert_molecular",
+                            lambda g, *args, law=law: invert(law, *args))
         e = thermo.internal_energy_density(law, 0.3, rho, theta)
-        got = thermo.closures_from_energy(gas, 0.3, rho, e)
+        got = thermo.face_closures(gas, 0.3, rho, e)
         assert sorted(calls) == ["P", "dP"]
         monkeypatch.undo()
-        want = thermo.closures_from_energy(law, 0.3, rho, e)
+        want = thermo.face_closures(law, 0.3, rho, e)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -300,19 +320,18 @@ def test_face_closures_match_closures_from_energy_bitwise(request, gas_name):
         rho = rng.uniform(0.1, 4.0, shape)
         e = thermo.internal_energy_density(gas, a, rho, rng.uniform(0.2, 3.0, shape))
         got = thermo.face_closures(gas, a, rho, e)
-        want = thermo.closures_from_energy(gas, a, rho, e)
+        want = _closures_from_energy(gas, a, rho, e)
         for g, w in zip(got, want, strict=True):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_face_closures_check_what_the_faces_have_not_proven(ideal):
     rho = np.ones((2, 5))
-    e = np.full((2, 5), 1.5)
     for a in (0.0, 0.3, np.array([[0.1], [0.2]])):
         shape = (2, 2, 5) if np.ndim(a) else (2, 5)
-        for bad in ("rho", "e"):
+        for bad, value in itertools.product(("rho", "e"), (math.nan, math.inf)):
             r, ev = np.ones(shape), np.full(shape, 1.5)
-            (r if bad == "rho" else ev)[(1,) * len(shape)] = math.nan
+            (r if bad == "rho" else ev)[(1,) * len(shape)] = value
             with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
                 thermo.face_closures(ideal, a, r, ev)
     unstable = thermo.GasModel(
@@ -320,8 +339,10 @@ def test_face_closures_check_what_the_faces_have_not_proven(ideal):
         P=lambda z: np.asarray(z, float) ** 3,
         dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
     )
-    with pytest.raises(ModelViolationError, match="c_v <= 0"):
-        thermo.face_closures(unstable, 0.1, rho, 10.0 * e)
+    # e = 10 and 15 have roots where the radiation term grows, but c_v < 0 there
+    for e_bad in (10.0, 15.0):
+        with pytest.raises(ModelViolationError, match="c_v <= 0"):
+            thermo.face_closures(unstable, 0.1, rho, np.full((2, 5), e_bad))
 
 
 def _reference_ideal_newton(a, rho, e, rtol, max_iter):
@@ -384,23 +405,6 @@ def test_member_temperatures_match_each_member_alone(request, gas_name):
     with pytest.raises(DomainError, match="must be positive"):
         thermo.member_temperatures(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
                                    np.array([[1.0] * 4, [1.0, -1.0, 1.0, 1.0]]))
-
-
-def test_closures_from_energy_reject_bad_states(ideal):
-    for a in (0.0, 0.5):
-        for rho, e in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
-                       (math.nan, 1.0), (1.0, math.inf), ([1.0, 0.0], [1.0, 1.0]),
-                       (1e300, 1e-300)):  # the last recovers theta = 0
-            with pytest.raises(DomainError):
-                thermo.closures_from_energy(ideal, a, rho, e)
-    bad = thermo.GasModel(
-        name="bad",
-        P=lambda z: np.asarray(z, float) ** 3,
-        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
-    )
-    # e = 10 has a root where the radiation term grows, but c_v < 0 there
-    with pytest.raises(ModelViolationError):
-        thermo.closures_from_energy(bad, 0.1, 1.0, 10.0)
 
 
 def test_sound_speed_checks_its_state_once(ideal, count_calls):
