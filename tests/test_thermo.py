@@ -407,6 +407,24 @@ def test_member_temperatures_match_each_member_alone(request, gas_name):
                                    np.array([[1.0] * 4, [1.0, -1.0, 1.0, 1.0]]))
 
 
+def test_closures_from_energy_reject_bad_states(ideal):
+    # the checked oracle of face_closures keeps every positivity check
+    for a in (0.0, 0.5):
+        for rho, e in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                       (math.nan, 1.0), (1.0, math.inf), ([1.0, 0.0], [1.0, 1.0]),
+                       (1e300, 1e-300)):  # the last recovers theta = 0
+            with pytest.raises(DomainError):
+                _closures_from_energy(ideal, a, rho, e)
+    bad = thermo.GasModel(
+        name="bad",
+        P=lambda z: np.asarray(z, float) ** 3,
+        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
+    )
+    # e = 10 has a root where the radiation term grows, but c_v < 0 there
+    with pytest.raises(ModelViolationError):
+        _closures_from_energy(bad, 0.1, 1.0, 10.0)
+
+
 def test_sound_speed_checks_its_state_once(ideal, count_calls):
     calls = count_calls(thermo, "_check_state")
     thermo.sound_speed_sq(ideal, 0.2, np.array([1.0, 2.0]), np.array([0.5, 3.0]))
