@@ -1,0 +1,105 @@
+"""Microseconds per call of each solver layer, as JSON.
+
+Each layer runs on the default sweep's initial data (the acoustic-entropy
+scenario on a slip-wall line) at 48 and 384 cells, with the scalings of the
+path point a = 1e-2 (nu = a^0.55, omega = a^1.2, lambda = a^0.1).  A layer
+is called `--number` times per repeat and the minimum over `--repeats`
+repeats is reported, in microseconds per call.  The layers:
+
+- `recover_temperature.a0`, `recover_temperature.arad`: temperature
+  recovery from conservative fields at a = 0 and at a = 1e-2;
+- `rhs_nsf`: the dissipative tendency, recovering its own theta;
+  `rhs_nsf.theta`: the same with the state's theta given (the first stage
+  of a step);
+- `rhs_euler`: the inviscid reference tendency, hyper-dissipation on;
+- `fill_ghosts_slip`: the depth-2 ghost fill of a stacked state;
+- `relative_energy`: one instant's relative-energy integral against a
+  perturbed copy of the state;
+- `stable_dt`, `apply_floors`: the step bound and one stage's floor pass;
+- `nsf_step`: one lone step as the time loop takes it (`stable_dt`,
+  `step`, `recover_temperature`).
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 scripts/layer_bench.py [--cells 48 384] [--repeats 7]
+"""
+
+import argparse
+import json
+import sys
+import timeit
+
+import numpy as np
+
+from nsflab import euler_reference as er
+from nsflab import grid_fields as gf
+from nsflab import nsf_solver as ns
+from nsflab import relative_energy as renergy
+from nsflab import scenarios, thermo
+
+A = 1e-2
+
+
+def _cases(cells: int) -> dict:
+    """name -> zero-argument callable, on one grid of `cells` cells."""
+    gas, transport = thermo.ideal_gas(), thermo.default_transport()
+    grid = gf.Grid.line(1.0, cells, "slip-wall")
+    scaling = thermo.ScalingParams(a=A, nu=A ** 0.55, omega=A ** 1.2, lam=A ** 0.1)
+    config = ns.NsfRunConfig(gas=gas, transport=transport, scaling=scaling, grid=grid,
+                             t_end=1.0, cfl=0.35)
+    state = ns.state_from_primitives(gas, A, scenarios.acoustic_entropy(grid).fields(grid))
+    theta = ns.recover_temperature(state.rho, state.mom, state.etot, gas, A)
+    state0 = ns.state_from_primitives(gas, 0.0, (state.rho, theta, state.velocity()))
+    u = state.velocity()
+    other = (state.rho * 1.001, theta * 0.999, u + 1e-3)
+
+    def nsf_step():
+        dt = min(ns.stable_dt(state, theta, config), config.t_end - state.time)
+        s = ns.step(state, dt, config, stats=ns.StepStats(), theta=theta)
+        ns.recover_temperature(s.rho, s.mom, s.etot, gas, A)
+
+    W = state.W.copy()
+    return {
+        "recover_temperature.a0":
+            lambda: ns.recover_temperature(state0.rho, state0.mom, state0.etot, gas, 0.0),
+        "recover_temperature.arad":
+            lambda: ns.recover_temperature(state.rho, state.mom, state.etot, gas, A),
+        "rhs_nsf": lambda: ns.rhs_nsf(state, config),
+        "rhs_nsf.theta": lambda: ns.rhs_nsf(state, config, theta=theta),
+        "rhs_euler": lambda: er.rhs_euler(state0, gas, grid, 0.02),
+        "fill_ghosts_slip": lambda: gf.fill_ghosts_slip(state, grid, depth=2),
+        "relative_energy":
+            lambda: renergy.relative_energy(gas, A, (state.rho, theta, u), other, grid),
+        "stable_dt": lambda: ns.stable_dt(state, theta, config),
+        # the floors write W in place; on an admissible state they change nothing
+        "apply_floors": lambda: ns._apply_floors(W, config),
+        "nsf_step": nsf_step,
+    }
+
+
+def _us_per_call(fn, number: int, repeats: int) -> float:
+    fn()  # warm: first-use set-up is not timed
+    return 1e6 * min(timeit.repeat(fn, number=number, repeat=repeats)) / number
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--cells", type=int, nargs="+", default=[48, 384])
+    ap.add_argument("--repeats", type=int, default=7, help="repeats; the minimum is reported")
+    ap.add_argument("--number", type=int, default=200, help="calls per repeat")
+    args = ap.parse_args(argv)
+    if args.repeats < 1 or args.number < 1:
+        ap.error("--repeats and --number must be at least 1")
+    out = {"unit": "us_per_call", "statistic": f"min of {args.repeats} repeats",
+           "number": args.number, "numpy": np.__version__, "layers": {}}
+    for cells in args.cells:
+        out["layers"][str(cells)] = {
+            name: round(_us_per_call(fn, args.number, args.repeats), 2)
+            for name, fn in _cases(cells).items()}
+    json.dump(out, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

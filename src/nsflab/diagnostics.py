@@ -9,8 +9,10 @@ The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
 invert no state: they read each stored state's temperature from
 `trajectory.thetas`, which `simulate` and `sweep.load_run` fill, and work
 on primitives from there on, `relative_energy` included.
-`sweep.write_run_diagnostics` writes both.  Each stacks all stored
-instants on one axis and evaluates each of its terms in one pass over them.
+`sweep.write_run_diagnostics` writes both.  Each works on all stored
+instants stacked on one axis (`stack_run`) and evaluates each of its terms
+in one pass over them; the writer stacks a run once and hands the stack to
+both.
 """
 
 from __future__ import annotations
@@ -117,27 +119,54 @@ def _stored_thetas(trajectory) -> list:
     return thetas
 
 
-def uniform_bounds(trajectory) -> UniformBoundsReport:
+@dataclass(frozen=True)
+class StackedRun:
+    """The stored instants of one run stacked on a member axis, as in a
+    solver batch: density, velocity, temperature and the two gradients
+    that both per-run reports take."""
+
+    rho: np.ndarray
+    u: np.ndarray
+    theta: np.ndarray
+    grad_u: np.ndarray      # G[i, j] = d_j u_i
+    grad_theta: np.ndarray
+
+
+def stack_run(trajectory) -> StackedRun:
+    """Stack a run's stored states and thetas once, for `uniform_bounds` and
+    `rel_energy_inequality_residual`; UsageError when the thetas do not
+    pair with the states."""
+    thetas = _stored_thetas(trajectory)
+    grid = trajectory.config.grid
+    W = np.stack([s.W for s in trajectory.states], axis=1)
+    rho = W[0]
+    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
+    theta = np.stack(thetas)
+    return StackedRun(rho=rho, u=u, theta=theta,
+                      grad_u=gf.interior_gradient(u, grid, vector=True),
+                      grad_theta=gf.interior_gradient(theta, grid, vector=False))
+
+
+def uniform_bounds(trajectory, stacked: StackedRun = None) -> UniformBoundsReport:
     """State and dissipation bounds over the stored instants of one run.
 
     Temperatures come from `trajectory.thetas`; the weights are the run's
     own scalings.  As in `rel_energy_inequality_residual`, the stored
     instants stack on one axis and each quantity is one expression over
     all of them, whose numbers are bitwise those of one instant at a time.
+    `stacked`, when given, is `stack_run(trajectory)`.
     """
     cfg = trajectory.config
     sc = cfg.scaling
     grid = cfg.grid
     times = np.asarray(trajectory.times, dtype=float)
-    thetas = _stored_thetas(trajectory)
+    if stacked is None:
+        stacked = stack_run(trajectory)
 
     def integral(fld):
         return np.ravel(gf.integrate(fld, grid))
 
-    W = np.stack([s.W for s in trajectory.states], axis=1)
-    rho = W[0]
-    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
-    theta = np.stack(thetas)
+    rho, u, theta = stacked.rho, stacked.u, stacked.theta
     u_sq = np.sum(u * u, axis=0)
     # the running maximum from zero over the instants, per quantity
     sups = np.maximum(0.0, np.max([
@@ -146,8 +175,7 @@ def uniform_bounds(trajectory) -> UniformBoundsReport:
         integral(rho * theta),
         sc.a * integral(theta ** 4),
     ], axis=1))
-    G = gf.interior_gradient(u, grid, vector=True)
-    gth = gf.interior_gradient(theta, grid, vector=False)
+    G, gth = stacked.grad_u, stacked.grad_theta
     rates = np.stack([
         integral(thermo.shear_tensor_sq(G)),
         integral(u_sq),
@@ -232,7 +260,8 @@ def _cumulative(rate, times):
     return np.concatenate(([0.0], np.cumsum(np.diff(times) * (rate[1:] + rate[:-1]) / 2.0)))
 
 
-def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualReport:
+def rel_energy_inequality_residual(trajectory, reference,
+                                   stacked: StackedRun = None) -> RelEnergyResidualReport:
     """LHS - RHS of the relative energy inequality against a sampled reference.
 
     The test trio (r, Theta, U) is the reference trajectory sampled at the
@@ -243,7 +272,7 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     run's own.  Each term is one expression over all stored instants at
     once, whose numbers are bitwise those of one instant at a time.  The
     residual must not exceed the discretization error, which refinement
-    studies quantify.
+    studies quantify.  `stacked`, when given, is `stack_run(trajectory)`.
     """
     cfg = trajectory.config
     gas = cfg.gas
@@ -252,7 +281,8 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     grid = cfg.grid
 
     times = np.asarray(trajectory.times, dtype=float)
-    thetas = _stored_thetas(trajectory)
+    if stacked is None:
+        stacked = stack_run(trajectory)
     if len(times) < 3:
         raise UsageError(f"need at least three stored instants, got {len(times)}")
 
@@ -260,17 +290,13 @@ def rel_energy_inequality_residual(trajectory, reference) -> RelEnergyResidualRe
     # stack on a member axis (behind any component axis, as in a solver
     # batch), so each rate below is one expression over all instants
     R, TH, U = er.sample_reference(reference, times, grid)
-    W = np.stack([s.W for s in trajectory.states], axis=1)
-    rho = W[0]
-    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
-    theta = np.stack(thetas)
+    rho, u, theta = stacked.rho, stacked.u, stacked.theta
     P_ref = thermo.pressure(gas, sc.a, R, TH)
     dU_dt = np.gradient(U, times, axis=1, edge_order=2)
     dTH_dt = np.gradient(TH, times, axis=0, edge_order=2)
     dP_dt = np.gradient(P_ref, times, axis=0, edge_order=2)
 
-    G = gf.interior_gradient(u, grid, vector=True)
-    gth = gf.interior_gradient(theta, grid, vector=False)
+    G, gth = stacked.grad_u, stacked.grad_theta
     S = thermo.stress_tensor(tr, sc.nu, theta, G)
     q = thermo.heat_flux(tr, sc.omega, theta, gth)
     s_f = thermo.entropy(gas, sc.a, rho, theta)

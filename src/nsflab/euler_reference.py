@@ -23,6 +23,7 @@ energy equation, which holds only while the solution stays smooth.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -211,7 +212,9 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
 
     The step is set once from the initial signal speeds; if the running
     Courant number later exceeds 0.95 the run aborts, which is treated as
-    a life-span signal, not an error.
+    a life-span signal, not an error.  With `cache_dir`, the run is stored
+    under its `reference_key`, aborted or not, and a later call with the
+    same key loads it instead of stepping.
     """
     state = state_from_primitives(config.gas, 0.0, initial)
     if cache_dir is not None:
@@ -255,7 +258,7 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
             record(state)
     traj.mass_drift = abs(gf.integrate(traj.states[-1].rho, config.grid) - m0)
     traj.energy_drift = abs(gf.integrate(traj.states[-1].etot, config.grid) - e0)
-    if cache_dir is not None and not traj.aborted:
+    if cache_dir is not None:
         _store_cached(config, traj, cache_dir, key)
     return traj
 
@@ -659,6 +662,10 @@ def _store_cached(config, traj, cache_dir, key):
         f"mass_drift {traj.mass_drift!r}",
         f"energy_drift {traj.energy_drift!r}",
     ]
+    if traj.aborted:
+        # only an aborted run has these lines; json keeps the reason on one
+        # ASCII line
+        lines += ["aborted 1", f"abort_reason {json.dumps(traj.abort_reason)}"]
     # written aside and renamed: a reader finds the whole manifest or none
     with open(manifest + ".tmp", "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -683,6 +690,12 @@ def _load_cached(config, cache_dir, key):
                                t_end=float(meta["t_end"]),
                                mass_drift=float(meta["mass_drift"]),
                                energy_drift=float(meta["energy_drift"]))
+        # a manifest without an `aborted` line is of an unaborted run
+        if meta.get("aborted", "0") not in ("0", "1"):
+            raise ValueError(f"aborted is {meta['aborted']!r}, not 0 or 1")
+        if meta.get("aborted") == "1":
+            traj.aborted = True
+            traj.abort_reason = str(json.loads(meta["abort_reason"]))
     except (KeyError, ValueError) as err:
         raise UsageError(f"{manifest} is damaged ({type(err).__name__}: {err})") from None
     traj.times, traj.states = gf.read_series(root, config.grid)

@@ -79,6 +79,12 @@ class Grid:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
+    @cached_property
+    def _index_plans(self) -> dict:
+        # the index plans of axis_strip and the ghost fills, keyed by what
+        # they were built for; each is built on first use and kept
+        return {}
+
     @classmethod
     def line(cls, length: float, cells: int, bc: str = "slip-wall") -> "Grid":
         return cls(extents=(length,), cells=(cells,), bc=(bc,))
@@ -168,16 +174,26 @@ class FluidState:
         self.time = np.asarray(time, dtype=float) if batch else float(time)
 
     def _check_fields(self):
-        if not np.isfinite(self.W).all():
+        W = self.W
+        if not np.isfinite(W).all():
             raise PositivityError("non-finite values in fluid state")
-        if not (self.rho > 0.0).all():
-            if (self.rho < 0.0).any():
+        rho, mom, etot = W[0], W[1:-1], W[-1]
+        if (rho > 0.0).all():
+            # _kinetic's bits, without its mask: every density is positive
+            ke = np.add.reduce(np.square(mom), axis=0)
+            ke *= 0.5
+            ke /= rho
+        else:
+            if (rho < 0.0).any():
                 raise PositivityError("negative density", state=self)
-            if ((self.rho == 0.0) & (self.mom != 0.0).any(axis=0)).any():
+            if ((rho == 0.0) & (mom != 0.0).any(axis=0)).any():
                 raise PositivityError("momentum in a vacuum cell", state=self)
-        ke = _kinetic(self.rho, self.mom)
-        slack = 1e-12 * np.maximum(1.0, np.abs(self.etot))
-        if (self.etot + slack < ke).any():
+            ke = _kinetic(rho, mom)
+        slack = np.abs(etot)
+        np.maximum(1.0, slack, out=slack)
+        slack *= 1e-12
+        slack += etot  # etot + 1e-12 max(1, |etot|)
+        if (slack < ke).any():
             raise PositivityError("total energy below kinetic energy", state=self)
 
     @property
@@ -249,36 +265,48 @@ def axis_strip(fld: np.ndarray, grid: Grid, ax: int, depth: int,
     Axis ax keeps all its cells, ghosts included; every other grid axis is
     restricted to the interior widened by `widen` cells on each side.
     Leading component axes are kept as they are.  With at most two grid
-    axes, moving axis ax last is a swap with the last axis.
+    axes, moving axis ax last is a swap with the last axis.  The index is
+    built once per grid, leading axis count, ax, depth and widen.
     """
-    lead = fld.ndim - grid.dim
-    sl = [slice(None)] * lead
-    for g, n in enumerate(grid.cells):
-        sl.append(slice(None) if g == ax else slice(depth - widen, depth + n + widen))
-    return fld[tuple(sl)].swapaxes(lead + ax, -1)
+    key = ("strip", fld.ndim, ax, depth, widen)
+    plan = grid._index_plans.get(key)
+    if plan is None:
+        lead = fld.ndim - grid.dim
+        sl = [slice(None)] * lead
+        for g, n in enumerate(grid.cells):
+            sl.append(slice(None) if g == ax else slice(depth - widen, depth + n + widen))
+        plan = grid._index_plans[key] = (tuple(sl), lead + ax)
+    index, moved = plan
+    return fld[index].swapaxes(moved, -1)
 
 
-def _fill(arr, grid, depth, odd=()):
-    """Ghosted copy of arr, allocated once and filled by slice copies.
+_SCALAR, _VECTOR, _STATE = "scalar", "vector", "state"  # what _fill is given
 
-    arr holds a leading component axis (and, for a batch, a member axis
-    after it), then the interior cells.  The
-    interior is copied straight into the new array, then the margins are
-    written one grid axis at a time, spanning the already-filled extent of
-    the earlier axes and the interior of the later ones, so a corner is the
-    ghost of an edge ghost.  A periodic axis copies the `depth` layers at
-    the opposite interior edge; a slip wall copies the adjacent `depth`
-    interior layers in mirror order and negates them for each component c
-    with (c, axis) in `odd`.
+
+def _fill_plan(grid, depth, shape, kind):
+    """(ghosted shape, interior index, ordered slice copies) of `_fill`, after
+    checking the depth and the field shape; UsageError when they do not fit.
+
+    The copies are (destination, source) index pairs; a destination with
+    source None is negated in place instead.
     """
+    if depth < 1:
+        raise UsageError("ghost depth must be at least 1")
+    if depth > min(grid.cells):
+        raise UsageError(f"ghost depth {depth} exceeds the cell counts {grid.cells}")
     cells = grid.cells
-    lead = arr.shape[:-grid.dim]
-    if arr.ndim <= grid.dim or arr.shape[-grid.dim:] != cells:
-        raise UsageError(f"field shape {arr.shape[1:]} is not the interior {cells} "
+    if kind == _VECTOR:
+        if shape[0] != grid.dim:
+            raise UsageError(
+                f"vector field must have {grid.dim} components, got shape {shape}")
+        odd = _vector_parity(grid.dim)
+    else:
+        odd = _vector_parity(grid.dim, 1) if kind == _STATE else ()
+    if len(shape) <= grid.dim or shape[-grid.dim:] != cells:
+        raise UsageError(f"field shape {shape[1:]} is not the interior {cells} "
                          "behind its leading axes")
     body = (Ellipsis,) + tuple(slice(depth, depth + n) for n in cells)
-    out = np.empty(lead + tuple(n + 2 * depth for n in cells))
-    out[body] = arr
+    copies = []
     for ax, n in enumerate(cells):
         rest = body[2 + ax:]  # interior of the later axes
         lo = (Ellipsis, slice(0, depth)) + rest
@@ -288,13 +316,42 @@ def _fill(arr, grid, depth, odd=()):
             src_lo, src_hi = slice(n, n + depth), slice(depth, 2 * depth)
         else:
             src_lo, src_hi = slice(2 * depth - 1, depth - 1, -1), slice(depth + n - 1, n - 1, -1)
-        out[lo] = out[(Ellipsis, src_lo) + rest]
-        out[hi] = out[(Ellipsis, src_hi) + rest]
+        copies += [(lo, (Ellipsis, src_lo) + rest), (hi, (Ellipsis, src_hi) + rest)]
         if not periodic:
-            for c, odd_ax in odd:
-                if odd_ax == ax:
-                    out[c][lo] *= -1.0
-                    out[c][hi] *= -1.0
+            copies += [((c,) + side, None) for c, odd_ax in odd if odd_ax == ax
+                       for side in (lo, hi)]
+    ghosted = shape[:-grid.dim] + tuple(n + 2 * depth for n in cells)
+    return ghosted, body, tuple(copies)
+
+
+def _fill(arr, grid, depth, kind):
+    """Ghosted copy of arr, allocated once and filled by slice copies.
+
+    arr holds a leading component axis (and, for a batch, a member axis
+    after it), then the interior cells.  The
+    interior is copied straight into the new array, then the margins are
+    written one grid axis at a time, spanning the already-filled extent of
+    the earlier axes and the interior of the later ones, so a corner is the
+    ghost of an edge ghost.  A periodic axis copies the `depth` layers at
+    the opposite interior edge; a slip wall copies the adjacent `depth`
+    interior layers in mirror order and negates them for each odd
+    component: the wall-normal one of a vector or of a state's momentum.
+    The plan of these copies is built and checked once per grid, depth,
+    shape and kind (`_fill_plan`).
+    """
+    key = (kind, depth, arr.shape)
+    plan = grid._index_plans.get(key)
+    if plan is None:
+        plan = grid._index_plans[key] = _fill_plan(grid, depth, arr.shape, kind)
+    ghosted, body, copies = plan
+    out = np.empty(ghosted)
+    out[body] = arr
+    for dst, src in copies:
+        if src is None:
+            flip = out[dst]
+            flip *= -1.0
+        else:
+            out[dst] = out[src]
     return out
 
 
@@ -313,19 +370,12 @@ def fill_ghosts_slip(fld, grid: Grid, depth: int = 1, vector: bool = False):
     and its margins are written by slice copies of interior layers; the
     depth may not exceed the smallest cell count.
     """
-    if depth < 1:
-        raise UsageError("ghost depth must be at least 1")
-    if depth > min(grid.cells):
-        raise UsageError(f"ghost depth {depth} exceeds the cell counts {grid.cells}")
     if isinstance(fld, FluidState):
-        return _fill(fld.W, grid, depth, _vector_parity(grid.dim, 1))
+        return _fill(fld.W, grid, depth, _STATE)
     fld = np.asarray(fld, dtype=float)
     if vector:
-        if fld.shape[0] != grid.dim:
-            raise UsageError(
-                f"vector field must have {grid.dim} components, got shape {fld.shape}")
-        return _fill(fld, grid, depth, _vector_parity(grid.dim))
-    return _fill(fld[None], grid, depth)[0]
+        return _fill(fld, grid, depth, _VECTOR)
+    return _fill(fld[None], grid, depth, _SCALAR)[0]
 
 
 # ---------------------------------------------------------------------------

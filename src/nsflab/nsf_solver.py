@@ -28,6 +28,21 @@ passes it to `stable_dt`, the first RK stage of the next step,
 `entropy_production` and the recorded diagnostics, and keeps it with each
 stored state (`Trajectory.thetas`).
 
+Each check runs once, where the value it checks is formed:
+`recover_temperature`'s internal energy proves rho > 0 and e > 0 (naming
+the first bad cell), `_face_states` proves the same of the faces, and
+the one inversion entry behind both, `thermo.admissible_temperature`,
+checks only finiteness; `stable_dt` takes a recovered theta, so it checks
+nothing again.  What every step of a run reads from its config (the
+reconstruction order, which dissipation terms run, the spacings, the
+floor energy's coefficients, the scalings as arrays) is resolved on the
+config's first step (`_Kernel`); `_pack` builds one config per batch
+composition, so that happens once per composition, not on every call.
+Scalars that meet whole fields are 0-d arrays (`thermo._0D`), which give
+the bits of the floats without numpy's per-call conversion of a Python
+float; the step path computes the same ufunc operations in the same
+order as the checked public closures, so its bytes are theirs.
+
 `simulate_batch` is the one time loop.  It advances several runs that
 differ only in their scalings (the points of a dissipation path) as one
 batch: their states stack on a member axis of W, shape
@@ -47,6 +62,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +71,7 @@ from . import thermo
 from .errors import ConfigError, DomainError, PositivityError, UsageError
 
 _GHOST_DEPTH = 2  # central-slope reconstruction needs two layers
+_0D = thermo._0D  # scalar constants as 0-d arrays: the bits of the floats, less overhead
 CONVECTIVE_ORDERS = ("auto", "1", "2")  # face reconstruction choices
 
 
@@ -95,6 +112,40 @@ class NsfRunConfig:
             return 1 if all(self.scaling.zeros) else 2
         return int(self.convective_order)
 
+    @cached_property
+    def _kernel(self) -> "_Kernel":
+        return _Kernel(self)
+
+
+class _Kernel:
+    """The constants of one run config that every step reads, resolved on
+    the config's first step.  `_pack` builds one config per batch
+    composition, so they are resolved once per composition, not per call."""
+
+    def __init__(self, config: NsfRunConfig):
+        grid, sc = config.grid, config.scaling
+        self.dim = grid.dim
+        self.axes = tuple(range(-self.dim, 0))  # a field's grid axes
+        self.cells = math.prod(grid.cells)
+        self.interior = (Ellipsis,) + (slice(_GHOST_DEPTH, -_GHOST_DEPTH),) * self.dim
+        self.order = config.resolved_order()
+        _, no_nu, no_omega, no_lam = sc.zeros
+        self.viscous, self.conductive, self.damped = not no_nu, not no_omega, not no_lam
+        self.dx2 = min(h * h for h in grid.spacing)
+        # the scalars the kernels apply to whole fields, as 0-d arrays
+        # (thermo._0D); a batch's scaling values are arrays already
+        self.spacing = tuple(np.asarray(h) for h in grid.spacing)
+        self.nu, self.lam = np.asarray(sc.nu), np.asarray(sc.lam)
+        self.omega, self.neg_omega = np.asarray(sc.omega), np.asarray(-sc.omega)
+        self.rho_floor = np.asarray(config.positivity_floor[0])
+        # the floor temperature as a 0-d array: its powers then run numpy's
+        # array loops, as on a full field of it, whose bits can differ from
+        # those of Python's scalar powers; e_min = c P(rho z) + r is
+        # thermo._internal_energy_density at it, term by term
+        theta_floor = np.asarray(config.positivity_floor[1])
+        self.floor_energy = tuple(np.asarray(v) for v in (
+            1.5 * theta_floor ** 2.5, theta_floor ** -1.5, sc.a * theta_floor ** 4))
+
 
 @dataclass
 class StepStats:
@@ -133,22 +184,38 @@ def state_from_primitives(gas: thermo.GasModel, a: float, initial) -> gf.FluidSt
 def _internal_energy(rho, mom, etot, sides=0):
     """etot minus the kinetic energy; PositivityError names the first cell
     with rho <= 0 or e_int <= 0, without its first `sides` axes."""
-    if (rho <= 0.0).any():
+    if (rho <= _0D[0.0]).any():
         where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive density at cell {where}", where=where)
-    e_int = etot - 0.5 * np.sum(mom * mom, axis=0) / rho
-    if (e_int <= 0.0).any():
+    e_int = _sum_sq(mom)
+    e_int *= _0D[0.5]
+    e_int /= rho
+    np.subtract(etot, e_int, e_int)  # etot - 0.5 sum(mom^2) / rho
+    if (e_int <= _0D[0.0]).any():
         where = tuple(int(i) for i in np.argwhere(e_int <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive internal energy at cell {where}", where=where)
     return e_int
 
 
+def _sum_sq(comps):
+    """The sum of squares of the components along the first axis, as a new
+    array: bitwise np.sum(comps * comps, axis=0), whose reduction over at
+    most two components adds their squares in this order."""
+    total = np.square(comps[0])
+    for comp in comps[1:]:
+        total += np.square(comp)
+    return total
+
+
 def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
     """Temperature from conservative field arrays; aborts naming the first bad cell.
 
-    For a batch, a holds one value per member (`thermo.member_temperatures`).
+    `_internal_energy` proves rho > 0 and e_int > 0 (PositivityError
+    otherwise), so the inversion checks only finiteness
+    (`thermo.admissible_temperature`, DomainError).  For a batch, a holds
+    one value per member.
     """
-    return thermo.member_temperatures(gas, a, rho, _internal_energy(rho, mom, etot))
+    return thermo.admissible_temperature(gas, a, rho, _internal_energy(rho, mom, etot))
 
 
 # ---------------------------------------------------------------------------
@@ -211,29 +278,29 @@ def _face_states(W, n, order):
     lo, hi = d - 1, d + n  # cells feeding left/right states
     WL1 = W[..., lo:hi]
     WR1 = W[..., lo + 1:hi + 1]
+    WLR = np.empty((W.shape[0], 2, *W.shape[1:-1], n + 1))
     if order == 1:
-        WLR = np.stack((WL1, WR1), axis=1)
+        WLR[:, 0] = WL1
+        WLR[:, 1] = WR1
     else:
         half = np.subtract(W[..., 2:], W[..., :-2])  # cell j+1 of ghost frame
-        half *= 0.5
-        half *= 0.5                                   # halved twice: 0.5 * slope's bits
-        WLR = np.empty((W.shape[0], 2, *W.shape[1:-1], n + 1))
-        np.add(WL1, half[..., lo - 1:hi - 1], out=WLR[:, 0])
-        np.subtract(WR1, half[..., lo:hi], out=WLR[:, 1])
+        half *= _0D[0.5]
+        half *= _0D[0.5]                              # halved twice: 0.5 * slope's bits
+        np.add(WL1, half[..., lo - 1:hi - 1], WLR[:, 0])
+        np.subtract(WR1, half[..., lo:hi], WLR[:, 1])
         # etot - 0.5 sum(mom^2) / rho in _internal_energy's operations; a
         # face without positive density is left undivided and marked bad
         rho = WLR[0]
-        e_int = np.square(WLR[1])
-        for c in range(2, W.shape[0] - 1):
-            e_int += np.square(WLR[c])
-        e_int *= 0.5
-        np.divide(e_int, rho, out=e_int, where=rho > 0.0)
-        np.subtract(WLR[-1], e_int, out=e_int)
-        bad = rho <= 0.0
-        bad |= e_int <= 0.0
+        e_int = _sum_sq(WLR[1:-1])
+        e_int *= _0D[0.5]
+        np.divide(e_int, rho, out=e_int, where=rho > _0D[0.0])
+        np.subtract(WLR[-1], e_int, e_int)
+        bad = rho <= _0D[0.0]
+        bad |= e_int <= _0D[0.0]
         if not bad.any():
             return WLR, e_int
-        np.copyto(WLR, np.stack((WL1, WR1), axis=1), where=bad)
+        np.copyto(WLR[:, 0], WL1, where=bad[0])
+        np.copyto(WLR[:, 1], WR1, where=bad[1])
     return WLR, _internal_energy(WLR[0], WLR[1:-1], WLR[-1], 1)
 
 
@@ -251,23 +318,23 @@ def _rusanov(gas, a, WLR, e_int, ax, dx):
     rho = WLR[0]
     mn = WLR[1 + ax]
     _, p, c = thermo.face_closures(gas, a, rho, e_int)
-    np.sqrt(c, out=c)
+    np.sqrt(c, c)
     un = mn / rho
     F = np.empty((WLR.shape[0], *un.shape[1:]))
-    np.add(mn[0], mn[1], out=F[0])
+    np.add(mn[0], mn[1], F[0])
     for k in range(1, WLR.shape[0] - 1):
         Fk = WLR[k] * un
         if k == 1 + ax:
             Fk += p
-        np.add(Fk[0], Fk[1], out=F[k])
+        np.add(Fk[0], Fk[1], F[k])
     Fk = WLR[-1] + p
     Fk *= un
-    np.add(Fk[0], Fk[1], out=F[-1])
-    F *= 0.5
-    np.abs(un, out=un)
+    np.add(Fk[0], Fk[1], F[-1])
+    F *= _0D[0.5]
+    np.abs(un, un)
     un += c                                   # |u_n| + c on each side
     smax = np.maximum(un[0], un[1])
-    smax *= 0.5
+    smax *= _0D[0.5]
     D = np.subtract(WLR[:, 1], WLR[:, 0])
     D *= smax
     F -= D
@@ -284,26 +351,35 @@ def _convective(gas, a, grid, W_g, order):
         WLR, e_int = _face_states(W, grid.cells[ax], order)
         # out - dF is out + (-dF) bitwise; swapping back undoes axis_strip's swap
         o = out.swapaxes(-1, ax - dim)
-        np.subtract(o, _rusanov(gas, a, WLR, e_int, ax, grid.spacing[ax]), out=o)
+        np.subtract(o, _rusanov(gas, a, WLR, e_int, ax, grid.spacing[ax]), o)
     return out
 
 
 def _face_avg(x):
-    return 0.5 * (x[..., 1:] + x[..., :-1])
+    avg = np.add(x[..., 1:], x[..., :-1])
+    avg *= _0D[0.5]
+    return avg
 
 
 def _face_diff(x, dx):
-    return (x[..., 1:] - x[..., :-1]) / dx
+    diff = np.subtract(x[..., 1:], x[..., :-1])
+    diff /= dx
+    return diff
 
 
 def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
-    """Viscous stress and heat-flux face differences, accumulated in place."""
+    """Viscous stress and heat-flux face differences, accumulated in place.
+
+    Each face quantity is formed in place on this function's own
+    temporaries, never on what a transport law returns, in the operations
+    and order of the expressions noted beside it.
+    """
     tr = config.transport
-    nu, omega = config.scaling.nu, config.scaling.omega
+    k = config._kernel
     dim = grid.dim
     d = _GHOST_DEPTH
     for ax in range(dim):
-        dx = grid.spacing[ax]
+        dx = k.spacing[ax]
         # strips: axis ax keeps one of its d = 2 ghost layers on each side,
         # the other axis is interior; tangential derivatives need +-1 there
         th = gf.axis_strip(theta_g, grid, ax, d)[..., 1:-1]
@@ -312,31 +388,45 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         eta_f = tr.eta(th_f)
         u = gf.axis_strip(u_g, grid, ax, d)[..., 1:-1]  # (dim, ..., n+2)
         dun_f = _face_diff(u[ax], dx)  # d u_ax / d x_ax at faces
-        q_f = -omega * tr.kappa(th_f) * _face_diff(th, dx)
+        flux = k.neg_omega * tr.kappa(th_f)
+        flux *= _face_diff(th, dx)      # q_f = -omega kappa d theta / dx
+        np.negative(flux, flux)         # the energy flux, -q_f so far
 
         if dim == 1:
-            S_f = nu * ((4.0 / 3.0) * mu_f + eta_f) * dun_f
-            visc_mom = {ax: S_f}
+            S_f = _0D[4.0 / 3.0] * mu_f
+            S_f += eta_f
+            S_f *= k.nu
+            S_f *= dun_f                # nu ((4/3) mu + eta) du_n/dx
+            visc_mom = ((ax, S_f),)
         else:
             t_ax = 1 - ax
             dy = grid.spacing[t_ax]
             # cell-centered tangential derivatives on the extended strip
             u_t = gf.axis_strip(u_g, grid, ax, d, widen=1)[..., 1:-1]
             # derivative along t_ax: that axis is now the one non-moved grid axis
-            dut = (u_t[..., 2:, :] - u_t[..., :-2, :]) / (2.0 * dy)
+            dut = np.subtract(u_t[..., 2:, :], u_t[..., :-2, :])
+            dut /= 2.0 * dy
             dut_f = _face_avg(dut)  # (dim, ..., n+1): d u_c / d x_t at faces
             dutan_f = _face_diff(u[t_ax], dx)  # d u_t / d x_ax at faces
-            S_nn = nu * (((4.0 / 3.0) * mu_f + eta_f) * dun_f
-                         + (eta_f - (2.0 / 3.0) * mu_f) * dut_f[t_ax])
-            S_nt = nu * mu_f * (dutan_f + dut_f[ax])
-            visc_mom = {ax: S_nn, t_ax: S_nt}
+            # S_nn = nu (((4/3) mu + eta) du_n + (eta - (2/3) mu) du_t[t_ax])
+            S_nn = _0D[4.0 / 3.0] * mu_f
+            S_nn += eta_f
+            S_nn *= dun_f
+            dil = eta_f - _0D[2.0 / 3.0] * mu_f
+            dil *= dut_f[t_ax]
+            S_nn += dil
+            S_nn *= k.nu
+            # S_nt = nu mu (du_t/dx_ax + du_t[ax])
+            dutan_f += dut_f[ax]
+            S_nt = k.nu * mu_f
+            S_nt *= dutan_f
+            visc_mom = ((ax, S_nn), (t_ax, S_nt))
 
         u_f = _face_avg(u)
-        energy_flux = -q_f
-        for comp, S_comp in visc_mom.items():
-            energy_flux = energy_flux + S_comp * u_f[comp]
+        for comp, S_comp in visc_mom:
+            flux += S_comp * u_f[comp]
             dmom[comp] += _face_diff(S_comp, dx).swapaxes(-1, ax - dim)
-        detot += _face_diff(energy_flux, dx).swapaxes(-1, ax - dim)
+        detot += _face_diff(flux, dx).swapaxes(-1, ax - dim)
 
 
 def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None):
@@ -350,29 +440,31 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None
     grid = config.grid
     gas = config.gas
     sc = config.scaling
+    k = config._kernel
 
     if theta is None:
         theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
     W_g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
 
-    out = _convective(gas, sc.a, grid, W_g, config.resolved_order())
+    out = _convective(gas, sc.a, grid, W_g, k.order)
     dmom = out[1:-1]
     detot = out[-1]
 
-    _, no_nu, no_omega, no_lam = sc.zeros
     u = None
-    if not (no_nu and no_omega):
+    if k.viscous or k.conductive:
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_GHOST_DEPTH)
         u_g = W_g[1:-1] / W_g[0]
         _diffusive(config, grid, u_g, theta_g, dmom, detot)
         # the velocity's division wherever rho > 0, which the faces proved
-        u = u_g[(Ellipsis,) + (slice(_GHOST_DEPTH, -_GHOST_DEPTH),) * grid.dim]
+        u = u_g[k.interior]
 
-    if not no_lam:
+    if k.damped:
         if u is None:
             u = state.velocity()
-        dmom -= sc.lam * u
-        detot -= sc.lam * np.sum(u * u, axis=0)
+        dmom -= k.lam * u
+        damping = _sum_sq(u)
+        damping *= k.lam                # lambda |u|^2
+        detot -= damping
 
     if forcing is not None:
         f_rho, f_mom, f_etot = forcing(state.time)
@@ -389,35 +481,42 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None
 def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
     """cfl times the smaller of the acoustic and diffusive step bounds.
 
-    A batch state gets one step per member, shaped like its times.
+    `theta` is the state's temperature, recovered with its checks, so the
+    density is positive.  A batch state gets one step per member, shaped
+    like its times.
     """
-    grid = config.grid
     sc = config.scaling
-    cells = tuple(range(-grid.dim, 0))
+    k = config._kernel
     batch = np.ndim(state.time) > 0
-    # the accepted state was validated and theta recovered with its checks,
-    # so the closures' private bodies serve: the same bits, no second check
-    c = np.sqrt(thermo._sound_speed_sq(config.gas, sc.a, state.rho, theta))
-    u = state.velocity()
+    rho = state.rho
+    # the closures' private body serves, with no second check; its c_v is
+    # the one of the diffusive bound below, bitwise
+    c, cv = thermo._sound_speed_sq_cv(config.gas, sc.a, rho, theta)
+    np.sqrt(c, c)
+    u = state.mom / rho  # the velocity, rho > 0
     dt = math.inf
-    for ax in range(grid.dim):
-        dt = np.minimum(dt, np.min(grid.spacing[ax] / (np.abs(u[ax]) + c),
-                                   axis=cells, keepdims=batch))
-    _, no_nu, no_omega, _ = sc.zeros
-    if not (no_nu and no_omega):
-        diff = np.zeros_like(state.rho)
-        if not no_nu:
-            diff = np.maximum(diff, sc.nu * config.transport.mu(theta) / state.rho)
-        if not no_omega:
-            cv = thermo._cv_molecular(config.gas, state.rho, theta)
-            diff = np.maximum(diff, sc.omega * config.transport.kappa(theta) / (state.rho * cv))
-        d_max = np.max(diff, axis=cells, keepdims=batch)
-        dx2 = min(h * h for h in grid.spacing)
+    for ax, h in enumerate(k.spacing):
+        speed = np.abs(u[ax])
+        speed += c
+        np.divide(h, speed, speed)  # h / (|u| + c)
+        dt = np.minimum(dt, np.minimum.reduce(speed, axis=k.axes, keepdims=batch))
+    if k.viscous or k.conductive:
+        diff = np.zeros_like(rho)
+        if k.viscous:
+            bound = k.nu * config.transport.mu(theta)
+            bound /= rho
+            np.maximum(diff, bound, out=diff)
+        if k.conductive:
+            bound = k.omega * config.transport.kappa(theta)
+            cv *= rho
+            bound /= cv
+            np.maximum(diff, bound, out=diff)
+        d_max = np.maximum.reduce(diff, axis=k.axes, keepdims=batch)
         # a member without diffusion (d_max = 0) gets no bound from it
-        dt = np.minimum(dt, np.divide(dx2, 2.0 * grid.dim * d_max,
-                                      out=np.full_like(d_max, np.inf), where=d_max > 0.0))
+        dt = np.minimum(dt, np.divide(k.dx2, 2.0 * k.dim * d_max,
+                                      out=np.full_like(d_max, np.inf), where=d_max > _0D[0.0]))
     dt = dt * config.cfl
-    if not np.all((dt > 0.0) & np.isfinite(dt)):
+    if not ((dt > 0.0) & np.isfinite(dt)).all():
         raise DomainError(f"stable_dt produced {dt}")
     return dt if batch else float(dt)
 
@@ -425,21 +524,21 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
 def _apply_floors(W, config: NsfRunConfig):
     """Clip density and temperature of the stacked W from below, in place;
     returns the number of hits, one count per member for a batch."""
-    rho_floor, theta_floor = config.positivity_floor
-    cells = tuple(range(-config.grid.dim, 0))
+    k = config._kernel
     rho = W[0]
-    hits = np.sum(rho < rho_floor, axis=cells)
-    np.maximum(rho, rho_floor, out=rho)
-    ke = 0.5 * np.sum(W[1:-1] * W[1:-1], axis=0) / rho
+    hits = np.add.reduce(rho < k.rho_floor, axis=k.axes)
+    np.maximum(rho, k.rho_floor, out=rho)
+    ke = _sum_sq(W[1:-1])
+    ke *= _0D[0.5]
+    ke /= rho
     e_int = W[-1] - ke
-    # the floor temperature as a 0-d array: its powers then run numpy's
-    # array loops, as on a full field of it, whose bits can differ from
-    # those of Python's scalar powers
-    e_min = thermo._internal_energy_density(config.gas, config.scaling.a, rho,
-                                            np.asarray(theta_floor))
+    # the internal energy density at the floor temperature
+    scale, z_floor, radiation = k.floor_energy
+    e_min = scale * thermo._P_at(config.gas, rho * z_floor)
+    e_min += radiation
     cold = e_int < e_min
-    hits = hits + np.sum(cold, axis=cells)
-    if np.any(cold):
+    hits = hits + np.add.reduce(cold, axis=k.axes)
+    if cold.any():
         W[-1] = np.where(cold, ke + e_min, W[-1])
     return hits
 
@@ -490,7 +589,7 @@ def step(state: gf.FluidState, dt, config: NsfRunConfig,
     out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing, theta if s is state else None),
                   floors)
     if stats is not None:
-        cells = math.prod(config.grid.cells)
+        cells = config._kernel.cells
         for st, h in zip(stats if isinstance(stats, list) else [stats], np.ravel(hits)):
             st.record(int(h), cells)
     return out

@@ -257,11 +257,17 @@ def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
 
 
 def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
-    """Write a run's relenergy.csv, bounds.txt and summary.txt; return the residual report."""
+    """Write a run's relenergy.csv, bounds.txt and summary.txt; return the residual report.
+
+    The run's states and thetas are stacked once (`diagnostics.stack_run`)
+    for both reports.
+    """
     rdir = Path(run_dir)
-    report = diag.rel_energy_inequality_residual(traj, reference)
+    stacked = diag.stack_run(traj)
+    report = diag.rel_energy_inequality_residual(traj, reference, stacked)
     (rdir / "relenergy.csv").write_text(report.csv(), encoding="ascii")
-    (rdir / "bounds.txt").write_text(diag.uniform_bounds(traj).to_text(), encoding="ascii")
+    (rdir / "bounds.txt").write_text(diag.uniform_bounds(traj, stacked).to_text(),
+                                     encoding="ascii")
     (rdir / "summary.txt").write_text(report.summary(), encoding="ascii")
     return report
 
@@ -273,7 +279,7 @@ def load_run(run_dir):
     and the diagnostics recomputed from the loaded trajectory match the
     originals bit for bit.  The snapshots stack on a member axis with one
     a per snapshot, so one recovery serves them all and stops each at its
-    own convergence (`thermo.member_temperatures`); when it fails, the
+    own convergence (`thermo.admissible_temperature`); when it fails, the
     snapshots are recovered one at a time, so that the first bad one raises
     what it raises alone.
     """
@@ -414,8 +420,8 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     speculatively to the requested t_end.  The worker stores the reference
     in the disk cache and sends its usable horizon; a horizon shorter than
     t_end stops the batch at its next step.  Once the worker has ended,
-    the reference is loaded from the cache, or computed here when the
-    cache holds none (an aborted reference is never stored), and its
+    the reference is loaded from the cache (an aborted reference is
+    stored too), or computed here when the cache holds none, and its
     horizon t_safe decides: the speculative batch stands when it reached
     t_safe = t_end, and otherwise the batch runs again to t_safe.  A
     worker that cannot start or that dies leaves the sweep to run as if

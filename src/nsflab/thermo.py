@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +25,11 @@ from .errors import DomainError, ModelViolationError, QuadratureError
 
 _EPS = np.finfo(float).eps
 _FD_REL = _EPS ** (1.0 / 3.0)  # optimal centered-difference step scale
+
+# constants of the step path as 0-d float64 arrays, keyed by their value: as
+# a ufunc operand against float64 arrays one gives the bits of the Python
+# float, without the conversion numpy makes of a Python float on every call
+_0D = {v: np.asarray(v) for v in (0.0, 0.5, 1.5, 2.5, 4.0, _EPS, 4.0 / 3.0, 2.0 / 3.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +100,20 @@ class ScalingParams:
         return tuple(not np.any(v) for v in (self.a, self.nu, self.omega, self.lam))
 
 
+def _ideal_P(z):
+    return np.asarray(z, dtype=float)
+
+
+def _ideal_dP(z):
+    return np.ones_like(np.asarray(z, dtype=float))
+
+
 def ideal_gas(S0: float = 0.0) -> GasModel:
     """P(Z) = Z: p_M = rho theta, e_M = (3/2) theta, s_M = S0 - log Z."""
     return GasModel(
         name="ideal",
-        P=lambda z: np.asarray(z, dtype=float),
-        dP=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+        P=_ideal_P,
+        dP=_ideal_dP,
         S0=S0,
         P_inf=0.0,
         S_closed=lambda z: S0 - np.log(z),
@@ -303,35 +316,55 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
 
     For P(Z)=Z, a=0 this is (5/3) theta, the monatomic adiabatic speed.
     """
-    return _sound_speed_sq(gas, a, *_check_state(rho, theta))
+    return _sound_speed_sq_cv(gas, a, *_check_state(rho, theta))[0]
 
 
-def _sound_speed_sq(gas, a, rho, theta):
-    z = Z_of(rho, theta)
-    return _sound_speed_sq_at(a, rho, theta, z, gas.P(z), gas.dP(z), theta ** 3)
+def _sound_speed_sq_cv(gas, a, rho, theta):
+    """(c_s^2, molecular c_v) on a checked state from one Z, P(Z), P'(Z)
+    and theta^3: the bits of `sound_speed_sq` and `heat_capacity_cv`."""
+    z = rho * theta ** -1.5
+    P, dP = _law_at(gas, z)
+    return _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)
+
+
+def _P_at(gas, z):
+    """P(Z); z itself for `ideal_gas`'s own law."""
+    return z if gas.P is _ideal_P else gas.P(z)
+
+
+def _law_at(gas, z):
+    """P(Z) and P'(Z).  For `ideal_gas`'s own law they are z itself and
+    None, standing for P' = 1, whose products the closures skip: x * 1.0
+    is x bitwise."""
+    if gas.P is _ideal_P and gas.dP is _ideal_dP:
+        return z, None
+    return gas.P(z), gas.dP(z)
 
 
 def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
-    # _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total), written out on the
-    # given Z, P(Z), P'(Z) and theta^3 with the same operations on the same
-    # operands (products and sums commute bitwise); every temporary is this
-    # function's own and is updated in place
-    stab = 2.5 * P
-    stab -= 1.5 * z * dP
-    cv = 1.5 * stab
+    # (c_s^2, c_v): _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total) and
+    # _cv_molecular, written out on the given Z, P(Z), P'(Z) (None for the
+    # ideal law's 1, see _law_at) and theta^3 with the same operations on
+    # the same operands (products and sums commute bitwise); every
+    # temporary is this function's own and is updated in place, and every
+    # scalar is a 0-d array (_0D)
+    stab = _0D[2.5] * P
+    stab -= _0D[1.5] * z if dP is None else _0D[1.5] * z * dP
+    cv = _0D[1.5] * stab
     cv /= z
-    if (np.asarray(cv) <= 0.0).any():
+    if (np.asarray(cv) <= _0D[0.0]).any():
         raise ModelViolationError("c_v <= 0: closure violates thermal stability")
     num = theta ** 1.5 * stab
-    num += (4.0 * a / 3.0) * theta3
-    den = 4.0 * a * theta3 / rho
+    num += np.asarray(4.0 * a / 3.0) * theta3
+    den = np.asarray(4.0 * a) * theta3
+    den /= rho
     den += cv
     den *= rho ** 2
     num *= num
     num *= theta
     num /= den
-    num += theta * dP
-    return np.maximum(num, _EPS)
+    num += theta if dP is None else theta * dP
+    return np.maximum(num, _0D[_EPS]), cv
 
 
 def _invert_molecular(gas, a, rho, e, rtol, max_iter):
@@ -397,30 +430,34 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
     # stopped them, so none takes a step the others need.
     # Each Newton step is new = th - (th (c + at3) - e) / (c + 4 at3) with
     # at3 = a th^3, and done where |new - th| <= rtol new, computed in place
-    # on three buffers in the same operations (products and sums commute)
+    # on three buffers in the same operations (products and sums commute),
+    # each ufunc given its output positionally and its scalars as 0-d
+    # arrays (see _0D)
     if (a == 0.0) if axis is None else not a.any():
         return e / (1.5 * rho)
+    mul, add, sub = np.multiply, np.add, np.subtract
     c = 1.5 * rho
     th = np.minimum(e / c, (e / a) ** 0.25)
+    a, four, rtol = np.asarray(a), _0D[4.0], np.asarray(rtol)
     if axis is not None:
         out = np.empty_like(th)
         live = np.arange(th.shape[axis])
         others = tuple(i for i in range(th.ndim) if i != axis)
-    new, f, df = np.empty_like(th), np.empty_like(th), np.empty_like(th)
+    new, f, df = np.empty((3, *th.shape))
     for _ in range(max_iter):
-        np.multiply(a, th, out=f)
-        f *= th
-        f *= th                             # at3
-        np.multiply(f, 4.0, out=df)
-        df += c                             # c + 4 at3
-        f += c
-        f *= th
-        f -= e                              # th (c + at3) - e
-        f /= df
-        np.subtract(th, f, out=new)
-        np.subtract(new, th, out=f)
-        np.abs(f, out=f)
-        np.multiply(new, rtol, out=df)
+        mul(a, th, f)
+        mul(f, th, f)
+        mul(f, th, f)                       # at3
+        mul(f, four, df)
+        add(df, c, df)                      # c + 4 at3
+        add(f, c, f)
+        mul(f, th, f)
+        sub(f, e, f)                        # th (c + at3) - e
+        np.divide(f, df, f)
+        sub(th, f, new)
+        sub(new, th, f)
+        np.abs(f, f)
+        mul(new, rtol, df)
         done = f <= df
         if axis is None:
             if done.all():
@@ -435,10 +472,27 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
                 live = live[keep]
                 th, c, e = (np.compress(keep, x, axis=axis) for x in (new, c, e))
                 a = np.compress(keep, a, axis=0)
-                new, f, df = np.empty_like(th), np.empty_like(th), np.empty_like(th)
+                new, f, df = np.empty((3, *th.shape))
                 continue
         th, new = new, th
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
+
+
+def _invert(gas, a, rho, e, rtol, max_iter):
+    """theta on finite arrays rho > 0, e > 0: the ideal law's Newton
+    iteration (gas.law_text == "Z") or the bracketed one.  A float a serves
+    every cell; an array a holds one value per member, shaped to broadcast
+    against rho, whose axis rho.ndim - a.ndim is the member axis, and each
+    member's theta is bitwise the one of its own float a."""
+    if np.ndim(a) == 0:
+        if gas.law_text == "Z":
+            return _invert_ideal(float(a), rho, e, rtol, max_iter)
+        return _invert_molecular(gas, float(a), rho, e, rtol, max_iter)
+    axis = rho.ndim - a.ndim
+    if gas.law_text == "Z":
+        return _invert_ideal(a, rho, e, rtol, max_iter, axis)
+    return _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, rtol, max_iter),
+                        a, rho, e, axis)
 
 
 def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12, max_iter=160):
@@ -466,10 +520,9 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
         raise DomainError(f"negative density (min {np.min(rho_b)})")
     if (e_b <= 0.0).any():
         raise DomainError("internal energy density must be positive to recover temperature")
-    invert = _invert_ideal if gas.law_text == "Z" else partial(_invert_molecular, gas)
     vac = rho_b == 0.0
     if not vac.any():
-        theta = invert(a, rho_b, e_b, rtol, max_iter)
+        theta = _invert(gas, a, rho_b, e_b, rtol, max_iter)
     else:
         if a <= 0.0:
             raise DomainError("vacuum cells carry no temperature information when a = 0")
@@ -477,33 +530,8 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
         theta[vac] = (e_b[vac] / a) ** 0.25
         act = ~vac
         if act.any():
-            theta[act] = invert(a, rho_b[act], e_b[act], rtol, max_iter)
+            theta[act] = _invert(gas, a, rho_b[act], e_b[act], rtol, max_iter)
     return float(theta[0]) if scalar else theta
-
-
-def member_temperatures(gas: GasModel, a, rho, e_density, rtol=1e-12, max_iter=160):
-    """temperature_from_energy for a batch whose members carry their own a.
-
-    A float a goes to temperature_from_energy unchanged (its one-a calls
-    are what its callers, and the benchmark's tracer, which sorts its calls
-    by a = 0 or a > 0, expect).  Otherwise a holds
-    one value per member, shaped to broadcast against rho, and rho's axis
-    rho.ndim - a.ndim is the member axis.  Each member's theta is bitwise
-    what temperature_from_energy gives on that member alone: the ideal law
-    inverts all members at once, each stopping at its own convergence;
-    other laws, vacuum cells and invalid input go member by member and
-    raise what temperature_from_energy raises for the first bad member.
-    """
-    if np.ndim(a) == 0:
-        return temperature_from_energy(gas, a, rho, e_density, rtol, max_iter)
-    rho = np.asarray(rho, dtype=float)
-    e = np.asarray(e_density, dtype=float)
-    axis = rho.ndim - np.ndim(a)
-    if (gas.law_text == "Z" and np.isfinite(rho).all() and np.isfinite(e).all()
-            and (rho > 0.0).all() and (e > 0.0).all()):
-        return _invert_ideal(a, rho, e, rtol, max_iter, axis)
-    return _each_member(lambda ak, r, ek: temperature_from_energy(gas, ak, r, ek, rtol, max_iter),
-                        a, rho, e, axis)
 
 
 def _each_member(invert, a, rho, e, axis):
@@ -514,43 +542,47 @@ def _each_member(invert, a, rho, e, axis):
                                           np.moveaxis(e, axis, 0))], axis=axis)
 
 
+def admissible_temperature(gas: GasModel, a, rho, e_density):
+    """theta on arrays whose rho > 0 and e_density > 0 the caller has proven.
+
+    The one inversion of both solvers: `nsf_solver.recover_temperature`
+    (states) and `face_closures` (the faces of `nsf_solver.rhs_nsf`) call
+    it.  a is a float, or for a batch one value per member, shaped to
+    broadcast against rho, whose axis rho.ndim - a.ndim is then the member
+    axis.  Each member's theta is bitwise temperature_from_energy's on that
+    member alone, at its default tolerance and step limit: the ideal law
+    inverts all members at once, each stopping at its own convergence.  Of
+    temperature_from_energy's checks only finiteness is left, and
+    non-finite input raises DomainError "non-finite inputs to temperature
+    inversion" before any member is inverted.
+    """
+    if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
+        raise DomainError("non-finite inputs to temperature inversion")
+    return _invert(gas, a, rho, e_density, 1e-12, 160)
+
+
 def face_closures(gas: GasModel, a, rho, e_density):
     """(theta, p, c_s^2) on face states whose rho > 0 and e_density > 0
     the caller has proven.
 
-    Bitwise the same as temperature_from_energy (or member_temperatures)
-    followed by pressure and sound_speed_sq at the recovered theta: Z,
+    Bitwise the same as temperature_from_energy (member by member for a
+    batch a) followed by pressure and sound_speed_sq at the recovered theta: Z,
     P(Z), P'(Z) and theta^3 are evaluated once each and serve both p and
     c_s^2, in the expression order of the separate closures, whatever the
     law.  What is not yet proven is still checked: DomainError "non-finite
-    inputs to temperature inversion" for a non-finite input and
-    ModelViolationError for c_v <= 0.  The inversion is
-    temperature_from_energy's (one a) or member_temperatures' (a batch,
-    whose member axis is rho.ndim - a.ndim) on input they accept, at
-    their default tolerance and iteration limit.
+    inputs to temperature inversion" for a non-finite input
+    (`admissible_temperature`) and ModelViolationError for c_v <= 0.
     """
-    if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
-        raise DomainError("non-finite inputs to temperature inversion")
-    rtol, max_iter = 1e-12, 160
-    axis = None if np.ndim(a) == 0 else rho.ndim - np.ndim(a)
-    if gas.law_text == "Z":
-        theta = _invert_ideal(a if axis is not None else float(a), rho, e_density,
-                              rtol, max_iter, axis)
-    elif axis is None:
-        theta = _invert_molecular(gas, float(a), rho, e_density, rtol, max_iter)
-    else:
-        theta = _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, rtol, max_iter),
-                             a, rho, e_density, axis)
-    return _closures_at(gas, a, rho, theta)
+    return _closures_at(gas, a, rho, admissible_temperature(gas, a, rho, e_density))
 
 
 def _closures_at(gas, a, rho, theta):
     # p and c_s^2 on one Z, P(Z), P'(Z) and theta^3
-    z = Z_of(rho, theta)
-    P = gas.P(z)
+    z = rho * theta ** -1.5
+    P, dP = _law_at(gas, z)
     p = theta ** 2.5 * P
-    p += (a / 3.0) * theta ** 4  # the two _pressure_parts, summed
-    return theta, p, _sound_speed_sq_at(a, rho, theta, z, P, gas.dP(z), theta ** 3)
+    p += np.asarray(a / 3.0) * theta ** 4  # the two _pressure_parts, summed
+    return theta, p, _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)[0]
 
 
 # ---------------------------------------------------------------------------

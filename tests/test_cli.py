@@ -301,6 +301,8 @@ def test_diag_names_the_first_snapshot_without_internal_energy(cli_sweep, tmp_pa
 @pytest.mark.parametrize("damage, why", [
     ("key-line-only", "KeyError"),
     ("garbled-dt", "ValueError"),
+    ("aborted-without-reason", "KeyError"),
+    ("garbled-aborted", "ValueError"),
 ])
 def test_diag_damaged_reference_manifest(cli_sweep, tmp_path, capsys, damage, why):
     out = _sweep_copy(cli_sweep, tmp_path)
@@ -308,8 +310,10 @@ def test_diag_damaged_reference_manifest(cli_sweep, tmp_path, capsys, damage, wh
     lines = manifest.read_text().splitlines()
     if damage == "key-line-only":
         lines = [line for line in lines if line.startswith("key ")]
-    else:
+    elif damage == "garbled-dt":
         lines = ["dt x" if line.startswith("dt ") else line for line in lines]
+    else:
+        lines.append("aborted 1" if damage == "aborted-without-reason" else "aborted yes")
     manifest.write_text("\n".join(lines) + "\n")
     assert cli.main(["diag", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -329,11 +333,11 @@ def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
 
 def test_diag_recovers_two_temperatures_per_instant(cli_sweep, count_calls, capsys):
     # one when the run is loaded and one for the reference sample, each
-    # recovery one call per run with one a per stored instant; both reports
-    # read the loaded temperatures
+    # recovery one call of the one inversion entry per run with one a per
+    # stored instant; both reports read the loaded temperatures
     _, out = cli_sweep
     instants = [len(list(rdir.glob("*.snap"))) for rdir in sorted((out / "runs").iterdir())]
-    calls = count_calls(thermo, "member_temperatures")
+    calls = count_calls(thermo, "admissible_temperature")
     assert cli.main(["diag", "--out", str(out)]) == 0
     assert min(instants) > 0
     assert [np.size(args[1]) for args in calls] == [n for n in instants for _ in range(2)]

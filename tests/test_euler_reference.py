@@ -149,7 +149,7 @@ def test_rhs_mass_and_energy_sums_vanish(seed, bc, eps):
 def test_filtered_rhs_inverts_temperature_once(ideal, count_calls):
     grid = gf.Grid.line(1.0, 32, "slip-wall")
     state = ns.state_from_primitives(ideal, 0.0, acoustic(grid))
-    calls = count_calls(thermo, "temperature_from_energy")
+    calls = count_calls(thermo, "admissible_temperature")
     er.rhs_euler(state, ideal, grid, eps_f=0.02)
     assert len(calls) == 1
 
@@ -159,7 +159,7 @@ def test_run_euler_first_stage_reuses_the_courant_check_theta(ideal, count_calls
     # stage reuses, and the two later stages invert their own; plus the
     # initial step-size estimate (no filter, so no calibration runs)
     grid = gf.Grid.line(1.0, 32, "slip-wall")
-    calls = count_calls(thermo, "temperature_from_energy")
+    calls = count_calls(thermo, "admissible_temperature")
     traj = er.run_euler(euler_config(ideal, grid, t_end=0.05, eps_f=0.0, output_stride=1),
                         acoustic(grid))
     steps = len(traj.times) - 1
@@ -505,6 +505,32 @@ def test_cache_roundtrip_is_bitwise(ideal, tmp_path, monkeypatch):
         assert np.array_equal(a.etot, b.etot)
     for g_second, g_first in zip(er.gradient_maxima(second), er.gradient_maxima(first)):
         assert g_second.tobytes() == g_first.tobytes()
+
+
+def test_cache_keeps_an_aborted_run(ideal, tmp_path, count_calls):
+    # the compressive pulse aborts; the second run on the same cache is a
+    # load that steps nothing and gives back the same run, abort included
+    grid = gf.Grid.line(1.0, 64, "periodic")
+    cfg = euler_config(ideal, grid, t_end=1.0, cfl=0.35, output_stride=2)
+    first = er.run_euler(cfg, pulse_state(grid, 2.0), cache_dir=tmp_path)
+    assert first.aborted and "life span" in first.abort_reason
+    (manifest,) = tmp_path.glob("euler-*/manifest.txt")
+    lines = manifest.read_text(encoding="ascii").splitlines()
+    assert "aborted 1" in lines
+    calls = count_calls(er, "rhs_euler")
+    second = er.run_euler(cfg, pulse_state(grid, 2.0), cache_dir=tmp_path)
+    assert calls == []
+    assert second.times == first.times
+    assert [s.W.tobytes() for s in second.states] == [s.W.tobytes() for s in first.states]
+    assert (second.aborted, second.abort_reason) == (first.aborted, first.abort_reason)
+    assert er.lifespan_monitor(second) == er.lifespan_monitor(first)
+    # a manifest without the abort lines, as every one stored before
+    # aborted runs were, loads as a run that did not abort
+    manifest.write_text("\n".join(line for line in lines if not line.startswith("abort"))
+                        + "\n", encoding="ascii")
+    third = er.run_euler(cfg, pulse_state(grid, 2.0), cache_dir=tmp_path)
+    assert calls == [] and not third.aborted and third.abort_reason == ""
+    assert third.times == first.times
 
 
 def test_cache_key_tracks_data_and_run_settings(ideal, tmp_path):

@@ -559,8 +559,9 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
     # per step: three RHS stages, each inverting the stacked left and right
     # face states of the one axis (`face_closures`) and, from the second
     # stage on, its stage state (the first stage reuses the accepted state's
-    # theta), plus the accepted state
-    calls = count_calls(thermo, "temperature_from_energy")
+    # theta), plus the accepted state; every one of them goes through the
+    # one inversion entry, `admissible_temperature`
+    calls = count_calls(thermo, "admissible_temperature")
     face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
@@ -571,14 +572,14 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
     assert len(face_calls) == 3 * steps
-    assert len(calls) + len(face_calls) == 6 * steps + 1
+    assert len(calls) == 6 * steps + 1
 
 
 def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls):
     # per step: three RHS stages, each inverting one stacked face array per
     # axis (`face_closures`) and, from the second stage on, its stage state,
-    # plus the accepted state
-    calls = count_calls(thermo, "temperature_from_energy")
+    # plus the accepted state, all through `admissible_temperature`
+    calls = count_calls(thermo, "admissible_temperature")
     face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
@@ -590,7 +591,7 @@ def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
     assert len(face_calls) == 6 * steps
-    assert len(calls) + len(face_calls) == 9 * steps + 1
+    assert len(calls) == 9 * steps + 1
 
 
 def test_face_states_name_the_face_without_its_side():
@@ -638,7 +639,12 @@ def _reference_convective(gas, a, grid, W_g, order):
             bad = (rho <= 0.0) | (WLR[-1] - ke <= 0.0)
             WLR = np.where(bad[None], np.stack((WL1, WR1), axis=1), WLR)
         rho, mom, etot = WLR[0], WLR[1:-1], WLR[-1]
-        theta = thermo.member_temperatures(gas, a, rho, ns._internal_energy(rho, mom, etot, 1))
+        e_int = ns._internal_energy(rho, mom, etot, 1)
+        if np.ndim(a) == 0:
+            theta = thermo.temperature_from_energy(gas, a, rho, e_int)
+        else:  # member by member along the member axis 1
+            theta = np.stack([thermo.temperature_from_energy(gas, float(ak), rho[:, k], e_int[:, k])
+                              for k, ak in enumerate(np.ravel(a))], axis=1)
         p_mol, p_rad = thermo._pressure_parts(gas, a, rho, theta)
         p = p_mol + p_rad
         c2 = (thermo._dp_drho(gas, rho, theta) + theta * thermo._dp_dtheta(gas, a, rho, theta) ** 2

@@ -263,10 +263,29 @@ def test_run_diagnostics_invert_only_the_reference_sample(tiny_sweep, count_call
         assert theta.tobytes() == ns.recover_temperature(
             state.rho, state.mom, state.etot, run_cfg.gas, run_cfg.scaling.a).tobytes()
     single = count_calls(thermo, "temperature_from_energy")
-    calls = count_calls(thermo, "member_temperatures")
+    calls = count_calls(thermo, "admissible_temperature")
     sweepmod.write_run_diagnostics(tmp_path, traj, reference)
     assert len(traj.times) >= 3 and not single
     assert [np.size(args[1]) for args in calls] == [len(traj.times)]
+    for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+        assert (tmp_path / name).read_bytes() == (rdir / name).read_bytes()
+
+
+def test_run_diagnostics_stack_the_run_once(tiny_sweep, count_calls, tmp_path):
+    # both reports share one stack of the loaded run: the run's velocity and
+    # temperature gradients are taken once each, beside the residual's three
+    # of the reference sample, and the files keep their bytes
+    _, out, manifest = tiny_sweep
+    ref_map = cfgmod.load_file(out / "reference.cfg")
+    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_map)
+    reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
+                             cache_dir=out / "reference-cache")
+    rdir = out / "runs" / manifest.records[0].run_id
+    _, _, traj = sweepmod.load_run(rdir)
+    stacks = count_calls(diag, "stack_run")
+    gradients = count_calls(gf, "interior_gradient")
+    sweepmod.write_run_diagnostics(tmp_path, traj, reference)
+    assert len(stacks) == 1 and len(gradients) == 5
     for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
         assert (tmp_path / name).read_bytes() == (rdir / name).read_bytes()
 

@@ -226,6 +226,19 @@ def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
         fn(bad, 0.1, 1.0, 1.0)
 
 
+def _checked_temperatures(gas, a, rho, e_density):
+    """temperature_from_energy for a float a, or member by member along
+    rho's axis rho.ndim - a.ndim when a holds one value per member: the
+    checked inversion, the oracle of `thermo.admissible_temperature`."""
+    if np.ndim(a) == 0:
+        return thermo.temperature_from_energy(gas, a, rho, e_density)
+    axis = np.ndim(rho) - np.ndim(a)
+    return np.stack([thermo.temperature_from_energy(gas, float(ak), r, ek)
+                     for ak, r, ek in zip(np.ravel(a), np.moveaxis(np.asarray(rho, float), axis, 0),
+                                          np.moveaxis(np.asarray(e_density, float), axis, 0))],
+                    axis=axis)
+
+
 def _closures_from_energy(gas, a, rho, e_density):
     """(theta, p, c_s^2) at density rho and internal energy density e_density,
     with every check of temperature_from_energy and the closures: the
@@ -233,10 +246,10 @@ def _closures_from_energy(gas, a, rho, e_density):
 
     DomainError for non-finite input, rho <= 0, e_density <= 0 or a
     recovered theta that is not positive and finite, ModelViolationError
-    for c_v <= 0.  a may hold one value per batch member, as in
-    member_temperatures.
+    for c_v <= 0.  a may hold one value per batch member, inverted member
+    by member.
     """
-    theta = thermo.member_temperatures(gas, a, rho, e_density)
+    theta = _checked_temperatures(gas, a, rho, e_density)
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
         raise DomainError("density must be positive")
@@ -381,7 +394,7 @@ def test_ideal_newton_matches_the_expression_loop_bitwise(ideal):
 
 
 @pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
-def test_member_temperatures_match_each_member_alone(request, gas_name):
+def test_admissible_temperature_matches_each_member_alone(request, gas_name):
     # members with their own a, on the member axis of a state field (M, n)
     # and of a stacked face field (2, M, n): every member's theta is bitwise
     # the one inverted alone, whichever member converges last
@@ -393,18 +406,19 @@ def test_member_temperatures_match_each_member_alone(request, gas_name):
         theta = rng.uniform(0.2, 3.0, shape)
         a_m = a.reshape((3, 1))
         e = thermo.internal_energy_density(gas, a_m, rho, theta)
-        got = thermo.member_temperatures(gas, a_m, rho, e)
+        got = thermo.admissible_temperature(gas, a_m, rho, e)
         for k in range(3):
             alone = thermo.temperature_from_energy(gas, a[k], rho.take(k, axis), e.take(k, axis))
             assert got.take(k, axis).tobytes() == alone.tobytes()
-    # one shared a is temperature_from_energy itself
+    # one shared a gives temperature_from_energy's bits
     rho = rng.uniform(0.1, 4.0, 12)
     e = thermo.internal_energy_density(gas, 0.3, rho, np.ones(12))
-    assert (thermo.member_temperatures(gas, 0.3, rho, e).tobytes()
+    assert (thermo.admissible_temperature(gas, 0.3, rho, e).tobytes()
             == thermo.temperature_from_energy(gas, 0.3, rho, e).tobytes())
-    with pytest.raises(DomainError, match="must be positive"):
-        thermo.member_temperatures(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
-                                   np.array([[1.0] * 4, [1.0, -1.0, 1.0, 1.0]]))
+    # positivity is the caller's to prove; finiteness is still checked
+    with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
+        thermo.admissible_temperature(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
+                                      np.array([[1.0] * 4, [1.0, np.nan, 1.0, 1.0]]))
 
 
 def test_closures_from_energy_reject_bad_states(ideal):
