@@ -113,7 +113,7 @@ def _cmd_simulate(args) -> int:
     traj = er.run_euler(run_cfg, scenario.fields(run_cfg.grid))
     out.mkdir(parents=True, exist_ok=True)
     (out / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
-    gf.write_series(out, run_cfg.grid, traj.times, traj.states)
+    gf.write_series(out, run_cfg.grid, traj.times, traj.W)
     lines = ["t,mass,etot,grad_u_max,grad_rho_max"]
     for t, s, gu, gr in zip(traj.times, traj.states, *er.gradient_maxima(traj)):
         lines.append(",".join(repr(float(v)) for v in (

@@ -6,13 +6,10 @@ energy inequality term by term, and the convergence-rate envelope that the
 sweep compares against.
 
 The per-run reports `uniform_bounds` and `rel_energy_inequality_residual`
-invert no state: they read each stored state's temperature from
-`trajectory.thetas`, which `simulate` and `sweep.load_run` fill, and work
-on primitives from there on, `relative_energy` included.
-`sweep.write_run_diagnostics` writes both.  Each works on all stored
-instants stacked on one axis (`stack_run`) and evaluates each of its terms
-in one pass over them; the writer stacks a run once and hands the stack to
-both.
+invert no state and stack nothing: each term is one pass over all stored
+instants of the run's own stack `trajectory.W` and `trajectory.thetas`
+(filled by `simulate` and `sweep.load_run`), and one `stack_run` forms the
+velocity and both gradients for the two (`sweep.write_run_diagnostics`).
 """
 
 from __future__ import annotations
@@ -108,17 +105,6 @@ class UniformBoundsReport:
         return "".join(f"{k} {v!r}\n" for k, v in self.values().items())
 
 
-def _stored_thetas(trajectory) -> list:
-    """The trajectory's thetas, after checking that they pair with its states."""
-    thetas = trajectory.thetas
-    if len(thetas) != len(trajectory.states) or any(
-            np.shape(th) != s.rho.shape for th, s in zip(thetas, trajectory.states)):
-        raise UsageError(
-            f"trajectory holds {len(thetas)} temperatures for {len(trajectory.states)} "
-            "states; each stored state needs its own")
-    return thetas
-
-
 @dataclass(frozen=True)
 class StackedRun:
     """The stored instants of one run stacked on a member axis, as in a
@@ -133,16 +119,17 @@ class StackedRun:
 
 
 def stack_run(trajectory) -> StackedRun:
-    """Stack a run's stored states and thetas once, for `uniform_bounds` and
-    `rel_energy_inequality_residual`; UsageError when the thetas do not
-    pair with the states."""
-    thetas = _stored_thetas(trajectory)
+    """The fields `uniform_bounds` and `rel_energy_inequality_residual` take:
+    views of the run's W and thetas, and its velocity and gradients, formed
+    once.  UsageError when the thetas are not shaped like the stored states."""
+    W, theta = trajectory.W, trajectory.thetas
+    if np.shape(theta) != W.shape[1:]:
+        count = 0 if theta is None else len(theta)
+        raise UsageError(f"trajectory holds {count} temperatures for {W.shape[1]} "
+                         "states; each stored state needs its own")
     grid = trajectory.config.grid
-    W = np.stack([s.W for s in trajectory.states], axis=1)
-    rho = W[0]
-    u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
-    theta = np.stack(thetas)
-    return StackedRun(rho=rho, u=u, theta=theta,
+    u = trajectory.batch().velocity()
+    return StackedRun(rho=W[0], u=u, theta=theta,
                       grad_u=gf.interior_gradient(u, grid, vector=True),
                       grad_theta=gf.interior_gradient(theta, grid, vector=False))
 
@@ -181,10 +168,7 @@ def uniform_bounds(trajectory, stacked: StackedRun = None) -> UniformBoundsRepor
         integral(u_sq),
         integral(np.sum(gth * gth, axis=0) + np.log(theta) ** 2),
     ], axis=1)
-    if len(times) > 1:
-        ints = np.trapezoid(rates, times, axis=0)
-    else:
-        ints = np.zeros(3)
+    ints = np.trapezoid(rates, times, axis=0)  # zeros for one instant
     return UniformBoundsReport(
         kinetic_sup=float(sups[0]), rho_five_thirds_sup=float(sups[1]),
         rho_theta_sup=float(sups[2]), radiation_sup=float(sups[3]),

@@ -148,36 +148,34 @@ _GRADIENT_BLOCK_CELLS = 1 << 16  # cells of the stored states one gradient pass 
 def gradient_maxima(traj) -> tuple:
     """(max|grad u|, max|grad rho|) at each stored instant, as two arrays.
 
-    The stored states stack on a member axis, in blocks of at most
-    _GRADIENT_BLOCK_CELLS cells, and each block's gradients and maxima are
-    one expression over its instants; a maximum is exact, so each instant's
-    value is bitwise the one of its state alone.
+    The stored stack is taken in blocks of at most _GRADIENT_BLOCK_CELLS
+    cells, and each block's gradients and maxima are one expression over
+    its instants; a maximum is exact, so each instant's value is bitwise
+    the one of its state alone.
     """
     grid = traj.grid
     cells = tuple(range(-grid.dim, 0))
     step = max(1, _GRADIENT_BLOCK_CELLS // math.prod(grid.cells))
-    gu, gr = [], []
-    for k in range(0, len(traj.states), step):
-        W = np.stack([s.W for s in traj.states[k:k + step]], axis=1)
-        rho = W[0]
-        u = np.divide(W[1:-1], rho, out=np.zeros_like(W[1:-1]), where=rho > 0.0)  # velocity()
-        G_rho = np.abs(gf.interior_gradient(rho, grid, vector=False))
-        G_u = np.abs(gf.interior_gradient(u, grid, vector=True))
-        gr.append(np.max(G_rho, axis=(0, *cells)))
-        gu.append(np.max(G_u, axis=(0, 1, *cells)))
-    return np.concatenate(gu), np.concatenate(gr)
+    gu, gr = np.empty(len(traj.times)), np.empty(len(traj.times))
+    for k in range(0, len(traj.times), step):
+        block = traj.batch(k, k + step)
+        G_rho = np.abs(gf.interior_gradient(block.rho, grid, vector=False))
+        G_u = np.abs(gf.interior_gradient(block.velocity(), grid, vector=True))
+        gr[k:k + step] = np.max(G_rho, axis=(0, *cells))
+        gu[k:k + step] = np.max(G_u, axis=(0, 1, *cells))
+    return gu, gr
 
 
-@dataclass
-class EulerTrajectory:
-    """Stored instants of one inviscid reference run."""
+@dataclass(eq=False)  # compared by identity: its stored fields are arrays
+class EulerTrajectory(gf.StoredRun):
+    """Stored instants of one inviscid reference run: W[:, k] is the state at times[k]."""
 
     gas: thermo.GasModel
     grid: gf.Grid
     dt: float
     eps_f: float
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    W: np.ndarray = None
     mass_drift: float = 0.0
     energy_drift: float = 0.0
     t_end: float = 0.0
@@ -234,11 +232,9 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
     m0 = gf.integrate(state.rho, config.grid)
     e0 = gf.integrate(state.etot, config.grid)
 
-    def record(s):
-        traj.times.append(s.time)
-        traj.states.append(s.copy())
-
-    record(state)
+    # each stored state was checked when it was built or its step accepted it
+    traj.times.append(state.time)
+    stored = [state.W.copy()]
     for k in range(1, n_steps + 1):
         try:
             over_dx, theta = _speed_over_dx(state, config.gas, config.grid)
@@ -255,9 +251,11 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
             break
         state.time = k * dt
         if k % config.output_stride == 0 or k == n_steps:
-            record(state)
-    traj.mass_drift = abs(gf.integrate(traj.states[-1].rho, config.grid) - m0)
-    traj.energy_drift = abs(gf.integrate(traj.states[-1].etot, config.grid) - e0)
+            traj.times.append(state.time)
+            stored.append(state.W.copy())
+    traj.W = np.stack(stored, axis=1)
+    traj.mass_drift = abs(gf.integrate(traj.W[0, -1], config.grid) - m0)
+    traj.energy_drift = abs(gf.integrate(traj.W[-1, -1], config.grid) - e0)
     if cache_dir is not None:
         _store_cached(config, traj, cache_dir, key)
     return traj
@@ -551,18 +549,17 @@ def sample_reference(traj: EulerTrajectory, t, target: gf.Grid):
     alone.
     """
     if np.ndim(t) == 0:
-        C = _blended(traj, [t], target)[0]
+        C = _blended(traj, [t], target)[:, 0]
         rho, mom = C[0], C[1:-1]
         theta = recover_temperature(rho, mom, C[-1], traj.gas, 0.0)
         return gf.ReferenceFields(rho, theta, mom / rho, time=float(t))
     try:
+        # each field of the stack is contiguous, as the per-instant samples
+        # stacked were, so the residual's reductions over them run in the same order
         C = _blended(traj, t, target)
-        # contiguous, as the per-instant samples stacked were, so that the
-        # residual's reductions over these fields run in the same order
-        rho = np.ascontiguousarray(C[:, 0])
-        mom = np.ascontiguousarray(np.moveaxis(C[:, 1:-1], 1, 0))
-        theta = recover_temperature(rho, mom, C[:, -1], traj.gas,
-                                    np.zeros((len(C),) + (1,) * traj.grid.dim))
+        rho, mom = C[0], C[1:-1]
+        theta = recover_temperature(rho, mom, C[-1], traj.gas,
+                                    np.zeros((C.shape[1],) + (1,) * traj.grid.dim))
         u = mom / rho
         if not (np.isfinite(rho).all() and (rho > 0.0).all() and np.isfinite(theta).all()
                 and (theta > 0.0).all() and np.isfinite(u).all()):
@@ -576,7 +573,7 @@ def sample_reference(traj: EulerTrajectory, t, target: gf.Grid):
 
 def _blended(traj, times, target):
     """The stored W blended at each of times and block-averaged onto target,
-    stacked on a leading instant axis."""
+    stacked as the stored W is: shape (2 + dim, len(times), *target.cells)."""
     stored = np.asarray(traj.times, dtype=float)
     ts = np.asarray(times, dtype=float)
     tol = 1e-12 * max(1.0, float(stored[-1]))
@@ -609,16 +606,16 @@ def _blended(traj, times, target):
     # for bit: 1 a + 0 a = a, -0.0 included (1 a + 0 b with another state b
     # could turn -0.0 into 0.0)
     step = max(1, _GRADIENT_BLOCK_CELLS // math.prod(src.cells))
-    blocks = []
+    out = np.empty((traj.W.shape[0], len(ts), *target.cells))
     for k in range(0, len(ts), step):
-        A = np.stack([traj.states[i].W for i in lo[k:k + step]])
-        B = np.stack([traj.states[i].W for i in hi[k:k + step]])
-        wk = w[k:k + step].reshape((-1,) + (1,) * (A.ndim - 1))
+        A = traj.W[:, lo[k:k + step]]
+        B = traj.W[:, hi[k:k + step]]
+        wk = w[k:k + step].reshape((-1,) + (1,) * src.dim)
         A *= 1.0 - wk
         B *= wk
         A += B
-        blocks.append(_block_mean(A, ratios))
-    return np.concatenate(blocks)
+        out[:, k:k + step] = _block_mean(A, ratios)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +636,7 @@ def reference_key(config: EulerRunConfig, state: gf.FluidState) -> str:
         repr(config.eps_f), repr(config.drift_budget),
     ]
     h.update("\n".join(meta).encode("ascii"))
-    for arr in (state.rho, state.mom, state.etot):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(state.W, dtype="<f8").tobytes())  # rho, mom, etot
     return h.hexdigest()
 
 
@@ -652,10 +648,10 @@ def _cache_paths(cache_dir, key):
 def _store_cached(config, traj, cache_dir, key):
     root, manifest = _cache_paths(cache_dir, key)
     os.makedirs(root, exist_ok=True)
-    gf.write_series(root, config.grid, traj.times, traj.states)
+    gf.write_series(root, config.grid, traj.times, traj.W)
     lines = [
         f"key {key}",
-        f"count {len(traj.states)}",
+        f"count {traj.W.shape[1]}",
         f"dt {traj.dt!r}",
         f"eps_f {traj.eps_f!r}",
         f"t_end {traj.t_end!r}",
@@ -698,8 +694,8 @@ def _load_cached(config, cache_dir, key):
             traj.abort_reason = str(json.loads(meta["abort_reason"]))
     except (KeyError, ValueError) as err:
         raise UsageError(f"{manifest} is damaged ({type(err).__name__}: {err})") from None
-    traj.times, traj.states = gf.read_series(root, config.grid)
-    if len(traj.states) != count:
-        raise UsageError(f"{root} holds {len(traj.states)} snapshots, "
+    traj.times, traj.W = gf.read_series(root, config.grid)
+    if traj.W.shape[1] != count:
+        raise UsageError(f"{root} holds {traj.W.shape[1]} snapshots, "
                          f"its manifest lists {count}")
     return traj

@@ -16,12 +16,11 @@ ghosts on an interior field and takes the 2nd-order centered difference
 along each axis through `axis_strip`, so it is exact on affine data away
 from the walls.
 
-A stored run is a snapshot series: one directory of files 00000.snap,
-00001.snap, ... numbered in time order, each holding the conserved fields
-rho, mom and etot of one instant (`write_snapshot` gives the file format).
-`write_series` and `read_series` are the one writer and reader of that
-layout for both solvers; a 1-D momentum is stored flat and read back with
-its component axis restored.
+A stored run of either solver is one stack W of its instants, shape
+(2 + dim, instants, *cells) as in a solver batch (`StoredRun`).  On disk
+it is a snapshot series: files 00000.snap, 00001.snap, ... in time order,
+each holding rho, mom and etot of one instant (`write_snapshot`), which
+`write_series` and `read_series` write from and read into one stack.
 """
 
 from __future__ import annotations
@@ -225,6 +224,21 @@ class FluidState:
         state.W = self.W[:, k]
         state.time = float(self.time.flat[k])
         return state
+
+
+class StoredRun:
+    """A trajectory of either solver: `times`, a list of floats, and `W`, the
+    states stored at them stacked on a member axis, (2 + dim, instants, *cells)."""
+
+    def batch(self, lo: int = 0, hi: int = None) -> FluidState:
+        """Instants lo .. hi - 1 as one batch state: a view of W, not checked again."""
+        times = np.reshape(self.times[lo:hi], (-1,) + (1,) * (self.W.ndim - 2))
+        return FluidState.stage(self.W[:, lo:hi], times)
+
+    @property
+    def states(self) -> tuple:
+        """Each stored instant as a FluidState view of W, not checked again."""
+        return tuple(FluidState.stage(self.W[:, k], t) for k, t in enumerate(self.times))
 
 
 @dataclass
@@ -550,31 +564,37 @@ def read_snapshot(path):
                         for (name, shape), part in zip(shapes.items(), parts)}
 
 
-def write_series(directory, grid: Grid, times, states) -> None:
-    """Write states as the series 00000.snap, 00001.snap, ..., replacing any older *.snap."""
+def write_series(directory, grid: Grid, times, W) -> None:
+    """Write W[:, k] at times[k] as the series 00000.snap, 00001.snap, ...; older *.snap go."""
     for stale in Path(directory).glob("*.snap"):
         stale.unlink()
-    for i, (t, s) in enumerate(zip(times, states)):
-        write_snapshot(Path(directory) / f"{i:05d}.snap", grid, t,
-                       {"rho": s.rho, "mom": s.mom, "etot": s.etot})
+    for k, t in enumerate(times):
+        write_snapshot(Path(directory) / f"{k:05d}.snap", grid, t,
+                       {"rho": W[0, k], "mom": W[1:-1, k], "etot": W[-1, k]})
 
 
 def read_series(directory, grid: Grid):
-    """Read a snapshot series back as (times, states), in file-name order.
+    """Read a snapshot series back as (times, W), as `write_series` takes them.
 
-    Raises UsageError when the directory holds no snapshot, or one whose
-    grid differs from `grid` or that lacks a field or holds one of the
-    wrong size.
+    The files are read by index into one stack, each checked as a
+    FluidState.  UsageError, naming the file, when there is none, an index
+    is missing, or a snapshot's grid (extents, cells, bc) is not `grid`, it
+    lacks a field or holds one of the wrong size, or its time is not later.
     """
-    snaps = sorted(Path(directory).glob("*.snap"))
-    if not snaps:
+    directory = Path(directory)
+    names = {p.name for p in directory.glob("*.snap")}
+    if not names:
         raise UsageError(f"no snapshots stored in {directory}")
     n = math.prod(grid.cells)
     sizes = {"rho": n, "mom": grid.dim * n, "etot": n}
-    times, states = [], []
-    for p in snaps:
+    times = []
+    W = np.empty((2 + grid.dim, len(names), *grid.cells))
+    for k in range(len(names)):
+        p = directory / f"{k:05d}.snap"
+        if p.name not in names:
+            raise UsageError(f"snapshot {p} is missing from a series of {len(names)} files")
         sgrid, t, fields = read_snapshot(p)
-        if sgrid.cells != grid.cells or sgrid.extents != grid.extents:
+        if sgrid.cells != grid.cells or sgrid.extents != grid.extents or sgrid.bc != grid.bc:
             raise UsageError(f"snapshot {p} does not match the run grid")
         for name, size in sizes.items():
             if name not in fields:
@@ -583,8 +603,12 @@ def read_series(directory, grid: Grid):
                 raise UsageError(
                     f"snapshot {p} holds {fields[name].size} values of {name}, "
                     f"the run grid needs {size}")
+        if times and not t > times[-1]:
+            raise UsageError(f"snapshot {p} has time {t!r}, not after {times[-1]!r}")
+        W[0, k] = fields["rho"]
         # 1-D momentum is stored flat; restore the component axis
-        mom = fields["mom"].reshape(grid.dim, *grid.cells)
+        W[1:-1, k] = fields["mom"].reshape(grid.dim, *grid.cells)
+        W[-1, k] = fields["etot"]
+        FluidState.stacked(W[:, k], t)
         times.append(t)
-        states.append(FluidState(fields["rho"], mom, fields["etot"], t))
-    return times, states
+    return times, W

@@ -12,21 +12,16 @@ Evolves the conservative variables (rho, momentum, total energy) with
 
 The state is the stacked array `FluidState.W` (rho, the momentum
 components, etot on axis 0), and `rhs_nsf` returns its tendency stacked
-the same way.  `ssp_rk3` is the one SSP-RK3 stepper of the package: each
-stage is one expression on W.  Only the accepted state of a step is
-validated as a `FluidState`; an intermediate stage is checked where the
-next tendency recovers its temperature, which raises on a non-finite
-value, a non-positive density or a non-positive internal energy.  `step`
-runs it on `rhs_nsf` with positivity floors applied in place to every
-stage's new W, and the inviscid reference solver in `euler_reference`
-steps through it as well.  `rhs_nsf`'s convective part computes each face
-quantity once per axis (`_face_states`, `_rusanov`).
+the same way.  `ssp_rk3` is the one SSP-RK3 stepper of the package, of
+`step` (with positivity floors on every stage) and of the inviscid
+reference in `euler_reference`.
 
 `recover_temperature` is the one path from conservative fields to theta in
 both solvers.  The time loop recovers each accepted state's theta once and
 passes it to `stable_dt`, the first RK stage of the next step,
-`entropy_production` and the recorded diagnostics, and keeps it with each
-stored state (`Trajectory.thetas`).
+`entropy_production` and the recorded diagnostics.  A `Trajectory` stacks
+its stored states in one `W` (`grid_fields.StoredRun`) and their thetas in
+one array of shape (instants, *cells), each stacked once when the run ends.
 
 Each check runs once, where the value it checks is formed:
 `recover_temperature`'s internal energy proves rho > 0 and e > 0 (naming
@@ -43,14 +38,9 @@ the bits of the floats without numpy's per-call conversion of a Python
 float; the step path computes the same ufunc operations in the same
 order as the checked public closures, so its bytes are theirs.
 
-`simulate_batch` is the one time loop.  It advances several runs that
-differ only in their scalings (the points of a dissipation path) as one
-batch: their states stack on a member axis of W, shape
-(2 + dim, M, *cells), and the scaling values, times and steps become
-per-member arrays of shape (M, 1, ..., 1) that broadcast against the
-member fields.  Every kernel works elementwise or reduces over the grid
-axes per member, so each member's numbers are bitwise those of its run
-alone; `simulate` is the batch of one.
+`simulate_batch` is the one time loop: it advances runs that differ only
+in their scalings as one batch on a member axis of W, each member bitwise
+its run alone, and `simulate` is its batch of one.
 
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
@@ -630,18 +620,18 @@ def entropy_production(state: gf.FluidState, theta, config: NsfRunConfig, u=None
 DIAG_HEADER = "t,mass,etot,damping_integral,sigma_integral,min_rho,min_theta,floor_hits"
 
 
-@dataclass
-class Trajectory:
+@dataclass(eq=False)  # compared by identity: its stored fields are arrays
+class Trajectory(gf.StoredRun):
     """Recorded output instants of one run plus health accounting.
 
-    thetas[k] is the temperature of states[k], recovered once when the
-    state is stored or loaded; the per-run reports read it from here.
+    W[:, k] is the state stored at times[k] and thetas[k] its temperature,
+    recovered once when it is stored or loaded, for the per-run reports.
     """
 
     config: NsfRunConfig
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
-    thetas: list = field(default_factory=list)
+    W: np.ndarray = None
+    thetas: np.ndarray = None
     rows: list = field(default_factory=list)
     floor_hits: int = 0
     healthy: bool = True
@@ -718,6 +708,7 @@ class _Member:
         self.steps = 0
         self.block = max(1, _RATE_BLOCK_CELLS // math.prod(config.grid.cells))
         self.pending = [(state, theta)]
+        self.stored = []  # (W copy, theta) of each stored instant, stacked by `finish`
         self.state, self.theta = state, theta
         self._record()
 
@@ -754,8 +745,8 @@ class _Member:
         self._rates()
         s, theta, grid = self.state, self.theta, self.config.grid
         self.traj.times.append(s.time)
-        self.traj.states.append(s.copy())
-        self.traj.thetas.append(theta)
+        # the state was checked when its step accepted it
+        self.stored.append((s.W.copy(), theta))
         self.traj.rows.append((
             s.time,
             gf.integrate(s.rho, grid),
@@ -798,6 +789,8 @@ class _Member:
         self.accept(state, theta, stats)
 
     def finish(self) -> Trajectory:
+        W, thetas = zip(*self.stored)
+        self.traj.W, self.traj.thetas = np.stack(W, axis=1), np.stack(thetas)
         self.traj.floor_hits = self.stats.floor_hits
         if self.stats.unhealthy:
             self.traj.healthy = False
@@ -810,14 +803,15 @@ def _pack(members):
 
     A lone member is not batched: its own state (as a fresh copy), theta
     and config.  Otherwise W, theta and the scaling values gain a member
-    axis, in member order.
+    axis, in member order.  Each state was checked when it was built or
+    accepted, so the batch is not checked again.
     """
     if len(members) == 1:
         m = members[0]
-        return m.state.copy(), m.theta.copy(), m.config
+        return gf.FluidState.stage(m.state.W.copy(), m.state.time), m.theta.copy(), m.config
     shape = (len(members),) + (1,) * members[0].config.grid.dim
-    state = gf.FluidState.stacked(np.stack([m.state.W for m in members], axis=1),
-                                  np.reshape([m.state.time for m in members], shape))
+    state = gf.FluidState.stage(np.stack([m.state.W for m in members], axis=1),
+                                np.reshape([m.state.time for m in members], shape))
     scaling = thermo.ScalingParams(*(
         np.reshape([getattr(m.config.scaling, name) for m in members], shape)
         for name in ("a", "nu", "omega", "lam")))

@@ -253,14 +253,13 @@ def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
     rdir.mkdir(parents=True, exist_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     traj.write_diagnostics(rdir / "solver.csv")
-    gf.write_series(rdir, traj.config.grid, traj.times, traj.states)
+    gf.write_series(rdir, traj.config.grid, traj.times, traj.W)
 
 
 def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
     """Write a run's relenergy.csv, bounds.txt and summary.txt; return the residual report.
 
-    The run's states and thetas are stacked once (`diagnostics.stack_run`)
-    for both reports.
+    One `diagnostics.stack_run` of the run serves both reports.
     """
     rdir = Path(run_dir)
     stacked = diag.stack_run(traj)
@@ -277,29 +276,28 @@ def load_run(run_dir):
 
     Snapshots carry exact field bytes, so the temperatures recovered here
     and the diagnostics recomputed from the loaded trajectory match the
-    originals bit for bit.  The snapshots stack on a member axis with one
-    a per snapshot, so one recovery serves them all and stops each at its
-    own convergence (`thermo.admissible_temperature`); when it fails, the
-    snapshots are recovered one at a time, so that the first bad one raises
-    what it raises alone.
+    originals bit for bit.  One recovery, with one a per snapshot, serves
+    the stack W that `gf.read_series` reads and stops each at its own
+    convergence (`thermo.admissible_temperature`); when it fails, the
+    snapshots are recovered one at a time, so that the first bad one
+    raises what it raises alone.
     """
     rdir = Path(run_dir)
     mapping = cfgmod.load_file(rdir / "run.cfg")
     kind, run_cfg, _ = cfgmod.build_run(mapping)
     if kind != "nsf":
         raise UsageError(f"{rdir} does not hold a dissipative run")
-    times, states = gf.read_series(rdir, run_cfg.grid)
+    times, W = gf.read_series(rdir, run_cfg.grid)
+    traj = ns.Trajectory(config=run_cfg, times=times, W=W)
     gas, a = run_cfg.gas, run_cfg.scaling.a
-    W = np.stack([s.W for s in states], axis=1)
     try:
-        theta = ns.recover_temperature(W[0], W[1:-1], W[-1], gas,
-                                       np.full((len(states),) + (1,) * run_cfg.grid.dim, a))
+        traj.thetas = ns.recover_temperature(
+            W[0], W[1:-1], W[-1], gas, np.full((len(times),) + (1,) * run_cfg.grid.dim, a))
     except (PositivityError, DomainError):
-        for s in states:
+        for s in traj.states:
             ns.recover_temperature(s.rho, s.mom, s.etot, gas, a)
         raise
-    return mapping, run_cfg, ns.Trajectory(config=run_cfg, times=times, states=states,
-                                           thetas=list(theta))
+    return mapping, run_cfg, traj
 
 
 def _hash16(text: str) -> str:
@@ -426,7 +424,8 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     t_safe = t_end, and otherwise the batch runs again to t_safe.  A
     worker that cannot start or that dies leaves the sweep to run as if
     there were none.  Every output byte is the one of a sweep that runs
-    the reference first and the batch after it.
+    the reference first and the batch after it.  The points' configs and
+    initial data are checked before the worker starts.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -443,17 +442,19 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     a_values = setup.path.a_values
     scalings = [setup.path.scaling_for(a) for a in a_values]
 
-    def batch(t_end, stop=None):
+    def point_inputs(t_end):
         # every point's mapping builds this config but for its scaling
         _, run_cfg, scenario = cfgmod.build_run(_run_mapping(setup, scalings[0], t_end))
-        return ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
-                                 scenario.fields(run_cfg.grid), stop=stop)
+        return [replace(run_cfg, scaling=sc) for sc in scalings], scenario.fields(run_cfg.grid)
+
+    configs, initial = point_inputs(setup.t_end)
+    ns.simulate_batch(configs, initial, stop=lambda: True)  # its entry checks, no step
 
     speculative = None
     worker = _ReferenceWorker.start(ref_mapping, cache_dir, setup.t_end)
     if worker is not None:
         try:
-            speculative = batch(setup.t_end, worker.stop_batch)
+            speculative = ns.simulate_batch(configs, initial, stop=worker.stop_batch)
         except Exception:
             # past the horizon a batch may fail where the one to the horizon
             # does not; the batch below raises what belongs to the sweep
@@ -473,7 +474,7 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
             f"(trigger: {life.trigger or 'none'})")
 
     trajs = speculative if speculative is not None and t_safe == setup.t_end \
-        else batch(t_safe)
+        else ns.simulate_batch(*point_inputs(t_safe))
     mappings = [_run_mapping(setup, sc, t_safe) for sc in scalings]
     records = tuple(_point_record(reference, a, mapping, traj, out)
                     for a, mapping, traj in zip(a_values, mappings, trajs))

@@ -189,7 +189,7 @@ def test_doubling_velocity_quadruples_kinetic(ideal, transport):
     def kinetic(scale):
         theta = 1.0 + 0 * x
         state = ns.state_from_primitives(ideal, SC.a, (rho, theta, scale * u))
-        traj = ns.Trajectory(config=cfg, times=[0.0], states=[state], thetas=[theta])
+        traj = ns.Trajectory(config=cfg, times=[0.0], W=state.W[:, None], thetas=theta[None])
         return diag.uniform_bounds(traj).kinetic_sup
 
     assert kinetic(2.0) == 4.0 * kinetic(1.0)
@@ -271,7 +271,7 @@ def test_sign_corrupted_dissipation_is_flagged(smooth_reports):
 
 def test_too_few_instants_is_usage_error(ideal, transport, euler_ref):
     traj = nsf_run(ideal, transport, 48)
-    cut = dataclasses.replace(traj, times=traj.times[:2], states=traj.states[:2],
+    cut = dataclasses.replace(traj, times=traj.times[:2], W=traj.W[:, :2],
                               thetas=traj.thetas[:2])
     with pytest.raises(UsageError, match="at least three"):
         diag.rel_energy_inequality_residual(cut, euler_ref)
@@ -280,12 +280,20 @@ def test_too_few_instants_is_usage_error(ideal, transport, euler_ref):
 def test_reports_refuse_thetas_that_do_not_match_the_states(equilibrium_traj, euler_ref):
     traj = equilibrium_traj
     short = dataclasses.replace(traj, thetas=traj.thetas[:-1])
-    flat = dataclasses.replace(traj, thetas=[th[:-1] for th in traj.thetas])
+    flat = dataclasses.replace(traj, thetas=traj.thetas[:, :-1])
     for bad in (short, flat):
         with pytest.raises(UsageError, match="temperatures"):
             diag.uniform_bounds(bad)
         with pytest.raises(UsageError, match="temperatures"):
             diag.rel_energy_inequality_residual(bad, euler_ref)
+
+
+def test_stack_run_reads_the_trajectory_stack(equilibrium_traj):
+    # the reports' density and temperatures are the trajectory's own arrays
+    traj = equilibrium_traj
+    stacked = diag.stack_run(traj)
+    assert np.shares_memory(stacked.rho, traj.W)
+    assert stacked.theta is traj.thetas
 
 
 def test_reference_shorter_than_run_is_usage_error(ideal, transport):
@@ -480,6 +488,6 @@ def test_stacked_uniform_bounds_match_the_per_instant_loop_bitwise(ideal, transp
     for name, value in want.items():
         assert np.float64(got[name]).tobytes() == np.float64(value).tobytes(), name
     # one stored instant: every time integral is zero
-    one = dataclasses.replace(traj, times=traj.times[:1], states=traj.states[:1],
+    one = dataclasses.replace(traj, times=traj.times[:1], W=traj.W[:, :1],
                               thetas=traj.thetas[:1])
     assert diag.uniform_bounds(one) == _loop_uniform_bounds(one)

@@ -502,9 +502,53 @@ def test_write_series_drops_stale_snapshots(tmp_path):
     grid = gf.Grid.line(1.0, 8, "slip-wall")
     states = [gf.FluidState(np.full(8, 1.0 + k), np.zeros((1, 8)), np.full(8, 2.0), 0.1 * k)
               for k in range(3)]
-    gf.write_series(tmp_path, grid, [s.time for s in states], states)
+    W = np.stack([s.W for s in states], axis=1)
+    gf.write_series(tmp_path, grid, [s.time for s in states], W)
     assert len(gf.read_series(tmp_path, grid)[0]) == 3
-    gf.write_series(tmp_path, grid, [0.5], states[2:])
+    gf.write_series(tmp_path, grid, [0.5], W[:, 2:])
     times, back = gf.read_series(tmp_path, grid)
     assert times == [0.5]
-    assert np.array_equal(back[0].rho, states[2].rho)
+    assert np.array_equal(back[0, 0], states[2].rho)
+
+
+def _uniform_series(directory, grid, times):
+    """Write uniform valid states on grid at the given times, one snapshot each."""
+    ones = np.ones(grid.cells)
+    for k, t in enumerate(times):
+        gf.write_snapshot(directory / f"{k:05d}.snap", grid, t,
+                          {"rho": ones, "mom": np.zeros((grid.dim, *grid.cells)),
+                           "etot": 2.0 * ones})
+
+
+def test_read_series_round_trips_the_stack(tmp_path):
+    grid = gf.Grid.box((1.0, 2.0), (8, 10), ("slip-wall", "periodic"))
+    rng = np.random.default_rng(5)
+    W = np.empty((4, 3, 8, 10))
+    W[0], W[1:-1], W[-1] = 1.0, rng.uniform(-0.1, 0.1, (2, 3, 8, 10)), 2.0
+    gf.write_series(tmp_path, grid, [0.0, 0.25, 0.5], W)
+    times, back = gf.read_series(tmp_path, grid)
+    assert times == [0.0, 0.25, 0.5]
+    assert back.shape == (4, 3, 8, 10) and back.tobytes() == W.tobytes()
+
+
+def test_read_series_refuses_a_foreign_boundary_kind(tmp_path):
+    # a series written on a periodic grid is not a slip-wall run's
+    _uniform_series(tmp_path, gf.Grid.line(1.0, 8, "periodic"), [0.0, 0.1])
+    with pytest.raises(UsageError, match=r"00000\.snap does not match the run grid"):
+        gf.read_series(tmp_path, gf.Grid.line(1.0, 8, "slip-wall"))
+
+
+def test_read_series_refuses_a_gap(tmp_path):
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    _uniform_series(tmp_path, grid, [0.0, 0.1, 0.2])
+    (tmp_path / "00001.snap").unlink()
+    with pytest.raises(UsageError, match=r"00001\.snap is missing"):
+        gf.read_series(tmp_path, grid)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.2, 0.1], [0.0, 0.1, 0.1]])
+def test_read_series_refuses_times_that_do_not_increase(tmp_path, times):
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    _uniform_series(tmp_path, grid, times)
+    with pytest.raises(UsageError, match=r"00002\.snap has time 0\.1, not after"):
+        gf.read_series(tmp_path, grid)

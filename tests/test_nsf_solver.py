@@ -969,6 +969,25 @@ def test_rates_take_one_call_per_stored_interval_on_a_small_grid(ideal, transpor
     assert [state.W.shape for state, *_ in calls[:2]] == [(3, 48), (3, 4, 48)]
 
 
+@pytest.mark.parametrize("stride", [1, 5])
+def test_stored_instants_are_not_checked_again(ideal, transport, count_calls, stride):
+    # a stored instant keeps a copy of its state's W, which its step already
+    # checked, and the batch is packed from checked states: the checks are
+    # the initial state's and one per accepted state, however many instants
+    # are stored
+    checks = count_calls(gf.FluidState, "_check_fields")
+    steps = count_calls(ns, "step")
+    grid = gf.Grid.line(1.0, 48, "slip-wall")
+    config = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.05,
+                        output_stride=stride)
+    x = gf.cell_centers(grid)[0]
+    traj = ns.simulate(config, (1.0 + 0.05 * np.cos(np.pi * x), np.ones(48),
+                                (0.05 * np.sin(np.pi * x))[None]))
+    assert not traj.aborted and len(traj.times) >= 3
+    assert len(checks) == len(steps) + 1
+    assert traj.W.shape == (3, len(traj.times), 48) and traj.thetas.shape == (len(traj.times), 48)
+
+
 def test_stop_ends_a_batch_within_one_step(ideal, transport, count_calls):
     steps = count_calls(ns, "step")
     polls = []

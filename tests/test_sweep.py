@@ -320,9 +320,9 @@ def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path
         gf.write_snapshot(snap, grid, t, fields)
     mapping = cfgmod.load_file(rdir / "run.cfg")
     _, run_cfg, _ = cfgmod.build_run(mapping)
-    _, states = gf.read_series(rdir, run_cfg.grid)
+    times, W = gf.read_series(rdir, run_cfg.grid)
     with pytest.raises(Exception) as want:
-        _loop_thetas(states, run_cfg)
+        _loop_thetas(ns.Trajectory(config=run_cfg, times=times, W=W).states, run_cfg)
     with pytest.raises(type(want.value)) as got:
         sweepmod.load_run(rdir)
     assert str(got.value) == str(want.value) == "non-positive internal energy at cell (3,)"
@@ -519,6 +519,17 @@ def test_sweep_leaves_no_worker_behind(tmp_path, monkeypatch):
     # ... and after one whose batch raises
     with pytest.raises(ConfigError, match="positivity floors"):
         sweepmod.run_sweep(_tiny_setup(floors=(0.5, 1e-12)), tmp_path / "floors")
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_refuses_its_run_config_before_the_reference(tmp_path, count_calls):
+    # the path points' config is built before the worker starts: a stride
+    # of 0 ends the sweep with no reference stepped and no cache written
+    runs = count_calls(er, "run_euler")
+    out = tmp_path / "stride-0"
+    with pytest.raises(ConfigError, match="output_stride must be at least 1"):
+        sweepmod.run_sweep(_tiny_setup(output_stride=0), out)
+    assert runs == [] and not (out / "reference-cache").exists()
     assert multiprocessing.active_children() == []
 
 
