@@ -17,7 +17,10 @@ repeats is reported, in microseconds per call.  The layers:
   perturbed copy of the state;
 - `stable_dt`, `apply_floors`: the step bound and one stage's floor pass;
 - `nsf_step`: one lone step as the time loop takes it (`stable_dt`,
-  `step`, `recover_temperature`).
+  `step`, `recover_temperature`);
+- `read_series`: reading back a stored series of 64 instants of the
+  state, written once to a temporary directory; reported per stored
+  instant, not per call.
 
 Run from the repository root:
 
@@ -27,7 +30,9 @@ Run from the repository root:
 import argparse
 import json
 import sys
+import tempfile
 import timeit
+from pathlib import Path
 
 import numpy as np
 
@@ -38,10 +43,11 @@ from nsflab import relative_energy as renergy
 from nsflab import scenarios, thermo
 
 A = 1e-2
+SERIES = 64  # stored instants of the read_series layer, which is timed per instant
 
 
-def _cases(cells: int) -> dict:
-    """name -> zero-argument callable, on one grid of `cells` cells."""
+def _cases(cells: int, tmp: str) -> dict:
+    """name -> zero-argument callable, on one grid of `cells` cells; files go to `tmp`."""
     gas, transport = thermo.ideal_gas(), thermo.default_transport()
     grid = gf.Grid.line(1.0, cells, "slip-wall")
     scaling = thermo.ScalingParams(a=A, nu=A ** 0.55, omega=A ** 1.2, lam=A ** 0.1)
@@ -59,6 +65,10 @@ def _cases(cells: int) -> dict:
         ns.recover_temperature(s.rho, s.mom, s.etot, gas, A)
 
     W = state.W.copy()
+    series = Path(tmp) / str(cells)
+    series.mkdir(exist_ok=True)
+    gf.write_series(series, grid, [0.01 * k for k in range(SERIES)],
+                    np.repeat(state.W[:, None], SERIES, axis=1))
     return {
         "recover_temperature.a0":
             lambda: ns.recover_temperature(state0.rho, state0.mom, state0.etot, gas, 0.0),
@@ -74,6 +84,7 @@ def _cases(cells: int) -> dict:
         # the floors write W in place; on an admissible state they change nothing
         "apply_floors": lambda: ns._apply_floors(W, config),
         "nsf_step": nsf_step,
+        "read_series": lambda: gf.read_series(series, grid),
     }
 
 
@@ -92,10 +103,14 @@ def main(argv=None) -> int:
         ap.error("--repeats and --number must be at least 1")
     out = {"unit": "us_per_call", "statistic": f"min of {args.repeats} repeats",
            "number": args.number, "numpy": np.__version__, "layers": {}}
-    for cells in args.cells:
-        out["layers"][str(cells)] = {
-            name: round(_us_per_call(fn, args.number, args.repeats), 2)
-            for name, fn in _cases(cells).items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for cells in args.cells:
+            layers = out["layers"][str(cells)] = {}
+            for name, fn in _cases(cells, tmp).items():
+                # read_series reads about --number stored instants a repeat
+                per = SERIES if name == "read_series" else 1
+                us = _us_per_call(fn, max(1, args.number // per), args.repeats) / per
+                layers[name] = round(us, 2)
     json.dump(out, sys.stdout, indent=1)
     print()
     return 0

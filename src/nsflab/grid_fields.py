@@ -524,8 +524,8 @@ def read_snapshot(path):
     """Read a snapshot file back into (grid, time, fields dict).
 
     UsageError when the file is no snapshot, its header lacks an entry or
-    holds an unreadable one, or its payload length differs from what the
-    header's fields declare.
+    holds an unreadable one, its time is not finite, or its payload length
+    differs from what the header's fields declare.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -555,6 +555,8 @@ def read_snapshot(path):
             shapes[name] = grid.cells if int(comp) == 1 else (int(comp), *grid.cells)
     except ValueError as err:
         raise UsageError(f"{path} has a malformed header: {err}") from None
+    if not math.isfinite(time):
+        raise UsageError(f"{path} has the non-finite time {time!r}")
     sizes = [math.prod(shape) for shape in shapes.values()]
     if len(payload) != 8 * sum(sizes):
         raise UsageError(
@@ -576,10 +578,12 @@ def write_series(directory, grid: Grid, times, W) -> None:
 def read_series(directory, grid: Grid):
     """Read a snapshot series back as (times, W), as `write_series` takes them.
 
-    The files are read by index into one stack, each checked as a
-    FluidState.  UsageError, naming the file, when there is none, an index
-    is missing, or a snapshot's grid (extents, cells, bc) is not `grid`, it
-    lacks a field or holds one of the wrong size, or its time is not later.
+    The files are read by index into one stack, which is checked once as a
+    FluidState; when that fails, the instants are checked one by one, so
+    that the first bad snapshot raises its own error.  UsageError, naming
+    the file, when there is none, an index is missing, or a snapshot's grid
+    (extents, cells, bc) is not `grid`, it lacks a field or holds one of the
+    wrong size, or its time is not later.
     """
     directory = Path(directory)
     names = {p.name for p in directory.glob("*.snap")}
@@ -609,6 +613,11 @@ def read_series(directory, grid: Grid):
         # 1-D momentum is stored flat; restore the component axis
         W[1:-1, k] = fields["mom"].reshape(grid.dim, *grid.cells)
         W[-1, k] = fields["etot"]
-        FluidState.stacked(W[:, k], t)
         times.append(t)
+    try:
+        FluidState.stacked(W, np.reshape(times, (-1,) + (1,) * grid.dim))
+    except PositivityError:
+        for k, t in enumerate(times):
+            FluidState.stacked(W[:, k], t)
+        raise
     return times, W

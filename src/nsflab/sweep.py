@@ -4,8 +4,11 @@ One inviscid reference run is computed on a finer grid (and disk-cached),
 its trustworthy smooth horizon detected, and the path points run the
 dissipative solver, as one batch, from the same closed-form initial data
 to that horizon.  The reference runs in a worker process while the batch
-advances towards the requested end time; a shorter horizon stops the
-batch and runs it again to that horizon.
+advances towards the requested end time.  The worker writes the reference
+into reference-cache/, the one channel between the two: once it has
+ended, the batch loads the reference there and, if its horizon is
+shorter, stops and runs again to that horizon.  A sweep refuses an output
+directory whose runs/ holds a directory that is no run of its path.
 The manifest (`nsflab.manifest`) records, per point, the initial relative
 energy, its sup over the run, and the convergence-rate envelope; the fitted
 constant is the largest ratio E_sup / (E_init + envelope), which the theory
@@ -342,67 +345,12 @@ def _reference_inputs(ref_mapping: dict):
                                                        scenario.fields(ref_cfg.grid))
 
 
-def _reference_worker(ref_mapping: dict, cache_dir: str, conn) -> None:
-    """Worker process body: run the reference into its cache and send its
-    usable horizon over `conn`.  It writes nothing to stdout or stderr."""
+def _reference_worker(ref_mapping: dict, cache_dir: str) -> None:
+    """Worker process body: run the reference into its cache, writing
+    nothing to stdout or stderr."""
     sys.stdout = sys.stderr = open(os.devnull, "w")
     ref_cfg, _, ref_state = _reference_inputs(ref_mapping)
-    reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
-    conn.send(er.lifespan_monitor(reference).usable_until)
-    conn.close()
-
-
-class _ReferenceWorker:
-    """The reference run in a worker process, and the horizon it reports.
-
-    The horizon is only a hint for stopping a batch early: the sweep takes
-    its horizon from its own `run_euler` call after `close`, which then
-    finds the reference in the cache.
-    """
-
-    def __init__(self, process, conn, t_end: float):
-        self.process, self.conn, self.t_end = process, conn, t_end
-        self.heard = False    # a horizon arrived, or the worker ended without one
-        self.stopped = False  # stop_batch has returned true
-
-    @classmethod
-    def start(cls, ref_mapping: dict, cache_dir: Path, t_end: float):
-        """A started worker, or None when none can start."""
-        import multiprocessing
-
-        try:
-            conn, child_conn = multiprocessing.Pipe(duplex=False)
-        except OSError:
-            return None
-        process = multiprocessing.Process(target=_reference_worker,
-                                          args=(ref_mapping, str(cache_dir), child_conn),
-                                          daemon=True)
-        try:
-            process.start()
-        except OSError:
-            conn.close()
-            return None
-        finally:
-            child_conn.close()
-        return cls(process, conn, t_end)
-
-    def stop_batch(self) -> bool:
-        """True once the worker has reported a horizon shorter than t_end, or
-        has ended without reporting one; polls the pipe without waiting."""
-        if not self.heard and self.conn.poll():
-            self.heard = True
-            try:
-                self.stopped = self.conn.recv() < self.t_end
-            except (EOFError, OSError):
-                self.stopped = True
-        return self.stopped
-
-    def close(self, terminate: bool = False) -> None:
-        """Wait for the worker to end, or end it first."""
-        if terminate:
-            self.process.terminate()
-        self.process.join()
-        self.conn.close()
+    er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
 
 
 def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
@@ -412,22 +360,29 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     from the same initial data, so they advance as one
     `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
     sweep of that point alone writes.  Records are assembled in path order.
+    An out_dir whose runs/ holds a directory that is not one of the path's
+    run ids is refused before anything is written.
 
-    The reference runs in a worker process (`multiprocessing`, the
-    platform's default start method) while this process advances the batch
-    speculatively to the requested t_end.  The worker stores the reference
-    in the disk cache and sends its usable horizon; a horizon shorter than
-    t_end stops the batch at its next step.  Once the worker has ended,
-    the reference is loaded from the cache (an aborted reference is
-    stored too), or computed here when the cache holds none, and its
-    horizon t_safe decides: the speculative batch stands when it reached
-    t_safe = t_end, and otherwise the batch runs again to t_safe.  A
-    worker that cannot start or that dies leaves the sweep to run as if
-    there were none.  Every output byte is the one of a sweep that runs
-    the reference first and the batch after it.  The points' configs and
-    initial data are checked before the worker starts.
+    The batch advances speculatively to the requested t_end while the
+    reference runs in a worker process (`multiprocessing`, the platform's
+    default start method), started once the batch has passed its entry
+    checks (the points' configs and initial data).  The worker writes the
+    reference into reference-cache/; once it has ended, the batch loads it
+    there (an aborted reference is stored too, and a worker that died
+    without storing one leaves it to be computed here) and stops if its
+    horizon t_safe is shorter than t_end.  The speculative batch stands
+    when t_safe = t_end; otherwise the batch runs again to t_safe.  A
+    worker that cannot start leaves the reference to this process.  Every
+    output byte is the one of a sweep that runs the reference first and
+    the batch after it.
     """
     out = Path(out_dir)
+    a_values = setup.path.a_values
+    run_ids = {run_id_for(a) for a in a_values}
+    for d in sorted(out.glob("runs/*")):
+        if d.is_dir() and d.name not in run_ids:
+            raise UsageError(f"{d} is not a run of this sweep's path; remove it "
+                             "or sweep into another directory")
     out.mkdir(parents=True, exist_ok=True)
 
     ref_mapping = _reference_mapping(setup)
@@ -438,8 +393,6 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
                                ref_scenario.u, ref_cfg.grid, setup.gas)
     ref_key = er.reference_key(ref_cfg, ref_state)
     cache_dir = out / "reference-cache"
-
-    a_values = setup.path.a_values
     scalings = [setup.path.scaling_for(a) for a in a_values]
 
     def point_inputs(t_end):
@@ -447,26 +400,47 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
         _, run_cfg, scenario = cfgmod.build_run(_run_mapping(setup, scalings[0], t_end))
         return [replace(run_cfg, scaling=sc) for sc in scalings], scenario.fields(run_cfg.grid)
 
-    configs, initial = point_inputs(setup.t_end)
-    ns.simulate_batch(configs, initial, stop=lambda: True)  # its entry checks, no step
+    worker = None  # the worker process; False when it could not start
+    loaded = []    # (reference, its lifespan report), once the worker has ended
 
-    speculative = None
-    worker = _ReferenceWorker.start(ref_mapping, cache_dir, setup.t_end)
-    if worker is not None:
-        try:
-            speculative = ns.simulate_batch(configs, initial, stop=worker.stop_batch)
-        except Exception:
-            # past the horizon a batch may fail where the one to the horizon
-            # does not; the batch below raises what belongs to the sweep
-            pass
-        except BaseException:
-            worker.close(terminate=True)
+    def load_reference():
+        reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
+        loaded.append((reference, er.lifespan_monitor(reference)))
+
+    def stop_batch() -> bool:
+        nonlocal worker
+        if worker is None:  # first call: the entry checks have passed
+            import multiprocessing
+
+            worker = multiprocessing.Process(target=_reference_worker,
+                                             args=(ref_mapping, str(cache_dir)),
+                                             daemon=True)
+            try:
+                worker.start()
+            except OSError:
+                worker = False
+        if not loaded and not (worker and worker.is_alive()):
+            load_reference()
+        return bool(loaded) and loaded[0][1].usable_until < setup.t_end
+
+    try:
+        speculative = ns.simulate_batch(*point_inputs(setup.t_end), stop=stop_batch)
+    except Exception:
+        if worker is None:  # the entry checks failed
             raise
-        worker.close()
-        if worker.stopped:  # the batch ended early
-            speculative = None
-    reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
-    life = er.lifespan_monitor(reference)
+        # past the horizon a batch may fail where the one to the horizon
+        # does not; the batch below raises what belongs to the sweep
+        speculative = None
+    except BaseException:
+        if worker:
+            worker.terminate()
+            worker.join()
+        raise
+    if worker:
+        worker.join()
+    if not loaded:
+        load_reference()
+    reference, life = loaded[0]
     t_safe = life.usable_until
     if not (t_safe > 0.0):
         raise UsageError(

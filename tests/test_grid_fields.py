@@ -552,3 +552,15 @@ def test_read_series_refuses_times_that_do_not_increase(tmp_path, times):
     _uniform_series(tmp_path, grid, times)
     with pytest.raises(UsageError, match=r"00002\.snap has time 0\.1, not after"):
         gf.read_series(tmp_path, grid)
+
+
+@pytest.mark.parametrize("times,bad", [([0.0, 0.5, math.inf], "00002"),
+                                       ([math.nan], "00000"),
+                                       ([-math.inf, 0.0, 1.0], "00000")])
+def test_read_series_refuses_a_non_finite_time(tmp_path, times, bad):
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    W = np.ones((3, len(times), 8))
+    W[1], W[2] = 0.0, 2.0
+    gf.write_series(tmp_path, grid, times, W)
+    with pytest.raises(UsageError, match=rf"{bad}\.snap has the non-finite time"):
+        gf.read_series(tmp_path, grid)

@@ -328,6 +328,14 @@ def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path
     assert str(got.value) == str(want.value) == "non-positive internal energy at cell (3,)"
 
 
+def test_load_run_checks_a_healthy_run_once(tiny_sweep, count_calls):
+    # one check of the stored stack, not one per snapshot
+    setup, out, manifest = tiny_sweep
+    checks = count_calls(gf.FluidState, "_check_fields")
+    _, _, traj = sweepmod.load_run(out / "runs" / manifest.records[0].run_id)
+    assert len(traj.times) >= 3 and len(checks) == 1
+
+
 def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
     setup, out, manifest = tiny_sweep
     rdir = tmp_path / "run"
@@ -544,7 +552,7 @@ def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypat
     def cannot_start(self):
         raise OSError("no process for the worker")
 
-    def dies(ref_mapping, cache_dir, conn):
+    def dies(ref_mapping, cache_dir):
         os._exit(3)
 
     with monkeypatch.context() as m:
@@ -559,6 +567,47 @@ def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypat
     want = _files(out)
     for name in ("no-worker", "dead-worker"):
         assert _files(tmp_path / name) == want
+
+
+def test_sweep_builds_each_point_once(tiny_sweep, tmp_path, count_calls):
+    # t_safe = t_end: the speculative batch stands, and its entry checks
+    # are the only ones
+    setup, out, manifest = tiny_sweep
+    checks = count_calls(ns, "_check_initial_data")
+    sweepmod.run_sweep(setup, tmp_path / "once")
+    assert manifest.t_safe == setup.t_end
+    assert len(checks) == len(setup.path.a_values)
+    assert _files(tmp_path / "once") == _files(out)
+
+
+def test_sweep_keeps_its_batch_when_the_worker_dies(tmp_path, monkeypatch, count_calls):
+    # the worker ends without a reference: the batch computes it, and its
+    # run to t_end stands
+    def dies(ref_mapping, cache_dir):
+        os._exit(3)
+
+    setup = _tiny_setup(t_end=0.1)
+    monkeypatch.setattr(sweepmod, "_reference_worker", dies)
+    batches = count_calls(ns, "simulate_batch")
+    manifest = sweepmod.run_sweep(setup, tmp_path / "dead-worker")
+    assert len(batches) == 1 and manifest.t_safe == setup.t_end
+    assert multiprocessing.active_children() == []
+    _sequential_sweep(setup, tmp_path / "sequential")
+    assert _files(tmp_path / "dead-worker") == _files(tmp_path / "sequential")
+
+
+def test_sweep_refuses_an_out_holding_runs_of_another_path(tiny_sweep, tmp_path):
+    # the runs a sweep does not write would stay beside its manifest, and
+    # `nsflab diag` would rate them against the new reference
+    setup, out, manifest = tiny_sweep
+    shared = tmp_path / "shared"
+    shutil.copytree(out, shared)
+    before = _files(shared)
+    one_point = replace(setup, path=sweepmod.ScalingPath(a_values=(1e-2,)))
+    with pytest.raises(UsageError, match=r"runs/a1\.000e-03 is not a run of this sweep's path"):
+        sweepmod.run_sweep(one_point, shared)
+    assert _files(shared) == before
+    assert multiprocessing.active_children() == []
 
 
 def test_stored_replay_paths_leave_multiprocessing_unimported():
