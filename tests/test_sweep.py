@@ -546,7 +546,8 @@ def test_sweep_worker_writes_nothing(tmp_path, capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypatch):
+def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypatch,
+                                                 count_calls):
     setup, out, _ = tiny_sweep
 
     def cannot_start(self):
@@ -559,10 +560,13 @@ def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypat
         m.setattr(multiprocessing.Process, "start", cannot_start)
         sweepmod.run_sweep(setup, tmp_path / "no-worker")
     # a forked worker runs the patched body; a spawned one imports the real
-    # one, and the bytes are the same either way
+    # one, and the bytes are the same either way; the batch that outlives
+    # the worker computes the reference and its run to t_end stands
+    batches = count_calls(ns, "simulate_batch")
     with monkeypatch.context() as m:
         m.setattr(sweepmod, "_reference_worker", dies)
         sweepmod.run_sweep(setup, tmp_path / "dead-worker")
+    assert len(batches) == 1
     assert multiprocessing.active_children() == []
     want = _files(out)
     for name in ("no-worker", "dead-worker"):
@@ -578,22 +582,6 @@ def test_sweep_builds_each_point_once(tiny_sweep, tmp_path, count_calls):
     assert manifest.t_safe == setup.t_end
     assert len(checks) == len(setup.path.a_values)
     assert _files(tmp_path / "once") == _files(out)
-
-
-def test_sweep_keeps_its_batch_when_the_worker_dies(tmp_path, monkeypatch, count_calls):
-    # the worker ends without a reference: the batch computes it, and its
-    # run to t_end stands
-    def dies(ref_mapping, cache_dir):
-        os._exit(3)
-
-    setup = _tiny_setup(t_end=0.1)
-    monkeypatch.setattr(sweepmod, "_reference_worker", dies)
-    batches = count_calls(ns, "simulate_batch")
-    manifest = sweepmod.run_sweep(setup, tmp_path / "dead-worker")
-    assert len(batches) == 1 and manifest.t_safe == setup.t_end
-    assert multiprocessing.active_children() == []
-    _sequential_sweep(setup, tmp_path / "sequential")
-    assert _files(tmp_path / "dead-worker") == _files(tmp_path / "sequential")
 
 
 def test_sweep_refuses_an_out_holding_runs_of_another_path(tiny_sweep, tmp_path):
