@@ -199,19 +199,19 @@ class _TopParser(argparse.ArgumentParser):
         return super().format_help()
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, metavar="FILE",
-                        help="run configuration file")
-    common.add_argument("--out", default="out", metavar="DIR",
-                        help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled estimates (default: 0)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and must be at least 1; "
-                             "a sweep advances its path points as one batch and "
-                             "runs its reference beside them in one worker process")
+# the flags a subcommand may take; each takes those it reads
+_FLAGS = {
+    "--config": dict(default=None, metavar="FILE", help="run configuration file"),
+    "--out": dict(default="out", metavar="DIR", help="output directory (default: out)"),
+    "--seed": dict(type=int, default=0, help="seed for sampled estimates (default: 0)"),
+    "--threads": dict(type=int, default=1,
+                      help="accepted for compatibility and must be at least 1; "
+                           "a sweep advances its path points as one batch and "
+                           "runs its reference beside them in one worker process"),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = _TopParser(
         prog="nsflab",
         description="Dissipative-limit laboratory: closure checks, runs, sweeps.",
@@ -219,17 +219,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=argparse.ArgumentParser)
-    for name, fn, doc in (
-        ("thermo-check", _cmd_thermo_check,
+    for name, fn, flags, doc in (
+        ("thermo-check", _cmd_thermo_check, ("--config",),
          "certify closure hypotheses and Gibbs consistency"),
-        ("coercivity", _cmd_coercivity,
+        ("coercivity", _cmd_coercivity, ("--config", "--seed"),
          "sampled lower-bound constant of the relative energy"),
-        ("simulate", _cmd_simulate, "one dissipative or inviscid run"),
-        ("sweep", _cmd_sweep, "dissipation sweep with rate fitting"),
-        ("rate-fit", _cmd_rate_fit, "refit the rate from a stored manifest"),
-        ("diag", _cmd_diag, "recompute diagnostics for stored runs"),
+        ("simulate", _cmd_simulate, ("--config", "--out"),
+         "one dissipative or inviscid run"),
+        ("sweep", _cmd_sweep, ("--config", "--out", "--threads"),
+         "dissipation sweep with rate fitting"),
+        ("rate-fit", _cmd_rate_fit, ("--out",), "refit the rate from a stored manifest"),
+        ("diag", _cmd_diag, ("--out",), "recompute diagnostics for stored runs"),
     ):
-        p = sub.add_parser(name, parents=[common], help=doc, description=doc)
+        p = sub.add_parser(name, help=doc, description=doc)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=fn)
     return parser
 

@@ -101,13 +101,14 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     else:
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_DEPTH)
     u_g = mom_g / rho_g
-    p_g = thermo.pressure(gas, 0.0, rho_g, theta_g)
+    # theta_g is proven: p and c_s^2 come unchecked from one Z, P(Z), P'(Z)
+    _, p_g, c2_g = thermo._closures_at(gas, 0.0, rho_g, theta_g)
     if eps_f > 0.0:
-        # ghosts copy interior cells bitwise, so the interior of theta_g is
-        # the interior state's own temperature
-        inner = (slice(_DEPTH, -_DEPTH),) * dim
-        c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta_g[inner]))
-        u = state.velocity()
+        # ghosts copy interior cells bitwise, so the interior of the ghosted
+        # fields is the interior state's own
+        inner = (Ellipsis,) + (slice(_DEPTH, -_DEPTH),) * dim
+        c = np.sqrt(c2_g[inner])
+        u = u_g[inner]
 
     out = np.zeros((2 + dim, *grid.cells))
     for ax in range(dim):
@@ -136,8 +137,9 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
 def _speed_over_dx(state, gas, grid):
     """(max over axes of the signal speed over the spacing, the state's theta)."""
     theta = recover_temperature(state.rho, state.mom, state.etot, gas, 0.0)
-    c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta))
-    u = state.velocity()
+    # the recovery proved rho > 0 and theta
+    c = np.sqrt(thermo._sound_speed_sq_cv(gas, 0.0, state.rho, theta)[0])
+    u = state.mom / state.rho
     return max(float(np.max(np.abs(u[ax]) + c)) / grid.spacing[ax]
                for ax in range(grid.dim)), theta
 

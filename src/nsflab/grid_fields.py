@@ -19,8 +19,8 @@ from the walls.
 A stored run of either solver is one stack W of its instants, shape
 (2 + dim, instants, *cells) as in a solver batch (`StoredRun`).  On disk
 it is a snapshot series: files 00000.snap, 00001.snap, ... in time order,
-each holding rho, mom and etot of one instant (`write_snapshot`), which
-`write_series` and `read_series` write from and read into one stack.
+each holding one instant's W (`write_snapshot`), which `write_series` and
+`read_series` write from and read into one stack.
 """
 
 from __future__ import annotations
@@ -486,24 +486,20 @@ class TrapezoidAccumulator:
 _SNAPSHOT_MAGIC = "nsflab-snapshot 1"
 
 
-def write_snapshot(path, grid: Grid, time: float, fields: dict) -> None:
-    """Write fields to one file: ASCII header, then flat little-endian float64.
+def _snapshot_fields(dim: int) -> str:
+    # the header's `fields` entry: the rows of W, in order, and their counts
+    return f"rho=1 mom={dim} etot=1"
 
-    Scalar fields must have the interior shape; vector fields the interior
-    shape with a leading component axis.
+
+def write_snapshot(path, grid: Grid, time: float, W) -> None:
+    """Write one instant's stacked state W, shape (2 + dim, *cells), to one file.
+
+    An ASCII header (the grid, the time and `fields rho=1 mom=<dim>
+    etot=1`, the rows of W) is followed by W as flat little-endian float64.
     """
-    entries = []
-    for name, arr in fields.items():
-        if " " in name or "=" in name or "\n" in name:
-            raise UsageError(f"field name {name!r} must not contain spaces or '='")
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape == grid.cells:
-            comp = 1
-        elif arr.shape == (grid.dim, *grid.cells):
-            comp = grid.dim
-        else:
-            raise UsageError(f"field {name!r} has shape {arr.shape}, not an interior field")
-        entries.append((name, comp, arr))
+    W = np.asarray(W, dtype=float)
+    if W.shape != (2 + grid.dim, *grid.cells):
+        raise UsageError(f"stacked state shape {W.shape} is not {(2 + grid.dim, *grid.cells)}")
     lines = [
         _SNAPSHOT_MAGIC,
         f"dim {grid.dim}",
@@ -511,21 +507,22 @@ def write_snapshot(path, grid: Grid, time: float, fields: dict) -> None:
         "cells " + " ".join(str(v) for v in grid.cells),
         "bc " + " ".join(grid.bc),
         f"time {float(time)!r}",
-        "fields " + " ".join(f"{name}={comp}" for name, comp, _ in entries),
+        "fields " + _snapshot_fields(grid.dim),
         "end",
     ]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-        for _, _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(W.astype("<f8", copy=False).tobytes())
 
 
 def read_snapshot(path):
-    """Read a snapshot file back into (grid, time, fields dict).
+    """Read a snapshot file back into (grid, time, W).
 
-    UsageError when the file is no snapshot, its header lacks an entry or
-    holds an unreadable one, its time is not finite, or its payload length
-    differs from what the header's fields declare.
+    W, shape (2 + dim, *cells), is a read-only view of the file's payload.
+    UsageError, naming the file, when it is no snapshot, its header lacks
+    an entry, holds an unreadable one or a `fields` entry other than
+    `rho=1 mom=<dim> etot=1`, its time is not finite, or its payload
+    length is not W's.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -533,10 +530,8 @@ def read_snapshot(path):
     idx = blob.find(marker)
     if not blob.startswith(_SNAPSHOT_MAGIC.encode("ascii")) or idx < 0:
         raise UsageError(f"{path} is not a field snapshot")
-    header = blob[:idx].decode("ascii").splitlines()
-    payload = blob[idx + len(marker):]
     meta = {}
-    for line in header[1:]:
+    for line in blob[:idx].decode("ascii").splitlines()[1:]:
         key, _, rest = line.partition(" ")
         meta[key] = rest
     missing = [k for k in ("extents", "cells", "bc", "time", "fields") if k not in meta]
@@ -549,21 +544,20 @@ def read_snapshot(path):
             bc=tuple(meta["bc"].split()),
         )
         time = float(meta["time"])
-        shapes = {}
-        for item in meta["fields"].split():
-            name, _, comp = item.partition("=")
-            shapes[name] = grid.cells if int(comp) == 1 else (int(comp), *grid.cells)
     except ValueError as err:
         raise UsageError(f"{path} has a malformed header: {err}") from None
+    fields = _snapshot_fields(grid.dim)
+    if meta["fields"] != fields:
+        raise UsageError(f"{path} has a malformed header: fields {meta['fields']!r}, "
+                         f"not {fields!r}")
     if not math.isfinite(time):
         raise UsageError(f"{path} has the non-finite time {time!r}")
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    if len(payload) != 8 * sum(sizes):
-        raise UsageError(
-            f"{path} holds {len(payload)} payload bytes, its header declares {8 * sum(sizes)}")
-    parts = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
-    return grid, time, {name: part.reshape(shape).copy()
-                        for (name, shape), part in zip(shapes.items(), parts)}
+    shape = (2 + grid.dim, *grid.cells)
+    start, size = idx + len(marker), 8 * math.prod(shape)
+    if len(blob) - start != size:
+        raise UsageError(f"{path} holds {len(blob) - start} payload bytes, "
+                         f"its header declares {size}")
+    return grid, time, np.frombuffer(blob, dtype="<f8", offset=start).reshape(shape)
 
 
 def write_series(directory, grid: Grid, times, W) -> None:
@@ -571,48 +565,36 @@ def write_series(directory, grid: Grid, times, W) -> None:
     for stale in Path(directory).glob("*.snap"):
         stale.unlink()
     for k, t in enumerate(times):
-        write_snapshot(Path(directory) / f"{k:05d}.snap", grid, t,
-                       {"rho": W[0, k], "mom": W[1:-1, k], "etot": W[-1, k]})
+        write_snapshot(Path(directory) / f"{k:05d}.snap", grid, t, W[:, k])
 
 
 def read_series(directory, grid: Grid):
     """Read a snapshot series back as (times, W), as `write_series` takes them.
 
-    The files are read by index into one stack, which is checked once as a
-    FluidState; when that fails, the instants are checked one by one, so
-    that the first bad snapshot raises its own error.  UsageError, naming
-    the file, when there is none, an index is missing, or a snapshot's grid
-    (extents, cells, bc) is not `grid`, it lacks a field or holds one of the
-    wrong size, or its time is not later.
+    The files are read by index, each one's W is copied once into the
+    stack, and the stack is checked once as a FluidState; when that fails,
+    the instants are checked one by one, so that the first bad snapshot
+    raises its own error.  UsageError, naming the file, when there is
+    none, an index is missing, `read_snapshot` refuses a file, a
+    snapshot's grid (extents, cells, bc) is not `grid`, or its time is not
+    later.
     """
     directory = Path(directory)
     names = {p.name for p in directory.glob("*.snap")}
     if not names:
         raise UsageError(f"no snapshots stored in {directory}")
-    n = math.prod(grid.cells)
-    sizes = {"rho": n, "mom": grid.dim * n, "etot": n}
     times = []
     W = np.empty((2 + grid.dim, len(names), *grid.cells))
     for k in range(len(names)):
         p = directory / f"{k:05d}.snap"
         if p.name not in names:
             raise UsageError(f"snapshot {p} is missing from a series of {len(names)} files")
-        sgrid, t, fields = read_snapshot(p)
-        if sgrid.cells != grid.cells or sgrid.extents != grid.extents or sgrid.bc != grid.bc:
+        sgrid, t, W_k = read_snapshot(p)
+        if sgrid != grid:
             raise UsageError(f"snapshot {p} does not match the run grid")
-        for name, size in sizes.items():
-            if name not in fields:
-                raise UsageError(f"snapshot {p} lacks the field {name}")
-            if fields[name].size != size:
-                raise UsageError(
-                    f"snapshot {p} holds {fields[name].size} values of {name}, "
-                    f"the run grid needs {size}")
         if times and not t > times[-1]:
             raise UsageError(f"snapshot {p} has time {t!r}, not after {times[-1]!r}")
-        W[0, k] = fields["rho"]
-        # 1-D momentum is stored flat; restore the component axis
-        W[1:-1, k] = fields["mom"].reshape(grid.dim, *grid.cells)
-        W[-1, k] = fields["etot"]
+        W[:, k] = W_k
         times.append(t)
     try:
         FluidState.stacked(W, np.reshape(times, (-1,) + (1,) * grid.dim))

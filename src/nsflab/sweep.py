@@ -251,9 +251,15 @@ def _reference_mapping(setup: SweepSetup) -> dict:
 
 
 def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
-    """Persist one dissipative run: resolved config, diagnostics CSV, snapshots."""
+    """Persist one dissipative run: resolved config, diagnostics CSV, snapshots.
+
+    The reports that `write_run_diagnostics` wrote there for an earlier
+    run go with its snapshots.
+    """
     rdir = Path(run_dir)
     rdir.mkdir(parents=True, exist_ok=True)
+    for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+        (rdir / name).unlink(missing_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     traj.write_diagnostics(rdir / "solver.csv")
     gf.write_series(rdir, traj.config.grid, traj.times, traj.W)

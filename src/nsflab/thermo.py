@@ -198,7 +198,7 @@ def pressure(gas: GasModel, a: float, rho, theta):
 def internal_energy(gas: GasModel, a: float, rho, theta):
     """Specific internal energy e = e_M + a theta^4 / rho (rho > 0)."""
     rho, theta = _check_state(rho, theta)
-    return internal_energy_density(gas, a, rho, theta) / rho
+    return _internal_energy_density(gas, a, rho, theta) / rho
 
 
 def internal_energy_density(gas: GasModel, a: float, rho, theta):

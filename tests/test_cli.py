@@ -99,10 +99,9 @@ def test_simulate_nsf_outputs(tmp_path, capsys):
     assert solver.splitlines()[0] == DIAG_HEADER
     assert (out / "run.cfg").is_file()
     assert any(p.suffix == ".snap" for p in out.iterdir())
-    # rerun into a fresh directory, more worker threads: identical bytes
+    # rerun into a fresh directory: identical bytes
     out2 = tmp_path / "out2"
-    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out2),
-                     "--threads", "8"]) == 0
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out2 / "solver.csv").read_bytes() == (out / "solver.csv").read_bytes()
     for p in sorted(out.glob("*.snap")):
         assert (out2 / p.name).read_bytes() == p.read_bytes()
@@ -117,6 +116,19 @@ def test_simulate_euler_outputs(tmp_path, capsys):
     assert "smooth_through_end True" in text and "usable_until" in text
     header = (out / "solver.csv").read_text().splitlines()[0]
     assert header == "t,mass,etot,grad_u_max,grad_rho_max"
+
+
+@pytest.mark.parametrize("argv", [["diag", "--seed", "1"],
+                                  ["diag", "--config", "x.cfg"],
+                                  ["rate-fit", "--threads", "2"],
+                                  ["thermo-check", "--out", "x"],
+                                  ["coercivity", "--out", "x"],
+                                  ["simulate", "--seed", "1"]])
+def test_subcommand_refuses_a_flag_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_simulate_requires_config(capsys):
@@ -271,29 +283,34 @@ def test_diag_truncated_snapshot(cli_sweep, tmp_path, capsys):
 def test_diag_snapshot_without_a_state_field(cli_sweep, tmp_path, capsys, damage):
     out = _sweep_copy(cli_sweep, tmp_path)
     snap = sorted((out / "runs").glob("*/00001.snap"))[0]
-    grid, t, fields = gf.read_snapshot(snap)
+    cells = gf.read_snapshot(snap)[0].cells[0]
+    header, end, payload = snap.read_bytes().partition(b"\nend\n")
     if damage == "without-mom":
-        gf.write_snapshot(snap, grid, t, {"rho": fields["rho"], "etot": fields["etot"]})
-        want = "lacks the field mom"
+        # rho and etot only: the header and the payload both drop mom
+        header = header.replace(b" mom=1 ", b" ")
+        payload = payload[:8 * cells] + payload[16 * cells:]
+        want = "fields 'rho=1 etot=1'"
     else:
         # a 1-D snapshot whose header declares two momentum components
-        blob = snap.read_bytes().replace(b" mom=1 ", b" mom=2 ")
-        snap.write_bytes(blob + bytes(8 * grid.cells[0]))
-        want = "values of mom"
+        header = header.replace(b" mom=1 ", b" mom=2 ")
+        payload += bytes(8 * cells)
+        want = "fields 'rho=1 mom=2 etot=1'"
+    snap.write_bytes(header + end + payload)
     assert cli.main(["diag", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: snapshot {snap}") and want in err
+    assert err.startswith(f"error: {snap} has a malformed header") and want in err
 
 
 def test_diag_names_the_first_snapshot_without_internal_energy(cli_sweep, tmp_path, capsys):
     # a later snapshot without density is not the one reported
     out = _sweep_copy(cli_sweep, tmp_path)
     snaps = sorted(sorted((out / "runs").iterdir())[0].glob("*.snap"))
-    for snap, cell, field in ((snaps[1], 3, "etot"), (snaps[2], 1, "rho")):
-        grid, t, fields = gf.read_snapshot(snap)
-        fields["mom"][cell] = 0.0
-        fields[field][cell] = 0.0
-        gf.write_snapshot(snap, grid, t, fields)
+    for snap, cell, row in ((snaps[1], 3, -1), (snaps[2], 1, 0)):  # etot, rho
+        grid, t, W = gf.read_snapshot(snap)
+        W = W.copy()
+        W[1:-1, cell] = 0.0
+        W[row, cell] = 0.0
+        gf.write_snapshot(snap, grid, t, W)
     assert cli.main(["diag", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: non-positive internal energy at cell (3,)\n"
 

@@ -154,6 +154,25 @@ def test_filtered_rhs_inverts_temperature_once(ideal, count_calls):
     assert len(calls) == 1
 
 
+def test_filtered_rhs_checks_no_thermodynamic_state(ideal, count_calls):
+    # the recovery proves the temperature; p and c_s^2 take it unchecked
+    grid = gf.Grid.line(1.0, 32, "slip-wall")
+    state = ns.state_from_primitives(ideal, 0.0, acoustic(grid))
+    calls = count_calls(thermo, "_check_state")
+    er.rhs_euler(state, ideal, grid, eps_f=0.02)
+    assert calls == []
+
+
+@pytest.mark.parametrize("law", ["ideal", "law_a"])
+def test_courant_speed_is_the_checked_closures_bitwise(law, request):
+    gas = request.getfixturevalue(law)
+    grid = gf.Grid.line(1.0, 32, "slip-wall")
+    state = ns.state_from_primitives(gas, 0.0, acoustic(grid))
+    over_dx, theta = er._speed_over_dx(state, gas, grid)
+    c = np.sqrt(thermo.sound_speed_sq(gas, 0.0, state.rho, theta))
+    assert over_dx == float(np.max(np.abs(state.velocity()[0]) + c)) / grid.spacing[0]
+
+
 def test_run_euler_first_stage_reuses_the_courant_check_theta(ideal, count_calls):
     # per step: the Courant check inverts the state, whose theta the first
     # stage reuses, and the two later stages invert their own; plus the

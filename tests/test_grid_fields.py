@@ -429,25 +429,23 @@ def test_reference_fields_positivity():
 
 def test_snapshot_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    fields = {
-        "rho": 1.0 + rng.random((16, 24)),
-        "mom": rng.standard_normal((2, 16, 24)),
-        "etot": 2.0 + rng.random((16, 24)),
-    }
+    W = np.empty((4, 16, 24))
+    W[0] = 1.0 + rng.random((16, 24))
+    W[1:-1] = rng.standard_normal((2, 16, 24))
+    W[-1] = 2.0 + rng.random((16, 24))
     path = tmp_path / "snap.bin"
-    gf.write_snapshot(path, BOX, 0.375, fields)
-    grid2, time2, fields2 = gf.read_snapshot(path)
+    gf.write_snapshot(path, BOX, 0.375, W)
+    grid2, time2, W2 = gf.read_snapshot(path)
     assert grid2 == BOX
     assert time2 == 0.375
-    for name in fields:
-        assert np.array_equal(fields[name], fields2[name])
+    assert np.array_equal(W, W2)
 
 
 def test_snapshot_rejects_bad_shape(tmp_path):
     with pytest.raises(UsageError):
-        gf.write_snapshot(tmp_path / "x.bin", BOX, 0.0, {"rho": np.zeros(7)})
+        gf.write_snapshot(tmp_path / "x.bin", BOX, 0.0, np.zeros(7))
     with pytest.raises(UsageError):
-        gf.write_snapshot(tmp_path / "x.bin", BOX, 0.0, {"bad name": np.zeros((16, 24))})
+        gf.write_snapshot(tmp_path / "x.bin", BOX, 0.0, np.zeros((3, 16, 24)))
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
@@ -459,8 +457,9 @@ def test_snapshot_rejects_foreign_file(tmp_path):
 
 def _small_snapshot(tmp_path):
     path = tmp_path / "snap.bin"
-    gf.write_snapshot(path, BOX, 0.5, {"rho": np.ones((16, 24)),
-                                       "mom": np.zeros((2, 16, 24))})
+    W = np.zeros((4, 16, 24))
+    W[0], W[-1] = 1.0, 2.0
+    gf.write_snapshot(path, BOX, 0.5, W)
     return path
 
 
@@ -498,6 +497,37 @@ def test_snapshot_rejects_malformed_header_entry(tmp_path, old, new):
         gf.read_snapshot(path)
 
 
+def test_snapshot_refuses_a_negative_momentum_count(tmp_path):
+    # 16 values would be rho and etot of 8 cells, with no momentum between
+    path = tmp_path / "snap.bin"
+    path.write_bytes(b"nsflab-snapshot 1\ndim 1\nextents 1.0\ncells 8\nbc slip-wall\n"
+                     b"time 0.0\nfields rho=1 mom=-1 etot=1\nend\n" + np.ones(16).tobytes())
+    with pytest.raises(UsageError, match=r"snap\.bin has a malformed header: fields "
+                                         r"'rho=1 mom=-1 etot=1', not 'rho=1 mom=1 etot=1'"):
+        gf.read_snapshot(path)
+
+
+@pytest.mark.parametrize("grid", [gf.Grid.line(1.0, 8, "periodic"),
+                                  gf.Grid.box((1.0, 2.5), (8, 10), ("slip-wall", "periodic"))],
+                         ids=["1d-periodic", "2d-mixed"])
+def test_write_series_bytes_are_the_header_and_the_little_endian_state(tmp_path, grid):
+    rng = np.random.default_rng(4)
+    W = np.empty((2 + grid.dim, 2, *grid.cells))
+    W[0], W[1:-1], W[-1] = 1.0, rng.uniform(-0.1, 0.1, (grid.dim, 2, *grid.cells)), 2.0
+    gf.write_series(tmp_path, grid, [0.0, 1.0 / 3.0], W)
+    for k, t in enumerate(["0.0", "0.3333333333333333"]):
+        header = ("nsflab-snapshot 1\n"
+                  f"dim {grid.dim}\n"
+                  f"extents {' '.join(repr(v) for v in grid.extents)}\n"
+                  f"cells {' '.join(str(n) for n in grid.cells)}\n"
+                  f"bc {' '.join(grid.bc)}\n"
+                  f"time {t}\n"
+                  f"fields rho=1 mom={grid.dim} etot=1\n"
+                  "end\n")
+        want = header.encode("ascii") + W[:, k].astype("<f8").tobytes()
+        assert (tmp_path / f"{k:05d}.snap").read_bytes() == want
+
+
 def test_write_series_drops_stale_snapshots(tmp_path):
     grid = gf.Grid.line(1.0, 8, "slip-wall")
     states = [gf.FluidState(np.full(8, 1.0 + k), np.zeros((1, 8)), np.full(8, 2.0), 0.1 * k)
@@ -513,11 +543,10 @@ def test_write_series_drops_stale_snapshots(tmp_path):
 
 def _uniform_series(directory, grid, times):
     """Write uniform valid states on grid at the given times, one snapshot each."""
-    ones = np.ones(grid.cells)
+    W = np.zeros((2 + grid.dim, *grid.cells))
+    W[0], W[-1] = 1.0, 2.0
     for k, t in enumerate(times):
-        gf.write_snapshot(directory / f"{k:05d}.snap", grid, t,
-                          {"rho": ones, "mom": np.zeros((grid.dim, *grid.cells)),
-                           "etot": 2.0 * ones})
+        gf.write_snapshot(directory / f"{k:05d}.snap", grid, t, W)
 
 
 def test_read_series_round_trips_the_stack(tmp_path):

@@ -313,11 +313,12 @@ def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path
     rdir = tmp_path / "run"
     shutil.copytree(out / "runs" / manifest.records[0].run_id, rdir)
     snaps = sorted(rdir.glob("*.snap"))
-    for snap, cell, field in ((snaps[1], 3, "etot"), (snaps[2], 1, "rho")):
-        grid, t, fields = gf.read_snapshot(snap)
-        fields["mom"][cell] = 0.0
-        fields[field][cell] = 0.0
-        gf.write_snapshot(snap, grid, t, fields)
+    for snap, cell, row in ((snaps[1], 3, -1), (snaps[2], 1, 0)):  # etot, rho
+        grid, t, W = gf.read_snapshot(snap)
+        W = W.copy()
+        W[1:-1, cell] = 0.0
+        W[row, cell] = 0.0
+        gf.write_snapshot(snap, grid, t, W)
     mapping = cfgmod.load_file(rdir / "run.cfg")
     _, run_cfg, _ = cfgmod.build_run(mapping)
     times, W = gf.read_series(rdir, run_cfg.grid)
@@ -345,7 +346,7 @@ def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
         sweepmod.load_run(rdir)
     other = gf.Grid.line(1.0, 12, "slip-wall")
     gf.write_snapshot(rdir / "00000.snap", other, 0.0,
-                      {"rho": np.ones(12), "mom": np.zeros(12), "etot": np.full(12, 2.0)})
+                      np.stack([np.ones(12), np.zeros(12), np.full(12, 2.0)]))
     with pytest.raises(UsageError, match="does not match"):
         sweepmod.load_run(rdir)
 
@@ -363,6 +364,22 @@ def test_load_run_reads_the_last_run_written_to_a_directory(tmp_path):
     _, _, loaded = sweepmod.load_run(tmp_path)
     assert loaded.times == traj.times
     assert loaded.times[-1] == pytest.approx(0.05)
+
+
+def test_rewritten_run_keeps_no_stale_reports(tiny_sweep, tmp_path):
+    # the same sweep again, storing too few instants for diagnostics: the
+    # first sweep's reports must not stay beside the new snapshots
+    setup, out, manifest = tiny_sweep
+    out2 = tmp_path / "again"
+    shutil.copytree(out, out2)
+    manifest2 = sweepmod.run_sweep(replace(setup, output_stride=100000), out2)
+    for rec in manifest2.records:
+        assert not rec.healthy and "too few stored instants" in rec.reason
+        rdir = out2 / "runs" / rec.run_id
+        assert len(list(rdir.glob("*.snap"))) == 2
+        for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+            assert (out / "runs" / rec.run_id / name).is_file()
+            assert not (rdir / name).exists()
 
 
 def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):

@@ -61,6 +61,12 @@ def test_internal_energy_rejects_vacuum(ideal):
         thermo.internal_energy(ideal, 0.0, 0.0, 1.0)
 
 
+def test_internal_energy_checks_its_state_once(ideal, count_calls):
+    calls = count_calls(thermo, "_check_state")
+    thermo.internal_energy(ideal, 0.0, np.full(4, 2.0), np.full(4, 0.5))
+    assert len(calls) == 1
+
+
 def test_internal_energy_density_at_vacuum(ideal):
     assert thermo.internal_energy_density(ideal, 2.0, 0.0, 1.5) == pytest.approx(
         2.0 * 1.5 ** 4, rel=1e-14
