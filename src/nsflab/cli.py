@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +54,25 @@ _lazy("diagnostics")
 _lazy("scenarios")
 
 
+def _print(*args, **kwargs) -> None:
+    """print to stdout; once its reader has closed the pipe, to the null device."""
+    try:
+        print(*args, **kwargs)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _out_dir(args) -> Path:
+    """--out; UsageError before any work when it or its nearest existing parent is no directory."""
+    out = Path(args.out)
+    taken = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not taken.is_dir():
+        raise UsageError(f"output directory {out}: {taken} is not a directory")
+    return out
+
+
 def _load_config(args) -> dict:
     if args.config is None:
         return {}
@@ -67,7 +87,7 @@ def _cmd_thermo_check(args) -> int:
     transport = cfgmod.build_transport(cfg)
     report = thermo.hypothesis_report(gas, transport)
     for line in report.format_lines():
-        print(line)
+        _print(line)
     rho = np.logspace(-1.0, 1.0, 30)
     theta = np.logspace(-1.0, 1.0, 30)
     R, T = np.meshgrid(rho, theta, indexing="ij")
@@ -78,37 +98,39 @@ def _cmd_thermo_check(args) -> int:
         scale = 1.0 + thermo.cv_total(gas, a, R, T)
         worst = max(float(np.max(np.abs(r1) / scale)),
                     float(np.max(np.abs(r2) / scale)))
-        print(f"gibbs a={a:g} max_rel_residual {worst!r}")
+        _print(f"gibbs a={a:g} max_rel_residual {worst!r}")
     return 0
 
 
 def _cmd_coercivity(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {args.seed}")
     cfg = _load_config(args)
     gas = cfgmod.build_gas(cfg)
     a = cfgmod.get_float(cfg, "scaling.a", "0.5")
     K = (0.5, 2.0, 0.5, 2.0)
     c = renergy.coercivity_constant(gas, a, K, sample_count=10000,
                                     seed=args.seed)
-    print(f"K rho=[{K[0]:g},{K[1]:g}] theta=[{K[2]:g},{K[3]:g}]")
-    print(f"samples 10000 seed {args.seed}")
-    print(f"coercivity_constant {c!r}")
+    _print(f"K rho=[{K[0]:g},{K[1]:g}] theta=[{K[2]:g},{K[3]:g}]")
+    _print(f"samples 10000 seed {args.seed}")
+    _print(f"coercivity_constant {c!r}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     if args.config is None:
         raise ConfigError("simulate needs --config")
+    out = _out_dir(args)
     mapping = _load_config(args)
     kind, run_cfg, scenario = cfgmod.build_run(mapping)
-    out = Path(args.out)
     if kind == "nsf":
         traj = ns.simulate(run_cfg, scenario.fields(run_cfg.grid))
         sweepmod.write_nsf_run(out, mapping, traj)
-        print(f"instants {len(traj.times)}")
-        print(f"final_time {traj.times[-1]!r}")
-        print(f"healthy {traj.healthy}")
+        _print(f"instants {len(traj.times)}")
+        _print(f"final_time {traj.times[-1]!r}")
+        _print(f"healthy {traj.healthy}")
         if not traj.healthy:
-            print(f"reason {traj.health_reason}")
+            _print(f"reason {traj.health_reason}")
         return 0
     traj = er.run_euler(run_cfg, scenario.fields(run_cfg.grid))
     out.mkdir(parents=True, exist_ok=True)
@@ -121,12 +143,12 @@ def _cmd_simulate(args) -> int:
             gf.integrate(s.etot, run_cfg.grid), gu, gr)))
     (out / "solver.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     life = er.lifespan_monitor(traj)
-    print(f"instants {len(traj.times)}")
-    print(f"final_time {traj.times[-1]!r}")
-    print(f"smooth_through_end {life.smooth_through_end}")
-    print(f"usable_until {life.usable_until!r}")
+    _print(f"instants {len(traj.times)}")
+    _print(f"final_time {traj.times[-1]!r}")
+    _print(f"smooth_through_end {life.smooth_through_end}")
+    _print(f"usable_until {life.usable_until!r}")
     if traj.aborted:
-        print(f"reason {traj.abort_reason}")
+        _print(f"reason {traj.abort_reason}")
     return 0
 
 
@@ -135,23 +157,24 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("sweep needs --config")
     if args.threads < 1:
         raise UsageError(f"threads must be at least 1, got {args.threads}")
+    out = _out_dir(args)
     setup = sweepmod.setup_from_config(_load_config(args))
     if args.threads > 1:
         print(f"note: --threads {args.threads} changes nothing: the path points "
               "advance as one batch in this process, and the reference runs "
               "beside them in one worker process", file=sys.stderr)
-    manifest = sweepmod.run_sweep(setup, args.out)
+    manifest = sweepmod.run_sweep(setup, out)
     for rec in manifest.records:
         status = "ok" if rec.healthy else f"unhealthy ({rec.reason})"
-        print(f"{rec.run_id} {status} e_sup={rec.e_sup!r} "
-              f"envelope={rec.envelope!r}")
-    print(f"t_safe {manifest.t_safe!r}")
+        _print(f"{rec.run_id} {status} e_sup={rec.e_sup!r} "
+               f"envelope={rec.envelope!r}")
+    _print(f"t_safe {manifest.t_safe!r}")
     healthy = sum(1 for r in manifest.records if r.healthy)
     if healthy >= 2:
-        print(manifestmod.fit_rate(manifest).to_text(), end="")
+        _print(manifestmod.fit_rate(manifest).to_text(), end="")
     else:
-        print(f"rate fit skipped: {healthy} healthy run(s)")
-    print(f"manifest {Path(args.out) / 'manifest.json'}")
+        _print(f"rate fit skipped: {healthy} healthy run(s)")
+    _print(f"manifest {out / 'manifest.json'}")
     return 0
 
 
@@ -160,7 +183,7 @@ def _cmd_rate_fit(args) -> int:
     if not path.is_file():
         raise UsageError(f"no manifest at {path}")
     fit = manifestmod.fit_rate(manifestmod.read_manifest(path))
-    print(fit.to_text(), end="")
+    _print(fit.to_text(), end="")
     return 0
 
 
@@ -183,10 +206,10 @@ def _cmd_diag(args) -> int:
     for rdir in run_dirs:
         _, _, traj = sweepmod.load_run(rdir)
         if len(traj.times) < 3:
-            print(f"{rdir.name} skipped: fewer than three stored instants")
+            _print(f"{rdir.name} skipped: fewer than three stored instants")
             continue
         report = sweepmod.write_run_diagnostics(rdir, traj, reference)
-        print(f"{rdir.name} max_excess {report.max_excess!r}")
+        _print(f"{rdir.name} max_excess {report.max_excess!r}")
     return 0
 
 
@@ -234,18 +257,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc, description=doc)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:  # refused with the usage line of the subcommand that does not take them
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ConfigError, DomainError, ModelViolationError, PositivityError,
             QuadratureError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        _print(end="", flush=True)  # here, not at exit, where a closed pipe costs the status
 
 
 if __name__ == "__main__":

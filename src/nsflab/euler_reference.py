@@ -4,7 +4,7 @@ The compressible Euler equations are integrated with 4th-order centered
 flux differences, SSP-RK3 (the one stepper `nsf_solver.ssp_rk3`, shared
 with the dissipative solver), and a weak 6th-difference hyper-dissipation
 filter whose amplitude is calibrated so the induced total-energy drift
-stays below a configured fraction of the initial energy.  Everything is
+stays below the fraction DRIFT_BUDGET of the initial energy.  Everything is
 written in flux-difference form, so mass and total energy are conserved
 to round-off on periodic boxes and across slip walls (the mirrored flux
 values vanish bitwise at wall faces).  Temperature comes from
@@ -36,6 +36,7 @@ from .errors import ConfigError, DomainError, PositivityError, UsageError
 from .nsf_solver import keep_heap_pages, recover_temperature, ssp_rk3, state_from_primitives
 
 _DEPTH = 3  # 4th-order faces need 2 ghost layers, the filter needs 3
+DRIFT_BUDGET = 1e-6  # allowed |E(T)-E(0)| as a fraction of E(0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class EulerRunConfig:
     cfl: float = 0.4
     output_stride: int = 2
     eps_f: float = 0.02
-    drift_budget: float = 1e-6  # allowed |E(T)-E(0)| as a fraction of E(0)
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
@@ -60,8 +60,6 @@ class EulerRunConfig:
         object.__setattr__(self, "output_stride", int(self.output_stride))
         if not (self.eps_f >= 0.0 and math.isfinite(self.eps_f)):
             raise ConfigError(f"filter amplitude must be nonnegative, got {self.eps_f}")
-        if not (self.drift_budget > 0.0):
-            raise ConfigError(f"drift budget must be positive, got {self.drift_budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +199,7 @@ def _calibrate_filter(config: EulerRunConfig, state0: gf.FluidState, dt: float) 
             continue
         drift = abs(gf.integrate(s.etot, config.grid) - e0)
         projected = drift * config.t_end / (10.0 * dt)
-        if projected <= config.drift_budget * e0:
+        if projected <= DRIFT_BUDGET * e0:
             return eps
         eps *= 0.5
     return eps
@@ -635,7 +633,7 @@ def reference_key(config: EulerRunConfig, state: gf.FluidState) -> str:
         config.gas.name, str(config.gas.law_text), repr(config.gas.S0),
         repr(config.gas.P_inf),
         repr(config.t_end), repr(config.cfl), str(config.output_stride),
-        repr(config.eps_f), repr(config.drift_budget),
+        repr(config.eps_f), repr(DRIFT_BUDGET),
     ]
     h.update("\n".join(meta).encode("ascii"))
     h.update(np.ascontiguousarray(state.W, dtype="<f8").tobytes())  # rho, mom, etot

@@ -419,13 +419,12 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         detot += _face_diff(flux, dx).swapaxes(-1, ax - dim)
 
 
-def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None):
+def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None):
     """Tendency dW/dt of the dissipative system, stacked like the state's W.
 
-    `theta`, when given, is the state's temperature, already recovered by
-    the caller.  `forcing(t)`, when given, returns the source parts
-    (f_rho, f_mom, f_etot).  A batch state (see `simulate_batch`) advances
-    every member with its own scaling values.
+    The system has no body force.  `theta`, when given, is the state's
+    temperature, already recovered by the caller.  A batch state (see
+    `simulate_batch`) advances every member with its own scaling values.
     """
     grid = config.grid
     gas = config.gas
@@ -455,12 +454,6 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, forcing=None, theta=None
         damping = _sum_sq(u)
         damping *= k.lam                # lambda |u|^2
         detot -= damping
-
-    if forcing is not None:
-        f_rho, f_mom, f_etot = forcing(state.time)
-        out[0] += f_rho
-        dmom += f_mom
-        detot += f_etot
     return out
 
 
@@ -563,8 +556,8 @@ def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
 
 
 def step(state: gf.FluidState, dt, config: NsfRunConfig,
-         stats=None, forcing=None, theta=None) -> gf.FluidState:
-    """One SSP-RK3 step; positivity floors applied and counted per stage.
+         stats=None, theta=None) -> gf.FluidState:
+    """One SSP-RK3 step of `rhs_nsf`; positivity floors applied and counted per stage.
 
     `theta`, when given, is the state's temperature and serves the first
     stage.  `stats` is a StepStats, or for a batch state a list of them,
@@ -576,8 +569,7 @@ def step(state: gf.FluidState, dt, config: NsfRunConfig,
         nonlocal hits
         hits = hits + _apply_floors(W, config)
 
-    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, forcing, theta if s is state else None),
-                  floors)
+    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, theta if s is state else None), floors)
     if stats is not None:
         cells = config._kernel.cells
         for st, h in zip(stats if isinstance(stats, list) else [stats], np.ravel(hits)):
@@ -646,10 +638,6 @@ class Trajectory(gf.StoredRun):
                                   for i, v in enumerate(row)))
         return "\n".join(lines) + "\n"
 
-    def write_diagnostics(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.diagnostics_csv())
-
 
 def _check_initial_data(state: gf.FluidState, theta, config: NsfRunConfig) -> None:
     """ConfigError when a positivity floor is not far below the initial minima."""
@@ -671,12 +659,12 @@ def _damping_rate(u, config: NsfRunConfig):
 _RATE_BLOCK_CELLS = 4096  # cells of the states one `_Member._rates` call takes at most
 
 
-def _advance(state, theta, config: NsfRunConfig, stats, forcing):
+def _advance(state, theta, config: NsfRunConfig, stats):
     """One step to an accepted state: (state, theta, None), or, when it
     aborts, (the last state reached, None, the error)."""
     try:
         dt = np.minimum(stable_dt(state, theta, config), config.t_end - state.time)
-        state = step(state, dt, config, stats=stats, forcing=forcing, theta=theta)
+        state = step(state, dt, config, stats=stats, theta=theta)
         theta = recover_temperature(state.rho, state.mom, state.etot, config.gas,
                                     config.scaling.a)
     except (PositivityError, DomainError) as err:
@@ -778,11 +766,10 @@ class _Member:
         self.traj.health_reason = f"aborted at t={state.time}: {err}"
         self.traj.abort_state = state
 
-    def advance_alone(self, forcing):
+    def advance_alone(self):
         """One step of this member by itself, from a copy of its state."""
         stats = StepStats()
-        state, theta, err = _advance(self.state.copy(), self.theta.copy(), self.config,
-                                     stats, forcing)
+        state, theta, err = _advance(self.state.copy(), self.theta.copy(), self.config, stats)
         if err is not None:
             self.abort(state, err, stats)
             return
@@ -826,22 +813,7 @@ def _member_of(state: gf.FluidState, theta, k: int):
     return state.member(k), theta[k]
 
 
-def _check_batch(configs: list, forcing) -> None:
-    if not configs:
-        raise UsageError("a batch needs at least one run config")
-    first = configs[0]
-    for c in configs[1:]:
-        if replace(c, scaling=first.scaling) != first:
-            raise UsageError("batch members must share their run config "
-                             "(the same gas, transport and grid objects) except the scaling")
-        if c.scaling.zeros != first.scaling.zeros:
-            raise UsageError("batch members must agree on which of a, nu, omega "
-                             "and lambda are zero")
-    if forcing is not None and len(configs) > 1:
-        raise UsageError("a forcing applies to a batch of one member only")
-
-
-def simulate_batch(configs, initial, forcing=None, stop=None) -> list:
+def simulate_batch(configs, initial, stop=None) -> list:
     """Run every config from the same initial data as one batch; one Trajectory each.
 
     The members share their run config except the scaling values, and the
@@ -855,16 +827,24 @@ def simulate_batch(configs, initial, forcing=None, stop=None) -> list:
     `entropy_production` of its accepted states once per stored interval
     (see `_Member`).  A step that raises PositivityError or DomainError
     is redone one member at a time: a member that fails alone aborts with
-    exactly the message `simulate` gives it, the others go on.  Every
-    member's trajectory is bitwise the one `simulate` gives for its config
-    alone.  `forcing` needs a batch of one.
+    exactly the message `simulate` gives it, the others go on.  Every member's
+    trajectory is bitwise the one `simulate` gives for its config alone.
 
     `stop`, when given, is called once before each step; when it returns
     true the loop ends there, and the trajectories hold only the instants
     stored so far (a caller that stops a batch discards it).
     """
     configs = list(configs)
-    _check_batch(configs, forcing)
+    if not configs:
+        raise UsageError("a batch needs at least one run config")
+    first = configs[0]
+    for c in configs[1:]:
+        if replace(c, scaling=first.scaling) != first:
+            raise UsageError("batch members must share their run config "
+                             "(the same gas, transport and grid objects) except the scaling")
+        if c.scaling.zeros != first.scaling.zeros:
+            raise UsageError("batch members must agree on which of a, nu, omega "
+                             "and lambda are zero")
     members = [_Member(cfg, initial) for cfg in configs]
     keep_heap_pages(len(members) * members[0].state.W.nbytes)
     live = [m for m in members if not m.done]
@@ -875,7 +855,7 @@ def simulate_batch(configs, initial, forcing=None, stop=None) -> list:
                 return [m.finish() for m in members]
             stats = [StepStats() for _ in live]
             new, new_theta, err = _advance(state, theta, config,
-                                           stats if len(live) > 1 else stats[0], forcing)
+                                           stats if len(live) > 1 else stats[0])
             if err is None:
                 for k, m in enumerate(live):
                     m.accept(*_member_of(new, new_theta, k), stats[k])
@@ -884,20 +864,20 @@ def simulate_batch(configs, initial, forcing=None, stop=None) -> list:
                 live[0].abort(new, err, stats[0])
             else:
                 for m in live:
-                    m.advance_alone(forcing)
+                    m.advance_alone()
             if err is not None or any(m.done for m in live):
                 break
         live = [m for m in live if not m.done]
     return [m.finish() for m in members]
 
 
-def simulate(config: NsfRunConfig, initial, forcing=None) -> Trajectory:
+def simulate(config: NsfRunConfig, initial) -> Trajectory:
     """Run to t_end, recording diagnostics and snapshots every output_stride steps.
 
     `initial` is either a FluidState or a primitive triple (rho, theta, u).
     The run aborts (trajectory.aborted, with the offending state attached)
     on positivity failure or non-finite values; floor activations above
     0.1% of cells in any step mark it unhealthy but let it continue.  This
-    is the batch of one of `simulate_batch`.
+    is the batch of one of `simulate_batch`, with no body force (`rhs_nsf`).
     """
-    return simulate_batch([config], initial, forcing)[0]
+    return simulate_batch([config], initial)[0]

@@ -261,7 +261,7 @@ def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
     for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
         (rdir / name).unlink(missing_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
-    traj.write_diagnostics(rdir / "solver.csv")
+    (rdir / "solver.csv").write_text(traj.diagnostics_csv(), encoding="ascii")
     gf.write_series(rdir, traj.config.grid, traj.times, traj.W)
 
 
@@ -326,16 +326,11 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
 
     envelope = diag.rate_envelope(traj.config.scaling)
     nan = float("nan")
-    if not traj.healthy:
-        return RunRecord(run_id=run_id, a=a, healthy=False,
-                         reason=traj.health_reason or "unhealthy run",
-                         e_init=nan, e_sup=nan, envelope=envelope,
-                         max_excess=nan)
-    if len(traj.times) < 3:
-        return RunRecord(run_id=run_id, a=a, healthy=False,
-                         reason="too few stored instants for diagnostics",
-                         e_init=nan, e_sup=nan, envelope=envelope,
-                         max_excess=nan)
+    reason = ((traj.health_reason or "unhealthy run") if not traj.healthy else
+              "too few stored instants for diagnostics" if len(traj.times) < 3 else "")
+    if reason:
+        return RunRecord(run_id=run_id, a=a, healthy=False, reason=reason,
+                         e_init=nan, e_sup=nan, envelope=envelope, max_excess=nan)
     report = write_run_diagnostics(rdir, traj, reference)
     return RunRecord(
         run_id=run_id, a=a, healthy=True, reason="",

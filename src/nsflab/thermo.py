@@ -495,7 +495,7 @@ def _invert(gas, a, rho, e, rtol, max_iter):
                         a, rho, e, axis)
 
 
-def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12, max_iter=160):
+def temperature_from_energy(gas: GasModel, a: float, rho, e_density, max_iter=160):
     """Invert the internal energy density 1.5 theta^{5/2} P(Z) + a theta^4 for theta.
 
     The left side is strictly increasing in theta, so the root is unique.
@@ -503,8 +503,8 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
     1.5 rho theta + a theta^4: at a = 0 the root is e / (1.5 rho) exactly,
     and at a > 0 Newton's method runs down from an upper bound, falling
     monotonically to the root because the left side is convex.  Any other
-    law takes a bracketed Newton iteration.  Both stop at relative
-    tolerance rtol and raise DomainError if max_iter steps do not reach it.
+    law takes a bracketed Newton iteration.  Both stop at relative tolerance
+    1e-12 and raise DomainError if max_iter steps do not reach it.
     Vacuum cells (rho = 0) are solved by the radiation branch alone and
     therefore require a > 0.
     """
@@ -520,17 +520,15 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, rtol=1e-12,
         raise DomainError(f"negative density (min {np.min(rho_b)})")
     if (e_b <= 0.0).any():
         raise DomainError("internal energy density must be positive to recover temperature")
-    vac = rho_b == 0.0
-    if not vac.any():
-        theta = _invert(gas, a, rho_b, e_b, rtol, max_iter)
+    act = rho_b > 0.0
+    if act.all():
+        theta = _invert(gas, a, rho_b, e_b, 1e-12, max_iter)
     else:
         if a <= 0.0:
             raise DomainError("vacuum cells carry no temperature information when a = 0")
-        theta = np.empty(e_b.shape)
-        theta[vac] = (e_b[vac] / a) ** 0.25
-        act = ~vac
+        theta = (e_b / a) ** 0.25  # kept in the vacuum cells
         if act.any():
-            theta[act] = _invert(gas, a, rho_b[act], e_b[act], rtol, max_iter)
+            theta[act] = _invert(gas, a, rho_b[act], e_b[act], 1e-12, max_iter)
     return float(theta[0]) if scalar else theta
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nsflab import nsf_solver as ns
 from nsflab import thermo
 
 # H7-normalizing entropy constant for the decaying law Z/(1+Z) + Z^(5/3):
@@ -45,4 +46,23 @@ def count_calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
         return calls
+    return install
+
+
+@pytest.fixture
+def add_source(monkeypatch):
+    """add_source(source) makes every `nsf_solver.rhs_nsf` tendency add
+    source(t) = (f_rho, f_mom, f_etot), in that order."""
+    def install(source):
+        inner = ns.rhs_nsf
+
+        def forced(state, config, theta=None):
+            dW = inner(state, config, theta)
+            f_rho, f_mom, f_etot = source(state.time)
+            dW[0] += f_rho
+            dW[1:-1] += f_mom
+            dW[-1] += f_etot
+            return dW
+
+        monkeypatch.setattr(ns, "rhs_nsf", forced)
     return install

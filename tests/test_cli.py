@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,7 +132,29 @@ def test_subcommand_refuses_a_flag_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exited:
         cli.main(argv)
     assert exited.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: nsflab {argv[0]} [-h]")
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+def test_coercivity_refuses_a_negative_seed(capsys):
+    assert cli.main(["coercivity", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("command, text", [("simulate", RUN_CFG), ("sweep", SWEEP_CFG)],
+                         ids=["simulate", "sweep"])
+def test_out_naming_a_regular_file_is_refused(tmp_path, capsys, command, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    for target in (out, out / "below"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(target)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: output directory {target}: {out} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+    assert out.read_text() == "not a directory\n"
 
 
 def test_simulate_requires_config(capsys):
@@ -385,3 +411,55 @@ def test_sweep_rejects_fewer_than_one_thread(tmp_path, capsys):
                          "--threads", threads]) == 2
         assert capsys.readouterr().err.startswith("error: threads must be at least 1")
     assert not out.exists()  # refused before any work
+
+
+SWEEP16_CFG = SWEEP_CFG.replace("grid.cells = 24", "grid.cells = 16").replace(
+    "sweep.a-values = 1e-2 1e-3", "sweep.a-values = 1e-2 1e-3 1e-4")
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def sweep16(tmp_path_factory):
+    """A 16-cell, three-point sweep run in this process: (config, its tree)."""
+    root = tmp_path_factory.mktemp("sweep16")
+    cfg = root / "sweep.cfg"
+    cfg.write_text(SWEEP16_CFG)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(root / "out")]) == 0
+    return cfg, _tree(root / "out")
+
+
+def _nsflab_into_closed_pipe(argv, unbuffered):
+    """Run nsflab in a fresh process whose stdout is a pipe with its read end
+    already closed: (exit status, stderr bytes)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "nsflab", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_stops_no_command(sweep16, tmp_path, unbuffered):
+    cfg, want = sweep16
+    out = tmp_path / "out"
+    assert _nsflab_into_closed_pipe(["sweep", "--config", str(cfg), "--out", str(out)],
+                                    unbuffered) == (0, b"")
+    assert _tree(out) == want
+    runs = sorted((out / "runs").iterdir())
+    assert len(runs) == 3
+    for rdir in runs:
+        for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+            (rdir / name).unlink()
+    assert _nsflab_into_closed_pipe(["diag", "--out", str(out)], unbuffered) == (0, b"")
+    assert _tree(out) == want

@@ -56,7 +56,7 @@ def test_config_rejects_bad_values(ideal):
     euler_config(ideal, grid)  # baseline accepted
     for bad in (dict(cfl=0.95), dict(cfl=0.0), dict(t_end=0.0),
                 dict(t_end=math.inf), dict(output_stride=0),
-                dict(eps_f=-0.01), dict(drift_budget=0.0)):
+                dict(eps_f=-0.01)):
         with pytest.raises(ConfigError):
             euler_config(ideal, grid, **bad)
 
@@ -252,7 +252,7 @@ def test_mass_and_energy_conserved_with_filter_on(ideal):
     e0 = gf.integrate(traj.states[0].etot, grid)
     assert traj.eps_f == 0.02  # budget satisfied without halving
     assert traj.mass_drift < 1e-12
-    assert traj.energy_drift < cfg.drift_budget * e0
+    assert traj.energy_drift < er.DRIFT_BUDGET * e0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
-from nsflab import thermo
+from nsflab import sweep, thermo
 from nsflab.errors import ConfigError, PositivityError, UsageError
 from nsflab.nsf_solver import state_from_primitives
 
@@ -172,7 +172,10 @@ def test_manufactured_solution_order_1d(ideal, transport):
         (xc,) = gf.cell_centers(grid)
         state = state_from_primitives(ideal, a, (f_rho(xc), f_th(xc), f_u(xc)[None]))
         force = (-f_rhs[0](xc), -f_rhs[1](xc)[None], -f_rhs[2](xc))
-        dW = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
+        dW = ns.rhs_nsf(state, config)
+        dW[0] += force[0]
+        dW[1:-1] += force[1]
+        dW[-1] += force[2]
         drho, dmom, detot = dW[0], dW[1:-1], dW[-1]
         errs.append([gf.norm(drho, grid, 2), gf.norm(dmom[0], grid, 2),
                      gf.norm(detot, grid, 2)])
@@ -226,7 +229,10 @@ def test_manufactured_solution_order_2d(ideal, transport):
         force = (-f_mass(XC, YC),
                  -np.stack([f_m0(XC, YC), f_m1(XC, YC)]),
                  -f_etot(XC, YC))
-        dW = ns.rhs_nsf(state, config, forcing=lambda t, F=force: F)
+        dW = ns.rhs_nsf(state, config)
+        dW[0] += force[0]
+        dW[1:-1] += force[1]
+        dW[-1] += force[2]
         drho, dmom, detot = dW[0], dW[1:-1], dW[-1]
         errs.append([gf.norm(drho, grid, 2), gf.norm(dmom[0], grid, 2),
                      gf.norm(dmom[1], grid, 2), gf.norm(detot, grid, 2)])
@@ -443,14 +449,13 @@ def test_apply_floors_counts_hits(ideal, transport):
     assert np.all(m2 == mom)
 
 
-def test_energy_drain_marks_run_unhealthy(ideal, transport):
+def test_energy_drain_marks_run_unhealthy(ideal, transport, add_source):
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), t_end=0.05,
                         output_stride=2)
     zero = np.zeros(16)
-    drain = lambda t: (zero, zero[None], np.full(16, -60.0))
-    traj = ns.simulate(config, (np.ones(16), np.ones(16), np.zeros((1, 16))),
-                       forcing=drain)
+    add_source(lambda t: (zero, zero[None], np.full(16, -60.0)))
+    traj = ns.simulate(config, (np.ones(16), np.ones(16), np.zeros((1, 16))))
     assert not traj.healthy
     assert not traj.aborted
     assert traj.floor_hits > 0
@@ -458,12 +463,11 @@ def test_energy_drain_marks_run_unhealthy(ideal, transport):
     assert traj.times[-1] == pytest.approx(0.05)
 
 
-def test_nan_forcing_aborts_run(ideal, transport):
+def test_nan_forcing_aborts_run(ideal, transport, add_source):
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), t_end=0.1)
-    bad = lambda t: (np.full(16, np.nan), np.zeros((1, 16)), np.zeros(16))
-    traj = ns.simulate(config, (np.ones(16), np.ones(16), np.zeros((1, 16))),
-                       forcing=bad)
+    add_source(lambda t: (np.full(16, np.nan), np.zeros((1, 16)), np.zeros(16)))
+    traj = ns.simulate(config, (np.ones(16), np.ones(16), np.zeros((1, 16))))
     assert traj.aborted
     assert not traj.healthy
     assert traj.abort_state is not None
@@ -471,15 +475,15 @@ def test_nan_forcing_aborts_run(ideal, transport):
     assert len(traj.times) >= 1
 
 
-def test_nan_momentum_aborts_through_stage_validation(ideal, transport):
+def test_nan_momentum_aborts_through_stage_validation(ideal, transport, add_source):
     # the floors pass a non-finite momentum on to the first intermediate
     # stage, which is not validated; the next tendency's temperature
     # recovery is what stops the run.  An accepted state is validated
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling(), t_end=0.1)
-    bad = lambda t: (np.zeros(16), np.full((1, 16), np.nan), np.zeros(16))
+    add_source(lambda t: (np.zeros(16), np.full((1, 16), np.nan), np.zeros(16)))
     initial = (np.ones(16), np.ones(16), np.zeros((1, 16)))
-    traj = ns.simulate(config, initial, forcing=bad)
+    traj = ns.simulate(config, initial)
     assert traj.aborted
     assert "non-finite inputs to temperature inversion" in traj.health_reason
     state = state_from_primitives(ideal, 0.0, initial)
@@ -498,15 +502,15 @@ def test_ssp_rk3_validates_only_the_accepted_state(ideal, transport, count_calls
     assert len(checks) == 1 and checks[0][0] is out
 
 
-def test_step_leaves_its_input_state_unchanged_when_floors_fire(ideal, transport):
+def test_step_leaves_its_input_state_unchanged_when_floors_fire(ideal, transport, add_source):
     grid = gf.Grid.line(1.0, 16, "periodic")
     config = run_config(ideal, transport, grid, scaling())
     zero = np.zeros(16)
-    drain = lambda t: (zero, zero[None], np.full(16, -60.0))
+    add_source(lambda t: (zero, zero[None], np.full(16, -60.0)))
     state = state_from_primitives(ideal, 0.0, (np.ones(16), np.ones(16), np.zeros((1, 16))))
     before = state.W.copy()
     stats = ns.StepStats()
-    out = ns.step(state, 0.05, config, stats=stats, forcing=drain)
+    out = ns.step(state, 0.05, config, stats=stats)
     assert stats.floor_hits > 0
     assert np.array_equal(state.W, before) and state.time == 0.0
     assert not np.shares_memory(out.W, state.W)
@@ -752,10 +756,8 @@ def test_simulate_repeat_runs_are_bit_identical(ideal, transport, tmp_path):
     assert lines[0] == ("t,mass,etot,damping_integral,sigma_integral,"
                         "min_rho,min_theta,floor_hits")
     assert all(line.rsplit(",", 1)[1].isdigit() for line in lines[1:])
-    out = tmp_path / "diag.csv"
-    traj = ns.simulate(config, initial)
-    traj.write_diagnostics(out)
-    assert out.read_text(encoding="ascii") == csv1
+    sweep.write_nsf_run(tmp_path, {}, ns.simulate(config, initial))
+    assert (tmp_path / "solver.csv").read_text(encoding="ascii") == csv1
 
 
 def test_simulate_accepts_state_or_primitives(ideal, transport):
@@ -856,9 +858,6 @@ def test_batch_refuses_members_that_differ_beyond_their_scaling(ideal, transport
                 [base, no_radiation], []):
         with pytest.raises(UsageError):
             ns.simulate_batch(mix, initial)
-    zero = np.zeros(16)
-    with pytest.raises(UsageError, match="batch of one"):
-        ns.simulate_batch([base, base], initial, forcing=lambda t: (zero, zero[None], zero))
 
 
 def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transport,
@@ -868,8 +867,8 @@ def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transp
     # is redone member by member, and that member aborts as it does alone
     inner = ns.rhs_nsf
 
-    def poisoned(state, config, forcing=None, theta=None):
-        out = inner(state, config, forcing, theta)
+    def poisoned(state, config, theta=None):
+        out = inner(state, config, theta)
         bad = (np.asarray(config.scaling.a) == 2e-3) & (np.asarray(state.time) > 0.04)
         return np.where(bad, np.nan, out)
 

@@ -444,12 +444,14 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_step_path_matches_its_earlier_bodies_bitwise(request, name):
+def test_step_path_matches_its_earlier_bodies_bitwise(request, add_source, name):
     config, state, theta, forcing = _case(request, name)
+    if forcing is not None:
+        add_source(forcing)
     gas, a = config.gas, config.scaling.a
     assert _same(ns.recover_temperature(state.rho, state.mom, state.etot, gas, a), theta)
     for th in (None, theta):
-        assert _same(ns.rhs_nsf(state, config, forcing, th),
+        assert _same(ns.rhs_nsf(state, config, th),
                      _ref_rhs_nsf(state, config, forcing, th))
     dt = ns.stable_dt(state, theta, config)
     want_dt = _ref_stable_dt(state, theta, config)
@@ -466,7 +468,7 @@ def test_step_path_matches_its_earlier_bodies_bitwise(request, name):
     dt = np.minimum(dt, config.t_end - state.time)
     stats = [ns.StepStats() for _ in np.ravel(state.time)]
     got = ns.step(state, dt, config, stats=stats if len(stats) > 1 else stats[0],
-                  forcing=forcing, theta=theta)
+                  theta=theta)
     want, want_hits = _ref_step(state, dt, config, forcing, theta)
     assert _same(got.W, want.W) and _same(got.time, want.time)
     assert [s.floor_hits for s in stats] == [int(h) for h in np.ravel(want_hits)]
@@ -494,7 +496,7 @@ def test_step_path_failures_match_its_earlier_bodies(request, name):
         W = state.W.copy()
         make(W)
         stage = gf.FluidState.stage(W, state.time)
-        got = _raised(ns.rhs_nsf, stage, config, None, th)
+        got = _raised(ns.rhs_nsf, stage, config, th)
         assert got == _raised(_ref_rhs_nsf, stage, config, None, th)
         return got
 
