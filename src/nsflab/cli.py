@@ -43,7 +43,6 @@ def _lazy(name: str):
 
 cfgmod = _lazy("config")
 er = _lazy("euler_reference")
-gf = _lazy("grid_fields")
 ns = _lazy("nsf_solver")
 renergy = _lazy("relative_energy")
 sweepmod = _lazy("sweep")
@@ -51,6 +50,7 @@ thermo = _lazy("thermo")
 # used only through the modules above, and registered with them so that
 # sys.modules lists every numerical module after `import nsflab.cli`
 _lazy("diagnostics")
+_lazy("grid_fields")
 _lazy("scenarios")
 
 
@@ -133,15 +133,7 @@ def _cmd_simulate(args) -> int:
             _print(f"reason {traj.health_reason}")
         return 0
     traj = er.run_euler(run_cfg, scenario.fields(run_cfg.grid))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
-    gf.write_series(out, run_cfg.grid, traj.times, traj.W)
-    lines = ["t,mass,etot,grad_u_max,grad_rho_max"]
-    for t, s, gu, gr in zip(traj.times, traj.states, *er.gradient_maxima(traj)):
-        lines.append(",".join(repr(float(v)) for v in (
-            t, gf.integrate(s.rho, run_cfg.grid),
-            gf.integrate(s.etot, run_cfg.grid), gu, gr)))
-    (out / "solver.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    sweepmod.write_euler_run(out, mapping, traj)
     life = er.lifespan_monitor(traj)
     _print(f"instants {len(traj.times)}")
     _print(f"final_time {traj.times[-1]!r}")

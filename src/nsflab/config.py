@@ -3,8 +3,10 @@
 Plain `key = value` text, one pair per line, `#` starts a comment.  Every
 key must be known: a misspelled key is a hard error, never a silent default.
 The same schema describes single runs (dissipative or inviscid) and
-parameter sweeps; `render` writes a mapping back in canonical order so that
-a resolved configuration can be stored next to its outputs and re-parsed.
+parameter sweeps: each key names the kinds of run that read it, and
+`check_keys` refuses any other key.  `render` writes a mapping back in
+canonical order so that a resolved configuration can be stored next to its
+outputs and re-parsed.
 """
 
 from __future__ import annotations
@@ -18,39 +20,41 @@ from . import scenarios
 from . import thermo
 from .errors import ConfigError
 
-# canonical key order for render(); the comment is the documented meaning
+# the kinds of run that read a key
+_READER = {"nsf": "a dissipative run", "euler": "the inviscid solver", "sweep": "a sweep"}
+_RUNS, _DISSIPATIVE, _ALL = ("nsf", "euler"), ("nsf", "sweep"), tuple(_READER)
+
+# canonical key order for render(); each key, the kinds that read it, its meaning
 KNOWN_KEYS = (
-    ("solver",                "nsf or euler"),
-    ("gas.name",              "ideal, or a label for a custom pressure law"),
-    ("gas.law",               "P(Z) expression, required when gas.name is not ideal"),
-    ("gas.S0",                "entropy normalization constant"),
-    ("gas.P_inf",             "limit of P(Z)/Z^{5/3}, needed by the custom law"),
-    ("transport.name",        "default or sublinear"),
-    ("transport.b",           "growth exponent for the sublinear family"),
-    ("scaling.a",             "radiation scale"),
-    ("scaling.nu",            "viscosity scale"),
-    ("scaling.omega",         "heat-conduction scale"),
-    ("scaling.lambda",        "velocity damping scale"),
-    ("grid.extent",           "box side lengths, one or two floats"),
-    ("grid.cells",            "cells per axis, one or two ints"),
-    ("grid.bc",               "slip-wall or periodic"),
-    ("cfl",                   "time-step safety factor"),
-    ("t_end",                 "final time"),
-    ("output.stride",         "steps between stored snapshots"),
-    ("floors",                "positivity floors for rho and theta, two floats"),
-    ("convective.order",      ", ".join(ns.CONVECTIVE_ORDERS)),
-    ("init.name",             "uniform, acoustic-entropy, or compressive-pulse"),
-    ("init.amplitude",        "perturbation amplitude"),
-    ("init.gap",              "ill-preparedness offset (second-harmonic weight)"),
-    ("sweep.a-values",        "radiation scales for the sweep, strictly decreasing"),
-    ("sweep.alpha",           "nu = a^alpha along the path"),
-    ("sweep.beta",            "omega = a^beta along the path"),
-    ("sweep.gamma",           "lambda = a^gamma along the path"),
-    ("sweep.reference-factor", "reference grid refinement over grid.cells"),
-    ("sweep.reference-stride", "output stride of the reference run"),
-    ("sweep.gap",             "init.gap applied to the dissipative runs only"),
+    ("solver",                _RUNS,         "nsf or euler"),
+    ("gas.name",              _ALL,          "ideal, or a label for a custom pressure law"),
+    ("gas.law",               _ALL,          "P(Z) expression, required when gas.name is not ideal"),
+    ("gas.S0",                _ALL,          "entropy normalization constant"),
+    ("gas.P_inf",             _ALL,          "limit of P(Z)/Z^{5/3}, needed by the custom law"),
+    ("transport.name",        _DISSIPATIVE,  "default or sublinear"),
+    ("transport.b",           _DISSIPATIVE,  "growth exponent for the sublinear family"),
+    ("scaling.a",             ("nsf",),      "radiation scale"),
+    ("scaling.nu",            ("nsf",),      "viscosity scale"),
+    ("scaling.omega",         ("nsf",),      "heat-conduction scale"),
+    ("scaling.lambda",        ("nsf",),      "velocity damping scale"),
+    ("grid.extent",           _ALL,          "box side lengths, one or two floats"),
+    ("grid.cells",            _ALL,          "cells per axis, one or two ints"),
+    ("grid.bc",               _ALL,          "slip-wall or periodic"),
+    ("cfl",                   _ALL,          "time-step safety factor"),
+    ("t_end",                 _ALL,          "final time"),
+    ("output.stride",         _ALL,          "steps between stored snapshots"),
+    ("floors",                _DISSIPATIVE,  "positivity floors for rho and theta, two floats"),
+    ("init.name",             _ALL,          "uniform, acoustic-entropy, or compressive-pulse"),
+    ("init.amplitude",        _ALL,          "perturbation amplitude"),
+    ("init.gap",              _ALL,          "ill-preparedness offset; a sweep perturbs its runs only"),
+    ("sweep.a-values",        ("sweep",),    "radiation scales for the sweep, strictly decreasing"),
+    ("sweep.alpha",           ("sweep",),    "nu = a^alpha along the path"),
+    ("sweep.beta",            ("sweep",),    "omega = a^beta along the path"),
+    ("sweep.gamma",           ("sweep",),    "lambda = a^gamma along the path"),
+    ("sweep.reference-factor", ("sweep",),   "reference grid refinement over grid.cells"),
+    ("sweep.reference-stride", ("sweep",),   "output stride of the reference run"),
 )
-_KEY_ORDER = tuple(k for k, _ in KNOWN_KEYS)
+_KEY_ORDER = tuple(k for k, _, _ in KNOWN_KEYS)
 _KEY_SET = frozenset(_KEY_ORDER)
 
 
@@ -85,6 +89,14 @@ def load_file(path) -> dict:
     except UnicodeDecodeError as err:
         raise ConfigError(f"configuration file {path} is not UTF-8 text: {err.reason}") from err
     return parse_text(text)
+
+
+def check_keys(cfg: dict, kind: str) -> None:
+    """ConfigError naming the first key of cfg, in canonical order, that a
+    run of this kind ("nsf", "euler" or "sweep") does not read."""
+    for key, kinds, _ in KNOWN_KEYS:
+        if key in cfg and kind not in kinds:
+            raise ConfigError(f"{key} does not apply to {_READER[kind]}")
 
 
 def render(mapping: dict) -> str:
@@ -207,12 +219,12 @@ def build_scenario(cfg: dict, grid: gf.Grid) -> scenarios.Scenario:
     )
 
 
-def build_nsf_controls(cfg: dict) -> tuple:
-    """Positivity floors and convective order of dissipative runs."""
+def build_floors(cfg: dict) -> tuple:
+    """Positivity floors of dissipative runs."""
     floors = get_floats(cfg, "floors", "1e-12 1e-12")
     if len(floors) != 2:
         raise ConfigError(f"floors: expected two numbers, got {cfg['floors']!r}")
-    return floors, get_choice(cfg, "convective.order", "auto", ns.CONVECTIVE_ORDERS)
+    return floors
 
 
 def build_run(cfg: dict):
@@ -221,7 +233,8 @@ def build_run(cfg: dict):
     kind is "nsf" or "euler"; the run config is the matching solver's
     configuration object, the scenario supplies the initial data.
     """
-    kind = get_choice(cfg, "solver", "nsf", ("nsf", "euler"))
+    kind = get_choice(cfg, "solver", "nsf", _RUNS)
+    check_keys(cfg, kind)
     gas = build_gas(cfg)
     grid = build_grid(cfg)
     scenario = build_scenario(cfg, grid)
@@ -229,15 +242,9 @@ def build_run(cfg: dict):
     cfl = get_float(cfg, "cfl", "0.4")
     stride = get_int(cfg, "output.stride", "10")
     if kind == "euler":
-        for key in ("scaling.a", "scaling.nu", "scaling.omega",
-                    "scaling.lambda", "transport.name", "transport.b",
-                    "floors", "convective.order"):
-            if key in cfg:
-                raise ConfigError(f"{key} does not apply to the inviscid solver")
         run = er.EulerRunConfig(gas=gas, grid=grid, t_end=t_end, cfl=cfl,
                                 output_stride=stride)
         return kind, run, scenario
-    floors, order = build_nsf_controls(cfg)
     run = ns.NsfRunConfig(
         gas=gas,
         transport=build_transport(cfg),
@@ -246,13 +253,13 @@ def build_run(cfg: dict):
         t_end=t_end,
         cfl=cfl,
         output_stride=stride,
-        positivity_floor=floors,
-        convective_order=order,
+        positivity_floor=build_floors(cfg),
     )
     return kind, run, scenario
 
 
 def describe_keys() -> str:
     """Documentation block for --help and the README."""
-    width = max(len(k) for k, _ in KNOWN_KEYS)
-    return "\n".join(f"{k.ljust(width)}  {doc}" for k, doc in KNOWN_KEYS)
+    width = max(len(k) for k in _KEY_ORDER)
+    return "\n".join(f"{k.ljust(width)}  {doc} [{', '.join(kinds)}]"
+                     for k, kinds, doc in KNOWN_KEYS)

@@ -37,6 +37,7 @@ from .nsf_solver import keep_heap_pages, recover_temperature, ssp_rk3, state_fro
 
 _DEPTH = 3  # 4th-order faces need 2 ghost layers, the filter needs 3
 DRIFT_BUDGET = 1e-6  # allowed |E(T)-E(0)| as a fraction of E(0)
+FILTER_AMPLITUDE = 0.02  # first amplitude the filter calibration tries
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class EulerRunConfig:
     t_end: float
     cfl: float = 0.4
     output_stride: int = 2
-    eps_f: float = 0.02
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
@@ -58,8 +58,6 @@ class EulerRunConfig:
         if int(self.output_stride) < 1:
             raise ConfigError(f"output_stride must be at least 1, got {self.output_stride}")
         object.__setattr__(self, "output_stride", int(self.output_stride))
-        if not (self.eps_f >= 0.0 and math.isfinite(self.eps_f)):
-            raise ConfigError(f"filter amplitude must be nonnegative, got {self.eps_f}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +180,20 @@ class EulerTrajectory(gf.StoredRun):
     aborted: bool = False
     abort_reason: str = ""
 
+    def diagnostics_csv(self) -> str:
+        """Mass, total energy and the gradient maxima at each stored instant."""
+        lines = ["t,mass,etot,grad_u_max,grad_rho_max"]
+        for t, s, gu, gr in zip(self.times, self.states, *gradient_maxima(self)):
+            lines.append(",".join(repr(float(v)) for v in (
+                t, gf.integrate(s.rho, self.grid), gf.integrate(s.etot, self.grid), gu, gr)))
+        return "\n".join(lines) + "\n"
+
 
 def _calibrate_filter(config: EulerRunConfig, state0: gf.FluidState, dt: float) -> float:
-    """Largest tried amplitude whose projected energy drift fits the budget."""
+    """Largest amplitude, FILTER_AMPLITUDE halved as often as needed, whose
+    projected energy drift fits the budget."""
     e0 = gf.integrate(state0.etot, config.grid)
-    eps = config.eps_f
+    eps = FILTER_AMPLITUDE
     for _ in range(40):
         if eps == 0.0:
             return 0.0
@@ -633,7 +640,7 @@ def reference_key(config: EulerRunConfig, state: gf.FluidState) -> str:
         config.gas.name, str(config.gas.law_text), repr(config.gas.S0),
         repr(config.gas.P_inf),
         repr(config.t_end), repr(config.cfl), str(config.output_stride),
-        repr(config.eps_f), repr(DRIFT_BUDGET),
+        repr(FILTER_AMPLITUDE), repr(DRIFT_BUDGET),
     ]
     h.update("\n".join(meta).encode("ascii"))
     h.update(np.ascontiguousarray(state.W, dtype="<f8").tobytes())  # rho, mom, etot

@@ -62,7 +62,6 @@ from .errors import ConfigError, DomainError, PositivityError, UsageError
 
 _GHOST_DEPTH = 2  # central-slope reconstruction needs two layers
 _0D = thermo._0D  # scalar constants as 0-d arrays: the bits of the floats, less overhead
-CONVECTIVE_ORDERS = ("auto", "1", "2")  # face reconstruction choices
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ class NsfRunConfig:
     cfl: float = 0.4
     output_stride: int = 10
     positivity_floor: tuple = (1e-12, 1e-12)
-    convective_order: str = "auto"  # one of CONVECTIVE_ORDERS
 
     def __post_init__(self):
         if not (0.0 < self.cfl <= 0.9):
@@ -91,16 +89,6 @@ class NsfRunConfig:
         if not (rf > 0.0 and tf > 0.0):
             raise ConfigError(f"positivity floors must be positive, got {self.positivity_floor}")
         object.__setattr__(self, "positivity_floor", (float(rf), float(tf)))
-        if str(self.convective_order) not in CONVECTIVE_ORDERS:
-            raise ConfigError(f"convective_order must be one of "
-                              f"{', '.join(CONVECTIVE_ORDERS)}, got {self.convective_order}")
-        object.__setattr__(self, "convective_order", str(self.convective_order))
-
-    def resolved_order(self) -> int:
-        """Reconstruction order: degrade to plain cell values for pure Euler runs."""
-        if self.convective_order == "auto":
-            return 1 if all(self.scaling.zeros) else 2
-        return int(self.convective_order)
 
     @cached_property
     def _kernel(self) -> "_Kernel":
@@ -118,7 +106,8 @@ class _Kernel:
         self.axes = tuple(range(-self.dim, 0))  # a field's grid axes
         self.cells = math.prod(grid.cells)
         self.interior = (Ellipsis,) + (slice(_GHOST_DEPTH, -_GHOST_DEPTH),) * self.dim
-        self.order = config.resolved_order()
+        # central slopes; plain cell values when the run is purely inviscid
+        self.order = 1 if all(sc.zeros) else 2
         _, no_nu, no_omega, no_lam = sc.zeros
         self.viscous, self.conductive, self.damped = not no_nu, not no_omega, not no_lam
         self.dx2 = min(h * h for h in grid.spacing)

@@ -8,7 +8,8 @@ advances towards the requested end time.  The worker writes the reference
 into reference-cache/, the one channel between the two: once it has
 ended, the batch loads the reference there and, if its horizon is
 shorter, stops and runs again to that horizon.  A sweep refuses an output
-directory whose runs/ holds a directory that is no run of its path.
+directory whose runs/ holds a directory that is no run of its path, or
+where a regular file stands in for a directory it writes.
 The manifest (`nsflab.manifest`) records, per point, the initial relative
 energy, its sup over the run, and the convergence-rate envelope; the fitted
 constant is the largest ratio E_sup / (E_init + envelope), which the theory
@@ -128,7 +129,6 @@ class SweepSetup:
     reference_factor: int = 4
     reference_stride: int = 4
     floors: tuple = (1e-12, 1e-12)
-    convective_order: str = "auto"
 
     def __post_init__(self):
         if int(self.reference_factor) < 1:
@@ -149,20 +149,15 @@ class SweepSetup:
 
 
 def setup_from_config(cfg: dict) -> SweepSetup:
-    """Build a sweep from a parsed configuration mapping."""
-    for key in ("solver", "scaling.a", "scaling.nu", "scaling.omega",
-                "scaling.lambda", "init.gap"):
-        if key in cfg:
-            raise ConfigError(
-                f"{key} does not apply to a sweep; the path sets the scalings "
-                "and sweep.gap sets the ill-preparedness offset")
+    """Build a sweep from a parsed configuration mapping; init.gap
+    perturbs the dissipative runs only."""
+    cfgmod.check_keys(cfg, "sweep")
     path = ScalingPath(
         a_values=cfgmod.get_floats(cfg, "sweep.a-values", "1e-2 1e-3 1e-4"),
         alpha=cfgmod.get_float(cfg, "sweep.alpha", "0.55"),
         beta=cfgmod.get_float(cfg, "sweep.beta", "1.2"),
         gamma=cfgmod.get_float(cfg, "sweep.gamma", "0.1"),
     )
-    floors, order = cfgmod.build_nsf_controls(cfg)
     return SweepSetup(
         gas=cfgmod.build_gas(cfg),
         transport=cfgmod.build_transport(cfg),
@@ -170,14 +165,13 @@ def setup_from_config(cfg: dict) -> SweepSetup:
         grid=cfgmod.build_grid(cfg),
         scenario_name=str(cfg.get("init.name", "acoustic-entropy")),
         amplitude=cfgmod.get_float(cfg, "init.amplitude", "0.01"),
-        gap=cfgmod.get_float(cfg, "sweep.gap", "0.0"),
+        gap=cfgmod.get_float(cfg, "init.gap", "0.0"),
         t_end=cfgmod.get_float(cfg, "t_end", "1.0"),
         cfl=cfgmod.get_float(cfg, "cfl", "0.35"),
         output_stride=cfgmod.get_int(cfg, "output.stride", "16"),
         reference_factor=cfgmod.get_int(cfg, "sweep.reference-factor", "4"),
         reference_stride=cfgmod.get_int(cfg, "sweep.reference-stride", "4"),
-        floors=floors,
-        convective_order=order,
+        floors=cfgmod.build_floors(cfg),
     )
 
 
@@ -226,7 +220,6 @@ def _run_mapping(setup: SweepSetup, sc: thermo.ScalingParams, t_end: float) -> d
         "t_end": repr(float(t_end)),
         "output.stride": str(setup.output_stride),
         "floors": " ".join(repr(v) for v in setup.floors),
-        "convective.order": setup.convective_order,
         "init.name": setup.scenario_name,
         "init.amplitude": repr(setup.amplitude),
         "init.gap": repr(setup.gap),
@@ -250,19 +243,26 @@ def _reference_mapping(setup: SweepSetup) -> dict:
     return m
 
 
-def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
-    """Persist one dissipative run: resolved config, diagnostics CSV, snapshots.
-
-    The reports that `write_run_diagnostics` wrote there for an earlier
-    run go with its snapshots.
-    """
-    rdir = Path(run_dir)
+def _write_run(rdir: Path, mapping: dict, grid: gf.Grid, traj) -> None:
+    """Persist one run of either solver: resolved config, the trajectory's
+    diagnostics CSV, snapshots.  The reports that `write_run_diagnostics`
+    wrote there for an earlier run go with its snapshots."""
     rdir.mkdir(parents=True, exist_ok=True)
     for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
         (rdir / name).unlink(missing_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     (rdir / "solver.csv").write_text(traj.diagnostics_csv(), encoding="ascii")
-    gf.write_series(rdir, traj.config.grid, traj.times, traj.W)
+    gf.write_series(rdir, grid, traj.times, traj.W)
+
+
+def write_nsf_run(run_dir, mapping: dict, traj: ns.Trajectory) -> None:
+    """Persist one dissipative run (see `_write_run`)."""
+    _write_run(Path(run_dir), mapping, traj.config.grid, traj)
+
+
+def write_euler_run(run_dir, mapping: dict, traj: er.EulerTrajectory) -> None:
+    """Persist one inviscid run (see `_write_run`)."""
+    _write_run(Path(run_dir), mapping, traj.grid, traj)
 
 
 def write_run_diagnostics(run_dir, traj: ns.Trajectory, reference):
@@ -362,7 +362,8 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
     sweep of that point alone writes.  Records are assembled in path order.
     An out_dir whose runs/ holds a directory that is not one of the path's
-    run ids is refused before anything is written.
+    run ids, or where a regular file stands in for runs/, a run's
+    directory or reference-cache/, is refused before anything is written.
 
     The batch advances speculatively to the requested t_end while the
     reference runs in a worker process (`multiprocessing`, the platform's
@@ -380,6 +381,9 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     out = Path(out_dir)
     a_values = setup.path.a_values
     run_ids = {run_id_for(a) for a in a_values}
+    for d in (out / "runs", out / "reference-cache", *(out / "runs" / r for r in sorted(run_ids))):
+        if d.exists() and not d.is_dir():
+            raise UsageError(f"{d} is not a directory; remove it or sweep into another directory")
     for d in sorted(out.glob("runs/*")):
         if d.is_dir() and d.name not in run_ids:
             raise UsageError(f"{d} is not a run of this sweep's path; remove it "

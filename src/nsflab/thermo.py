@@ -478,24 +478,25 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
 
 
-def _invert(gas, a, rho, e, rtol, max_iter):
-    """theta on finite arrays rho > 0, e > 0: the ideal law's Newton
-    iteration (gas.law_text == "Z") or the bracketed one.  A float a serves
-    every cell; an array a holds one value per member, shaped to broadcast
-    against rho, whose axis rho.ndim - a.ndim is the member axis, and each
-    member's theta is bitwise the one of its own float a."""
+def _invert(gas, a, rho, e):
+    """theta on finite arrays rho > 0, e > 0 to relative tolerance 1e-12 in
+    at most 160 steps: the ideal law's Newton iteration (gas.law_text ==
+    "Z") or the bracketed one.  A float a serves every cell; an array a
+    holds one value per member, shaped to broadcast against rho, whose axis
+    rho.ndim - a.ndim is the member axis, and each member's theta is bitwise
+    the one of its own float a."""
     if np.ndim(a) == 0:
         if gas.law_text == "Z":
-            return _invert_ideal(float(a), rho, e, rtol, max_iter)
-        return _invert_molecular(gas, float(a), rho, e, rtol, max_iter)
+            return _invert_ideal(float(a), rho, e, 1e-12, 160)
+        return _invert_molecular(gas, float(a), rho, e, 1e-12, 160)
     axis = rho.ndim - a.ndim
     if gas.law_text == "Z":
-        return _invert_ideal(a, rho, e, rtol, max_iter, axis)
-    return _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, rtol, max_iter),
+        return _invert_ideal(a, rho, e, 1e-12, 160, axis)
+    return _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, 1e-12, 160),
                         a, rho, e, axis)
 
 
-def temperature_from_energy(gas: GasModel, a: float, rho, e_density, max_iter=160):
+def temperature_from_energy(gas: GasModel, a: float, rho, e_density):
     """Invert the internal energy density 1.5 theta^{5/2} P(Z) + a theta^4 for theta.
 
     The left side is strictly increasing in theta, so the root is unique.
@@ -504,7 +505,7 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, max_iter=16
     and at a > 0 Newton's method runs down from an upper bound, falling
     monotonically to the root because the left side is convex.  Any other
     law takes a bracketed Newton iteration.  Both stop at relative tolerance
-    1e-12 and raise DomainError if max_iter steps do not reach it.
+    1e-12 and raise DomainError if 160 steps do not reach it.
     Vacuum cells (rho = 0) are solved by the radiation branch alone and
     therefore require a > 0.
     """
@@ -522,13 +523,13 @@ def temperature_from_energy(gas: GasModel, a: float, rho, e_density, max_iter=16
         raise DomainError("internal energy density must be positive to recover temperature")
     act = rho_b > 0.0
     if act.all():
-        theta = _invert(gas, a, rho_b, e_b, 1e-12, max_iter)
+        theta = _invert(gas, a, rho_b, e_b)
     else:
         if a <= 0.0:
             raise DomainError("vacuum cells carry no temperature information when a = 0")
         theta = (e_b / a) ** 0.25  # kept in the vacuum cells
         if act.any():
-            theta[act] = _invert(gas, a, rho_b[act], e_b[act], 1e-12, max_iter)
+            theta[act] = _invert(gas, a, rho_b[act], e_b[act])
     return float(theta[0]) if scalar else theta
 
 
@@ -548,15 +549,14 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     it.  a is a float, or for a batch one value per member, shaped to
     broadcast against rho, whose axis rho.ndim - a.ndim is then the member
     axis.  Each member's theta is bitwise temperature_from_energy's on that
-    member alone, at its default tolerance and step limit: the ideal law
-    inverts all members at once, each stopping at its own convergence.  Of
-    temperature_from_energy's checks only finiteness is left, and
-    non-finite input raises DomainError "non-finite inputs to temperature
-    inversion" before any member is inverted.
+    member alone: the ideal law inverts all members at once, each stopping
+    at its own convergence.  Of temperature_from_energy's checks only
+    finiteness is left, and non-finite input raises DomainError "non-finite
+    inputs to temperature inversion" before any member is inverted.
     """
     if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
         raise DomainError("non-finite inputs to temperature inversion")
-    return _invert(gas, a, rho, e_density, 1e-12, 160)
+    return _invert(gas, a, rho, e_density)
 
 
 def face_closures(gas: GasModel, a, rho, e_density):

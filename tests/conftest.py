@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from nsflab import euler_reference as er
 from nsflab import nsf_solver as ns
 from nsflab import thermo
 
@@ -66,3 +67,9 @@ def add_source(monkeypatch):
 
         monkeypatch.setattr(ns, "rhs_nsf", forced)
     return install
+
+
+@pytest.fixture
+def unfiltered(monkeypatch):
+    """Inviscid reference runs without their high-order filter."""
+    monkeypatch.setattr(er, "FILTER_AMPLITUDE", 0.0)

@@ -122,6 +122,34 @@ def test_simulate_euler_outputs(tmp_path, capsys):
     assert header == "t,mass,etot,grad_u_max,grad_rho_max"
 
 
+def test_simulate_refuses_a_sweep_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG + "sweep.alpha = 0.6\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sweep.alpha does not apply to a dissipative run\n"
+    assert not out.exists()
+
+
+def test_simulate_euler_over_a_dissipative_run_drops_its_reports(tmp_path, capsys):
+    # the Euler run takes the same writer as a dissipative one, which
+    # drops the reports of the run that was there before
+    run_cfg, euler_cfg = tmp_path / "run.cfg", tmp_path / "euler.cfg"
+    run_cfg.write_text(RUN_CFG)
+    euler_cfg.write_text(EULER_CFG)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(run_cfg), "--out", str(out)]) == 0
+    for name in ("relenergy.csv", "bounds.txt", "summary.txt"):  # as `diag` leaves them
+        (out / name).write_text("a report of the dissipative run\n")
+    assert cli.main(["simulate", "--config", str(euler_cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert cli.main(["simulate", "--config", str(euler_cfg), "--out", str(fresh)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in fresh.iterdir())
+    for p in fresh.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["diag", "--seed", "1"],
                                   ["diag", "--config", "x.cfg"],
                                   ["rate-fit", "--threads", "2"],
@@ -155,6 +183,21 @@ def test_out_naming_a_regular_file_is_refused(tmp_path, capsys, command, text):
             f"error: output directory {target}: {out} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("taken", ["runs", "reference-cache", "runs/a1.000e-02"])
+def test_sweep_refuses_a_file_where_it_writes_a_directory(tmp_path, capsys, taken):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    (out / taken).parent.mkdir(parents=True, exist_ok=True)
+    (out / taken).write_text("not a directory\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out / taken} is not a directory; remove it "
+                                       "or sweep into another directory\n")
+    # nothing written but what the test put there
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == \
+        sorted({taken, Path(taken).parent.as_posix()} - {"."})
 
 
 def test_simulate_requires_config(capsys):

@@ -52,7 +52,7 @@ def test_render_round_trip_and_order():
     text = cfgmod.render(cfg)
     assert cfgmod.parse_text(text) == cfg
     keys = [line.split(" = ")[0] for line in text.splitlines()]
-    order = [k for k, _ in cfgmod.KNOWN_KEYS if k in cfg]
+    order = [k for k, _, _ in cfgmod.KNOWN_KEYS if k in cfg]
     assert keys == order
     with pytest.raises(ConfigError, match="unknown configuration keys"):
         cfgmod.render({"nope": "1"})
@@ -107,7 +107,6 @@ def test_build_run_nsf_defaults():
     assert run.scaling.a == 0.01 and run.scaling.lam == 0.2
     assert run.cfl == 0.4 and run.output_stride == 10
     assert run.positivity_floor == (1e-12, 1e-12)
-    assert run.convective_order == "auto"
     assert scenario.name == "acoustic-entropy"
     rho, theta, u = scenario.fields(run.grid)
     assert rho.shape == run.grid.cells
@@ -182,11 +181,42 @@ def test_coercivity_and_custom_law_entropy_load_scipy(tmp_path):
     _run_fresh(code)
 
 
-def test_build_run_accepts_the_solver_convective_orders():
-    kind, run, _ = cfgmod.build_run(cfgmod.parse_text(NSF_TEXT + "convective.order = 1\n"))
-    assert run.convective_order == "1" and run.resolved_order() == 1
-    with pytest.raises(ConfigError, match="convective.order"):
-        cfgmod.build_run(cfgmod.parse_text(NSF_TEXT + "convective.order = 4\n"))
+# a value of each key that every kind of run reading it accepts
+KEY_VALUES = {
+    "solver": "nsf", "gas.name": "lawA", "gas.law": "Z + Z^2/(1+Z)", "gas.S0": "0.0",
+    "gas.P_inf": "0.0", "transport.name": "sublinear", "transport.b": "0.75",
+    "scaling.a": "0.01", "scaling.nu": "0.005", "scaling.omega": "0.001",
+    "scaling.lambda": "0.2", "grid.extent": "1.0", "grid.cells": "16",
+    "grid.bc": "slip-wall", "cfl": "0.35", "t_end": "0.05", "output.stride": "4",
+    "floors": "1e-12 1e-12", "init.name": "acoustic-entropy", "init.amplitude": "0.01",
+    "init.gap": "0.02", "sweep.a-values": "1e-2 1e-3", "sweep.alpha": "0.55",
+    "sweep.beta": "1.2", "sweep.gamma": "0.1", "sweep.reference-factor": "2",
+    "sweep.reference-stride": "4",
+}
+
+
+@pytest.mark.parametrize("kind, reader", [("nsf", "a dissipative run"),
+                                          ("euler", "the inviscid solver"),
+                                          ("sweep", "a sweep")])
+def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
+    assert [k for k, _, _ in cfgmod.KNOWN_KEYS] == list(KEY_VALUES)
+
+    def build(cfg):
+        if kind == "sweep":
+            return sweepmod.setup_from_config(cfg)
+        return cfgmod.build_run(cfg)
+
+    # every key the table lists for this kind, accepted together
+    full = {k: KEY_VALUES[k] for k, kinds, _ in cfgmod.KNOWN_KEYS if kind in kinds}
+    if kind != "sweep":
+        full["solver"] = kind
+    built = build(full)
+    assert built.gap == 0.02 if kind == "sweep" else built[0] == kind
+    # and every other key refused, by name
+    for key, kinds, _ in cfgmod.KNOWN_KEYS:
+        if kind not in kinds:
+            with pytest.raises(ConfigError, match=f"^{key} does not apply to {reader}$"):
+                build({**full, key: KEY_VALUES[key]})
 
 
 def test_build_run_euler_rejects_dissipative_keys():
@@ -206,8 +236,9 @@ def test_build_run_requires_scaling():
 
 def test_describe_keys_lists_everything():
     doc = cfgmod.describe_keys()
-    for key, _ in cfgmod.KNOWN_KEYS:
-        assert key in doc
+    for key, kinds, _ in cfgmod.KNOWN_KEYS:
+        assert f"[{', '.join(kinds)}]" in next(line for line in doc.splitlines()
+                                               if line.startswith(key + " "))
 
 
 def _readme_config_blocks():

@@ -35,7 +35,7 @@ def perturbed(grid, amp=0.01):
 def nsf_run(ideal, transport, n, stride=4, t_end=T_END):
     cfg = ns.NsfRunConfig(gas=ideal, transport=transport, scaling=SC,
                           grid=slab(n), t_end=t_end, cfl=0.35,
-                          output_stride=stride, convective_order="2")
+                          output_stride=stride)
     return ns.simulate(cfg, perturbed(slab(n)))
 
 

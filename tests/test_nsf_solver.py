@@ -40,7 +40,7 @@ def test_config_rejects_bad_values(ideal, transport):
     run_config(ideal, transport, grid, sc)  # baseline accepted
     for bad in (dict(cfl=0.95), dict(cfl=0.0), dict(t_end=0.0), dict(t_end=math.inf),
                 dict(output_stride=0), dict(positivity_floor=(0.0, 1e-12)),
-                dict(positivity_floor=(1e-12, -1.0)), dict(convective_order="3")):
+                dict(positivity_floor=(1e-12, -1.0))):
         with pytest.raises(ConfigError):
             run_config(ideal, transport, grid, sc, **bad)
 
@@ -48,16 +48,15 @@ def test_config_rejects_bad_values(ideal, transport):
 def test_resolved_order_degrades_for_pure_euler(ideal, transport):
     grid = gf.Grid.line(1.0, 16, "periodic")
 
-    def order(a, nu, omega, lam, **kw):
+    def order(a, nu, omega, lam):
         sc = scaling(a=a, nu=nu, omega=omega, lam=lam)
-        return run_config(ideal, transport, grid, sc, **kw).resolved_order()
+        return run_config(ideal, transport, grid, sc)._kernel.order
 
     assert order(0.0, 0.0, 0.0, 0.0) == 1
     assert order(0.0, 1e-3, 0.0, 0.0) == 2
     assert order(1e-4, 0.0, 0.0, 0.0) == 2
     assert order(0.0, 0.0, 0.0, 1e-2) == 2
-    assert order(0.0, 0.0, 0.0, 0.0, convective_order="2") == 2
-    assert order(0.0, 0.1, 0.1, 0.1, convective_order="1") == 1
+    assert order(0.0, 0.0, 1e-3, 0.0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +353,7 @@ def test_energy_budget_residual_shrinks_with_resolution(ideal, transport):
 def test_pure_euler_degradation_runs_stably(ideal, transport):
     grid = gf.Grid.line(1.0, 64, "periodic")
     config = run_config(ideal, transport, grid, scaling(), t_end=0.3, cfl=0.45)
-    assert config.resolved_order() == 1
+    assert config._kernel.order == 1
     x = gf.cell_centers(grid)[0]
     rho = 1.0 + 0.1 * np.sin(2 * np.pi * x)
     th = 1.0 + 0.05 * np.cos(2 * np.pi * x)

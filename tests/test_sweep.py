@@ -642,25 +642,16 @@ def test_reference_grid():
 
 def test_setup_from_config_defaults_and_rejections():
     text = ("grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\n"
-            "sweep.gap = 0.02\n")
+            "init.gap = 0.02\n")
     setup = sweepmod.setup_from_config(cfgmod.parse_text(text))
     assert setup.path.a_values == (1e-2, 1e-3, 1e-4)
     assert setup.path.alpha == 0.55 and setup.path.gamma == 0.1
     assert setup.gap == 0.02 and setup.t_end == 1.0
     assert setup.reference_factor == 4 and setup.output_stride == 16
-    for extra in ("solver = nsf", "scaling.a = 0.1", "init.gap = 0.01"):
+    for extra in ("solver = nsf", "scaling.a = 0.1"):
         with pytest.raises(ConfigError, match="does not apply to a sweep"):
             sweepmod.setup_from_config(cfgmod.parse_text(text + extra + "\n"))
+    for removed in ("sweep.gap = 0.02", "convective.order = auto"):
+        with pytest.raises(ConfigError, match="unknown configuration keys"):
+            cfgmod.parse_text(text + removed + "\n")
 
-
-def test_setup_from_config_takes_the_solver_convective_orders(monkeypatch, tmp_path):
-    def no_reference(*args, **kwargs):
-        raise AssertionError("the reference run started")
-
-    monkeypatch.setattr(er, "run_euler", no_reference)
-    text = "grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\n"
-    setup = sweepmod.setup_from_config(cfgmod.parse_text(text + "convective.order = 1\n"))
-    assert setup.convective_order == "1"
-    with pytest.raises(ConfigError, match="convective.order"):
-        setup = sweepmod.setup_from_config(cfgmod.parse_text(text + "convective.order = 4\n"))
-        sweepmod.run_sweep(setup, tmp_path)
