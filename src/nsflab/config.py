@@ -28,7 +28,7 @@ _RUNS, _DISSIPATIVE, _ALL = ("nsf", "euler"), ("nsf", "sweep"), tuple(_READER)
 KNOWN_KEYS = (
     ("solver",                _RUNS,         "nsf or euler"),
     ("gas.name",              _ALL,          "ideal, or a label for a custom pressure law"),
-    ("gas.law",               _ALL,          "P(Z) expression, required when gas.name is not ideal"),
+    ("gas.law",               _ALL,          "P(Z) expression, needed unless gas.name is ideal"),
     ("gas.S0",                _ALL,          "entropy normalization constant"),
     ("gas.P_inf",             _ALL,          "limit of P(Z)/Z^{5/3}, needed by the custom law"),
     ("transport.name",        _DISSIPATIVE,  "default or sublinear"),
@@ -46,7 +46,7 @@ KNOWN_KEYS = (
     ("floors",                _DISSIPATIVE,  "positivity floors for rho and theta, two floats"),
     ("init.name",             _ALL,          "uniform, acoustic-entropy, or compressive-pulse"),
     ("init.amplitude",        _ALL,          "perturbation amplitude"),
-    ("init.gap",              _ALL,          "ill-preparedness offset; a sweep perturbs its runs only"),
+    ("init.gap",              _ALL,          "ill-preparedness offset, of a sweep's runs only"),
     ("sweep.a-values",        ("sweep",),    "radiation scales for the sweep, strictly decreasing"),
     ("sweep.alpha",           ("sweep",),    "nu = a^alpha along the path"),
     ("sweep.beta",            ("sweep",),    "omega = a^beta along the path"),

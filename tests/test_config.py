@@ -211,7 +211,7 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
     if kind != "sweep":
         full["solver"] = kind
     built = build(full)
-    assert built.gap == 0.02 if kind == "sweep" else built[0] == kind
+    assert (built.gap == 0.02) if kind == "sweep" else (built[0] == kind)
     # and every other key refused, by name
     for key, kinds, _ in cfgmod.KNOWN_KEYS:
         if kind not in kinds:

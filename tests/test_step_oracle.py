@@ -399,8 +399,7 @@ BOX = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
 EULER = thermo.ScalingParams(0.0, 0.0, 0.0, 0.0)
 CASES = {
     "line-a>0": ("ideal", LINE, [_path_scaling(1e-2)], False),
-    "line-batch-of-three": ("ideal", LINE, [_path_scaling(a) for a in (1e-2, 1e-3, 1e-4)],
-                            False),
+    "line-batch-of-three": ("ideal", LINE, [_path_scaling(a) for a in (1e-2, 1e-3, 1e-4)], False),
     "line-a=0": ("ideal", LINE, [thermo.ScalingParams(0.0, 0.02, 0.01, 0.1)], False),
     "line-euler": ("ideal", LINE, [EULER], False),
     "line-lawA": ("law_a", LINE, [_path_scaling(0.3)], False),
