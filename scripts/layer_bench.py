@@ -18,6 +18,9 @@ repeats is reported, in microseconds per call.  The layers:
 - `stable_dt`, `apply_floors`: the step bound and one stage's floor pass;
 - `nsf_step`: one lone step as the time loop takes it (`stable_dt`,
   `step`, `recover_temperature`);
+- `nsf_step.batch3`: the same step of the default sweep's three path
+  points (a = 1e-2, 1e-3, 1e-4 on the same path) advanced as one batch,
+  as `simulate_batch` packs them;
 - `read_series`: reading back a stored series of 64 instants of the
   state, written once to a temporary directory; reported per stored
   instant, not per call.
@@ -32,6 +35,7 @@ import json
 import sys
 import tempfile
 import timeit
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,7 @@ from nsflab import relative_energy as renergy
 from nsflab import scenarios, thermo
 
 A = 1e-2
+PATH = (A, 1e-3, 1e-4)  # the default sweep's path points
 SERIES = 64  # stored instants of the read_series layer, which is timed per instant
 
 
@@ -50,10 +55,12 @@ def _cases(cells: int, tmp: str) -> dict:
     """name -> zero-argument callable, on one grid of `cells` cells; files go to `tmp`."""
     gas, transport = thermo.ideal_gas(), thermo.default_transport()
     grid = gf.Grid.line(1.0, cells, "slip-wall")
-    scaling = thermo.ScalingParams(a=A, nu=A ** 0.55, omega=A ** 1.2, lam=A ** 0.1)
-    config = ns.NsfRunConfig(gas=gas, transport=transport, scaling=scaling, grid=grid,
+    scalings = [thermo.ScalingParams(a=a, nu=a ** 0.55, omega=a ** 1.2, lam=a ** 0.1)
+                for a in PATH]
+    config = ns.NsfRunConfig(gas=gas, transport=transport, scaling=scalings[0], grid=grid,
                              t_end=1.0, cfl=0.35)
-    state = ns.state_from_primitives(gas, A, scenarios.acoustic_entropy(grid).fields(grid))
+    fields = scenarios.acoustic_entropy(grid).fields(grid)
+    state = ns.state_from_primitives(gas, A, fields)
     theta = ns.recover_temperature(state.rho, state.mom, state.etot, gas, A)
     state0 = ns.state_from_primitives(gas, 0.0, (state.rho, theta, state.velocity()))
     u = state.velocity()
@@ -63,6 +70,16 @@ def _cases(cells: int, tmp: str) -> dict:
         dt = min(ns.stable_dt(state, theta, config), config.t_end - state.time)
         s = ns.step(state, dt, config, stats=ns.StepStats(), theta=theta)
         ns.recover_temperature(s.rho, s.mom, s.etot, gas, A)
+
+    batch, batch_theta, batch_config = ns._pack(
+        [ns._Member(replace(config, scaling=sc), fields) for sc in scalings])
+
+    def nsf_step_batch3():
+        dt = np.minimum(ns.stable_dt(batch, batch_theta, batch_config),
+                        batch_config.t_end - batch.time)
+        s = ns.step(batch, dt, batch_config, stats=[ns.StepStats() for _ in PATH],
+                    theta=batch_theta)
+        ns.recover_temperature(s.rho, s.mom, s.etot, gas, batch_config.scaling.a)
 
     W = state.W.copy()
     series = Path(tmp) / str(cells)
@@ -84,6 +101,7 @@ def _cases(cells: int, tmp: str) -> dict:
         # the floors write W in place; on an admissible state they change nothing
         "apply_floors": lambda: ns._apply_floors(W, config),
         "nsf_step": nsf_step,
+        "nsf_step.batch3": nsf_step_batch3,
         "read_series": lambda: gf.read_series(series, grid),
     }
 

@@ -83,6 +83,7 @@ def _cmd_thermo_check(args) -> int:
     import numpy as np
 
     cfg = _load_config(args)
+    cfgmod.check_keys(cfg, "thermo-check")
     gas = cfgmod.build_gas(cfg)
     transport = cfgmod.build_transport(cfg)
     report = thermo.hypothesis_report(gas, transport)
@@ -106,6 +107,7 @@ def _cmd_coercivity(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed must be nonnegative, got {args.seed}")
     cfg = _load_config(args)
+    cfgmod.check_keys(cfg, "coercivity")
     gas = cfgmod.build_gas(cfg)
     a = cfgmod.get_float(cfg, "scaling.a", "0.5")
     K = (0.5, 2.0, 0.5, 2.0)

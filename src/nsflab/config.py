@@ -20,33 +20,35 @@ from . import scenarios
 from . import thermo
 from .errors import ConfigError
 
-# the kinds of run that read a key
-_READER = {"nsf": "a dissipative run", "euler": "the inviscid solver", "sweep": "a sweep"}
-_RUNS, _DISSIPATIVE, _ALL = ("nsf", "euler"), ("nsf", "sweep"), tuple(_READER)
+# the kinds of run that read a key, and the two closure commands
+_READER = {"nsf": "a dissipative run", "euler": "the inviscid solver", "sweep": "a sweep",
+           "thermo-check": "nsflab thermo-check", "coercivity": "nsflab coercivity"}
+_RUNS, _DISSIPATIVE, _EVERY_RUN = ("nsf", "euler"), ("nsf", "sweep"), ("nsf", "euler", "sweep")
+_GAS, _TRANSPORT = (*_EVERY_RUN, "thermo-check", "coercivity"), (*_DISSIPATIVE, "thermo-check")
 
 # canonical key order for render(); each key, the kinds that read it, its meaning
 KNOWN_KEYS = (
     ("solver",                _RUNS,         "nsf or euler"),
-    ("gas.name",              _ALL,          "ideal, or a label for a custom pressure law"),
-    ("gas.law",               _ALL,          "P(Z) expression, needed unless gas.name is ideal"),
-    ("gas.S0",                _ALL,          "entropy normalization constant"),
-    ("gas.P_inf",             _ALL,          "limit of P(Z)/Z^{5/3}, needed by the custom law"),
-    ("transport.name",        _DISSIPATIVE,  "default or sublinear"),
-    ("transport.b",           _DISSIPATIVE,  "growth exponent for the sublinear family"),
-    ("scaling.a",             ("nsf",),      "radiation scale"),
+    ("gas.name",              _GAS,          "ideal, or a label for a custom pressure law"),
+    ("gas.law",               _GAS,          "P(Z) expression, needed unless gas.name is ideal"),
+    ("gas.S0",                _GAS,          "entropy normalization constant"),
+    ("gas.P_inf",             _GAS,          "limit of P(Z)/Z^{5/3}, needed by the custom law"),
+    ("transport.name",        _TRANSPORT,    "default or sublinear"),
+    ("transport.b",           _TRANSPORT,    "growth exponent for the sublinear family"),
+    ("scaling.a",             ("nsf", "coercivity"), "radiation scale"),
     ("scaling.nu",            ("nsf",),      "viscosity scale"),
     ("scaling.omega",         ("nsf",),      "heat-conduction scale"),
     ("scaling.lambda",        ("nsf",),      "velocity damping scale"),
-    ("grid.extent",           _ALL,          "box side lengths, one or two floats"),
-    ("grid.cells",            _ALL,          "cells per axis, one or two ints"),
-    ("grid.bc",               _ALL,          "slip-wall or periodic"),
-    ("cfl",                   _ALL,          "time-step safety factor"),
-    ("t_end",                 _ALL,          "final time"),
-    ("output.stride",         _ALL,          "steps between stored snapshots"),
+    ("grid.extent",           _EVERY_RUN,    "box side lengths, one or two floats"),
+    ("grid.cells",            _EVERY_RUN,    "cells per axis, one or two ints"),
+    ("grid.bc",               _EVERY_RUN,    "slip-wall or periodic"),
+    ("cfl",                   _EVERY_RUN,    "time-step safety factor"),
+    ("t_end",                 _EVERY_RUN,    "final time"),
+    ("output.stride",         _EVERY_RUN,    "steps between stored snapshots"),
     ("floors",                _DISSIPATIVE,  "positivity floors for rho and theta, two floats"),
-    ("init.name",             _ALL,          "uniform, acoustic-entropy, or compressive-pulse"),
-    ("init.amplitude",        _ALL,          "perturbation amplitude"),
-    ("init.gap",              _ALL,          "ill-preparedness offset, of a sweep's runs only"),
+    ("init.name",             _EVERY_RUN,    "uniform, acoustic-entropy, or compressive-pulse"),
+    ("init.amplitude",        _EVERY_RUN,    "perturbation amplitude"),
+    ("init.gap",              _EVERY_RUN,    "ill-preparedness offset, of a sweep's runs only"),
     ("sweep.a-values",        ("sweep",),    "radiation scales for the sweep, strictly decreasing"),
     ("sweep.alpha",           ("sweep",),    "nu = a^alpha along the path"),
     ("sweep.beta",            ("sweep",),    "omega = a^beta along the path"),
@@ -93,7 +95,8 @@ def load_file(path) -> dict:
 
 def check_keys(cfg: dict, kind: str) -> None:
     """ConfigError naming the first key of cfg, in canonical order, that a
-    run of this kind ("nsf", "euler" or "sweep") does not read."""
+    run of this kind ("nsf", "euler" or "sweep") or the command
+    "thermo-check" or "coercivity" does not read."""
     for key, kinds, _ in KNOWN_KEYS:
         if key in cfg and kind not in kinds:
             raise ConfigError(f"{key} does not apply to {_READER[kind]}")

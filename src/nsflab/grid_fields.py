@@ -111,9 +111,30 @@ def mesh(grid: Grid):
 # state containers
 
 
-def _kinetic(rho, mom):
-    return np.divide(0.5 * np.sum(mom ** 2, axis=0), rho, out=np.zeros_like(rho),
-                     where=rho > 0.0)
+_HALF = np.asarray(0.5)  # a 0-d array: the float's bits, without numpy's per-call conversion
+
+
+def _sum_sq(comps):
+    """The sum of squares of the components along the first axis, as a new
+    array: bitwise np.sum(comps * comps, axis=0), whose reduction over at
+    most two components adds their squares in this order."""
+    total = np.square(comps[0])
+    for comp in comps[1:]:
+        total += np.square(comp)
+    return total
+
+
+def _kinetic(rho, mom, occupied=None):
+    """|mom|^2 / (2 rho) as a new array, the package's one body of it.  Where a
+    density can be zero (vacuum cells, reconstructed faces), `occupied`, the
+    mask rho > 0, limits the division; other cells keep |mom|^2 / 2."""
+    ke = _sum_sq(mom)
+    ke *= _HALF
+    if occupied is None:
+        ke /= rho
+    else:
+        np.divide(ke, rho, out=ke, where=occupied)
+    return ke
 
 
 class FluidState:
@@ -177,17 +198,14 @@ class FluidState:
         if not np.isfinite(W).all():
             raise PositivityError("non-finite values in fluid state")
         rho, mom, etot = W[0], W[1:-1], W[-1]
-        if (rho > 0.0).all():
-            # _kinetic's bits, without its mask: every density is positive
-            ke = np.add.reduce(np.square(mom), axis=0)
-            ke *= 0.5
-            ke /= rho
-        else:
+        occupied = rho > 0.0
+        vacuum = not occupied.all()
+        if vacuum:
             if (rho < 0.0).any():
                 raise PositivityError("negative density", state=self)
-            if ((rho == 0.0) & (mom != 0.0).any(axis=0)).any():
+            if (~occupied & (mom != 0.0).any(axis=0)).any():
                 raise PositivityError("momentum in a vacuum cell", state=self)
-            ke = _kinetic(rho, mom)
+        ke = _kinetic(rho, mom, occupied if vacuum else None)
         slack = np.abs(etot)
         np.maximum(1.0, slack, out=slack)
         slack *= 1e-12
@@ -210,9 +228,6 @@ class FluidState:
     def velocity(self) -> np.ndarray:
         """Momentum over density; zero in vacuum cells."""
         return np.divide(self.mom, self.rho, out=np.zeros_like(self.mom), where=self.rho > 0.0)
-
-    def kinetic_energy(self) -> np.ndarray:
-        return _kinetic(self.rho, self.mom)
 
     def copy(self) -> "FluidState":
         return FluidState.stacked(self.W.copy(), self.time)

@@ -17,7 +17,8 @@ the same way.  `ssp_rk3` is the one SSP-RK3 stepper of the package, of
 reference in `euler_reference`.
 
 `recover_temperature` is the one path from conservative fields to theta in
-both solvers.  The time loop recovers each accepted state's theta once and
+both solvers: etot minus `grid_fields._kinetic`, then the package's one
+inversion, `thermo.admissible_temperature`.  The time loop recovers each accepted state's theta once and
 passes it to `stable_dt`, the first RK stage of the next step,
 `entropy_production` and the recorded diagnostics.  A `Trajectory` stacks
 its stored states in one `W` (`grid_fields.StoredRun`) and their thetas in
@@ -166,24 +167,12 @@ def _internal_energy(rho, mom, etot, sides=0):
     if (rho <= _0D[0.0]).any():
         where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive density at cell {where}", where=where)
-    e_int = _sum_sq(mom)
-    e_int *= _0D[0.5]
-    e_int /= rho
+    e_int = gf._kinetic(rho, mom)
     np.subtract(etot, e_int, e_int)  # etot - 0.5 sum(mom^2) / rho
     if (e_int <= _0D[0.0]).any():
         where = tuple(int(i) for i in np.argwhere(e_int <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive internal energy at cell {where}", where=where)
     return e_int
-
-
-def _sum_sq(comps):
-    """The sum of squares of the components along the first axis, as a new
-    array: bitwise np.sum(comps * comps, axis=0), whose reduction over at
-    most two components adds their squares in this order."""
-    total = np.square(comps[0])
-    for comp in comps[1:]:
-        total += np.square(comp)
-    return total
 
 
 def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
@@ -267,12 +256,10 @@ def _face_states(W, n, order):
         half *= _0D[0.5]                              # halved twice: 0.5 * slope's bits
         np.add(WL1, half[..., lo - 1:hi - 1], WLR[:, 0])
         np.subtract(WR1, half[..., lo:hi], WLR[:, 1])
-        # etot - 0.5 sum(mom^2) / rho in _internal_energy's operations; a
-        # face without positive density is left undivided and marked bad
+        # etot minus the kinetic energy, as in _internal_energy; a face
+        # without positive density is left undivided and marked bad
         rho = WLR[0]
-        e_int = _sum_sq(WLR[1:-1])
-        e_int *= _0D[0.5]
-        np.divide(e_int, rho, out=e_int, where=rho > _0D[0.0])
+        e_int = gf._kinetic(rho, WLR[1:-1], rho > _0D[0.0])
         np.subtract(WLR[-1], e_int, e_int)
         bad = rho <= _0D[0.0]
         bad |= e_int <= _0D[0.0]
@@ -440,7 +427,7 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None):
         if u is None:
             u = state.velocity()
         dmom -= k.lam * u
-        damping = _sum_sq(u)
+        damping = gf._sum_sq(u)
         damping *= k.lam                # lambda |u|^2
         detot -= damping
     return out
@@ -500,9 +487,7 @@ def _apply_floors(W, config: NsfRunConfig):
     rho = W[0]
     hits = np.add.reduce(rho < k.rho_floor, axis=k.axes)
     np.maximum(rho, k.rho_floor, out=rho)
-    ke = _sum_sq(W[1:-1])
-    ke *= _0D[0.5]
-    ke /= rho
+    ke = gf._kinetic(rho, W[1:-1])
     e_int = W[-1] - ke
     # the internal energy density at the floor temperature
     scale, z_floor, radiation = k.floor_energy

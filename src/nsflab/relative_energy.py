@@ -86,16 +86,22 @@ def relative_energy_density(gas: thermo.GasModel, a: float, state, reference):
 
 
 def _recovered_primitives(gas, a, fields: gf.FluidState, reference: gf.ReferenceFields):
-    e_int = fields.etot - fields.kinetic_energy()
-    if a > 0.0 or np.all(fields.rho > 0.0):
-        theta = thermo.temperature_from_energy(gas, a, fields.rho, e_int)
+    """(theta, u) of a checked state: theta by `thermo.admissible_temperature`
+    on the cells with rho > 0.  A vacuum cell takes (e/a)^{1/4} at a > 0; at
+    a = 0 it has no thermal state and a rho-linear relative energy density,
+    so it takes the reference theta.  DomainError where a cell read has e <= 0."""
+    rho = fields.rho
+    occupied = rho > 0.0
+    e_int = gf._kinetic(rho, fields.mom, occupied)
+    np.subtract(fields.etot, e_int, e_int)
+    if ((e_int <= 0.0) & (occupied | (a > 0.0))).any():  # vacuum is read at a > 0 only
+        raise DomainError("internal energy density must be positive to recover temperature")
+    if occupied.all():
+        theta = thermo.admissible_temperature(gas, a, rho, e_int)
     else:
-        # vacuum cells carry no thermal state when a = 0; their relative
-        # energy density is rho-linear, so any positive theta gives the
-        # same value.  Use the reference temperature.
-        theta = np.array(reference.theta_E, dtype=float, copy=True)
-        act = fields.rho > 0.0
-        theta[act] = thermo.temperature_from_energy(gas, a, fields.rho[act], e_int[act])
+        theta = (np.array(reference.theta_E, dtype=float, copy=True) if a == 0.0
+                 else (e_int / a) ** 0.25)
+        theta[occupied] = thermo.admissible_temperature(gas, a, rho[occupied], e_int[occupied])
     return theta, fields.velocity()
 
 

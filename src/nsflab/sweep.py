@@ -362,8 +362,9 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
     sweep of that point alone writes.  Records are assembled in path order.
     An out_dir whose runs/ holds a directory that is not one of the path's
-    run ids, or where a regular file stands in for runs/, a run's
-    directory or reference-cache/, is refused before anything is written.
+    run ids, where a file stands in for runs/, a run's directory or
+    reference-cache/, or a directory for reference.cfg, manifest.json or
+    plot_rate.dat, is refused before anything is written.
 
     The batch advances speculatively to the requested t_end while the
     reference runs in a worker process (`multiprocessing`, the platform's
@@ -384,6 +385,9 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     for d in (out / "runs", out / "reference-cache", *(out / "runs" / r for r in sorted(run_ids))):
         if d.exists() and not d.is_dir():
             raise UsageError(f"{d} is not a directory; remove it or sweep into another directory")
+    for f in (out / "reference.cfg", out / "manifest.json", out / "plot_rate.dat"):
+        if f.is_dir():
+            raise UsageError(f"{f} is a directory; remove it or sweep into another directory")
     for d in sorted(out.glob("runs/*")):
         if d.is_dir() and d.name not in run_ids:
             raise UsageError(f"{d} is not a run of this sweep's path; remove it "

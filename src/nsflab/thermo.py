@@ -9,7 +9,8 @@ Z = rho / theta^{3/2}, and the matching internal energy and entropy
 so that theta Ds = De + p D(1/rho) holds identically.  Radiation adds
 p_R = (a/3) theta^4, e_R = a theta^4 / rho, s_R = (4a/3) theta^3 / rho,
 which satisfies the same relation on its own.  Everything below is
-dimensionless and vectorized over numpy arrays.
+dimensionless and vectorized over numpy arrays.  theta is recovered from
+(rho, rho e) by one inversion, `admissible_temperature`.
 """
 
 from __future__ import annotations
@@ -496,43 +497,6 @@ def _invert(gas, a, rho, e):
                         a, rho, e, axis)
 
 
-def temperature_from_energy(gas: GasModel, a: float, rho, e_density):
-    """Invert the internal energy density 1.5 theta^{5/2} P(Z) + a theta^4 for theta.
-
-    The left side is strictly increasing in theta, so the root is unique.
-    For the ideal law P(Z) = Z (gas.law_text == "Z") it reads
-    1.5 rho theta + a theta^4: at a = 0 the root is e / (1.5 rho) exactly,
-    and at a > 0 Newton's method runs down from an upper bound, falling
-    monotonically to the root because the left side is convex.  Any other
-    law takes a bracketed Newton iteration.  Both stop at relative tolerance
-    1e-12 and raise DomainError if 160 steps do not reach it.
-    Vacuum cells (rho = 0) are solved by the radiation branch alone and
-    therefore require a > 0.
-    """
-    scalar = np.ndim(rho) == 0 and np.ndim(e_density) == 0
-    rho_b = np.atleast_1d(np.asarray(rho, dtype=float))
-    e_b = np.atleast_1d(np.asarray(e_density, dtype=float))
-    if rho_b.shape != e_b.shape:
-        rho_b, e_b = np.broadcast_arrays(rho_b, e_b)
-    a = float(a)
-    if not (np.isfinite(rho_b).all() and np.isfinite(e_b).all()):
-        raise DomainError("non-finite inputs to temperature inversion")
-    if (rho_b < 0.0).any():
-        raise DomainError(f"negative density (min {np.min(rho_b)})")
-    if (e_b <= 0.0).any():
-        raise DomainError("internal energy density must be positive to recover temperature")
-    act = rho_b > 0.0
-    if act.all():
-        theta = _invert(gas, a, rho_b, e_b)
-    else:
-        if a <= 0.0:
-            raise DomainError("vacuum cells carry no temperature information when a = 0")
-        theta = (e_b / a) ** 0.25  # kept in the vacuum cells
-        if act.any():
-            theta[act] = _invert(gas, a, rho_b[act], e_b[act])
-    return float(theta[0]) if scalar else theta
-
-
 def _each_member(invert, a, rho, e, axis):
     """invert(a_k, rho_k, e_k) for each member k along rho's axis, with a_k a
     float; the results stacked back on that axis."""
@@ -542,17 +506,22 @@ def _each_member(invert, a, rho, e, axis):
 
 
 def admissible_temperature(gas: GasModel, a, rho, e_density):
-    """theta on arrays whose rho > 0 and e_density > 0 the caller has proven.
+    """theta solving 1.5 theta^{5/2} P(Z) + a theta^4 = e_density on arrays
+    whose rho > 0 and e_density > 0 the caller has proven.
 
-    The one inversion of both solvers: `nsf_solver.recover_temperature`
-    (states) and `face_closures` (the faces of `nsf_solver.rhs_nsf`) call
-    it.  a is a float, or for a batch one value per member, shaped to
-    broadcast against rho, whose axis rho.ndim - a.ndim is then the member
-    axis.  Each member's theta is bitwise temperature_from_energy's on that
-    member alone: the ideal law inverts all members at once, each stopping
-    at its own convergence.  Of temperature_from_energy's checks only
-    finiteness is left, and non-finite input raises DomainError "non-finite
-    inputs to temperature inversion" before any member is inverted.
+    The package's one inversion: `nsf_solver.recover_temperature` (states
+    of both solvers), `face_closures` (the faces of `rhs_nsf`) and gate 6's
+    relative-energy check (the cells with rho > 0) call it.  The left side
+    is strictly increasing in theta, so the root is unique.  The ideal law
+    P(Z) = Z (gas.law_text == "Z") gives e / (1.5 rho) exactly at a = 0,
+    and at a > 0 Newton's method falling monotonically from an upper bound
+    (the left side is convex); any other law takes a bracketed Newton
+    iteration.  Both stop at relative tolerance 1e-12 and raise DomainError
+    if 160 steps do not reach it.  a is a float, or for a batch one value
+    per member, shaped to broadcast against rho, whose axis rho.ndim -
+    a.ndim is then the member axis; each member's theta is bitwise the one
+    inverted on that member alone.  Only finiteness is checked: DomainError
+    "non-finite inputs to temperature inversion" before any inversion.
     """
     if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
         raise DomainError("non-finite inputs to temperature inversion")
@@ -563,11 +532,10 @@ def face_closures(gas: GasModel, a, rho, e_density):
     """(theta, p, c_s^2) on face states whose rho > 0 and e_density > 0
     the caller has proven.
 
-    Bitwise the same as temperature_from_energy (member by member for a
-    batch a) followed by pressure and sound_speed_sq at the recovered theta: Z,
-    P(Z), P'(Z) and theta^3 are evaluated once each and serve both p and
-    c_s^2, in the expression order of the separate closures, whatever the
-    law.  What is not yet proven is still checked: DomainError "non-finite
+    Bitwise the same as admissible_temperature followed by pressure and
+    sound_speed_sq at the recovered theta: Z, P(Z), P'(Z) and theta^3 are
+    evaluated once each and serve both p and c_s^2, in the expression order
+    of the separate closures, whatever the law.  What is not yet proven is still checked: DomainError "non-finite
     inputs to temperature inversion" for a non-finite input
     (`admissible_temperature`) and ModelViolationError for c_v <= 0.
     """

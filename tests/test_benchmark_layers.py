@@ -15,10 +15,16 @@ STATS = ("calls", "self_s", "s", "us_per_call", "ns_per_cell", "bytes")
 # metrics the benchmark derives itself, not from one function's spans
 DERIVED_PREFIXES = ("import.", "process.", "trace.")
 DERIVED_NAMES = ("cell_steps_per_s", "cache_hit_ratio")
+# functions that are gone while BENCHMARK.json still names their metrics:
+# thermo.temperature_from_energy went when the relative-energy check began
+# to recover temperature through thermo.admissible_temperature.  Each entry
+# must not resolve and must still be named by the benchmark, so the list
+# empties when the benchmark renames its metrics (ROADMAP item 1).
+RETIRED = {"thermo.temperature_from_energy"}
 
 
 def test_per_layer_metrics_name_public_functions():
-    unresolved = []
+    unresolved, retired = [], set()
     for metric in json.loads(BENCHMARK.read_text())["per_layer"]:
         name = metric["name"]
         parts = name.split(".")
@@ -32,7 +38,12 @@ def test_per_layer_metrics_name_public_functions():
         module, func = parts
         mod = importlib.import_module(f"nsflab.{module}")
         fn = getattr(mod, func, None)
+        if f"{module}.{func}" in RETIRED:
+            assert fn is None, f"{name}: listed as retired, but {module}.{func} exists"
+            retired.add(f"{module}.{func}")
+            continue
         if (func.startswith("_") or not isinstance(fn, types.FunctionType)
                 or fn.__module__ != mod.__name__):
             unresolved.append(name)
     assert not unresolved, unresolved
+    assert retired == RETIRED, f"retired but no longer named: {RETIRED - retired}"

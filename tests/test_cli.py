@@ -200,6 +200,30 @@ def test_sweep_refuses_a_file_where_it_writes_a_directory(tmp_path, capsys, take
         sorted({taken, Path(taken).parent.as_posix()} - {"."})
 
 
+@pytest.mark.parametrize("taken", ["reference.cfg", "manifest.json", "plot_rate.dat"])
+def test_sweep_refuses_a_directory_where_it_writes_a_file(tmp_path, capsys, taken):
+    # refused before the reference and the batch run, not after them
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    (out / taken).mkdir(parents=True)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {out / taken} is a directory; remove it "
+                                       "or sweep into another directory\n")
+    assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == [taken]
+
+
+@pytest.mark.parametrize("command", ["thermo-check", "coercivity"])
+@pytest.mark.parametrize("key, value", [("grid.cells", "8"), ("sweep.alpha", "0.6")])
+def test_closure_commands_refuse_keys_they_do_not_read(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "closure.cfg"
+    cfg.write_text(f"gas.name = ideal\n{key} = {value}\n")
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} does not apply to nsflab {command}\n"
+
+
 def test_simulate_requires_config(capsys):
     assert cli.main(["simulate"]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -219,6 +219,20 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
                 build({**full, key: KEY_VALUES[key]})
 
 
+@pytest.mark.parametrize("command, reads", [
+    ("thermo-check", ("gas.", "transport.")),
+    ("coercivity", ("gas.", "scaling.a")),
+])
+def test_closure_commands_read_the_gas_and_their_own_keys(command, reads):
+    # the closure commands build the gas (and thermo-check the transport,
+    # coercivity the radiation scale) and refuse every other key by name
+    own = {k: KEY_VALUES[k] for k in KEY_VALUES if k.startswith(reads)}
+    cfgmod.check_keys(own, command)
+    for key in KEY_VALUES.keys() - own.keys():
+        with pytest.raises(ConfigError, match=f"^{key} does not apply to nsflab {command}$"):
+            cfgmod.check_keys({**own, key: KEY_VALUES[key]}, command)
+
+
 def test_build_run_euler_rejects_dissipative_keys():
     text = ("solver = euler\ngrid.extent = 1.0\ngrid.cells = 16\n"
             "grid.bc = slip-wall\nt_end = 0.1\n")

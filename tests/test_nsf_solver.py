@@ -14,6 +14,7 @@ from nsflab import nsf_solver as ns
 from nsflab import sweep, thermo
 from nsflab.errors import ConfigError, PositivityError, UsageError
 from nsflab.nsf_solver import state_from_primitives
+from test_step_oracle import _ref_temperature_from_energy
 
 
 def scaling(a=0.0, nu=0.0, omega=0.0, lam=0.0):
@@ -644,9 +645,9 @@ def _reference_convective(gas, a, grid, W_g, order):
         rho, mom, etot = WLR[0], WLR[1:-1], WLR[-1]
         e_int = ns._internal_energy(rho, mom, etot, 1)
         if np.ndim(a) == 0:
-            theta = thermo.temperature_from_energy(gas, a, rho, e_int)
+            theta = _ref_temperature_from_energy(gas, a, rho, e_int)
         else:  # member by member along the member axis 1
-            theta = np.stack([thermo.temperature_from_energy(gas, float(ak), rho[:, k], e_int[:, k])
+            theta = np.stack([_ref_temperature_from_energy(gas, float(ak), rho[:, k], e_int[:, k])
                               for k, ak in enumerate(np.ravel(a))], axis=1)
         p_mol, p_rad = thermo._pressure_parts(gas, a, rho, theta)
         p = p_mol + p_rad

@@ -8,7 +8,7 @@ import pytest
 from nsflab import grid_fields as gf
 from nsflab import relative_energy as re
 from nsflab import thermo
-from nsflab.errors import UsageError
+from nsflab.errors import DomainError, UsageError
 from nsflab.nsf_solver import recover_temperature, state_from_primitives
 
 K_STD = (0.5, 2.0, 0.5, 2.0)
@@ -342,10 +342,84 @@ def test_quadratic_bounds_recovers_temperature_once(ideal, count_calls, pocket):
     fields = state_from_primitives(ideal, 0.0, (rho, theta, u))
     ref = gf.ReferenceFields(np.ones_like(rho), theta, u)
     win = re.EssentialResidualWindow(*K_STD)
-    calls = count_calls(thermo, "temperature_from_energy")
+    calls = count_calls(thermo, "admissible_temperature")
     rep = re.quadratic_bounds_check(ideal, 0.0, fields, ref, win, grid)
     assert len(calls) == 1
     assert math.isfinite(rep.C) and rep.energy > 0.0
+
+
+# gate 6's report at a > 0 on a state with a vacuum pocket, as the
+# conserved-to-temperature path computed it when vacuum cells had their own
+# inversion entry: the vacuum cells take (e/a)^{1/4}, the others the inversion
+RADIATIVE_VACUUM_REPORTS = {
+    "ideal": "quadratic_bounds C 1.2168731864926168\nC_essential 0.15365402048791707\n"
+             "C_residual 1.2168731864926168\nrelative_energy 0.06883032704018191\n"
+             "lhs_essential 0.010576056481222144\nlhs_residual 0.08375777939271509\n",
+    "law_a": "quadratic_bounds C 0.8210120651673164\nC_essential 0.10366881782123262\n"
+             "C_residual 0.8210120651673164\nrelative_energy 0.1020177205016419\n"
+             "lhs_essential 0.010576056481222142\nlhs_residual 0.08375777939271509\n",
+}
+
+
+def _vacuum_pocket_state(gas, a):
+    grid = gf.Grid.line(1.0, 64)
+    rho, theta, u = _smooth_reference(grid)
+    rho[20:24] = 0.0
+    u[:, 20:24] = 0.0
+    return grid, theta, state_from_primitives(gas, a, (rho, theta, u))
+
+
+@pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
+def test_quadratic_bounds_with_radiation_and_vacuum_keep_their_bits(request, gas_name):
+    gas = request.getfixturevalue(gas_name)
+    grid, _, fields = _vacuum_pocket_state(gas, 0.3)
+    ones = np.ones(grid.cells)
+    ref = gf.ReferenceFields(ones, ones, np.zeros((1, *grid.cells)))
+    win = re.EssentialResidualWindow(*K_STD)
+    rep = re.quadratic_bounds_check(gas, 0.3, fields, ref, win, grid)
+    assert rep.to_text() == RADIATIVE_VACUUM_REPORTS[gas_name]
+
+
+def test_recovered_temperature_vacuum_rules(ideal):
+    grid, theta, fields = _vacuum_pocket_state(ideal, 2.0)
+    ref = gf.ReferenceFields(np.ones(grid.cells), np.full(grid.cells, 1.7),
+                             np.zeros((1, *grid.cells)))
+    occupied = fields.rho > 0.0
+    got, u = re._recovered_primitives(ideal, 2.0, fields, ref)
+    # a > 0: a vacuum cell holds radiation only, rho e = a theta^4
+    vac = ~occupied
+    assert got[vac].tobytes() == ((fields.etot[vac] / 2.0) ** 0.25).tobytes()
+    np.testing.assert_allclose(got[vac], theta[vac], rtol=1e-14)
+    # the occupied cells: the solvers' inversion on them alone
+    assert got[occupied].tobytes() == recover_temperature(
+        fields.rho[occupied], fields.mom[:, occupied], fields.etot[occupied], ideal, 2.0).tobytes()
+    assert u.tobytes() == fields.velocity().tobytes()
+    # a = 0: a vacuum cell carries no thermal state and takes the reference's
+    _, _, cold = _vacuum_pocket_state(ideal, 0.0)
+    got, _ = re._recovered_primitives(ideal, 0.0, cold, ref)
+    assert (got[vac] == 1.7).all()
+    np.testing.assert_allclose(got[occupied], theta[occupied], rtol=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5])
+def test_recovered_temperature_refuses_nonpositive_internal_energy(ideal, a):
+    grid = gf.Grid.line(1.0, 16)
+    ref = gf.ReferenceFields(np.ones(16), np.ones(16), np.zeros((1, 16)))
+    for e_cell in (0.0, -1.0):
+        W = np.zeros((3, 16))
+        W[0], W[-1] = 1.0, 1.5
+        W[-1, 5] = e_cell  # an occupied cell without internal energy
+        with pytest.raises(DomainError, match="internal energy density must be positive"):
+            re._recovered_primitives(ideal, a, gf.FluidState.stage(W), ref)
+    # a vacuum cell is read at a > 0 only
+    W[-1, 5] = 1.5
+    W[0, 7] = W[-1, 7] = 0.0
+    if a > 0.0:
+        with pytest.raises(DomainError, match="internal energy density must be positive"):
+            re._recovered_primitives(ideal, a, gf.FluidState.stage(W), ref)
+    else:
+        theta, _ = re._recovered_primitives(ideal, a, gf.FluidState.stage(W), ref)
+        assert theta[7] == 1.0 and np.isfinite(theta).all()
 
 
 def test_quadratic_bounds_reference_outside_window(ideal):

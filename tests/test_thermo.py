@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from nsflab import thermo
 from nsflab.errors import DomainError, ModelViolationError
+from test_step_oracle import _ref_member_temperatures, _ref_temperature_from_energy
 
 # ---------------------------------------------------------------------------
 # pressure
@@ -232,30 +233,18 @@ def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
         fn(bad, 0.1, 1.0, 1.0)
 
 
-def _checked_temperatures(gas, a, rho, e_density):
-    """temperature_from_energy for a float a, or member by member along
-    rho's axis rho.ndim - a.ndim when a holds one value per member: the
-    checked inversion, the oracle of `thermo.admissible_temperature`."""
-    if np.ndim(a) == 0:
-        return thermo.temperature_from_energy(gas, a, rho, e_density)
-    axis = np.ndim(rho) - np.ndim(a)
-    return np.stack([thermo.temperature_from_energy(gas, float(ak), r, ek)
-                     for ak, r, ek in zip(np.ravel(a), np.moveaxis(np.asarray(rho, float), axis, 0),
-                                          np.moveaxis(np.asarray(e_density, float), axis, 0))],
-                    axis=axis)
-
-
 def _closures_from_energy(gas, a, rho, e_density):
     """(theta, p, c_s^2) at density rho and internal energy density e_density,
-    with every check of temperature_from_energy and the closures: the
-    checked form of `thermo.face_closures`, kept as its bitwise oracle.
+    with every check of the step oracle's frozen inversion and of the
+    closures: the checked form of `thermo.face_closures`, kept as its
+    bitwise oracle.
 
     DomainError for non-finite input, rho <= 0, e_density <= 0 or a
     recovered theta that is not positive and finite, ModelViolationError
     for c_v <= 0.  a may hold one value per batch member, inverted member
     by member.
     """
-    theta = _checked_temperatures(gas, a, rho, e_density)
+    theta = _ref_member_temperatures(gas, a, rho, e_density)
     rho = np.asarray(rho, dtype=float)
     if (rho <= 0.0).any():  # vacuum has a temperature when a > 0, but no sound speed
         raise DomainError("density must be positive")
@@ -272,7 +261,7 @@ def test_closures_from_energy_match_the_separate_closures_bitwise(request, gas_n
     # left and right face states of 49 faces, stacked as the solver does
     rho = rng.uniform(0.1, 4.0, (2, 49))
     e = thermo.internal_energy_density(gas, a, rho, rng.uniform(0.2, 3.0, (2, 49)))
-    theta = thermo.temperature_from_energy(gas, a, rho, e)
+    theta = _ref_temperature_from_energy(gas, a, rho, e)
     want = (theta, thermo.pressure(gas, a, rho, theta),
             thermo.sound_speed_sq(gas, a, rho, theta))
     got = _closures_from_energy(gas, a, rho, e)
@@ -414,13 +403,13 @@ def test_admissible_temperature_matches_each_member_alone(request, gas_name):
         e = thermo.internal_energy_density(gas, a_m, rho, theta)
         got = thermo.admissible_temperature(gas, a_m, rho, e)
         for k in range(3):
-            alone = thermo.temperature_from_energy(gas, a[k], rho.take(k, axis), e.take(k, axis))
+            alone = _ref_temperature_from_energy(gas, a[k], rho.take(k, axis), e.take(k, axis))
             assert got.take(k, axis).tobytes() == alone.tobytes()
-    # one shared a gives temperature_from_energy's bits
+    # one shared a gives the frozen single-a inversion's bits
     rho = rng.uniform(0.1, 4.0, 12)
     e = thermo.internal_energy_density(gas, 0.3, rho, np.ones(12))
     assert (thermo.admissible_temperature(gas, 0.3, rho, e).tobytes()
-            == thermo.temperature_from_energy(gas, 0.3, rho, e).tobytes())
+            == _ref_temperature_from_energy(gas, 0.3, rho, e).tobytes())
     # positivity is the caller's to prove; finiteness is still checked
     with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
         thermo.admissible_temperature(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
@@ -613,32 +602,18 @@ def test_temperature_inversion_round_trip(ideal, law_a):
     for gas in (ideal, law_a):
         for a in (0.0, 0.7):
             e = thermo.internal_energy_density(gas, a, rho, theta)
-            back = thermo.temperature_from_energy(gas, a, rho, e)
+            back = thermo.admissible_temperature(gas, a, rho, e)
             assert np.max(np.abs(back - theta) / theta) < 1e-10
 
 
-def test_temperature_inversion_scalar_and_vacuum(ideal):
-    e = thermo.internal_energy_density(ideal, 0.0, 2.0, 3.0)
-    out = thermo.temperature_from_energy(ideal, 0.0, 2.0, e)
-    assert isinstance(out, float) and out == pytest.approx(3.0, rel=1e-11)
-    # vacuum cell: radiation branch exactly
-    assert thermo.temperature_from_energy(ideal, 2.0, 0.0, 2.0 * 1.3 ** 4) == pytest.approx(
-        1.3, rel=1e-13
-    )
-
-
 def test_temperature_inversion_domain_errors(ideal):
-    with pytest.raises(DomainError):
-        thermo.temperature_from_energy(ideal, 0.0, 0.0, 1.0)  # vacuum, no radiation
-    with pytest.raises(DomainError):
-        thermo.temperature_from_energy(ideal, 0.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        thermo.temperature_from_energy(ideal, 0.0, 1.0, -2.0)
+    # positivity is for the callers to prove (nsf_solver.recover_temperature,
+    # the faces, relative_energy's recovered primitives); the inversion
+    # still refuses non-finite input, and running out of steps
     for a in (0.0, 0.5):
-        for rho, e in ((math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, 0.0),
-                       ([1.0, 2.0], [1.0, -1.0])):
-            with pytest.raises(DomainError):
-                thermo.temperature_from_energy(ideal, a, rho, e)
+        for rho, e in ((math.nan, 1.0), (1.0, math.inf), ([1.0, 2.0], [1.0, -math.inf])):
+            with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
+                thermo.admissible_temperature(ideal, a, np.array(rho), np.array(e))
     with pytest.raises(DomainError, match="did not converge"):
         thermo._invert_ideal(0.5, np.array([1.0]), np.array([3.0]), 1e-12, 1)
 
@@ -672,7 +647,7 @@ def test_bracketed_inversion_refuses_to_stop_unconverged():
     e = 1.5 * rho * theta + 0.5 * theta ** 4
     with pytest.raises(DomainError, match="did not converge"):
         thermo._invert_molecular(linear_gas(), 0.5, rho, e, 1e-12, 1)
-    back = thermo.temperature_from_energy(linear_gas(), 0.5, rho, e)
+    back = thermo.admissible_temperature(linear_gas(), 0.5, rho, e)
     assert np.max(np.abs(back - theta) / theta) <= 1e-12
 
 
@@ -685,8 +660,8 @@ def test_bracketed_inversion_refuses_to_stop_unconverged():
 def test_ideal_inversion_matches_bracketed_solver(ideal, rho, theta, a):
     rho = np.array(rho)
     e = 1.5 * rho * theta + a * theta ** 4
-    fast = thermo.temperature_from_energy(ideal, a, rho, e)
-    slow = thermo.temperature_from_energy(linear_gas(), a, rho, e)
+    fast = thermo.admissible_temperature(ideal, a, rho, e)
+    slow = thermo.admissible_temperature(linear_gas(), a, rho, e)
     assert np.max(np.abs(fast - slow) / slow) <= 1e-14
 
 
@@ -694,7 +669,7 @@ def test_ideal_inversion_at_zero_radiation_is_exact(ideal):
     rng = np.random.default_rng(5)
     rho = 10.0 ** rng.uniform(-6.0, 3.0, 64)
     e = 10.0 ** rng.uniform(-6.0, 6.0, 64)
-    assert np.array_equal(thermo.temperature_from_energy(ideal, 0.0, rho, e), e / (1.5 * rho))
+    assert np.array_equal(thermo.admissible_temperature(ideal, 0.0, rho, e), e / (1.5 * rho))
 
 
 def test_scaling_params_validation():
