@@ -348,9 +348,9 @@ def test_quadratic_bounds_recovers_temperature_once(ideal, count_calls, pocket):
     assert math.isfinite(rep.C) and rep.energy > 0.0
 
 
-# gate 6's report at a > 0 on a state with a vacuum pocket, as the
-# conserved-to-temperature path computed it when vacuum cells had their own
-# inversion entry: the vacuum cells take (e/a)^{1/4}, the others the inversion
+# gate 6's report at a > 0 on a state with a vacuum pocket (the vacuum cells
+# take (e/a)^{1/4}, the others the inversion), pinned bit for bit: how theta
+# is recovered there may change, these bytes may not
 RADIATIVE_VACUUM_REPORTS = {
     "ideal": "quadratic_bounds C 1.2168731864926168\nC_essential 0.15365402048791707\n"
              "C_residual 1.2168731864926168\nrelative_energy 0.06883032704018191\n"
