@@ -60,8 +60,10 @@ def main(argv=None):
                                   t_end=t_safe, cfl=0.35, output_stride=16)
             init = scenarios.acoustic_entropy(grid, amplitude=args.amplitude)
             traj = ns.simulate(cfg, init.fields(grid))
-            if not traj.healthy:
-                print(f"a={a:g} N={n}: unhealthy ({traj.health_reason}); skipped")
+            reason = (f"unhealthy ({traj.health_reason})" if not traj.healthy else
+                      "fewer than three stored instants" if len(traj.times) < 3 else "")
+            if reason:
+                print(f"a={a:g} N={n}: {reason}; skipped")
                 sups.append(float("nan"))
                 continue
             rep = diag.rel_energy_inequality_residual(traj, reference)

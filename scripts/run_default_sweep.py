@@ -11,9 +11,7 @@ import argparse
 import pathlib
 import sys
 
-from nsflab import grid_fields as gf
 from nsflab import sweep
-from nsflab import thermo
 
 
 def report(name, manifest):
@@ -42,17 +40,13 @@ def main(argv=None):
     ap.add_argument("--skip-ill", action="store_true", help="run only the well-prepared family")
     args = ap.parse_args(argv)
 
-    path = sweep.ScalingPath((1e-2, 1e-3, 1e-4))
-    grid = gf.Grid.line(1.0, args.cells, "slip-wall")
-    gas = thermo.ideal_gas()
-    transport = thermo.default_transport()
+    base = {"grid.extent": "1.0", "grid.cells": str(args.cells), "t_end": repr(args.t_end),
+            "sweep.a-values": "1e-2 1e-3 1e-4"}
     out = pathlib.Path(args.out)
 
     families = [("well", 0.0)] if args.skip_ill else [("well", 0.0), ("ill", args.gap)]
     for name, gap in families:
-        setup = sweep.SweepSetup(gas=gas, transport=transport, path=path, grid=grid,
-                                 t_end=args.t_end, gap=gap)
-        manifest = sweep.run_sweep(setup, out / name)
+        manifest = sweep.run_sweep({**base, "init.gap": repr(gap)}, out / name)
         report(name, manifest)
         print(f"  manifest: {out / name / 'manifest.json'}")
         print(f"  plot data: {out / name / 'plot_rate.dat'}")

@@ -123,6 +123,7 @@ def _cmd_simulate(args) -> int:
     if args.config is None:
         raise ConfigError("simulate needs --config")
     out = _out_dir(args)
+    sweepmod.check_run_dir(out)
     mapping = _load_config(args)
     kind, run_cfg, scenario = cfgmod.build_run(mapping)
     if kind == "nsf":
@@ -152,12 +153,12 @@ def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError(f"threads must be at least 1, got {args.threads}")
     out = _out_dir(args)
-    setup = sweepmod.setup_from_config(_load_config(args))
+    cfg = _load_config(args)
     if args.threads > 1:
         print(f"note: --threads {args.threads} changes nothing: the path points "
               "advance as one batch in this process, and the reference runs "
               "beside them in one worker process", file=sys.stderr)
-    manifest = sweepmod.run_sweep(setup, out)
+    manifest = sweepmod.run_sweep(cfg, out)
     for rec in manifest.records:
         status = "ok" if rec.healthy else f"unhealthy ({rec.reason})"
         _print(f"{rec.run_id} {status} e_sup={rec.e_sup!r} "
@@ -187,16 +188,18 @@ def _cmd_diag(args) -> int:
     if not ref_path.is_file():
         raise UsageError(f"no reference configuration at {ref_path}; "
                          "diag expects a sweep output directory")
-    kind, ref_cfg, ref_scenario = cfgmod.build_run(cfgmod.load_file(ref_path))
-    if kind != "euler":
-        raise UsageError("reference.cfg must configure the inviscid solver")
-    reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
-                             cache_dir=out / "reference-cache")
     runs_dir = out / "runs"
     run_dirs = sorted(p for p in runs_dir.iterdir() if p.is_dir()) \
         if runs_dir.is_dir() else []
     if not run_dirs:
         raise UsageError(f"no stored runs under {runs_dir}")
+    for rdir in run_dirs:
+        sweepmod.check_run_dir(rdir)
+    kind, ref_cfg, ref_scenario = cfgmod.build_run(cfgmod.load_file(ref_path))
+    if kind != "euler":
+        raise UsageError("reference.cfg must configure the inviscid solver")
+    reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
+                             cache_dir=out / "reference-cache")
     for rdir in run_dirs:
         _, _, traj = sweepmod.load_run(rdir)
         if len(traj.times) < 3:

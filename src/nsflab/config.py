@@ -93,10 +93,15 @@ def load_file(path) -> dict:
     return parse_text(text)
 
 
+def keys_read_by(kind: str) -> tuple:
+    """The keys, in canonical order, that a run of this kind ("nsf", "euler"
+    or "sweep") or the command "thermo-check" or "coercivity" reads."""
+    return tuple(key for key, kinds, _ in KNOWN_KEYS if kind in kinds)
+
+
 def check_keys(cfg: dict, kind: str) -> None:
-    """ConfigError naming the first key of cfg, in canonical order, that a
-    run of this kind ("nsf", "euler" or "sweep") or the command
-    "thermo-check" or "coercivity" does not read."""
+    """ConfigError naming the first key of cfg, in canonical order, that
+    a run or command of this kind (see `keys_read_by`) does not read."""
     for key, kinds, _ in KNOWN_KEYS:
         if key in cfg and kind not in kinds:
             raise ConfigError(f"{key} does not apply to {_READER[kind]}")
@@ -169,8 +174,9 @@ def build_gas(cfg: dict) -> thermo.GasModel:
     name = str(_get(cfg, "gas.name", "ideal"))
     S0 = get_float(cfg, "gas.S0", "0.0")
     if name == "ideal":
-        if "gas.law" in cfg:
-            raise ConfigError("gas.law must be omitted when gas.name is ideal")
+        for key in ("gas.law", "gas.P_inf"):
+            if key in cfg:
+                raise ConfigError(f"{key} must be omitted when gas.name is ideal")
         return thermo.ideal_gas(S0=S0)
     if "gas.law" not in cfg:
         raise ConfigError(f"gas.name = {name}: a custom gas needs gas.law")

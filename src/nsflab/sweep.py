@@ -1,5 +1,7 @@
 """Vanishing-dissipation parameter sweeps.
 
+A sweep is its configuration mapping: each run's run.cfg and the
+reference.cfg are its keys narrowed by the key table (`config.keys_read_by`).
 One inviscid reference run is computed on a finer grid (and disk-cached),
 its trustworthy smooth horizon detected, and the path points run the
 dissipative solver, as one batch, from the same closed-form initial data
@@ -9,7 +11,8 @@ into reference-cache/, the one channel between the two: once it has
 ended, the batch loads the reference there and, if its horizon is
 shorter, stops and runs again to that horizon.  A sweep refuses an output
 directory whose runs/ holds a directory that is no run of its path, or
-where a regular file stands in for a directory it writes.
+where a regular file stands in for a directory it writes or a directory
+for a file.
 The manifest (`nsflab.manifest`) records, per point, the initial relative
 energy, its sup over the run, and the convergence-rate envelope; the fitted
 constant is the largest ratio E_sup / (E_init + envelope), which the theory
@@ -112,135 +115,74 @@ class ScalingPath:
 # orchestration
 
 
-@dataclass(frozen=True)
-class SweepSetup:
-    """Everything a sweep needs besides the output directory."""
-
-    gas: thermo.GasModel
-    transport: thermo.TransportModel
-    path: ScalingPath
-    grid: gf.Grid
-    scenario_name: str = "acoustic-entropy"
-    amplitude: float = 0.01
-    gap: float = 0.0  # applied to the dissipative runs only
-    t_end: float = 1.0
-    cfl: float = 0.35
-    output_stride: int = 16
-    reference_factor: int = 4
-    reference_stride: int = 4
-    floors: tuple = (1e-12, 1e-12)
-
-    def __post_init__(self):
-        if int(self.reference_factor) < 1:
-            raise ConfigError(
-                f"reference factor must be at least 1, got {self.reference_factor}")
-        if int(self.reference_stride) < 1:
-            raise ConfigError(
-                f"reference stride must be at least 1, got {self.reference_stride}")
-        object.__setattr__(self, "reference_factor", int(self.reference_factor))
-        object.__setattr__(self, "reference_stride", int(self.reference_stride))
-
-    def reference_grid(self) -> gf.Grid:
-        return gf.Grid(
-            extents=self.grid.extents,
-            cells=tuple(n * self.reference_factor for n in self.grid.cells),
-            bc=self.grid.bc,
-        )
+# A sweep's defaults (the path exponents' are ScalingPath's), laid under
+# its configuration.  A sweep's cfl (0.35) and output.stride (16) differ
+# from a single run's (0.4 and 10), so each run.cfg must record them, and
+# it records the run's other defaults too, to name every value it ran with.
+_DEFAULTS = {
+    "gas.name": "ideal", "gas.S0": "0.0", "transport.name": "default",
+    "grid.bc": "slip-wall", "cfl": "0.35", "t_end": "1.0", "output.stride": "16",
+    "floors": "1e-12 1e-12", "init.name": "acoustic-entropy", "init.amplitude": "0.01",
+    "init.gap": "0.0", "sweep.a-values": "1e-2 1e-3 1e-4", "sweep.reference-factor": "4",
+    "sweep.reference-stride": "4",
+}
 
 
-def setup_from_config(cfg: dict) -> SweepSetup:
-    """Build a sweep from a parsed configuration mapping; init.gap
-    perturbs the dissipative runs only."""
+def _point_mapping(run_mapping: dict, sc: thermo.ScalingParams, t_end: float) -> dict:
+    """The run.cfg of the path point with scalings sc, run to t_end."""
+    return {**run_mapping, "solver": "nsf", "scaling.a": repr(sc.a), "scaling.nu": repr(sc.nu),
+            "scaling.omega": repr(sc.omega), "scaling.lambda": repr(sc.lam),
+            "t_end": repr(float(t_end))}
+
+
+def sweep_runs(cfg: dict):
+    """Check a sweep configuration and derive its runs before anything is
+    written or runs -> (path, reference, run), the latter two each a
+    (mapping, run config, scenario) from `config.build_run`.
+
+    run is the first path point's, to the sweep's t_end: the keys of cfg a
+    dissipative run reads, laid over the sweep's defaults, with solver,
+    scalings and t_end set.  reference is the keys an inviscid run reads,
+    with grid.cells refined by sweep.reference-factor, output.stride set to
+    sweep.reference-stride and init.gap, which perturbs the runs only, to
+    0.0.  Values of cfg are copied as written.
+    """
     cfgmod.check_keys(cfg, "sweep")
-    path = ScalingPath(
-        a_values=cfgmod.get_floats(cfg, "sweep.a-values", "1e-2 1e-3 1e-4"),
-        alpha=cfgmod.get_float(cfg, "sweep.alpha", "0.55"),
-        beta=cfgmod.get_float(cfg, "sweep.beta", "1.2"),
-        gamma=cfgmod.get_float(cfg, "sweep.gamma", "0.1"),
-    )
-    return SweepSetup(
-        gas=cfgmod.build_gas(cfg),
-        transport=cfgmod.build_transport(cfg),
-        path=path,
-        grid=cfgmod.build_grid(cfg),
-        scenario_name=str(cfg.get("init.name", "acoustic-entropy")),
-        amplitude=cfgmod.get_float(cfg, "init.amplitude", "0.01"),
-        gap=cfgmod.get_float(cfg, "init.gap", "0.0"),
-        t_end=cfgmod.get_float(cfg, "t_end", "1.0"),
-        cfl=cfgmod.get_float(cfg, "cfl", "0.35"),
-        output_stride=cfgmod.get_int(cfg, "output.stride", "16"),
-        reference_factor=cfgmod.get_int(cfg, "sweep.reference-factor", "4"),
-        reference_stride=cfgmod.get_int(cfg, "sweep.reference-stride", "4"),
-        floors=cfgmod.build_floors(cfg),
-    )
+    cfg = {**_DEFAULTS, **cfg}
+    path = ScalingPath(cfgmod.get_floats(cfg, "sweep.a-values"),
+                       **{name: cfgmod.get_float(cfg, f"sweep.{name}")
+                          for name in ("alpha", "beta", "gamma") if f"sweep.{name}" in cfg})
+    for key in ("sweep.reference-factor", "sweep.reference-stride"):
+        if cfgmod.get_int(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+
+    def read_by(kind):
+        return {key: cfg[key] for key in cfgmod.keys_read_by(kind) if key in cfg}
+
+    run_mapping = _point_mapping(read_by("nsf"), path.scaling_for(path.a_values[0]),
+                                 cfgmod.get_float(cfg, "t_end"))
+    _, run_cfg, scenario = cfgmod.build_run(run_mapping)
+    factor = cfgmod.get_int(cfg, "sweep.reference-factor")
+    ref_mapping = {**read_by("euler"), "solver": "euler",
+                   "grid.cells": " ".join(str(n * factor) for n in run_cfg.grid.cells),
+                   "output.stride": str(cfgmod.get_int(cfg, "sweep.reference-stride")),
+                   "init.gap": "0.0"}
+    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_mapping)
+    return path, (ref_mapping, ref_cfg, ref_scenario), (run_mapping, run_cfg, scenario)
 
 
-def _gas_mapping(gas: thermo.GasModel) -> dict:
-    m = {"gas.name": gas.name, "gas.S0": repr(gas.S0)}
-    if gas.name != "ideal":
-        if not gas.law_text:
-            raise ConfigError(
-                "only the ideal gas or a gas built from a pressure-law "
-                "expression can be written to a configuration file")
-        m["gas.law"] = gas.law_text
-        m["gas.P_inf"] = repr(gas.P_inf)
-    return m
+# a run directory's reports (`write_run_diagnostics`), and all its files but the snapshots
+_REPORTS = ("relenergy.csv", "bounds.txt", "summary.txt")
+_RUN_FILES = ("run.cfg", "solver.csv", *_REPORTS)
 
 
-def _transport_mapping(tr: thermo.TransportModel) -> dict:
-    if tr.name == "default":
-        return {"transport.name": "default"}
-    if tr.name.startswith("sublinear"):
-        return {"transport.name": "sublinear", "transport.b": repr(tr.b)}
-    raise ConfigError(f"transport model {tr.name!r} has no configuration form")
-
-
-def _grid_mapping(grid: gf.Grid) -> dict:
-    kinds = set(grid.bc)
-    if len(kinds) > 1:
-        raise ConfigError("mixed per-axis boundary kinds have no configuration form")
-    return {
-        "grid.extent": " ".join(repr(v) for v in grid.extents),
-        "grid.cells": " ".join(str(v) for v in grid.cells),
-        "grid.bc": grid.bc[0],
-    }
-
-
-def _run_mapping(setup: SweepSetup, sc: thermo.ScalingParams, t_end: float) -> dict:
-    m = {"solver": "nsf"}
-    m.update(_gas_mapping(setup.gas))
-    m.update(_transport_mapping(setup.transport))
-    m.update(_grid_mapping(setup.grid))
-    m.update({
-        "scaling.a": repr(sc.a),
-        "scaling.nu": repr(sc.nu),
-        "scaling.omega": repr(sc.omega),
-        "scaling.lambda": repr(sc.lam),
-        "cfl": repr(setup.cfl),
-        "t_end": repr(float(t_end)),
-        "output.stride": str(setup.output_stride),
-        "floors": " ".join(repr(v) for v in setup.floors),
-        "init.name": setup.scenario_name,
-        "init.amplitude": repr(setup.amplitude),
-        "init.gap": repr(setup.gap),
-    })
-    return m
-
-
-def _reference_mapping(setup: SweepSetup) -> dict:
-    m = {"solver": "euler"}
-    m.update(_gas_mapping(setup.gas))
-    m.update(_grid_mapping(setup.reference_grid()))
-    m.update({
-        "cfl": repr(setup.cfl),
-        "t_end": repr(setup.t_end),
-        "output.stride": str(setup.reference_stride),
-        "init.name": setup.scenario_name,
-        "init.amplitude": repr(setup.amplitude),
-        # the reference stays unperturbed; the gap belongs to the runs
-        "init.gap": repr(0.0),
-    })
-    return m
+def check_run_dir(run_dir) -> None:
+    """UsageError when a directory stands where a file of run directory
+    run_dir goes (_RUN_FILES, its snapshots), before a command's work meets it."""
+    rdir = Path(run_dir)
+    for p in [rdir / name for name in _RUN_FILES] + sorted(rdir.glob("*.snap")):
+        if p.is_dir():
+            raise UsageError(f"{p} is a directory, where a run keeps a file; remove it")
 
 
 def _write_run(rdir: Path, mapping: dict, grid: gf.Grid, traj) -> None:
@@ -248,7 +190,7 @@ def _write_run(rdir: Path, mapping: dict, grid: gf.Grid, traj) -> None:
     diagnostics CSV, snapshots.  The reports that `write_run_diagnostics`
     wrote there for an earlier run go with its snapshots."""
     rdir.mkdir(parents=True, exist_ok=True)
-    for name in ("relenergy.csv", "bounds.txt", "summary.txt"):
+    for name in _REPORTS:
         (rdir / name).unlink(missing_ok=True)
     (rdir / "run.cfg").write_text(cfgmod.render(mapping), encoding="ascii")
     (rdir / "solver.csv").write_text(traj.diagnostics_csv(), encoding="ascii")
@@ -339,37 +281,32 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
     )
 
 
-def _reference_inputs(ref_mapping: dict):
-    """(run config, scenario, initial state) of the reference a mapping configures."""
-    _, ref_cfg, scenario = cfgmod.build_run(ref_mapping)
-    return ref_cfg, scenario, ns.state_from_primitives(ref_cfg.gas, 0.0,
-                                                       scenario.fields(ref_cfg.grid))
-
-
 def _reference_worker(ref_mapping: dict, cache_dir: str) -> None:
     """Worker process body: run the reference into its cache, writing
     nothing to stdout or stderr."""
     sys.stdout = sys.stderr = open(os.devnull, "w")
-    ref_cfg, _, ref_state = _reference_inputs(ref_mapping)
-    er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
+    _, ref_cfg, scenario = cfgmod.build_run(ref_mapping)
+    er.run_euler(ref_cfg, scenario.fields(ref_cfg.grid), cache_dir=cache_dir)
 
 
-def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
+def run_sweep(cfg: dict, out_dir) -> SweepManifest:
     """Reference run, one dissipative run per path point, manifest and plot data.
 
-    The path points share their run config except the scalings, and start
-    from the same initial data, so they advance as one
-    `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
-    sweep of that point alone writes.  Records are assembled in path order.
-    An out_dir whose runs/ holds a directory that is not one of the path's
-    run ids, where a file stands in for runs/, a run's directory or
-    reference-cache/, or a directory for reference.cfg, manifest.json or
-    plot_rate.dat, is refused before anything is written.
+    cfg is a sweep configuration as `config.load_file` returns it, checked
+    by `sweep_runs` before anything is written, and so is out_dir: one whose
+    runs/ holds a directory that is not one of the path's run ids, where a
+    file stands in for runs/, a run's directory or reference-cache/, or a
+    directory for reference.cfg, manifest.json, plot_rate.dat or a run's
+    file (`check_run_dir`), is refused.  The path points share their run
+    config except the scalings, and start from the same initial data, so
+    they advance as one `nsf_solver.simulate_batch`; each point's files are
+    bitwise the ones a sweep of that point alone writes.  Records are
+    assembled in path order.
 
     The batch advances speculatively to the requested t_end while the
     reference runs in a worker process (`multiprocessing`, the platform's
     default start method), started once the batch has passed its entry
-    checks (the points' configs and initial data).  The worker writes the
+    checks (the points' initial data).  The worker writes the
     reference into reference-cache/; once it has ended, the batch loads it
     there (an aborted reference is stored too, and a worker that died
     without storing one leaves it to be computed here) and stops if its
@@ -379,10 +316,13 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
     output byte is the one of a sweep that runs the reference first and
     the batch after it.
     """
+    path, (ref_mapping, ref_cfg, ref_scenario), (run_mapping, run_cfg, scenario) = \
+        sweep_runs(cfg)
     out = Path(out_dir)
-    a_values = setup.path.a_values
+    a_values = path.a_values
     run_ids = {run_id_for(a) for a in a_values}
-    for d in (out / "runs", out / "reference-cache", *(out / "runs" / r for r in sorted(run_ids))):
+    run_dirs = [out / "runs" / r for r in sorted(run_ids)]
+    for d in (out / "runs", out / "reference-cache", *run_dirs):
         if d.exists() and not d.is_dir():
             raise UsageError(f"{d} is not a directory; remove it or sweep into another directory")
     for f in (out / "reference.cfg", out / "manifest.json", out / "plot_rate.dat"):
@@ -392,22 +332,23 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
         if d.is_dir() and d.name not in run_ids:
             raise UsageError(f"{d} is not a run of this sweep's path; remove it "
                              "or sweep into another directory")
+    for d in run_dirs:
+        check_run_dir(d)
     out.mkdir(parents=True, exist_ok=True)
 
-    ref_mapping = _reference_mapping(setup)
-    ref_cfg, ref_scenario, ref_state = _reference_inputs(ref_mapping)
     (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
-    if "slip-wall" in setup.grid.bc:
+    if "slip-wall" in ref_cfg.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
-                               ref_scenario.u, ref_cfg.grid, setup.gas)
+                               ref_scenario.u, ref_cfg.grid, ref_cfg.gas)
+    ref_state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
     cache_dir = out / "reference-cache"
-    scalings = [setup.path.scaling_for(a) for a in a_values]
+    t_end = run_cfg.t_end
+    scalings = [path.scaling_for(a) for a in a_values]
 
-    def point_inputs(t_end):
-        # every point's mapping builds this config but for its scaling
-        _, run_cfg, scenario = cfgmod.build_run(_run_mapping(setup, scalings[0], t_end))
-        return [replace(run_cfg, scaling=sc) for sc in scalings], scenario.fields(run_cfg.grid)
+    def point_inputs(t):
+        return ([replace(run_cfg, scaling=sc, t_end=t) for sc in scalings],
+                scenario.fields(run_cfg.grid))
 
     worker = None  # the worker process; False when it could not start
     loaded = []    # (reference, its lifespan report), once the worker has ended
@@ -430,10 +371,10 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
                 worker = False
         if not loaded and not (worker and worker.is_alive()):
             load_reference()
-        return bool(loaded) and loaded[0][1].usable_until < setup.t_end
+        return bool(loaded) and loaded[0][1].usable_until < t_end
 
     try:
-        speculative = ns.simulate_batch(*point_inputs(setup.t_end), stop=stop_batch)
+        speculative = ns.simulate_batch(*point_inputs(t_end), stop=stop_batch)
     except Exception:
         if worker is None:  # the entry checks failed
             raise
@@ -456,18 +397,18 @@ def run_sweep(setup: SweepSetup, out_dir) -> SweepManifest:
             "the reference run provides no usable smooth horizon "
             f"(trigger: {life.trigger or 'none'})")
 
-    trajs = speculative if speculative is not None and t_safe == setup.t_end \
+    trajs = speculative if speculative is not None and t_safe == t_end \
         else ns.simulate_batch(*point_inputs(t_safe))
-    mappings = [_run_mapping(setup, sc, t_safe) for sc in scalings]
+    mappings = [_point_mapping(run_mapping, sc, t_safe) for sc in scalings]
     records = tuple(_point_record(reference, a, mapping, traj, out)
                     for a, mapping, traj in zip(a_values, mappings, trajs))
 
     healthy = [r for r in records if r.healthy]
     manifest = SweepManifest(
-        alpha=setup.path.alpha, beta=setup.path.beta, gamma=setup.path.gamma,
+        alpha=path.alpha, beta=path.beta, gamma=path.gamma,
         a_values=a_values,
         config_hash=_hash16(cfgmod.render(ref_mapping)),
-        grid_hash=_hash16(repr((setup.grid.extents, setup.grid.cells, setup.grid.bc))),
+        grid_hash=_hash16(repr((run_cfg.grid.extents, run_cfg.grid.cells, run_cfg.grid.bc))),
         reference_key=ref_key,
         t_safe=float(t_safe),
         records=records,

@@ -7,7 +7,8 @@ pass, and a faithful implementation regression must trip at least one gate.
 """
 
 import math
-from dataclasses import replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -126,17 +127,42 @@ def sweep_root(tmp_path_factory):
     return tmp_path_factory.mktemp("acceptance-sweeps")
 
 
+@dataclass(frozen=True)
+class SlabSweep(Mapping):
+    """The default ideal-gas sweep on the 48-cell slab, as the configuration
+    keys `sweep.run_sweep` reads; its path and gap are fields, so that
+    `dataclasses.replace` narrows the path to one point."""
+
+    path: sweep.ScalingPath
+    gap: float = 0.0
+
+    def _keys(self) -> dict:
+        p = self.path
+        return {"grid.extent": "1.0", "grid.cells": "48", "init.gap": repr(self.gap),
+                "sweep.a-values": " ".join(repr(a) for a in p.a_values),
+                "sweep.alpha": repr(p.alpha), "sweep.beta": repr(p.beta),
+                "sweep.gamma": repr(p.gamma)}
+
+    def __getitem__(self, key):
+        return self._keys()[key]
+
+    def __iter__(self):
+        return iter(self._keys())
+
+    def __len__(self):
+        return len(self._keys())
+
+
 @pytest.fixture(scope="module")
 def well_sweep(sweep_root):
-    setup = sweep.SweepSetup(gas=GAS, transport=TR, path=PATH, grid=_slab(48))
+    setup = SlabSweep(PATH)
     out = sweep_root / "well"
     return setup, out, sweep.run_sweep(setup, out)
 
 
 @pytest.fixture(scope="module")
 def ill_sweep(sweep_root):
-    setup = sweep.SweepSetup(gas=GAS, transport=TR, path=PATH, grid=_slab(48),
-                             gap=0.02)
+    setup = SlabSweep(PATH, gap=0.02)
     out = sweep_root / "ill"
     return setup, out, sweep.run_sweep(setup, out)
 

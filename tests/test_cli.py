@@ -13,6 +13,7 @@ from nsflab import cli
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
+from nsflab import nsf_solver as ns
 from nsflab import relative_energy as renergy
 from nsflab import sweep as sweepmod
 from nsflab import thermo
@@ -131,6 +132,31 @@ def test_simulate_refuses_a_sweep_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_directory_where_a_run_file_goes(tmp_path, capsys, count_calls):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(RUN_CFG)
+    out = tmp_path / "out"
+    (out / "run.cfg").mkdir(parents=True)
+    batches = count_calls(ns, "simulate")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {out / 'run.cfg'} is a directory, where a "
+                                       "run keeps a file; remove it\n")
+    assert batches == [] and [p.name for p in out.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command, text", [("simulate", RUN_CFG), ("sweep", SWEEP_CFG)],
+                         ids=["simulate", "sweep"])
+def test_ideal_gas_refuses_p_inf(tmp_path, capsys, command, text):
+    # P_inf belongs to a custom law; the ideal gas would drop it unread
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(text + "gas.P_inf = 1.0\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: gas.P_inf must be omitted when gas.name is ideal\n"
+    assert not out.exists()
+
+
 def test_simulate_euler_over_a_dissipative_run_drops_its_reports(tmp_path, capsys):
     # the Euler run takes the same writer as a dissipative one, which
     # drops the reports of the run that was there before
@@ -211,6 +237,19 @@ def test_sweep_refuses_a_directory_where_it_writes_a_file(tmp_path, capsys, take
     assert capsys.readouterr().err == (f"error: {out / taken} is a directory; remove it "
                                        "or sweep into another directory\n")
     assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == [taken]
+
+
+def test_sweep_refuses_a_directory_where_a_run_file_goes(tmp_path, capsys, count_calls):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    taken = out / "runs" / "a1.000e-02" / "summary.txt"
+    taken.mkdir(parents=True)
+    runs = count_calls(er, "run_euler")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {taken} is a directory, where a run "
+                                       "keeps a file; remove it\n")
+    assert runs == [] and [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
 @pytest.mark.parametrize("command", ["thermo-check", "coercivity"])
@@ -361,6 +400,21 @@ def test_diag_run_without_config(cli_sweep, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read configuration file")
     assert str(out / "runs" / "a0-empty" / "run.cfg") in err
+
+
+def test_diag_refuses_a_directory_where_a_run_file_goes(cli_sweep, tmp_path, capsys,
+                                                        count_calls):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    rdirs = sorted((out / "runs").iterdir())
+    taken = rdirs[-1] / "bounds.txt"
+    taken.unlink()
+    taken.mkdir()
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    runs = count_calls(er, "run_euler")
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {taken} is a directory, where a run "
+                                       "keeps a file; remove it\n")
+    assert runs == [] and {p: p.read_bytes() for p in before} == before
 
 
 def test_diag_truncated_snapshot(cli_sweep, tmp_path, capsys):

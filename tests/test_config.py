@@ -203,7 +203,7 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
 
     def build(cfg):
         if kind == "sweep":
-            return sweepmod.setup_from_config(cfg)
+            return sweepmod.sweep_runs(cfg)
         return cfgmod.build_run(cfg)
 
     # every key the table lists for this kind, accepted together
@@ -211,7 +211,11 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
     if kind != "sweep":
         full["solver"] = kind
     built = build(full)
-    assert (built.gap == 0.02) if kind == "sweep" else (built[0] == kind)
+    if kind == "sweep":
+        _, (ref_mapping, _, _), (run_mapping, _, _) = built
+        assert run_mapping["init.gap"] == "0.02" and ref_mapping["init.gap"] == "0.0"
+    else:
+        assert built[0] == kind
     # and every other key refused, by name
     for key, kinds, _ in cfgmod.KNOWN_KEYS:
         if kind not in kinds:
@@ -277,7 +281,7 @@ def test_readme_config_blocks_parse_and_build():
     for text in blocks:
         cfg = cfgmod.parse_text(text)
         if any(key.startswith("sweep.") for key in cfg):
-            sweepmod.setup_from_config(cfg)
+            sweepmod.sweep_runs(cfg)
             kinds.append("sweep")
         else:
             kind, run, scenario = cfgmod.build_run(cfg)

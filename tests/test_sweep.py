@@ -161,33 +161,30 @@ def test_manifest_round_trip(tmp_path):
 # end-to-end sweeps (small grids, short horizons)
 
 
-def _tiny_setup(**kw):
-    base = dict(
-        gas=thermo.ideal_gas(), transport=thermo.default_transport(),
-        path=sweepmod.ScalingPath(a_values=(1e-2, 1e-3)),
-        grid=gf.Grid.line(1.0, 24, "slip-wall"),
-        amplitude=0.01, t_end=0.25, cfl=0.35, output_stride=8,
-        reference_factor=2, reference_stride=4,
-    )
-    base.update(kw)
-    return sweepmod.SweepSetup(**base)
+TINY = {"grid.extent": "1.0", "grid.cells": "24", "grid.bc": "slip-wall",
+        "init.amplitude": "0.01", "t_end": "0.25", "cfl": "0.35", "output.stride": "8",
+        "sweep.a-values": "1e-2 1e-3", "sweep.reference-factor": "2",
+        "sweep.reference-stride": "4"}
+TINY_PATH = sweepmod.ScalingPath(a_values=(1e-2, 1e-3))
+# a strong pulse exhausts the reference early: t_safe < t_end
+PULSE = {**TINY, "init.name": "compressive-pulse", "init.amplitude": "5.0",
+         "t_end": "0.5", "output.stride": "16"}
 
 
 @pytest.fixture(scope="module")
 def tiny_sweep(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    setup = _tiny_setup()
-    manifest = sweepmod.run_sweep(setup, out)
-    return setup, out, manifest
+    manifest = sweepmod.run_sweep(TINY, out)
+    return TINY, out, manifest
 
 
 def test_sweep_records_and_fit(tiny_sweep):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     assert manifest.t_safe == 0.25
     assert [r.a for r in manifest.records] == [1e-2, 1e-3]
     for rec in manifest.records:
         assert rec.healthy and rec.reason == ""
-        assert rec.envelope == diag.rate_envelope(setup.path.scaling_for(rec.a))
+        assert rec.envelope == diag.rate_envelope(TINY_PATH.scaling_for(rec.a))
         assert 0.0 <= rec.e_init < 1e-9      # shared closed-form data
         assert 1e-7 < rec.e_sup < 1e-3
         assert rec.max_excess < 1e-6
@@ -199,7 +196,7 @@ def test_sweep_records_and_fit(tiny_sweep):
 
 
 def test_sweep_outputs_on_disk(tiny_sweep):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     assert sweepmod.read_manifest(out / "manifest.json") == manifest
     plot = (out / "plot_rate.dat").read_text().splitlines()
     assert plot[0] == "# a envelope e_sup e_sup_over_envelope"
@@ -218,19 +215,19 @@ def test_sweep_outputs_on_disk(tiny_sweep):
 
 
 def test_sweep_run_config_reproduces_scalings(tiny_sweep):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     rec = manifest.records[0]
     mapping = cfgmod.load_file(out / "runs" / rec.run_id / "run.cfg")
     kind, run_cfg, _ = cfgmod.build_run(mapping)
     assert kind == "nsf"
-    sc = setup.path.scaling_for(rec.a)
+    sc = TINY_PATH.scaling_for(rec.a)
     assert run_cfg.scaling.a == sc.a and run_cfg.scaling.nu == sc.nu
     assert run_cfg.scaling.omega == sc.omega and run_cfg.scaling.lam == sc.lam
     assert run_cfg.t_end == manifest.t_safe
 
 
 def test_load_run_reproduces_diagnostics(tiny_sweep):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     from nsflab import euler_reference as er
 
     ref_map = cfgmod.load_file(out / "reference.cfg")
@@ -250,7 +247,7 @@ def test_run_diagnostics_invert_only_the_reference_sample(tiny_sweep, count_call
     # a fresh trajectory carries each stored state's temperature, so the
     # reports invert nothing and the reference sample is the one inversion:
     # one call with one a per stored instant
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     ref_map = cfgmod.load_file(out / "reference.cfg")
     _, ref_cfg, ref_scenario = cfgmod.build_run(ref_map)
     reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
@@ -297,7 +294,7 @@ def _loop_thetas(states, run_cfg):
 
 
 def test_load_run_thetas_match_the_per_snapshot_loop_bitwise(tiny_sweep):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     for rec in manifest.records:
         _, run_cfg, traj = sweepmod.load_run(out / "runs" / rec.run_id)
         assert run_cfg.scaling.a > 0.0 and len(traj.states) >= 3
@@ -308,7 +305,7 @@ def test_load_run_thetas_match_the_per_snapshot_loop_bitwise(tiny_sweep):
 def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path):
     # snapshot 1 has no internal energy in cell 3 and snapshot 2 no density
     # in cell 1: stacked, the density check would name snapshot 2 first
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     rdir = tmp_path / "run"
     shutil.copytree(out / "runs" / manifest.records[0].run_id, rdir)
     snaps = sorted(rdir.glob("*.snap"))
@@ -330,14 +327,14 @@ def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path
 
 def test_load_run_checks_a_healthy_run_once(tiny_sweep, count_calls):
     # one check of the stored stack, not one per snapshot
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     checks = count_calls(gf.FluidState, "_check_fields")
     _, _, traj = sweepmod.load_run(out / "runs" / manifest.records[0].run_id)
     assert len(traj.times) >= 3 and len(checks) == 1
 
 
 def test_load_run_rejects_missing_and_foreign_snapshots(tiny_sweep, tmp_path):
-    setup, out, manifest = tiny_sweep
+    _, out, manifest = tiny_sweep
     rdir = tmp_path / "run"
     rdir.mkdir()
     shutil.copy(out / "runs" / manifest.records[0].run_id / "run.cfg", rdir)
@@ -368,10 +365,10 @@ def test_load_run_reads_the_last_run_written_to_a_directory(tmp_path):
 def test_rewritten_run_keeps_no_stale_reports(tiny_sweep, tmp_path):
     # the same sweep again, storing too few instants for diagnostics: the
     # first sweep's reports must not stay beside the new snapshots
-    setup, out, manifest = tiny_sweep
+    cfg, out, manifest = tiny_sweep
     out2 = tmp_path / "again"
     shutil.copytree(out, out2)
-    manifest2 = sweepmod.run_sweep(replace(setup, output_stride=100000), out2)
+    manifest2 = sweepmod.run_sweep({**cfg, "output.stride": "100000"}, out2)
     for rec in manifest2.records:
         assert not rec.healthy and "too few stored instants" in rec.reason
         rdir = out2 / "runs" / rec.run_id
@@ -382,9 +379,9 @@ def test_rewritten_run_keeps_no_stale_reports(tiny_sweep, tmp_path):
 
 
 def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):
-    setup, out, manifest = tiny_sweep
+    cfg, out, manifest = tiny_sweep
     out2 = tmp_path / "threaded"
-    manifest2 = sweepmod.run_sweep(setup, out2)
+    manifest2 = sweepmod.run_sweep(cfg, out2)
     assert (out2 / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
     assert (out2 / "plot_rate.dat").read_bytes() == (out / "plot_rate.dat").read_bytes()
     for rec in manifest.records:
@@ -396,8 +393,8 @@ def test_sweep_thread_count_is_invisible(tiny_sweep, tmp_path):
 
 
 def test_single_point_sweep(tmp_path):
-    setup = _tiny_setup(path=sweepmod.ScalingPath(a_values=(1e-2,)), t_end=0.1)
-    manifest = sweepmod.run_sweep(setup, tmp_path / "single")
+    cfg = {**TINY, "sweep.a-values": "1e-2", "t_end": "0.1"}
+    manifest = sweepmod.run_sweep(cfg, tmp_path / "single")
     assert len(manifest.records) == 1
     rec = manifest.records[0]
     assert rec.healthy and math.isfinite(rec.e_sup)
@@ -407,10 +404,8 @@ def test_single_point_sweep(tmp_path):
 def test_sweep_keeps_unhealthy_runs_out_of_fit(tmp_path):
     # a strong pulse exhausts the reference early; the safe horizon is then
     # too short for the low-dissipation run to store three instants
-    setup = _tiny_setup(scenario_name="compressive-pulse", amplitude=5.0,
-                        t_end=0.5, output_stride=16)
     out = tmp_path / "pulse"
-    manifest = sweepmod.run_sweep(setup, out)
+    manifest = sweepmod.run_sweep(PULSE, out)
     assert 0.0 < manifest.t_safe < 0.05
     assert manifest.records[0].healthy
     assert not manifest.records[1].healthy
@@ -430,26 +425,25 @@ def test_sweep_keeps_unhealthy_runs_out_of_fit(tmp_path):
 # the reference in a worker process
 
 
-def _sequential_sweep(setup, out_dir):
+def _sequential_sweep(cfg, out_dir):
     """`run_sweep` as it ran before the reference moved to a worker process:
     the reference first, then the batch to its horizon.  Kept as the oracle
     of every byte the sweep writes."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ref_mapping = sweepmod._reference_mapping(setup)
-    _, ref_cfg, ref_scenario = cfgmod.build_run(ref_mapping)
+    path, (ref_mapping, ref_cfg, ref_scenario), (run_mapping, _, _) = sweepmod.sweep_runs(cfg)
     (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
-    if "slip-wall" in setup.grid.bc:
+    if "slip-wall" in ref_cfg.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
-                               ref_scenario.u, ref_cfg.grid, setup.gas)
-    ref_state = ns.state_from_primitives(setup.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
+                               ref_scenario.u, ref_cfg.grid, ref_cfg.gas)
+    ref_state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
     reference = er.run_euler(ref_cfg, ref_state, cache_dir=out / "reference-cache")
     t_safe = er.lifespan_monitor(reference).usable_until
     assert t_safe > 0.0
-    a_values = setup.path.a_values
-    scalings = [setup.path.scaling_for(a) for a in a_values]
-    mappings = [sweepmod._run_mapping(setup, sc, t_safe) for sc in scalings]
+    a_values = path.a_values
+    scalings = [path.scaling_for(a) for a in a_values]
+    mappings = [sweepmod._point_mapping(run_mapping, sc, t_safe) for sc in scalings]
     _, run_cfg, scenario = cfgmod.build_run(mappings[0])
     trajs = ns.simulate_batch([replace(run_cfg, scaling=sc) for sc in scalings],
                               scenario.fields(run_cfg.grid))
@@ -457,11 +451,11 @@ def _sequential_sweep(setup, out_dir):
                     for a, mapping, traj in zip(a_values, mappings, trajs))
     healthy = [r for r in records if r.healthy]
     manifest = sweepmod.SweepManifest(
-        alpha=setup.path.alpha, beta=setup.path.beta, gamma=setup.path.gamma,
+        alpha=path.alpha, beta=path.beta, gamma=path.gamma,
         a_values=a_values,
         config_hash=sweepmod._hash16(cfgmod.render(ref_mapping)),
-        grid_hash=sweepmod._hash16(repr((setup.grid.extents, setup.grid.cells,
-                                         setup.grid.bc))),
+        grid_hash=sweepmod._hash16(repr((run_cfg.grid.extents, run_cfg.grid.cells,
+                                         run_cfg.grid.bc))),
         reference_key=ref_key, t_safe=float(t_safe), records=records,
         fitted_constant=float("nan"), flagged=False)
     if len(healthy) >= 2:
@@ -481,23 +475,18 @@ def _files(root):
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
 
 
-def _pulse_setup():
-    # a strong pulse exhausts the reference early: t_safe < t_end
-    return _tiny_setup(scenario_name="compressive-pulse", amplitude=5.0,
-                       t_end=0.5, output_stride=16)
 
 
 @pytest.mark.parametrize("name", ["tiny", "pulse"])
 def test_sweep_writes_the_bytes_of_the_sequential_sweep(name, tiny_sweep, tmp_path):
     if name == "tiny":
-        setup, out, manifest = tiny_sweep
-        assert manifest.t_safe == setup.t_end
+        cfg, out, manifest = tiny_sweep
+        assert manifest.t_safe == 0.25
     else:
-        setup = _pulse_setup()
-        out = tmp_path / "pulse"
-        manifest = sweepmod.run_sweep(setup, out)
-        assert manifest.t_safe < setup.t_end
-    want = _sequential_sweep(setup, tmp_path / "sequential")
+        cfg, out = PULSE, tmp_path / "pulse"
+        manifest = sweepmod.run_sweep(cfg, out)
+        assert manifest.t_safe < 0.5
+    want = _sequential_sweep(cfg, tmp_path / "sequential")
     assert manifest.json() == want.json()
     got, expected = _files(out), _files(tmp_path / "sequential")
     assert sorted(got) == sorted(expected) and len(got) > 10
@@ -519,12 +508,12 @@ def test_sweep_reruns_a_batch_that_outran_a_shorter_horizon(tmp_path, monkeypatc
         time.sleep(1.0)
         real_worker(*args)
 
-    setup = _tiny_setup(t_end=0.1)
+    cfg = {**TINY, "t_end": "0.1"}
     monkeypatch.setattr(er, "lifespan_monitor", half_horizon)
     monkeypatch.setattr(sweepmod, "_reference_worker", late_worker)
-    manifest = sweepmod.run_sweep(setup, tmp_path / "late")
+    manifest = sweepmod.run_sweep(cfg, tmp_path / "late")
     assert manifest.t_safe == 0.05
-    want = _sequential_sweep(setup, tmp_path / "sequential")
+    want = _sequential_sweep(cfg, tmp_path / "sequential")
     assert manifest.json() == want.json()
     assert _files(tmp_path / "late") == _files(tmp_path / "sequential")
 
@@ -538,11 +527,11 @@ def test_sweep_leaves_no_worker_behind(tmp_path, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(er, "lifespan_monitor", no_horizon)
         with pytest.raises(UsageError, match="no usable smooth horizon"):
-            sweepmod.run_sweep(_tiny_setup(), tmp_path / "no-horizon")
+            sweepmod.run_sweep(TINY, tmp_path / "no-horizon")
     assert multiprocessing.active_children() == []
     # ... and after one whose batch raises
     with pytest.raises(ConfigError, match="positivity floors"):
-        sweepmod.run_sweep(_tiny_setup(floors=(0.5, 1e-12)), tmp_path / "floors")
+        sweepmod.run_sweep({**TINY, "floors": "0.5 1e-12"}, tmp_path / "floors")
     assert multiprocessing.active_children() == []
 
 
@@ -552,19 +541,19 @@ def test_sweep_refuses_its_run_config_before_the_reference(tmp_path, count_calls
     runs = count_calls(er, "run_euler")
     out = tmp_path / "stride-0"
     with pytest.raises(ConfigError, match="output_stride must be at least 1"):
-        sweepmod.run_sweep(_tiny_setup(output_stride=0), out)
+        sweepmod.run_sweep({**TINY, "output.stride": "0"}, out)
     assert runs == [] and not (out / "reference-cache").exists()
     assert multiprocessing.active_children() == []
 
 
 def test_sweep_worker_writes_nothing(tmp_path, capfd):
-    sweepmod.run_sweep(_tiny_setup(t_end=0.1), tmp_path / "quiet")
+    sweepmod.run_sweep({**TINY, "t_end": "0.1"}, tmp_path / "quiet")
     assert capfd.readouterr() == ("", "")
 
 
 def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypatch,
                                                  count_calls):
-    setup, out, _ = tiny_sweep
+    cfg, out, _ = tiny_sweep
 
     def cannot_start(self):
         raise OSError("no process for the worker")
@@ -574,14 +563,14 @@ def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypat
 
     with monkeypatch.context() as m:
         m.setattr(multiprocessing.Process, "start", cannot_start)
-        sweepmod.run_sweep(setup, tmp_path / "no-worker")
+        sweepmod.run_sweep(cfg, tmp_path / "no-worker")
     # a forked worker runs the patched body; a spawned one imports the real
     # one, and the bytes are the same either way; the batch that outlives
     # the worker computes the reference and its run to t_end stands
     batches = count_calls(ns, "simulate_batch")
     with monkeypatch.context() as m:
         m.setattr(sweepmod, "_reference_worker", dies)
-        sweepmod.run_sweep(setup, tmp_path / "dead-worker")
+        sweepmod.run_sweep(cfg, tmp_path / "dead-worker")
     assert len(batches) == 1
     assert multiprocessing.active_children() == []
     want = _files(out)
@@ -592,22 +581,22 @@ def test_sweep_runs_as_before_without_its_worker(tiny_sweep, tmp_path, monkeypat
 def test_sweep_builds_each_point_once(tiny_sweep, tmp_path, count_calls):
     # t_safe = t_end: the speculative batch stands, and its entry checks
     # are the only ones
-    setup, out, manifest = tiny_sweep
+    cfg, out, manifest = tiny_sweep
     checks = count_calls(ns, "_check_initial_data")
-    sweepmod.run_sweep(setup, tmp_path / "once")
-    assert manifest.t_safe == setup.t_end
-    assert len(checks) == len(setup.path.a_values)
+    sweepmod.run_sweep(cfg, tmp_path / "once")
+    assert manifest.t_safe == 0.25
+    assert len(checks) == len(TINY_PATH.a_values)
     assert _files(tmp_path / "once") == _files(out)
 
 
 def test_sweep_refuses_an_out_holding_runs_of_another_path(tiny_sweep, tmp_path):
     # the runs a sweep does not write would stay beside its manifest, and
     # `nsflab diag` would rate them against the new reference
-    setup, out, manifest = tiny_sweep
+    cfg, out, manifest = tiny_sweep
     shared = tmp_path / "shared"
     shutil.copytree(out, shared)
     before = _files(shared)
-    one_point = replace(setup, path=sweepmod.ScalingPath(a_values=(1e-2,)))
+    one_point = {**cfg, "sweep.a-values": "1e-2"}
     with pytest.raises(UsageError, match=r"runs/a1\.000e-03 is not a run of this sweep's path"):
         sweepmod.run_sweep(one_point, shared)
     assert _files(shared) == before
@@ -622,7 +611,7 @@ def test_stored_replay_paths_leave_multiprocessing_unimported():
 
 
 # ---------------------------------------------------------------------------
-# setup construction
+# configuration
 
 
 def test_run_id_format():
@@ -631,26 +620,84 @@ def test_run_id_format():
 
 
 def test_reference_grid():
-    setup = _tiny_setup(reference_factor=4)
-    fine = setup.reference_grid()
-    assert fine.cells == (96,) and fine.extents == (1.0,)
-    assert fine.bc == ("slip-wall",)
-    with pytest.raises(ConfigError, match="reference factor"):
-        _tiny_setup(reference_factor=0)
+    _, (_, fine, _), (_, run_cfg, _) = sweepmod.sweep_runs(
+        {**TINY, "sweep.reference-factor": "4"})
+    assert fine.grid.cells == (96,) and fine.grid.extents == (1.0,)
+    assert fine.grid.bc == ("slip-wall",) and run_cfg.grid.cells == (24,)
+    for key in ("sweep.reference-factor", "sweep.reference-stride"):
+        with pytest.raises(ConfigError, match=f"^{key} must be at least 1, got 0$"):
+            sweepmod.sweep_runs({**TINY, key: "0"})
 
 
-def test_setup_from_config_defaults_and_rejections():
-    text = ("grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\n"
+def test_sweep_runs_defaults_and_rejections():
+    text = ("grid.extent = 1\ngrid.cells = 24\ngrid.bc = slip-wall\n"
             "init.gap = 0.02\n")
-    setup = sweepmod.setup_from_config(cfgmod.parse_text(text))
-    assert setup.path.a_values == (1e-2, 1e-3, 1e-4)
-    assert setup.path.alpha == 0.55 and setup.path.gamma == 0.1
-    assert setup.gap == 0.02 and setup.t_end == 1.0
-    assert setup.reference_factor == 4 and setup.output_stride == 16
+    path, (ref_mapping, ref_cfg, _), (run_mapping, run_cfg, _) = \
+        sweepmod.sweep_runs(cfgmod.parse_text(text))
+    assert path.a_values == (1e-2, 1e-3, 1e-4)
+    assert path.alpha == 0.55 and path.beta == 1.2 and path.gamma == 0.1
+    assert run_mapping["init.gap"] == "0.02" and ref_mapping["init.gap"] == "0.0"
+    assert run_cfg.t_end == ref_cfg.t_end == 1.0 and run_cfg.cfl == ref_cfg.cfl == 0.35
+    assert run_cfg.output_stride == 16 and ref_cfg.output_stride == 4
+    assert ref_cfg.grid.cells == (96,)
+    # values are copied as written
+    assert run_mapping["grid.extent"] == ref_mapping["grid.extent"] == "1"
     for extra in ("solver = nsf", "scaling.a = 0.1"):
         with pytest.raises(ConfigError, match="does not apply to a sweep"):
-            sweepmod.setup_from_config(cfgmod.parse_text(text + extra + "\n"))
+            sweepmod.sweep_runs(cfgmod.parse_text(text + extra + "\n"))
     for removed in ("sweep.gap = 0.02", "convective.order = auto"):
         with pytest.raises(ConfigError, match="unknown configuration keys"):
             cfgmod.parse_text(text + removed + "\n")
 
+
+def test_sweep_writes_the_pinned_configuration(tiny_sweep):
+    # the bytes the sweep wrote before its runs' files derived from the key
+    # table; _sequential_sweep shares that code, so this is the oracle
+    _, out, manifest = tiny_sweep
+    assert (out / "reference.cfg").read_text() == (
+        "solver = euler\ngas.name = ideal\ngas.S0 = 0.0\ngrid.extent = 1.0\n"
+        "grid.cells = 48\ngrid.bc = slip-wall\ncfl = 0.35\nt_end = 0.25\n"
+        "output.stride = 4\ninit.name = acoustic-entropy\ninit.amplitude = 0.01\n"
+        "init.gap = 0.0\n")
+    assert (out / "runs" / "a1.000e-03" / "run.cfg").read_text() == (
+        "solver = nsf\ngas.name = ideal\ngas.S0 = 0.0\ntransport.name = default\n"
+        "scaling.a = 0.001\nscaling.nu = 0.02238721138568339\n"
+        "scaling.omega = 0.0002511886431509581\nscaling.lambda = 0.5011872336272722\n"
+        "grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\ncfl = 0.35\n"
+        "t_end = 0.25\noutput.stride = 8\nfloors = 1e-12 1e-12\n"
+        "init.name = acoustic-entropy\ninit.amplitude = 0.01\ninit.gap = 0.0\n")
+    assert manifest.config_hash == "37641992b3da2942"
+
+
+def test_sweep_run_config_of_a_custom_gas_holds_the_keys_written():
+    # gas.P_inf and transport.b are left to the builders' defaults, as the
+    # configuration leaves them
+    cfg = {**TINY, "gas.name": "lawA", "gas.law": "Z + Z^2/(1+Z)",
+           "transport.name": "sublinear", "t_end": "0.1"}
+    _, (ref_mapping, _, _), (run_mapping, run_cfg, _) = sweepmod.sweep_runs(cfg)
+    assert cfgmod.render(run_mapping) == (
+        "solver = nsf\ngas.name = lawA\ngas.law = Z + Z^2/(1+Z)\ngas.S0 = 0.0\n"
+        "transport.name = sublinear\nscaling.a = 0.01\nscaling.nu = 0.07943282347242814\n"
+        "scaling.omega = 0.003981071705534973\nscaling.lambda = 0.6309573444801932\n"
+        "grid.extent = 1.0\ngrid.cells = 24\ngrid.bc = slip-wall\ncfl = 0.35\n"
+        "t_end = 0.1\noutput.stride = 8\nfloors = 1e-12 1e-12\n"
+        "init.name = acoustic-entropy\ninit.amplitude = 0.01\ninit.gap = 0.0\n")
+    assert "gas.P_inf" not in ref_mapping
+    assert run_cfg.gas.P_inf == 0.0 and run_cfg.transport.b == 0.75
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("solver", "nsf", "solver does not apply to a sweep"),
+    ("sweep.alpha", "0.7", "alpha must lie in"),
+    ("output.stride", "0", "output_stride must be at least 1"),
+    ("sweep.reference-factor", "0", "sweep.reference-factor must be at least 1"),
+])
+def test_sweep_refuses_a_bad_configuration_before_any_work(tmp_path, count_calls, key,
+                                                           value, error):
+    runs = count_calls(er, "run_euler")
+    batches = count_calls(ns, "simulate_batch")
+    out = tmp_path / "out"
+    with pytest.raises((ConfigError, DomainError), match=error):
+        sweepmod.run_sweep({**TINY, key: value}, out)
+    assert runs == [] and batches == [] and not out.exists()
+    assert multiprocessing.active_children() == []
