@@ -61,7 +61,8 @@ def main(argv=None):
             init = scenarios.acoustic_entropy(grid, amplitude=args.amplitude)
             traj = ns.simulate(cfg, init.fields(grid))
             reason = (f"unhealthy ({traj.health_reason})" if not traj.healthy else
-                      "fewer than three stored instants" if len(traj.times) < 3 else "")
+                      "fewer than three stored instants"
+                      if len(traj.times) < diag.MIN_INSTANTS else "")
             if reason:
                 print(f"a={a:g} N={n}: {reason}; skipped")
                 sups.append(float("nan"))

@@ -12,6 +12,7 @@ import pathlib
 import sys
 
 from nsflab import sweep
+from nsflab.manifest import fit_rate
 
 
 def report(name, manifest):
@@ -24,7 +25,7 @@ def report(name, manifest):
             print(f"  {r.run_id}  unhealthy: {r.reason}")
     healthy = [r for r in manifest.records if r.healthy]
     if len(healthy) >= 2:
-        for line in sweep.fit_rate(manifest).to_text().splitlines():
+        for line in fit_rate(manifest).to_text().splitlines():
             print(f"  {line}")
     else:
         print(f"  rate fit skipped: {len(healthy)} healthy run(s)")

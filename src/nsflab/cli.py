@@ -42,6 +42,7 @@ def _lazy(name: str):
 
 
 cfgmod = _lazy("config")
+diagmod = _lazy("diagnostics")
 er = _lazy("euler_reference")
 ns = _lazy("nsf_solver")
 renergy = _lazy("relative_energy")
@@ -49,7 +50,6 @@ sweepmod = _lazy("sweep")
 thermo = _lazy("thermo")
 # used only through the modules above, and registered with them so that
 # sys.modules lists every numerical module after `import nsflab.cli`
-_lazy("diagnostics")
 _lazy("grid_fields")
 _lazy("scenarios")
 
@@ -202,7 +202,7 @@ def _cmd_diag(args) -> int:
                              cache_dir=out / "reference-cache")
     for rdir in run_dirs:
         _, _, traj = sweepmod.load_run(rdir)
-        if len(traj.times) < 3:
+        if len(traj.times) < diagmod.MIN_INSTANTS:
             _print(f"{rdir.name} skipped: fewer than three stored instants")
             continue
         report = sweepmod.write_run_diagnostics(rdir, traj, reference)

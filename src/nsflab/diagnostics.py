@@ -244,6 +244,10 @@ def _cumulative(rate, times):
     return np.concatenate(([0.0], np.cumsum(np.diff(times) * (rate[1:] + rate[:-1]) / 2.0)))
 
 
+# the fewest stored instants the residual's second-order time differences take
+MIN_INSTANTS = 3
+
+
 def rel_energy_inequality_residual(trajectory, reference,
                                    stacked: StackedRun = None) -> RelEnergyResidualReport:
     """LHS - RHS of the relative energy inequality against a sampled reference.
@@ -267,7 +271,7 @@ def rel_energy_inequality_residual(trajectory, reference,
     times = np.asarray(trajectory.times, dtype=float)
     if stacked is None:
         stacked = stack_run(trajectory)
-    if len(times) < 3:
+    if len(times) < MIN_INSTANTS:
         raise UsageError(f"need at least three stored instants, got {len(times)}")
 
     # every stored instant at once: the states, thetas and reference samples

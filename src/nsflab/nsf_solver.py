@@ -65,6 +65,19 @@ _GHOST_DEPTH = 2  # central-slope reconstruction needs two layers
 _0D = thermo._0D  # scalar constants as 0-d arrays: the bits of the floats, less overhead
 
 
+def check_run_settings(config) -> None:
+    """ConfigError unless config's cfl, t_end and output_stride, the settings
+    that both solvers' run configs share, are admissible; stores
+    output_stride as an int."""
+    if not (0.0 < config.cfl <= 0.9):
+        raise ConfigError(f"cfl must lie in (0, 0.9], got {config.cfl}")
+    if not (config.t_end > 0.0 and math.isfinite(config.t_end)):
+        raise ConfigError(f"t_end must be positive and finite, got {config.t_end}")
+    if int(config.output_stride) < 1:
+        raise ConfigError(f"output_stride must be at least 1, got {config.output_stride}")
+    object.__setattr__(config, "output_stride", int(config.output_stride))
+
+
 @dataclass(frozen=True)
 class NsfRunConfig:
     """Everything one dissipative run needs besides its initial data."""
@@ -79,13 +92,7 @@ class NsfRunConfig:
     positivity_floor: tuple = (1e-12, 1e-12)
 
     def __post_init__(self):
-        if not (0.0 < self.cfl <= 0.9):
-            raise ConfigError(f"cfl must lie in (0, 0.9], got {self.cfl}")
-        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
-            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
-        if int(self.output_stride) < 1:
-            raise ConfigError(f"output_stride must be at least 1, got {self.output_stride}")
-        object.__setattr__(self, "output_stride", int(self.output_stride))
+        check_run_settings(self)
         rf, tf = self.positivity_floor
         if not (rf > 0.0 and tf > 0.0):
             raise ConfigError(f"positivity floors must be positive, got {self.positivity_floor}")

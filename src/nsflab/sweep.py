@@ -37,10 +37,7 @@ from . import grid_fields as gf
 from . import nsf_solver as ns
 from . import thermo
 from .errors import ConfigError, DomainError, PositivityError, UsageError
-# the manifest and its rate fit live beside the sweep, in a module that
-# `nsflab rate-fit` loads without numpy; they stay reachable from here
-from .manifest import (FitReport, RunRecord, SweepManifest,  # noqa: F401
-                       fit_rate, read_manifest, write_manifest)
+from .manifest import RunRecord, SweepManifest, fit_rate, write_manifest
 
 
 def validate_path(alpha: float, beta: float, gamma: float,
@@ -269,7 +266,8 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
     envelope = diag.rate_envelope(traj.config.scaling)
     nan = float("nan")
     reason = ((traj.health_reason or "unhealthy run") if not traj.healthy else
-              "too few stored instants for diagnostics" if len(traj.times) < 3 else "")
+              "too few stored instants for diagnostics"
+              if len(traj.times) < diag.MIN_INSTANTS else "")
     if reason:
         return RunRecord(run_id=run_id, a=a, healthy=False, reason=reason,
                          e_init=nan, e_sup=nan, envelope=envelope, max_excess=nan)
@@ -297,11 +295,13 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
     runs/ holds a directory that is not one of the path's run ids, where a
     file stands in for runs/, a run's directory or reference-cache/, or a
     directory for reference.cfg, manifest.json, plot_rate.dat or a run's
-    file (`check_run_dir`), is refused.  The path points share their run
-    config except the scalings, and start from the same initial data, so
-    they advance as one `nsf_solver.simulate_batch`; each point's files are
-    bitwise the ones a sweep of that point alone writes.  Records are
-    assembled in path order.
+    file (`check_run_dir`), or whose reference cache entry is one the cache
+    can neither read nor write (`euler_reference.check_cache_entry`), is
+    refused, and so are initial data that the walls or the gas refuse.
+    The path points share their run config except the scalings, and start
+    from the same initial data, so they advance as one
+    `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
+    sweep of that point alone writes.  Records are assembled in path order.
 
     The batch advances speculatively to the requested t_end while the
     reference runs in a worker process (`multiprocessing`, the platform's
@@ -334,15 +334,16 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
                              "or sweep into another directory")
     for d in run_dirs:
         check_run_dir(d)
-    out.mkdir(parents=True, exist_ok=True)
-
-    (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
     if "slip-wall" in ref_cfg.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
                                ref_scenario.u, ref_cfg.grid, ref_cfg.gas)
     ref_state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
     cache_dir = out / "reference-cache"
+    er.check_cache_entry(cache_dir, ref_key)
+    out.mkdir(parents=True, exist_ok=True)
+
+    (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
     t_end = run_cfg.t_end
     scalings = [path.scaling_for(a) for a in a_values]
 

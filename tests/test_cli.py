@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from nsflab import cli
+from nsflab import config as cfgmod
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
+from nsflab import manifest as mf
 from nsflab import nsf_solver as ns
 from nsflab import relative_energy as renergy
 from nsflab import sweep as sweepmod
@@ -252,6 +254,44 @@ def test_sweep_refuses_a_directory_where_a_run_file_goes(tmp_path, capsys, count
     assert runs == [] and [p for p in out.rglob("*") if not p.is_dir()] == []
 
 
+def _cache_entry(cfg_path):
+    """The reference cache entry that a sweep of the configuration file cfg_path uses."""
+    _, (_, ref_cfg, ref_scenario), _ = sweepmod.sweep_runs(cfgmod.load_file(cfg_path))
+    state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
+    return Path("reference-cache") / f"euler-{er.reference_key(ref_cfg, state)[:16]}"
+
+
+def _take_cache_entry(out, entry, taken):
+    """Put what the cache can neither read nor write at entry (below out):
+    a directory at its manifest.txt, or a regular file at the entry itself
+    or at the cache directory; (the path named in the refusal, its text)."""
+    shutil.rmtree(out / entry.parent, ignore_errors=True)
+    if taken == "manifest-directory":
+        path = out / entry / "manifest.txt"
+        path.mkdir(parents=True)
+        return path, "is a directory, where the reference cache keeps a file; remove it"
+    path = out / (entry.parent if taken == "cache-file" else entry)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("not a directory\n")
+    return path, "is not a directory, where the reference cache needs one; remove it"
+
+
+@pytest.mark.parametrize("taken", ["manifest-directory", "entry-file"])
+def test_sweep_refuses_a_reference_cache_entry_it_cannot_use(tmp_path, capsys, count_calls,
+                                                            taken):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG)
+    out = tmp_path / "out"
+    path, text = _take_cache_entry(out, _cache_entry(cfg), taken)
+    before = sorted(p.relative_to(out) for p in out.rglob("*"))
+    runs = count_calls(er, "run_euler")
+    batches = count_calls(ns, "simulate_batch")
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} {text}\n")
+    assert runs == [] and batches == []
+    assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
+
 @pytest.mark.parametrize("command", ["thermo-check", "coercivity"])
 @pytest.mark.parametrize("key, value", [("grid.cells", "8"), ("sweep.alpha", "0.6")])
 def test_closure_commands_refuse_keys_they_do_not_read(tmp_path, capsys, command, key, value):
@@ -294,7 +334,7 @@ def test_unknown_config_key_is_hard_error(tmp_path, capsys):
 
 def test_sweep_manifest_on_disk(cli_sweep):
     cfg, out = cli_sweep
-    manifest = sweepmod.read_manifest(out / "manifest.json")
+    manifest = mf.read_manifest(out / "manifest.json")
     assert [r.a for r in manifest.records] == [1e-2, 1e-3]
     assert all(r.healthy for r in manifest.records)
     assert math.isfinite(manifest.fitted_constant)
@@ -304,8 +344,8 @@ def test_rate_fit_matches_sweep(cli_sweep, capsys):
     cfg, out = cli_sweep
     assert cli.main(["rate-fit", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    manifest = sweepmod.read_manifest(out / "manifest.json")
-    assert printed == sweepmod.fit_rate(manifest).to_text()
+    manifest = mf.read_manifest(out / "manifest.json")
+    assert printed == mf.fit_rate(manifest).to_text()
     fitted = float(printed.splitlines()[-2].split()[-1])
     assert fitted == manifest.fitted_constant
 
@@ -366,7 +406,7 @@ def test_rate_fit_leaves_unhealthy_nan_records_out(tmp_path, capsys):
 
 def test_diag_reproduces_stored_csvs(cli_sweep, capsys):
     cfg, out = cli_sweep
-    manifest = sweepmod.read_manifest(out / "manifest.json")
+    manifest = mf.read_manifest(out / "manifest.json")
     originals = {}
     for rec in manifest.records:
         rdir = out / "runs" / rec.run_id
@@ -415,6 +455,20 @@ def test_diag_refuses_a_directory_where_a_run_file_goes(cli_sweep, tmp_path, cap
     assert capsys.readouterr() == ("", f"error: {taken} is a directory, where a run "
                                        "keeps a file; remove it\n")
     assert runs == [] and {p: p.read_bytes() for p in before} == before
+
+
+@pytest.mark.parametrize("taken", ["manifest-directory", "entry-file", "cache-file"])
+def test_diag_refuses_a_reference_cache_entry_it_cannot_use(cli_sweep, tmp_path, capsys,
+                                                           count_calls, taken):
+    cfg, _ = cli_sweep
+    out = _sweep_copy(cli_sweep, tmp_path)
+    path, text = _take_cache_entry(out, _cache_entry(cfg), taken)
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    steps = count_calls(er, "rhs_euler")
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path} {text}\n")
+    assert steps == []
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 def test_diag_truncated_snapshot(cli_sweep, tmp_path, capsys):
@@ -516,7 +570,7 @@ def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path, capsys):
     assert err.count("\n") == 1 and "advance as one batch" in err
     assert (out2 / "manifest.json").read_bytes() == \
         (out / "manifest.json").read_bytes()
-    manifest = sweepmod.read_manifest(out / "manifest.json")
+    manifest = mf.read_manifest(out / "manifest.json")
     for rec in manifest.records:
         for name in ("solver.csv", "relenergy.csv"):
             assert (out2 / "runs" / rec.run_id / name).read_bytes() == \

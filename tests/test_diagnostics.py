@@ -334,10 +334,10 @@ def _loop_residual(trajectory, reference):
     cfg = trajectory.config
     gas, sc, tr, grid = cfg.gas, cfg.scaling, cfg.transport, cfg.grid
     times = np.asarray(trajectory.times, dtype=float)
-    refs = [er.sample_reference(reference, t, grid) for t in times]
-    R = np.stack([rf.rho_E for rf in refs])
-    TH = np.stack([rf.theta_E for rf in refs])
-    U = np.stack([rf.u_E for rf in refs])
+    refs = [er.sample_reference(reference, [t], grid) for t in times]
+    R = np.stack([rho[0] for rho, _, _ in refs])
+    TH = np.stack([theta[0] for _, theta, _ in refs])
+    U = np.stack([u[:, 0] for _, _, u in refs])
     P_ref = thermo.pressure(gas, sc.a, R, TH)
     dU_dt = np.gradient(U, times, axis=0, edge_order=2)
     dTH_dt = np.gradient(TH, times, axis=0, edge_order=2)
@@ -361,7 +361,8 @@ def _loop_residual(trajectory, reference):
         div_U = np.trace(G_E, axis1=0, axis2=1)
         v = u - U[k]
         ds = rho * (s_f - s_r)
-        rate["energy"][k] = renergy.relative_energy(gas, sc.a, (rho, theta, u), refs[k], grid)
+        rate["energy"][k] = renergy.relative_energy(gas, sc.a, (rho, theta, u),
+                                                     (R[k], TH[k], U[k]), grid)
         S_Gu = np.sum(S * G, axis=(0, 1))
         q_gth = np.sum(q * gth, axis=0)
         rate["weighted_dissipation"][k] = gf.integrate(

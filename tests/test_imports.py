@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nsflab import cli
-from nsflab import sweep as sweepmod
+from nsflab import manifest as mf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,8 +55,8 @@ def test_rate_fit_loads_no_numpy(stored_sweep):
         "assert 'numpy' not in sys.modules, 'rate-fit'\n"
     )
     printed = _run_fresh(code)
-    manifest = sweepmod.read_manifest(stored_sweep / "manifest.json")
-    assert printed == sweepmod.fit_rate(manifest).to_text()
+    manifest = mf.read_manifest(stored_sweep / "manifest.json")
+    assert printed == mf.fit_rate(manifest).to_text()
     assert printed.splitlines()[-2] == f"fitted_constant {manifest.fitted_constant!r}"
 
 
@@ -80,25 +80,14 @@ def test_tracer_installs_after_the_cli_import(stored_sweep, tmp_path):
     assert any(name.startswith("thermo.") for name in spans)
 
 
-def test_package_reexports_the_gas_models():
+def test_package_import_loads_no_numpy():
+    # the gas models have one import path, nsflab.thermo
     code = (
         "import sys\n"
         "import nsflab\n"
         "assert 'numpy' not in sys.modules and 'nsflab.thermo' not in sys.modules\n"
-        "from nsflab import (GasModel, ScalingParams, TransportModel, default_transport,\n"
-        "                    gas_from_expression, ideal_gas)\n"
+        "assert not hasattr(nsflab, 'ideal_gas') and not hasattr(nsflab, 'GasModel')\n"
         "from nsflab import thermo\n"
-        "assert ideal_gas is thermo.ideal_gas and GasModel is thermo.GasModel\n"
-        "assert ScalingParams is thermo.ScalingParams\n"
-        "assert TransportModel is thermo.TransportModel\n"
-        "assert default_transport is thermo.default_transport\n"
-        "assert gas_from_expression is thermo.gas_from_expression\n"
-        "assert isinstance(ideal_gas(), GasModel)\n"
-        "try:\n"
-        "    nsflab.no_such_name\n"
-        "except AttributeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise AssertionError('nsflab.no_such_name resolved')\n"
+        "assert isinstance(thermo.ideal_gas(), thermo.GasModel)\n"
     )
     _run_fresh(code)

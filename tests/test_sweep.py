@@ -18,6 +18,7 @@ from nsflab import config as cfgmod
 from nsflab import diagnostics as diag
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
+from nsflab import manifest as mf
 from nsflab import nsf_solver as ns
 from nsflab import sweep as sweepmod
 from nsflab import thermo
@@ -81,7 +82,7 @@ def test_scaling_path_rejects_bad_values():
 
 
 def _manifest(records):
-    return sweepmod.SweepManifest(
+    return mf.SweepManifest(
         alpha=0.55, beta=1.2, gamma=0.1,
         a_values=tuple(r.a for r in records),
         config_hash="cfg", grid_hash="grid", reference_key="ref",
@@ -91,7 +92,7 @@ def _manifest(records):
 
 
 def _record(a, e_sup, envelope, e_init=0.0, healthy=True, reason=""):
-    return sweepmod.RunRecord(
+    return mf.RunRecord(
         run_id=sweepmod.run_id_for(a), a=a, healthy=healthy, reason=reason,
         e_init=e_init, e_sup=e_sup, envelope=envelope, max_excess=0.0)
 
@@ -100,7 +101,7 @@ def test_fit_constant_ratio_no_flag():
     envs = (0.8, 0.7, 0.6)
     man = _manifest([_record(a, 2.0 * e, e)
                      for a, e in zip((1e-2, 1e-3, 1e-4), envs)])
-    fit = sweepmod.fit_rate(man)
+    fit = mf.fit_rate(man)
     assert fit.ratios == (2.0, 2.0, 2.0)
     assert fit.fitted_constant == 2.0
     assert not fit.flagged
@@ -110,19 +111,19 @@ def test_fit_flags_growing_ratios():
     envs = (1e-2, 1e-4, 1e-6)
     man = _manifest([_record(a, math.sqrt(e), e)
                      for a, e in zip((1e-2, 1e-3, 1e-4), envs)])
-    fit = sweepmod.fit_rate(man)
+    fit = mf.fit_rate(man)
     assert fit.ratios[-1] > 100.0 * fit.ratios[0]
     assert fit.flagged
 
 
 def test_fit_zero_handling():
     man = _manifest([_record(a, 0.0, 0.5) for a in (1e-2, 1e-3)])
-    fit = sweepmod.fit_rate(man)
+    fit = mf.fit_rate(man)
     assert fit.ratios == (0.0, 0.0) and fit.fitted_constant == 0.0
     assert not fit.flagged
     # a ratio that appears out of nothing is unbounded growth
     man = _manifest([_record(1e-2, 0.0, 0.5), _record(1e-3, 0.1, 0.5)])
-    assert sweepmod.fit_rate(man).flagged
+    assert mf.fit_rate(man).flagged
 
 
 def test_fit_excludes_unhealthy_and_needs_two():
@@ -131,15 +132,15 @@ def test_fit_excludes_unhealthy_and_needs_two():
         _record(1e-3, float("nan"), 0.45, healthy=False, reason="aborted"),
         _record(1e-4, 0.9, 0.4),
     ]
-    fit = sweepmod.fit_rate(_manifest(records))
+    fit = mf.fit_rate(_manifest(records))
     assert fit.a_values == (1e-2, 1e-4) and len(fit.ratios) == 2
     with pytest.raises(UsageError, match="at least two healthy"):
-        sweepmod.fit_rate(_manifest(records[:2]))
+        mf.fit_rate(_manifest(records[:2]))
 
 
 def test_fit_report_text():
     man = _manifest([_record(a, 2.0 * e, e) for a, e in zip((1e-2, 1e-3), (0.8, 0.7))])
-    text = sweepmod.fit_rate(man).to_text()
+    text = mf.fit_rate(man).to_text()
     assert "fitted_constant 2.0" in text and "flagged False" in text
 
 
@@ -147,8 +148,8 @@ def test_manifest_round_trip(tmp_path):
     man = _manifest([_record(1e-2, 1.0, 0.5),
                      _record(1e-3, float("nan"), 0.4, healthy=False, reason="x")])
     path = tmp_path / "manifest.json"
-    sweepmod.write_manifest(man, path)
-    back = sweepmod.read_manifest(path)
+    mf.write_manifest(man, path)
+    back = mf.read_manifest(path)
     assert back.a_values == man.a_values
     assert back.records[0] == man.records[0]
     assert not back.records[1].healthy and back.records[1].reason == "x"
@@ -197,7 +198,7 @@ def test_sweep_records_and_fit(tiny_sweep):
 
 def test_sweep_outputs_on_disk(tiny_sweep):
     _, out, manifest = tiny_sweep
-    assert sweepmod.read_manifest(out / "manifest.json") == manifest
+    assert mf.read_manifest(out / "manifest.json") == manifest
     plot = (out / "plot_rate.dat").read_text().splitlines()
     assert plot[0] == "# a envelope e_sup e_sup_over_envelope"
     assert len(plot) == 3
@@ -418,7 +419,7 @@ def test_sweep_keeps_unhealthy_runs_out_of_fit(tmp_path):
     assert not (rdir / "relenergy.csv").exists()
     assert len((out / "plot_rate.dat").read_text().splitlines()) == 2
     with pytest.raises(UsageError, match="at least two healthy"):
-        sweepmod.fit_rate(manifest)
+        mf.fit_rate(manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ def _sequential_sweep(cfg, out_dir):
     records = tuple(sweepmod._point_record(reference, a, mapping, traj, out)
                     for a, mapping, traj in zip(a_values, mappings, trajs))
     healthy = [r for r in records if r.healthy]
-    manifest = sweepmod.SweepManifest(
+    manifest = mf.SweepManifest(
         alpha=path.alpha, beta=path.beta, gamma=path.gamma,
         a_values=a_values,
         config_hash=sweepmod._hash16(cfgmod.render(ref_mapping)),
@@ -459,10 +460,10 @@ def _sequential_sweep(cfg, out_dir):
         reference_key=ref_key, t_safe=float(t_safe), records=records,
         fitted_constant=float("nan"), flagged=False)
     if len(healthy) >= 2:
-        fit = sweepmod.fit_rate(manifest)
+        fit = mf.fit_rate(manifest)
         manifest = replace(manifest, fitted_constant=fit.fitted_constant,
                            flagged=fit.flagged)
-    sweepmod.write_manifest(manifest, out / "manifest.json")
+    mf.write_manifest(manifest, out / "manifest.json")
     lines = ["# a envelope e_sup e_sup_over_envelope"]
     for r in healthy:
         lines.append(f"{r.a!r} {r.envelope!r} {r.e_sup!r} {r.e_sup / r.envelope!r}")
