@@ -16,8 +16,9 @@ repeats is reported, in microseconds per call.  The layers:
 - `relative_energy`: one instant's relative-energy integral against a
   perturbed copy of the state;
 - `stable_dt`, `apply_floors`: the step bound and one stage's floor pass;
-- `nsf_step`: one lone step as the time loop takes it (`stable_dt`,
-  `step`, `recover_temperature`);
+- `nsf_step`: one lone step as the time loop takes it (`nsf_solver._advance`:
+  `stable_dt`, the three stages with their floor passes, and the accepted
+  state's temperature);
 - `nsf_step.batch3`: the same step of the default sweep's three path
   points (a = 1e-2, 1e-3, 1e-4 on the same path) advanced as one batch,
   as `simulate_batch` packs them;
@@ -67,19 +68,13 @@ def _cases(cells: int, tmp: str) -> dict:
     other = (state.rho * 1.001, theta * 0.999, u + 1e-3)
 
     def nsf_step():
-        dt = min(ns.stable_dt(state, theta, config), config.t_end - state.time)
-        s = ns.step(state, dt, config, stats=ns.StepStats(), theta=theta)
-        ns.recover_temperature(s.rho, s.mom, s.etot, gas, A)
+        ns._advance(state, theta, config, ns.StepStats())
 
     batch, batch_theta, batch_config = ns._pack(
         [ns._Member(replace(config, scaling=sc), fields) for sc in scalings])
 
     def nsf_step_batch3():
-        dt = np.minimum(ns.stable_dt(batch, batch_theta, batch_config),
-                        batch_config.t_end - batch.time)
-        s = ns.step(batch, dt, batch_config, stats=[ns.StepStats() for _ in PATH],
-                    theta=batch_theta)
-        ns.recover_temperature(s.rho, s.mom, s.etot, gas, batch_config.scaling.a)
+        ns._advance(batch, batch_theta, batch_config, [ns.StepStats() for _ in PATH])
 
     W = state.W.copy()
     series = Path(tmp) / str(cells)

@@ -627,10 +627,12 @@ def _cache_paths(cache_dir, key):
     return root, os.path.join(root, "manifest.txt")
 
 
-def check_cache_entry(cache_dir, key) -> None:
-    """UsageError when the cache entry of key is one the cache can neither
-    read nor write: a file where the cache's or the entry's directory goes,
-    or a directory where its manifest.txt, manifest.txt.tmp or a snapshot goes."""
+def check_cache_entry(cache_dir, key) -> bool:
+    """Whether the cache entry of key holds a stored run (its manifest.txt).
+
+    UsageError when the entry is one the cache can neither read nor write:
+    a file where the cache's or the entry's directory goes, or a directory
+    where its manifest.txt, manifest.txt.tmp or a snapshot goes."""
     root, manifest = _cache_paths(cache_dir, key)
     for d in (str(cache_dir), root):
         if os.path.exists(d) and not os.path.isdir(d):
@@ -640,6 +642,7 @@ def check_cache_entry(cache_dir, key) -> None:
         if os.path.isdir(p):
             raise UsageError(f"{p} is a directory, where the reference cache keeps "
                              "a file; remove it")
+    return os.path.isfile(manifest)
 
 
 def _store_cached(config, traj, cache_dir, key):

@@ -144,7 +144,10 @@ class FluidState:
     total energy along its first axis; rho, mom and etot are views into it.
     `FluidState(rho, mom, etot, time)` stacks the three parts into a new W;
     `FluidState.stacked(W, time)` keeps the given W without copying it.
-    Both validate the fields; `FluidState.stage(W, time)` keeps W as
+    Both validate the fields; `FluidState.stacked(W, time, positive=True)`
+    checks only that they are finite, where the caller has proven
+    rho > 0 and etot > |mom|^2 / (2 rho) wherever they are (a floor pass,
+    `nsf_solver._floor_pass`).  `FluidState.stage(W, time)` keeps W as
     `stacked` does but checks only its shape and times (a Runge-Kutta
     stage, whose fields the next temperature recovery checks).
 
@@ -171,9 +174,9 @@ class FluidState:
         self._check_fields()
 
     @classmethod
-    def stacked(cls, W, time: float = 0.0) -> "FluidState":
+    def stacked(cls, W, time: float = 0.0, positive: bool = False) -> "FluidState":
         state = cls.stage(W, time)
-        state._check_fields()
+        state._check_fields(positive)
         return state
 
     @classmethod
@@ -193,24 +196,26 @@ class FluidState:
         self.W = W
         self.time = np.asarray(time, dtype=float) if batch else float(time)
 
-    def _check_fields(self):
+    def _check_fields(self, positive=False):
         W = self.W
-        if not np.isfinite(W).all():
+        if np.count_nonzero(np.isfinite(W)) != W.size:
             raise PositivityError("non-finite values in fluid state")
+        if positive:  # rho > 0 and etot > |mom|^2 / (2 rho) are the caller's proof
+            return
         rho, mom, etot = W[0], W[1:-1], W[-1]
         occupied = rho > 0.0
-        vacuum = not occupied.all()
+        vacuum = np.count_nonzero(occupied) != occupied.size
         if vacuum:
-            if (rho < 0.0).any():
+            if np.count_nonzero(rho < 0.0):
                 raise PositivityError("negative density", state=self)
-            if (~occupied & (mom != 0.0).any(axis=0)).any():
+            if np.count_nonzero(~occupied & np.logical_or.reduce(mom != 0.0, axis=0)):
                 raise PositivityError("momentum in a vacuum cell", state=self)
         ke = _kinetic(rho, mom, occupied if vacuum else None)
         slack = np.abs(etot)
         np.maximum(1.0, slack, out=slack)
         slack *= 1e-12
         slack += etot  # etot + 1e-12 max(1, |etot|)
-        if (slack < ke).any():
+        if np.count_nonzero(slack < ke):
             raise PositivityError("total energy below kinetic energy", state=self)
 
     @property

@@ -18,18 +18,26 @@ reference in `euler_reference`.
 
 `recover_temperature` is the one path from conservative fields to theta in
 both solvers: etot minus `grid_fields._kinetic`, then the package's one
-inversion, `thermo.admissible_temperature`.  The time loop recovers each accepted state's theta once and
-passes it to `stable_dt`, the first RK stage of the next step,
-`entropy_production` and the recorded diagnostics.  A `Trajectory` stacks
-its stored states in one `W` (`grid_fields.StoredRun`) and their thetas in
-one array of shape (instants, *cells), each stacked once when the run ends.
+inversion, `thermo.admissible_temperature`.  The time loop recovers each
+accepted state's theta once and passes it to `stable_dt`, the first RK
+stage of the next step, `entropy_production` and the recorded
+diagnostics.  A `Trajectory` stacks its stored states in one `W`
+(`grid_fields.StoredRun`) and their thetas in one array of shape
+(instants, *cells), each stacked once when the run ends.
 
-Each check runs once, where the value it checks is formed:
-`recover_temperature`'s internal energy proves rho > 0 and e > 0 (naming
-the first bad cell), `_face_states` proves the same of the faces, and
-the one inversion entry behind both, `thermo.admissible_temperature`,
-checks only finiteness; `stable_dt` takes a recovered theta, so it checks
-nothing again.  What every step of a run reads from its config (the
+Each check runs once, where the value it checks is formed, as one
+`np.count_nonzero`: `recover_temperature`'s internal energy proves rho > 0
+and e > 0 (naming the first bad cell), `_face_states` proves the same of
+the faces, and the one inversion entry behind both,
+`thermo.admissible_temperature`, checks only finiteness; `stable_dt`
+takes a recovered theta, so it checks nothing again.  The floor pass of
+each stage (`_floor_pass`) forms the internal energy of the floored
+state, and where no cell is cold it proves rho >= rho_floor > 0 and
+e >= e_min > 0: the next recovery, of the stage or of the accepted state,
+inverts that array with no check but finiteness.  Each stage inverts its
+cells (from the second stage on) and every axis's faces in one call
+(`_convective`), each member's part its own segment, so a step makes four
+inversions: three stages and the accepted state.  What every step of a run reads from its config (the
 reconstruction order, which dissipation terms run, the spacings, the
 floor energy's coefficients, the scalings as arrays) is resolved on the
 config's first step (`_Kernel`); `_pack` builds one config per batch
@@ -125,6 +133,10 @@ class _Kernel:
         self.nu, self.lam = np.asarray(sc.nu), np.asarray(sc.lam)
         self.omega, self.neg_omega = np.asarray(sc.omega), np.asarray(-sc.omega)
         self.rho_floor = np.asarray(config.positivity_floor[0])
+        # a floor pass's hits where none is below the density floor: the
+        # reduction of a member field's mask with no cell set
+        self.no_hits = np.add.reduce(np.zeros(np.shape(sc.a)[:1] + grid.cells, dtype=bool),
+                                     axis=self.axes)
         # the floor temperature as a 0-d array: its powers then run numpy's
         # array loops, as on a full field of it, whose bits can differ from
         # those of Python's scalar powers; e_min = c P(rho z) + r is
@@ -132,6 +144,12 @@ class _Kernel:
         theta_floor = np.asarray(config.positivity_floor[1])
         self.floor_energy = tuple(np.asarray(v) for v in (
             1.5 * theta_floor ** 2.5, theta_floor ** -1.5, sc.a * theta_floor ** 4))
+        # whether e_min > 0 wherever rho >= rho_floor: for the ideal law's
+        # P(Z) = Z, e_min >= scale (rho_floor z_floor) + radiation, rounding
+        # being monotone and the radiation term nonnegative (`_floor_pass`)
+        scale, z_floor, _ = self.floor_energy
+        self.floor_proves = (config.gas.P is thermo._ideal_P
+                             and bool(scale * (self.rho_floor * z_floor) > _0D[0.0]))
 
 
 @dataclass
@@ -171,26 +189,30 @@ def state_from_primitives(gas: thermo.GasModel, a: float, initial) -> gf.FluidSt
 def _internal_energy(rho, mom, etot, sides=0):
     """etot minus the kinetic energy; PositivityError names the first cell
     with rho <= 0 or e_int <= 0, without its first `sides` axes."""
-    if (rho <= _0D[0.0]).any():
+    if np.count_nonzero(rho <= _0D[0.0]):
         where = tuple(int(i) for i in np.argwhere(rho <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive density at cell {where}", where=where)
     e_int = gf._kinetic(rho, mom)
     np.subtract(etot, e_int, e_int)  # etot - 0.5 sum(mom^2) / rho
-    if (e_int <= _0D[0.0]).any():
+    if np.count_nonzero(e_int <= _0D[0.0]):
         where = tuple(int(i) for i in np.argwhere(e_int <= 0.0)[0][sides:])
         raise PositivityError(f"non-positive internal energy at cell {where}", where=where)
     return e_int
 
 
-def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float):
+def recover_temperature(rho, mom, etot, gas: thermo.GasModel, a: float, e_int=None):
     """Temperature from conservative field arrays; aborts naming the first bad cell.
 
     `_internal_energy` proves rho > 0 and e_int > 0 (PositivityError
     otherwise), so the inversion checks only finiteness
-    (`thermo.admissible_temperature`, DomainError).  For a batch, a holds
-    one value per member.
+    (`thermo.admissible_temperature`, DomainError).  `e_int`, when given,
+    is etot minus the kinetic energy as a floor pass formed it and proved
+    positive (`_floor_pass`), so it is not formed or checked again.  For a
+    batch, a holds one value per member.
     """
-    return thermo.admissible_temperature(gas, a, rho, _internal_energy(rho, mom, etot))
+    if e_int is None:
+        e_int = _internal_energy(rho, mom, etot)
+    return thermo.admissible_temperature(gas, a, rho, e_int)
 
 
 # ---------------------------------------------------------------------------
@@ -270,27 +292,27 @@ def _face_states(W, n, order):
         np.subtract(WLR[-1], e_int, e_int)
         bad = rho <= _0D[0.0]
         bad |= e_int <= _0D[0.0]
-        if not bad.any():
+        if not np.count_nonzero(bad):
             return WLR, e_int
         np.copyto(WLR[:, 0], WL1, where=bad[0])
         np.copyto(WLR[:, 1], WR1, where=bad[1])
     return WLR, _internal_energy(WLR[0], WLR[1:-1], WLR[-1], 1)
 
 
-def _rusanov(gas, a, WLR, e_int, ax, dx):
+def _rusanov(gas, a, WLR, theta, ax, dx):
     """Rusanov flux differences along the last axis, divided by dx: minus
     the axis's contribution to dW/dt.
 
-    WLR and e_int are `_face_states`'s; one closure call serves both
-    sides and checks only what `_face_states` has not proven
-    (`thermo.face_closures`).  The flux sums both sides component by
+    WLR are `_face_states`'s and theta their temperature; one closure call
+    serves both sides, bitwise `thermo.face_closures`, and checks only
+    c_v (`thermo._closures_at`).  The flux sums both sides component by
     component, in the order of F(left) + F(right) with
     F = (m_n, m u_n + p e_n, (E + p) u_n), and the dissipation
     0.5 max(|u_n| + c) (right - left) is applied in place.
     """
     rho = WLR[0]
     mn = WLR[1 + ax]
-    _, p, c = thermo.face_closures(gas, a, rho, e_int)
+    _, p, c = thermo._closures_at(gas, a, rho, theta)
     np.sqrt(c, c)
     un = mn / rho
     F = np.empty((WLR.shape[0], *un.shape[1:]))
@@ -316,16 +338,45 @@ def _rusanov(gas, a, WLR, e_int, ax, dx):
     return dF
 
 
-def _convective(gas, a, grid, W_g, order):
+def _convective(gas, a, grid, W_g, order, cells=None):
+    """(minus the flux divergence, the cells' theta): the Rusanov fluxes of
+    every axis's faces, and with `cells` = (rho, e_int) the temperature of
+    the cells, otherwise None.
+
+    The cells and every axis's faces are inverted in one call
+    (`thermo.admissible_temperature`), one segment per part and member.
+    When that or a face's check fails, the parts are recovered again one
+    at a time (`_recover_in_order`), so that what raises is what separate
+    recoveries raise first.
+    """
     dim = grid.dim
+    try:
+        faces = [_face_states(gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH), grid.cells[ax], order)
+                 for ax in range(dim)]
+        parts = ([] if cells is None else [cells]) + [(WLR[0], e_int) for WLR, e_int in faces]
+        rhos, es = zip(*parts)
+        thetas = thermo.admissible_temperature(gas, a, rhos, es)
+    except (PositivityError, DomainError):
+        _recover_in_order(gas, a, grid, W_g, order, cells)
+        raise
     out = np.zeros(W_g.shape[:-dim] + grid.cells)
-    for ax in range(dim):
-        W = gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH)
-        WLR, e_int = _face_states(W, grid.cells[ax], order)
+    for ax, (WLR, _) in enumerate(faces):
         # out - dF is out + (-dF) bitwise; swapping back undoes axis_strip's swap
         o = out.swapaxes(-1, ax - dim)
-        np.subtract(o, _rusanov(gas, a, WLR, e_int, ax, grid.spacing[ax]), o)
-    return out
+        np.subtract(o, _rusanov(gas, a, WLR, thetas[ax - dim], ax, grid.spacing[ax]), o)
+    return out, None if cells is None else thetas[0]
+
+
+def _recover_in_order(gas, a, grid, W_g, order, cells):
+    """`_convective`'s recoveries one at a time, in the order of their
+    checks: the cells, then each axis's faces with their closures
+    (`thermo.face_closures`); raises what the first failing check raises."""
+    if cells is not None:
+        thermo.admissible_temperature(gas, a, *cells)
+    for ax in range(grid.dim):
+        WLR, e_int = _face_states(gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH),
+                                  grid.cells[ax], order)
+        thermo.face_closures(gas, a, WLR[0], e_int)
 
 
 def _face_avg(x):
@@ -402,11 +453,13 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         detot += _face_diff(flux, dx).swapaxes(-1, ax - dim)
 
 
-def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None):
+def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None, e_int=None):
     """Tendency dW/dt of the dissipative system, stacked like the state's W.
 
     The system has no body force.  `theta`, when given, is the state's
-    temperature, already recovered by the caller.  A batch state (see
+    temperature, already recovered by the caller.  Otherwise it is
+    recovered as `recover_temperature` recovers it, `e_int` included, in
+    the one inversion of the faces (`_convective`).  A batch state (see
     `simulate_batch`) advances every member with its own scaling values.
     """
     grid = config.grid
@@ -414,11 +467,15 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None):
     sc = config.scaling
     k = config._kernel
 
+    cells = None
     if theta is None:
-        theta = recover_temperature(state.rho, state.mom, state.etot, gas, sc.a)
+        rho = state.rho
+        cells = (rho, _internal_energy(rho, state.mom, state.etot) if e_int is None else e_int)
     W_g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
 
-    out = _convective(gas, sc.a, grid, W_g, k.order)
+    out, cell_theta = _convective(gas, sc.a, grid, W_g, k.order, cells)
+    if theta is None:
+        theta = cell_theta
     dmom = out[1:-1]
     detot = out[-1]
 
@@ -453,7 +510,7 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
     """
     sc = config.scaling
     k = config._kernel
-    batch = np.ndim(state.time) > 0
+    batch = isinstance(state.time, np.ndarray)  # FluidState keeps a lone time as a float
     rho = state.rho
     # the closures' private body serves, with no second check; its c_v is
     # the one of the diffusive bound below, bitwise
@@ -482,17 +539,32 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
         dt = np.minimum(dt, np.divide(k.dx2, 2.0 * k.dim * d_max,
                                       out=np.full_like(d_max, np.inf), where=d_max > _0D[0.0]))
     dt = dt * config.cfl
-    if not ((dt > 0.0) & np.isfinite(dt)).all():
+    if batch:
+        admissible = np.count_nonzero((dt > 0.0) & np.isfinite(dt)) == dt.size
+    else:
+        dt = float(dt)
+        admissible = dt > 0.0 and math.isfinite(dt)
+    if not admissible:
         raise DomainError(f"stable_dt produced {dt}")
-    return dt if batch else float(dt)
+    return dt
 
 
-def _apply_floors(W, config: NsfRunConfig):
-    """Clip density and temperature of the stacked W from below, in place;
-    returns the number of hits, one count per member for a batch."""
+def _floor_pass(W, config: NsfRunConfig):
+    """Clip density and temperature of the stacked W from below, in place:
+    (hits, e_int), with the number of hits one count per member for a batch.
+
+    The pass forms W's internal energy e_int = etot - |mom|^2 / (2 rho),
+    bitwise `recover_temperature`'s, to find the cold cells.  Where none is
+    cold and the floor energy is provably positive (`_Kernel.floor_proves`),
+    every cell has rho >= rho_floor > 0 and e_int >= e_min > 0, or a NaN
+    that the inversion's finiteness check catches, and e_int is handed
+    over; otherwise it is None, and the next recovery forms and checks its
+    own.
+    """
     k = config._kernel
     rho = W[0]
-    hits = np.add.reduce(rho < k.rho_floor, axis=k.axes)
+    below = rho < k.rho_floor
+    hits = np.add.reduce(below, axis=k.axes) if np.count_nonzero(below) else k.no_hits
     np.maximum(rho, k.rho_floor, out=rho)
     ke = gf._kinetic(rho, W[1:-1])
     e_int = W[-1] - ke
@@ -501,10 +573,16 @@ def _apply_floors(W, config: NsfRunConfig):
     e_min = scale * thermo._P_at(config.gas, rho * z_floor)
     e_min += radiation
     cold = e_int < e_min
-    hits = hits + np.add.reduce(cold, axis=k.axes)
-    if cold.any():
+    if np.count_nonzero(cold):
+        hits = hits + np.add.reduce(cold, axis=k.axes)
         W[-1] = np.where(cold, ke + e_min, W[-1])
-    return hits
+        return hits, None
+    return hits, e_int if k.floor_proves else None
+
+
+def _apply_floors(W, config: NsfRunConfig):
+    """`_floor_pass`'s number of hits alone."""
+    return _floor_pass(W, config)[0]
 
 
 def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
@@ -517,7 +595,9 @@ def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
     (`FluidState.stage`): a non-finite or non-positive value there reaches
     `rhs`, whose temperature recovery raises DomainError or
     PositivityError on it.  The returned state, the accepted one, is
-    validated (`FluidState.stacked`).  For a batch state, dt holds one
+    validated (`FluidState.stacked`), for finiteness alone where
+    `stage_map` returned true: that it proved its density and internal
+    energy positive wherever W is finite.  For a batch state, dt holds one
     step per member, shaped like its times.
     """
     def new_W(s, frac_old):
@@ -526,14 +606,13 @@ def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
         if frac_old > 0.0:
             W *= 1.0 - frac_old
             W += frac_old * state.W              # frac_old W_0 + (1 - frac_old) W
-        if stage_map is not None:
-            stage_map(W)
-        return W
+        return W, stage_map is not None and bool(stage_map(W))
 
     t = state.time
-    s1 = gf.FluidState.stage(new_W(state, 0.0), t + dt)
-    s2 = gf.FluidState.stage(new_W(s1, 0.75), t + 0.5 * dt)
-    return gf.FluidState.stacked(new_W(s2, 1.0 / 3.0), t + dt)
+    s1 = gf.FluidState.stage(new_W(state, 0.0)[0], t + dt)
+    s2 = gf.FluidState.stage(new_W(s1, 0.75)[0], t + 0.5 * dt)
+    W, positive = new_W(s2, 1.0 / 3.0)
+    return gf.FluidState.stacked(W, t + dt, positive)
 
 
 def step(state: gf.FluidState, dt, config: NsfRunConfig,
@@ -544,18 +623,36 @@ def step(state: gf.FluidState, dt, config: NsfRunConfig,
     stage.  `stats` is a StepStats, or for a batch state a list of them,
     one per member; dt then holds one step per member.
     """
+    return _step(state, dt, config, stats, theta)[0]
+
+
+def _step(state, dt, config: NsfRunConfig, stats, theta):
+    """`step`: (the accepted state, its internal energy as its floor pass
+    handed it over, or None).  Each later stage's recovery takes the
+    internal energy of the floor pass that made the stage (`_floor_pass`),
+    and an accepted state whose floor pass proved it positive is checked
+    for finiteness alone (`ssp_rk3`)."""
     hits = 0
+    proven = (None, None)  # W and e_int of the latest floor pass
 
     def floors(W):
-        nonlocal hits
-        hits = hits + _apply_floors(W, config)
+        nonlocal hits, proven
+        h, e_int = _floor_pass(W, config)
+        hits = hits + h
+        proven = (W, e_int)
+        return e_int is not None
 
-    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, theta if s is state else None), floors)
+    def rhs(s):
+        if s is state:
+            return rhs_nsf(s, config, theta)
+        return rhs_nsf(s, config, e_int=proven[1] if proven[0] is s.W else None)
+
+    out = ssp_rk3(state, dt, rhs, floors)
     if stats is not None:
         cells = config._kernel.cells
         for st, h in zip(stats if isinstance(stats, list) else [stats], np.ravel(hits)):
             st.record(int(h), cells)
-    return out
+    return out, proven[1] if proven[0] is out.W else None
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +742,9 @@ def _advance(state, theta, config: NsfRunConfig, stats):
     aborts, (the last state reached, None, the error)."""
     try:
         dt = np.minimum(stable_dt(state, theta, config), config.t_end - state.time)
-        state = step(state, dt, config, stats=stats, theta=theta)
+        state, e_int = _step(state, dt, config, stats, theta)
         theta = recover_temperature(state.rho, state.mom, state.etot, config.gas,
-                                    config.scaling.a)
+                                    config.scaling.a, e_int)
     except (PositivityError, DomainError) as err:
         return state, None, err
     return state, theta, None

@@ -9,7 +9,8 @@ to that horizon.  The reference runs in a worker process while the batch
 advances towards the requested end time.  The worker writes the reference
 into reference-cache/, the one channel between the two: once it has
 ended, the batch loads the reference there and, if its horizon is
-shorter, stops and runs again to that horizon.  A sweep refuses an output
+shorter, stops and runs again to that horizon; a reference already in the cache is read first, and
+the batch runs straight to its horizon.  A sweep refuses an output
 directory whose runs/ holds a directory that is no run of its path, or
 where a regular file stands in for a directory it writes or a directory
 for a file.
@@ -303,8 +304,12 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
     `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
     sweep of that point alone writes.  Records are assembled in path order.
 
-    The batch advances speculatively to the requested t_end while the
-    reference runs in a worker process (`multiprocessing`, the platform's
+    A reference already in the cache (the entry's manifest.txt exists) is
+    loaded here before anything is written, so that a damaged entry fails
+    with nothing written and no batch run; the batch then runs straight to
+    its horizon t_safe, and no worker starts.  Otherwise the batch advances
+    speculatively to the requested t_end while the reference runs in a
+    worker process (`multiprocessing`, the platform's
     default start method), started once the batch has passed its entry
     checks (the points' initial data).  The worker writes the
     reference into reference-cache/; once it has ended, the batch loads it
@@ -340,7 +345,14 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
     ref_state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
     ref_key = er.reference_key(ref_cfg, ref_state)
     cache_dir = out / "reference-cache"
-    er.check_cache_entry(cache_dir, ref_key)
+    loaded = []  # (reference, its lifespan report), once loaded or computed
+
+    def load_reference():
+        reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
+        loaded.append((reference, er.lifespan_monitor(reference)))
+
+    if er.check_cache_entry(cache_dir, ref_key):
+        load_reference()
     out.mkdir(parents=True, exist_ok=True)
 
     (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
@@ -352,11 +364,6 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
                 scenario.fields(run_cfg.grid))
 
     worker = None  # the worker process; False when it could not start
-    loaded = []    # (reference, its lifespan report), once the worker has ended
-
-    def load_reference():
-        reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
-        loaded.append((reference, er.lifespan_monitor(reference)))
 
     def stop_batch() -> bool:
         nonlocal worker
@@ -374,19 +381,21 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
             load_reference()
         return bool(loaded) and loaded[0][1].usable_until < t_end
 
-    try:
-        speculative = ns.simulate_batch(*point_inputs(t_end), stop=stop_batch)
-    except Exception:
-        if worker is None:  # the entry checks failed
+    speculative = None  # the batch to t_end, run while the worker computes the reference
+    if not loaded:
+        try:
+            speculative = ns.simulate_batch(*point_inputs(t_end), stop=stop_batch)
+        except Exception:
+            if worker is None:  # the entry checks failed
+                raise
+            # past the horizon a batch may fail where the one to the horizon
+            # does not; the batch below raises what belongs to the sweep
+            speculative = None
+        except BaseException:
+            if worker:
+                worker.terminate()
+                worker.join()
             raise
-        # past the horizon a batch may fail where the one to the horizon
-        # does not; the batch below raises what belongs to the sweep
-        speculative = None
-    except BaseException:
-        if worker:
-            worker.terminate()
-            worker.join()
-        raise
     if worker:
         worker.join()
     if not loaded:

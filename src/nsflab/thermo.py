@@ -353,7 +353,7 @@ def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
     stab -= _0D[1.5] * z if dP is None else _0D[1.5] * z * dP
     cv = _0D[1.5] * stab
     cv /= z
-    if (np.asarray(cv) <= _0D[0.0]).any():
+    if np.count_nonzero(cv <= _0D[0.0]):
         raise ModelViolationError("c_v <= 0: closure violates thermal stability")
     num = theta ** 1.5 * stab
     num += np.asarray(4.0 * a / 3.0) * theta3
@@ -382,10 +382,10 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
     f_lo = F(rho, e, lo)
     for _ in range(400):
         m = f_lo >= 0.0
-        if not np.any(m):
+        if not np.count_nonzero(m):
             break
         lo[m] *= 0.5
-        if np.any(lo[m] < 1e-120):
+        if np.count_nonzero(lo[m] < 1e-120):
             raise DomainError(
                 "no positive temperature: energy density at or below the "
                 "zero-temperature compression bound"
@@ -397,7 +397,7 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
     f_hi = F(rho, e, hi)
     for _ in range(400):
         m = f_hi <= 0.0
-        if not np.any(m):
+        if not np.count_nonzero(m):
             break
         hi[m] *= 2.0
         f_hi[m] = F(rho[m], e[m], hi[m])
@@ -416,35 +416,36 @@ def _invert_molecular(gas, a, rho, e, rtol, max_iter):
         new = np.where(off, 0.5 * (lo + hi), new)
         done = np.abs(new - th) <= rtol * np.abs(new)
         th = new
-        if np.all(done):
+        if np.count_nonzero(done) == done.size:
             return th
     raise DomainError(f"bracketed temperature inversion did not converge in {max_iter} steps")
 
 
-def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
+def _invert_ideal(a, rho, e, rtol, max_iter, starts=None):
     # 1.5 rho theta + a theta^4 = e; both terms are nonnegative, so each of
     # e/(1.5 rho) and (e/a)^{1/4} bounds the root from above, and on a convex
     # increasing left side Newton iterates from above fall monotonically.
-    # With `axis`, a holds one value per member along that axis of rho (its
-    # own first axis) and each member stops at its own convergence: the
-    # members that converge leave the iteration with the iterate that
-    # stopped them, so none takes a step the others need.
+    # a is a float, or an array that broadcasts against rho.  With
+    # `starts`, the offsets of segments in the flattened arrays (see
+    # _segments), each segment stops at its own convergence: one count over
+    # the whole array tells whether all, none or some elements converged,
+    # and only in the last case does one reduceat find the segments that
+    # did; those leave the live arrays, which are flat from then on, with
+    # the iterate that stopped them, so none takes a step the others need.
     # Each Newton step is new = th - (th (c + at3) - e) / (c + 4 at3) with
     # at3 = a th^3, and done where |new - th| <= rtol new, computed in place
     # on three buffers in the same operations (products and sums commute),
     # each ufunc given its output positionally and its scalars as 0-d
     # arrays (see _0D)
-    if (a == 0.0) if axis is None else not a.any():
+    if (not np.count_nonzero(a)) if isinstance(a, np.ndarray) else a == 0.0:
         return e / (1.5 * rho)
     mul, add, sub = np.multiply, np.add, np.subtract
-    c = 1.5 * rho
+    c = _0D[1.5] * rho
     th = np.minimum(e / c, (e / a) ** 0.25)
     a, four, rtol = np.asarray(a), _0D[4.0], np.asarray(rtol)
-    if axis is not None:
-        out = np.empty_like(th)
-        live = np.arange(th.shape[axis])
-        others = tuple(i for i in range(th.ndim) if i != axis)
-    new, f, df = np.empty((3, *th.shape))
+    shape = th.shape
+    out = live = None  # once a segment has left: the flat result, and where the live elements go
+    new, f, df = np.empty((3, *shape))
     for _ in range(max_iter):
         mul(a, th, f)
         mul(f, th, f)
@@ -460,49 +461,96 @@ def _invert_ideal(a, rho, e, rtol, max_iter, axis=None):
         np.abs(f, f)
         mul(new, rtol, df)
         done = f <= df
-        if axis is None:
-            if done.all():
+        count = np.count_nonzero(done)
+        if count == done.size:
+            if out is None:
                 return new
-        else:
-            done = done.all(axis=others)
-            if done.any():
-                out[(slice(None),) * axis + (live[done],)] = np.compress(done, new, axis=axis)
-                if done.all():
-                    return out
-                keep = ~done
-                live = live[keep]
-                th, c, e = (np.compress(keep, x, axis=axis) for x in (new, c, e))
-                a = np.compress(keep, a, axis=0)
-                new, f, df = np.empty((3, *th.shape))
+            out[live] = new
+            return out.reshape(shape)
+        if count and starts is not None and len(starts) > 1:
+            finished = np.logical_and.reduceat(done.reshape(-1), starts)
+            if np.count_nonzero(finished):
+                lengths = np.diff(starts, append=done.size)
+                leave = np.repeat(finished, lengths)
+                stay = ~leave
+                if out is None:
+                    out, live = np.empty(new.size), np.arange(new.size)
+                    if a.ndim:
+                        a = np.broadcast_to(a, shape)
+                out[live[leave]] = new.reshape(-1)[leave]
+                live, th, c, e = (x.reshape(-1)[stay] for x in (live, new, c, e))
+                if a.ndim:
+                    a = a.reshape(-1)[stay]
+                lengths = lengths[~finished]
+                starts = np.cumsum(lengths) - lengths
+                new, f, df = np.empty((3, th.size))
                 continue
         th, new = new, th
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
 
 
-def _invert(gas, a, rho, e):
+def _segments(a, rhos, es):
+    """The parts' rho and e side by side, each member's part one contiguous
+    segment: (a, both, starts, split).
+
+    both stacks rho and e, each with one row per member (one row without a
+    member axis) that holds that member's parts one after the other, and a
+    batch's a becomes one value per row.  starts lists the segments'
+    offsets in the flattened rows, and split(theta) gives back each part's
+    theta, shaped like its rho.  A part's member axis is rho.ndim - a.ndim.
+    """
+    if getattr(a, "ndim", 0) == 0:
+        members, axes, a = 1, [0] * len(rhos), float(a)
+    else:
+        members, axes = a.size, [r.ndim - a.ndim for r in rhos]
+        a = a.reshape(members, 1)
+    # each part as pieces of shape (members, width): the axes before its
+    # member axis lead, and each member's piece of one lead is contiguous
+    layout, row = [], 0
+    for r, ax in zip(rhos, axes):
+        layout.append((row, r.size // members, math.prod(r.shape[:ax]), r.shape))
+        row += r.size // members
+    if members == 1:
+        both = np.concatenate([x.reshape(-1) for x in (*rhos, *es)]).reshape(2, 1, row)
+    else:
+        both = np.empty((2, members, row))
+        for parts, out in ((rhos, both[0]), (es, both[1])):
+            pieces = []
+            for x, (_, _, lead, _) in zip(parts, layout):
+                pieces += list(x.reshape(lead, members, -1)) if lead > 1 else [x.reshape(members, -1)]
+            np.concatenate(pieces, axis=1, out=out)
+    starts = [k * row + offset for k in range(members) for offset, *_ in layout]
+
+    def split(theta):
+        parts = []
+        for offset, width, lead, shape in layout:
+            part = theta[:, offset:offset + width]
+            if lead > 1:  # contiguous again, for the closures that read it
+                part = np.ascontiguousarray(part.reshape(members, lead, -1).swapaxes(0, 1))
+            parts.append(part.reshape(shape))
+        return tuple(parts)
+
+    return a, both, starts, split
+
+
+def _finite(x) -> bool:
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
+def _invert(gas, a, rho, e, starts):
     """theta on finite arrays rho > 0, e > 0 to relative tolerance 1e-12 in
     at most 160 steps: the ideal law's Newton iteration (gas.law_text ==
-    "Z") or the bracketed one.  A float a serves every cell; an array a
-    holds one value per member, shaped to broadcast against rho, whose axis
-    rho.ndim - a.ndim is the member axis, and each member's theta is bitwise
-    the one of its own float a."""
-    if np.ndim(a) == 0:
-        if gas.law_text == "Z":
-            return _invert_ideal(float(a), rho, e, 1e-12, 160)
-        return _invert_molecular(gas, float(a), rho, e, 1e-12, 160)
-    axis = rho.ndim - a.ndim
+    "Z") or the bracketed one, each segment (see _segments) stopping at its
+    own convergence."""
     if gas.law_text == "Z":
-        return _invert_ideal(a, rho, e, 1e-12, 160, axis)
-    return _each_member(lambda ak, r, ek: _invert_molecular(gas, ak, r, ek, 1e-12, 160),
-                        a, rho, e, axis)
-
-
-def _each_member(invert, a, rho, e, axis):
-    """invert(a_k, rho_k, e_k) for each member k along rho's axis, with a_k a
-    float; the results stacked back on that axis."""
-    return np.stack([invert(float(ak), r, ek)
-                     for ak, r, ek in zip(np.ravel(a), np.moveaxis(rho, axis, 0),
-                                          np.moveaxis(e, axis, 0))], axis=axis)
+        return _invert_ideal(a, rho, e, 1e-12, 160, starts)
+    if starts is None:
+        return _invert_molecular(gas, a, rho, e, 1e-12, 160)
+    shape = rho.shape
+    a, rho, e = np.broadcast_to(a, shape).reshape(-1), rho.reshape(-1), e.reshape(-1)
+    ends = list(starts[1:]) + [rho.size]
+    return np.concatenate([_invert_molecular(gas, float(a[lo]), rho[lo:hi], e[lo:hi], 1e-12, 160)
+                           for lo, hi in zip(starts, ends)]).reshape(shape)
 
 
 def admissible_temperature(gas: GasModel, a, rho, e_density):
@@ -510,22 +558,37 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     whose rho > 0 and e_density > 0 the caller has proven.
 
     The package's one inversion: `nsf_solver.recover_temperature` (states
-    of both solvers), `face_closures` (the faces of `rhs_nsf`) and gate 6's
-    relative-energy check (the cells with rho > 0) call it.  The left side
-    is strictly increasing in theta, so the root is unique.  The ideal law
-    P(Z) = Z (gas.law_text == "Z") gives e / (1.5 rho) exactly at a = 0,
-    and at a > 0 Newton's method falling monotonically from an upper bound
-    (the left side is convex); any other law takes a bracketed Newton
-    iteration.  Both stop at relative tolerance 1e-12 and raise DomainError
-    if 160 steps do not reach it.  a is a float, or for a batch one value
-    per member, shaped to broadcast against rho, whose axis rho.ndim -
-    a.ndim is then the member axis; each member's theta is bitwise the one
-    inverted on that member alone.  Only finiteness is checked: DomainError
-    "non-finite inputs to temperature inversion" before any inversion.
+    of both solvers), the stages of `nsf_solver.rhs_nsf` (a stage's cells
+    and faces together) and gate 6's relative-energy check (the cells with
+    rho > 0) call it.  The left side is strictly increasing in theta, so
+    the root is unique.  The ideal law P(Z) = Z (gas.law_text == "Z")
+    gives e / (1.5 rho) exactly at a = 0, and at a > 0 Newton's method
+    falling monotonically from an upper bound (the left side is convex);
+    any other law takes a bracketed Newton iteration.  Both stop at
+    relative tolerance 1e-12 and raise DomainError if 160 steps do not
+    reach it.
+
+    a is a float, or for a batch one value per member, shaped to broadcast
+    against rho, whose axis rho.ndim - a.ndim is then the member axis.
+    rho and e_density are arrays, or tuples of arrays (parts), inverted in
+    one call that returns a tuple of thetas.  Each member of each part is a
+    segment that stops at its own convergence, so its theta is bitwise the
+    one inverted on that member's part alone: a lone array with a float a
+    is one segment, a batch one segment per member.  Only finiteness is
+    checked: DomainError "non-finite inputs to temperature inversion"
+    before any inversion.
     """
-    if not (np.isfinite(rho).all() and np.isfinite(e_density).all()):
+    parts = isinstance(rho, tuple)
+    if parts or getattr(a, "ndim", 0):
+        a, both, starts, split = _segments(a, rho if parts else (rho,),
+                                           e_density if parts else (e_density,))
+        if not _finite(both):
+            raise DomainError("non-finite inputs to temperature inversion")
+        thetas = split(_invert(gas, a, both[0], both[1], starts))
+        return thetas if parts else thetas[0]
+    if not (_finite(rho) and _finite(e_density)):
         raise DomainError("non-finite inputs to temperature inversion")
-    return _invert(gas, a, rho, e_density)
+    return _invert(gas, float(a), rho, e_density, None)
 
 
 def face_closures(gas: GasModel, a, rho, e_density):

@@ -57,8 +57,8 @@ def add_source(monkeypatch):
     def install(source):
         inner = ns.rhs_nsf
 
-        def forced(state, config, theta=None):
-            dW = inner(state, config, theta)
+        def forced(state, config, *args, **kwargs):
+            dW = inner(state, config, *args, **kwargs)
             f_rho, f_mom, f_etot = source(state.time)
             dW[0] += f_rho
             dW[1:-1] += f_mom

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import sweep, thermo
-from nsflab.errors import ConfigError, PositivityError, UsageError
+from nsflab.errors import ConfigError, DomainError, PositivityError, UsageError
 from nsflab.nsf_solver import state_from_primitives
 from test_step_oracle import _ref_temperature_from_energy
 
@@ -560,13 +560,12 @@ def test_simulate_uniform_rest_constant_diagnostics(ideal, transport):
 
 
 def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_calls):
-    # per step: three RHS stages, each inverting the stacked left and right
-    # face states of the one axis (`face_closures`) and, from the second
-    # stage on, its stage state (the first stage reuses the accepted state's
-    # theta), plus the accepted state; every one of them goes through the
-    # one inversion entry, `admissible_temperature`
+    # per step: three RHS stages, each inverting in one call the stacked left
+    # and right face states of the one axis and, from the second stage on,
+    # its stage state (the first stage reuses the accepted state's theta),
+    # plus the accepted state; every one of them goes through the one
+    # inversion entry, `admissible_temperature`
     calls = count_calls(thermo, "admissible_temperature")
-    face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.line(1.0, 16, "slip-wall")
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
     config = run_config(ideal, transport, grid, sc, t_end=0.05, output_stride=1)
@@ -575,16 +574,18 @@ def test_simulate_recovers_each_state_temperature_once(ideal, transport, count_c
                                 (0.1 * np.sin(np.pi * x))[None]))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(face_calls) == 3 * steps
-    assert len(calls) == 6 * steps + 1
+    assert len(calls) == 4 * steps + 1
+    # the stages' calls take their parts as tuples: cells and faces from
+    # the second stage on, the faces alone in the first
+    stages = [c[2] for c in calls if isinstance(c[2], tuple)]
+    assert [len(parts) for parts in stages] == [1, 2, 2] * steps
 
 
 def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls):
-    # per step: three RHS stages, each inverting one stacked face array per
-    # axis (`face_closures`) and, from the second stage on, its stage state,
+    # per step: three RHS stages, each inverting in one call one stacked
+    # face array per axis and, from the second stage on, its stage state,
     # plus the accepted state, all through `admissible_temperature`
     calls = count_calls(thermo, "admissible_temperature")
-    face_calls = count_calls(thermo, "face_closures")
     grid = gf.Grid.box((1.0, 1.0), (12, 10), ("slip-wall", "periodic"))
     sc = scaling(a=0.01, nu=0.02, omega=0.01, lam=0.1)
     config = run_config(ideal, transport, grid, sc, t_end=0.06, output_stride=1)
@@ -594,8 +595,9 @@ def test_simulate_2d_recovers_each_face_array_once(ideal, transport, count_calls
     traj = ns.simulate(config, (rho, np.ones(grid.cells), u))
     steps = len(traj.times) - 1
     assert steps > 2 and not traj.aborted
-    assert len(face_calls) == 6 * steps
-    assert len(calls) == 9 * steps + 1
+    assert len(calls) == 4 * steps + 1
+    stages = [c[2] for c in calls if isinstance(c[2], tuple)]
+    assert [len(parts) for parts in stages] == [2, 3, 3] * steps
 
 
 def test_face_states_name_the_face_without_its_side():
@@ -701,7 +703,7 @@ def test_convective_matches_the_reference_pipeline_bitwise(request, name, gas_na
     grid = ORACLE_GRIDS[name]
     state = _wavy_state(gas, a, grid, np.random.default_rng(len(name) + order))
     W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
-    got = ns._convective(gas, a, grid, W_g, order)
+    got, _ = ns._convective(gas, a, grid, W_g, order)
     want = _reference_convective(gas, a, grid, W_g, order)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -714,7 +716,7 @@ def test_convective_matches_the_reference_pipeline_bitwise_on_a_batch(request, g
     state = _wavy_state(gas, a, grid, np.random.default_rng(3), members=3)
     W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
     for order in (1, 2):
-        got = ns._convective(gas, a, grid, W_g, order)
+        got, _ = ns._convective(gas, a, grid, W_g, order)
         want = _reference_convective(gas, a, grid, W_g, order)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -737,9 +739,81 @@ def test_convective_matches_the_reference_pipeline_bitwise_where_faces_fall_back
     WLR, _ = ns._face_states(strip, grid.cells[0], 2)
     first = np.stack((strip[..., 1:-2], strip[..., 2:-1]), axis=1)
     assert np.array_equal(WLR[:, bad], first[:, bad])
-    got = ns._convective(ideal, 0.3, grid, W_g, 2)
+    got, _ = ns._convective(ideal, 0.3, grid, W_g, 2)
     want = _reference_convective(ideal, 0.3, grid, W_g, 2)
     assert got.tobytes() == want.tobytes()
+
+
+def _raised(fn, *args):
+    """(type, message, where) of what fn(*args) raises."""
+    with pytest.raises((DomainError, PositivityError)) as exc:
+        fn(*args)
+    return type(exc.value), str(exc.value), getattr(exc.value, "where", None)
+
+
+def test_convective_raises_what_separate_recoveries_raise_first(ideal):
+    # the cells and every axis's faces are inverted in one call; what fails
+    # raises what recovering them one at a time raises first
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    state = state_from_primitives(ideal, 0.3, (np.ones(8), np.ones(8), np.zeros((1, 8))))
+    W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
+    W_g[0, 5] = 0.0  # no density in ghost-frame cell 5: faces 3 and 4 fail their check
+    e_int = state.etot.copy()
+    e_int[6] = np.nan  # the cells' energy is not finite, and comes first
+    cells = (state.rho, e_int)
+    nan_first = (DomainError, "non-finite inputs to temperature inversion", None)
+    assert _raised(ns._convective, ideal, 0.3, grid, W_g, 2, cells) == nan_first
+    kind, message, where = _raised(ns._convective, ideal, 0.3, grid, W_g, 2)
+    assert kind is PositivityError and "non-positive density" in message and where == (4,)
+    assert (kind, message, where) == _raised(_reference_convective, ideal, 0.3, grid, W_g, 2)
+    # 2-D: a non-finite x-ghost reaches only the faces of axis 0, and a
+    # y-ghost without density only those of axis 1, which come second
+    box = gf.Grid.box((1.0, 1.0), (9, 8), ("slip-wall", "periodic"))
+    state = state_from_primitives(ideal, 0.3, (np.ones(box.cells), np.ones(box.cells),
+                                               np.zeros((2, *box.cells))))
+    W_g = gf.fill_ghosts_slip(state, box, depth=ns._GHOST_DEPTH)
+    W_g[1, 0, 3] = np.nan
+    W_g[0, 3, 1] = 0.0
+    got = _raised(ns._convective, ideal, 0.3, box, W_g, 2)
+    assert got == nan_first == _raised(_reference_convective, ideal, 0.3, box, W_g, 2)
+
+
+@pytest.mark.parametrize("members", [1, 3])
+def test_floor_pass_hands_over_the_stage_internal_energy(ideal, transport, members):
+    # a stage's theta from the floor pass's internal energy is bitwise
+    # recover_temperature's of the stage state; with a cold cell the pass
+    # hands nothing over and the recovery forms and checks its own
+    grid = gf.Grid.line(1.0, 24, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2))
+    x = gf.cell_centers(grid)[0]
+    initial = (1.0 + 0.05 * np.cos(np.pi * x), np.ones(24), (0.05 * np.sin(np.pi * x))[None])
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3, 1e-4)[:members]]
+    state, theta, config = ns._pack([ns._Member(c, initial) for c in configs])
+    a = config.scaling.a
+    for cold in (False, True):
+        W = 0.01 * ns.rhs_nsf(state, config, theta)
+        W += state.W  # a first stage, before its floor pass
+        if cold:
+            W[-1, ..., 5] = 1e-30
+        hits, e_int = ns._floor_pass(W, config)
+        assert (e_int is None) == cold and np.all(hits == (1 if cold else 0))
+        stage = gf.FluidState.stage(W, state.time)
+        want = ns.recover_temperature(stage.rho, stage.mom, stage.etot, ideal, a)
+        got = ns.recover_temperature(stage.rho, stage.mom, stage.etot, ideal, a, e_int)
+        assert got.tobytes() == want.tobytes()
+        assert (ns.rhs_nsf(stage, config, e_int=e_int).tobytes()
+                == ns.rhs_nsf(stage, config).tobytes())
+
+
+def test_floor_pass_proves_nothing_for_other_laws(law_a, transport):
+    # e_min > 0 is proven once per config for the ideal law only
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    config = run_config(law_a, transport, grid, _path_scaling(1e-2))
+    state = state_from_primitives(law_a, 1e-2, (np.ones(16), np.ones(16), np.zeros((1, 16))))
+    W = state.W.copy()
+    assert not config._kernel.floor_proves
+    assert ns._floor_pass(W, config) == (0, None)
+    assert W.tobytes() == state.W.tobytes()
 
 
 def test_simulate_repeat_runs_are_bit_identical(ideal, transport, tmp_path):
@@ -867,8 +941,8 @@ def test_batch_member_gone_non_finite_aborts_with_its_solo_message(ideal, transp
     # is redone member by member, and that member aborts as it does alone
     inner = ns.rhs_nsf
 
-    def poisoned(state, config, theta=None):
-        out = inner(state, config, theta)
+    def poisoned(state, config, *args, **kwargs):
+        out = inner(state, config, *args, **kwargs)
         bad = (np.asarray(config.scaling.a) == 2e-3) & (np.asarray(state.time) > 0.04)
         return np.where(bad, np.nan, out)
 
@@ -941,7 +1015,7 @@ def test_rates_take_one_state_per_call_on_a_large_grid(ideal, transport, count_c
     # 96x96 cells exceed the block's cell cap, so each accepted state's
     # rates are evaluated alone, right after its step, as they were before
     calls = count_calls(ns, "entropy_production")
-    steps = count_calls(ns, "step")
+    steps = count_calls(ns, "_step")
     grid = gf.Grid.box((1.0, 1.0), (96, 96))
     config = run_config(ideal, transport, grid, _path_scaling(1e-6), t_end=0.004,
                         output_stride=6)
@@ -975,7 +1049,7 @@ def test_stored_instants_are_not_checked_again(ideal, transport, count_calls, st
     # the initial state's and one per accepted state, however many instants
     # are stored
     checks = count_calls(gf.FluidState, "_check_fields")
-    steps = count_calls(ns, "step")
+    steps = count_calls(ns, "_step")
     grid = gf.Grid.line(1.0, 48, "slip-wall")
     config = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.05,
                         output_stride=stride)
@@ -988,7 +1062,7 @@ def test_stored_instants_are_not_checked_again(ideal, transport, count_calls, st
 
 
 def test_stop_ends_a_batch_within_one_step(ideal, transport, count_calls):
-    steps = count_calls(ns, "step")
+    steps = count_calls(ns, "_step")
     polls = []
 
     def stop():

@@ -590,6 +590,36 @@ def test_sweep_builds_each_point_once(tiny_sweep, tmp_path, count_calls):
     assert _files(tmp_path / "once") == _files(out)
 
 
+def test_sweep_reads_a_cached_reference_before_any_work(tiny_sweep, tmp_path, count_calls):
+    # a damaged cache snapshot fails the sweep with the read's own message
+    # before it writes anything, starts a worker or steps its batch
+    cfg, out, _ = tiny_sweep
+    again = tmp_path / "damaged"
+    shutil.copytree(out / "reference-cache", again / "reference-cache")
+    snap = sorted((again / "reference-cache").glob("euler-*/*.snap"))[2]
+    snap.write_bytes(snap.read_bytes()[:100])
+    rhs = count_calls(ns, "rhs_nsf")
+    starts = count_calls(multiprocessing.Process, "start")
+    with pytest.raises(UsageError, match=f"{snap} is not a field snapshot"):
+        sweepmod.run_sweep(cfg, again)
+    assert rhs == [] and starts == []
+    assert sorted(p.name for p in again.iterdir()) == ["reference-cache"]
+    assert multiprocessing.active_children() == []
+
+
+def test_sweep_with_a_cached_reference_starts_no_worker(tiny_sweep, tmp_path, count_calls):
+    # an intact cache entry is loaded first: one batch runs straight to the
+    # horizon, with no worker, and writes the bytes of a fresh sweep
+    cfg, out, _ = tiny_sweep
+    again = tmp_path / "cached"
+    shutil.copytree(out / "reference-cache", again / "reference-cache")
+    starts = count_calls(multiprocessing.Process, "start")
+    batches = count_calls(ns, "simulate_batch")
+    sweepmod.run_sweep(cfg, again)
+    assert starts == [] and len(batches) == 1
+    assert _files(again) == _files(out)
+
+
 def test_sweep_refuses_an_out_holding_runs_of_another_path(tiny_sweep, tmp_path):
     # the runs a sweep does not write would stay beside its manifest, and
     # `nsflab diag` would rate them against the new reference

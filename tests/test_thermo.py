@@ -382,7 +382,7 @@ def test_ideal_newton_matches_the_expression_loop_bitwise(ideal):
     a_m = a.reshape((3, 1))
     for r, t, axis in ((rho[0], theta[0], 0), (rho, theta, 1)):
         e = thermo.internal_energy_density(ideal, a_m, r, t)
-        got = thermo._invert_ideal(a_m, r, e, 1e-12, 160, axis)
+        got = thermo.admissible_temperature(ideal, a_m, r, e)
         for k in range(3):
             want = _reference_ideal_newton(a[k], r.take(k, axis), e.take(k, axis), 1e-12, 160)
             assert got.take(k, axis).tobytes() == want.tobytes()
@@ -414,6 +414,100 @@ def test_admissible_temperature_matches_each_member_alone(request, gas_name):
     with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
         thermo.admissible_temperature(gas, np.array([[0.1], [0.2]]), np.ones((2, 4)),
                                       np.array([[1.0] * 4, [1.0, np.nan, 1.0, 1.0]]))
+
+
+def _newton_steps(a, rho, e):
+    """The number of steps the ideal law's Newton iteration takes on rho, e alone."""
+    for steps in range(1, 40):
+        try:
+            thermo._invert_ideal(a, rho, e, 1e-12, steps)
+            return steps
+        except DomainError:
+            pass
+    raise AssertionError("no convergence")
+
+
+def _parts(gas, a, shapes, rng):
+    """rho and e of parts of the given shapes: a part dominated by 1.5 rho
+    theta, one dominated by radiation and one where both terms weigh alike."""
+    regimes = ((50.0, 200.0, 0.02, 0.1), (1e-3, 1e-2, 5.0, 20.0), (0.5, 2.0, 1.0, 3.0))
+    rhos, es = [], []
+    for shape, (r0, r1, t0, t1) in zip(shapes, regimes):
+        rho = rng.uniform(r0, r1, shape)
+        rhos.append(rho)
+        es.append(thermo.internal_energy_density(gas, a, rho, rng.uniform(t0, t1, shape)))
+    return tuple(rhos), tuple(es)
+
+
+def test_segmented_inversion_matches_separate_calls_bitwise(ideal, law_a):
+    # one call on several parts gives each part the bits of its own call,
+    # also where the parts' Newton iterations stop at different steps
+    rng = np.random.default_rng(17)
+    shapes = ((40,), (2, 41), (5, 8))
+    for gas in (ideal, law_a):
+        rhos, es = _parts(gas, 0.3, shapes, rng)
+        if gas is ideal:
+            assert len({_newton_steps(0.3, r, e) for r, e in zip(rhos, es)}) > 1
+        got = thermo.admissible_temperature(gas, 0.3, rhos, es)
+        assert [g.shape for g in got] == list(shapes)
+        for g, r, e in zip(got, rhos, es):
+            assert g.tobytes() == thermo.admissible_temperature(gas, 0.3, r, e).tobytes()
+            assert g.tobytes() == _ref_temperature_from_energy(gas, 0.3, r, e).tobytes()
+
+
+@pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
+def test_segmented_batch_inversion_matches_each_member_alone(request, gas_name):
+    # a batch of members with their own a: a state part (M, n) and a face
+    # part (2, M, n + 1) in one call; every member's part is bitwise its own
+    # inversion with its float a, whichever segment converges last
+    gas = request.getfixturevalue(gas_name)
+    rng = np.random.default_rng(19)
+    a = np.array([1e-6, 0.3, 30.0])
+    a_m = a.reshape((3, 1))
+    rho = (rng.uniform(0.1, 4.0, (3, 40)), rng.uniform(1e-3, 2.0, (2, 3, 41)))
+    theta = (rng.uniform(0.2, 3.0, (3, 40)), rng.uniform(0.5, 9.0, (2, 3, 41)))
+    e = tuple(thermo.internal_energy_density(gas, a_m, r, t) for r, t in zip(rho, theta))
+    if gas_name == "ideal":
+        steps = {_newton_steps(a[k], part.take(k, axis), ev.take(k, axis))
+                 for k in range(3) for part, ev, axis in zip(rho, e, (0, 1))}
+        assert len(steps) > 1
+    got = thermo.admissible_temperature(gas, a_m, rho, e)
+    for g, r, ev, axis in zip(got, rho, e, (0, 1)):
+        assert g.shape == r.shape
+        for k in range(3):
+            alone = thermo.admissible_temperature(gas, a[k], r.take(k, axis), ev.take(k, axis))
+            assert g.take(k, axis).tobytes() == alone.tobytes()
+    # the member axis of a 2-D face part, and a lone array of a batch
+    r2, t2 = rng.uniform(0.1, 4.0, (2, 3, 5, 6)), rng.uniform(0.2, 3.0, (2, 3, 5, 6))
+    a3 = a.reshape((3, 1, 1))
+    e2 = thermo.internal_energy_density(gas, a3, r2, t2)
+    got2, = thermo.admissible_temperature(gas, a3, (r2,), (e2,))
+    assert got2.tobytes() == thermo.admissible_temperature(gas, a3, r2, e2).tobytes()
+    for k in range(3):
+        alone = thermo.admissible_temperature(gas, a[k], r2[:, k], e2[:, k])
+        assert got2[:, k].tobytes() == alone.tobytes()
+
+
+def test_segmented_inversion_at_zero_radiation(ideal):
+    # a = 0: e / (1.5 rho) exactly, for parts of a lone call and of a batch
+    rng = np.random.default_rng(23)
+    rhos, es = _parts(ideal, 0.0, ((40,), (2, 41)), rng)
+    for got, r, e in zip(thermo.admissible_temperature(ideal, 0.0, rhos, es), rhos, es):
+        assert got.tobytes() == (e / (1.5 * r)).tobytes()
+    zeros = np.zeros((2, 1))
+    rho = (rng.uniform(0.1, 4.0, (2, 40)), rng.uniform(0.1, 4.0, (2, 2, 41)))
+    e = tuple(rng.uniform(0.1, 4.0, r.shape) for r in rho)
+    for got, r, ev in zip(thermo.admissible_temperature(ideal, zeros, rho, e), rho, e):
+        assert got.tobytes() == (ev / (1.5 * r)).tobytes()
+
+
+def test_segmented_inversion_checks_every_part(ideal):
+    rng = np.random.default_rng(29)
+    rhos, es = _parts(ideal, 0.3, ((40,), (2, 41)), rng)
+    bad = es[1].copy()
+    bad[1, 7] = np.inf
+    with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
+        thermo.admissible_temperature(ideal, 0.3, rhos, (es[0], bad))
 
 
 def test_closures_from_energy_reject_bad_states(ideal):
