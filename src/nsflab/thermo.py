@@ -579,16 +579,17 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     before any inversion.
     """
     parts = isinstance(rho, tuple)
-    if parts or getattr(a, "ndim", 0):
-        a, both, starts, split = _segments(a, rho if parts else (rho,),
-                                           e_density if parts else (e_density,))
+    rhos, es = (rho, e_density) if parts else ((rho,), (e_density,))
+    if len(rhos) == 1 and getattr(a, "ndim", 0) == 0:  # one segment, inverted as it is
+        if not (_finite(rhos[0]) and _finite(es[0])):
+            raise DomainError("non-finite inputs to temperature inversion")
+        thetas = (_invert(gas, float(a), rhos[0], es[0], None),)
+    else:
+        a, both, starts, split = _segments(a, rhos, es)
         if not _finite(both):
             raise DomainError("non-finite inputs to temperature inversion")
         thetas = split(_invert(gas, a, both[0], both[1], starts))
-        return thetas if parts else thetas[0]
-    if not (_finite(rho) and _finite(e_density)):
-        raise DomainError("non-finite inputs to temperature inversion")
-    return _invert(gas, float(a), rho, e_density, None)
+    return thetas if parts else thetas[0]
 
 
 def face_closures(gas: GasModel, a, rho, e_density):
