@@ -34,14 +34,16 @@ takes a recovered theta, so it checks nothing again.  The floor pass of
 each stage (`_floor_pass`) forms the internal energy of the floored
 state, and where no cell is cold it proves rho >= rho_floor > 0 and
 e >= e_min > 0: the next recovery, of the stage or of the accepted state,
-inverts that array with no check but finiteness.  Each stage inverts its
+inverts that array with no check but finiteness, and the accepted state's
+validation checks only finiteness too (`ssp_rk3`).  Each stage inverts its
 cells (from the second stage on) and every axis's faces in one call
 (`_convective`), each member's part its own segment, so a step makes four
-inversions: three stages and the accepted state.  What every step of a run reads from its config (the
-reconstruction order, which dissipation terms run, the spacings, the
-floor energy's coefficients, the scalings as arrays) is resolved on the
-config's first step (`_Kernel`); `_pack` builds one config per batch
-composition, so that happens once per composition, not on every call.
+inversions: three stages and the accepted state.  What every step of a
+run reads from its config (the reconstruction order, which dissipation
+terms run, the spacings, the floor energy's coefficients, the scalings as
+arrays) is resolved on the config's first step (`_Kernel`); `_pack`
+builds one config per batch composition, so that happens once per
+composition, not on every call.
 Scalars that meet whole fields are 0-d arrays (`thermo._0D`), which give
 the bits of the floats without numpy's per-call conversion of a Python
 float; the step path computes the same ufunc operations in the same

@@ -504,8 +504,9 @@ def _segments(a, rhos, es):
     else:
         members, axes = a.size, [r.ndim - a.ndim for r in rhos]
         a = a.reshape(members, 1)
-    # each part as pieces of shape (members, width): the axes before its
-    # member axis lead, and each member's piece of one lead is contiguous
+    # a part's place in the row (offset, width) and its lead: the size of
+    # the axes before its member axis, each of which holds a contiguous
+    # piece of every member
     layout, row = [], 0
     for r, ax in zip(rhos, axes):
         layout.append((row, r.size // members, math.prod(r.shape[:ax]), r.shape))
@@ -515,7 +516,7 @@ def _segments(a, rhos, es):
     else:
         both = np.empty((2, members, row))
         for parts, out in ((rhos, both[0]), (es, both[1])):
-            pieces = []
+            pieces = []  # (members, width / lead) each, in row order
             for x, (_, _, lead, _) in zip(parts, layout):
                 pieces += list(x.reshape(lead, members, -1)) if lead > 1 else [x.reshape(members, -1)]
             np.concatenate(pieces, axis=1, out=out)
