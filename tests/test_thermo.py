@@ -439,11 +439,13 @@ def _parts(gas, a, shapes, rng):
     return tuple(rhos), tuple(es)
 
 
-def test_segmented_inversion_matches_separate_calls_bitwise(ideal, law_a):
+@pytest.mark.parametrize("shapes", [((40,), (2, 41), (5, 8)), ((3000,), (2, 3001))])
+def test_segmented_inversion_matches_separate_calls_bitwise(ideal, law_a, shapes):
     # one call on several parts gives each part the bits of its own call,
-    # also where the parts' Newton iterations stop at different steps
+    # also where the parts' Newton iterations stop at different steps, and
+    # where the parts are too large to join (thermo._JOIN_LIMIT)
     rng = np.random.default_rng(17)
-    shapes = ((40,), (2, 41), (5, 8))
+    assert (sum(math.prod(shape) for shape in shapes) > thermo._JOIN_LIMIT) == (len(shapes) == 2)
     for gas in (ideal, law_a):
         rhos, es = _parts(gas, 0.3, shapes, rng)
         if gas is ideal:
