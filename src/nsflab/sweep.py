@@ -9,11 +9,11 @@ to that horizon.  The reference runs in a worker process while the batch
 advances towards the requested end time.  The worker writes the reference
 into reference-cache/, the one channel between the two: once it has
 ended, the batch loads the reference there and, if its horizon is
-shorter, stops and runs again to that horizon; a reference already in the cache is read first, and
-the batch runs straight to its horizon.  A sweep refuses an output
-directory whose runs/ holds a directory that is no run of its path, or
-where a regular file stands in for a directory it writes or a directory
-for a file.
+shorter, stops and runs again to that horizon.  A reference already in
+the cache is read first, and the batch runs straight to its horizon.  A
+sweep refuses an output directory whose runs/ holds a directory that is
+no run of its path, or where a regular file stands in for a directory it
+writes or a directory for a file.
 The manifest (`nsflab.manifest`) records, per point, the initial relative
 energy, its sup over the run, and the convergence-rate envelope; the fitted
 constant is the largest ratio E_sup / (E_init + envelope), which the theory
@@ -309,9 +309,9 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
     with nothing written and no batch run; the batch then runs straight to
     its horizon t_safe, and no worker starts.  Otherwise the batch advances
     speculatively to the requested t_end while the reference runs in a
-    worker process (`multiprocessing`, the platform's
-    default start method), started once the batch has passed its entry
-    checks (the points' initial data).  The worker writes the
+    worker process (`multiprocessing`, the platform's default start
+    method), started once the batch has passed its entry checks (the
+    points' initial data).  The worker writes the
     reference into reference-cache/; once it has ended, the batch loads it
     there (an aborted reference is stored too, and a worker that died
     without storing one leaves it to be computed here) and stops if its

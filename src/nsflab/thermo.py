@@ -524,6 +524,8 @@ def _segments(a, rhos, es):
         row += r.size // members
     if members == 1:
         both = np.concatenate([x.reshape(-1) for x in (*rhos, *es)]).reshape(2, 1, row)
+    elif len(rhos) == 1 and layout[0][2] == 1:  # one part whose rows are already its members'
+        both = (rhos[0].reshape(members, row), es[0].reshape(members, row))
     else:
         both = np.empty((2, members, row))
         for parts, out in ((rhos, both[0]), (es, both[1])):
