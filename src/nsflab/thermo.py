@@ -531,7 +531,8 @@ def _segments(a, rhos, es):
         for parts, out in ((rhos, both[0]), (es, both[1])):
             pieces = []  # (members, width / lead) each, in row order
             for x, (_, _, lead, _) in zip(parts, layout):
-                pieces += list(x.reshape(lead, members, -1)) if lead > 1 else [x.reshape(members, -1)]
+                pieces += (list(x.reshape(lead, members, -1)) if lead > 1
+                           else [x.reshape(members, -1)])
             np.concatenate(pieces, axis=1, out=out)
     starts = [k * row + offset for k in range(members) for offset, *_ in layout]
 
@@ -603,7 +604,8 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
         if np.count_nonzero(np.isfinite(r)) != r.size or \
                 np.count_nonzero(np.isfinite(x)) != x.size:
             raise DomainError("non-finite inputs to temperature inversion")
-    thetas = sum((split(_invert(gas, a_j, r, x, starts)) for a_j, r, x, starts, split in joined), ())
+    thetas = sum((split(_invert(gas, a_j, r, x, starts))
+                  for a_j, r, x, starts, split in joined), ())
     return thetas if parts else thetas[0]
 
 
