@@ -582,11 +582,6 @@ def _floor_pass(W, config: NsfRunConfig):
     return hits, e_int if k.floor_proves else None
 
 
-def _apply_floors(W, config: NsfRunConfig):
-    """`_floor_pass`'s number of hits alone."""
-    return _floor_pass(W, config)[0]
-
-
 def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
     """One SSP-RK3 step (Shu-Osher form, Gottlieb & Shu 1998) of dW/dt = rhs(W).
 

@@ -427,25 +427,26 @@ def _invert_ideal(a, rho, e, rtol, max_iter, starts=None):
     # increasing left side Newton iterates from above fall monotonically.
     # a is a float, or an array that broadcasts against rho.  With
     # `starts`, the offsets of segments in the flattened arrays (see
-    # _segments), each segment stops at its own convergence: one count over
-    # the whole array tells whether all, none or some elements converged,
-    # and only in the last case does one reduceat find the segments that
-    # did; those leave the live arrays, which are flat from then on, with
-    # the iterate that stopped them, so none takes a step the others need.
+    # _segments), the segments share the loop only while they stop
+    # together: one count over the whole array tells whether all, none or
+    # some elements converged, and only in the last case does one reduceat
+    # tell whether a segment did.  Segments that part ways there, or whose
+    # a mixes 0 and > 0, get None back, for `_invert` to invert each alone.
     # Each Newton step is new = th - (th (c + at3) - e) / (c + 4 at3) with
     # at3 = a th^3, and done where |new - th| <= rtol new, computed in place
     # on three buffers in the same operations (products and sums commute),
     # each ufunc given its output positionally and its scalars as 0-d
     # arrays (see _0D)
-    if (not np.count_nonzero(a)) if isinstance(a, np.ndarray) else a == 0.0:
+    radiating = np.count_nonzero(a) / a.size if isinstance(a, np.ndarray) else a != 0.0
+    if not radiating:
         return e / (1.5 * rho)
+    if radiating < 1:
+        return None
     mul, add, sub = np.multiply, np.add, np.subtract
     c = _0D[1.5] * rho
     th = np.minimum(e / c, (e / a) ** 0.25)
     a, four, rtol = np.asarray(a), _0D[4.0], np.asarray(rtol)
-    shape = th.shape
-    out = live = None  # once a segment has left: the flat result, and where the live elements go
-    new, f, df = np.empty((3, *shape))
+    new, f, df = np.empty((3, *th.shape))
     for _ in range(max_iter):
         mul(a, th, f)
         mul(f, th, f)
@@ -463,28 +464,10 @@ def _invert_ideal(a, rho, e, rtol, max_iter, starts=None):
         done = f <= df
         count = np.count_nonzero(done)
         if count == done.size:
-            if out is None:
-                return new
-            out[live] = new
-            return out.reshape(shape)
-        if count and starts is not None and len(starts) > 1:
-            finished = np.logical_and.reduceat(done.reshape(-1), starts)
-            if np.count_nonzero(finished):
-                lengths = np.diff(starts, append=done.size)
-                leave = np.repeat(finished, lengths)
-                stay = ~leave
-                if out is None:
-                    out, live = np.empty(new.size), np.arange(new.size)
-                    if a.ndim:
-                        a = np.broadcast_to(a, shape)
-                out[live[leave]] = new.reshape(-1)[leave]
-                live, th, c, e = (x.reshape(-1)[stay] for x in (live, new, c, e))
-                if a.ndim:
-                    a = a.reshape(-1)[stay]
-                lengths = lengths[~finished]
-                starts = np.cumsum(lengths) - lengths
-                new, f, df = np.empty((3, th.size))
-                continue
+            return new
+        if count and starts is not None and len(starts) > 1 and \
+                np.count_nonzero(np.logical_and.reduceat(done.reshape(-1), starts)):
+            return None
         th, new = new, th
     raise DomainError(f"ideal-gas temperature inversion did not converge in {max_iter} steps")
 
@@ -555,16 +538,27 @@ def _whole(theta):
 def _invert(gas, a, rho, e, starts):
     """theta on finite arrays rho > 0, e > 0 to relative tolerance 1e-12 in
     at most 160 steps: the ideal law's Newton iteration (gas.law_text ==
-    "Z") or the bracketed one, each segment (see _segments) stopping at its
-    own convergence."""
-    if gas.law_text == "Z":
-        return _invert_ideal(a, rho, e, 1e-12, 160, starts)
-    if starts is None:
+    "Z") or the bracketed one.  The ideal law's segments (see _segments)
+    share one loop while they stop together; segments that part ways, and
+    every segment of another law, are inverted one at a time, each from
+    its own start."""
+    ideal = gas.law_text == "Z"
+    if ideal:
+        theta = _invert_ideal(a, rho, e, 1e-12, 160, starts)
+        if theta is not None:
+            return theta
+    elif starts is None:
         return _invert_molecular(gas, a, rho, e, 1e-12, 160)
+
+    def alone(a, rho, e):
+        if ideal:
+            return _invert_ideal(a, rho, e, 1e-12, 160)
+        return _invert_molecular(gas, a, rho, e, 1e-12, 160)
+
     shape = rho.shape
     a, rho, e = np.broadcast_to(a, shape).reshape(-1), rho.reshape(-1), e.reshape(-1)
     ends = list(starts[1:]) + [rho.size]
-    return np.concatenate([_invert_molecular(gas, float(a[lo]), rho[lo:hi], e[lo:hi], 1e-12, 160)
+    return np.concatenate([alone(float(a[lo]), rho[lo:hi], e[lo:hi])
                            for lo, hi in zip(starts, ends)]).reshape(shape)
 
 
@@ -587,11 +581,11 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     against rho, whose axis rho.ndim - a.ndim is then the member axis.
     rho and e_density are arrays, or tuples of arrays (parts), inverted in
     one call that returns a tuple of thetas.  Each member of each part is a
-    segment that stops at its own convergence, so its theta is bitwise the
-    one inverted on that member's part alone: a lone array with a float a
-    is one segment, a batch one segment per member.  The parts are joined
-    in one Newton loop up to _JOIN_LIMIT elements, and inverted one at a
-    time past it.  Only finiteness is checked: DomainError "non-finite
+    segment whose theta is bitwise the one inverted on that member's part
+    alone: a lone array with a float a is one segment, a batch one segment
+    per member.  The parts are joined in one Newton loop up to _JOIN_LIMIT
+    elements, and inverted one at a time past it; segments that stop at
+    different steps are inverted again alone.  Only finiteness is checked: DomainError "non-finite
     inputs to temperature inversion" before any inversion.
     """
     parts = isinstance(rho, tuple)

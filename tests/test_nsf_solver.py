@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
-from nsflab import sweep, thermo
+from nsflab import scenarios, sweep, thermo
 from nsflab.errors import ConfigError, DomainError, PositivityError, UsageError
 from nsflab.nsf_solver import state_from_primitives
 from test_step_oracle import _ref_temperature_from_energy
@@ -440,7 +440,7 @@ def test_apply_floors_counts_hits(ideal, transport):
     etot = thermo.internal_energy_density(ideal, 0.0, rho, np.full(16, 1.0))
     etot[7] = 1e-14  # below the floor-temperature energy
     W = gf.FluidState(rho, mom, etot).W
-    hits = ns._apply_floors(W, config)
+    hits = ns._floor_pass(W, config)[0]
     r2, m2, e2 = W[0], W[1:-1], W[-1]
     assert hits == 2
     assert r2[3] == 1e-12
@@ -898,6 +898,28 @@ def test_batch_matches_solo_runs_bytewise_2d(ideal, transport):
     for got, want in zip(trajs, solos, strict=True):
         assert want.healthy
         _assert_same_run(got, want)
+
+
+def test_default_path_batch_inverts_its_segments_together(ideal, transport, monkeypatch):
+    # the default sweep's three path points on its 48-cell line: every
+    # inversion with segments stops them all at one Newton step, so the
+    # joined loop serves it and no segment is inverted again alone
+    grid = gf.Grid.line(1.0, 48, "slip-wall")
+    base = run_config(ideal, transport, grid, _path_scaling(1e-2), t_end=0.02, cfl=0.35)
+    configs = [replace(base, scaling=_path_scaling(a)) for a in (1e-2, 1e-3, 1e-4)]
+    inner, segmented = thermo._invert_ideal, []
+
+    def watched(a, rho, e, rtol, max_iter, starts=None):
+        theta = inner(a, rho, e, rtol, max_iter, starts)
+        if starts is not None:
+            segmented.append((len(starts), theta is not None))
+        return theta
+
+    monkeypatch.setattr(thermo, "_invert_ideal", watched)
+    trajs = ns.simulate_batch(configs, scenarios.acoustic_entropy(grid).fields(grid))
+    assert all(t.healthy for t in trajs)
+    assert max(n for n, _ in segmented) == 3 * 2  # a stage's cells and faces, per member
+    assert all(served for _, served in segmented)
 
 
 def test_batch_member_that_aborts_alone_leaves_the_others_unchanged(ideal, transport):

@@ -1,6 +1,6 @@
 """The step path against a frozen copy of its earlier bodies, byte for byte.
 
-`rhs_nsf`, `recover_temperature`, `stable_dt` and `_apply_floors` (and the
+`rhs_nsf`, `recover_temperature`, `stable_dt` and `_floor_pass` (and the
 face and closure kernels under them) once ran through the checked public
 thermo wrappers on every call.  The `_ref_*` functions below are those
 bodies as they were, kept as the oracle of the leaner ones: every case
@@ -462,7 +462,7 @@ def test_step_path_matches_its_earlier_bodies_bitwise(request, add_source, name)
     W[(0,) + cell] = 1e-14
     W[(-1,) + cell] = 1e-30
     W_want = W.copy()
-    hits, want_hits = ns._apply_floors(W, config), _ref_apply_floors(W_want, config)
+    hits, want_hits = ns._floor_pass(W, config)[0], _ref_apply_floors(W_want, config)
     assert _same(W, W_want) and _same(hits, want_hits) and np.all(want_hits == 2)
     # one whole step, floors and stage states included
     dt = np.minimum(dt, config.t_end - state.time)

@@ -488,6 +488,23 @@ def test_segmented_batch_inversion_matches_each_member_alone(request, gas_name):
     for k in range(3):
         alone = thermo.admissible_temperature(gas, a[k], r2[:, k], e2[:, k])
         assert got2[:, k].tobytes() == alone.tobytes()
+    # a batch whose a mixes 0 and > 0, and one whose a is 0 throughout, as
+    # one array and as parts: each member still its own inversion
+    rho0, theta0 = rng.uniform(0.1, 4.0, (2, 200)), rng.uniform(0.2, 3.0, (2, 200))
+    parts0 = (rho0[:, :80], rng.uniform(0.1, 4.0, (2, 2, 81)))
+    for a0 in (np.array([0.0, 0.3]), np.zeros(2)):
+        a_m = a0.reshape((2, 1))
+        e0 = thermo.internal_energy_density(gas, a_m, rho0, theta0)
+        eparts = (e0[:, :80], thermo.internal_energy_density(gas, a_m, parts0[1],
+                                                             rng.uniform(0.2, 3.0, (2, 2, 81))))
+        got0 = thermo.admissible_temperature(gas, a_m, rho0, e0)
+        gotp = thermo.admissible_temperature(gas, a_m, parts0, eparts)
+        for k in range(2):
+            alone = thermo.admissible_temperature(gas, a0[k], rho0[k], e0[k])
+            assert got0[k].tobytes() == alone.tobytes()
+            for g, r, ev, axis in zip(gotp, parts0, eparts, (0, 1)):
+                alone = thermo.admissible_temperature(gas, a0[k], r.take(k, axis), ev.take(k, axis))
+                assert g.take(k, axis).tobytes() == alone.tobytes()
 
 
 def test_segmented_inversion_at_zero_radiation(ideal):
