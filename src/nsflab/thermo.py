@@ -543,18 +543,18 @@ def _invert(gas, a, rho, e, starts):
     every segment of another law, are inverted one at a time, each from
     its own start."""
     ideal = gas.law_text == "Z"
-    if ideal:
-        theta = _invert_ideal(a, rho, e, 1e-12, 160, starts)
-        if theta is not None:
-            return theta
-    elif starts is None:
-        return _invert_molecular(gas, a, rho, e, 1e-12, 160)
 
     def alone(a, rho, e):
         if ideal:
             return _invert_ideal(a, rho, e, 1e-12, 160)
         return _invert_molecular(gas, a, rho, e, 1e-12, 160)
 
+    if starts is None:
+        return alone(a, rho, e)
+    if ideal:
+        theta = _invert_ideal(a, rho, e, 1e-12, 160, starts)
+        if theta is not None:
+            return theta
     shape = rho.shape
     a, rho, e = np.broadcast_to(a, shape).reshape(-1), rho.reshape(-1), e.reshape(-1)
     ends = list(starts[1:]) + [rho.size]
@@ -584,9 +584,11 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     segment whose theta is bitwise the one inverted on that member's part
     alone: a lone array with a float a is one segment, a batch one segment
     per member.  The parts are joined in one Newton loop up to _JOIN_LIMIT
-    elements, and inverted one at a time past it; segments that stop at
-    different steps are inverted again alone.  Only finiteness is checked: DomainError "non-finite
-    inputs to temperature inversion" before any inversion.
+    elements, and inverted one at a time past it.  Segments that stop at
+    different Newton steps are inverted again one at a time, and the
+    members of a batch whose a mixes 0 and > 0 are so from the start.
+    Only finiteness is checked: DomainError "non-finite inputs to
+    temperature inversion" before any inversion.
     """
     parts = isinstance(rho, tuple)
     rhos, es = (rho, e_density) if parts else ((rho,), (e_density,))
