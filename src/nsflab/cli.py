@@ -200,8 +200,9 @@ def _cmd_diag(args) -> int:
         raise UsageError("reference.cfg must configure the inviscid solver")
     reference = er.run_euler(ref_cfg, ref_scenario.fields(ref_cfg.grid),
                              cache_dir=out / "reference-cache")
-    for rdir in run_dirs:
-        _, _, traj = sweepmod.load_run(rdir)
+    # load every run first: a run that cannot load leaves every report as it was
+    trajs = [sweepmod.load_run(rdir)[2] for rdir in run_dirs]
+    for rdir, traj in zip(run_dirs, trajs):
         if len(traj.times) < diagmod.MIN_INSTANTS:
             _print(f"{rdir.name} skipped: fewer than three stored instants")
             continue

@@ -306,15 +306,14 @@ def _rusanov(gas, a, WLR, theta, ax, dx):
     the axis's contribution to dW/dt.
 
     WLR are `_face_states`'s and theta their temperature; one closure call
-    serves both sides, bitwise `thermo.face_closures`, and checks only
-    c_v (`thermo._closures_at`).  The flux sums both sides component by
-    component, in the order of F(left) + F(right) with
-    F = (m_n, m u_n + p e_n, (E + p) u_n), and the dissipation
-    0.5 max(|u_n| + c) (right - left) is applied in place.
+    (`thermo._closures_at`) serves both sides and checks only c_v.  The
+    flux sums both sides component by component, in the order of
+    F(left) + F(right) with F = (m_n, m u_n + p e_n, (E + p) u_n), and the
+    dissipation 0.5 max(|u_n| + c) (right - left) is applied in place.
     """
     rho = WLR[0]
     mn = WLR[1 + ax]
-    _, p, c = thermo._closures_at(gas, a, rho, theta)
+    p, c = thermo._closures_at(gas, a, rho, theta)
     np.sqrt(c, c)
     un = mn / rho
     F = np.empty((WLR.shape[0], *un.shape[1:]))
@@ -371,14 +370,16 @@ def _convective(gas, a, grid, W_g, order, cells=None):
 
 def _recover_in_order(gas, a, grid, W_g, order, cells):
     """`_convective`'s recoveries one at a time, in the order of their
-    checks: the cells, then each axis's faces with their closures
-    (`thermo.face_closures`); raises what the first failing check raises."""
+    checks: the cells, then each axis's faces, inverted and evaluated with
+    the calls a stage makes (`thermo.admissible_temperature`, then
+    `thermo._closures_at`); raises what the first failing check raises."""
     if cells is not None:
         thermo.admissible_temperature(gas, a, *cells)
     for ax in range(grid.dim):
         WLR, e_int = _face_states(gf.axis_strip(W_g, grid, ax, _GHOST_DEPTH),
                                   grid.cells[ax], order)
-        thermo.face_closures(gas, a, WLR[0], e_int)
+        theta = thermo.admissible_temperature(gas, a, WLR[0], e_int)
+        thermo._closures_at(gas, a, WLR[0], theta)
 
 
 def _face_avg(x):

@@ -605,27 +605,19 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     return thetas if parts else thetas[0]
 
 
-def face_closures(gas: GasModel, a, rho, e_density):
-    """(theta, p, c_s^2) on face states whose rho > 0 and e_density > 0
-    the caller has proven.
-
-    Bitwise the same as admissible_temperature followed by pressure and
-    sound_speed_sq at the recovered theta: Z, P(Z), P'(Z) and theta^3 are
-    evaluated once each and serve both p and c_s^2, in the expression order
-    of the separate closures, whatever the law.  What is not yet proven is still checked: DomainError "non-finite
-    inputs to temperature inversion" for a non-finite input
-    (`admissible_temperature`) and ModelViolationError for c_v <= 0.
-    """
-    return _closures_at(gas, a, rho, admissible_temperature(gas, a, rho, e_density))
-
-
 def _closures_at(gas, a, rho, theta):
-    # p and c_s^2 on one Z, P(Z), P'(Z) and theta^3
+    """(p, c_s^2) at a temperature the caller has recovered on rho > 0.
+
+    Bitwise `pressure` and `sound_speed_sq` at that theta: Z, P(Z), P'(Z)
+    and theta^3 are evaluated once each and serve both, in the expression
+    order of the separate closures, whatever the law.  Only c_v is
+    checked: ModelViolationError for c_v <= 0.
+    """
     z = rho * theta ** -1.5
     P, dP = _law_at(gas, z)
     p = theta ** 2.5 * P
     p += np.asarray(a / 3.0) * theta ** 4  # the two _pressure_parts, summed
-    return theta, p, _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)[0]
+    return p, _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ it.  Tolerances are frozen from oracle probes; nothing here is tuned to
 pass, and a faithful implementation regression must trip at least one gate.
 """
 
+import hashlib
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -475,3 +476,18 @@ def test_9_determinism(well_sweep, tmp_path):
     c1 = re.coercivity_constant(GAS, 0.5, K_STD, sample_count=10000, seed=0)
     c2 = re.coercivity_constant(GAS, 0.5, K_STD, sample_count=10000, seed=0)
     assert c1 == c2
+
+
+def test_9_default_sweep_bytes(well_sweep):
+    # the README default sweep, pinned file by file: a change to any stored
+    # byte of it is a change to the numbers, not to the code that makes them
+    _, out, _ = well_sweep
+    manifest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert manifest == "538a8246cc5297ff5d5bc5faab317c04c2d411a72ae8a9bd2a8d3c8166c0bd6c"
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        digest.update(f"{path.relative_to(out).as_posix()}\n{len(blob)}\n".encode("ascii"))
+        digest.update(blob)
+    assert digest.hexdigest() == \
+        "b350f1a26f30a0e5dca0354d77d95caf4ea6e5305c480ba6b128322539db8c0b"

@@ -442,6 +442,27 @@ def test_diag_run_without_config(cli_sweep, tmp_path, capsys):
     assert str(out / "runs" / "a0-empty" / "run.cfg") in err
 
 
+@pytest.mark.parametrize("damage", ["empty-last-run", "missing-snapshot"])
+def test_diag_loads_every_run_before_it_writes_a_report(cli_sweep, tmp_path, capsys, damage):
+    # the last run cannot load: the runs before it get no report either
+    out = _sweep_copy(cli_sweep, tmp_path)
+    reports = [rdir / name for rdir in sorted((out / "runs").iterdir())
+               for name in ("relenergy.csv", "bounds.txt", "summary.txt")]
+    for path in reports:
+        path.unlink()
+    if damage == "empty-last-run":
+        (out / "runs" / "zzz").mkdir()
+        want = f"error: cannot read configuration file {out / 'runs' / 'zzz' / 'run.cfg'}"
+    else:
+        snaps = sorted(reports[-1].parent.glob("*.snap"))
+        snaps[3].unlink()
+        want = f"error: snapshot {snaps[3]} is missing from a series of {len(snaps) - 1} files\n"
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == "" and err.startswith(want)
+    assert not any(path.exists() for path in reports)
+
+
 def test_diag_refuses_a_directory_where_a_run_file_goes(cli_sweep, tmp_path, capsys,
                                                         count_calls):
     out = _sweep_copy(cli_sweep, tmp_path)
@@ -550,15 +571,16 @@ def test_diag_calls_each_traced_layer(cli_sweep, count_calls, capsys):
 
 
 def test_diag_recovers_two_temperatures_per_instant(cli_sweep, count_calls, capsys):
-    # one when the run is loaded and one for the reference sample, each
-    # recovery one call of the one inversion entry per run with one a per
-    # stored instant; both reports read the loaded temperatures
+    # one when each run is loaded, every run before the first report, and
+    # one for the reference sample, each recovery one call of the one
+    # inversion entry per run with one a per stored instant; both reports
+    # read the loaded temperatures
     _, out = cli_sweep
     instants = [len(list(rdir.glob("*.snap"))) for rdir in sorted((out / "runs").iterdir())]
     calls = count_calls(thermo, "admissible_temperature")
     assert cli.main(["diag", "--out", str(out)]) == 0
     assert min(instants) > 0
-    assert [np.size(args[1]) for args in calls] == [n for n in instants for _ in range(2)]
+    assert [np.size(args[1]) for args in calls] == instants + instants
 
 
 def test_sweep_thread_flag_changes_nothing(cli_sweep, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Solver checks: temperature recovery, tendencies, conservation, health."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import scenarios, sweep, thermo
-from nsflab.errors import ConfigError, DomainError, PositivityError, UsageError
+from nsflab.errors import (ConfigError, DomainError, ModelViolationError, PositivityError,
+                           UsageError)
 from nsflab.nsf_solver import state_from_primitives
 from test_step_oracle import _ref_temperature_from_energy
 
@@ -776,6 +778,37 @@ def test_convective_raises_what_separate_recoveries_raise_first(ideal):
     W_g[0, 3, 1] = 0.0
     got = _raised(ns._convective, ideal, 0.3, box, W_g, 2)
     assert got == nan_first == _raised(_reference_convective, ideal, 0.3, box, W_g, 2)
+
+
+def test_recover_in_order_checks_what_the_faces_have_not_proven(ideal):
+    # the failure path inverts and evaluates each axis's faces with a
+    # stage's own calls: a non-finite face raises the inversion's
+    # DomainError, and a law with c_v <= 0 the closures' ModelViolationError
+    grid = gf.Grid.line(1.0, 8, "slip-wall")
+    for a in (0.0, 0.3, np.array([[0.1], [0.2]])):
+        members = (2,) if np.ndim(a) else ()
+        time = np.zeros((*members, 1)) if members else 0.0
+        for comp, value in itertools.product((0, -1), (math.nan, math.inf)):  # rho, etot
+            W = np.ones((3, *members, 8))
+            W[1], W[-1] = 0.0, 1.5
+            W[(comp,) + (1,) * (W.ndim - 1)] = value
+            W_g = gf.fill_ghosts_slip(gf.FluidState.stage(W, time), grid,
+                                      depth=ns._GHOST_DEPTH)
+            for order in (1, 2):
+                with pytest.raises(DomainError,
+                                   match="non-finite inputs to temperature inversion"):
+                    ns._recover_in_order(ideal, a, grid, W_g, order, None)
+    unstable = thermo.GasModel(
+        name="bad",
+        P=lambda z: np.asarray(z, float) ** 3,
+        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
+    )
+    # e = 10 and 15 have roots where the radiation term grows, but c_v < 0 there
+    for e_bad in (10.0, 15.0):
+        state = gf.FluidState(np.ones(8), np.zeros((1, 8)), np.full(8, e_bad))
+        W_g = gf.fill_ghosts_slip(state, grid, depth=ns._GHOST_DEPTH)
+        with pytest.raises(ModelViolationError, match="c_v <= 0"):
+            ns._recover_in_order(unstable, 0.1, grid, W_g, 2, (state.rho, state.etot))
 
 
 @pytest.mark.parametrize("members", [1, 3])

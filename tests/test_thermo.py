@@ -1,6 +1,5 @@
 """Constitutive closures: frozen oracles, consistency checks, certification."""
 
-import itertools
 import math
 
 import numpy as np
@@ -236,8 +235,9 @@ def test_sound_speed_and_cv_total_reject_bad_states(ideal, fn):
 def _closures_from_energy(gas, a, rho, e_density):
     """(theta, p, c_s^2) at density rho and internal energy density e_density,
     with every check of the step oracle's frozen inversion and of the
-    closures: the checked form of `thermo.face_closures`, kept as its
-    bitwise oracle.
+    closures: the checked form of a stage's face recovery
+    (`thermo.admissible_temperature`, then `thermo._closures_at`), kept as
+    its bitwise oracle.
 
     DomainError for non-finite input, rho <= 0, e_density <= 0 or a
     recovered theta that is not positive and finite, ModelViolationError
@@ -250,7 +250,7 @@ def _closures_from_energy(gas, a, rho, e_density):
         raise DomainError("density must be positive")
     if not np.all((theta > 0.0) & (theta < math.inf)):
         raise DomainError("recovered temperature must be positive and finite")
-    return thermo._closures_at(gas, a, rho, theta)
+    return (theta, *thermo._closures_at(gas, a, rho, theta))
 
 
 @pytest.mark.parametrize("gas_name,a", [("ideal", 0.0), ("ideal", 0.3),
@@ -291,13 +291,12 @@ def test_sound_speed_evaluates_the_law_once(ideal, law_a):
         assert got.tobytes() == want.tobytes()
 
 
-def test_face_closures_evaluate_the_law_once(ideal, law_a, monkeypatch):
+def test_stage_closures_evaluate_the_law_once(ideal, law_a):
     # after the inversion, one P(Z) and one P'(Z) per call serve both p and
     # c_s^2; the inversion itself runs on the uncounted law
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.1, 4.0, (2, 49))
     theta = rng.uniform(0.2, 3.0, (2, 49))
-    invert = thermo._invert_molecular
     for law in (ideal, law_a):
         calls = []
 
@@ -306,19 +305,17 @@ def test_face_closures_evaluate_the_law_once(ideal, law_a, monkeypatch):
 
         gas = thermo.GasModel(name=law.name, P=count("P", law.P), dP=count("dP", law.dP),
                               law_text=law.law_text)
-        monkeypatch.setattr(thermo, "_invert_molecular",
-                            lambda g, *args, law=law: invert(law, *args))
         e = thermo.internal_energy_density(law, 0.3, rho, theta)
-        got = thermo.face_closures(gas, 0.3, rho, e)
+        th = thermo.admissible_temperature(law, 0.3, rho, e)
+        got = thermo._closures_at(gas, 0.3, rho, th)
         assert sorted(calls) == ["P", "dP"]
-        monkeypatch.undo()
-        want = thermo.face_closures(law, 0.3, rho, e)
-        for g, w in zip(got, want):
+        want = thermo._closures_at(law, 0.3, rho, th)
+        for g, w in zip(got, want, strict=True):
             assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("gas_name", ["ideal", "law_a"])
-def test_face_closures_match_closures_from_energy_bitwise(request, gas_name):
+def test_stage_closures_match_closures_from_energy_bitwise(request, gas_name):
     # one a (zero and positive) on stacked (side, face) arrays, and members
     # with their own a on (side, member, face) arrays
     gas = request.getfixturevalue(gas_name)
@@ -327,30 +324,11 @@ def test_face_closures_match_closures_from_energy_bitwise(request, gas_name):
     for a, shape in ((0.0, (2, 49)), (0.3, (2, 49)), (a_m, (2, 3, 49))):
         rho = rng.uniform(0.1, 4.0, shape)
         e = thermo.internal_energy_density(gas, a, rho, rng.uniform(0.2, 3.0, shape))
-        got = thermo.face_closures(gas, a, rho, e)
+        theta = thermo.admissible_temperature(gas, a, rho, e)  # a stage's face recovery
+        got = (theta, *thermo._closures_at(gas, a, rho, theta))
         want = _closures_from_energy(gas, a, rho, e)
         for g, w in zip(got, want, strict=True):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-
-
-def test_face_closures_check_what_the_faces_have_not_proven(ideal):
-    rho = np.ones((2, 5))
-    for a in (0.0, 0.3, np.array([[0.1], [0.2]])):
-        shape = (2, 2, 5) if np.ndim(a) else (2, 5)
-        for bad, value in itertools.product(("rho", "e"), (math.nan, math.inf)):
-            r, ev = np.ones(shape), np.full(shape, 1.5)
-            (r if bad == "rho" else ev)[(1,) * len(shape)] = value
-            with pytest.raises(DomainError, match="non-finite inputs to temperature inversion"):
-                thermo.face_closures(ideal, a, r, ev)
-    unstable = thermo.GasModel(
-        name="bad",
-        P=lambda z: np.asarray(z, float) ** 3,
-        dP=lambda z: 3.0 * np.asarray(z, float) ** 2,
-    )
-    # e = 10 and 15 have roots where the radiation term grows, but c_v < 0 there
-    for e_bad in (10.0, 15.0):
-        with pytest.raises(ModelViolationError, match="c_v <= 0"):
-            thermo.face_closures(unstable, 0.1, rho, np.full((2, 5), e_bad))
 
 
 def _reference_ideal_newton(a, rho, e, rtol, max_iter):
@@ -530,7 +508,7 @@ def test_segmented_inversion_checks_every_part(ideal):
 
 
 def test_closures_from_energy_reject_bad_states(ideal):
-    # the checked oracle of face_closures keeps every positivity check
+    # the checked oracle of a stage's face recovery keeps every positivity check
     for a in (0.0, 0.5):
         for rho, e in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0),
                        (math.nan, 1.0), (1.0, math.inf), ([1.0, 0.0], [1.0, 1.0]),
