@@ -98,7 +98,7 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
     else:
         theta_g = gf.fill_ghosts_slip(theta, grid, depth=_DEPTH)
     u_g = mom_g / rho_g
-    # theta_g is proven: p and c_s^2 come unchecked from one Z, P(Z), P'(Z)
+    # theta_g is proven: p and c_s^2 come from one Z, P(Z), P'(Z), and only c_v is checked
     p_g, c2_g = thermo._closures_at(gas, 0.0, rho_g, theta_g)
     if eps_f > 0.0:
         # ghosts copy interior cells bitwise, so the interior of the ghosted
