@@ -144,18 +144,20 @@ class FluidState:
     total energy along its first axis; rho, mom and etot are views into it.
     `FluidState(rho, mom, etot, time)` stacks the three parts into a new W;
     `FluidState.stacked(W, time)` keeps the given W without copying it.
-    Both validate the fields; `FluidState.stacked(W, time, positive=True)`
-    checks only that they are finite, where the caller has proven
-    rho > 0 and etot > |mom|^2 / (2 rho) wherever they are (a floor pass,
-    `nsf_solver._floor_pass`).  `FluidState.stage(W, time)` keeps W as
-    `stacked` does but checks only its shape and times (a Runge-Kutta
-    stage, whose fields the next temperature recovery checks).
+    Both validate the fields, for finiteness alone when `stacked` is given
+    an `e_int`: etot - |mom|^2 / (2 rho) as a floor pass formed it and
+    proved it positive (`nsf_solver._floor_pass`), which the state keeps
+    for its next recovery (None otherwise).  `FluidState.stage(W, time)`
+    keeps W as `stacked` does but checks only its shape and times (a
+    Runge-Kutta stage, whose fields the next temperature recovery checks).
 
     A batch of M states on one grid is one FluidState whose W has shape
     (2 + dim, M, *cells) and whose time is an array of shape
     (M, 1, ..., 1), one value per member shaped to broadcast against a
     member field such as rho; a float time means no member axis.
     """
+
+    e_int = None
 
     def __init__(self, rho, mom, etot, time: float = 0.0):
         rho = np.asarray(rho, dtype=float)
@@ -174,15 +176,16 @@ class FluidState:
         self._check_fields()
 
     @classmethod
-    def stacked(cls, W, time: float = 0.0, positive: bool = False) -> "FluidState":
-        state = cls.stage(W, time)
-        state._check_fields(positive)
+    def stacked(cls, W, time: float = 0.0, e_int=None) -> "FluidState":
+        state = cls.stage(W, time, e_int)
+        state._check_fields()
         return state
 
     @classmethod
-    def stage(cls, W, time: float = 0.0) -> "FluidState":
+    def stage(cls, W, time: float = 0.0, e_int=None) -> "FluidState":
         state = cls.__new__(cls)
         state._set(np.asarray(W, dtype=float), time)
+        state.e_int = e_int
         return state
 
     def _set(self, W, time):
@@ -196,11 +199,11 @@ class FluidState:
         self.W = W
         self.time = np.asarray(time, dtype=float) if batch else float(time)
 
-    def _check_fields(self, positive=False):
+    def _check_fields(self):
         W = self.W
         if np.count_nonzero(np.isfinite(W)) != W.size:
             raise PositivityError("non-finite values in fluid state")
-        if positive:  # rho > 0 and etot > |mom|^2 / (2 rho) are the caller's proof
+        if self.e_int is not None:  # a floor pass proved rho > 0 and e_int > 0
             return
         rho, mom, etot = W[0], W[1:-1], W[-1]
         occupied = rho > 0.0
@@ -580,12 +583,17 @@ def read_snapshot(path):
     return grid, time, np.frombuffer(blob, dtype="<f8", offset=start).reshape(shape)
 
 
+def snapshot_path(directory, k: int) -> Path:
+    """The file of instant k of the snapshot series in directory."""
+    return Path(directory) / f"{k:05d}.snap"
+
+
 def write_series(directory, grid: Grid, times, W) -> None:
     """Write W[:, k] at times[k] as the series 00000.snap, 00001.snap, ...; older *.snap go."""
     for stale in Path(directory).glob("*.snap"):
         stale.unlink()
     for k, t in enumerate(times):
-        write_snapshot(Path(directory) / f"{k:05d}.snap", grid, t, W[:, k])
+        write_snapshot(snapshot_path(directory, k), grid, t, W[:, k])
 
 
 def read_series(directory, grid: Grid):
@@ -594,10 +602,10 @@ def read_series(directory, grid: Grid):
     The files are read by index, each one's W is copied once into the
     stack, and the stack is checked once as a FluidState; when that fails,
     the instants are checked one by one, so that the first bad snapshot
-    raises its own error.  UsageError, naming the file, when there is
-    none, an index is missing, `read_snapshot` refuses a file, a
-    snapshot's grid (extents, cells, bc) is not `grid`, or its time is not
-    later.
+    raises its own PositivityError, prefixed by its path.  UsageError,
+    naming the file, when there is none, an index is missing,
+    `read_snapshot` refuses a file, a snapshot's grid (extents, cells, bc)
+    is not `grid`, or its time is not later.
     """
     directory = Path(directory)
     names = {p.name for p in directory.glob("*.snap")}
@@ -606,7 +614,7 @@ def read_series(directory, grid: Grid):
     times = []
     W = np.empty((2 + grid.dim, len(names), *grid.cells))
     for k in range(len(names)):
-        p = directory / f"{k:05d}.snap"
+        p = snapshot_path(directory, k)
         if p.name not in names:
             raise UsageError(f"snapshot {p} is missing from a series of {len(names)} files")
         sgrid, t, W_k = read_snapshot(p)
@@ -620,6 +628,10 @@ def read_series(directory, grid: Grid):
         FluidState.stacked(W, np.reshape(times, (-1,) + (1,) * grid.dim))
     except PositivityError:
         for k, t in enumerate(times):
-            FluidState.stacked(W[:, k], t)
+            try:
+                FluidState.stacked(W[:, k], t)
+            except PositivityError as err:
+                err.args = (f"snapshot {snapshot_path(directory, k)}: {err}",)
+                raise
         raise
     return times, W

@@ -33,8 +33,9 @@ the faces, and the one inversion entry behind both,
 takes a recovered theta, so it checks nothing again.  The floor pass of
 each stage (`_floor_pass`) forms the internal energy of the floored
 state, and where no cell is cold it proves rho >= rho_floor > 0 and
-e >= e_min > 0: the next recovery, of the stage or of the accepted state,
-inverts that array with no check but finiteness, and the accepted state's
+e >= e_min > 0.  That array travels with the state it proves, as its
+`FluidState.e_int`: the next recovery, of the stage or of the accepted
+state, inverts it with no check but finiteness, and the accepted state's
 validation checks only finiteness too (`ssp_rk3`).  Each stage inverts its
 cells (from the second stage on) and every axis's faces in one call
 (`_convective`), each member's part its own segment, so a step makes four
@@ -51,7 +52,8 @@ order as the checked public closures, so its bytes are theirs.
 
 `simulate_batch` is the one time loop: it advances runs that differ only
 in their scalings as one batch on a member axis of W, each member bitwise
-its run alone, and `simulate` is its batch of one.
+its run alone, and `simulate` is its batch of one.  Each of its steps is
+one call of the public `step`.
 
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
@@ -150,7 +152,7 @@ class _Kernel:
         # P(Z) = Z, e_min >= scale (rho_floor z_floor) + radiation, rounding
         # being monotone and the radiation term nonnegative (`_floor_pass`)
         scale, z_floor, _ = self.floor_energy
-        self.floor_proves = (config.gas.P is thermo._ideal_P
+        self.floor_proves = (config.gas.ideal
                              and bool(scale * (self.rho_floor * z_floor) > _0D[0.0]))
 
 
@@ -456,14 +458,15 @@ def _diffusive(config: NsfRunConfig, grid, u_g, theta_g, dmom, detot):
         detot += _face_diff(flux, dx).swapaxes(-1, ax - dim)
 
 
-def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None, e_int=None):
+def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None):
     """Tendency dW/dt of the dissipative system, stacked like the state's W.
 
     The system has no body force.  `theta`, when given, is the state's
     temperature, already recovered by the caller.  Otherwise it is
-    recovered as `recover_temperature` recovers it, `e_int` included, in
-    the one inversion of the faces (`_convective`).  A batch state (see
-    `simulate_batch`) advances every member with its own scaling values.
+    recovered as `recover_temperature` recovers it, from the state's
+    `e_int` when a floor pass handed one over, in the one inversion of the
+    faces (`_convective`).  A batch state (see `simulate_batch`) advances
+    every member with its own scaling values.
     """
     grid = config.grid
     gas = config.gas
@@ -472,7 +475,7 @@ def rhs_nsf(state: gf.FluidState, config: NsfRunConfig, theta=None, e_int=None):
 
     cells = None
     if theta is None:
-        rho = state.rho
+        rho, e_int = state.rho, state.e_int
         cells = (rho, _internal_energy(rho, state.mom, state.etot) if e_int is None else e_int)
     W_g = gf.fill_ghosts_slip(state, grid, depth=_GHOST_DEPTH)
 
@@ -589,28 +592,27 @@ def ssp_rk3(state: gf.FluidState, dt, rhs, stage_map=None) -> gf.FluidState:
     `rhs(state)` returns the tendency stacked like `state.W`.  Each stage
     computes its own new W, which `stage_map(W)`, when given, modifies in
     place before the stage state is built on it; the input state is never
-    written.  The two intermediate stages are not validated
-    (`FluidState.stage`): a non-finite or non-positive value there reaches
-    `rhs`, whose temperature recovery raises DomainError or
-    PositivityError on it.  The returned state, the accepted one, is
-    validated (`FluidState.stacked`), for finiteness alone where
-    `stage_map` returned true: that it proved its density and internal
-    energy positive wherever W is finite.  For a batch state, dt holds one
-    step per member, shaped like its times.
+    written.  What `stage_map` returns, an internal energy it proved
+    positive or None, becomes the stage state's `e_int`.  The two
+    intermediate stages are not validated (`FluidState.stage`): a
+    non-finite or non-positive value there reaches `rhs`, whose
+    temperature recovery raises DomainError or PositivityError on it.  The
+    returned state, the accepted one, is validated (`FluidState.stacked`),
+    for finiteness alone when it has an `e_int`.  For a batch state, dt
+    holds one step per member, shaped like its times.
     """
-    def new_W(s, frac_old):
+    def next_state(s, frac_old, time, build=gf.FluidState.stage):
         W = dt * rhs(s)
         W += s.W                                 # s.W + dt * rhs(s)
         if frac_old > 0.0:
             W *= 1.0 - frac_old
             W += frac_old * state.W              # frac_old W_0 + (1 - frac_old) W
-        return W, stage_map is not None and bool(stage_map(W))
+        return build(W, time, None if stage_map is None else stage_map(W))
 
     t = state.time
-    s1 = gf.FluidState.stage(new_W(state, 0.0)[0], t + dt)
-    s2 = gf.FluidState.stage(new_W(s1, 0.75)[0], t + 0.5 * dt)
-    W, positive = new_W(s2, 1.0 / 3.0)
-    return gf.FluidState.stacked(W, t + dt, positive)
+    s1 = next_state(state, 0.0, t + dt)
+    s2 = next_state(s1, 0.75, t + 0.5 * dt)
+    return next_state(s2, 1.0 / 3.0, t + dt, gf.FluidState.stacked)
 
 
 def step(state: gf.FluidState, dt, config: NsfRunConfig,
@@ -618,39 +620,25 @@ def step(state: gf.FluidState, dt, config: NsfRunConfig,
     """One SSP-RK3 step of `rhs_nsf`; positivity floors applied and counted per stage.
 
     `theta`, when given, is the state's temperature and serves the first
-    stage.  `stats` is a StepStats, or for a batch state a list of them,
-    one per member; dt then holds one step per member.
+    stage.  Each stage state, the accepted one included, keeps as its
+    `e_int` what its floor pass (`_floor_pass`) proved.  `stats` is a
+    StepStats, or for a batch state a list of them, one per member; dt
+    then holds one step per member.
     """
-    return _step(state, dt, config, stats, theta)[0]
-
-
-def _step(state, dt, config: NsfRunConfig, stats, theta):
-    """`step`: (the accepted state, its internal energy as its floor pass
-    handed it over, or None).  Each later stage's recovery takes the
-    internal energy of the floor pass that made the stage (`_floor_pass`),
-    and an accepted state whose floor pass proved it positive is checked
-    for finiteness alone (`ssp_rk3`)."""
     hits = 0
-    proven = (None, None)  # W and e_int of the latest floor pass
 
     def floors(W):
-        nonlocal hits, proven
+        nonlocal hits
         h, e_int = _floor_pass(W, config)
         hits = hits + h
-        proven = (W, e_int)
-        return e_int is not None
+        return e_int
 
-    def rhs(s):
-        if s is state:
-            return rhs_nsf(s, config, theta)
-        return rhs_nsf(s, config, e_int=proven[1] if proven[0] is s.W else None)
-
-    out = ssp_rk3(state, dt, rhs, floors)
+    out = ssp_rk3(state, dt, lambda s: rhs_nsf(s, config, theta if s is state else None), floors)
     if stats is not None:
         cells = config._kernel.cells
         for st, h in zip(stats if isinstance(stats, list) else [stats], np.ravel(hits)):
             st.record(int(h), cells)
-    return out, proven[1] if proven[0] is out.W else None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +728,9 @@ def _advance(state, theta, config: NsfRunConfig, stats):
     aborts, (the last state reached, None, the error)."""
     try:
         dt = np.minimum(stable_dt(state, theta, config), config.t_end - state.time)
-        state, e_int = _step(state, dt, config, stats, theta)
+        state = step(state, dt, config, stats, theta)
         theta = recover_temperature(state.rho, state.mom, state.etot, config.gas,
-                                    config.scaling.a, e_int)
+                                    config.scaling.a, state.e_int)
     except (PositivityError, DomainError) as err:
         return state, None, err
     return state, theta, None

@@ -143,13 +143,19 @@ def sweep_runs(cfg: dict):
     scalings and t_end set.  reference is the keys an inviscid run reads,
     with grid.cells refined by sweep.reference-factor, output.stride set to
     sweep.reference-stride and init.gap, which perturbs the runs only, to
-    0.0.  Values of cfg are copied as written.
+    0.0.  Values of cfg are copied as written.  Two a values whose run ids
+    (`run_id_for`) agree would share a run directory, and are refused.
     """
     cfgmod.check_keys(cfg, "sweep")
     cfg = {**_DEFAULTS, **cfg}
     path = ScalingPath(cfgmod.get_floats(cfg, "sweep.a-values"),
                        **{name: cfgmod.get_float(cfg, f"sweep.{name}")
                           for name in ("alpha", "beta", "gamma") if f"sweep.{name}" in cfg})
+    for hi, lo in zip(path.a_values, path.a_values[1:]):  # decreasing: equal ids adjoin
+        if run_id_for(hi) == run_id_for(lo):
+            raise ConfigError(f"sweep.a-values {hi!r} and {lo!r} share the run id "
+                              f"{run_id_for(lo)}; each path point needs a run directory "
+                              "of its own")
     for key in ("sweep.reference-factor", "sweep.reference-stride"):
         if cfgmod.get_int(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -229,7 +235,8 @@ def load_run(run_dir):
     the stack W that `gf.read_series` reads and stops each at its own
     convergence (`thermo.admissible_temperature`); when it fails, the
     snapshots are recovered one at a time, so that the first bad one
-    raises what it raises alone.
+    raises what it raises alone, its message prefixed by the snapshot's
+    path.
     """
     rdir = Path(run_dir)
     mapping = cfgmod.load_file(rdir / "run.cfg")
@@ -243,8 +250,12 @@ def load_run(run_dir):
         traj.thetas = ns.recover_temperature(
             W[0], W[1:-1], W[-1], gas, np.full((len(times),) + (1,) * run_cfg.grid.dim, a))
     except (PositivityError, DomainError):
-        for s in traj.states:
-            ns.recover_temperature(s.rho, s.mom, s.etot, gas, a)
+        for k, s in enumerate(traj.states):
+            try:
+                ns.recover_temperature(s.rho, s.mom, s.etot, gas, a)
+            except (PositivityError, DomainError) as err:
+                err.args = (f"snapshot {gf.snapshot_path(rdir, k)}: {err}",)
+                raise
         raise
     return mapping, run_cfg, traj
 

@@ -55,6 +55,12 @@ class GasModel:
     S_closed: Optional[Callable[[np.ndarray], np.ndarray]] = None
     law_text: Optional[str] = None
 
+    @property
+    def ideal(self) -> bool:
+        """The one test of the ideal law P(Z) = Z, whose closures and inversion
+        are specialized: P and P' are `ideal_gas`'s own functions."""
+        return self.P is _ideal_P and self.dP is _ideal_dP
+
 
 @dataclass(frozen=True)
 class TransportModel:
@@ -184,11 +190,8 @@ def Z_of(rho, theta):
 
 def pressure_parts(gas: GasModel, a: float, rho, theta):
     """(molecular, radiative) pressure parts."""
-    return _pressure_parts(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
-
-
-def _pressure_parts(gas, a, rho, theta):
-    return theta ** 2.5 * gas.P(Z_of(rho, theta)), (a / 3.0) * theta ** 4
+    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
+    return theta ** 2.5 * _P_at(gas, Z_of(rho, theta)), (a / 3.0) * theta ** 4
 
 
 def pressure(gas: GasModel, a: float, rho, theta):
@@ -273,43 +276,29 @@ def entropy_density(gas: GasModel, a: float, rho, theta):
 
 
 # ---------------------------------------------------------------------------
-# derivatives of the closures (exact, via P and P')
-# the private bodies take a checked state; each public function checks once
-
-
-def _cv_molecular(gas, rho, theta):
-    z = Z_of(rho, theta)
-    cv = 1.5 * (2.5 * gas.P(z) - 1.5 * z * gas.dP(z)) / z
-    if (np.asarray(cv) <= 0.0).any():
-        raise ModelViolationError("c_v <= 0: closure violates thermal stability")
-    return cv
-
-
-def _cv_total(gas, a, rho, theta):
-    return _cv_molecular(gas, rho, theta) + 4.0 * a * theta ** 3 / rho
-
-
-def _dp_drho(gas, rho, theta):
-    return theta * gas.dP(Z_of(rho, theta))
-
-
-def _dp_dtheta(gas, a, rho, theta):
-    z = Z_of(rho, theta)
-    return theta ** 1.5 * (2.5 * gas.P(z) - 1.5 * z * gas.dP(z)) + (4.0 * a / 3.0) * theta ** 3
+# derivatives of the closures (exact, via P and P'): each checks its state
+# once, then evaluates the step path's `_law_at`, `_stability` and `_cv_of`
 
 
 def heat_capacity_cv(gas: GasModel, rho, theta):
     """c_v = d e_M / d theta = (3/2) [(5/2) P(Z) - (3/2) Z P'(Z)] / Z; > 0."""
-    return _cv_molecular(gas, *_check_state(rho, theta))
+    rho, theta = _check_state(rho, theta)
+    z = Z_of(rho, theta)
+    return _cv_of(_stability(z, *_law_at(gas, z)), z)
 
 
 def cv_total(gas: GasModel, a: float, rho, theta):
     """d e / d theta for the full closure, radiation included."""
-    return _cv_total(gas, a, *_check_state(rho, theta))
+    rho, theta = _check_state(rho, theta)
+    z = Z_of(rho, theta)
+    return _cv_of(_stability(z, *_law_at(gas, z)), z) + 4.0 * a * theta ** 3 / rho
 
 
 def dp_dtheta(gas: GasModel, a: float, rho, theta):
-    return _dp_dtheta(gas, a, *_check_state(rho, theta, allow_zero_rho=True))
+    """dp/dtheta at fixed rho, down to rho = 0: it takes no division by c_v."""
+    rho, theta = _check_state(rho, theta, allow_zero_rho=True)
+    z = Z_of(rho, theta)
+    return theta ** 1.5 * _stability(z, *_law_at(gas, z)) + (4.0 * a / 3.0) * theta ** 3
 
 
 def sound_speed_sq(gas: GasModel, a: float, rho, theta):
@@ -329,32 +318,44 @@ def _sound_speed_sq_cv(gas, a, rho, theta):
 
 
 def _P_at(gas, z):
-    """P(Z); z itself for `ideal_gas`'s own law."""
-    return z if gas.P is _ideal_P else gas.P(z)
+    """P(Z); z itself for the ideal law (`GasModel.ideal`)."""
+    return z if gas.ideal else gas.P(z)
 
 
 def _law_at(gas, z):
-    """P(Z) and P'(Z).  For `ideal_gas`'s own law they are z itself and
-    None, standing for P' = 1, whose products the closures skip: x * 1.0
-    is x bitwise."""
-    if gas.P is _ideal_P and gas.dP is _ideal_dP:
+    """P(Z) and P'(Z).  For the ideal law (`GasModel.ideal`) they are z
+    itself and None, standing for P' = 1, whose products the closures
+    skip: x * 1.0 is x bitwise."""
+    if gas.ideal:
         return z, None
     return gas.P(z), gas.dP(z)
 
 
-def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
-    # (c_s^2, c_v): _dp_drho + theta _dp_dtheta^2 / (rho^2 _cv_total) and
-    # _cv_molecular, written out on the given Z, P(Z), P'(Z) (None for the
-    # ideal law's 1, see _law_at) and theta^3 with the same operations on
-    # the same operands (products and sums commute bitwise); every
-    # temporary is this function's own and is updated in place, and every
-    # scalar is a 0-d array (_0D)
+def _stability(z, P, dP):
+    """(5/2) P(Z) - (3/2) Z P'(Z) on `_law_at`'s P(Z) and P'(Z)."""
     stab = _0D[2.5] * P
     stab -= _0D[1.5] * z if dP is None else _0D[1.5] * z * dP
+    return stab
+
+
+def _cv_of(stab, z):
+    """The molecular c_v = (3/2) stab / Z; ModelViolationError where c_v <= 0."""
     cv = _0D[1.5] * stab
     cv /= z
     if np.count_nonzero(cv <= _0D[0.0]):
         raise ModelViolationError("c_v <= 0: closure violates thermal stability")
+    return cv
+
+
+def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
+    # (c_s^2, c_v): dp/drho + theta (dp/dtheta)^2 / (rho^2 cv_total) and
+    # c_v, with dp/drho = theta P'(Z), written out on the given Z, P(Z),
+    # P'(Z) (None for the ideal law's 1, see _law_at) and theta^3 in the
+    # operations of `dp_dtheta` and `cv_total` (products and sums commute
+    # bitwise); every temporary is this function's own and is updated in
+    # place, and every scalar is a 0-d array (_0D)
+    stab = _stability(z, P, dP)
+    cv = _cv_of(stab, z)
     num = theta ** 1.5 * stab
     num += np.asarray(4.0 * a / 3.0) * theta3
     den = np.asarray(4.0 * a) * theta3
@@ -537,21 +538,19 @@ def _whole(theta):
 
 def _invert(gas, a, rho, e, starts):
     """theta on finite arrays rho > 0, e > 0 to relative tolerance 1e-12 in
-    at most 160 steps: the ideal law's Newton iteration (gas.law_text ==
-    "Z") or the bracketed one.  The ideal law's segments (see _segments)
+    at most 160 steps: the ideal law's Newton iteration (`GasModel.ideal`)
+    or the bracketed one.  The ideal law's segments (see _segments)
     share one loop while they stop together; segments that part ways, and
     every segment of another law, are inverted one at a time, each from
     its own start."""
-    ideal = gas.law_text == "Z"
-
     def alone(a, rho, e):
-        if ideal:
+        if gas.ideal:
             return _invert_ideal(a, rho, e, 1e-12, 160)
         return _invert_molecular(gas, a, rho, e, 1e-12, 160)
 
     if starts is None:
         return alone(a, rho, e)
-    if ideal:
+    if gas.ideal:
         theta = _invert_ideal(a, rho, e, 1e-12, 160, starts)
         if theta is not None:
             return theta
@@ -570,12 +569,12 @@ def admissible_temperature(gas: GasModel, a, rho, e_density):
     of both solvers), the stages of `nsf_solver.rhs_nsf` (a stage's cells
     and faces together) and gate 6's relative-energy check (the cells with
     rho > 0) call it.  The left side is strictly increasing in theta, so
-    the root is unique.  The ideal law P(Z) = Z (gas.law_text == "Z")
-    gives e / (1.5 rho) exactly at a = 0, and at a > 0 Newton's method
-    falling monotonically from an upper bound (the left side is convex);
-    any other law takes a bracketed Newton iteration.  Both stop at
-    relative tolerance 1e-12 and raise DomainError if 160 steps do not
-    reach it.
+    the root is unique.  The ideal law P(Z) = Z (`GasModel.ideal`) gives
+    e / (1.5 rho) exactly at a = 0, and at a > 0 Newton's method falling
+    monotonically from an upper bound (the left side is convex); any other
+    law, an expression law "Z" included, takes a bracketed Newton
+    iteration.  Both stop at relative tolerance 1e-12 and raise DomainError
+    if 160 steps do not reach it.
 
     a is a float, or for a batch one value per member, shaped to broadcast
     against rho, whose axis rho.ndim - a.ndim is then the member axis.
@@ -616,7 +615,7 @@ def _closures_at(gas, a, rho, theta):
     z = rho * theta ** -1.5
     P, dP = _law_at(gas, z)
     p = theta ** 2.5 * P
-    p += np.asarray(a / 3.0) * theta ** 4  # the two _pressure_parts, summed
+    p += np.asarray(a / 3.0) * theta ** 4  # the two `pressure_parts`, summed
     return p, _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)[0]
 
 

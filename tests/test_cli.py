@@ -241,6 +241,19 @@ def test_sweep_refuses_a_directory_where_it_writes_a_file(tmp_path, capsys, take
     assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == [taken]
 
 
+def test_sweep_refuses_a_values_that_share_a_run_id(tmp_path, capsys):
+    # both points would write runs/a1.000e-02/, the second over the first
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("sweep.a-values = 1e-2 1e-3",
+                                     "sweep.a-values = 1.00001e-2 1e-2"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: sweep.a-values 0.0100001 and 0.01 share the "
+                                       "run id a1.000e-02; each path point needs a run "
+                                       "directory of its own\n")
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_directory_where_a_run_file_goes(tmp_path, capsys, count_calls):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)
@@ -534,7 +547,39 @@ def test_diag_names_the_first_snapshot_without_internal_energy(cli_sweep, tmp_pa
         W[row, cell] = 0.0
         gf.write_snapshot(snap, grid, t, W)
     assert cli.main(["diag", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: non-positive internal energy at cell (3,)\n"
+    assert capsys.readouterr().err == (f"error: snapshot {snaps[1]}: "
+                                       "non-positive internal energy at cell (3,)\n")
+
+
+@pytest.mark.parametrize("damage", ["negative-density", "no-internal-energy"])
+def test_diag_names_the_snapshot_a_load_error_comes_from(cli_sweep, tmp_path, capsys, damage):
+    # the first fails the stored series' state check, the second passes it
+    # and fails the run's temperature recovery
+    out = _sweep_copy(cli_sweep, tmp_path)
+    snap = sorted(out.glob("runs/*/00003.snap"))[0]
+    grid, t, W = gf.read_snapshot(snap)
+    W = W.copy()
+    if damage == "negative-density":
+        W[0, 5] = -W[0, 5]
+        want = "negative density"
+    else:
+        W[-1, 5] = 0.5 * W[1, 5] ** 2 / W[0, 5]  # etot = |mom|^2 / (2 rho)
+        want = "non-positive internal energy at cell (5,)"
+    gf.write_snapshot(snap, grid, t, W)
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: snapshot {snap}: {want}\n")
+
+
+def test_diag_names_the_reference_cache_snapshot_a_load_error_comes_from(cli_sweep, tmp_path,
+                                                                        capsys):
+    out = _sweep_copy(cli_sweep, tmp_path)
+    (snap,) = out.glob("reference-cache/euler-*/00003.snap")
+    grid, t, W = gf.read_snapshot(snap)
+    W = W.copy()
+    W[0, 5] = -W[0, 5]
+    gf.write_snapshot(snap, grid, t, W)
+    assert cli.main(["diag", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: snapshot {snap}: negative density\n")
 
 
 @pytest.mark.parametrize("damage, why", [

@@ -305,7 +305,8 @@ def test_load_run_thetas_match_the_per_snapshot_loop_bitwise(tiny_sweep):
 
 def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path):
     # snapshot 1 has no internal energy in cell 3 and snapshot 2 no density
-    # in cell 1: stacked, the density check would name snapshot 2 first
+    # in cell 1: stacked, the density check would name snapshot 2 first;
+    # the error is snapshot 1's own, prefixed by its path
     _, out, manifest = tiny_sweep
     rdir = tmp_path / "run"
     shutil.copytree(out / "runs" / manifest.records[0].run_id, rdir)
@@ -323,7 +324,8 @@ def test_load_run_raises_what_the_first_bad_snapshot_raises(tiny_sweep, tmp_path
         _loop_thetas(ns.Trajectory(config=run_cfg, times=times, W=W).states, run_cfg)
     with pytest.raises(type(want.value)) as got:
         sweepmod.load_run(rdir)
-    assert str(got.value) == str(want.value) == "non-positive internal energy at cell (3,)"
+    assert str(want.value) == "non-positive internal energy at cell (3,)"
+    assert str(got.value) == f"snapshot {snaps[1]}: {want.value}"
 
 
 def test_load_run_checks_a_healthy_run_once(tiny_sweep, count_calls):

@@ -285,9 +285,11 @@ def test_sound_speed_evaluates_the_law_once(ideal, law_a):
                               law_text=law.law_text)
         got = thermo.sound_speed_sq(gas, 0.3, rho, theta)
         assert sorted(calls) == ["P", "dP"]
-        num = thermo._dp_dtheta(law, 0.3, rho, theta)
-        want = np.maximum(thermo._dp_drho(law, rho, theta) + theta * num ** 2
-                          / (rho ** 2 * thermo._cv_total(law, 0.3, rho, theta)), thermo._EPS)
+        z = rho * theta ** -1.5
+        stab = 2.5 * law.P(z) - 1.5 * z * law.dP(z)
+        num = theta ** 1.5 * stab + (4.0 * 0.3 / 3.0) * theta ** 3
+        cv = 1.5 * stab / z + 4.0 * 0.3 * theta ** 3 / rho
+        want = np.maximum(theta * law.dP(z) + theta * num ** 2 / (rho ** 2 * cv), thermo._EPS)
         assert got.tobytes() == want.tobytes()
 
 
@@ -555,7 +557,7 @@ def test_pressure_partials_match_fd(law_a):
     h = 1e-6
     fd_r = (thermo.pressure(law_a, a, rho + h, theta) - thermo.pressure(law_a, a, rho - h, theta)) / (2 * h)
     fd_t = (thermo.pressure(law_a, a, rho, theta + h) - thermo.pressure(law_a, a, rho, theta - h)) / (2 * h)
-    assert thermo._dp_drho(law_a, rho, theta) == pytest.approx(fd_r, rel=1e-8)
+    assert theta * law_a.dP(thermo.Z_of(rho, theta)) == pytest.approx(fd_r, rel=1e-8)
     assert thermo.dp_dtheta(law_a, a, rho, theta) == pytest.approx(fd_t, rel=1e-8)
 
 
@@ -710,9 +712,35 @@ def test_temperature_inversion_domain_errors(ideal):
 
 
 def linear_gas():
-    """The ideal law without its law_text, so it takes the bracketed solver."""
+    """The ideal law in functions of its own, not `ideal_gas`'s, so it takes
+    the bracketed solver (`GasModel.ideal`)."""
     return thermo.GasModel(name="linear", P=lambda z: np.asarray(z, dtype=float),
                            dP=lambda z: np.ones_like(np.asarray(z, dtype=float)))
+
+
+def test_expression_law_z_takes_the_general_route_and_matches_ideal_gas(ideal, count_calls):
+    # only ideal_gas's own P and P' take the ideal law's inversion and
+    # closures; the same law as an expression takes the general ones and
+    # agrees to rounding
+    law_z = thermo.gas_from_expression("z", "Z")
+    assert ideal.ideal and not law_z.ideal
+    ideal_route = count_calls(thermo, "_invert_ideal")
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(0.05, 8.0, (2, 48))
+    theta = rng.uniform(0.05, 8.0, (2, 48))
+    for a in (0.0, 0.5):
+        e = thermo.internal_energy_density(ideal, a, rho, theta)
+        got = thermo.admissible_temperature(law_z, a, rho, e)
+        assert ideal_route == []
+        want = thermo.admissible_temperature(ideal, a, rho, e)
+        ideal_route.clear()
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        pairs = [*zip(thermo._closures_at(law_z, a, rho, got),
+                      thermo._closures_at(ideal, a, rho, want), strict=True),
+                 (thermo.sound_speed_sq(law_z, a, rho, theta),
+                  thermo.sound_speed_sq(ideal, a, rho, theta))]
+        for g, w in pairs:
+            assert np.max(np.abs(g - w) / w) <= 1e-12
 
 
 def test_bracketed_inversion_accepts_a_newton_step_onto_the_bracket():
