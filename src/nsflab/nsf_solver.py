@@ -50,10 +50,10 @@ the bits of the floats without numpy's per-call conversion of a Python
 float; the step path computes the same ufunc operations in the same
 order as the checked public closures, so its bytes are theirs.
 
-`simulate_batch` is the one time loop: it advances runs that differ only
-in their scalings as one batch on a member axis of W, each member bitwise
-its run alone, and `simulate` is its batch of one.  Each of its steps is
-one call of the public `step`.
+`simulate_batch` is the one time loop, stepping through `step`: it
+advances runs that differ only in their scalings as one batch on a member
+axis of W, each member bitwise its run alone, and `simulate` is its batch
+of one.
 
 All fluxes are written as face differences, so mass is conserved to
 round-off on periodic boxes and across slip walls (the mirror ghosts make
@@ -520,7 +520,7 @@ def stable_dt(state: gf.FluidState, theta, config: NsfRunConfig):
     rho = state.rho
     # the closures' private body serves, with no second check; its c_v is
     # the one of the diffusive bound below, bitwise
-    c, cv = thermo._sound_speed_sq_cv(config.gas, sc.a, rho, theta)
+    c, cv, _ = thermo._sound_speed_sq_cv(config.gas, sc.a, rho, theta)
     np.sqrt(c, c)
     u = state.mom / rho  # the velocity, rho > 0
     dt = math.inf

@@ -57,8 +57,7 @@ class GasModel:
 
     @property
     def ideal(self) -> bool:
-        """The one test of the ideal law P(Z) = Z, whose closures and inversion
-        are specialized: P and P' are `ideal_gas`'s own functions."""
+        """The one test of the ideal law: P and P' are `ideal_gas`'s own."""
         return self.P is _ideal_P and self.dP is _ideal_dP
 
 
@@ -309,14 +308,6 @@ def sound_speed_sq(gas: GasModel, a: float, rho, theta):
     return _sound_speed_sq_cv(gas, a, *_check_state(rho, theta))[0]
 
 
-def _sound_speed_sq_cv(gas, a, rho, theta):
-    """(c_s^2, molecular c_v) on a checked state from one Z, P(Z), P'(Z)
-    and theta^3: the bits of `sound_speed_sq` and `heat_capacity_cv`."""
-    z = rho * theta ** -1.5
-    P, dP = _law_at(gas, z)
-    return _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)
-
-
 def _P_at(gas, z):
     """P(Z); z itself for the ideal law (`GasModel.ideal`)."""
     return z if gas.ideal else gas.P(z)
@@ -347,13 +338,17 @@ def _cv_of(stab, z):
     return cv
 
 
-def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
-    # (c_s^2, c_v): dp/drho + theta (dp/dtheta)^2 / (rho^2 cv_total) and
-    # c_v, with dp/drho = theta P'(Z), written out on the given Z, P(Z),
-    # P'(Z) (None for the ideal law's 1, see _law_at) and theta^3 in the
-    # operations of `dp_dtheta` and `cv_total` (products and sums commute
-    # bitwise); every temporary is this function's own and is updated in
-    # place, and every scalar is a 0-d array (_0D)
+def _sound_speed_sq_cv(gas, a, rho, theta):
+    """(c_s^2, molecular c_v, P(Z)) on a checked state from one Z, P(Z),
+    P'(Z) and theta^3: the bits of `sound_speed_sq` and `heat_capacity_cv`."""
+    # c_s^2 = dp/drho + theta (dp/dtheta)^2 / (rho^2 cv_total), with dp/drho
+    # = theta P'(Z), in the operations of `dp_dtheta` and `cv_total`
+    # (products and sums commute bitwise); every temporary is this
+    # function's own and is updated in place, and every scalar is a 0-d
+    # array (_0D)
+    z = rho * theta ** -1.5
+    P, dP = _law_at(gas, z)
+    theta3 = theta ** 3
     stab = _stability(z, P, dP)
     cv = _cv_of(stab, z)
     num = theta ** 1.5 * stab
@@ -366,7 +361,7 @@ def _sound_speed_sq_at(a, rho, theta, z, P, dP, theta3):
     num *= theta
     num /= den
     num += theta if dP is None else theta * dP
-    return np.maximum(num, _0D[_EPS]), cv
+    return np.maximum(num, _0D[_EPS]), cv, P
 
 
 def _invert_molecular(gas, a, rho, e, rtol, max_iter):
@@ -543,21 +538,16 @@ def _invert(gas, a, rho, e, starts):
     share one loop while they stop together; segments that part ways, and
     every segment of another law, are inverted one at a time, each from
     its own start."""
-    def alone(a, rho, e):
-        if gas.ideal:
-            return _invert_ideal(a, rho, e, 1e-12, 160)
-        return _invert_molecular(gas, a, rho, e, 1e-12, 160)
-
-    if starts is None:
-        return alone(a, rho, e)
-    if gas.ideal:
+    if gas.ideal:  # None only where segments part ways or a mixes 0 and > 0
         theta = _invert_ideal(a, rho, e, 1e-12, 160, starts)
         if theta is not None:
             return theta
+    if starts is None:
+        return _invert_molecular(gas, a, rho, e, 1e-12, 160)
     shape = rho.shape
     a, rho, e = np.broadcast_to(a, shape).reshape(-1), rho.reshape(-1), e.reshape(-1)
     ends = list(starts[1:]) + [rho.size]
-    return np.concatenate([alone(float(a[lo]), rho[lo:hi], e[lo:hi])
+    return np.concatenate([_invert(gas, float(a[lo]), rho[lo:hi], e[lo:hi], None)
                            for lo, hi in zip(starts, ends)]).reshape(shape)
 
 
@@ -612,11 +602,10 @@ def _closures_at(gas, a, rho, theta):
     order of the separate closures, whatever the law.  Only c_v is
     checked: ModelViolationError for c_v <= 0.
     """
-    z = rho * theta ** -1.5
-    P, dP = _law_at(gas, z)
+    c2, _, P = _sound_speed_sq_cv(gas, a, rho, theta)
     p = theta ** 2.5 * P
     p += np.asarray(a / 3.0) * theta ** 4  # the two `pressure_parts`, summed
-    return p, _sound_speed_sq_at(a, rho, theta, z, P, dP, theta ** 3)[0]
+    return p, c2
 
 
 # ---------------------------------------------------------------------------
