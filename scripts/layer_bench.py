@@ -60,7 +60,7 @@ def _cases(cells: int, tmp: str) -> dict:
                 for a in PATH]
     config = ns.NsfRunConfig(gas=gas, transport=transport, scaling=scalings[0], grid=grid,
                              t_end=1.0, cfl=0.35)
-    fields = scenarios.acoustic_entropy(grid).fields(grid)
+    fields = scenarios.acoustic_entropy(grid, amplitude=0.01, gap=0.0).fields(grid)
     state = ns.state_from_primitives(gas, A, fields)
     theta = ns.recover_temperature(state.rho, state.mom, state.etot, gas, A)
     state0 = ns.state_from_primitives(gas, 0.0, (state.rho, theta, state.velocity()))

@@ -42,7 +42,7 @@ def main(argv=None):
     ref_grid = gf.Grid.line(1.0, args.reference_factor * max(args.grids), "slip-wall")
     ref_cfg = er.EulerRunConfig(gas=gas, grid=ref_grid, t_end=args.t_end, cfl=0.35,
                                 output_stride=4)
-    scenario = scenarios.acoustic_entropy(ref_grid, amplitude=args.amplitude)
+    scenario = scenarios.acoustic_entropy(ref_grid, amplitude=args.amplitude, gap=0.0)
     reference = er.run_euler(ref_cfg, scenario.fields(ref_grid))
     monitor = er.lifespan_monitor(reference)
     t_safe = monitor.usable_until
@@ -58,7 +58,7 @@ def main(argv=None):
             grid = gf.Grid.line(1.0, n, "slip-wall")
             cfg = ns.NsfRunConfig(gas=gas, transport=transport, scaling=sc, grid=grid,
                                   t_end=t_safe, cfl=0.35, output_stride=16)
-            init = scenarios.acoustic_entropy(grid, amplitude=args.amplitude)
+            init = scenarios.acoustic_entropy(grid, amplitude=args.amplitude, gap=0.0)
             traj = ns.simulate(cfg, init.fields(grid))
             reason = (f"unhealthy ({traj.health_reason})" if not traj.healthy else
                       "fewer than three stored instants"

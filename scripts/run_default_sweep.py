@@ -41,8 +41,7 @@ def main(argv=None):
     ap.add_argument("--skip-ill", action="store_true", help="run only the well-prepared family")
     args = ap.parse_args(argv)
 
-    base = {"grid.extent": "1.0", "grid.cells": str(args.cells), "t_end": repr(args.t_end),
-            "sweep.a-values": "1e-2 1e-3 1e-4"}
+    base = {"grid.extent": "1.0", "grid.cells": str(args.cells), "t_end": repr(args.t_end)}
     out = pathlib.Path(args.out)
 
     families = [("well", 0.0)] if args.skip_ill else [("well", 0.0), ("ill", args.gap)]

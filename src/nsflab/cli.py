@@ -106,10 +106,10 @@ def _cmd_thermo_check(args) -> int:
 def _cmd_coercivity(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed must be nonnegative, got {args.seed}")
-    cfg = _load_config(args)
+    cfg = {"scaling.a": "0.5", **_load_config(args)}  # the command's own default radiation scale
     cfgmod.check_keys(cfg, "coercivity")
     gas = cfgmod.build_gas(cfg)
-    a = cfgmod.get_float(cfg, "scaling.a", "0.5")
+    a = cfgmod.get_float(cfg, "scaling.a")
     K = (0.5, 2.0, 0.5, 2.0)
     c = renergy.coercivity_constant(gas, a, K, sample_count=10000,
                                     seed=args.seed)

@@ -10,11 +10,7 @@ class ModelViolationError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge; carries the achieved tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(f"{message} (achieved tolerance {achieved:.3e})")
-        self.achieved = achieved
+    """Adaptive quadrature did not converge; the message names the achieved tolerance."""
 
 
 class UsageError(ValueError):
@@ -24,10 +20,9 @@ class UsageError(ValueError):
 class PositivityError(RuntimeError):
     """A run lost positivity (rho or internal energy); carries cell info."""
 
-    def __init__(self, message: str, where=None, state=None):
+    def __init__(self, message: str, where=None):
         super().__init__(message)
         self.where = where
-        self.state = state
 
 
 class ConfigError(ValueError):

@@ -10,10 +10,10 @@ values vanish bitwise at wall faces).  The filter's amplitude therefore
 needs no calibration: each run measures its total-energy drift
 (`energy_drift`), which stays far below the fraction DRIFT_BUDGET of the
 initial energy.  Temperature comes from
-`nsf_solver.recover_temperature`, once per state: `rhs_euler` inverts the
-ghosted state and takes the filter's signal speed from its interior, and
-the first stage of each `run_euler` step takes the temperature that the
-step's Courant check recovered.
+`nsf_solver.recover_temperature`, once per state and on its interior
+cells: `rhs_euler` ghost-fills the temperature it recovers or is given,
+and the first stage of each `run_euler` step takes the temperature that
+the step's Courant check recovered.
 
 Smooth inviscid flow steepens and eventually leaves the classical regime;
 `lifespan_monitor` watches the gradient history and declares the usable
@@ -54,8 +54,8 @@ class EulerRunConfig:
     gas: thermo.GasModel
     grid: gf.Grid
     t_end: float
-    cfl: float = 0.4
-    output_stride: int = 2
+    cfl: float
+    output_stride: int
 
     def __post_init__(self):
         check_run_settings(self)
@@ -85,18 +85,18 @@ def rhs_euler(state: gf.FluidState, gas: thermo.GasModel, grid: gf.Grid,
 
     4th-order centered flux differences plus, when eps_f > 0, a 6th-order
     hyper-dissipation flux scaled by the fastest signal speed per axis.
-    `theta`, when given, is the state's temperature.  Its ghost fill is
-    the ghosted state's temperature bitwise: ghost cells copy interior
-    cells (a mirrored momentum only changes sign), and the inversion
-    treats every cell alike.
+    `theta`, when given, is the state's temperature; otherwise it is
+    recovered from the state, so that an error names an interior cell.
+    Its ghost fill is the ghosted state's temperature bitwise: ghost cells
+    copy interior cells (a mirrored momentum only changes sign), and the
+    inversion treats every cell alike.
     """
     dim = grid.dim
+    if theta is None:
+        theta = recover_temperature(state.rho, state.mom, state.etot, gas, 0.0)
     W_g = gf.fill_ghosts_slip(state, grid, depth=_DEPTH)
     rho_g, mom_g = W_g[0], W_g[1:-1]
-    if theta is None:
-        theta_g = recover_temperature(rho_g, mom_g, W_g[-1], gas, 0.0)
-    else:
-        theta_g = gf.fill_ghosts_slip(theta, grid, depth=_DEPTH)
+    theta_g = gf.fill_ghosts_slip(theta, grid, depth=_DEPTH)
     u_g = mom_g / rho_g
     # theta_g is proven: p and c_s^2 come from one Z, P(Z), P'(Z), and only c_v is checked
     p_g, c2_g = thermo._closures_at(gas, 0.0, rho_g, theta_g)

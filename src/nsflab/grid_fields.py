@@ -210,16 +210,16 @@ class FluidState:
         vacuum = np.count_nonzero(occupied) != occupied.size
         if vacuum:
             if np.count_nonzero(rho < 0.0):
-                raise PositivityError("negative density", state=self)
+                raise PositivityError("negative density")
             if np.count_nonzero(~occupied & np.logical_or.reduce(mom != 0.0, axis=0)):
-                raise PositivityError("momentum in a vacuum cell", state=self)
+                raise PositivityError("momentum in a vacuum cell")
         ke = _kinetic(rho, mom, occupied if vacuum else None)
         slack = np.abs(etot)
         np.maximum(1.0, slack, out=slack)
         slack *= 1e-12
         slack += etot  # etot + 1e-12 max(1, |etot|)
         if np.count_nonzero(slack < ke):
-            raise PositivityError("total energy below kinetic energy", state=self)
+            raise PositivityError("total energy below kinetic energy")
 
     @property
     def rho(self) -> np.ndarray:

@@ -45,8 +45,7 @@ def uniform(grid: gf.Grid, rho0: float = 1.0, theta0: float = 1.0) -> Scenario:
     return Scenario("uniform", lambda *X: rho0, lambda *X: theta0, zeros)
 
 
-def acoustic_entropy(grid: gf.Grid, amplitude: float = 0.01,
-                     gap: float = 0.0) -> Scenario:
+def acoustic_entropy(grid: gf.Grid, amplitude: float, gap: float) -> Scenario:
     """Small slip-compatible entropy + acoustic perturbation of a rest state.
 
     The base modes are half-wave (even rho/theta, odd u at both walls); a
@@ -65,7 +64,7 @@ def acoustic_entropy(grid: gf.Grid, amplitude: float = 0.01,
     )
 
 
-def compressive_pulse(grid: gf.Grid, amplitude: float = 0.2) -> Scenario:
+def compressive_pulse(grid: gf.Grid, amplitude: float) -> Scenario:
     """Velocity pulse on a uniform state; steepens into a gradient blow-up."""
     if grid.dim != 1:
         raise UsageError("the compressive pulse is one-dimensional")
@@ -81,15 +80,13 @@ def compressive_pulse(grid: gf.Grid, amplitude: float = 0.2) -> Scenario:
 
 _BUILDERS = {
     "uniform": lambda grid, amplitude, gap: uniform(grid),
-    "acoustic-entropy": lambda grid, amplitude, gap: acoustic_entropy(
-        grid, amplitude, gap),
+    "acoustic-entropy": acoustic_entropy,
     "compressive-pulse": lambda grid, amplitude, gap: compressive_pulse(
         grid, amplitude),
 }
 
 
-def build(name: str, grid: gf.Grid, amplitude: float = 0.01,
-          gap: float = 0.0) -> Scenario:
+def build(name: str, grid: gf.Grid, amplitude: float, gap: float) -> Scenario:
     if name not in _BUILDERS:
         raise ConfigError(
             f"unknown scenario {name!r}; known: {', '.join(sorted(_BUILDERS))}"

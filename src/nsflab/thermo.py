@@ -127,8 +127,8 @@ def ideal_gas(S0: float = 0.0) -> GasModel:
     )
 
 
-def gas_from_expression(name: str, text: str, S0: float = 0.0,
-                        P_inf: float = 0.0, asym_rtol: float = 1e-6) -> GasModel:
+def gas_from_expression(name: str, text: str, S0: float, P_inf: float,
+                        asym_rtol: float = 1e-6) -> GasModel:
     from .expr import parse_pressure_law  # sympy loads only for a custom law
 
     law = parse_pressure_law(text)
@@ -146,7 +146,7 @@ def default_transport() -> TransportModel:
     )
 
 
-def sublinear_transport(b: float = 0.75) -> TransportModel:
+def sublinear_transport(b: float) -> TransportModel:
     """Generalized growth mu ~ 1 + theta^b with b in (2/5, 1)."""
     return TransportModel(
         name=f"sublinear-b{b:g}",
@@ -247,7 +247,8 @@ def _S_quadrature(gas: GasModel, Z):
                    full_output=1)
         val, abserr = out[0], out[1]
         if len(out) > 3:  # explanation message present => non-convergence
-            raise QuadratureError(f"entropy quadrature failed on [{lo:g},{hi:g}]", abserr)
+            raise QuadratureError(f"entropy quadrature failed on [{lo:g},{hi:g}] "
+                                  f"(achieved tolerance {abserr:.3e})")
         segs[i] = val
     cum = np.concatenate(([0.0], np.cumsum(segs)))
     anchor = float(cum[np.searchsorted(pts, 1.0)])

@@ -19,7 +19,7 @@ def ideal():
 
 @pytest.fixture(scope="session")
 def law_a():
-    return thermo.gas_from_expression("lawA", "Z + Z^2/(1+Z)")
+    return thermo.gas_from_expression("lawA", "Z + Z^2/(1+Z)", S0=0.0, P_inf=0.0)
 
 
 @pytest.fixture(scope="session")

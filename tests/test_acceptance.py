@@ -109,7 +109,7 @@ def inequality_runs():
     ref_grid = _slab(192)
     ref_cfg = er.EulerRunConfig(gas=GAS, grid=ref_grid, t_end=0.25, cfl=0.35,
                                 output_stride=2)
-    reference = er.run_euler(ref_cfg, scenarios.acoustic_entropy(ref_grid).fields(ref_grid))
+    reference = er.run_euler(ref_cfg, scenarios.acoustic_entropy(ref_grid, 0.01, 0.0).fields(ref_grid))
     assert not reference.aborted
     sc = PATH.scaling_for(1e-2)
     reports = {}
@@ -117,7 +117,7 @@ def inequality_runs():
         grid = _slab(n)
         config = ns.NsfRunConfig(gas=GAS, transport=TR, scaling=sc, grid=grid,
                                  t_end=0.25, cfl=0.35, output_stride=4)
-        traj = ns.simulate(config, scenarios.acoustic_entropy(grid).fields(grid))
+        traj = ns.simulate(config, scenarios.acoustic_entropy(grid, 0.01, 0.0).fields(grid))
         assert traj.healthy
         RUNS.append((f"inequality-{n}", config, tuple(traj.states)))
         reports[n] = diag.rel_energy_inequality_residual(traj, reference)

@@ -1,8 +1,10 @@
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nsflab import config as cfgmod
@@ -52,7 +54,7 @@ def test_render_round_trip_and_order():
     text = cfgmod.render(cfg)
     assert cfgmod.parse_text(text) == cfg
     keys = [line.split(" = ")[0] for line in text.splitlines()]
-    order = [k for k, _, _ in cfgmod.KNOWN_KEYS if k in cfg]
+    order = [k for k, _, _, _ in cfgmod.KNOWN_KEYS if k in cfg]
     assert keys == order
     with pytest.raises(ConfigError, match="unknown configuration keys"):
         cfgmod.render({"nope": "1"})
@@ -63,11 +65,11 @@ def test_typed_getters():
     with pytest.raises(ConfigError, match="expected a number"):
         cfgmod.get_float(cfg, "cfl")
     with pytest.raises(ConfigError, match="expected one of"):
-        cfgmod.get_choice(cfg, "grid.bc", "slip-wall", ("slip-wall", "periodic"))
+        cfgmod.get_choice(cfg, "grid.bc", ("slip-wall", "periodic"))
     assert cfgmod.get_floats(cfg, "floors") == (1e-12, 2e-12)
     with pytest.raises(ConfigError, match="missing required key"):
         cfgmod.get_float(cfg, "t_end")
-    assert cfgmod.get_int(cfg, "output.stride", "10") == 10
+    assert cfgmod.get_int(cfg, "output.stride") == 10
 
 
 def test_build_gas_variants():
@@ -169,7 +171,7 @@ def test_coercivity_and_custom_law_entropy_load_scipy(tmp_path):
         "import nsflab.cli\n"
         "from nsflab import thermo\n"
         "assert 'scipy' not in sys.modules\n"
-        "gas = thermo.gas_from_expression('lawA', 'Z + Z^2/(1+Z)')\n"
+        "gas = thermo.gas_from_expression('lawA', 'Z + Z^2/(1+Z)', S0=0.0, P_inf=0.0)\n"
         "assert gas.S_closed is None\n"
         "s = thermo.entropy_S(gas, [0.5, 1.0, 2.0])\n"
         "assert s[1] == gas.S0 and s[0] > s[1] > s[2], s\n"
@@ -199,7 +201,7 @@ KEY_VALUES = {
                                           ("euler", "the inviscid solver"),
                                           ("sweep", "a sweep")])
 def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
-    assert [k for k, _, _ in cfgmod.KNOWN_KEYS] == list(KEY_VALUES)
+    assert [k for k, _, _, _ in cfgmod.KNOWN_KEYS] == list(KEY_VALUES)
 
     def build(cfg):
         if kind == "sweep":
@@ -207,7 +209,7 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
         return cfgmod.build_run(cfg)
 
     # every key the table lists for this kind, accepted together
-    full = {k: KEY_VALUES[k] for k, kinds, _ in cfgmod.KNOWN_KEYS if kind in kinds}
+    full = {k: KEY_VALUES[k] for k, kinds, _, _ in cfgmod.KNOWN_KEYS if kind in kinds}
     if kind != "sweep":
         full["solver"] = kind
     built = build(full)
@@ -217,7 +219,7 @@ def test_each_key_applies_to_the_runs_its_table_entry_lists(kind, reader):
     else:
         assert built[0] == kind
     # and every other key refused, by name
-    for key, kinds, _ in cfgmod.KNOWN_KEYS:
+    for key, kinds, _, _ in cfgmod.KNOWN_KEYS:
         if kind not in kinds:
             with pytest.raises(ConfigError, match=f"^{key} does not apply to {reader}$"):
                 build({**full, key: KEY_VALUES[key]})
@@ -252,11 +254,69 @@ def test_build_run_requires_scaling():
         cfgmod.build_run(cfgmod.parse_text(text))
 
 
+def _values(run):
+    """A run config's fields, its gas and transport (closures) named by their parameters."""
+    out = {f.name: getattr(run, f.name) for f in dataclasses.fields(run)}
+    out["gas"] = (run.gas.name, run.gas.S0, run.gas.P_inf, run.gas.law_text)
+    if "transport" in out:
+        out["transport"] = (run.transport.name, run.transport.b)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["nsf", "euler", "sweep"])
+def test_a_run_without_its_defaults_is_the_run_that_writes_them_out(kind):
+    required = {"grid.extent": "1.0", "grid.cells": "16"}
+    if kind != "sweep":
+        required["t_end"] = "0.05"
+    if kind == "nsf":
+        required.update({"scaling.a": "0.01", "scaling.nu": "0.005",
+                         "scaling.omega": "0.001", "scaling.lambda": "0.2"})
+    if kind == "euler":
+        required["solver"] = "euler"
+    # every table default this kind reads; gas.P_inf and transport.b are
+    # refused with the default gas and transport, and a sweep lays its own
+    # defaults over the table's
+    written = {k: default for k, kinds, default, _ in cfgmod.KNOWN_KEYS
+               if kind in kinds and default is not None
+               and k not in ("gas.P_inf", "transport.b")}
+    if kind == "sweep":
+        written.update(sweepmod._DEFAULTS)
+    written.update(required)
+    assert written.keys() > required.keys()
+
+    if kind == "sweep":
+        path, *runs = sweepmod.sweep_runs(required)
+        path_w, *runs_w = sweepmod.sweep_runs(written)
+        assert path == path_w
+    else:
+        runs, runs_w = [cfgmod.build_run(required)], [cfgmod.build_run(written)]
+        assert runs[0][0] == runs_w[0][0] == kind
+    for (mapping, run, scenario), (mapping_w, run_w, scenario_w) in zip(runs, runs_w):
+        if kind == "sweep":
+            assert mapping == mapping_w
+        assert _values(run) == _values(run_w)
+        for field, field_w in zip(scenario.fields(run.grid), scenario_w.fields(run_w.grid)):
+            assert np.array_equal(field, field_w)
+
+
+def test_custom_law_and_sublinear_transport_take_the_table_defaults():
+    law = {"gas.name": "lawA", "gas.law": "Z + Z^2/(1+Z)"}
+    assert (cfgmod.build_gas(law).P_inf
+            == cfgmod.build_gas({**law, "gas.P_inf": cfgmod.DEFAULTS["gas.P_inf"]}).P_inf == 0.0)
+    sub = {"transport.name": "sublinear"}
+    assert (cfgmod.build_transport(sub).b
+            == cfgmod.build_transport({**sub, "transport.b": cfgmod.DEFAULTS["transport.b"]}).b
+            == 0.75)
+
+
 def test_describe_keys_lists_everything():
     doc = cfgmod.describe_keys()
-    for key, kinds, _ in cfgmod.KNOWN_KEYS:
-        assert f"[{', '.join(kinds)}]" in next(line for line in doc.splitlines()
-                                               if line.startswith(key + " "))
+    for key, kinds, default, _ in cfgmod.KNOWN_KEYS:
+        line = next(line for line in doc.splitlines() if line.startswith(key + " "))
+        assert line.endswith(f"[{', '.join(kinds)}]")
+        assert (f"(default {default})" in line) == (default is not None)
+    assert doc.splitlines()[-1] == ("a sweep's own defaults: cfl = 0.35, output.stride = 16, "
+                                    "t_end = 1.0")
 
 
 def _readme_config_blocks():

@@ -12,11 +12,11 @@ from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import scenarios
 from nsflab import thermo
-from nsflab.errors import ConfigError, DomainError, UsageError
+from nsflab.errors import ConfigError, DomainError, PositivityError, UsageError
 
 
 def euler_config(gas, grid, **kw):
-    kw.setdefault("t_end", 0.5)
+    kw = {"t_end": 0.5, "cfl": 0.4, "output_stride": 2, **kw}
     return er.EulerRunConfig(gas=gas, grid=grid, **kw)
 
 
@@ -152,6 +152,19 @@ def test_filtered_rhs_inverts_temperature_once(ideal, count_calls):
     calls = count_calls(thermo, "admissible_temperature")
     er.rhs_euler(state, ideal, grid, eps_f=0.02)
     assert len(calls) == 1
+    assert calls[0][2].shape == grid.cells  # the interior cells alone, no ghost layers
+
+
+@pytest.mark.parametrize("cell", [0, 5])
+def test_rhs_names_the_interior_cell_without_internal_energy(ideal, cell):
+    # stage states reach rhs_euler unchecked; the error names the state's
+    # own cell, not its index in the ghosted state
+    grid = gf.Grid.line(1.0, 16, "slip-wall")
+    W = np.stack([np.ones(16), np.zeros(16), np.ones(16)])
+    W[-1, cell] = 0.0
+    with pytest.raises(PositivityError, match=rf"internal energy at cell \({cell},\)$") as err:
+        er.rhs_euler(gf.FluidState.stage(W), ideal, grid, eps_f=er.FILTER_AMPLITUDE)
+    assert err.value.where == (cell,)
 
 
 def test_filtered_rhs_checks_no_thermodynamic_state(ideal, count_calls):

@@ -952,7 +952,7 @@ def test_default_path_batch_inverts_its_segments_together(ideal, transport, monk
         return theta
 
     monkeypatch.setattr(thermo, "_invert_ideal", watched)
-    trajs = ns.simulate_batch(configs, scenarios.acoustic_entropy(grid).fields(grid))
+    trajs = ns.simulate_batch(configs, scenarios.acoustic_entropy(grid, 0.01, 0.0).fields(grid))
     assert all(t.healthy for t in trajs)
     assert max(n for n, _ in segmented) == 3 * 2  # a stage's cells and faces, per member
     assert all(served for _, served in segmented)

@@ -45,9 +45,9 @@ def test_compressive_pulse(slab):
 def test_slab_scenarios_reject_2d():
     box = gf.Grid.box((1.0, 1.0), (8, 8))
     with pytest.raises(UsageError, match="one-dimensional"):
-        scenarios.acoustic_entropy(box)
+        scenarios.acoustic_entropy(box, 0.01, 0.0)
     with pytest.raises(UsageError, match="one-dimensional"):
-        scenarios.compressive_pulse(box)
+        scenarios.compressive_pulse(box, 0.2)
 
 
 def test_component_count_checked(slab):
@@ -62,9 +62,9 @@ def test_registry_matches_direct_builders(slab):
     named = scenarios.build("acoustic-entropy", slab, amplitude=0.01, gap=0.02)
     for lhs, rhs in zip(direct.fields(slab), named.fields(slab)):
         assert np.array_equal(lhs, rhs)
-    assert scenarios.build("uniform", slab).name == "uniform"
+    assert scenarios.build("uniform", slab, 0.01, 0.0).name == "uniform"
 
 
 def test_unknown_name_rejected(slab):
     with pytest.raises(ConfigError, match="unknown scenario"):
-        scenarios.build("vortex", slab)
+        scenarios.build("vortex", slab, 0.01, 0.0)

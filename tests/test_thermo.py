@@ -111,7 +111,7 @@ def test_entropy_generic_frozen_values(law_a):
 
 def test_entropy_quadrature_matches_closed_form_ideal():
     # same law as the ideal gas but forced through the quadrature path
-    gas_q = thermo.gas_from_expression("ideal-q", "Z")
+    gas_q = thermo.gas_from_expression("ideal-q", "Z", S0=0.0, P_inf=0.0)
     z = np.logspace(-2, 2, 17)
     assert np.allclose(thermo.entropy_S(gas_q, z), -np.log(z), atol=1e-9)
 
@@ -641,7 +641,7 @@ def test_report_ideal_ratio_two_thirds(ideal):
 
 
 def test_report_flags_flat_derivative_at_origin(transport):
-    gas = thermo.gas_from_expression("square", "Z^2")
+    gas = thermo.gas_from_expression("square", "Z^2", S0=0.0, P_inf=0.0)
     rep = thermo.hypothesis_report(gas, transport)
     assert not rep.passed("H2")
     assert "P'(0)" in rep["H2"].witness
@@ -671,7 +671,7 @@ def test_report_sublinear_transport_passes(ideal):
 
 def test_report_total_function_weird_law(transport):
     # even a law violating several requirements must produce a full report
-    gas = thermo.gas_from_expression("weird", "Z^3/(1+Z)")
+    gas = thermo.gas_from_expression("weird", "Z^3/(1+Z)", S0=0.0, P_inf=0.0)
     rep = thermo.hypothesis_report(gas, transport)
     assert set(rep.pattern()) == {"H2", "H3", "H6", "H7", "H8", "H9"}
 
@@ -722,7 +722,7 @@ def test_expression_law_z_takes_the_general_route_and_matches_ideal_gas(ideal, c
     # only ideal_gas's own P and P' take the ideal law's inversion and
     # closures; the same law as an expression takes the general ones and
     # agrees to rounding
-    law_z = thermo.gas_from_expression("z", "Z")
+    law_z = thermo.gas_from_expression("z", "Z", S0=0.0, P_inf=0.0)
     assert ideal.ideal and not law_z.ideal
     ideal_route = count_calls(thermo, "_invert_ideal")
     rng = np.random.default_rng(11)
