@@ -13,6 +13,7 @@ outputs and re-parsed.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from . import euler_reference as er
@@ -279,11 +280,15 @@ def build_run(cfg: dict):
 
 def describe_keys() -> str:
     """Documentation block for --help and the README: each key's meaning,
-    default and readers, then the defaults a sweep runs with instead."""
-    from .sweep import _DEFAULTS as sweep_defaults  # sweep imports this module
+    default and readers, then the defaults a sweep takes elsewhere, its own
+    (`sweep._DEFAULTS`) and its path exponents' (`sweep.ScalingPath`)."""
+    from . import sweep  # sweep imports this module
 
     width = max(len(k) for k in _KEY_ORDER)
     lines = [f"{k.ljust(width)}  {doc}" + ("" if default is None else f" (default {default})")
              + f" [{', '.join(kinds)}]" for k, kinds, default, doc in KNOWN_KEYS]
-    sweep = ", ".join(f"{k} = {v}" for k, v in sweep_defaults.items())
-    return "\n".join(lines + [f"a sweep's own defaults: {sweep}"])
+    own = {**sweep._DEFAULTS, **{f"sweep.{f.name}": f.default
+                                 for f in dataclasses.fields(sweep.ScalingPath)
+                                 if f.default is not dataclasses.MISSING}}
+    return "\n".join(lines + ["a sweep's own defaults: "
+                              + ", ".join(f"{k} = {v}" for k, v in own.items())])

@@ -316,7 +316,8 @@ def test_describe_keys_lists_everything():
         assert line.endswith(f"[{', '.join(kinds)}]")
         assert (f"(default {default})" in line) == (default is not None)
     assert doc.splitlines()[-1] == ("a sweep's own defaults: cfl = 0.35, output.stride = 16, "
-                                    "t_end = 1.0")
+                                    "t_end = 1.0, sweep.alpha = 0.55, sweep.beta = 1.2, "
+                                    "sweep.gamma = 0.1")
 
 
 def _readme_config_blocks():
