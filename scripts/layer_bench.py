@@ -1,10 +1,11 @@
 """Microseconds per call of each solver layer, as JSON.
 
-Each layer runs on the default sweep's initial data (the acoustic-entropy
-scenario on a slip-wall line) at 48 and 384 cells, with the scalings of the
-path point a = 1e-2 (nu = a^0.55, omega = a^1.2, lambda = a^0.1).  A layer
-is called `--number` times per repeat and the minimum over `--repeats`
-repeats is reported, in microseconds per call.  The layers:
+Each layer runs on the README sweep's first path point at 48 and 384
+cells, as `sweep.sweep_runs` derives it from grid.extent = 1.0 and the
+cell count: its run config, initial data and scalings (a = 1e-2 at the
+key table's defaults).  A layer is called `--number` times per repeat and
+the minimum over `--repeats` repeats is reported, in microseconds per
+call.  The layers:
 
 - `recover_temperature.a0`, `recover_temperature.arad`: temperature
   recovery from conservative fields at a = 0 and at a = 1e-2;
@@ -19,8 +20,8 @@ repeats is reported, in microseconds per call.  The layers:
 - `nsf_step`: one lone step as the time loop takes it (`nsf_solver._advance`:
   `stable_dt`, the three stages with their floor passes, and the accepted
   state's temperature);
-- `nsf_step.batch3`: the same step of the default sweep's three path
-  points (a = 1e-2, 1e-3, 1e-4 on the same path) advanced as one batch,
+- `nsf_step.batch3`: the same step of the sweep's three path points
+  (a = 1e-2, 1e-3, 1e-4 at the defaults) advanced as one batch,
   as `simulate_batch` packs them;
 - `read_series`: reading back a stored series of 64 instants of the
   state, written once to a temporary directory; reported per stored
@@ -45,22 +46,17 @@ from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
 from nsflab import relative_energy as renergy
-from nsflab import scenarios, thermo
+from nsflab import sweep
 
-A = 1e-2
-PATH = (A, 1e-3, 1e-4)  # the default sweep's path points
 SERIES = 64  # stored instants of the read_series layer, which is timed per instant
 
 
 def _cases(cells: int, tmp: str) -> dict:
     """name -> zero-argument callable, on one grid of `cells` cells; files go to `tmp`."""
-    gas, transport = thermo.ideal_gas(), thermo.default_transport()
-    grid = gf.Grid.line(1.0, cells, "slip-wall")
-    scalings = [thermo.ScalingParams(a=a, nu=a ** 0.55, omega=a ** 1.2, lam=a ** 0.1)
-                for a in PATH]
-    config = ns.NsfRunConfig(gas=gas, transport=transport, scaling=scalings[0], grid=grid,
-                             t_end=1.0, cfl=0.35)
-    fields = scenarios.acoustic_entropy(grid, amplitude=0.01, gap=0.0).fields(grid)
+    path, _, (_, config, scenario) = sweep.sweep_runs({"grid.extent": "1.0",
+                                                      "grid.cells": str(cells)})
+    gas, grid, A = config.gas, config.grid, config.scaling.a
+    fields = scenario.fields(grid)
     state = ns.state_from_primitives(gas, A, fields)
     theta = ns.recover_temperature(state.rho, state.mom, state.etot, gas, A)
     state0 = ns.state_from_primitives(gas, 0.0, (state.rho, theta, state.velocity()))
@@ -71,10 +67,11 @@ def _cases(cells: int, tmp: str) -> dict:
         ns._advance(state, theta, config, ns.StepStats())
 
     batch, batch_theta, batch_config = ns._pack(
-        [ns._Member(replace(config, scaling=sc), fields) for sc in scalings])
+        [ns._Member(replace(config, scaling=path.scaling_for(a)), fields)
+         for a in path.a_values])
 
     def nsf_step_batch3():
-        ns._advance(batch, batch_theta, batch_config, [ns.StepStats() for _ in PATH])
+        ns._advance(batch, batch_theta, batch_config, [ns.StepStats() for _ in path.a_values])
 
     W = state.W.copy()
     series = Path(tmp) / str(cells)
@@ -88,7 +85,7 @@ def _cases(cells: int, tmp: str) -> dict:
             lambda: ns.recover_temperature(state.rho, state.mom, state.etot, gas, A),
         "rhs_nsf": lambda: ns.rhs_nsf(state, config),
         "rhs_nsf.theta": lambda: ns.rhs_nsf(state, config, theta=theta),
-        "rhs_euler": lambda: er.rhs_euler(state0, gas, grid, 0.02),
+        "rhs_euler": lambda: er.rhs_euler(state0, gas, grid, er.FILTER_AMPLITUDE),
         "fill_ghosts_slip": lambda: gf.fill_ghosts_slip(state, grid, depth=2),
         "relative_energy":
             lambda: renergy.relative_energy(gas, A, (state.rho, theta, u), other, grid),

@@ -2,74 +2,56 @@
 
 The sweep holds the solver grid fixed so that the scaling parameters, not
 resolution, drive the differences in E_sup.  This script quantifies the
-residual grid contamination: at each path point it re-measures E_sup on a
-sequence of grids against one fixed fine reference and reports the relative
-shift per refinement next to the relative spread across the path.  The
-sweep's conclusion stands when the former is small against the latter.
+residual grid contamination: it runs the sweep once per grid of --grids,
+each against the same fine reference, and reports at each path point the
+relative shift of E_sup per refinement next to the relative spread across
+the path.  The sweep's conclusion stands when the former is small against
+the latter.
+
+Grid n is a `sweep.run_sweep` of the sweep configuration with
+grid.cells = n into <out>/N<n>, which `nsflab diag` and `nsflab rate-fit`
+read back.  Its sweep.reference-factor counts reference cells per cell of
+the finest grid; every grid must divide the reference's cells.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
-from nsflab import diagnostics as diag
-from nsflab import euler_reference as er
-from nsflab import grid_fields as gf
-from nsflab import nsf_solver as ns
-from nsflab import scenarios
+from nsflab import config as cfgmod
 from nsflab import sweep
-from nsflab import thermo
-from nsflab.errors import UsageError
+
+README_SWEEP = {"grid.extent": "1.0"}  # the README's sweep, all other keys at their defaults
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", help="sweep configuration file (default: the README sweep)")
     ap.add_argument("--grids", type=int, nargs="+", default=[48, 96],
                     help="solver cell counts, coarse to fine")
-    ap.add_argument("--a-values", type=float, nargs="+", default=[1e-2, 1e-3, 1e-4])
-    ap.add_argument("--reference-factor", type=int, default=4,
-                    help="reference cells per finest solver cell")
-    ap.add_argument("--t-end", type=float, default=1.0)
-    ap.add_argument("--amplitude", type=float, default=0.01)
+    ap.add_argument("--out", default="out/refinement", help="output directory")
     args = ap.parse_args(argv)
-    if sorted(args.grids) != args.grids or len(set(args.grids)) != len(args.grids):
-        raise UsageError(f"grids must be strictly increasing, got {args.grids}")
+    grids = args.grids
+    if grids[0] < 1 or sorted(set(grids)) != grids:
+        ap.error(f"grids must be positive and strictly increasing, got {grids}")
+    cfg = cfgmod.load_file(args.config) if args.config else README_SWEEP
+    ref_cells = cfgmod.get_int(cfg, "sweep.reference-factor") * grids[-1]
+    uneven = [n for n in grids if ref_cells % n]
+    if uneven:
+        ap.error(f"the reference's {ref_cells} cells are not a multiple of grids {uneven}")
 
-    gas = thermo.ideal_gas()
-    transport = thermo.default_transport()
-    path = sweep.ScalingPath(tuple(args.a_values))
-
-    ref_grid = gf.Grid.line(1.0, args.reference_factor * max(args.grids), "slip-wall")
-    ref_cfg = er.EulerRunConfig(gas=gas, grid=ref_grid, t_end=args.t_end, cfl=0.35,
-                                output_stride=4)
-    scenario = scenarios.acoustic_entropy(ref_grid, amplitude=args.amplitude, gap=0.0)
-    reference = er.run_euler(ref_cfg, scenario.fields(ref_grid))
-    monitor = er.lifespan_monitor(reference)
-    t_safe = monitor.usable_until
-    if not t_safe > 0.0:
-        raise UsageError("the reference run provides no usable smooth horizon")
-    print(f"reference: {ref_grid.cells[0]} cells, usable horizon {t_safe!r}")
+    manifests = [sweep.run_sweep({**cfg, "grid.cells": str(n),
+                                  "sweep.reference-factor": str(ref_cells // n)},
+                                 Path(args.out) / f"N{n}") for n in grids]
+    print(f"reference: {ref_cells} cells, usable horizon {manifests[0].t_safe!r}")
 
     path_sups = []
-    for a in path.a_values:
-        sc = path.scaling_for(a)
-        sups = []
-        for n in args.grids:
-            grid = gf.Grid.line(1.0, n, "slip-wall")
-            cfg = ns.NsfRunConfig(gas=gas, transport=transport, scaling=sc, grid=grid,
-                                  t_end=t_safe, cfl=0.35, output_stride=16)
-            init = scenarios.acoustic_entropy(grid, amplitude=args.amplitude, gap=0.0)
-            traj = ns.simulate(cfg, init.fields(grid))
-            reason = (f"unhealthy ({traj.health_reason})" if not traj.healthy else
-                      "fewer than three stored instants"
-                      if len(traj.times) < diag.MIN_INSTANTS else "")
-            if reason:
-                print(f"a={a:g} N={n}: {reason}; skipped")
-                sups.append(float("nan"))
-                continue
-            rep = diag.rel_energy_inequality_residual(traj, reference)
-            sups.append(max(rep.energy))
-        cols = "  ".join(f"N={n}: {s!r}" for n, s in zip(args.grids, sups))
+    for k, a in enumerate(manifests[0].a_values):
+        records = [m.records[k] for m in manifests]
+        cols = "  ".join(f"N={n}: {r.e_sup!r}" if r.healthy else f"N={n}: {r.reason}; skipped"
+                         for n, r in zip(grids, records))
+        sups = [r.e_sup for r in records]  # nan where skipped
         shifts = [abs(b - c) / c for c, b in zip(sups, sups[1:]) if c == c and b == b]
         worst = max(shifts) if shifts else float("nan")
         print(f"a={a:g}  {cols}  max_refinement_shift={worst:.3f}")

@@ -36,12 +36,14 @@ def main(argv=None):
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--out", default="out/default-sweep", help="output directory")
     ap.add_argument("--cells", type=int, default=48, help="solver cells (fixed across the path)")
-    ap.add_argument("--t-end", type=float, default=1.0, help="requested horizon")
+    ap.add_argument("--t-end", type=float, help="requested horizon (default: the sweep's)")
     ap.add_argument("--gap", type=float, default=0.02, help="ill-prepared offset amplitude")
     ap.add_argument("--skip-ill", action="store_true", help="run only the well-prepared family")
     args = ap.parse_args(argv)
 
-    base = {"grid.extent": "1.0", "grid.cells": str(args.cells), "t_end": repr(args.t_end)}
+    base = {"grid.extent": "1.0", "grid.cells": str(args.cells)}
+    if args.t_end is not None:
+        base["t_end"] = repr(args.t_end)
     out = pathlib.Path(args.out)
 
     families = [("well", 0.0)] if args.skip_ill else [("well", 0.0), ("ill", args.gap)]

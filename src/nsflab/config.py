@@ -13,7 +13,6 @@ outputs and re-parsed.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from . import euler_reference as er
@@ -63,9 +62,9 @@ KNOWN_KEYS = (
      "ill-preparedness offset, of a sweep's runs only"),
     ("sweep.a-values",         ("sweep",),    "1e-2 1e-3 1e-4",
      "radiation scales for the sweep, strictly decreasing"),
-    ("sweep.alpha",            ("sweep",),    None,          "nu = a^alpha along the path"),
-    ("sweep.beta",             ("sweep",),    None,          "omega = a^beta along the path"),
-    ("sweep.gamma",            ("sweep",),    None,          "lambda = a^gamma along the path"),
+    ("sweep.alpha",            ("sweep",),    "0.55",        "nu = a^alpha along the path"),
+    ("sweep.beta",             ("sweep",),    "1.2",         "omega = a^beta along the path"),
+    ("sweep.gamma",            ("sweep",),    "0.1",         "lambda = a^gamma along the path"),
     ("sweep.reference-factor", ("sweep",),    "4",
      "reference grid refinement over grid.cells"),
     ("sweep.reference-stride", ("sweep",),    "4",           "output stride of the reference run"),
@@ -280,15 +279,12 @@ def build_run(cfg: dict):
 
 def describe_keys() -> str:
     """Documentation block for --help and the README: each key's meaning,
-    default and readers, then the defaults a sweep takes elsewhere, its own
-    (`sweep._DEFAULTS`) and its path exponents' (`sweep.ScalingPath`)."""
+    default and readers, then the defaults a sweep lays over the table's
+    (`sweep._DEFAULTS`)."""
     from . import sweep  # sweep imports this module
 
     width = max(len(k) for k in _KEY_ORDER)
     lines = [f"{k.ljust(width)}  {doc}" + ("" if default is None else f" (default {default})")
              + f" [{', '.join(kinds)}]" for k, kinds, default, doc in KNOWN_KEYS]
-    own = {**sweep._DEFAULTS, **{f"sweep.{f.name}": f.default
-                                 for f in dataclasses.fields(sweep.ScalingPath)
-                                 if f.default is not dataclasses.MISSING}}
     return "\n".join(lines + ["a sweep's own defaults: "
-                              + ", ".join(f"{k} = {v}" for k, v in own.items())])
+                              + ", ".join(f"{k} = {v}" for k, v in sweep._DEFAULTS.items())])

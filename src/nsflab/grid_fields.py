@@ -543,7 +543,8 @@ def read_snapshot(path):
 
     W, shape (2 + dim, *cells), is a read-only view of the file's payload.
     UsageError, naming the file, when it is no snapshot, its header lacks
-    an entry, holds an unreadable one or a `fields` entry other than
+    an entry, holds an unreadable one, a `dim` entry other than the number
+    of `cells`' axes or a `fields` entry other than
     `rho=1 mom=<dim> etot=1`, its time is not finite, or its payload
     length is not W's.
     """
@@ -557,7 +558,7 @@ def read_snapshot(path):
     for line in blob[:idx].decode("ascii").splitlines()[1:]:
         key, _, rest = line.partition(" ")
         meta[key] = rest
-    missing = [k for k in ("extents", "cells", "bc", "time", "fields") if k not in meta]
+    missing = [k for k in ("dim", "extents", "cells", "bc", "time", "fields") if k not in meta]
     if missing:
         raise UsageError(f"{path} header lacks {', '.join(missing)}")
     try:
@@ -569,6 +570,9 @@ def read_snapshot(path):
         time = float(meta["time"])
     except ValueError as err:
         raise UsageError(f"{path} has a malformed header: {err}") from None
+    if meta["dim"] != str(grid.dim):
+        raise UsageError(f"{path} has a malformed header: dim {meta['dim']!r} over "
+                         f"{grid.dim}-axis cells")
     fields = _snapshot_fields(grid.dim)
     if meta["fields"] != fields:
         raise UsageError(f"{path} has a malformed header: fields {meta['fields']!r}, "

@@ -70,12 +70,13 @@ def validate_path(alpha: float, beta: float, gamma: float) -> list:
 
 @dataclass(frozen=True)
 class ScalingPath:
-    """Strictly decreasing a values with admissible path exponents."""
+    """Strictly decreasing a values with admissible path exponents, by
+    default the key table's."""
 
     a_values: tuple
-    alpha: float = 0.55
-    beta: float = 1.2
-    gamma: float = 0.1
+    alpha: float = float(cfgmod.DEFAULTS["sweep.alpha"])
+    beta: float = float(cfgmod.DEFAULTS["sweep.beta"])
+    gamma: float = float(cfgmod.DEFAULTS["sweep.gamma"])
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.a_values)
@@ -102,8 +103,7 @@ class ScalingPath:
 # The values a sweep runs with in place of the key table's defaults (t_end
 # has none there), laid under its configuration with the table's defaults
 # of the _RECORDED keys: each run.cfg and reference.cfg names every value
-# it ran with.  Any other key is recorded only where a sweep names it.  The
-# path exponents' defaults are ScalingPath's.
+# it ran with.  Any other key is recorded only where a sweep names it.
 _DEFAULTS = {"cfl": "0.35", "output.stride": "16", "t_end": "1.0"}
 _RECORDED = ("gas.name", "gas.S0", "transport.name", "grid.bc", "floors",
              "init.name", "init.amplitude", "init.gap")
@@ -133,8 +133,8 @@ def sweep_runs(cfg: dict):
     cfgmod.check_keys(cfg, "sweep")
     cfg = {**{key: cfgmod.DEFAULTS[key] for key in _RECORDED}, **_DEFAULTS, **cfg}
     path = ScalingPath(cfgmod.get_floats(cfg, "sweep.a-values"),
-                       **{name: cfgmod.get_float(cfg, f"sweep.{name}")
-                          for name in ("alpha", "beta", "gamma") if f"sweep.{name}" in cfg})
+                       *(cfgmod.get_float(cfg, f"sweep.{name}")
+                         for name in ("alpha", "beta", "gamma")))
     for hi, lo in zip(path.a_values, path.a_values[1:]):  # decreasing: equal ids adjoin
         if run_id_for(hi) == run_id_for(lo):
             raise ConfigError(f"sweep.a-values {hi!r} and {lo!r} share the run id "

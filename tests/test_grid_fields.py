@@ -477,7 +477,7 @@ def test_snapshot_rejects_long_payload(tmp_path):
         gf.read_snapshot(path)
 
 
-@pytest.mark.parametrize("key", ["extents", "cells", "bc", "time", "fields"])
+@pytest.mark.parametrize("key", ["extents", "cells", "bc", "time", "fields", "dim"])
 def test_snapshot_rejects_missing_header_key(tmp_path, key):
     path = _small_snapshot(tmp_path)
     header, end, payload = path.read_bytes().partition(b"\nend\n")
@@ -489,7 +489,8 @@ def test_snapshot_rejects_missing_header_key(tmp_path, key):
 
 @pytest.mark.parametrize("old,new", [(b"cells 16 24", b"cells 16 x"),
                                      (b"time 0.5", b"time soon"),
-                                     (b"mom=2", b"mom=two")])
+                                     (b"mom=2", b"mom=two"),
+                                     (b"dim 2", b"dim 3")])
 def test_snapshot_rejects_malformed_header_entry(tmp_path, old, new):
     path = _small_snapshot(tmp_path)
     path.write_bytes(path.read_bytes().replace(old, new, 1))

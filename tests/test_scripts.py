@@ -7,13 +7,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args, cwd):
+def _script(name, *args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def _run_script(name, *args, cwd):
+    proc = _script(name, *args, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -29,11 +35,41 @@ def test_run_default_sweep_writes_both_families(tmp_path):
         assert "init.gap = 0.0\n" in (out / name / "reference.cfg").read_text()
 
 
-def test_refinement_appendix_skips_a_point_with_too_few_instants(tmp_path):
-    text = _run_script("refinement_appendix.py", "--grids", "8", "16", "--t-end", "0.3",
-                       cwd=tmp_path)
-    assert "N=8: fewer than three stored instants; skipped" in text
+@pytest.fixture(scope="module")
+def appendix(tmp_path_factory):
+    """The refinement appendix at 8 and 16 cells to t_end = 0.3 -> (stdout, --out)."""
+    tmp = tmp_path_factory.mktemp("appendix")
+    (tmp / "sweep.cfg").write_text("grid.extent = 1.0\nt_end = 0.3\n")
+    text = _run_script("refinement_appendix.py", "--config", "sweep.cfg", "--grids", "8", "16",
+                       "--out", "out", cwd=tmp)
+    return text, tmp / "out"
+
+
+def test_refinement_appendix_skips_a_point_with_too_few_instants(appendix):
+    text, _ = appendix
+    assert "N=8: too few stored instants for diagnostics; skipped" in text
+    assert "nan  N=16" not in text  # a skipped point is printed once, by its reason
     assert "E_sup spread across the path on the finest grid" in text
+
+
+def test_refinement_appendix_sweeps_each_grid_against_one_reference(appendix):
+    text, out = appendix
+    assert text.startswith("reference: 64 cells, usable horizon 0.3\n")
+    keys = {json.loads((out / f"N{n}" / "manifest.json").read_text())["reference_key"]
+            for n in (8, 16)}
+    assert len(keys) == 1
+    proc = subprocess.run([sys.executable, "-m", "nsflab", "diag", "--out", str(out / "N16")],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_refinement_appendix_refuses_grids_that_do_not_divide_the_reference(tmp_path):
+    proc = _script("refinement_appendix.py", "--grids", "48", "100", "--out", "out",
+                   cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "the reference's 400 cells are not a multiple of grids [48]" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_layer_bench_times_each_layer(tmp_path):
