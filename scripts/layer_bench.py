@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from nsflab import cli
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
 from nsflab import nsf_solver as ns
@@ -127,4 +128,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.exit_status(main))

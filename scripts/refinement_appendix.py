@@ -11,13 +11,18 @@ the latter.
 Grid n is a `sweep.run_sweep` of the sweep configuration with
 grid.cells = n into <out>/N<n>, which `nsflab diag` and `nsflab rate-fit`
 read back.  Its sweep.reference-factor counts reference cells per cell of
-the finest grid; every grid must divide the reference's cells.
+the finest grid; every grid must divide the reference's cells.  The
+reference is computed once: each later grid's reference-cache/ starts as
+hard links to the first grid's entries.
 """
 
 import argparse
+import os
+import shutil
 import sys
 from pathlib import Path
 
+from nsflab import cli
 from nsflab import config as cfgmod
 from nsflab import sweep
 
@@ -41,9 +46,14 @@ def main(argv=None):
     if uneven:
         ap.error(f"the reference's {ref_cells} cells are not a multiple of grids {uneven}")
 
-    manifests = [sweep.run_sweep({**cfg, "grid.cells": str(n),
-                                  "sweep.reference-factor": str(ref_cells // n)},
-                                 Path(args.out) / f"N{n}") for n in grids]
+    out, manifests = Path(args.out), []
+    for n in grids:
+        cache = out / f"N{n}" / "reference-cache"
+        if manifests and not cache.exists():  # the first grid's reference is loaded, not run
+            shutil.copytree(out / f"N{grids[0]}" / "reference-cache", cache, copy_function=os.link)
+        manifests.append(sweep.run_sweep({**cfg, "grid.cells": str(n),
+                                          "sweep.reference-factor": str(ref_cells // n)},
+                                         out / f"N{n}"))
     print(f"reference: {ref_cells} cells, usable horizon {manifests[0].t_safe!r}")
 
     path_sups = []
@@ -67,4 +77,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.exit_status(main))

@@ -4,13 +4,18 @@ The well-prepared family starts from the reference's own initial data, so
 the sup of the relative energy tracks the rate envelope along the path.
 The ill-prepared family adds a fixed-size offset whose initial relative
 energy dominates every envelope on the path; its E_sup must plateau near
-that initial value instead of decaying.
+that initial value instead of decaying.  Both families share one
+reference: the ill-prepared sweep's reference-cache/ starts as hard links
+to the well-prepared one's entries.
 """
 
 import argparse
+import os
 import pathlib
+import shutil
 import sys
 
+from nsflab import cli
 from nsflab import sweep
 from nsflab.manifest import fit_rate
 
@@ -48,6 +53,9 @@ def main(argv=None):
 
     families = [("well", 0.0)] if args.skip_ill else [("well", 0.0), ("ill", args.gap)]
     for name, gap in families:
+        cache = out / name / "reference-cache"
+        if name == "ill" and not cache.exists():  # init.gap is 0.0 in both reference.cfg
+            shutil.copytree(out / "well" / "reference-cache", cache, copy_function=os.link)
         manifest = sweep.run_sweep({**base, "init.gap": repr(gap)}, out / name)
         report(name, manifest)
         print(f"  manifest: {out / name / 'manifest.json'}")
@@ -56,4 +64,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(cli.exit_status(main))

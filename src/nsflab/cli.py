@@ -259,18 +259,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args, extras = _build_parser().parse_known_args(argv)
-    if extras:  # refused with the usage line of the subcommand that does not take them
-        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+def exit_status(main, *args) -> int:
+    """main(*args)'s exit status; a package error prints `error: <message>` and gives 2."""
     try:
-        return args.func(args)
+        return main(*args)
     except (ConfigError, DomainError, ModelViolationError, PositivityError,
             QuadratureError, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:
         _print(end="", flush=True)  # here, not at exit, where a closed pipe costs the status
+
+
+def main(argv=None) -> int:
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:  # refused with the usage line of the subcommand that does not take them
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return exit_status(args.func, args)
 
 
 if __name__ == "__main__":

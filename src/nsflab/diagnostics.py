@@ -15,7 +15,7 @@ velocity and both gradients for the two (`sweep.write_run_diagnostics`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -91,15 +91,7 @@ class UniformBoundsReport:
     thermal_time_integral: float  # omega int_0^T int (|grad theta|^2 + |log theta|^2)
 
     def values(self) -> dict:
-        return {
-            "kinetic_sup": self.kinetic_sup,
-            "rho_five_thirds_sup": self.rho_five_thirds_sup,
-            "rho_theta_sup": self.rho_theta_sup,
-            "radiation_sup": self.radiation_sup,
-            "stress_time_integral": self.stress_time_integral,
-            "damping_time_integral": self.damping_time_integral,
-            "thermal_time_integral": self.thermal_time_integral,
-        }
+        return asdict(self)  # by name, in field order
 
     def to_text(self) -> str:
         return "".join(f"{k} {v!r}\n" for k, v in self.values().items())

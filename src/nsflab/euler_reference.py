@@ -17,9 +17,7 @@ the step's Courant check recovered.
 
 Smooth inviscid flow steepens and eventually leaves the classical regime;
 `lifespan_monitor` watches the gradient history and declares the usable
-time window.  `formulation_residuals` measures how well a stored run
-satisfies the entropy-balance and thermal-energy reformulations of the
-energy equation, which holds only while the solution stays smooth.
+time window.
 """
 
 from __future__ import annotations
@@ -250,88 +248,6 @@ def run_euler(config: EulerRunConfig, initial, cache_dir=None) -> EulerTrajector
 
 
 # ---------------------------------------------------------------------------
-# reformulation residuals
-
-
-def _deriv4_axis(field_g, grid, ax):
-    F = gf.axis_strip(field_g, grid, ax, _DEPTH)
-    faces = _faces4(F)
-    # undo axis_strip's swap
-    return ((faces[..., 1:] - faces[..., :-1]) / grid.spacing[ax]).swapaxes(
-        -1, ax + (field_g.ndim - grid.dim))
-
-
-def _div4(vec, grid):
-    """4th-order divergence of an interior vector field with mirror ghosts."""
-    v_g = gf.fill_ghosts_slip(vec, grid, depth=_DEPTH, vector=True)
-    return sum(_deriv4_axis(v_g[ax], grid, ax) for ax in range(grid.dim))
-
-
-@dataclass(frozen=True)
-class FormulationResiduals:
-    """L2 norms of the entropy-form and thermal-form balance residuals."""
-
-    times: tuple
-    entropy_norms: tuple
-    thermal_norms: tuple
-
-    @property
-    def entropy_max(self) -> float:
-        return max(self.entropy_norms)
-
-    @property
-    def thermal_max(self) -> float:
-        return max(self.thermal_norms)
-
-
-def formulation_residuals(traj: EulerTrajectory, gas: thermo.GasModel) -> FormulationResiduals:
-    """Discrete residuals of the two smooth-regime energy reformulations.
-
-    The entropy form is d/dt(rho s) + div(rho s u); the thermal form is
-    c_v (d/dt(rho theta) + div(rho theta u)) + theta dp/dtheta div u.
-    Time derivatives use the 4th-order centered stencil over the stored
-    instants (the run uses a fixed step, so they are uniformly spaced).
-    """
-    if len(traj.times) < 5:
-        raise UsageError("need at least five stored instants for time stencils")
-    dts = np.diff(traj.times)
-    # the final instant may sit off the stride; use the uniform prefix
-    keep = len(traj.times)
-    while keep > 2 and abs(dts[keep - 2] - dts[0]) > 1e-9 * dts[0]:
-        keep -= 1
-    if keep < 5:
-        raise UsageError("stored instants are not uniformly spaced")
-    traj_times = traj.times[:keep]
-    dt = float(dts[0])
-    grid = traj.grid
-
-    prim, ent_dens, rtheta = [], [], []
-    for s in traj.states[:keep]:
-        theta = recover_temperature(s.rho, s.mom, s.etot, gas, 0.0)
-        prim.append((s.rho, theta, s.velocity()))
-        ent_dens.append(thermo.entropy_density(gas, 0.0, s.rho, theta))
-        rtheta.append(s.rho * theta)
-
-    def ddt(series, k):
-        return (-series[k + 2] + 8.0 * series[k + 1]
-                - 8.0 * series[k - 1] + series[k - 2]) / (12.0 * dt)
-
-    times, ent, th = [], [], []
-    for k in range(2, keep - 2):
-        rho, theta, u = prim[k]
-        div_u = _div4(u, grid)
-        r_ent = ddt(ent_dens, k) + _div4(ent_dens[k][None] * u, grid)
-        cv = thermo.heat_capacity_cv(gas, rho, theta)
-        r_th = cv * (ddt(rtheta, k) + _div4(rtheta[k][None] * u, grid)) \
-            + theta * thermo.dp_dtheta(gas, 0.0, rho, theta) * div_u
-
-        times.append(traj_times[k])
-        ent.append(gf.norm(r_ent, grid, 2))
-        th.append(gf.norm(r_th, grid, 2))
-    return FormulationResiduals(tuple(times), tuple(ent), tuple(th))
-
-
-# ---------------------------------------------------------------------------
 # life-span detection
 
 
@@ -443,16 +359,9 @@ class CompatibilityReport:
 
 
 def _wall_points(grid, ax, side):
-    coords = gf.cell_centers(grid)
-    pts = []
-    for g in range(grid.dim):
-        if g == ax:
-            pts.append(np.asarray(0.0 if side == 0 else grid.extents[ax]))
-        else:
-            pts.append(coords[g])
-    if grid.dim == 1:
-        return (pts[0].reshape(()),)
-    return tuple(np.broadcast_arrays(*[p if np.ndim(p) else np.asarray([p]) for p in pts]))
+    wall = np.asarray(0.0 if side == 0 else grid.extents[ax])
+    return tuple(np.broadcast_arrays(*(wall if g == ax else c
+                                       for g, c in enumerate(gf.cell_centers(grid)))))
 
 
 def compatibility_check(rho_fn, theta_fn, u_fns, grid: gf.Grid,

@@ -22,9 +22,11 @@ asserts stays bounded along any admissible path.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import math
 import os
+import signal
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -140,6 +142,15 @@ def sweep_runs(cfg: dict):
             raise ConfigError(f"sweep.a-values {hi!r} and {lo!r} share the run id "
                               f"{run_id_for(lo)}; each path point needs a run directory "
                               "of its own")
+    for a in path.a_values:  # a scaling may overflow, or underflow to 0
+        try:
+            sc = path.scaling_for(a)
+            if sc.omega > 0.0 and math.isfinite(diag.rate_envelope(sc)):
+                continue
+        except (ArithmeticError, DomainError):  # DomainError: nu or lambda is 0
+            pass
+        raise ConfigError(f"sweep.a-values {a!r} gives scalings or a rate envelope "
+                          "that are not positive and finite")
     for key in ("sweep.reference-factor", "sweep.reference-stride"):
         if cfgmod.get_int(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
@@ -277,7 +288,15 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
 
 def _reference_worker(ref_mapping: dict, cache_dir: str) -> None:
     """Worker process body: run the reference into its cache, writing
-    nothing to stdout or stderr."""
+    nothing to stdout or stderr, and die with the sweep that started it."""
+    import multiprocessing
+
+    try:  # prctl(PR_SET_PDEATHSIG = 1, SIGKILL), where the C library has prctl
+        ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))
+    except (OSError, TypeError, AttributeError):
+        pass
+    if not multiprocessing.parent_process().is_alive():
+        return  # the sweep died before the request
     sys.stdout = sys.stderr = open(os.devnull, "w")
     _, ref_cfg, scenario = cfgmod.build_run(ref_mapping)
     er.run_euler(ref_cfg, scenario.fields(ref_cfg.grid), cache_dir=cache_dir)

@@ -254,6 +254,18 @@ def test_sweep_refuses_a_values_that_share_a_run_id(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("a_values, bad", [("1e-3 1e-200", "1e-200"), ("1e308", "1e+308")])
+def test_sweep_refuses_a_values_whose_envelope_is_not_finite(tmp_path, capsys, a_values, bad):
+    # at 1e-200, nu^3 lambda underflows to 0; at 1e308, omega = a^beta overflows
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(SWEEP_CFG.replace("sweep.a-values = 1e-2 1e-3", f"sweep.a-values = {a_values}"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: sweep.a-values {bad} gives scalings or a rate "
+                                       "envelope that are not positive and finite\n")
+    assert not out.exists()
+
+
 def test_sweep_refuses_a_directory_where_a_run_file_goes(tmp_path, capsys, count_calls):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(SWEEP_CFG)

@@ -1,4 +1,4 @@
-"""Inviscid reference checks: stencil exactness, life span, residuals, sampling."""
+"""Inviscid reference checks: stencil exactness, life span, an exact simple wave, sampling."""
 
 import math
 
@@ -380,57 +380,81 @@ def test_abort_counts_as_lifespan_exceeded(ideal):
 
 
 # ---------------------------------------------------------------------------
-# reformulation residuals
+# exact isentropic simple wave
+#
+# For the ideal gas at a = 0 with theta = rho^(2/3), p = rho^(5/3) and
+# c^2 = (5/3) rho^(2/3); with u = 3 (c - c0) the Riemann invariant u - 3c is
+# uniform, so rho is carried unchanged along dx/dt = u + c = 4c - 3c0 until
+# the characteristics first cross, at T* = 1 / max(-d(u + c)/dx).
+
+_WAVE_AMP = 0.1
+_C0 = math.sqrt(5.0 / 3.0)  # the sound speed at rho = 1
 
 
-def test_residuals_vanish_for_uniform_flow(ideal):
-    grid = gf.Grid.line(1.0, 32, "periodic")
-    rho = np.full(grid.cells, 1.1)
-    theta = np.full(grid.cells, 0.8)
-    u = np.full((1, *grid.cells), 0.35)
-    cfg = euler_config(ideal, grid, t_end=0.2, cfl=0.3, output_stride=2)
-    traj = er.run_euler(cfg, (rho, theta, u))
-    res = er.formulation_residuals(traj, ideal)
-    # spatial terms cancel bitwise; the time stencil still sees the one-ulp
-    # creep the convex RK blend leaves on a uniform value
-    assert res.entropy_max <= 1e-13
-    assert res.thermal_max <= 1e-13
+def _wave_rho(x):
+    return 1.0 + _WAVE_AMP * np.sin(2 * np.pi * x)
 
 
-def test_residuals_shrink_under_refinement(ideal, unfiltered):
-    # stored states satisfy both reformulations to at least 3rd order
-    vals = {}
-    for n in (64, 128):
+def _wave_speed(rho):
+    return 4.0 * _C0 * np.cbrt(rho) - 3.0 * _C0  # u + c
+
+
+def _wave_t_star():
+    x = np.linspace(0.0, 1.0, 200001)
+    rho = _wave_rho(x)
+    ds = 4.0 / 3.0 * _C0 * rho ** (-2.0 / 3.0) * (2 * np.pi * _WAVE_AMP) * np.cos(2 * np.pi * x)
+    return 1.0 / float(np.max(-ds))
+
+
+def _wave_exact_rho(x, t):
+    """rho(x, t) from each point's characteristic foot x0 + t s(x0) = x, by bisection."""
+    lo, hi = x - 1.46 * t, x - 1.11 * t  # the speeds lie in [1.11, 1.46]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        ahead = mid + t * _wave_speed(_wave_rho(mid)) > x
+        hi = np.where(ahead, mid, hi)
+        lo = np.where(ahead, lo, mid)
+    return _wave_rho(0.5 * (lo + hi))
+
+
+_WAVE_T_STAR = _wave_t_star()
+
+
+@pytest.fixture(scope="module")
+def simple_wave(ideal):
+    """{cells: (trajectory, its lifespan report)} for the simple wave run to 1.5 T*."""
+    runs = {}
+    for n in (96, 192, 384):
         grid = gf.Grid.line(1.0, n, "periodic")
-        cfg = euler_config(ideal, grid, t_end=0.2, cfl=0.3, output_stride=2)
-        traj = er.run_euler(cfg, acoustic(grid, amp=0.05))
-        res = er.formulation_residuals(traj, ideal)
-        vals[n] = (res.entropy_max, res.thermal_max)
-    assert vals[64][0] / vals[128][0] >= 8.0  # measured 15.6
-    assert vals[64][1] / vals[128][1] >= 8.0  # measured 11.0
+        rho = _wave_rho(gf.cell_centers(grid)[0])
+        theta = rho ** (2.0 / 3.0)
+        u = 3.0 * (np.sqrt(5.0 / 3.0 * theta) - _C0)
+        cfg = euler_config(ideal, grid, t_end=1.5 * _WAVE_T_STAR, cfl=0.35, output_stride=4)
+        traj = er.run_euler(cfg, (rho, theta, u[None]))
+        runs[n] = traj, er.lifespan_monitor(traj)
+    return runs
 
 
-def test_residuals_explode_past_the_lifespan(pulse08, ideal):
-    rep = er.lifespan_monitor(pulse08)
-    res = er.formulation_residuals(pulse08, ideal)
-    t = np.asarray(res.times)
-    ent = np.asarray(res.entropy_norms)
-    th = np.asarray(res.thermal_norms)
-    early = t < 0.5 * rep.t_star
-    late = t > rep.t_star
-    assert early.any() and late.any()
-    # measured growth factors near 3000; the report stays usable throughout
-    assert ent[late].max() >= 50.0 * ent[early].max()
-    assert th[late].max() >= 50.0 * th[early].max()
-    assert np.all(np.isfinite(ent)) and np.all(np.isfinite(th))
+def test_reference_converges_at_4th_order_on_the_simple_wave(simple_wave):
+    errors = {}
+    for n, (traj, _) in simple_wave.items():
+        k = int(np.argmin(np.abs(np.asarray(traj.times) - 0.5 * _WAVE_T_STAR)))
+        exact = _wave_exact_rho(gf.cell_centers(traj.grid)[0], traj.times[k])
+        errors[n] = float(np.max(np.abs(traj.states[k].rho - exact)))
+    # measured 2.36e-5, 1.43e-6 and 8.34e-8: order 4.04, then 4.10
+    assert math.log2(errors[192] / errors[384]) >= 3.5
 
 
-def test_residuals_need_enough_uniform_instants(ideal):
-    grid = gf.Grid.line(1.0, 32, "periodic")
-    cfg = euler_config(ideal, grid, t_end=0.01, cfl=0.3, output_stride=10 ** 9)
-    traj = er.run_euler(cfg, acoustic(grid))
-    with pytest.raises(UsageError):
-        er.formulation_residuals(traj, ideal)
+def test_monitor_finds_the_simple_wave_lifespan(simple_wave):
+    assert _WAVE_T_STAR == pytest.approx(0.92255, abs=1e-5)
+    for _, rep in simple_wave.values():
+        # measured +4.7%, +1.3% and -1.4% at 96, 192 and 384 cells
+        assert rep.t_star == pytest.approx(_WAVE_T_STAR, rel=0.05)
+
+
+def test_usable_window_ends_before_the_simple_wave_breaks(simple_wave):
+    for _, rep in simple_wave.values():
+        assert rep.usable_until < _WAVE_T_STAR  # measured 0.773, 0.748 and 0.728
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,10 @@ def test_run_default_sweep_writes_both_families(tmp_path):
         run_cfg = (out / name / "runs" / "a1.000e-02" / "run.cfg").read_text()
         assert f"init.gap = {gap}\n" in run_cfg
         assert "init.gap = 0.0\n" in (out / name / "reference.cfg").read_text()
+    # one reference serves both families: the ill-prepared cache links the well-prepared one's
+    well, ill = (next((out / name / "reference-cache").glob("euler-*/manifest.txt"))
+                 for name in ("well", "ill"))
+    assert os.path.samefile(well, ill)
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +68,33 @@ def test_refinement_appendix_sweeps_each_grid_against_one_reference(appendix):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_refinement_appendix_computes_its_reference_once(appendix):
+    # the later grid's cache entry is the first grid's, hard-linked: its
+    # sweep loaded the reference and started no worker
+    _, out = appendix
+    entries = [next((out / f"N{n}" / "reference-cache").glob("euler-*/manifest.txt"))
+               for n in (8, 16)]
+    assert os.path.samefile(*entries)
+
+
 def test_refinement_appendix_refuses_grids_that_do_not_divide_the_reference(tmp_path):
     proc = _script("refinement_appendix.py", "--grids", "48", "100", "--out", "out",
                    cwd=tmp_path)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "the reference's 400 cells are not a multiple of grids [48]" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("refinement_appendix.py", ("--config", "nope.cfg", "--out", "out"),
+     "cannot read configuration file nope.cfg: No such file or directory"),
+    ("run_default_sweep.py", ("--cells", "3", "--out", "out"),
+     "need at least 8 cells per axis, got (3,)"),
+    ("layer_bench.py", ("--cells", "3"), "need at least 8 cells per axis, got (3,)"),
+])
+def test_script_reports_an_error_as_nsflab_does(tmp_path, name, args, message):
+    proc = _script(name, *args, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -536,6 +537,47 @@ def test_sweep_leaves_no_worker_behind(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="positivity floors"):
         sweepmod.run_sweep({**TINY, "floors": "0.5 1e-12"}, tmp_path / "floors")
     assert multiprocessing.active_children() == []
+
+
+def _alive(pid):
+    """Whether process pid runs: it exists and is no zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_killed_sweep_takes_its_worker_along(tmp_path):
+    # a long reference (768 cells to t = 3) keeps the worker busy while the
+    # sweep is killed; no handler of the sweep runs on SIGTERM
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("grid.extent = 1.0\ngrid.cells = 48\nt_end = 3.0\n"
+                   "sweep.reference-factor = 16\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sweepmod.__file__).parents[1]))
+    sweep = subprocess.Popen([sys.executable, "-m", "nsflab", "sweep", "--config", str(cfg),
+                              "--out", str(tmp_path / "out")], env=env)
+    children = Path(f"/proc/{sweep.pid}/task/{sweep.pid}/children")
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not workers and sweep.poll() is None and time.monotonic() < deadline:
+            if not children.exists():
+                pytest.skip("the system lists no child processes")
+            workers = [int(pid) for pid in children.read_text().split()]
+            time.sleep(0.05)
+        assert workers, "the sweep started no worker"
+        sweep.terminate()
+        sweep.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        sweep.kill()
+        sweep.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_sweep_refuses_its_run_config_before_the_reference(tmp_path, count_calls):
