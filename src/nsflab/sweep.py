@@ -129,8 +129,8 @@ def sweep_runs(cfg: dict):
     is the keys an inviscid run reads, with grid.cells refined by
     sweep.reference-factor, output.stride set to sweep.reference-stride and
     init.gap, which perturbs the runs only, to 0.0.  Values of cfg are
-    copied as written.  Two a values whose run ids
-    (`run_id_for`) agree would share a run directory, and are refused.
+    copied as written.  Refused: a values that share a run id (`run_id_for`),
+    or whose scalings or rate envelope are not positive and finite.
     """
     cfgmod.check_keys(cfg, "sweep")
     cfg = {**{key: cfgmod.DEFAULTS[key] for key in _RECORDED}, **_DEFAULTS, **cfg}
