@@ -8,17 +8,14 @@ relative shift of E_sup per refinement next to the relative spread across
 the path.  The sweep's conclusion stands when the former is small against
 the latter.
 
-Grid n is a `sweep.run_sweep` of the sweep configuration with
-grid.cells = n into <out>/N<n>, which `nsflab diag` and `nsflab rate-fit`
-read back.  Its sweep.reference-factor counts reference cells per cell of
-the finest grid; every grid must divide the reference's cells.  The
-reference is computed once: each later grid's reference-cache/ starts as
-hard links to the first grid's entries.
+Grid n is the sweep configuration with grid.cells = n, stored into
+<out>/N<n>, which `nsflab diag` and `nsflab rate-fit` read back.  Its
+sweep.reference-factor counts reference cells per cell of the finest grid;
+every grid must divide the reference's cells.  The reference is computed
+once, beside the coarsest grid's batch, and every grid is stored against it.
 """
 
 import argparse
-import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -46,14 +43,14 @@ def main(argv=None):
     if uneven:
         ap.error(f"the reference's {ref_cells} cells are not a multiple of grids {uneven}")
 
-    out, manifests = Path(args.out), []
-    for n in grids:
-        cache = out / f"N{n}" / "reference-cache"
-        if manifests and not cache.exists():  # the first grid's reference is loaded, not run
-            shutil.copytree(out / f"N{grids[0]}" / "reference-cache", cache, copy_function=os.link)
-        manifests.append(sweep.run_sweep({**cfg, "grid.cells": str(n),
-                                          "sweep.reference-factor": str(ref_cells // n)},
-                                         out / f"N{n}"))
+    runs = [sweep.sweep_runs({**cfg, "grid.cells": str(n),
+                              "sweep.reference-factor": str(ref_cells // n)}) for n in grids]
+    dirs = [Path(args.out) / f"N{n}" for n in grids]
+    for r, d in zip(runs, dirs):
+        sweep.check_out_dir(r, d)
+    reference, first = sweep.obtain_reference(runs[0], dirs[0])
+    manifests = [sweep.store_batch(runs[0], dirs[0], reference, first)]
+    manifests += [sweep.store_batch(r, d, reference) for r, d in zip(runs[1:], dirs[1:])]
     print(f"reference: {ref_cells} cells, usable horizon {manifests[0].t_safe!r}")
 
     path_sups = []

@@ -4,15 +4,13 @@ The well-prepared family starts from the reference's own initial data, so
 the sup of the relative energy tracks the rate envelope along the path.
 The ill-prepared family adds a fixed-size offset whose initial relative
 energy dominates every envelope on the path; its E_sup must plateau near
-that initial value instead of decaying.  Both families share one
-reference: the ill-prepared sweep's reference-cache/ starts as hard links
-to the well-prepared one's entries.
+that initial value instead of decaying.  Both families are stored against
+one reference (init.gap is 0.0 in both reference.cfg), computed beside the
+well-prepared batch.
 """
 
 import argparse
-import os
 import pathlib
-import shutil
 import sys
 
 from nsflab import cli
@@ -52,12 +50,13 @@ def main(argv=None):
     out = pathlib.Path(args.out)
 
     families = [("well", 0.0)] if args.skip_ill else [("well", 0.0), ("ill", args.gap)]
-    for name, gap in families:
-        cache = out / name / "reference-cache"
-        if name == "ill" and not cache.exists():  # init.gap is 0.0 in both reference.cfg
-            shutil.copytree(out / "well" / "reference-cache", cache, copy_function=os.link)
-        manifest = sweep.run_sweep({**base, "init.gap": repr(gap)}, out / name)
-        report(name, manifest)
+    runs = [sweep.sweep_runs({**base, "init.gap": repr(gap)}) for _, gap in families]
+    for r, (name, _) in zip(runs, families):
+        sweep.check_out_dir(r, out / name)
+    reference, batch = sweep.obtain_reference(runs[0], out / "well")
+    for r, (name, _) in zip(runs, families):
+        report(name, sweep.store_batch(r, out / name, reference, batch))
+        batch = None  # the ill-prepared batch runs against the reference
         print(f"  manifest: {out / name / 'manifest.json'}")
         print(f"  plot data: {out / name / 'plot_rate.dat'}")
     return 0

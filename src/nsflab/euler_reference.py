@@ -554,6 +554,21 @@ def check_cache_entry(cache_dir, key) -> bool:
     return os.path.isfile(manifest)
 
 
+def link_cache_entry(cache_dir, key, target_dir) -> None:
+    """Hard-link the stored entry of key in cache_dir into the cache
+    target_dir, unless that holds it already; its manifest.txt last, so
+    that a reader finds the whole entry or none."""
+    if check_cache_entry(target_dir, key):
+        return
+    root, manifest = _cache_paths(cache_dir, key)
+    target, _ = _cache_paths(target_dir, key)
+    os.makedirs(target, exist_ok=True)
+    for stale in Path(target).glob("*.snap"):  # of a run that stored no manifest
+        stale.unlink()
+    for src in [*sorted(Path(root).glob("*.snap")), manifest]:
+        os.link(src, os.path.join(target, os.path.basename(src)))
+
+
 def _store_cached(config, traj, cache_dir, key):
     root, manifest = _cache_paths(cache_dir, key)
     os.makedirs(root, exist_ok=True)

@@ -50,12 +50,26 @@ def acoustic_entropy(grid: gf.Grid, amplitude: float, gap: float) -> Scenario:
 
     The base modes are half-wave (even rho/theta, odd u at both walls); a
     nonzero `gap` adds a full-wave mode to theta and u, used to open a
-    controlled initial distance to an unperturbed reference.
+    controlled initial distance to an unperturbed reference.  Refused: a
+    periodic axis, where the half-wave modes jump at the seam, and data
+    whose density or temperature minimum is not positive.
     """
     if grid.dim != 1:
         raise UsageError("the slab scenario is one-dimensional")
+    if "periodic" in grid.bc:
+        raise ConfigError("acoustic-entropy needs grid.bc = slip-wall: its half-wave "
+                          "modes jump at a periodic seam")
     k = np.pi / grid.extents[0]
     A, g = float(amplitude), float(gap)
+    if not abs(A) < 1.0:
+        raise ConfigError(f"init.amplitude = {A!r} gives the density minimum "
+                          f"{1.0 - abs(A)!r}; it must be positive")
+    # theta = 1 + (A/2) c + g (2 c^2 - 1) with c = cos kx in [-1, 1]
+    cs = [-1.0, 1.0] + ([-A / (8.0 * g)] if g > 0.0 and abs(A) < 8.0 * g else [])
+    theta_min = min(1.0 + 0.5 * A * c + g * (2.0 * c * c - 1.0) for c in cs)
+    if not theta_min > 0.0:
+        raise ConfigError(f"init.amplitude = {A!r} with init.gap = {g!r} gives the "
+                          f"temperature minimum {theta_min!r}; it must be positive")
     return Scenario(
         "acoustic-entropy",
         lambda x: 1.0 + A * np.cos(k * x),

@@ -1,23 +1,15 @@
 """Vanishing-dissipation parameter sweeps.
 
 A sweep is its configuration mapping: each run's run.cfg and the
-reference.cfg are its keys narrowed by the key table (`config.keys_read_by`).
-One inviscid reference run is computed on a finer grid (and disk-cached),
-its trustworthy smooth horizon detected, and the path points run the
-dissipative solver, as one batch, from the same closed-form initial data
-to that horizon.  The reference runs in a worker process while the batch
-advances towards the requested end time.  The worker writes the reference
-into reference-cache/, the one channel between the two: once it has
-ended, the batch loads the reference there and, if its horizon is
-shorter, stops and runs again to that horizon.  A reference already in
-the cache is read first, and the batch runs straight to its horizon.  A
-sweep refuses an output directory whose runs/ holds a directory that is
-no run of its path, or where a regular file stands in for a directory it
-writes or a directory for a file.
-The manifest (`nsflab.manifest`) records, per point, the initial relative
-energy, its sup over the run, and the convergence-rate envelope; the fitted
-constant is the largest ratio E_sup / (E_init + envelope), which the theory
-asserts stays bounded along any admissible path.
+reference.cfg are its keys narrowed by the key table (`sweep_runs`).  It
+runs in three steps, which a study that compares several batches against
+one inviscid reference calls itself: `check_out_dir`, `obtain_reference`
+(cached, or computed beside the first batch) and `store_batch`, one per
+batch.  `run_sweep` is the three on one directory.  The manifest
+(`nsflab.manifest`) records, per point, the initial relative energy, its
+sup over the run, and the convergence-rate envelope; the fitted constant is
+the largest ratio E_sup / (E_init + envelope), which the theory asserts
+stays bounded along any admissible path.
 """
 
 from __future__ import annotations
@@ -279,11 +271,50 @@ def _point_record(reference, a: float, mapping: dict, traj: ns.Trajectory,
         return RunRecord(run_id=run_id, a=a, healthy=False, reason=reason,
                          e_init=nan, e_sup=nan, envelope=envelope, max_excess=nan)
     report = write_run_diagnostics(rdir, traj, reference)
-    return RunRecord(
-        run_id=run_id, a=a, healthy=True, reason="",
-        e_init=float(report.energy[0]), e_sup=float(max(report.energy)),
-        envelope=envelope, max_excess=float(report.max_excess),
-    )
+    return RunRecord(run_id=run_id, a=a, healthy=True, reason="",
+                     e_init=float(report.energy[0]), e_sup=float(max(report.energy)),
+                     envelope=envelope, max_excess=float(report.max_excess))
+
+
+def check_out_dir(runs, out_dir) -> None:
+    """UsageError for an output directory that a sweep of runs (`sweep_runs`)
+    cannot write: one whose runs/ holds a directory that is not one of the
+    path's run ids, where a file stands in for runs/, a run's directory or
+    reference-cache/, or a directory for reference.cfg, manifest.json,
+    plot_rate.dat or a run's file (`check_run_dir`)."""
+    out, run_ids = Path(out_dir), {run_id_for(a) for a in runs[0].a_values}
+    run_dirs = [out / "runs" / r for r in sorted(run_ids)]
+    for d in (out / "runs", out / "reference-cache", *run_dirs):
+        if d.exists() and not d.is_dir():
+            raise UsageError(f"{d} is not a directory; remove it or sweep into another directory")
+    for f in (out / "reference.cfg", out / "manifest.json", out / "plot_rate.dat"):
+        if f.is_dir():
+            raise UsageError(f"{f} is a directory; remove it or sweep into another directory")
+    for d in sorted(out.glob("runs/*")):
+        if d.is_dir() and d.name not in run_ids:
+            raise UsageError(f"{d} is not a run of this sweep's path; remove it "
+                             "or sweep into another directory")
+    for d in run_dirs:
+        check_run_dir(d)
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A sweep's inviscid reference: its reference.cfg mapping, cache key and
+    cache directory, the run, and the run's `lifespan_monitor` report."""
+
+    mapping: dict
+    key: str
+    cache_dir: Path
+    traj: er.EulerTrajectory
+    life: er.LifespanReport
+
+
+def _batch(runs, t_end: float):
+    """`nsf_solver.simulate_batch`'s arguments for the path points of runs, to t_end."""
+    path, _, (_, run_cfg, scenario) = runs
+    return ([replace(run_cfg, scaling=path.scaling_for(a), t_end=t_end) for a in path.a_values],
+            scenario.fields(run_cfg.grid))
 
 
 def _reference_worker(ref_mapping: dict, cache_dir: str) -> None:
@@ -302,82 +333,35 @@ def _reference_worker(ref_mapping: dict, cache_dir: str) -> None:
     er.run_euler(ref_cfg, scenario.fields(ref_cfg.grid), cache_dir=cache_dir)
 
 
-def run_sweep(cfg: dict, out_dir) -> SweepManifest:
-    """Reference run, one dissipative run per path point, manifest and plot data.
+def obtain_reference(runs, out_dir):
+    """The reference of runs (`sweep_runs`), kept in <out_dir>/reference-cache
+    -> (Reference, trajs): trajs is runs' batch to the reference's horizon
+    t_safe when it ran here, else None.
 
-    cfg is a sweep configuration as `config.load_file` returns it, checked
-    by `sweep_runs` before anything is written, and so is out_dir: one whose
-    runs/ holds a directory that is not one of the path's run ids, where a
-    file stands in for runs/, a run's directory or reference-cache/, or a
-    directory for reference.cfg, manifest.json, plot_rate.dat or a run's
-    file (`check_run_dir`), or whose reference cache entry is one the cache
-    can neither read nor write (`euler_reference.check_cache_entry`), is
-    refused, and so are initial data that the walls or the gas refuse.
-    The path points share their run config except the scalings, and start
-    from the same initial data, so they advance as one
-    `nsf_solver.simulate_batch`; each point's files are bitwise the ones a
-    sweep of that point alone writes.  Records are assembled in path order.
-
-    A reference already in the cache (the entry's manifest.txt exists) is
-    loaded here before anything is written, so that a damaged entry fails
-    with nothing written and no batch run; the batch then runs straight to
-    its horizon t_safe, and no worker starts.  Otherwise the batch advances
-    speculatively to the requested t_end while the reference runs in a
-    worker process (`multiprocessing`, the platform's default start
-    method), started once the batch has passed its entry checks (the
-    points' initial data).  The worker writes the
-    reference into reference-cache/; once it has ended, the batch loads it
-    there (an aborted reference is stored too, and a worker that died
-    without storing one leaves it to be computed here) and stops if its
-    horizon t_safe is shorter than t_end.  The speculative batch stands
-    when t_safe = t_end; otherwise the batch runs again to t_safe.  A
-    worker that cannot start leaves the reference to this process.  Every
-    output byte is the one of a sweep that runs the reference first and
-    the batch after it.
+    A reference in the cache (its entry's manifest.txt exists) is loaded,
+    a damaged one fails, and no batch runs.  Otherwise the batch advances
+    to the requested t_end while a worker process (`multiprocessing`'s
+    default start method) runs the reference into the cache, from the
+    batch's first `stop` call: its entry checks have passed there, and
+    their failure raises.  Once the worker has ended (a worker that cannot
+    start or stores nothing leaves it to this process), the batch loads
+    the reference and stops if t_safe < t_end.  A BaseException of the
+    batch terminates the worker.  Refused: a reference with no usable
+    horizon, and initial data that the walls or the gas refuse.
     """
-    path, (ref_mapping, ref_cfg, ref_scenario), (run_mapping, run_cfg, scenario) = \
-        sweep_runs(cfg)
-    out = Path(out_dir)
-    a_values = path.a_values
-    run_ids = {run_id_for(a) for a in a_values}
-    run_dirs = [out / "runs" / r for r in sorted(run_ids)]
-    for d in (out / "runs", out / "reference-cache", *run_dirs):
-        if d.exists() and not d.is_dir():
-            raise UsageError(f"{d} is not a directory; remove it or sweep into another directory")
-    for f in (out / "reference.cfg", out / "manifest.json", out / "plot_rate.dat"):
-        if f.is_dir():
-            raise UsageError(f"{f} is a directory; remove it or sweep into another directory")
-    for d in sorted(out.glob("runs/*")):
-        if d.is_dir() and d.name not in run_ids:
-            raise UsageError(f"{d} is not a run of this sweep's path; remove it "
-                             "or sweep into another directory")
-    for d in run_dirs:
-        check_run_dir(d)
+    _, (ref_mapping, ref_cfg, ref_scenario), (_, run_cfg, _) = runs
     if "slip-wall" in ref_cfg.grid.bc:
         er.compatibility_check(ref_scenario.rho, ref_scenario.theta,
                                ref_scenario.u, ref_cfg.grid, ref_cfg.gas)
     ref_state = ns.state_from_primitives(ref_cfg.gas, 0.0, ref_scenario.fields(ref_cfg.grid))
-    ref_key = er.reference_key(ref_cfg, ref_state)
-    cache_dir = out / "reference-cache"
-    loaded = []  # (reference, its lifespan report), once loaded or computed
+    key = er.reference_key(ref_cfg, ref_state)
+    cache_dir, t_end = Path(out_dir) / "reference-cache", run_cfg.t_end
+    loaded = []  # the Reference, once loaded or computed
+    worker = None  # the worker process; False when it could not start
 
     def load_reference():
-        reference = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
-        loaded.append((reference, er.lifespan_monitor(reference)))
-
-    if er.check_cache_entry(cache_dir, ref_key):
-        load_reference()
-    out.mkdir(parents=True, exist_ok=True)
-
-    (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
-    t_end = run_cfg.t_end
-    scalings = [path.scaling_for(a) for a in a_values]
-
-    def point_inputs(t):
-        return ([replace(run_cfg, scaling=sc, t_end=t) for sc in scalings],
-                scenario.fields(run_cfg.grid))
-
-    worker = None  # the worker process; False when it could not start
+        traj = er.run_euler(ref_cfg, ref_state, cache_dir=cache_dir)
+        loaded.append(Reference(ref_mapping, key, cache_dir, traj, er.lifespan_monitor(traj)))
 
     def stop_batch() -> bool:
         nonlocal worker
@@ -385,68 +369,88 @@ def run_sweep(cfg: dict, out_dir) -> SweepManifest:
             import multiprocessing
 
             worker = multiprocessing.Process(target=_reference_worker,
-                                             args=(ref_mapping, str(cache_dir)),
-                                             daemon=True)
+                                             args=(ref_mapping, str(cache_dir)), daemon=True)
             try:
                 worker.start()
             except OSError:
                 worker = False
         if not loaded and not (worker and worker.is_alive()):
             load_reference()
-        return bool(loaded) and loaded[0][1].usable_until < t_end
+        return bool(loaded) and loaded[0].life.usable_until < t_end
 
-    speculative = None  # the batch to t_end, run while the worker computes the reference
-    if not loaded:
+    trajs = None
+    if er.check_cache_entry(cache_dir, key):
+        load_reference()
+    else:
         try:
-            speculative = ns.simulate_batch(*point_inputs(t_end), stop=stop_batch)
+            trajs = ns.simulate_batch(*_batch(runs, t_end), stop=stop_batch)
         except Exception:
             if worker is None:  # the entry checks failed
                 raise
             # past the horizon a batch may fail where the one to the horizon
-            # does not; the batch below raises what belongs to the sweep
-            speculative = None
+            # does not; `store_batch` runs that one and raises what it raises
         except BaseException:
             if worker:
                 worker.terminate()
                 worker.join()
             raise
-    if worker:
-        worker.join()
-    if not loaded:
-        load_reference()
-    reference, life = loaded[0]
-    t_safe = life.usable_until
-    if not (t_safe > 0.0):
-        raise UsageError(
-            "the reference run provides no usable smooth horizon "
-            f"(trigger: {life.trigger or 'none'})")
+        if worker:
+            worker.join()
+        if not loaded:
+            load_reference()
+    life = loaded[0].life
+    if not (life.usable_until > 0.0):
+        raise UsageError("the reference run provides no usable smooth horizon "
+                         f"(trigger: {life.trigger or 'none'})")
+    return loaded[0], (trajs if life.usable_until == t_end else None)
 
-    trajs = speculative if speculative is not None and t_safe == t_end \
-        else ns.simulate_batch(*point_inputs(t_safe))
-    mappings = [_point_mapping(run_mapping, sc, t_safe) for sc in scalings]
-    records = tuple(_point_record(reference, a, mapping, traj, out)
-                    for a, mapping, traj in zip(a_values, mappings, trajs))
+
+def store_batch(runs, out_dir, reference: Reference, trajs=None) -> SweepManifest:
+    """Store the path points of runs (`sweep_runs`), run to the reference's
+    horizon t_safe, in out_dir: reference.cfg, runs/, manifest.json and
+    plot_rate.dat -> the manifest.
+
+    trajs is the points' batch to t_safe (`obtain_reference`); None runs
+    it here.  The reference's cache entry is hard-linked into
+    <out_dir>/reference-cache (`euler_reference.link_cache_entry`), where
+    `nsflab diag` reads it.  Refused: runs of another reference.cfg.
+    """
+    path, (ref_mapping, _, _), (run_mapping, run_cfg, _) = runs
+    if ref_mapping != reference.mapping:
+        raise UsageError("the batch's reference.cfg is not the reference's")
+    t_safe = reference.life.usable_until
+    if trajs is None:
+        trajs = ns.simulate_batch(*_batch(runs, t_safe))
+    out = Path(out_dir)
+    er.link_cache_entry(reference.cache_dir, reference.key, out / "reference-cache")
+    (out / "reference.cfg").write_text(cfgmod.render(ref_mapping), encoding="ascii")
+    records = tuple(  # in path order
+        _point_record(reference.traj, a, _point_mapping(run_mapping, path.scaling_for(a), t_safe),
+                      traj, out) for a, traj in zip(path.a_values, trajs))
 
     healthy = [r for r in records if r.healthy]
     manifest = SweepManifest(
-        alpha=path.alpha, beta=path.beta, gamma=path.gamma,
-        a_values=a_values,
+        alpha=path.alpha, beta=path.beta, gamma=path.gamma, a_values=path.a_values,
         config_hash=_hash16(cfgmod.render(ref_mapping)),
         grid_hash=_hash16(repr((run_cfg.grid.extents, run_cfg.grid.cells, run_cfg.grid.bc))),
-        reference_key=ref_key,
-        t_safe=float(t_safe),
-        records=records,
-        fitted_constant=float("nan"),
-        flagged=False,
-    )
+        reference_key=reference.key, t_safe=float(t_safe), records=records,
+        fitted_constant=float("nan"), flagged=False)
     if len(healthy) >= 2:
         fit = fit_rate(manifest)
-        manifest = replace(manifest, fitted_constant=fit.fitted_constant,
-                           flagged=fit.flagged)
+        manifest = replace(manifest, fitted_constant=fit.fitted_constant, flagged=fit.flagged)
     write_manifest(manifest, out / "manifest.json")
 
-    lines = ["# a envelope e_sup e_sup_over_envelope"]
-    for r in healthy:
-        lines.append(f"{r.a!r} {r.envelope!r} {r.e_sup!r} {r.e_sup / r.envelope!r}")
+    lines = ["# a envelope e_sup e_sup_over_envelope"] + [
+        f"{r.a!r} {r.envelope!r} {r.e_sup!r} {r.e_sup / r.envelope!r}" for r in healthy]
     (out / "plot_rate.dat").write_text("\n".join(lines) + "\n", encoding="ascii")
     return manifest
+
+
+def run_sweep(cfg: dict, out_dir) -> SweepManifest:
+    """Reference run, one dissipative run per path point, manifest and plot
+    data of cfg (as `config.load_file` returns it) in out_dir: the bytes of
+    a sweep that runs the reference first and the batch after it, each
+    point's files bitwise the ones a sweep of that point alone writes."""
+    runs = sweep_runs(cfg)
+    check_out_dir(runs, out_dir)
+    return store_batch(runs, out_dir, *obtain_reference(runs, out_dir))

@@ -159,6 +159,27 @@ def test_ideal_gas_refuses_p_inf(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, text", [("simulate", RUN_CFG), ("sweep", SWEEP_CFG)],
+                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("old, new, message", [
+    ("grid.bc = slip-wall", "grid.bc = periodic",
+     "acoustic-entropy needs grid.bc = slip-wall: its half-wave modes jump at a periodic seam"),
+    ("init.amplitude = 0.01", "init.amplitude = 2.0",
+     "init.amplitude = 2.0 gives the density minimum -1.0; it must be positive"),
+    ("init.amplitude = 0.01", "init.amplitude = 0.1\ninit.gap = -1.2",
+     "init.amplitude = 0.1 with init.gap = -1.2 gives the temperature minimum -0.25; "
+     "it must be positive"),
+], ids=["periodic", "amplitude", "gap"])
+def test_acoustic_entropy_data_that_are_no_strong_solution_are_refused_first(
+        tmp_path, capsys, command, text, old, new, message):
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(text.replace(old, new))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_simulate_euler_over_a_dissipative_run_drops_its_reports(tmp_path, capsys):
     # the Euler run takes the same writer as a dissipative one, which
     # drops the reports of the run that was there before

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nsflab import euler_reference as er
 from nsflab import grid_fields as gf
@@ -48,6 +50,41 @@ def test_slab_scenarios_reject_2d():
         scenarios.acoustic_entropy(box, 0.01, 0.0)
     with pytest.raises(UsageError, match="one-dimensional"):
         scenarios.compressive_pulse(box, 0.2)
+
+
+def test_acoustic_entropy_refuses_a_periodic_axis():
+    # its half-wave modes jump at the seam: rho is 1 + A at x = 0 and 1 - A at x = L
+    ring = gf.Grid.line(1.0, 24, "periodic")
+    with pytest.raises(ConfigError, match="acoustic-entropy needs grid.bc = slip-wall"):
+        scenarios.acoustic_entropy(ring, 0.01, 0.0)
+    for name in ("uniform", "compressive-pulse"):
+        scenarios.build(name, ring, 0.2, 0.0).fields(ring)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amplitude=st.floats(-0.99, 0.99), gap=st.floats(-1.5, 1.5))
+def test_acoustic_entropy_refuses_a_temperature_that_is_not_positive(amplitude, gap):
+    # the closed-form minimum over the continuum bounds the sampled one from
+    # below and meets it on a fine slab
+    fine = gf.Grid.line(1.0, 4096, "slip-wall")
+    try:
+        theta = scenarios.acoustic_entropy(fine, amplitude, gap).fields(fine)[1]
+    except ConfigError as err:
+        assert f"init.amplitude = {amplitude!r} with init.gap = {gap!r}" in str(err)
+        theta_min = float(str(err).split("temperature minimum ")[1].split(";")[0])
+        assert theta_min <= 0.0
+        x = np.cos(np.linspace(0.0, np.pi, 4097))
+        sampled = (1.0 + 0.5 * amplitude * x + gap * (2.0 * x * x - 1.0)).min()
+        assert theta_min <= sampled <= theta_min + 1e-5
+    else:
+        assert theta.min() > 0.0
+
+
+def test_acoustic_entropy_refuses_an_amplitude_of_one_or_more(slab):
+    for amplitude in (1.0, -2.0, float("nan")):
+        with pytest.raises(ConfigError, match=f"init.amplitude = {amplitude!r} gives the "
+                                              "density minimum"):
+            scenarios.acoustic_entropy(slab, amplitude, 0.0)
 
 
 def test_component_count_checked(slab):

@@ -2,12 +2,16 @@
 in a fresh process, so that a change to the API they call shows here."""
 
 import json
+import multiprocessing
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from nsflab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,6 +79,29 @@ def test_refinement_appendix_computes_its_reference_once(appendix):
     entries = [next((out / f"N{n}" / "reference-cache").glob("euler-*/manifest.txt"))
                for n in (8, 16)]
     assert os.path.samefile(*entries)
+
+
+@pytest.mark.parametrize("name, args, dirs", [
+    ("refinement_appendix.py", ("--config", "sweep.cfg", "--grids", "8", "16"), ("N8", "N16")),
+    ("run_default_sweep.py", ("--cells", "8", "--t-end", "0.05"), ("well", "ill")),
+])
+def test_script_computes_one_reference_that_diag_leaves_linked(tmp_path, monkeypatch, count_calls,
+                                                               capsys, name, args, dirs):
+    # in this process, so that the worker processes it starts can be counted
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.cfg").write_text("grid.extent = 1.0\nt_end = 0.3\n")
+    main = runpy.run_path(str(ROOT / "scripts" / name))["main"]
+    starts = count_calls(multiprocessing.Process, "start")
+    assert main([*args, "--out", "out"]) == 0
+    assert len(starts) == 1
+    for d in dirs:
+        assert cli.main(["diag", "--out", str(tmp_path / "out" / d)]) == 0
+    entries = [list((tmp_path / "out" / d / "reference-cache").iterdir()) for d in dirs]
+    assert [len(e) for e in entries] == [1] * len(dirs)
+    first, *later = (e[0] for e in entries)
+    for entry in later:
+        assert sorted(p.name for p in entry.iterdir()) == sorted(p.name for p in first.iterdir())
+        assert all(os.path.samefile(p, entry / p.name) for p in first.iterdir())
 
 
 def test_refinement_appendix_refuses_grids_that_do_not_divide_the_reference(tmp_path):

@@ -664,6 +664,31 @@ def test_sweep_with_a_cached_reference_starts_no_worker(tiny_sweep, tmp_path, co
     assert _files(again) == _files(out)
 
 
+def test_batch_stored_against_another_directory_s_reference(tiny_sweep, tmp_path, count_calls):
+    # the reference loads from the tiny sweep's cache; the batch stored
+    # against it writes a fresh sweep's files, its cache entry hard-linked
+    cfg, out, manifest = tiny_sweep
+    runs = sweepmod.sweep_runs(cfg)
+    starts = count_calls(multiprocessing.Process, "start")
+    reference, trajs = sweepmod.obtain_reference(runs, out)
+    assert trajs is None and reference.cache_dir == out / "reference-cache"
+    shared = tmp_path / "shared"
+    entry = next((out / "reference-cache").glob("euler-*"))
+    linked = shared / "reference-cache" / entry.name
+    linked.mkdir(parents=True)  # a run killed before it stored its manifest left a snapshot
+    (linked / "00999.snap").write_bytes(b"stale")
+    sweepmod.check_out_dir(runs, shared)
+    assert sweepmod.store_batch(runs, shared, reference).json() == manifest.json()
+    assert starts == [] and _files(shared) == _files(out)
+    assert sorted(p.name for p in linked.iterdir()) == sorted(p.name for p in entry.iterdir())
+    assert all(os.path.samefile(p, linked / p.name) for p in entry.iterdir())
+    # runs of another reference are refused before anything is written
+    other = sweepmod.sweep_runs({**cfg, "init.amplitude": "0.02"})
+    with pytest.raises(UsageError, match="reference.cfg is not the reference's"):
+        sweepmod.store_batch(other, tmp_path / "other", reference)
+    assert not (tmp_path / "other").exists()
+
+
 def test_sweep_refuses_an_out_holding_runs_of_another_path(tiny_sweep, tmp_path):
     # the runs a sweep does not write would stay beside its manifest, and
     # `nsflab diag` would rate them against the new reference
