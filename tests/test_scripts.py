@@ -1,5 +1,6 @@
 """The experiment scripts under scripts/ run end to end at tiny sizes, each
-in a fresh process, so that a change to the API they call shows here."""
+in a fresh process, so that a change to the API they call shows here; one
+test runs the sweep scripts in this process, to count the workers they start."""
 
 import json
 import multiprocessing
